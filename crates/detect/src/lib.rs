@@ -18,6 +18,9 @@
 //!   fragment, work routed by node ownership, cross-fragment candidate
 //!   fetches accounted in the [`CostLedger`] as the paper's communication
 //!   cost — results stay byte-identical to the shared-snapshot path;
+//!   [`pinc_dect_sharded_rebased`] is the one session-shaped entry point
+//!   behind it (accumulated `ΔG`, caller-owned plan cache, optional
+//!   streaming [`VioSink`]);
 //! * [`session`] — reusable incremental session state
 //!   ([`IncrementalSession`] / [`ShardedIncrementalSession`]): a long-lived
 //!   process absorbs a *stream* of `ΔG` batches against one shared
@@ -83,8 +86,7 @@ pub use cost::{parallel_cost, sequential_cost, should_split, CostLedger};
 pub use incdect::{inc_dect, inc_dect_prepared, inc_dect_prepared_cached, inc_dect_snapshot};
 pub use pincdect::{
     pinc_dect, pinc_dect_prepared, pinc_dect_prepared_cached, pinc_dect_prepared_streaming,
-    pinc_dect_sharded, pinc_dect_sharded_cached, pinc_dect_sharded_rebased,
-    pinc_dect_sharded_rebased_cached, pinc_dect_sharded_rebased_streaming,
+    pinc_dect_sharded, pinc_dect_sharded_rebased,
 };
 pub use report::{DeltaReport, DetectionReport, SearchStats, VioSide, VioSink};
 pub use session::{IncrementalSession, ShardedIncrementalSession};

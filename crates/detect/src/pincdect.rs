@@ -108,7 +108,7 @@ struct EmitState<'a> {
 /// Each worker reads the graphs through its *own* `(old, new)` view pair:
 /// on the shared-snapshot path every pair aliases the same two views, on
 /// the sharded path worker `i` holds overlays over fragment `i`'s
-/// [`FragmentView`](ngd_graph::FragmentView) (or its mmap twin).  All
+/// [`FragmentView`](ngd_graph::FragmentView) (in-memory or mapped).  All
 /// views observe the same logical graph, so a work
 /// unit may be expanded by any worker (splitting and balancing move units
 /// freely) — a foreign worker merely pays remote candidate fetches.
@@ -572,18 +572,15 @@ pub fn pinc_dect_sharded<S: ShardedRead>(
     delta: &BatchUpdate,
     config: &DetectorConfig,
 ) -> DeltaReport {
-    pinc_dect_sharded_rebased(sigma, sharded, &BatchUpdate::new(), delta, config)
-}
-
-/// [`pinc_dect_sharded`] with a caller-owned [`PlanCache`].
-pub fn pinc_dect_sharded_cached<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-    cache: &PlanCache,
-) -> DeltaReport {
-    pinc_dect_sharded_rebased_cached(sigma, sharded, &BatchUpdate::new(), delta, config, cache)
+    pinc_dect_sharded_rebased(
+        sigma,
+        sharded,
+        &BatchUpdate::new(),
+        delta,
+        config,
+        &PlanCache::new(),
+        None,
+    )
 }
 
 /// [`pinc_dect_sharded`] for a session that has already absorbed updates:
@@ -593,63 +590,16 @@ pub fn pinc_dect_sharded_cached<S: ShardedRead>(
 /// what a long-lived serving process answers per batch without ever
 /// re-freezing the snapshot.
 ///
+/// `cache` is caller-owned so plan compilation amortises across an update
+/// stream (`ngd-serve` keeps one per snapshot epoch).  With a `sink`, every
+/// violation is also handed over **while expansion is still running** —
+/// the sharded twin of [`pinc_dect_prepared_streaming`], same delivery
+/// guarantees ([`VioSink`]); the returned report is identical either way.
+///
 /// `accumulated` must apply cleanly to the snapshot and `delta` to
 /// `snapshot ⊕ accumulated` (validate with
 /// [`BatchUpdate::validate_against`] first on untrusted input).
 pub fn pinc_dect_sharded_rebased<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    accumulated: &BatchUpdate,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-) -> DeltaReport {
-    pinc_dect_sharded_rebased_cached(
-        sigma,
-        sharded,
-        accumulated,
-        delta,
-        config,
-        &PlanCache::new(),
-    )
-}
-
-/// [`pinc_dect_sharded_rebased`] with a caller-owned [`PlanCache`] — the
-/// serving path: `ngd-serve` keeps one cache per snapshot store, so plan
-/// compilation amortises across the whole update stream of an epoch.
-pub fn pinc_dect_sharded_rebased_cached<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    accumulated: &BatchUpdate,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-    cache: &PlanCache,
-) -> DeltaReport {
-    pinc_dect_sharded_rebased_core(sigma, sharded, accumulated, delta, config, cache, None)
-}
-
-/// [`pinc_dect_sharded_rebased_cached`] with a [`VioSink`] — the sharded
-/// twin of [`pinc_dect_prepared_streaming`], same delivery guarantees.
-pub fn pinc_dect_sharded_rebased_streaming<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    accumulated: &BatchUpdate,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-    cache: &PlanCache,
-    sink: VioSink<'_>,
-) -> DeltaReport {
-    pinc_dect_sharded_rebased_core(
-        sigma,
-        sharded,
-        accumulated,
-        delta,
-        config,
-        cache,
-        Some(sink),
-    )
-}
-
-fn pinc_dect_sharded_rebased_core<S: ShardedRead>(
     sigma: &RuleSet,
     sharded: &S,
     accumulated: &BatchUpdate,
@@ -982,21 +932,21 @@ mod tests {
         let (g, delta, sigma) = example7();
         let sharded = g.freeze_sharded(4, PartitionStrategy::EdgeCut, 0);
         let streamed: Mutex<(DeltaViolations, u64)> = Mutex::new((DeltaViolations::new(), 0));
-        let report = pinc_dect_sharded_rebased_streaming(
+        let report = pinc_dect_sharded_rebased(
             &sigma,
             &sharded,
             &BatchUpdate::new(),
             &delta,
             &DetectorConfig::default().latency(0.5),
             &PlanCache::new(),
-            &|side, violation| {
+            Some(&|side, violation| {
                 let mut guard = streamed.lock().unwrap();
                 match side {
                     VioSide::Added => guard.0.added.insert(violation.clone()),
                     VioSide::Removed => guard.0.removed.insert(violation.clone()),
                 };
                 guard.1 += 1;
-            },
+            }),
         );
         let (collected, deliveries) = streamed.into_inner().unwrap();
         assert_eq!(collected, report.delta);

@@ -31,7 +31,7 @@
 //!   through [`pinc_dect_prepared`](crate::pinc_dect_prepared);
 //! * [`ShardedIncrementalSession`] over any [`ShardedRead`] (in-memory or
 //!   memory-mapped sharded snapshots), answering through
-//!   [`pinc_dect_sharded_rebased`](crate::pinc_dect_sharded_rebased).
+//!   [`pinc_dect_sharded_rebased`].
 //!
 //! Both validate every batch with [`BatchUpdate::validate_against`] before
 //! touching overlay construction, so a malformed batch is a typed
@@ -41,8 +41,7 @@
 use crate::batch::dect_on_cached;
 use crate::config::DetectorConfig;
 use crate::pincdect::{
-    pinc_dect_prepared_cached, pinc_dect_prepared_streaming, pinc_dect_sharded_rebased_cached,
-    pinc_dect_sharded_rebased_streaming,
+    pinc_dect_prepared_cached, pinc_dect_prepared_streaming, pinc_dect_sharded_rebased,
 };
 use crate::report::{DeltaReport, DetectionReport, VioSink};
 use ngd_core::RuleSet;
@@ -262,7 +261,7 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
 
 /// Session state over a sharded snapshot: same contract as
 /// [`IncrementalSession`], answered by one worker per fragment through
-/// [`pinc_dect_sharded_rebased`](crate::pinc_dect_sharded_rebased).
+/// [`pinc_dect_sharded_rebased`].
 #[derive(Debug)]
 pub struct ShardedIncrementalSession<'a, S: ShardedRead> {
     sharded: &'a S,
@@ -383,25 +382,15 @@ impl<'a, S: ShardedRead> ShardedIncrementalSession<'a, S> {
         sink: Option<VioSink<'_>>,
     ) -> Result<DeltaReport, UpdateError> {
         delta.validate_against(&self.view())?;
-        let report = match sink {
-            None => pinc_dect_sharded_rebased_cached(
-                sigma,
-                self.sharded,
-                &self.accumulated,
-                delta,
-                config,
-                cache,
-            ),
-            Some(sink) => pinc_dect_sharded_rebased_streaming(
-                sigma,
-                self.sharded,
-                &self.accumulated,
-                delta,
-                config,
-                cache,
-                sink,
-            ),
-        };
+        let report = pinc_dect_sharded_rebased(
+            sigma,
+            self.sharded,
+            &self.accumulated,
+            delta,
+            config,
+            cache,
+            sink,
+        );
         self.accumulated.merge(delta);
         self.batches_applied += 1;
         Ok(report)

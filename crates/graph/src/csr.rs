@@ -1,8 +1,8 @@
-//! Frozen, label-partitioned CSR graph snapshots.
+//! The CSR reader and its in-memory storage.
 //!
-//! [`CsrSnapshot`] is the read-optimised twin of [`Graph`]: an immutable
-//! compressed-sparse-row representation whose per-node neighbour runs are
-//! sorted by `(edge label, neighbour)`, so that
+//! Every frozen representation of this crate stores adjacency the same
+//! way: per node (or per fragment-local row) one **run** of
+//! `(edge label, neighbour)` entries sorted by that pair, so that
 //!
 //! * the matcher's candidate-selection step — "neighbours of `v` along
 //!   edges labelled `l`" — is a binary search yielding a **contiguous
@@ -15,33 +15,190 @@
 //!   maps every label triple to the contiguous run of its edges, which the
 //!   matcher uses to seed its first variable on label-skewed workloads.
 //!
+//! That layout is read by exactly one piece of code.  `Side` borrows one
+//! direction's three arrays and owns the run logic (the binary search that
+//! bounds a labelled run lives in `Side::labeled_range` and nowhere else);
+//! the crate-private `RowStore` / `CsrStore` traits are the seam through
+//! which a storage hands its arrays to the reader; and the single blanket
+//! impl of [`GraphView`] over `S: CsrStore` at the bottom of this module is
+//! the whole-graph reader.  The fragment reader ([`crate::FragmentView`]) is
+//! built on the same `RowStore` seam.  Who plugs in what:
+//!
+//! | storage | run-key space | row label / attributes | read as |
+//! |---|---|---|---|
+//! | [`CsrSnapshot`] (heap arrays, [`Graph::freeze`]) | [`Sym`] itself (identity) | `Vec<NodeData>` | whole graph |
+//! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array, lazily decoded attribute blob | whole graph |
+//! | [`crate::FragmentSnapshot`] (heap arrays, [`CsrSnapshot::shard`]) | [`Sym`] (identity) | `Vec<NodeData>` per local row | [`crate::FragmentView`] of a [`crate::ShardedSnapshot`] |
+//! | mapped fragment (one `.ngds` section group per fragment) | file symbol id (the file's one table) | mapped per-row arrays | [`crate::MmapFragmentView`] of a [`crate::MmapShardedSnapshot`] |
+//!
 //! Freezing is a single `O(|V| + |E| log |E|)` pass ([`Graph::freeze`]);
 //! updates keep flowing through the mutable [`Graph`] / `BatchUpdate`
 //! machinery, and the incremental detectors search a snapshot plus an
 //! unapplied update through [`crate::DeltaOverlay`].
 
+use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeData, NodeId};
-use crate::interner::Sym;
+use crate::interner::{Sym, WILDCARD};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// One direction (out or in) of the CSR adjacency.
-///
-/// Shared between the global [`CsrSnapshot`] and the per-fragment
-/// snapshots of [`crate::shard`], which index rows by *local* node id.
+/// One direction (out or in) of a CSR adjacency, borrowed from whichever
+/// storage holds the arrays.  `K` is the storage's run-key type: the edge
+/// label in the order the runs are sorted by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Side<'a, K> {
+    /// `offsets[row]..offsets[row + 1]` indexes the run of `row`.
+    pub(crate) offsets: &'a [u32],
+    /// Run key of each entry; runs are sorted by `(key, neighbour)`.
+    pub(crate) keys: &'a [K],
+    /// Neighbour of each entry (always a global node id).
+    pub(crate) neighbors: &'a [NodeId],
+}
+
+impl<'a, K: Copy + Ord> Side<'a, K> {
+    #[inline]
+    pub(crate) fn row_range(&self, row: usize) -> Range<usize> {
+        self.offsets[row] as usize..self.offsets[row + 1] as usize
+    }
+
+    #[inline]
+    pub(crate) fn degree(&self, row: usize) -> usize {
+        self.row_range(row).len()
+    }
+
+    /// The contiguous sub-range of `row`'s run whose entries carry `key`.
+    #[inline]
+    pub(crate) fn labeled_range(&self, row: usize, key: K) -> Range<usize> {
+        let range = self.row_range(row);
+        let run = &self.keys[range.clone()];
+        let start = run.partition_point(|&k| k < key);
+        let end = run.partition_point(|&k| k <= key);
+        range.start + start..range.start + end
+    }
+
+    /// The neighbours of `row` along `key`, sorted.
+    #[inline]
+    pub(crate) fn labeled(&self, row: usize, key: K) -> &'a [NodeId] {
+        &self.neighbors[self.labeled_range(row, key)]
+    }
+
+    /// Binary-search for `neighbor` inside the `(row, key)` run.
+    #[inline]
+    pub(crate) fn contains(&self, row: usize, key: K, neighbor: NodeId) -> bool {
+        self.labeled(row, key).binary_search(&neighbor).is_ok()
+    }
+
+    /// The `(key, neighbour)` entries of `row`'s run, in CSR order.
+    #[inline]
+    pub(crate) fn entries(&self, row: usize) -> impl Iterator<Item = (K, NodeId)> + 'a {
+        let (keys, neighbors) = (self.keys, self.neighbors);
+        self.row_range(row).map(move |i| (keys[i], neighbors[i]))
+    }
+}
+
+/// Row-addressed CSR storage: the seam between the arrays (heap or mapped
+/// file) and the readers.  A *row* is a node id in a whole-graph storage
+/// and a fragment-local index in a fragment.
+pub(crate) trait RowStore {
+    /// The type runs are keyed and sorted by.
+    type Key: Copy + Ord;
+
+    fn out_side(&self) -> Side<'_, Self::Key>;
+    fn in_side(&self) -> Side<'_, Self::Key>;
+    /// The run key of an edge label; `None` when no run of this storage
+    /// can carry it.
+    fn key_of(&self, label: Sym) -> Option<Self::Key>;
+    fn sym_of(&self, key: Self::Key) -> Sym;
+    fn row_label(&self, row: usize) -> Sym;
+    fn row_attrs(&self, row: usize) -> &AttrMap;
+
+    /// Out-neighbours of `row` along `label`, sorted.
+    #[inline]
+    fn out_run(&self, row: usize, label: Sym) -> &[NodeId] {
+        match self.key_of(label) {
+            Some(key) => self.out_side().labeled(row, key),
+            None => &[],
+        }
+    }
+
+    /// In-neighbours of `row` along `label`, sorted.
+    #[inline]
+    fn in_run(&self, row: usize, label: Sym) -> &[NodeId] {
+        match self.key_of(label) {
+            Some(key) => self.in_side().labeled(row, key),
+            None => &[],
+        }
+    }
+
+    /// Every out-entry of `row` as `(neighbour, edge label)`.
+    fn for_each_out_entry(&self, row: usize, f: &mut dyn FnMut(NodeId, Sym)) {
+        for (key, n) in self.out_side().entries(row) {
+            f(n, self.sym_of(key));
+        }
+    }
+
+    /// Successors then predecessors of `row` (whose global id is `id`),
+    /// each with the connecting edge in its directed form.
+    fn for_each_incident(&self, row: usize, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
+        for (key, n) in self.out_side().entries(row) {
+            f(n, EdgeRef::new(id, n, self.sym_of(key)));
+        }
+        for (key, n) in self.in_side().entries(row) {
+            f(n, EdgeRef::new(n, id, self.sym_of(key)));
+        }
+    }
+}
+
+/// `label → range` into a label-partitioned node permutation.
+pub(crate) type LabelRanges = HashMap<Sym, (u32, u32)>;
+/// `(src label, edge label, dst label) → range` into the triple arrays.
+pub(crate) type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
+
+/// Whole-graph CSR storage: rows are node ids, plus the two replicated
+/// dictionaries (label partition, triple index).  Implementing this is
+/// what makes a type a [`GraphView`].
+pub(crate) trait CsrStore {
+    type Rows: RowStore;
+
+    fn rows(&self) -> &Self::Rows;
+    /// `(|V|, |E|)`.
+    fn counts(&self) -> (usize, usize);
+    /// The label ranges and the node permutation they index.
+    fn label_partition(&self) -> (&LabelRanges, &[NodeId]);
+    /// The triple ranges and the `(src, dst)` arrays they index, each
+    /// group sorted by `(src, dst)`.
+    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]);
+
+    /// The nodes labelled `label`, as a contiguous slice of the partition.
+    fn label_members(&self, label: Sym) -> &[NodeId] {
+        let (ranges, order) = self.label_partition();
+        match ranges.get(&label) {
+            Some(&(start, end)) => &order[start as usize..end as usize],
+            None => &[],
+        }
+    }
+
+    /// Number of edges matching the fully concrete label triple.
+    fn triple_len(&self, key: (Sym, Sym, Sym)) -> usize {
+        match self.triple_index().0.get(&key) {
+            Some(&(start, end)) => (end - start) as usize,
+            None => 0,
+        }
+    }
+}
+
+/// One direction of the in-memory CSR adjacency.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CsrSide {
-    /// `offsets[v]..offsets[v + 1]` indexes the run of node `v`.
+struct CsrSide {
     offsets: Vec<u32>,
-    /// Edge label of each entry; runs are sorted by `(label, neighbour)`.
     labels: Vec<Sym>,
-    /// Neighbour of each entry.
     neighbors: Vec<NodeId>,
 }
 
 impl CsrSide {
-    pub(crate) fn build(lists: Vec<Vec<(Sym, NodeId)>>) -> CsrSide {
+    fn build(lists: Vec<Vec<(Sym, NodeId)>>) -> CsrSide {
         let total: usize = lists.iter().map(Vec::len).sum();
         let mut side = CsrSide {
             offsets: Vec::with_capacity(lists.len() + 1),
@@ -60,64 +217,85 @@ impl CsrSide {
         side
     }
 
-    #[inline]
-    pub(crate) fn node_range(&self, id: NodeId) -> std::ops::Range<usize> {
-        self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize
+    fn side(&self) -> Side<'_, Sym> {
+        Side {
+            offsets: &self.offsets,
+            keys: &self.labels,
+            neighbors: &self.neighbors,
+        }
     }
+}
+
+/// Heap-allocated rows: node payloads plus both adjacency directions,
+/// keyed by [`Sym`] directly.  The row storage of [`CsrSnapshot`] (rows =
+/// node ids) and of [`crate::FragmentSnapshot`] (rows = local indexes).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MemRows {
+    pub(crate) nodes: Vec<NodeData>,
+    out: CsrSide,
+    inn: CsrSide,
+}
+
+impl MemRows {
+    /// Build from per-row `(label, neighbour)` lists; every run is sorted
+    /// here, so the lists' entry order does not matter.
+    pub(crate) fn build(
+        nodes: Vec<NodeData>,
+        out_lists: Vec<Vec<(Sym, NodeId)>>,
+        in_lists: Vec<Vec<(Sym, NodeId)>>,
+    ) -> MemRows {
+        MemRows {
+            nodes,
+            out: CsrSide::build(out_lists),
+            inn: CsrSide::build(in_lists),
+        }
+    }
+}
+
+impl RowStore for MemRows {
+    type Key = Sym;
 
     #[inline]
-    pub(crate) fn degree(&self, id: NodeId) -> usize {
-        let r = self.node_range(id);
-        r.end - r.start
+    fn out_side(&self) -> Side<'_, Sym> {
+        self.out.side()
     }
 
-    /// The contiguous sub-range of `id`'s run whose entries carry `label`.
-    pub(crate) fn labeled_range(&self, id: NodeId, label: Sym) -> std::ops::Range<usize> {
-        let range = self.node_range(id);
-        let run = &self.labels[range.clone()];
-        let start = run.partition_point(|&l| l < label);
-        let end = run.partition_point(|&l| l <= label);
-        range.start + start..range.start + end
+    #[inline]
+    fn in_side(&self) -> Side<'_, Sym> {
+        self.inn.side()
     }
 
-    pub(crate) fn labeled_slice(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        &self.neighbors[self.labeled_range(id, label)]
+    #[inline]
+    fn key_of(&self, label: Sym) -> Option<Sym> {
+        Some(label)
     }
 
-    /// Binary-search for `neighbor` inside the `(id, label)` run.
-    pub(crate) fn contains(&self, id: NodeId, label: Sym, neighbor: NodeId) -> bool {
-        self.labeled_slice(id, label)
-            .binary_search(&neighbor)
-            .is_ok()
+    #[inline]
+    fn sym_of(&self, key: Sym) -> Sym {
+        key
     }
 
-    /// The `(label, neighbour)` entries of `id`'s run, in CSR order.
-    pub(crate) fn entries(&self, id: NodeId) -> impl Iterator<Item = (Sym, NodeId)> + '_ {
-        self.node_range(id)
-            .map(move |i| (self.labels[i], self.neighbors[i]))
+    #[inline]
+    fn row_label(&self, row: usize) -> Sym {
+        self.nodes[row].label
     }
 
-    /// The raw `(offsets, labels, neighbors)` arrays — the exact layout the
-    /// on-disk snapshot format ([`crate::persist`]) serialises.
-    pub(crate) fn raw_parts(&self) -> (&[u32], &[Sym], &[NodeId]) {
-        (&self.offsets, &self.labels, &self.neighbors)
+    #[inline]
+    fn row_attrs(&self, row: usize) -> &AttrMap {
+        &self.nodes[row].attrs
     }
 }
 
 /// An immutable, label-partitioned CSR snapshot of a [`Graph`].
 #[derive(Debug, Clone, Default)]
 pub struct CsrSnapshot {
-    nodes: Vec<NodeData>,
-    out: CsrSide,
-    inn: CsrSide,
+    rows: MemRows,
     /// Node ids permuted so that equal labels are contiguous.
     label_order: Vec<NodeId>,
-    /// `label → range` into [`CsrSnapshot::label_order`].
-    label_ranges: HashMap<Sym, (u32, u32)>,
-    /// `(src label, edge label, dst label) → range` into the triple arrays.
-    triple_ranges: HashMap<(Sym, Sym, Sym), (u32, u32)>,
-    /// Edge sources, grouped by label triple, each group sorted + deduped
-    /// per endpoint role on demand (stored sorted by `(src, dst)`).
+    label_ranges: LabelRanges,
+    triple_ranges: TripleRanges,
+    /// Edge sources, grouped by label triple, each group sorted by
+    /// `(src, dst)`.
     triple_src: Vec<NodeId>,
     /// Edge destinations, aligned with [`CsrSnapshot::triple_src`].
     triple_dst: Vec<NodeId>,
@@ -128,43 +306,22 @@ impl CsrSnapshot {
     /// The nodes labelled `label`, as a contiguous slice of the
     /// label-partitioned permutation.
     pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
-        match self.label_ranges.get(&label) {
-            Some(&(start, end)) => &self.label_order[start as usize..end as usize],
-            None => &[],
-        }
+        self.label_members(label)
     }
 
     /// Out-neighbours of `id` along `label`, as a contiguous sorted slice.
     pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.out.labeled_slice(id, label)
+        self.rows.out_run(id.index(), label)
     }
 
     /// In-neighbours of `id` along `label`, as a contiguous sorted slice.
     pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.inn.labeled_slice(id, label)
-    }
-
-    /// The `(src, dst)` pairs of every edge matching the label triple.
-    pub fn triple_edges(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-    ) -> Vec<(NodeId, NodeId)> {
-        match self.triple_ranges.get(&(src_label, edge_label, dst_label)) {
-            Some(&(start, end)) => (start as usize..end as usize)
-                .map(|i| (self.triple_src[i], self.triple_dst[i]))
-                .collect(),
-            None => Vec::new(),
-        }
+        self.rows.in_run(id.index(), label)
     }
 
     /// Number of edges matching the label triple.
     pub fn triple_count(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> usize {
-        match self.triple_ranges.get(&(src_label, edge_label, dst_label)) {
-            Some(&(start, end)) => (end - start) as usize,
-            None => 0,
-        }
+        self.triple_len((src_label, edge_label, dst_label))
     }
 
     /// A [`DeltaOverlay`](crate::DeltaOverlay) of this snapshot with no
@@ -173,38 +330,27 @@ impl CsrSnapshot {
     pub fn as_overlay(&self) -> crate::overlay::DeltaOverlay<'_> {
         crate::overlay::DeltaOverlay::empty(self)
     }
+}
 
-    // Raw-array accessors for the on-disk snapshot writer
-    // ([`crate::persist`]): every flat array of the snapshot, exactly as
-    // stored.  Kept crate-private so the layout stays an implementation
-    // detail of the graph crate.
+impl CsrStore for CsrSnapshot {
+    type Rows = MemRows;
 
-    pub(crate) fn raw_nodes(&self) -> &[NodeData] {
-        &self.nodes
+    #[inline]
+    fn rows(&self) -> &MemRows {
+        &self.rows
     }
 
-    pub(crate) fn raw_out(&self) -> &CsrSide {
-        &self.out
+    #[inline]
+    fn counts(&self) -> (usize, usize) {
+        (self.rows.nodes.len(), self.edge_count)
     }
 
-    pub(crate) fn raw_in(&self) -> &CsrSide {
-        &self.inn
+    fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
+        (&self.label_ranges, &self.label_order)
     }
 
-    pub(crate) fn raw_label_order(&self) -> &[NodeId] {
-        &self.label_order
-    }
-
-    pub(crate) fn raw_label_ranges(&self) -> &HashMap<Sym, (u32, u32)> {
-        &self.label_ranges
-    }
-
-    pub(crate) fn raw_triple_ranges(&self) -> &HashMap<(Sym, Sym, Sym), (u32, u32)> {
-        &self.triple_ranges
-    }
-
-    pub(crate) fn raw_triples(&self) -> (&[NodeId], &[NodeId]) {
-        (&self.triple_src, &self.triple_dst)
+    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]) {
+        (&self.triple_ranges, &self.triple_src, &self.triple_dst)
     }
 }
 
@@ -237,7 +383,7 @@ impl Graph {
         // Label partition: node ids permuted so equal labels are contiguous.
         let mut label_order: Vec<NodeId> = self.node_ids().collect();
         label_order.sort_by_key(|&id| (self.label(id), id));
-        let mut label_ranges: HashMap<Sym, (u32, u32)> = HashMap::new();
+        let mut label_ranges = LabelRanges::new();
         let mut start = 0usize;
         while start < label_order.len() {
             let label = self.label(label_order[start]);
@@ -251,7 +397,7 @@ impl Graph {
 
         // Triple index: edges grouped by (src label, edge label, dst label).
         triples.sort_unstable();
-        let mut triple_ranges: HashMap<(Sym, Sym, Sym), (u32, u32)> = HashMap::new();
+        let mut triple_ranges = TripleRanges::new();
         let mut triple_src = Vec::with_capacity(triples.len());
         let mut triple_dst = Vec::with_capacity(triples.len());
         let mut idx = 0usize;
@@ -267,9 +413,7 @@ impl Graph {
         }
 
         CsrSnapshot {
-            nodes,
-            out: CsrSide::build(out_lists),
-            inn: CsrSide::build(in_lists),
+            rows: MemRows::build(nodes, out_lists, in_lists),
             label_order,
             label_ranges,
             triple_ranges,
@@ -280,121 +424,121 @@ impl Graph {
     }
 }
 
-impl GraphView for CsrSnapshot {
+/// The whole-graph CSR reader: rows are node ids, every read is served
+/// from the storage's own arrays.
+impl<S: CsrStore> GraphView for S {
     fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.counts().0
     }
 
     fn edge_count(&self) -> usize {
-        self.edge_count
+        self.counts().1
     }
 
+    #[inline]
     fn contains_node(&self, id: NodeId) -> bool {
-        id.index() < self.nodes.len()
+        id.index() < self.counts().0
     }
 
+    #[inline]
     fn label(&self, id: NodeId) -> Sym {
-        self.nodes[id.index()].label
+        self.rows().row_label(id.index())
     }
 
     fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        self.nodes[id.index()].attrs.get(name)
+        self.rows().row_attrs(id.index()).get(name)
     }
 
-    fn attrs_of(&self, id: NodeId) -> &crate::attrs::AttrMap {
-        &self.nodes[id.index()].attrs
+    fn attrs_of(&self, id: NodeId) -> &AttrMap {
+        self.rows().row_attrs(id.index())
     }
 
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
         if !self.contains_node(src) || !self.contains_node(dst) {
             return false;
         }
+        let rows = self.rows();
+        let Some(key) = rows.key_of(label) else {
+            return false;
+        };
         // Search whichever side has the smaller run.
-        if self.out.degree(src) <= self.inn.degree(dst) {
-            self.out.contains(src, label, dst)
+        let (out, inn) = (rows.out_side(), rows.in_side());
+        if out.degree(src.index()) <= inn.degree(dst.index()) {
+            out.contains(src.index(), key, dst)
         } else {
-            self.inn.contains(dst, label, src)
+            inn.contains(dst.index(), key, src)
         }
     }
 
     fn out_degree(&self, id: NodeId) -> usize {
-        self.out.degree(id)
+        self.rows().out_side().degree(id.index())
     }
 
     fn in_degree(&self, id: NodeId) -> usize {
-        self.inn.degree(id)
+        self.rows().in_side().degree(id.index())
     }
 
     fn label_count(&self, label: Sym) -> usize {
-        self.nodes_with_label(label).len()
+        self.label_members(label).len()
     }
 
     fn nodes_with_label_vec(&self, label: Sym) -> Vec<NodeId> {
-        self.nodes_with_label(label).to_vec()
+        self.label_members(label).to_vec()
     }
 
     fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.out.labeled_range(id, label).len()
+        self.rows().out_run(id.index(), label).len()
     }
 
     fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.inn.labeled_range(id, label).len()
+        self.rows().in_run(id.index(), label).len()
     }
 
+    #[inline]
     fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.out.labeled_slice(id, label))
+        Some(self.rows().out_run(id.index(), label))
     }
 
+    #[inline]
     fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.inn.labeled_slice(id, label))
+        Some(self.rows().in_run(id.index(), label))
     }
 
     fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &n in self.out.labeled_slice(id, label) {
-            f(n);
-        }
+        self.rows()
+            .out_run(id.index(), label)
+            .iter()
+            .for_each(|&n| f(n));
     }
 
     fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &n in self.inn.labeled_slice(id, label) {
-            f(n);
-        }
+        self.rows()
+            .in_run(id.index(), label)
+            .iter()
+            .for_each(|&n| f(n));
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        let range = self.out.node_range(id);
-        for i in range {
-            f(
-                self.out.neighbors[i],
-                EdgeRef::new(id, self.out.neighbors[i], self.out.labels[i]),
-            );
-        }
-        let range = self.inn.node_range(id);
-        for i in range {
-            f(
-                self.inn.neighbors[i],
-                EdgeRef::new(self.inn.neighbors[i], id, self.inn.labels[i]),
-            );
-        }
+        self.rows().for_each_incident(id.index(), id, f);
     }
 
     fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        for i in self.out.node_range(id) {
-            f(self.out.neighbors[i], self.out.labels[i]);
-        }
+        self.rows().for_each_out_entry(id.index(), f);
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
-        for id in 0..self.nodes.len() {
-            let src = NodeId(id as u32);
-            for i in self.out.node_range(src) {
-                f(EdgeRef::new(src, self.out.neighbors[i], self.out.labels[i]));
+        let rows = self.rows();
+        let out = rows.out_side();
+        for row in 0..self.counts().0 {
+            let src = NodeId(row as u32);
+            for (key, dst) in out.entries(row) {
+                f(EdgeRef::new(src, dst, rows.sym_of(key)));
             }
         }
     }
 
     fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        Some(self.triple_count(src_label, edge_label, dst_label))
+        Some(self.triple_len((src_label, edge_label, dst_label)))
     }
 
     fn triple_endpoints(
@@ -404,19 +548,12 @@ impl GraphView for CsrSnapshot {
         dst_label: Sym,
         want_src: bool,
     ) -> Option<Vec<NodeId>> {
-        let &(start, end) = self
-            .triple_ranges
+        let (ranges, src, dst) = self.triple_index();
+        let &(start, end) = ranges
             .get(&(src_label, edge_label, dst_label))
             .unwrap_or(&(0, 0));
-        let side = if want_src {
-            &self.triple_src
-        } else {
-            &self.triple_dst
-        };
-        let mut out: Vec<NodeId> = side[start as usize..end as usize].to_vec();
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
+        let side = if want_src { src } else { dst };
+        Some(sorted_distinct(side[start as usize..end as usize].to_vec()))
     }
 
     fn labeled_triple_run_len(
@@ -425,12 +562,11 @@ impl GraphView for CsrSnapshot {
         edge_label: Sym,
         dst_label: Sym,
     ) -> Option<usize> {
-        let mut total = 0usize;
-        for (&(s, e, d), &(start, end)) in &self.triple_ranges {
-            if triple_matches((s, e, d), (src_label, edge_label, dst_label)) {
-                total += (end - start) as usize;
-            }
-        }
+        let query = (src_label, edge_label, dst_label);
+        let total = (self.triple_index().0.iter())
+            .filter(|(&key, _)| triple_matches(key, query))
+            .map(|(_, &(start, end))| (end - start) as usize)
+            .sum();
         Some(total)
     }
 
@@ -441,26 +577,26 @@ impl GraphView for CsrSnapshot {
         dst_label: Sym,
         want_src: bool,
     ) -> Option<Vec<NodeId>> {
-        let side = if want_src {
-            &self.triple_src
-        } else {
-            &self.triple_dst
-        };
+        let (ranges, src, dst) = self.triple_index();
+        let side = if want_src { src } else { dst };
         let mut out: Vec<NodeId> = Vec::new();
-        for (&(s, e, d), &(start, end)) in &self.triple_ranges {
-            if triple_matches((s, e, d), (src_label, edge_label, dst_label)) {
+        for (&key, &(start, end)) in ranges {
+            if triple_matches(key, (src_label, edge_label, dst_label)) {
                 out.extend_from_slice(&side[start as usize..end as usize]);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
+        Some(sorted_distinct(out))
     }
 }
 
+fn sorted_distinct(mut ids: Vec<NodeId>) -> Vec<NodeId> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 /// Does a concrete triple-index key match a (possibly wildcarded) query?
-pub(crate) fn triple_matches(key: (Sym, Sym, Sym), query: (Sym, Sym, Sym)) -> bool {
-    use crate::interner::WILDCARD;
+fn triple_matches(key: (Sym, Sym, Sym), query: (Sym, Sym, Sym)) -> bool {
     (query.0 == WILDCARD || key.0 == query.0)
         && (query.1 == WILDCARD || key.1 == query.1)
         && (query.2 == WILDCARD || key.2 == query.2)

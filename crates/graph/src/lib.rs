@@ -29,10 +29,18 @@
 //! updating through `Graph`/`BatchUpdate`; hand snapshots (or overlays) to
 //! the hot paths.
 //!
+//! The frozen layout has four storages — heap or memory-mapped file, whole
+//! graph or one fragment of a sharded snapshot — and **one reader**: the
+//! label-sorted-run logic exists once (in [`csr`]), a whole-graph
+//! [`GraphView`] impl is generic over [`CsrSnapshot`] / [`MmapSnapshot`],
+//! and a single [`FragmentView`] is generic over the in-memory and mapped
+//! fragments.  The table in [`csr`] says who plugs in what.
+//!
 //! On top of the representations this crate provides:
 //!
 //! * [`view`] — the [`GraphView`] read abstraction;
-//! * [`csr`] — the frozen snapshot and [`Graph::freeze`];
+//! * [`csr`] — the CSR reader, the in-memory frozen snapshot and
+//!   [`Graph::freeze`];
 //! * [`overlay`] — [`DeltaOverlay`], `snapshot ⊕ ΔG` without
 //!   materialisation (what keeps incremental detection `O(|ΔG|)`-local);
 //! * [`neighborhood`] — `d`-hop neighbourhoods (`G_d(v)`), the locality
@@ -46,14 +54,15 @@
 //!   [`Partition`] ([`Graph::freeze_sharded`] / `CsrSnapshot::shard`), each
 //!   fragment owning its nodes' complete label-sorted runs plus a
 //!   replicated `d`-hop halo around its border nodes; workers read through
-//!   a [`FragmentView`] whose rare non-local adjacency reads fall back to
+//!   a [`FragmentView`] (the one fragment reader, shared with the mapped
+//!   sharded snapshot) whose rare non-local adjacency reads fall back to
 //!   the global snapshot and are counted as cross-fragment candidate
 //!   fetches (the modelled communication cost of the parallel detectors);
 //! * [`persist`] — zero-copy on-disk snapshots: a versioned, checksummed
 //!   binary writer ([`SnapshotWriter`]) and memory-mapped loaders
-//!   ([`MmapSnapshot`], [`MmapShardedSnapshot`]) that serve the frozen
-//!   arrays straight from the file through [`GraphView`], so a graph is
-//!   frozen once on disk and read by many detector processes;
+//!   ([`MmapSnapshot`], [`MmapShardedSnapshot`]) that validate a file and
+//!   hand its arrays to the same reader in place, so a graph is frozen
+//!   once on disk and read by many detector processes;
 //! * [`io`] — a plain-text edge-list/attribute format plus JSON
 //!   (de)serialization for graphs;
 //! * [`stats`] — density, degree and component statistics used to check
@@ -65,6 +74,8 @@
 
 pub mod attrs;
 pub mod builder;
+#[cfg(test)]
+mod conformance;
 pub mod csr;
 pub mod graph;
 pub mod interner;

@@ -1,5 +1,10 @@
-//! Zero-copy loading: [`MmapSnapshot`], [`MmapShardedSnapshot`] and the
-//! per-worker [`MmapFragmentView`].
+//! Zero-copy loading: the file-backed storages [`MmapSnapshot`] and
+//! [`MmapShardedSnapshot`] (whose workers read [`MmapFragmentView`]s).
+//!
+//! This module holds no reader of its own: it validates a file, hands its
+//! mapped arrays to the crate's one CSR reader through the storage seam of
+//! [`crate::csr`] (`RowStore` / `CsrStore`) and [`crate::shard`]
+//! (`FragmentStore`), and the generic `GraphView` impls there do the rest.
 //!
 //! A loaded snapshot keeps the file mapped and serves every array read —
 //! CSR offsets, labels, neighbours, label partition, triple arrays —
@@ -21,11 +26,12 @@
 //!
 //! **Symbol spaces.**  File symbol ids are lexicographic by string and
 //! process [`Sym`]s are interning-ordered, so the two orders differ; the
-//! loader never rewrites the mapped arrays.  Instead each query symbol is
-//! translated into file space (one hash lookup on a tiny dictionary), the
-//! binary search runs over the file-ordered run, and results translate
-//! back through a dense `file id → Sym` table.  A symbol the file never
-//! saw simply yields an empty run, mirroring the in-memory snapshot.
+//! loader never rewrites the mapped arrays.  Instead the file symbol id is
+//! the storage's run key: each query symbol is translated into file space
+//! (one load from a dense `Sym → file id` table), the binary search runs
+//! over the file-ordered run, and results translate back through a dense
+//! `file id → Sym` table.  A symbol the file never saw has no run key and
+//! simply yields an empty run, mirroring the in-memory snapshot.
 
 use super::format::{
     file_checksum, file_kind, kind, read_section_table, BlobReader, FileHeader, SectionEntry,
@@ -34,15 +40,14 @@ use super::format::{
 use super::mmap::MmapFile;
 use super::PersistError;
 use crate::attrs::AttrMap;
+use crate::csr::{CsrStore, LabelRanges, RowStore, Side, TripleRanges};
 use crate::graph::{EdgeRef, NodeId};
 use crate::interner::{intern, Sym};
 use crate::partition::{Fragment, Partition, PartitionStrategy};
-use crate::shard::{RemoteAccounting, ShardedRead};
+use crate::shard::{FragmentStore, FragmentView, ShardedRead};
 use crate::value::Value;
-use crate::view::GraphView;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A validated `u32`-array section: byte offset + element count.
@@ -80,52 +85,18 @@ fn as_node_ids(xs: &[u32]) -> &[NodeId] {
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<NodeId>(), xs.len()) }
 }
 
-/// Borrowed view of one CSR side's raw arrays, rows and labels in file
-/// space — the mmap twin of [`crate::csr::CsrSide`].
-#[derive(Clone, Copy)]
-struct RawSide<'a> {
-    offsets: &'a [u32],
-    labels: &'a [u32],
-    neighbors: &'a [u32],
-}
-
-impl<'a> RawSide<'a> {
-    #[inline]
-    fn node_range(&self, row: usize) -> std::ops::Range<usize> {
-        self.offsets[row] as usize..self.offsets[row + 1] as usize
-    }
-
-    #[inline]
-    fn degree(&self, row: usize) -> usize {
-        let r = self.node_range(row);
-        r.end - r.start
-    }
-
-    fn labeled_range(&self, row: usize, file_label: u32) -> std::ops::Range<usize> {
-        let range = self.node_range(row);
-        let run = &self.labels[range.clone()];
-        let start = run.partition_point(|&l| l < file_label);
-        let end = run.partition_point(|&l| l <= file_label);
-        range.start + start..range.start + end
-    }
-
-    fn labeled_slice(&self, row: usize, file_label: u32) -> &'a [NodeId] {
-        as_node_ids(&self.neighbors[self.labeled_range(row, file_label)])
-    }
-
-    fn contains(&self, row: usize, file_label: u32, neighbor: NodeId) -> bool {
-        self.labeled_slice(row, file_label)
-            .binary_search(&neighbor)
-            .is_ok()
-    }
-}
-
 /// The file ↔ process symbol translation built from the string table.
 #[derive(Debug)]
 struct SymBridge {
     file_to_proc: Vec<Sym>,
-    proc_to_file: HashMap<Sym, u32>,
+    /// Indexed by `Sym.0`; [`NO_FILE_ID`] where the file never saw the
+    /// symbol (as do all symbols past the end).
+    proc_to_file: Vec<u32>,
 }
+
+/// `proc_to_file` sentinel.  Never a real id: a string table's entry count
+/// is itself a `u32`, so file ids stop at `u32::MAX - 1`.
+const NO_FILE_ID: u32 = u32::MAX;
 
 impl SymBridge {
     #[inline]
@@ -144,7 +115,10 @@ impl SymBridge {
 
     #[inline]
     fn to_file(&self, sym: Sym) -> Option<u32> {
-        self.proc_to_file.get(&sym).copied()
+        match self.proc_to_file.get(sym.0 as usize) {
+            Some(&fid) if fid != NO_FILE_ID => Some(fid),
+            _ => None,
+        }
     }
 
     fn len(&self) -> usize {
@@ -278,7 +252,6 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistErro
         )));
     }
     let mut file_to_proc = Vec::with_capacity(count);
-    let mut proc_to_file = HashMap::with_capacity(count);
     let mut previous: Option<String> = None;
     for fid in 0..count {
         let len = reader.u32()? as usize;
@@ -292,11 +265,14 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistErro
             )));
         }
         previous = Some(text.to_owned());
-        let sym = intern(text);
-        file_to_proc.push(sym);
-        proc_to_file.insert(sym, fid as u32);
+        file_to_proc.push(intern(text));
     }
     reader.finish()?;
+    let dense_len = file_to_proc.iter().map(|sym| sym.0 as usize + 1).max();
+    let mut proc_to_file = vec![NO_FILE_ID; dense_len.unwrap_or(0)];
+    for (fid, sym) in file_to_proc.iter().enumerate() {
+        proc_to_file[sym.0 as usize] = fid as u32;
+    }
     Ok(SymBridge {
         file_to_proc,
         proc_to_file,
@@ -488,7 +464,7 @@ fn decode_label_ranges(
     node_labels: &[u32],
     label_order: &[u32],
     syms: &SymBridge,
-) -> Result<HashMap<Sym, (u32, u32)>, PersistError> {
+) -> Result<LabelRanges, PersistError> {
     let mut reader = BlobReader::new(blob, "label ranges");
     let mut out = HashMap::with_capacity(declared);
     let mut previous: Option<u32> = None;
@@ -531,8 +507,6 @@ fn decode_label_ranges(
     Ok(out)
 }
 
-type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
-
 /// Decode the triple-index dictionary and cross-check it against the node
 /// labels and the out-CSR.  The ranges must exactly tile the triple
 /// arrays in key order and hold as many entries as the graph has edges;
@@ -551,7 +525,7 @@ fn decode_triple_ranges(
     triple_src: &[u32],
     triple_dst: &[u32],
     edge_count: usize,
-    out_side: RawSide<'_>,
+    out_side: Side<'_, u32>,
     syms: &SymBridge,
 ) -> Result<TripleRanges, PersistError> {
     if triple_src.len() != edge_count {
@@ -626,7 +600,72 @@ fn decode_triple_ranges(
     Ok(out)
 }
 
-/// A memory-mapped, read-only snapshot implementing [`GraphView`].
+/// Mapped rows: per-row label ids, lazily decoded attribute tuples and
+/// both adjacency directions, keyed by file symbol id.  The row storage of
+/// [`MmapSnapshot`] (rows = node ids) and of every mapped fragment (rows =
+/// local indexes).
+#[derive(Debug)]
+pub(crate) struct MappedRows {
+    map: Arc<MmapFile>,
+    syms: Arc<SymBridge>,
+    node_labels: Sect,
+    attrs: LazyAttrs,
+    out: SideSect,
+    inn: SideSect,
+}
+
+impl MappedRows {
+    #[inline]
+    fn arr(&self, s: Sect) -> &[u32] {
+        u32s(&self.map, s)
+    }
+}
+
+#[inline]
+fn side_of(map: &MmapFile, s: SideSect) -> Side<'_, u32> {
+    Side {
+        offsets: u32s(map, s.offsets),
+        keys: u32s(map, s.labels),
+        neighbors: as_node_ids(u32s(map, s.neighbors)),
+    }
+}
+
+impl RowStore for MappedRows {
+    type Key = u32;
+
+    #[inline]
+    fn out_side(&self) -> Side<'_, u32> {
+        side_of(&self.map, self.out)
+    }
+
+    #[inline]
+    fn in_side(&self) -> Side<'_, u32> {
+        side_of(&self.map, self.inn)
+    }
+
+    #[inline]
+    fn key_of(&self, label: Sym) -> Option<u32> {
+        self.syms.to_file(label)
+    }
+
+    #[inline]
+    fn sym_of(&self, key: u32) -> Sym {
+        self.syms.to_proc(key)
+    }
+
+    #[inline]
+    fn row_label(&self, row: usize) -> Sym {
+        self.syms.to_proc(self.arr(self.node_labels)[row])
+    }
+
+    #[inline]
+    fn row_attrs(&self, row: usize) -> &AttrMap {
+        self.attrs.get(&self.map, &self.syms, row)
+    }
+}
+
+/// A memory-mapped, read-only snapshot implementing
+/// [`GraphView`](crate::GraphView).
 ///
 /// Produced by [`MmapSnapshot::load`] from a file written by
 /// [`crate::persist::SnapshotWriter`]; behaves exactly like the
@@ -635,8 +674,7 @@ fn decode_triple_ranges(
 /// disk and are paged in on demand.
 #[derive(Debug)]
 pub struct MmapSnapshot {
-    map: Arc<MmapFile>,
-    syms: Arc<SymBridge>,
+    rows: MappedRows,
     /// The file's section directory in push order, retained so the
     /// compaction writer can byte-copy whole sections (and, for sharded
     /// files, whole per-fragment groups) without re-encoding them.
@@ -644,12 +682,8 @@ pub struct MmapSnapshot {
     node_count: usize,
     edge_count: usize,
     epoch: u64,
-    attrs: LazyAttrs,
-    label_ranges: HashMap<Sym, (u32, u32)>,
+    label_ranges: LabelRanges,
     triple_ranges: TripleRanges,
-    node_labels: Sect,
-    out: SideSect,
-    inn: SideSect,
     label_order: Sect,
     triple_src: Sect,
     triple_dst: Sect,
@@ -672,7 +706,7 @@ impl MmapSnapshot {
 
     /// Size of the backing file in bytes.
     pub fn file_len(&self) -> usize {
-        self.map.len()
+        self.rows.map.len()
     }
 
     /// The snapshot epoch recorded in the file header: 0 for a freshly
@@ -682,62 +716,25 @@ impl MmapSnapshot {
         self.epoch
     }
 
-    #[inline]
-    fn arr(&self, s: Sect) -> &[u32] {
-        u32s(&self.map, s)
-    }
-
-    #[inline]
-    fn out_side(&self) -> RawSide<'_> {
-        RawSide {
-            offsets: self.arr(self.out.offsets),
-            labels: self.arr(self.out.labels),
-            neighbors: self.arr(self.out.neighbors),
-        }
-    }
-
-    #[inline]
-    fn in_side(&self) -> RawSide<'_> {
-        RawSide {
-            offsets: self.arr(self.inn.offsets),
-            labels: self.arr(self.inn.labels),
-            neighbors: self.arr(self.inn.neighbors),
-        }
-    }
-
     /// The nodes labelled `label`, as a contiguous slice of the mapped
     /// label partition (mirrors [`crate::CsrSnapshot::nodes_with_label`]).
     pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
-        match self.label_ranges.get(&label) {
-            Some(&(start, end)) => {
-                &as_node_ids(self.arr(self.label_order))[start as usize..end as usize]
-            }
-            None => &[],
-        }
+        self.label_members(label)
     }
 
     /// Out-neighbours of `id` along `label`, as a mapped sorted slice.
     pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        match self.syms.to_file(label) {
-            Some(fid) => self.out_side().labeled_slice(id.index(), fid),
-            None => &[],
-        }
+        self.rows.out_run(id.index(), label)
     }
 
     /// In-neighbours of `id` along `label`, as a mapped sorted slice.
     pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        match self.syms.to_file(label) {
-            Some(fid) => self.in_side().labeled_slice(id.index(), fid),
-            None => &[],
-        }
+        self.rows.in_run(id.index(), label)
     }
 
     /// Number of edges matching the label triple.
     pub fn triple_count(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> usize {
-        match self.triple_ranges.get(&(src_label, edge_label, dst_label)) {
-            Some(&(start, end)) => (end - start) as usize,
-            None => 0,
-        }
+        self.triple_len((src_label, edge_label, dst_label))
     }
 
     /// An empty-update [`crate::DeltaOverlay`] over this snapshot (mirrors
@@ -754,33 +751,38 @@ impl MmapSnapshot {
     /// The strings of the file's symbol table, in file-id order
     /// (lexicographic by construction).
     pub(crate) fn raw_strings(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.syms.file_to_proc.iter().map(|s| s.as_str())
+        self.rows.syms.file_to_proc.iter().map(|s| s.as_str())
     }
 
     /// Translate a file symbol id into its interned process symbol.
     pub(crate) fn sym_of_fid(&self, fid: u32) -> Sym {
-        self.syms.to_proc(fid)
+        self.rows.syms.to_proc(fid)
     }
 
     /// Translate a process symbol into its file id, if the file knows it.
     pub(crate) fn fid_of_sym(&self, sym: Sym) -> Option<u32> {
-        self.syms.to_file(sym)
+        self.rows.syms.to_file(sym)
     }
 
     /// Per-node labels as file symbol ids.
     pub(crate) fn raw_node_labels(&self) -> &[u32] {
-        self.arr(self.node_labels)
+        self.rows.arr(self.rows.node_labels)
     }
 
     /// One CSR side's `(offsets, labels, neighbors)` mapped arrays.
     pub(crate) fn raw_side_arrays(&self, out: bool) -> (&[u32], &[u32], &[u32]) {
-        let side = if out { self.out_side() } else { self.in_side() };
-        (side.offsets, side.labels, side.neighbors)
+        let rows = &self.rows;
+        let side = if out { rows.out } else { rows.inn };
+        (
+            rows.arr(side.offsets),
+            rows.arr(side.labels),
+            rows.arr(side.neighbors),
+        )
     }
 
     /// The label-partition permutation array.
     pub(crate) fn raw_label_order(&self) -> &[u32] {
-        self.arr(self.label_order)
+        self.rows.arr(self.label_order)
     }
 
     /// The label-partition ranges in file order (sorted by range start,
@@ -797,7 +799,10 @@ impl MmapSnapshot {
 
     /// The triple-index `(src, dst)` arrays.
     pub(crate) fn raw_triple_arrays(&self) -> (&[u32], &[u32]) {
-        (self.arr(self.triple_src), self.arr(self.triple_dst))
+        (
+            self.rows.arr(self.triple_src),
+            self.rows.arr(self.triple_dst),
+        )
     }
 
     /// The triple-index ranges in file order (sorted by range start).
@@ -813,8 +818,9 @@ impl MmapSnapshot {
 
     /// The raw bytes of node `idx`'s attribute record (validated at load).
     pub(crate) fn raw_attr_record(&self, idx: usize) -> &[u8] {
-        let blob = &self.map.bytes()[self.attrs.off..self.attrs.off + self.attrs.len];
-        &blob[self.attrs.starts[idx] as usize..self.attrs.starts[idx + 1] as usize]
+        let attrs = &self.rows.attrs;
+        let blob = &self.rows.map.bytes()[attrs.off..attrs.off + attrs.len];
+        &blob[attrs.starts[idx] as usize..attrs.starts[idx + 1] as usize]
     }
 
     /// The file's section directory in push order.  Lets the compaction
@@ -826,7 +832,7 @@ impl MmapSnapshot {
 
     /// The mapped payload bytes of a directory entry.
     pub(crate) fn raw_section_bytes(&self, entry: &SectionEntry) -> &[u8] {
-        &self.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
+        &self.rows.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
     }
 
     /// Look up a section by `(kind, owner)` and return its payload bytes
@@ -935,239 +941,84 @@ fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         u32s(&file.map, triple_src),
         u32s(&file.map, triple_dst),
         edge_count,
-        RawSide {
-            offsets: u32s(&file.map, out.offsets),
-            labels: u32s(&file.map, out.labels),
-            neighbors: u32s(&file.map, out.neighbors),
-        },
+        side_of(&file.map, out),
         &syms,
     )?;
 
     Ok(MmapSnapshot {
-        map: Arc::clone(&file.map),
-        syms: Arc::new(syms),
+        rows: MappedRows {
+            map: Arc::clone(&file.map),
+            syms: Arc::new(syms),
+            node_labels,
+            attrs,
+            out,
+            inn,
+        },
         section_table: file.table.clone(),
         node_count: n,
         edge_count,
         epoch: file.header.epoch,
-        attrs,
         label_ranges,
         triple_ranges,
-        node_labels,
-        out,
-        inn,
         label_order,
         triple_src,
         triple_dst,
     })
 }
 
-impl GraphView for MmapSnapshot {
-    fn node_count(&self) -> usize {
-        self.node_count
+impl CsrStore for MmapSnapshot {
+    type Rows = MappedRows;
+
+    #[inline]
+    fn rows(&self) -> &MappedRows {
+        &self.rows
     }
 
-    fn edge_count(&self) -> usize {
-        self.edge_count
+    #[inline]
+    fn counts(&self) -> (usize, usize) {
+        (self.node_count, self.edge_count)
     }
 
-    fn contains_node(&self, id: NodeId) -> bool {
-        id.index() < self.node_count
+    fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
+        (
+            &self.label_ranges,
+            as_node_ids(self.rows.arr(self.label_order)),
+        )
     }
 
-    fn label(&self, id: NodeId) -> Sym {
-        self.syms.to_proc(self.arr(self.node_labels)[id.index()])
-    }
-
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        self.attrs.get(&self.map, &self.syms, id.index()).get(name)
-    }
-
-    fn attrs_of(&self, id: NodeId) -> &AttrMap {
-        self.attrs.get(&self.map, &self.syms, id.index())
-    }
-
-    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
-        if !self.contains_node(src) || !self.contains_node(dst) {
-            return false;
-        }
-        let Some(fid) = self.syms.to_file(label) else {
-            return false;
-        };
-        let (out, inn) = (self.out_side(), self.in_side());
-        if out.degree(src.index()) <= inn.degree(dst.index()) {
-            out.contains(src.index(), fid, dst)
-        } else {
-            inn.contains(dst.index(), fid, src)
-        }
-    }
-
-    fn out_degree(&self, id: NodeId) -> usize {
-        self.out_side().degree(id.index())
-    }
-
-    fn in_degree(&self, id: NodeId) -> usize {
-        self.in_side().degree(id.index())
-    }
-
-    fn label_count(&self, label: Sym) -> usize {
-        self.nodes_with_label(label).len()
-    }
-
-    fn nodes_with_label_vec(&self, label: Sym) -> Vec<NodeId> {
-        self.nodes_with_label(label).to_vec()
-    }
-
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.syms.to_file(label) {
-            Some(fid) => self.out_side().labeled_range(id.index(), fid).len(),
-            None => 0,
-        }
-    }
-
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.syms.to_file(label) {
-            Some(fid) => self.in_side().labeled_range(id.index(), fid).len(),
-            None => 0,
-        }
-    }
-
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.out_neighbors_labeled(id, label))
-    }
-
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.in_neighbors_labeled(id, label))
-    }
-
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &n in self.out_neighbors_labeled(id, label) {
-            f(n);
-        }
-    }
-
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &n in self.in_neighbors_labeled(id, label) {
-            f(n);
-        }
-    }
-
-    fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        let out = self.out_side();
-        for i in out.node_range(id.index()) {
-            let neighbor = NodeId(out.neighbors[i]);
-            f(
-                neighbor,
-                EdgeRef::new(id, neighbor, self.syms.to_proc(out.labels[i])),
-            );
-        }
-        let inn = self.in_side();
-        for i in inn.node_range(id.index()) {
-            let neighbor = NodeId(inn.neighbors[i]);
-            f(
-                neighbor,
-                EdgeRef::new(neighbor, id, self.syms.to_proc(inn.labels[i])),
-            );
-        }
-    }
-
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        let out = self.out_side();
-        for i in out.node_range(id.index()) {
-            f(NodeId(out.neighbors[i]), self.syms.to_proc(out.labels[i]));
-        }
-    }
-
-    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
-        let out = self.out_side();
-        for row in 0..self.node_count {
-            let src = NodeId(row as u32);
-            for i in out.node_range(row) {
-                f(EdgeRef::new(
-                    src,
-                    NodeId(out.neighbors[i]),
-                    self.syms.to_proc(out.labels[i]),
-                ));
-            }
-        }
-    }
-
-    fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        Some(self.triple_count(src_label, edge_label, dst_label))
-    }
-
-    fn triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        let &(start, end) = self
-            .triple_ranges
-            .get(&(src_label, edge_label, dst_label))
-            .unwrap_or(&(0, 0));
-        let side = if want_src {
-            self.arr(self.triple_src)
-        } else {
-            self.arr(self.triple_dst)
-        };
-        let mut out: Vec<NodeId> = as_node_ids(&side[start as usize..end as usize]).to_vec();
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
-    fn labeled_triple_run_len(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-    ) -> Option<usize> {
-        let mut total = 0usize;
-        for (&(s, e, d), &(start, end)) in self.triple_ranges.iter() {
-            if crate::csr::triple_matches((s, e, d), (src_label, edge_label, dst_label)) {
-                total += (end - start) as usize;
-            }
-        }
-        Some(total)
-    }
-
-    fn labeled_triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        let side = if want_src {
-            self.arr(self.triple_src)
-        } else {
-            self.arr(self.triple_dst)
-        };
-        let mut out: Vec<NodeId> = Vec::new();
-        for (&(s, e, d), &(start, end)) in self.triple_ranges.iter() {
-            if crate::csr::triple_matches((s, e, d), (src_label, edge_label, dst_label)) {
-                out.extend_from_slice(as_node_ids(&side[start as usize..end as usize]));
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
+    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]) {
+        (
+            &self.triple_ranges,
+            as_node_ids(self.rows.arr(self.triple_src)),
+            as_node_ids(self.rows.arr(self.triple_dst)),
+        )
     }
 }
 
-/// One fragment's mapped arrays inside a sharded snapshot file.
+/// One fragment's mapped arrays inside a sharded snapshot file — the
+/// file-backed counterpart of [`crate::FragmentSnapshot`].  Nominally
+/// public only because [`MmapFragmentView`] names it; it is not exported.
 #[derive(Debug)]
-struct MmapFragment {
+pub struct MmapFragment {
+    rows: MappedRows,
     owned_count: usize,
     edge_entries: usize,
     local_to_global: Sect,
     global_to_local: Sect,
-    node_labels: Sect,
-    attrs: LazyAttrs,
-    out: SideSect,
-    inn: SideSect,
+}
+
+impl FragmentStore for MmapFragment {
+    type Rows = MappedRows;
+
+    #[inline]
+    fn rows(&self) -> &MappedRows {
+        &self.rows
+    }
+
+    #[inline]
+    fn global_to_local(&self) -> &[u32] {
+        self.rows.arr(self.global_to_local)
+    }
 }
 
 /// A memory-mapped [`crate::ShardedSnapshot`]: the global snapshot plus one
@@ -1197,7 +1048,7 @@ impl MmapShardedSnapshot {
         }
         let global = decode_global(&file)?;
         let n = global.node_count;
-        let sym_count = global.syms.len() as u32;
+        let syms = &global.rows.syms;
 
         let (blob, _) = file.blob(kind::SHARD_META, 0)?;
         let mut reader = BlobReader::new(blob, "shard metadata");
@@ -1214,11 +1065,11 @@ impl MmapShardedSnapshot {
         }
 
         let (blob, declared) = file.blob(kind::PARTITION, 0)?;
-        let partition = decode_partition(blob, declared, n, fragment_count, &global.syms)?;
+        let partition = decode_partition(blob, declared, n, fragment_count, syms)?;
 
         let mut fragments = Vec::with_capacity(fragment_count);
         for idx in 0..fragment_count {
-            fragments.push(decode_fragment(&file, idx, n, sym_count, &global.syms)?);
+            fragments.push(decode_fragment(&file, idx, n, syms)?);
         }
         Ok(MmapShardedSnapshot {
             global,
@@ -1259,13 +1110,9 @@ impl MmapShardedSnapshot {
         self.partition.route_of(node)
     }
 
-    /// A worker's [`GraphView`] over fragment `idx`.
+    /// A worker's [`GraphView`](crate::GraphView) over fragment `idx`.
     pub fn fragment_view(&self, idx: usize) -> MmapFragmentView<'_> {
-        MmapFragmentView {
-            shard: self,
-            fragment: &self.fragments[idx],
-            remote_fetches: AtomicU64::new(0),
-        }
+        FragmentView::new(&self.fragments[idx], &self.global)
     }
 
     /// Fragment `idx`'s mapped global→local translation array
@@ -1273,7 +1120,7 @@ impl MmapShardedSnapshot {
     /// it to test in O(1) whether a dirty global node is replicated in a
     /// fragment without decoding the fragment.
     pub(crate) fn raw_fragment_g2l(&self, idx: usize) -> &[u32] {
-        u32s(&self.global.map, self.fragments[idx].global_to_local)
+        self.fragments[idx].global_to_local()
     }
 }
 
@@ -1392,9 +1239,9 @@ fn decode_fragment(
     file: &FileData,
     idx: usize,
     node_count: usize,
-    sym_count: u32,
-    syms: &SymBridge,
+    syms: &Arc<SymBridge>,
 ) -> Result<MmapFragment, PersistError> {
+    let sym_count = syms.len() as u32;
     let owner = (idx + 1) as u32;
     let (blob, _) = file.blob(kind::FRAG_META, owner)?;
     let mut reader = BlobReader::new(blob, "fragment metadata");
@@ -1501,361 +1348,46 @@ fn decode_fragment(
     )?;
 
     Ok(MmapFragment {
+        rows: MappedRows {
+            map: Arc::clone(&file.map),
+            syms: Arc::clone(syms),
+            node_labels,
+            attrs,
+            out,
+            inn,
+        },
         owned_count,
         edge_entries,
         local_to_global,
         global_to_local,
-        node_labels,
-        attrs,
-        out,
-        inn,
     })
 }
 
-/// A detector worker's read view of one mapped fragment: local reads come
-/// from the fragment's mapped arrays, everything else falls back to the
-/// mapped global snapshot and is counted as a cross-fragment candidate
-/// fetch — the mmap twin of [`crate::FragmentView`].
-#[derive(Debug)]
-pub struct MmapFragmentView<'a> {
-    shard: &'a MmapShardedSnapshot,
-    fragment: &'a MmapFragment,
-    remote_fetches: AtomicU64,
-}
+/// A detector worker's read view of one mapped fragment: the crate's one
+/// fragment reader ([`FragmentView`]) over the fragment's mapped rows, with
+/// the mapped global snapshot as the accounted fallback.
+pub type MmapFragmentView<'a> = FragmentView<'a, MmapFragment, MmapSnapshot>;
 
 impl<'a> MmapFragmentView<'a> {
     /// Global ids of the rows materialised in this fragment (owned + halo).
     pub fn materialized_nodes(&self) -> &'a [NodeId] {
-        as_node_ids(u32s(&self.shard.global.map, self.fragment.local_to_global))
+        let fragment = self.storage();
+        as_node_ids(fragment.rows.arr(fragment.local_to_global))
     }
 
     /// Global ids of the owned rows.
     pub fn owned_nodes(&self) -> &'a [NodeId] {
-        &self.materialized_nodes()[..self.fragment.owned_count]
+        &self.materialized_nodes()[..self.storage().owned_count]
     }
 
     /// Number of out-edge entries replicated into this fragment.
     pub fn edge_entries(&self) -> usize {
-        self.fragment.edge_entries
+        self.storage().edge_entries
     }
 
     /// Is the node's adjacency materialised in this fragment?
     pub fn is_local(&self, id: NodeId) -> bool {
-        self.local_row(id).is_some()
-    }
-
-    #[inline]
-    fn global(&self) -> &'a MmapSnapshot {
-        &self.shard.global
-    }
-
-    #[inline]
-    fn local_row(&self, id: NodeId) -> Option<usize> {
-        match u32s(&self.shard.global.map, self.fragment.global_to_local).get(id.index()) {
-            Some(&row) if row != u32::MAX => Some(row as usize),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn count_remote(&self) {
-        self.remote_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn out_side(&self) -> RawSide<'a> {
-        let map = &self.shard.global.map;
-        RawSide {
-            offsets: u32s(map, self.fragment.out.offsets),
-            labels: u32s(map, self.fragment.out.labels),
-            neighbors: u32s(map, self.fragment.out.neighbors),
-        }
-    }
-
-    #[inline]
-    fn in_side(&self) -> RawSide<'a> {
-        let map = &self.shard.global.map;
-        RawSide {
-            offsets: u32s(map, self.fragment.inn.offsets),
-            labels: u32s(map, self.fragment.inn.labels),
-            neighbors: u32s(map, self.fragment.inn.neighbors),
-        }
-    }
-
-    #[inline]
-    fn to_file(&self, label: Sym) -> Option<u32> {
-        self.shard.global.syms.to_file(label)
-    }
-}
-
-impl<'a> RemoteAccounting for MmapFragmentView<'a> {
-    fn remote_fetches(&self) -> u64 {
-        self.remote_fetches.load(Ordering::Relaxed)
-    }
-}
-
-impl<'a> GraphView for MmapFragmentView<'a> {
-    fn node_count(&self) -> usize {
-        GraphView::node_count(self.global())
-    }
-
-    fn edge_count(&self) -> usize {
-        GraphView::edge_count(self.global())
-    }
-
-    fn contains_node(&self, id: NodeId) -> bool {
-        GraphView::contains_node(self.global(), id)
-    }
-
-    fn label(&self, id: NodeId) -> Sym {
-        match self.local_row(id) {
-            Some(row) => {
-                let fid = u32s(&self.shard.global.map, self.fragment.node_labels)[row];
-                self.shard.global.syms.to_proc(fid)
-            }
-            None => GraphView::label(self.global(), id),
-        }
-    }
-
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        match self.local_row(id) {
-            Some(row) => {
-                let global = &self.shard.global;
-                self.fragment
-                    .attrs
-                    .get(&global.map, &global.syms, row)
-                    .get(name)
-            }
-            None => GraphView::attr(self.global(), id, name),
-        }
-    }
-
-    fn attrs_of(&self, id: NodeId) -> &AttrMap {
-        match self.local_row(id) {
-            Some(row) => {
-                let global = &self.shard.global;
-                self.fragment.attrs.get(&global.map, &global.syms, row)
-            }
-            None => GraphView::attrs_of(self.global(), id),
-        }
-    }
-
-    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
-        let Some(fid) = self.to_file(label) else {
-            return false;
-        };
-        if let Some(row) = self.local_row(src) {
-            return self.out_side().contains(row, fid, dst);
-        }
-        if let Some(row) = self.local_row(dst) {
-            return self.in_side().contains(row, fid, src);
-        }
-        if !self.contains_node(src) || !self.contains_node(dst) {
-            return false;
-        }
-        self.count_remote();
-        GraphView::has_edge(self.global(), src, dst, label)
-    }
-
-    fn out_degree(&self, id: NodeId) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.out_side().degree(row),
-            None => {
-                self.count_remote();
-                GraphView::out_degree(self.global(), id)
-            }
-        }
-    }
-
-    fn in_degree(&self, id: NodeId) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.in_side().degree(row),
-            None => {
-                self.count_remote();
-                GraphView::in_degree(self.global(), id)
-            }
-        }
-    }
-
-    fn label_count(&self, label: Sym) -> usize {
-        // Replicated dictionary — global, unaccounted.
-        GraphView::label_count(self.global(), label)
-    }
-
-    fn nodes_with_label_vec(&self, label: Sym) -> Vec<NodeId> {
-        GraphView::nodes_with_label_vec(self.global(), label)
-    }
-
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.local_row(id) {
-            Some(row) => match self.to_file(label) {
-                Some(fid) => self.out_side().labeled_range(row, fid).len(),
-                None => 0,
-            },
-            None => {
-                self.count_remote();
-                GraphView::out_labeled_count(self.global(), id, label)
-            }
-        }
-    }
-
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.local_row(id) {
-            Some(row) => match self.to_file(label) {
-                Some(fid) => self.in_side().labeled_range(row, fid).len(),
-                None => 0,
-            },
-            None => {
-                self.count_remote();
-                GraphView::in_labeled_count(self.global(), id, label)
-            }
-        }
-    }
-
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        match self.local_row(id) {
-            Some(row) => Some(match self.to_file(label) {
-                Some(fid) => self.out_side().labeled_slice(row, fid),
-                None => &[],
-            }),
-            None => {
-                self.count_remote();
-                GraphView::out_labeled_slice(self.global(), id, label)
-            }
-        }
-    }
-
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        match self.local_row(id) {
-            Some(row) => Some(match self.to_file(label) {
-                Some(fid) => self.in_side().labeled_slice(row, fid),
-                None => &[],
-            }),
-            None => {
-                self.count_remote();
-                GraphView::in_labeled_slice(self.global(), id, label)
-            }
-        }
-    }
-
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        match self.local_row(id) {
-            Some(row) => {
-                if let Some(fid) = self.to_file(label) {
-                    for &n in self.out_side().labeled_slice(row, fid) {
-                        f(n);
-                    }
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_out_labeled(self.global(), id, label, f);
-            }
-        }
-    }
-
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        match self.local_row(id) {
-            Some(row) => {
-                if let Some(fid) = self.to_file(label) {
-                    for &n in self.in_side().labeled_slice(row, fid) {
-                        f(n);
-                    }
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_in_labeled(self.global(), id, label, f);
-            }
-        }
-    }
-
-    fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        match self.local_row(id) {
-            Some(row) => {
-                let syms = &self.shard.global.syms;
-                let out = self.out_side();
-                for i in out.node_range(row) {
-                    let neighbor = NodeId(out.neighbors[i]);
-                    f(
-                        neighbor,
-                        EdgeRef::new(id, neighbor, syms.to_proc(out.labels[i])),
-                    );
-                }
-                let inn = self.in_side();
-                for i in inn.node_range(row) {
-                    let neighbor = NodeId(inn.neighbors[i]);
-                    f(
-                        neighbor,
-                        EdgeRef::new(neighbor, id, syms.to_proc(inn.labels[i])),
-                    );
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_undirected(self.global(), id, f);
-            }
-        }
-    }
-
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        match self.local_row(id) {
-            Some(row) => {
-                let syms = &self.shard.global.syms;
-                let out = self.out_side();
-                for i in out.node_range(row) {
-                    f(NodeId(out.neighbors[i]), syms.to_proc(out.labels[i]));
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_out(self.global(), id, f);
-            }
-        }
-    }
-
-    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
-        // Whole-graph iteration is a global scan by definition.
-        GraphView::for_each_edge(self.global(), f)
-    }
-
-    fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        GraphView::triple_run_len(self.global(), src_label, edge_label, dst_label)
-    }
-
-    fn triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        GraphView::triple_endpoints(self.global(), src_label, edge_label, dst_label, want_src)
-    }
-
-    fn labeled_triple_run_len(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-    ) -> Option<usize> {
-        GraphView::labeled_triple_run_len(self.global(), src_label, edge_label, dst_label)
-    }
-
-    fn labeled_triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        GraphView::labeled_triple_endpoints(
-            self.global(),
-            src_label,
-            edge_label,
-            dst_label,
-            want_src,
-        )
+        self.storage().local_row(id).is_some()
     }
 }
 

@@ -187,9 +187,9 @@ impl std::error::Error for PersistError {}
 mod tests {
     use super::*;
     use crate::attrs::AttrMap;
-    use crate::graph::{Graph, NodeId};
+    use crate::conformance::assert_conforms;
+    use crate::graph::Graph;
     use crate::interner::intern;
-    use crate::shard::RemoteAccounting;
     use crate::value::Value;
     use crate::view::GraphView;
     use std::path::PathBuf;
@@ -220,63 +220,6 @@ mod tests {
         ))
     }
 
-    fn assert_views_agree<A: GraphView, B: GraphView>(a: &A, b: &B) {
-        assert_eq!(GraphView::node_count(a), GraphView::node_count(b));
-        assert_eq!(GraphView::edge_count(a), GraphView::edge_count(b));
-        let labels = ["account", "company", "integer", "ghost"];
-        let edge_labels = ["keys", "follower", "knows", "ghost"];
-        for idx in 0..GraphView::node_count(a) {
-            let id = NodeId(idx as u32);
-            assert_eq!(GraphView::label(a, id), GraphView::label(b, id), "{id}");
-            assert_eq!(GraphView::attrs_of(a, id), GraphView::attrs_of(b, id));
-            assert_eq!(GraphView::out_degree(a, id), GraphView::out_degree(b, id));
-            assert_eq!(GraphView::in_degree(a, id), GraphView::in_degree(b, id));
-            for l in edge_labels {
-                let l = intern(l);
-                assert_eq!(
-                    GraphView::out_labeled_vec(a, id, l),
-                    GraphView::out_labeled_vec(b, id, l)
-                );
-                assert_eq!(
-                    GraphView::in_labeled_vec(a, id, l),
-                    GraphView::in_labeled_vec(b, id, l)
-                );
-            }
-        }
-        for l in labels {
-            let l = intern(l);
-            assert_eq!(GraphView::label_count(a, l), GraphView::label_count(b, l));
-            assert_eq!(
-                GraphView::nodes_with_label_vec(a, l),
-                GraphView::nodes_with_label_vec(b, l)
-            );
-        }
-        for s in labels {
-            for e in edge_labels {
-                for d in labels {
-                    let (s, e, d) = (intern(s), intern(e), intern(d));
-                    assert_eq!(
-                        GraphView::triple_run_len(a, s, e, d),
-                        GraphView::triple_run_len(b, s, e, d)
-                    );
-                    for want_src in [true, false] {
-                        assert_eq!(
-                            GraphView::triple_endpoints(a, s, e, d, want_src),
-                            GraphView::triple_endpoints(b, s, e, d, want_src)
-                        );
-                    }
-                }
-            }
-        }
-        let mut ea = Vec::new();
-        GraphView::for_each_edge(a, &mut |e| ea.push(e));
-        let mut eb = Vec::new();
-        GraphView::for_each_edge(b, &mut |e| eb.push(e));
-        ea.sort();
-        eb.sort();
-        assert_eq!(ea, eb);
-    }
-
     #[test]
     fn round_trip_matches_the_in_memory_snapshot() {
         let g = sample();
@@ -284,18 +227,8 @@ mod tests {
         let path = temp_path("roundtrip");
         SnapshotWriter::new().write(&snapshot, &path).unwrap();
         let mapped = MmapSnapshot::load(&path).unwrap();
-        assert_views_agree(&snapshot, &mapped);
-        for src in 0..4u32 {
-            for dst in 0..4u32 {
-                for label in ["keys", "follower", "knows", "ghost"] {
-                    let l = intern(label);
-                    assert_eq!(
-                        GraphView::has_edge(&mapped, NodeId(src), NodeId(dst), l),
-                        GraphView::has_edge(&snapshot, NodeId(src), NodeId(dst), l)
-                    );
-                }
-            }
-        }
+        assert_conforms(&snapshot, &g, "in-memory snapshot");
+        assert_conforms(&mapped, &g, "mapped snapshot");
         std::fs::remove_file(&path).ok();
     }
 
@@ -340,12 +273,11 @@ mod tests {
             mapped.partition().crossing_edges,
             sharded.partition().crossing_edges
         );
-        assert_views_agree(sharded.global(), mapped.global());
+        assert_conforms(mapped.global(), &g, "mapped global");
         for f in 0..mapped.fragment_count() {
             let view = mapped.fragment_view(f);
-            let reference = sharded.fragment_view(f);
             assert_eq!(view.owned_nodes(), sharded.fragment(f).owned_nodes());
-            assert_views_agree(&reference, &view);
+            assert_conforms(&view, &g, &format!("mapped fragment {f}"));
         }
         // Owned-node reads must stay local, exactly like the in-memory path.
         for f in 0..mapped.fragment_count() {

@@ -23,11 +23,11 @@ use super::format::{
     SECTION_ALIGN, SECTION_ENTRY_LEN,
 };
 use super::PersistError;
-use crate::csr::{CsrSide, CsrSnapshot};
+use crate::csr::{CsrSnapshot, CsrStore, MemRows, RowStore, Side};
 use crate::graph::{EdgeRef, NodeData};
 use crate::interner::Sym;
 use crate::partition::{Partition, PartitionStrategy};
-use crate::shard::{FragmentSnapshot, ShardedSnapshot};
+use crate::shard::{FragmentSnapshot, FragmentStore, ShardedSnapshot};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::HashMap;
@@ -156,18 +156,15 @@ impl SymTable {
 
     fn for_snapshot(snapshot: &CsrSnapshot) -> SymTable {
         let mut used = Vec::new();
-        collect_snapshot_syms(snapshot, &mut used);
+        collect_row_syms(snapshot.rows(), &mut used);
         SymTable::build(used)
     }
 
     fn for_sharded(sharded: &ShardedSnapshot) -> SymTable {
         let mut used = Vec::new();
-        collect_snapshot_syms(sharded.global(), &mut used);
+        collect_row_syms(sharded.global().rows(), &mut used);
         for idx in 0..sharded.fragment_count() {
-            let frag = sharded.fragment(idx);
-            collect_node_syms(frag.raw_nodes(), &mut used);
-            used.extend(frag.raw_out().raw_parts().1.iter().copied());
-            used.extend(frag.raw_in().raw_parts().1.iter().copied());
+            collect_row_syms(sharded.fragment(idx).rows(), &mut used);
         }
         let partition = sharded.partition();
         for frag in &partition.fragments {
@@ -185,17 +182,13 @@ impl SymTable {
     }
 }
 
-fn collect_node_syms(nodes: &[NodeData], used: &mut Vec<Sym>) {
-    for node in nodes {
+fn collect_row_syms(rows: &MemRows, used: &mut Vec<Sym>) {
+    for node in &rows.nodes {
         used.push(node.label);
         used.extend(node.attrs.iter().map(|(name, _)| name));
     }
-}
-
-fn collect_snapshot_syms(snapshot: &CsrSnapshot, used: &mut Vec<Sym>) {
-    collect_node_syms(snapshot.raw_nodes(), used);
-    used.extend(snapshot.raw_out().raw_parts().1.iter().copied());
-    used.extend(snapshot.raw_in().raw_parts().1.iter().copied());
+    used.extend(rows.out_side().keys);
+    used.extend(rows.in_side().keys);
 }
 
 /// Accumulates sections, then lays out header + table + aligned payloads.
@@ -290,8 +283,8 @@ pub(crate) fn push_strings(builder: &mut FileBuilder, syms: &SymTable) {
 
 /// One CSR side as file arrays: offsets verbatim, every run re-sorted into
 /// `(file symbol, neighbour)` order.
-fn encode_side(side: &CsrSide, syms: &SymTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let (offsets, labels, neighbors) = side.raw_parts();
+fn encode_side(side: Side<'_, Sym>, syms: &SymTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let (offsets, labels, neighbors) = (side.offsets, side.keys, side.neighbors);
     let mut file_labels = Vec::with_capacity(labels.len());
     let mut file_neighbors = Vec::with_capacity(neighbors.len());
     let mut run: Vec<(u32, u32)> = Vec::new();
@@ -345,7 +338,8 @@ pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
 
 /// The global-snapshot sections (shared by both file kinds, owner 0).
 fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, syms: &SymTable) {
-    let nodes = snapshot.raw_nodes();
+    let rows = snapshot.rows();
+    let nodes = &rows.nodes;
     let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
     builder.add_u32s(kind::NODE_LABELS, 0, &node_labels);
     builder.add_blob(
@@ -355,23 +349,22 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         encode_attrs(nodes, syms),
     );
 
-    let (offsets, labels, neighbors) = encode_side(snapshot.raw_out(), syms);
+    let (offsets, labels, neighbors) = encode_side(rows.out_side(), syms);
     builder.add_u32s(kind::OUT_OFFSETS, 0, &offsets);
     builder.add_u32s(kind::OUT_LABELS, 0, &labels);
     builder.add_u32s(kind::OUT_NEIGHBORS, 0, &neighbors);
-    let (offsets, labels, neighbors) = encode_side(snapshot.raw_in(), syms);
+    let (offsets, labels, neighbors) = encode_side(rows.in_side(), syms);
     builder.add_u32s(kind::IN_OFFSETS, 0, &offsets);
     builder.add_u32s(kind::IN_LABELS, 0, &labels);
     builder.add_u32s(kind::IN_NEIGHBORS, 0, &neighbors);
 
     // Label partition, groups re-ordered into file-symbol order.
-    let mut ranges: Vec<(u32, u32, u32)> = snapshot
-        .raw_label_ranges()
+    let (label_ranges, old_order) = snapshot.label_partition();
+    let mut ranges: Vec<(u32, u32, u32)> = label_ranges
         .iter()
         .map(|(&sym, &(start, end))| (syms.file_id(sym), start, end))
         .collect();
     ranges.sort_unstable();
-    let old_order = snapshot.raw_label_order();
     let mut label_order = Vec::with_capacity(old_order.len());
     let mut file_ranges = BlobWriter::new();
     for &(fid, start, end) in &ranges {
@@ -390,9 +383,8 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
     );
 
     // Triple index, groups re-ordered into file-symbol order.
-    let (old_src, old_dst) = snapshot.raw_triples();
-    let mut triples: Vec<((u32, u32, u32), u32, u32)> = snapshot
-        .raw_triple_ranges()
+    let (old_ranges, old_src, old_dst) = snapshot.triple_index();
+    let mut triples: Vec<((u32, u32, u32), u32, u32)> = old_ranges
         .iter()
         .map(|(&(s, l, d), &(start, end))| {
             (
@@ -443,10 +435,11 @@ pub(crate) fn push_fragment_sections(
     builder.add_u32s(
         kind::FRAG_GLOBAL_TO_LOCAL,
         owner,
-        fragment.raw_global_to_local(),
+        fragment.global_to_local(),
     );
 
-    let nodes = fragment.raw_nodes();
+    let rows = fragment.rows();
+    let nodes = &rows.nodes;
     let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
     builder.add_u32s(kind::FRAG_NODE_LABELS, owner, &node_labels);
     builder.add_blob(
@@ -456,11 +449,11 @@ pub(crate) fn push_fragment_sections(
         encode_attrs(nodes, syms),
     );
 
-    let (offsets, labels, neighbors) = encode_side(fragment.raw_out(), syms);
+    let (offsets, labels, neighbors) = encode_side(rows.out_side(), syms);
     builder.add_u32s(kind::FRAG_OUT_OFFSETS, owner, &offsets);
     builder.add_u32s(kind::FRAG_OUT_LABELS, owner, &labels);
     builder.add_u32s(kind::FRAG_OUT_NEIGHBORS, owner, &neighbors);
-    let (offsets, labels, neighbors) = encode_side(fragment.raw_in(), syms);
+    let (offsets, labels, neighbors) = encode_side(rows.in_side(), syms);
     builder.add_u32s(kind::FRAG_IN_OFFSETS, owner, &offsets);
     builder.add_u32s(kind::FRAG_IN_LABELS, owner, &labels);
     builder.add_u32s(kind::FRAG_IN_NEIGHBORS, owner, &neighbors);

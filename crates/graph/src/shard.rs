@@ -22,17 +22,23 @@
 //! violations and deltas computed against a fragment are therefore
 //! byte-identical to those computed against the shared snapshot.
 //!
-//! A [`FragmentView`] is the [`GraphView`] a detector worker holds.  Reads
-//! of materialised (owned + halo) nodes are served from the fragment's own
-//! arrays; adjacency reads of any other node fall back to the global
-//! snapshot and are **counted** as cross-fragment candidate fetches — on a
-//! real cluster each such read is a message to the owner, so the counter
-//! is exactly the crossing-edge traffic the paper's communication cost
-//! models (the detectors fold it into their `CostLedger`).  Label, triple
-//! and node-count indexes are served globally without accounting: they are
-//! the read-only dictionaries every processor replicates.
+//! A [`FragmentView`] is the [`GraphView`] a detector worker holds, and
+//! the crate's **one fragment reader**: it is generic over the fragment's
+//! storage (heap [`FragmentSnapshot`] here, mapped section group in
+//! [`crate::persist`]) and over the global view behind it, and both
+//! [`ShardedSnapshot`] and [`crate::MmapShardedSnapshot`] instantiate it as
+//! their [`ShardedRead::Worker`] (see the storage table in [`crate::csr`]).
+//! Reads of materialised (owned + halo) nodes are served from the
+//! fragment's own rows; adjacency reads of any other node fall back to the
+//! global snapshot and are **counted** as cross-fragment candidate fetches
+//! — on a real cluster each such read is a message to the owner, so the
+//! counter is exactly the crossing-edge traffic the paper's communication
+//! cost models (the detectors fold it into their `CostLedger`).  Label,
+//! triple and node-count indexes are served globally without accounting:
+//! they are the read-only dictionaries every processor replicates.
 
-use crate::csr::{CsrSide, CsrSnapshot};
+use crate::attrs::AttrMap;
+use crate::csr::{CsrSnapshot, MemRows, RowStore};
 use crate::graph::{EdgeRef, Graph, NodeData, NodeId};
 use crate::interner::Sym;
 use crate::neighborhood::d_neighbors_many;
@@ -40,6 +46,30 @@ use crate::partition::{partition, Partition, PartitionStrategy};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Fragment storage as the fragment reader sees it: local rows plus the
+/// dense `global id → local row` table (`u32::MAX` = not materialised).
+pub(crate) trait FragmentStore {
+    type Rows: RowStore;
+
+    fn rows(&self) -> &Self::Rows;
+    fn global_to_local(&self) -> &[u32];
+
+    /// The local row of a global node id, if materialised here.
+    #[inline]
+    fn local_row(&self, id: NodeId) -> Option<usize> {
+        match self.global_to_local().get(id.index()) {
+            Some(&row) if row != u32::MAX => Some(row as usize),
+            _ => None,
+        }
+    }
+
+    /// The rows and the local row of `id`, if materialised here.
+    #[inline]
+    fn local(&self, id: NodeId) -> Option<(&Self::Rows, usize)> {
+        Some((self.rows(), self.local_row(id)?))
+    }
+}
 
 /// One fragment's frozen CSR: owned nodes plus the replicated halo, with
 /// complete adjacency runs in fragment-local arrays.
@@ -58,12 +88,9 @@ pub struct FragmentSnapshot {
     /// fragment (O(p·|V|) across the snapshot) — swap for a paged or
     /// hashed table when fragments move out-of-process.
     global_to_local: Vec<u32>,
-    /// Node payloads, indexed by local row.
-    nodes: Vec<NodeData>,
-    /// Out-adjacency, rows local, neighbour entries global.
-    out: CsrSide,
-    /// In-adjacency, rows local, neighbour entries global.
-    inn: CsrSide,
+    /// Node payloads and both adjacency directions, indexed by local row;
+    /// neighbour entries are global ids.
+    rows: MemRows,
     /// Number of directed edges whose source row is materialised.
     edge_entries: usize,
 }
@@ -91,13 +118,12 @@ impl FragmentSnapshot {
 
     /// Is the node's adjacency materialised in this fragment?
     pub fn is_local(&self, id: NodeId) -> bool {
-        self.row(id).is_some()
+        self.local_row(id).is_some()
     }
 
     /// Does this fragment own the node?
     pub fn owns(&self, id: NodeId) -> bool {
-        self.row(id)
-            .is_some_and(|row| row.index() < self.owned_count)
+        self.local_row(id).is_some_and(|row| row < self.owned_count)
     }
 
     /// Number of out-edge entries replicated into this fragment.
@@ -105,35 +131,23 @@ impl FragmentSnapshot {
         self.edge_entries
     }
 
-    #[inline]
-    fn row(&self, id: NodeId) -> Option<NodeId> {
-        match self.global_to_local.get(id.index()) {
-            Some(&row) if row != u32::MAX => Some(NodeId(row)),
-            _ => None,
-        }
-    }
-
-    // Raw-array accessors for the on-disk snapshot writer
-    // ([`crate::persist`]), mirroring [`crate::csr::CsrSnapshot`]'s.
-
+    /// Global ids of the materialised rows, for the snapshot writer.
     pub(crate) fn raw_local_to_global(&self) -> &[NodeId] {
         &self.local_to_global
     }
+}
 
-    pub(crate) fn raw_global_to_local(&self) -> &[u32] {
+impl FragmentStore for FragmentSnapshot {
+    type Rows = MemRows;
+
+    #[inline]
+    fn rows(&self) -> &MemRows {
+        &self.rows
+    }
+
+    #[inline]
+    fn global_to_local(&self) -> &[u32] {
         &self.global_to_local
-    }
-
-    pub(crate) fn raw_nodes(&self) -> &[NodeData] {
-        &self.nodes
-    }
-
-    pub(crate) fn raw_out(&self) -> &CsrSide {
-        &self.out
-    }
-
-    pub(crate) fn raw_in(&self) -> &CsrSide {
-        &self.inn
     }
 }
 
@@ -175,11 +189,7 @@ impl ShardedSnapshot {
 
     /// A worker's [`GraphView`] over fragment `idx`.
     pub fn fragment_view(&self, idx: usize) -> FragmentView<'_> {
-        FragmentView {
-            fragment: &self.fragments[idx],
-            global: &self.global,
-            remote_fetches: AtomicU64::new(0),
-        }
+        FragmentView::new(&self.fragments[idx], &self.global)
     }
 
     /// Fragment a work item anchored at `node` routes to (see
@@ -218,8 +228,8 @@ impl ShardedSnapshot {
 /// content (complete runs, global neighbour ids, `(label, neighbour)`
 /// order, self-loop parity of one entry per side) equals the global
 /// file-space content of the same node.  Per-list entry order does not
-/// matter ([`CsrSide::build`] sorts every run), so any view produces
-/// identical fragments for the same logical graph.
+/// matter (every run is sorted when the rows are built), so any view
+/// produces identical fragments for the same logical graph.
 pub(crate) fn build_fragments_from_view<G: GraphView + ?Sized>(
     global: &G,
     partition: &Partition,
@@ -299,9 +309,7 @@ pub(crate) fn build_fragments_from_view<G: GraphView + ?Sized>(
                 local_to_global,
                 owned_count,
                 global_to_local,
-                nodes,
-                out: CsrSide::build(out_lists),
-                inn: CsrSide::build(in_lists),
+                rows: MemRows::build(nodes, out_lists, in_lists),
                 edge_entries,
             }
         })
@@ -353,20 +361,31 @@ impl Graph {
     }
 }
 
-/// A detector worker's read view of one fragment: local CSR arrays for
-/// materialised nodes, an *accounted* global fallback for everything else.
+/// A detector worker's read view of one fragment: the fragment's own rows
+/// for materialised nodes, an *accounted* global fallback for everything
+/// else.  `F` is the fragment storage and `G` the global view behind it;
+/// the defaults are the in-memory pair, [`crate::MmapFragmentView`] names
+/// the mapped one.
 #[derive(Debug)]
-pub struct FragmentView<'a> {
-    fragment: &'a FragmentSnapshot,
-    global: &'a CsrSnapshot,
+pub struct FragmentView<'a, F = FragmentSnapshot, G = CsrSnapshot> {
+    fragment: &'a F,
+    global: &'a G,
     /// Adjacency reads served by the global fallback — each one models a
     /// candidate fetch from the owning fragment.
     remote_fetches: AtomicU64,
 }
 
-impl<'a> FragmentView<'a> {
-    /// The fragment this view reads.
-    pub fn fragment(&self) -> &'a FragmentSnapshot {
+impl<'a, F, G> FragmentView<'a, F, G> {
+    pub(crate) fn new(fragment: &'a F, global: &'a G) -> Self {
+        FragmentView {
+            fragment,
+            global,
+            remote_fetches: AtomicU64::new(0),
+        }
+    }
+
+    /// The fragment storage this view reads.
+    pub(crate) fn storage(&self) -> &'a F {
         self.fragment
     }
 
@@ -375,205 +394,154 @@ impl<'a> FragmentView<'a> {
         self.remote_fetches.load(Ordering::Relaxed)
     }
 
+    /// The global view, with one remote adjacency fetch recorded.
     #[inline]
-    fn local_row(&self, id: NodeId) -> Option<NodeId> {
-        self.fragment.row(id)
-    }
-
-    /// Record one remote adjacency fetch.
-    #[inline]
-    fn count_remote(&self) {
+    fn remote(&self) -> &'a G {
         self.remote_fetches.fetch_add(1, Ordering::Relaxed);
+        self.global
     }
 }
 
-impl<'a> GraphView for FragmentView<'a> {
+impl<'a> FragmentView<'a> {
+    /// The fragment this view reads.
+    pub fn fragment(&self) -> &'a FragmentSnapshot {
+        self.storage()
+    }
+}
+
+/// The fragment reader.
+impl<'a, F: FragmentStore, G: GraphView> GraphView for FragmentView<'a, F, G> {
     fn node_count(&self) -> usize {
-        GraphView::node_count(self.global)
+        self.global.node_count()
     }
 
     fn edge_count(&self) -> usize {
-        GraphView::edge_count(self.global)
+        self.global.edge_count()
     }
 
     fn contains_node(&self, id: NodeId) -> bool {
-        GraphView::contains_node(self.global, id)
+        self.global.contains_node(id)
     }
 
     fn label(&self, id: NodeId) -> Sym {
-        match self.local_row(id) {
-            Some(row) => self.fragment.nodes[row.index()].label,
-            None => GraphView::label(self.global, id),
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.row_label(row),
+            None => self.global.label(id),
         }
     }
 
     fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        match self.local_row(id) {
-            Some(row) => self.fragment.nodes[row.index()].attrs.get(name),
-            None => GraphView::attr(self.global, id, name),
-        }
+        self.attrs_of(id).get(name)
     }
 
-    fn attrs_of(&self, id: NodeId) -> &crate::attrs::AttrMap {
-        match self.local_row(id) {
-            Some(row) => &self.fragment.nodes[row.index()].attrs,
-            None => GraphView::attrs_of(self.global, id),
+    fn attrs_of(&self, id: NodeId) -> &AttrMap {
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.row_attrs(row),
+            None => self.global.attrs_of(id),
         }
     }
 
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
         // Prefer whichever endpoint is materialised; runs are complete, so
         // one local endpoint suffices.
-        if let Some(row) = self.local_row(src) {
-            return self.fragment.out.contains(row, label, dst);
+        if let Some((rows, row)) = self.fragment.local(src) {
+            return rows.out_run(row, label).binary_search(&dst).is_ok();
         }
-        if let Some(row) = self.local_row(dst) {
-            return self.fragment.inn.contains(row, label, src);
+        if let Some((rows, row)) = self.fragment.local(dst) {
+            return rows.in_run(row, label).binary_search(&src).is_ok();
         }
-        if !GraphView::contains_node(self.global, src)
-            || !GraphView::contains_node(self.global, dst)
-        {
+        if !self.global.contains_node(src) || !self.global.contains_node(dst) {
             return false;
         }
-        self.count_remote();
-        GraphView::has_edge(self.global, src, dst, label)
+        self.remote().has_edge(src, dst, label)
     }
 
     fn out_degree(&self, id: NodeId) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.fragment.out.degree(row),
-            None => {
-                self.count_remote();
-                GraphView::out_degree(self.global, id)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.out_side().degree(row),
+            None => self.remote().out_degree(id),
         }
     }
 
     fn in_degree(&self, id: NodeId) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.fragment.inn.degree(row),
-            None => {
-                self.count_remote();
-                GraphView::in_degree(self.global, id)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.in_side().degree(row),
+            None => self.remote().in_degree(id),
         }
     }
 
     fn label_count(&self, label: Sym) -> usize {
         // Replicated dictionary — global, unaccounted.
-        GraphView::label_count(self.global, label)
+        self.global.label_count(label)
     }
 
     fn nodes_with_label_vec(&self, label: Sym) -> Vec<NodeId> {
-        GraphView::nodes_with_label_vec(self.global, label)
+        self.global.nodes_with_label_vec(label)
     }
 
     fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.fragment.out.labeled_range(row, label).len(),
-            None => {
-                self.count_remote();
-                GraphView::out_labeled_count(self.global, id, label)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.out_run(row, label).len(),
+            None => self.remote().out_labeled_count(id, label),
         }
     }
 
     fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        match self.local_row(id) {
-            Some(row) => self.fragment.inn.labeled_range(row, label).len(),
-            None => {
-                self.count_remote();
-                GraphView::in_labeled_count(self.global, id, label)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.in_run(row, label).len(),
+            None => self.remote().in_labeled_count(id, label),
         }
     }
 
     fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        match self.local_row(id) {
-            Some(row) => Some(self.fragment.out.labeled_slice(row, label)),
-            None => {
-                self.count_remote();
-                GraphView::out_labeled_slice(self.global, id, label)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => Some(rows.out_run(row, label)),
+            None => self.remote().out_labeled_slice(id, label),
         }
     }
 
     fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        match self.local_row(id) {
-            Some(row) => Some(self.fragment.inn.labeled_slice(row, label)),
-            None => {
-                self.count_remote();
-                GraphView::in_labeled_slice(self.global, id, label)
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => Some(rows.in_run(row, label)),
+            None => self.remote().in_labeled_slice(id, label),
         }
     }
 
     fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        match self.local_row(id) {
-            Some(row) => {
-                for &n in self.fragment.out.labeled_slice(row, label) {
-                    f(n);
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_out_labeled(self.global, id, label, f);
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.out_run(row, label).iter().for_each(|&n| f(n)),
+            None => self.remote().for_each_out_labeled(id, label, f),
         }
     }
 
     fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        match self.local_row(id) {
-            Some(row) => {
-                for &n in self.fragment.inn.labeled_slice(row, label) {
-                    f(n);
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_in_labeled(self.global, id, label, f);
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.in_run(row, label).iter().for_each(|&n| f(n)),
+            None => self.remote().for_each_in_labeled(id, label, f),
         }
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        match self.local_row(id) {
-            Some(row) => {
-                for (label, n) in self.fragment.out.entries(row) {
-                    f(n, EdgeRef::new(id, n, label));
-                }
-                for (label, n) in self.fragment.inn.entries(row) {
-                    f(n, EdgeRef::new(n, id, label));
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_undirected(self.global, id, f);
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.for_each_incident(row, id, f),
+            None => self.remote().for_each_undirected(id, f),
         }
     }
 
     fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        match self.local_row(id) {
-            Some(row) => {
-                for (label, n) in self.fragment.out.entries(row) {
-                    f(n, label);
-                }
-            }
-            None => {
-                self.count_remote();
-                GraphView::for_each_out(self.global, id, f);
-            }
+        match self.fragment.local(id) {
+            Some((rows, row)) => rows.for_each_out_entry(row, f),
+            None => self.remote().for_each_out(id, f),
         }
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
         // Whole-graph iteration is a global scan by definition.
-        GraphView::for_each_edge(self.global, f)
+        self.global.for_each_edge(f)
     }
 
     fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        GraphView::triple_run_len(self.global, src_label, edge_label, dst_label)
+        self.global.triple_run_len(src_label, edge_label, dst_label)
     }
 
     fn triple_endpoints(
@@ -583,7 +551,8 @@ impl<'a> GraphView for FragmentView<'a> {
         dst_label: Sym,
         want_src: bool,
     ) -> Option<Vec<NodeId>> {
-        GraphView::triple_endpoints(self.global, src_label, edge_label, dst_label, want_src)
+        self.global
+            .triple_endpoints(src_label, edge_label, dst_label, want_src)
     }
 
     fn labeled_triple_run_len(
@@ -592,7 +561,8 @@ impl<'a> GraphView for FragmentView<'a> {
         edge_label: Sym,
         dst_label: Sym,
     ) -> Option<usize> {
-        GraphView::labeled_triple_run_len(self.global, src_label, edge_label, dst_label)
+        self.global
+            .labeled_triple_run_len(src_label, edge_label, dst_label)
     }
 
     fn labeled_triple_endpoints(
@@ -602,7 +572,8 @@ impl<'a> GraphView for FragmentView<'a> {
         dst_label: Sym,
         want_src: bool,
     ) -> Option<Vec<NodeId>> {
-        GraphView::labeled_triple_endpoints(self.global, src_label, edge_label, dst_label, want_src)
+        self.global
+            .labeled_triple_endpoints(src_label, edge_label, dst_label, want_src)
     }
 }
 
@@ -613,9 +584,9 @@ pub trait RemoteAccounting {
     fn remote_fetches(&self) -> u64;
 }
 
-impl<'a> RemoteAccounting for FragmentView<'a> {
+impl<'a, F, G> RemoteAccounting for FragmentView<'a, F, G> {
     fn remote_fetches(&self) -> u64 {
-        self.remote_fetches.load(Ordering::Relaxed)
+        FragmentView::remote_fetches(self)
     }
 }
 
@@ -686,6 +657,7 @@ impl ShardedRead for ShardedSnapshot {
 mod tests {
     use super::*;
     use crate::attrs::AttrMap;
+    use crate::conformance::assert_conforms;
     use crate::interner::intern;
 
     fn two_communities() -> Graph {
@@ -714,44 +686,6 @@ mod tests {
         g
     }
 
-    fn assert_view_matches_global(view: &FragmentView<'_>, global: &CsrSnapshot) {
-        assert_eq!(GraphView::node_count(view), GraphView::node_count(global));
-        assert_eq!(GraphView::edge_count(view), GraphView::edge_count(global));
-        for idx in 0..GraphView::node_count(global) {
-            let id = NodeId(idx as u32);
-            assert_eq!(GraphView::label(view, id), GraphView::label(global, id));
-            assert_eq!(
-                GraphView::attr(view, id, intern("val")),
-                GraphView::attr(global, id, intern("val"))
-            );
-            assert_eq!(view.out_degree(id), GraphView::out_degree(global, id));
-            assert_eq!(view.in_degree(id), GraphView::in_degree(global, id));
-            for label in ["intra", "bridge", "ghost"] {
-                let l = intern(label);
-                assert_eq!(
-                    view.out_labeled_slice(id, l).unwrap(),
-                    global.out_neighbors_labeled(id, l),
-                    "out run of {id} along {label}"
-                );
-                assert_eq!(
-                    view.in_labeled_slice(id, l).unwrap(),
-                    global.in_neighbors_labeled(id, l),
-                    "in run of {id} along {label}"
-                );
-            }
-            let mut got = Vec::new();
-            view.for_each_undirected(id, &mut |n, e| got.push((n, e)));
-            let mut want = Vec::new();
-            GraphView::for_each_undirected(global, id, &mut |n, e| want.push((n, e)));
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "undirected neighbours of {id}");
-        }
-        let mut edges = Vec::new();
-        view.for_each_edge(&mut |e| edges.push(e));
-        assert_eq!(edges.len(), GraphView::edge_count(global));
-    }
-
     #[test]
     fn every_node_is_owned_by_exactly_one_fragment() {
         let g = two_communities();
@@ -777,8 +711,8 @@ mod tests {
                 let part = partition(&global, 2, strategy);
                 let sharded = global.shard(&part, halo);
                 for f in 0..sharded.fragment_count() {
-                    let view = sharded.fragment_view(f);
-                    assert_view_matches_global(&view, &global);
+                    let what = format!("{strategy:?} halo {halo} fragment {f}");
+                    assert_conforms(&sharded.fragment_view(f), &g, &what);
                 }
             }
         }

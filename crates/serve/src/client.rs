@@ -56,7 +56,6 @@ impl ServedQuery {
 }
 
 enum ClientStream {
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
     Tcp(TcpStream),
 }
@@ -64,7 +63,6 @@ enum ClientStream {
 impl Read for ClientStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            #[cfg(unix)]
             ClientStream::Unix(s) => s.read(buf),
             ClientStream::Tcp(s) => s.read(buf),
         }
@@ -74,7 +72,6 @@ impl Read for ClientStream {
 impl Write for ClientStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            #[cfg(unix)]
             ClientStream::Unix(s) => s.write(buf),
             ClientStream::Tcp(s) => s.write(buf),
         }
@@ -82,7 +79,6 @@ impl Write for ClientStream {
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            #[cfg(unix)]
             ClientStream::Unix(s) => s.flush(),
             ClientStream::Tcp(s) => s.flush(),
         }
@@ -106,21 +102,10 @@ impl ServeClient {
     /// Connect and perform the `HELLO` handshake as `client_name`.
     pub fn connect_as(addr: &ServeAddr, client_name: &str) -> Result<ServeClient, ProtocolError> {
         let stream = match addr {
-            ServeAddr::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    ClientStream::Unix(std::os::unix::net::UnixStream::connect(path).map_err(
-                        |e| ProtocolError::Io(format!("connect {}: {e}", path.display())),
-                    )?)
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(ProtocolError::Io(format!(
-                        "unix sockets are not available on this host (asked for {})",
-                        path.display()
-                    )));
-                }
-            }
+            ServeAddr::Unix(path) => ClientStream::Unix(
+                std::os::unix::net::UnixStream::connect(path)
+                    .map_err(|e| ProtocolError::Io(format!("connect {}: {e}", path.display())))?,
+            ),
             ServeAddr::Tcp(spec) => {
                 let stream = TcpStream::connect(spec)
                     .map_err(|e| ProtocolError::Io(format!("connect {spec}: {e}")))?;

@@ -94,6 +94,12 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
+#[cfg(not(unix))]
+compile_error!(
+    "ngd-serve targets Unix (Linux and the BSD family): the reactor is built on epoll(7)/poll(2) \
+     and Unix-domain sockets, and there is no other serving path"
+);
+
 pub mod client;
 pub mod error;
 mod poller;

@@ -12,19 +12,16 @@
 //!   correctness.
 //! * **Other Unix** — `poll(2)` over a registration table, with a
 //!   non-blocking self-pipe as the waker.  `O(n)` per wait, which is fine
-//!   at the hundreds-of-fds scale the fallback serves.
+//!   at the hundreds-of-fds scale it serves.
 //!
-//! Non-Unix hosts never reach this module: the server keeps a
-//! thread-per-connection fallback there (`cfg`-gated in `server.rs`),
-//! mirroring how the mmap shim degrades to a heap buffer.
+//! Non-Unix hosts never reach this module: the crate refuses to build
+//! there (see the `compile_error!` in `lib.rs`).
 //!
 //! The API is deliberately tiny: register an fd with a `u64` token and a
 //! read/write interest pair, modify it, deregister it, and block in
 //! [`Poller::wait`] until something is ready or the waker fires.  Tokens
 //! are chosen by the caller; fd lifecycle stays with the caller too (the
 //! poller never closes a registered fd).
-
-#![cfg(unix)]
 
 /// One readiness notification out of [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -269,7 +266,7 @@ mod imp {
 // Other Unix: poll(2) + self-pipe
 // ---------------------------------------------------------------------------
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
     use super::{Event, Interest};
     use std::collections::HashMap;

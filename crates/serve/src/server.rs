@@ -3,11 +3,10 @@
 //! A [`Server`] mmaps one snapshot file (shared or sharded — the kind is
 //! auto-detected), compiles a default rule set, binds a Unix-domain or TCP
 //! listener, and serves connections with a **reactor + bounded worker
-//! pool** (on Unix; other platforms fall back to one blocking thread per
-//! connection):
+//! pool**:
 //!
 //! * one `ngd-serve-reactor` thread runs the event loop
-//!   ([`crate::poller`] — epoll on Linux, poll(2) elsewhere): it owns the
+//!   (the private `poller` module — epoll on Linux, poll(2) elsewhere): it owns the
 //!   listener and every connection fd in non-blocking mode, parses frames
 //!   incrementally into per-connection read buffers, and drains
 //!   per-connection write queues — it never blocks on any one peer;
@@ -91,12 +90,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
 use crate::poller::{Interest, Poller, Waker};
-#[cfg(unix)]
 use crate::protocol::{encode_frame, scan_frame};
-#[cfg(not(unix))]
-use crate::protocol::{read_frame, write_frame};
 
 /// Where a server listens / a client connects.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,10 +316,9 @@ impl Shared {
 /// [`Server::wait`] / [`Server::shutdown`] aborts the event loop.
 pub struct Server {
     shared: Arc<Shared>,
-    /// The reactor thread (Unix) or the fallback accept loop (elsewhere).
+    /// The reactor thread.
     reactor: Option<std::thread::JoinHandle<()>>,
     /// Pokes the reactor's poller awake from outside (shutdown, drop).
-    #[cfg(unix)]
     notify: Arc<ReactorShared>,
     /// The periodic `--metrics-dump` writer, when configured.
     metrics_dump: Option<std::thread::JoinHandle<()>>,
@@ -397,9 +391,7 @@ impl Server {
         {
             let _ = writeln!(file, "{registry_line}");
         }
-        #[cfg(unix)]
         let notify = Arc::new(ReactorShared::new().map_err(|e| ProtocolError::Io(e.to_string()))?);
-        #[cfg(unix)]
         let reactor = {
             let reactor_shared = Arc::clone(&shared);
             let reactor_notify = Arc::clone(&notify);
@@ -410,14 +402,6 @@ impl Server {
                         eprintln!("ngd-serve: reactor failed: {e}");
                     }
                 })
-                .map_err(|e| ProtocolError::Io(e.to_string()))?
-        };
-        #[cfg(not(unix))]
-        let reactor = {
-            let accept_shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("ngd-serve-accept".into())
-                .spawn(move || accept_loop(accept_shared, listener))
                 .map_err(|e| ProtocolError::Io(e.to_string()))?
         };
         let metrics_dump = match shared.options.metrics_dump.clone() {
@@ -439,7 +423,6 @@ impl Server {
         Ok(Server {
             shared,
             reactor: Some(reactor),
-            #[cfg(unix)]
             notify,
             metrics_dump,
             local,
@@ -452,7 +435,6 @@ impl Server {
     /// Poke the event loop awake so it observes a state change made from
     /// outside (shutdown request, drop).
     fn wake(&self) {
-        #[cfg(unix)]
         self.notify.waker.wake();
     }
 
@@ -578,22 +560,10 @@ fn is_epoch_file_name(name: &str, stem: &str) -> bool {
 fn daemon_answers(addr: &ServeAddr) -> bool {
     match addr {
         ServeAddr::Unix(path) => {
-            #[cfg(unix)]
-            {
-                use std::io::ErrorKind;
-                match std::os::unix::net::UnixStream::connect(path) {
-                    Ok(_) => true,
-                    Err(e) => {
-                        !matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound)
-                    }
-                }
-            }
-            #[cfg(not(unix))]
-            {
-                // A unix line on a non-unix host cannot be pinged; keeping
-                // the files beats deleting a reachable daemon's state.
-                let _ = path;
-                true
+            use std::io::ErrorKind;
+            match std::os::unix::net::UnixStream::connect(path) {
+                Ok(_) => true,
+                Err(e) => !matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound),
             }
         }
         ServeAddr::Tcp(spec) => match TcpStream::connect(spec) {
@@ -656,13 +626,11 @@ fn gc_stale_epoch_files(snapshot_path: &Path) {
 }
 
 enum AnyListener {
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener),
     Tcp(TcpListener),
 }
 
 enum AnyStream {
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
     Tcp(TcpStream),
 }
@@ -670,7 +638,6 @@ enum AnyStream {
 impl Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.read(buf),
             AnyStream::Tcp(s) => s.read(buf),
         }
@@ -680,7 +647,6 @@ impl Read for AnyStream {
 impl Write for AnyStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.write(buf),
             AnyStream::Tcp(s) => s.write(buf),
         }
@@ -688,7 +654,6 @@ impl Write for AnyStream {
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(s) => s.flush(),
             AnyStream::Tcp(s) => s.flush(),
         }
@@ -699,58 +664,48 @@ impl AnyListener {
     fn bind(addr: &ServeAddr) -> Result<(AnyListener, ServeAddr, Option<PathBuf>), ProtocolError> {
         match addr {
             ServeAddr::Unix(path) => {
-                #[cfg(unix)]
-                {
-                    // A socket file left by a killed daemon would block the
-                    // bind forever.  Ping it first: if something answers the
-                    // connect, a live daemon owns the path and we must NOT
-                    // steal it; if nothing answers, the file is stale and is
-                    // unlinked so the bind can proceed.
-                    if path.exists() {
-                        match std::os::unix::net::UnixStream::connect(path) {
-                            Ok(_) => {
-                                return Err(ProtocolError::Io(format!(
-                                    "{} is in use by a live daemon (connect succeeded); \
-                                     refusing to steal the socket",
-                                    path.display()
-                                )));
-                            }
-                            // Only a refused connection proves nothing is
-                            // listening.  Any other failure (EAGAIN from a
-                            // momentarily full accept backlog, EACCES, …)
-                            // could be a live daemon — refuse to unlink on
-                            // a guess.
-                            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
-                                let _ = std::fs::remove_file(path);
-                            }
-                            Err(e) => {
-                                return Err(ProtocolError::Io(format!(
-                                    "{} did not answer the liveness ping decisively \
-                                     ({e}); refusing to unlink it — remove the socket \
-                                     manually if the daemon is really gone",
-                                    path.display()
-                                )));
-                            }
+                // A socket file left by a killed daemon would block the
+                // bind forever.  Ping it first: if something answers the
+                // connect, a live daemon owns the path and we must NOT
+                // steal it; if nothing answers, the file is stale and is
+                // unlinked so the bind can proceed.
+                if path.exists() {
+                    match std::os::unix::net::UnixStream::connect(path) {
+                        Ok(_) => {
+                            return Err(ProtocolError::Io(format!(
+                                "{} is in use by a live daemon (connect succeeded); \
+                                 refusing to steal the socket",
+                                path.display()
+                            )));
+                        }
+                        // Only a refused connection proves nothing is
+                        // listening.  Any other failure (EAGAIN from a
+                        // momentarily full accept backlog, EACCES, …)
+                        // could be a live daemon — refuse to unlink on
+                        // a guess.
+                        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
+                            let _ = std::fs::remove_file(path);
+                        }
+                        Err(e) => {
+                            return Err(ProtocolError::Io(format!(
+                                "{} did not answer the liveness ping decisively \
+                                 ({e}); refusing to unlink it — remove the socket \
+                                 manually if the daemon is really gone",
+                                path.display()
+                            )));
                         }
                     }
-                    let listener = std::os::unix::net::UnixListener::bind(path)
-                        .map_err(|e| ProtocolError::Io(format!("bind {}: {e}", path.display())))?;
-                    listener
-                        .set_nonblocking(true)
-                        .map_err(|e| ProtocolError::Io(e.to_string()))?;
-                    Ok((
-                        AnyListener::Unix(listener),
-                        ServeAddr::Unix(path.clone()),
-                        Some(path.clone()),
-                    ))
                 }
-                #[cfg(not(unix))]
-                {
-                    Err(ProtocolError::Io(format!(
-                        "unix sockets are not available on this host (asked for {})",
-                        path.display()
-                    )))
-                }
+                let listener = std::os::unix::net::UnixListener::bind(path)
+                    .map_err(|e| ProtocolError::Io(format!("bind {}: {e}", path.display())))?;
+                listener
+                    .set_nonblocking(true)
+                    .map_err(|e| ProtocolError::Io(e.to_string()))?;
+                Ok((
+                    AnyListener::Unix(listener),
+                    ServeAddr::Unix(path.clone()),
+                    Some(path.clone()),
+                ))
             }
             ServeAddr::Tcp(spec) => {
                 let listener = TcpListener::bind(spec)
@@ -770,22 +725,8 @@ impl AnyListener {
         }
     }
 
-    /// Accept one connection for the fallback thread-per-connection path:
-    /// the stream is switched back to blocking for `read_frame`.
-    #[cfg(not(unix))]
-    fn accept(&self) -> std::io::Result<AnyStream> {
-        match self {
-            AnyListener::Tcp(l) => l.accept().map(|(s, _)| {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_nodelay(true);
-                AnyStream::Tcp(s)
-            }),
-        }
-    }
-
     /// Accept one connection for the reactor: the stream stays (becomes)
     /// non-blocking, as every reactor read/write must be.
-    #[cfg(unix)]
     fn accept_nonblocking(&self) -> std::io::Result<AnyStream> {
         match self {
             AnyListener::Unix(l) => l.accept().map(|(s, _)| {
@@ -800,7 +741,6 @@ impl AnyListener {
         }
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> std::os::unix::io::RawFd {
         use std::os::unix::io::AsRawFd;
         match self {
@@ -810,7 +750,6 @@ impl AnyListener {
     }
 }
 
-#[cfg(unix)]
 impl AnyStream {
     fn raw_fd(&self) -> std::os::unix::io::RawFd {
         use std::os::unix::io::AsRawFd;
@@ -887,36 +826,6 @@ static QUEUE_DEPTH: ngd_obs::LazyGauge = ngd_obs::LazyGauge::new("serve.queue.de
 /// to the wire — the latency win of streaming `ΔVio` *during* expansion.
 static FIRST_VIO_NS: ngd_obs::LazyHistogram = ngd_obs::LazyHistogram::new("serve.first_vio.ns");
 
-/// A transparent byte-accounting wrapper around a session's stream: every
-/// read feeds `serve.bytes.in`, every write `serve.bytes.out`.  (The
-/// reactor path counts at the socket instead; this serves the fallback.)
-#[cfg(not(unix))]
-struct CountingStream<S> {
-    inner: S,
-}
-
-#[cfg(not(unix))]
-impl<S: Read> Read for CountingStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        BYTES_IN.add(n as u64);
-        Ok(n)
-    }
-}
-
-#[cfg(not(unix))]
-impl<S: Write> Write for CountingStream<S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        BYTES_OUT.add(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// The metric segment for a request frame kind (`serve.frame.<segment>.*`).
 fn frame_metric_name(kind: u32) -> Option<&'static str> {
     Some(match kind {
@@ -972,7 +881,6 @@ const DEFAULT_WRITE_BUFFER_LIMIT: usize = 1 << 20;
 
 /// Default worker-pool size: one per core up to 8, at least 2 (so one
 /// long expansion never monopolises the daemon).
-#[cfg(unix)]
 fn default_worker_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1007,46 +915,10 @@ impl SessionState {
     }
 }
 
-/// Where a worker's response frames go: the reactor path queues bytes on
-/// the connection's write buffer (back-pressure applies); the fallback
-/// path writes straight to the blocking stream.
-enum FrameSink<'a> {
-    #[cfg(unix)]
-    Queued(&'a Arc<ConnIo>),
-    #[cfg(not(unix))]
-    Direct(&'a mut dyn Write),
-}
-
-impl FrameSink<'_> {
-    fn send(&mut self, kind: u32, payload: &[u8]) -> Result<(), ProtocolError> {
-        match self {
-            #[cfg(unix)]
-            FrameSink::Queued(io) => io.send(kind, payload),
-            #[cfg(not(unix))]
-            FrameSink::Direct(w) => write_frame(w, kind, payload),
-        }
-    }
-
-    /// Send an `ERROR` frame (best-effort — the peer may already be gone).
-    fn send_error(&mut self, code: u32, message: String) {
-        let payload = ErrorResponse { code, message }.encode();
-        let _ = self.send(frame::ERROR, &payload);
-    }
-
-    /// The concurrent connection handle — what lets detect workers stream
-    /// `ΔVio` chunks while the expansion still runs.
-    #[cfg(unix)]
-    fn conn_io(&self) -> &ConnIo {
-        match self {
-            FrameSink::Queued(io) => io,
-        }
-    }
-}
-
 /// Stream a violation iterator as bounded `VIO_CHUNK` frames, encoding
 /// each chunk straight from the borrowed set (no per-violation clones).
 fn stream_violations<'v>(
-    sink: &mut FrameSink<'_>,
+    sink: &ConnIo,
     side: Side,
     violations: impl Iterator<Item = &'v Violation>,
 ) -> Result<u64, ProtocolError> {
@@ -1068,13 +940,12 @@ fn stream_violations<'v>(
 }
 
 // ---------------------------------------------------------------------------
-// Reactor path (Unix): event loop + bounded worker pool
+// Reactor: event loop + bounded worker pool
 // ---------------------------------------------------------------------------
 
 /// State the reactor shares with worker threads and the [`Server`] handle:
 /// the waker that interrupts a blocked `Poller::wait`, plus the two
 /// mailboxes workers fill (flush requests and finished requests).
-#[cfg(unix)]
 struct ReactorShared {
     waker: Waker,
     /// Connections whose write queues gained bytes since the last pass.
@@ -1084,7 +955,6 @@ struct ReactorShared {
     completions: Mutex<Vec<Completion>>,
 }
 
-#[cfg(unix)]
 impl ReactorShared {
     fn new() -> std::io::Result<ReactorShared> {
         Ok(ReactorShared {
@@ -1115,7 +985,6 @@ impl ReactorShared {
 /// The write side of one connection, shared between the reactor (which
 /// drains it to the socket) and whichever worker currently serves the
 /// connection (which fills it).
-#[cfg(unix)]
 struct ConnIo {
     token: u64,
     reactor: Arc<ReactorShared>,
@@ -1129,7 +998,6 @@ struct ConnIo {
     dead: AtomicBool,
 }
 
-#[cfg(unix)]
 #[derive(Default)]
 struct WriteBuf {
     queue: VecDeque<Vec<u8>>,
@@ -1139,7 +1007,6 @@ struct WriteBuf {
     total: usize,
 }
 
-#[cfg(unix)]
 impl ConnIo {
     /// Queue one frame for the reactor to write, blocking while the
     /// connection's write queue is above its high-water mark.  This is the
@@ -1166,6 +1033,12 @@ impl ConnIo {
         Ok(())
     }
 
+    /// Send an `ERROR` frame (best-effort — the peer may already be gone).
+    fn send_error(&self, code: u32, message: String) {
+        let payload = ErrorResponse { code, message }.encode();
+        let _ = self.send(frame::ERROR, &payload);
+    }
+
     /// Queue bytes ignoring the high-water mark — reactor-only, for the
     /// ERROR answer on a broken stream (the reactor must never block).
     fn queue_unbounded(&self, bytes: Vec<u8>) {
@@ -1187,7 +1060,6 @@ impl ConnIo {
 }
 
 /// One request in flight from the reactor to the worker pool.
-#[cfg(unix)]
 struct Job {
     token: u64,
     kind: u32,
@@ -1197,14 +1069,12 @@ struct Job {
 }
 
 /// A finished request on its way back to the reactor.
-#[cfg(unix)]
 struct Completion {
     token: u64,
     state: SessionState,
     disposition: Disposition,
 }
 
-#[cfg(unix)]
 struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
@@ -1215,13 +1085,11 @@ struct PoolShared {
 /// connections beyond that wait in the queue (`serve.queue.depth`), their
 /// sockets exerting TCP back-pressure because the reactor keeps their
 /// read interest disarmed while a request is outstanding.
-#[cfg(unix)]
 struct WorkerPool {
     inner: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-#[cfg(unix)]
 impl WorkerPool {
     fn start(
         count: usize,
@@ -1265,7 +1133,6 @@ impl WorkerPool {
     }
 }
 
-#[cfg(unix)]
 fn worker_loop(pool: Arc<PoolShared>, shared: Arc<Shared>, reactor: Arc<ReactorShared>) {
     loop {
         let job = {
@@ -1284,8 +1151,7 @@ fn worker_loop(pool: Arc<PoolShared>, shared: Arc<Shared>, reactor: Arc<ReactorS
         let Some(mut job) = job else { return };
         let disposition = {
             let _frame_timer = FrameTimer::start(job.kind);
-            let mut sink = FrameSink::Queued(&job.io);
-            match handle_request(&shared, &mut job.state, &mut sink, job.kind, &job.payload) {
+            match handle_request(&shared, &mut job.state, &job.io, job.kind, &job.payload) {
                 Ok(disposition) => disposition,
                 // The sink failed (client gone mid-answer): nothing more
                 // can be said on this connection.
@@ -1301,7 +1167,6 @@ fn worker_loop(pool: Arc<PoolShared>, shared: Arc<Shared>, reactor: Arc<ReactorS
 }
 
 /// One connection as the reactor sees it.
-#[cfg(unix)]
 struct Connection {
     stream: AnyStream,
     /// Bytes read but not yet parsed into a frame.
@@ -1317,7 +1182,6 @@ struct Connection {
     want_write: bool,
 }
 
-#[cfg(unix)]
 struct Reactor {
     shared: Arc<Shared>,
     notify: Arc<ReactorShared>,
@@ -1327,16 +1191,13 @@ struct Reactor {
     limit: usize,
 }
 
-#[cfg(unix)]
 const LISTENER_TOKEN: u64 = 0;
-#[cfg(unix)]
 const WAKER_TOKEN: u64 = 1;
 
 /// The event loop: owns the listener and every connection fd, parses
 /// frames incrementally, dispatches complete requests to the worker pool,
 /// and drains per-connection write queues — never blocking on any one
 /// peer.
-#[cfg(unix)]
 fn reactor_loop(
     shared: Arc<Shared>,
     notify: Arc<ReactorShared>,
@@ -1408,7 +1269,6 @@ fn reactor_loop(
     Ok(())
 }
 
-#[cfg(unix)]
 impl Reactor {
     fn accept_ready(&mut self, listener: &AnyListener) {
         loop {
@@ -1683,14 +1543,12 @@ impl Reactor {
 /// [`VioStreamer::finish`].  A send failure (client gone) is remembered
 /// and later offers are dropped: the detect run completes undisturbed, and
 /// the worker tears the session down afterwards.
-#[cfg(unix)]
 struct VioStreamer<'a> {
     io: &'a ConnIo,
     started: Instant,
     state: Mutex<StreamerState>,
 }
 
-#[cfg(unix)]
 #[derive(Default)]
 struct StreamerState {
     added: Vec<Violation>,
@@ -1701,7 +1559,6 @@ struct StreamerState {
     error: Option<ProtocolError>,
 }
 
-#[cfg(unix)]
 impl<'a> VioStreamer<'a> {
     fn new(io: &'a ConnIo) -> VioStreamer<'a> {
         VioStreamer {
@@ -1775,98 +1632,6 @@ impl<'a> VioStreamer<'a> {
         match state.error {
             Some(e) => Err(e),
             None => Ok((state.added_total, state.removed_total)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fallback path (non-Unix): thread per connection, blocking frame I/O
-// ---------------------------------------------------------------------------
-
-#[cfg(not(unix))]
-fn accept_loop(shared: Arc<Shared>, listener: AnyListener) {
-    let sessions: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(stream) => {
-                let session_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("ngd-serve-session".into())
-                    .spawn(move || {
-                        session_shared.sessions_total.fetch_add(1, Ordering::SeqCst);
-                        session_shared
-                            .sessions_active
-                            .fetch_add(1, Ordering::SeqCst);
-                        SESSIONS_TOTAL.inc();
-                        SESSIONS_ACTIVE.add(1);
-                        let mut stream = stream;
-                        let _ = run_session(&session_shared, &mut stream);
-                        session_shared
-                            .sessions_active
-                            .fetch_sub(1, Ordering::SeqCst);
-                        SESSIONS_ACTIVE.add(-1);
-                    });
-                match spawned {
-                    Ok(handle) => sessions.lock().expect("session list lock").push(handle),
-                    // Thread exhaustion rejects ONE connection (dropping the
-                    // stream hangs it up); the daemon itself must survive.
-                    Err(e) => eprintln!("ngd-serve: cannot spawn session thread: {e}"),
-                }
-                // Reap finished sessions as we go — a long-lived daemon
-                // serving many short connections must not accumulate one
-                // JoinHandle per connection until shutdown.
-                let mut guard = sessions.lock().expect("session list lock");
-                let mut live = Vec::with_capacity(guard.len());
-                for handle in guard.drain(..) {
-                    if handle.is_finished() {
-                        let _ = handle.join();
-                    } else {
-                        live.push(handle);
-                    }
-                }
-                *guard = live;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    // Drain: live sessions end when their connections close.
-    for handle in sessions.into_inner().expect("session list lock") {
-        let _ = handle.join();
-    }
-}
-
-/// One connection's request loop (fallback path).
-#[cfg(not(unix))]
-fn run_session(shared: &Shared, raw: &mut AnyStream) -> Result<(), ProtocolError> {
-    // All frame I/O goes through the byte-accounting wrapper; `raw` is not
-    // touched again below.
-    let stream = &mut CountingStream { inner: raw };
-    let mut state = SessionState::new(shared);
-    loop {
-        let (kind, payload) = match read_frame(stream) {
-            Ok(frame) => frame,
-            Err(ProtocolError::Disconnected) => return Ok(()),
-            Err(e) => {
-                // Framing is broken — the stream cannot be trusted any
-                // further.  Tell the peer why (best-effort) and close.
-                let payload = ErrorResponse {
-                    code: err_code::BAD_REQUEST,
-                    message: e.to_string(),
-                }
-                .encode();
-                let _ = write_frame(stream, frame::ERROR, &payload);
-                return Err(e);
-            }
-        };
-        let _frame_timer = FrameTimer::start(kind);
-        let mut sink = FrameSink::Direct(stream);
-        match handle_request(shared, &mut state, &mut sink, kind, &payload)? {
-            Disposition::KeepAlive => {}
-            Disposition::Close => return Ok(()),
         }
     }
 }
@@ -2129,8 +1894,8 @@ fn compact_session(shared: &Shared, ctx: &mut SessionCtx) -> Result<EpochRespons
     })
 }
 
-/// Serve one request frame against a session — the single dispatch shared
-/// by the reactor's worker pool and the non-Unix fallback loop.
+/// Serve one request frame against a session — the dispatch every worker
+/// of the reactor's pool runs.
 ///
 /// A returned `Err` means the *sink* failed (the client is gone): the
 /// connection closes.  Malformed or rejected requests answer with typed
@@ -2138,7 +1903,7 @@ fn compact_session(shared: &Shared, ctx: &mut SessionCtx) -> Result<EpochRespons
 fn handle_request(
     shared: &Shared,
     state: &mut SessionState,
-    sink: &mut FrameSink<'_>,
+    sink: &ConnIo,
     kind: u32,
     payload: &[u8],
 ) -> Result<Disposition, ProtocolError> {
@@ -2200,29 +1965,20 @@ fn handle_request(
                     return Ok(Disposition::KeepAlive);
                 }
             };
-            // Reactor path: stream `ΔVio` chunks *while* the expansion
-            // runs — the first VIO_CHUNK leaves the socket before the
-            // matchers finish.  An apply error happens during validation,
-            // before any detection, so no chunk precedes the ERROR frame.
-            #[cfg(unix)]
+            // Stream `ΔVio` chunks *while* the expansion runs — the first
+            // VIO_CHUNK leaves the socket before the matchers finish.  An
+            // apply error happens during validation, before any detection,
+            // so no chunk precedes the ERROR frame.
             let (result, streamed) = {
-                let streamer = VioStreamer::new(sink.conn_io());
+                let streamer = VioStreamer::new(sink);
                 let callback =
                     |side: VioSide, violation: &Violation| streamer.offer(side, violation);
                 let result = ctx.apply(sigma, &request.batch, &shared.detector, Some(&callback));
                 (result, streamer.finish())
             };
-            #[cfg(not(unix))]
-            let result = ctx.apply(sigma, &request.batch, &shared.detector, None);
             match result {
                 Ok(report) => {
-                    #[cfg(unix)]
                     let (added, removed) = streamed?;
-                    #[cfg(not(unix))]
-                    let (added, removed) = (
-                        stream_violations(sink, Side::Added, report.delta.added.iter())?,
-                        stream_violations(sink, Side::Removed, report.delta.removed.iter())?,
-                    );
                     shared.updates_served.fetch_add(1, Ordering::SeqCst);
                     shared
                         .violations_streamed
@@ -2259,7 +2015,6 @@ fn handle_request(
                 Err(e) => {
                     // Nothing was streamed (validation precedes detection);
                     // drop the (0, 0) totals and answer typed.
-                    #[cfg(unix)]
                     let _ = streamed;
                     sink.send_error(err_code::UPDATE_REJECTED, e.to_string());
                 }
