@@ -14,7 +14,7 @@ use crate::table::{ExperimentResult, Series};
 use ngd_core::satisfiability::{is_satisfiable, is_strongly_satisfiable, AnalysisConfig};
 use ngd_core::{implies, paper, RuleSet};
 use ngd_datagen::{generate_synthetic, generate_update, SyntheticConfig, UpdateConfig};
-use ngd_detect::{dect, inc_dect, pdect, pinc_dect, DetectorConfig};
+use ngd_detect::{dect, delta_neighborhood, inc_dect, pdect, pinc_dect, DetectorConfig};
 use ngd_graph::{BatchUpdate, Graph};
 use std::time::Duration;
 
@@ -549,7 +549,10 @@ pub fn ablation_local(scale: Scale) -> ExperimentResult {
         let report = inc_dect(&dataset.sigma, dataset.graph(), &delta);
         inc_ms.push(&x, ms(report.elapsed));
         inspected.push(&x, report.stats.candidates_inspected as f64);
-        neighborhood.push(&x, report.neighborhood_nodes as f64);
+        neighborhood.push(
+            &x,
+            delta_neighborhood(&updated, &delta, dataset.sigma.diameter()) as f64,
+        );
     }
     result.series = vec![dect_ms, inc_ms, inspected, neighborhood];
     result.note("IncDect's inspected-candidate count is governed by the dΣ-neighbourhood of the 50 updated edges, not by |G|");

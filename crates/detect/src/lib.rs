@@ -83,7 +83,9 @@ pub use batch::{
 };
 pub use config::{AlgorithmKind, DetectorConfig};
 pub use cost::{parallel_cost, sequential_cost, should_split, CostLedger};
-pub use incdect::{inc_dect, inc_dect_prepared, inc_dect_prepared_cached, inc_dect_snapshot};
+pub use incdect::{
+    delta_neighborhood, inc_dect, inc_dect_prepared, inc_dect_prepared_cached, inc_dect_snapshot,
+};
 pub use pincdect::{
     pinc_dect, pinc_dect_prepared, pinc_dect_prepared_cached, pinc_dect_prepared_streaming,
     pinc_dect_sharded, pinc_dect_sharded_rebased,

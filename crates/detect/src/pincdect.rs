@@ -19,9 +19,15 @@
 //!    Complete assignments are checked for violation and against the
 //!    "other side" graph so that the result is exactly
 //!    `ΔVio = (ΔVio⁺, ΔVio⁻)`.
-//! 3. **Workload balancing** — a coordinator thread wakes up every `intvl`
-//!    milliseconds, measures queue skewness and migrates work units from
-//!    workers above `η` to workers below `η'` ([`crate::balance`]).
+//! 3. **Workload balancing** — with balancing on and `p > 1`, a coordinator
+//!    thread wakes up every `intvl` milliseconds of wall time, measures
+//!    queue skewness and migrates work units from workers above `η` to
+//!    workers below `η'` ([`crate::balance`]).
+//!
+//! The caller is worker 0 and `p − 1` threads are spawned — none at `p = 1`
+//! or when `ΔG` triggers no pivot, so a small served `UPDATE` runs inline.
+//! Nothing polls: idle workers and the coordinator block on one condvar
+//! (`tests/locality.rs` pins the inline path and the termination protocol).
 //!
 //! The two hybrid-strategy ingredients can be disabled independently,
 //! giving the paper's ablation variants `PIncDect_ns`, `PIncDect_nb` and
@@ -39,17 +45,16 @@ use crate::cost::{should_split, CostLedger};
 use crate::report::{DeltaReport, SearchStats, VioSide, VioSink};
 use ngd_core::{is_violation, Ngd, RuleSet};
 use ngd_graph::{
-    d_neighbors_many, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Partition,
-    RemoteAccounting, ShardedRead,
+    BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Partition, RemoteAccounting,
+    ShardedRead,
 };
 use ngd_match::{
     compile_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, MatchPlan, Matcher,
     PlanCache, Violation,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which half of the delta a work unit contributes to.
@@ -117,19 +122,21 @@ struct Runtime<'a, V: GraphView> {
     /// Per-worker `(old graph, new graph)` view pairs.
     views: &'a [(&'a V, &'a V)],
     /// Rank of each inserted edge in `ΔG⁺` (pivot de-duplication).
-    inserted_ranks: HashMap<ngd_graph::EdgeRef, usize>,
+    inserted_ranks: HashMap<EdgeRef, usize>,
     /// Rank of each deleted edge in `ΔG⁻`.
-    deleted_ranks: HashMap<ngd_graph::EdgeRef, usize>,
+    deleted_ranks: HashMap<EdgeRef, usize>,
     config: DetectorConfig,
     /// Present when the caller wants violations streamed during expansion.
     emit: Option<EmitState<'a>>,
     queues: Vec<Mutex<VecDeque<WorkUnit>>>,
-    /// Work units currently queued (all workers).
-    pending: AtomicUsize,
-    /// Workers currently expanding a unit.
-    active: AtomicUsize,
-    /// Set once every queue is drained and no worker is mid-expansion.
-    done: AtomicBool,
+    /// Work units queued or being expanded (all workers).  A unit counts
+    /// from its `push` until its expansion — which pushes its children
+    /// first — has finished, so zero means the run is complete.
+    in_flight: AtomicUsize,
+    /// Idle workers and the coordinator block on `wake` under `idle`,
+    /// notified by [`Runtime::wake_idle`].
+    idle: Mutex<()>,
+    wake: Condvar,
 }
 
 impl<'a, V: GraphView> Runtime<'a, V> {
@@ -141,16 +148,17 @@ impl<'a, V: GraphView> Runtime<'a, V> {
         }
     }
 
-    fn ranks_for(&self, phase: Phase) -> &HashMap<ngd_graph::EdgeRef, usize> {
+    fn ranks_for(&self, phase: Phase) -> &HashMap<EdgeRef, usize> {
         match phase {
             Phase::Added => &self.inserted_ranks,
             Phase::Removed => &self.deleted_ranks,
         }
     }
 
-    /// Enqueue a unit on a specific worker queue.
+    /// Enqueue a unit on a specific worker queue.  Pushing onto a queue
+    /// other than the caller's own must be followed by [`Self::wake_idle`].
     fn push(&self, worker: usize, unit: WorkUnit) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
         self.queues[worker]
             .lock()
             .expect("queue lock poisoned")
@@ -161,36 +169,20 @@ impl<'a, V: GraphView> Runtime<'a, V> {
     /// is depth-first and queue memory stays bounded; the balancer moves
     /// the oldest — shallowest, hence largest — units from the front).
     fn pop(&self, worker: usize) -> Option<WorkUnit> {
-        let unit = self.queues[worker]
+        self.queues[worker]
             .lock()
             .expect("queue lock poisoned")
-            .pop_back();
-        if unit.is_some() {
-            // Order matters for termination detection: mark the worker
-            // active *before* discounting the queued unit, so `pending` and
-            // `active` are never both zero while work is in flight.
-            self.active.fetch_add(1, Ordering::SeqCst);
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-        }
-        unit
+            .pop_back()
     }
 
-    fn finish_unit(&self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn maybe_finish(&self) -> bool {
-        if self.pending.load(Ordering::SeqCst) == 0 && self.active.load(Ordering::SeqCst) == 0 {
-            self.done.store(true, Ordering::SeqCst);
-        }
-        self.done.load(Ordering::SeqCst)
-    }
-
-    fn queue_lengths(&self) -> Vec<usize> {
-        self.queues
-            .iter()
-            .map(|q| q.lock().expect("queue lock poisoned").len())
-            .collect()
+    /// Wake every blocked thread: called after units land on another
+    /// worker's queue and when `in_flight` reaches zero.  Taking `idle`
+    /// first orders the notification after any waiter's check of its queue
+    /// and of `in_flight`, which it makes under the same lock: a waiter
+    /// either sees the new state or is already waiting — no lost wake-up.
+    fn wake_idle(&self) {
+        drop(self.idle.lock().expect("idle lock poisoned"));
+        self.wake.notify_all();
     }
 
     /// Expand one work unit on behalf of `worker`, writing results into
@@ -283,6 +275,7 @@ impl<'a, V: GraphView> Runtime<'a, V> {
                     },
                 );
             }
+            self.wake_idle();
             return;
         }
         out.cost.record_local();
@@ -308,48 +301,60 @@ impl<'a, V: GraphView> Runtime<'a, V> {
         }
     }
 
-    /// Worker main loop.
+    /// Worker main loop: drain the own queue, then block until units land
+    /// on it or the run completes.
     fn worker_loop(&self, worker: usize) -> WorkerOutput {
         let mut out = WorkerOutput::default();
         loop {
-            match self.pop(worker) {
-                Some(unit) => {
-                    self.expand(worker, unit, &mut out);
-                    self.finish_unit();
-                }
-                None => {
-                    if self.maybe_finish() {
-                        break;
-                    }
-                    // Brief sleep rather than a spin: on machines with fewer
-                    // hardware threads than workers an idle spin would steal
-                    // cycles from the workers that do hold work.
-                    std::thread::sleep(Duration::from_micros(50));
+            while let Some(unit) = self.pop(worker) {
+                self.expand(worker, unit, &mut out);
+                if self.in_flight.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    self.wake_idle();
                 }
             }
+            // Zero is final: only an in-flight expansion pushes.
+            if self.in_flight.load(Ordering::SeqCst) == 0 {
+                return out;
+            }
+            let idle = self.idle.lock().expect("idle lock poisoned");
+            let own = &self.queues[worker];
+            let blocked = |_: &mut ()| {
+                self.in_flight.load(Ordering::SeqCst) != 0
+                    && own.lock().expect("queue lock poisoned").is_empty()
+            };
+            drop(
+                self.wake
+                    .wait_while(idle, blocked)
+                    .expect("idle lock poisoned"),
+            );
         }
-        out
     }
 
-    /// Coordinator loop: periodic workload balancing until completion.
-    /// Returns the cost attributed to balancing (migrations and their
-    /// modelled communication latency).
+    /// Coordinator loop: workload balancing every `intvl` of wall time
+    /// until completion.  Returns the cost attributed to balancing
+    /// (migrations and their modelled communication latency).
     fn coordinator_loop(&self) -> CostLedger {
         let mut ledger = CostLedger::default();
         let interval = Duration::from_millis(self.config.balance_interval_ms.max(1));
-        let tick = Duration::from_micros(200);
-        let mut since_balance = Duration::ZERO;
-        while !self.done.load(Ordering::SeqCst) {
-            std::thread::sleep(tick);
-            since_balance += tick;
-            if since_balance < interval {
+        let mut due = Instant::now() + interval;
+        // Held except while waiting, so no worker goes idle mid-migration.
+        let mut idle = self.idle.lock().expect("idle lock poisoned");
+        while self.in_flight.load(Ordering::SeqCst) != 0 {
+            let now = Instant::now();
+            if now < due {
+                idle = self
+                    .wake
+                    .wait_timeout(idle, due - now)
+                    .expect("idle lock poisoned")
+                    .0;
                 continue;
             }
-            since_balance = Duration::ZERO;
-            if !self.config.workload_balancing {
-                continue;
-            }
-            let lens = self.queue_lengths();
+            due = now + interval;
+            let lens: Vec<usize> = self
+                .queues
+                .iter()
+                .map(|q| q.lock().expect("queue lock poisoned").len())
+                .collect();
             let plan = plan_migrations(&lens, self.config.skew_high, self.config.skew_low);
             for migration in plan {
                 let mut moved = Vec::with_capacity(migration.units);
@@ -377,6 +382,7 @@ impl<'a, V: GraphView> Runtime<'a, V> {
                     .lock()
                     .expect("queue lock poisoned")
                     .extend(moved);
+                self.wake.notify_all();
             }
         }
         ledger
@@ -497,29 +503,14 @@ pub fn pinc_dect_prepared_cached<V: GraphView + Sync>(
     config: &DetectorConfig,
     cache: &PlanCache,
 ) -> DeltaReport {
-    let p = config.processors.max(1);
-    // Every worker shares the same two views.
-    let views: Vec<(&V, &V)> = vec![(old_graph, new_graph); p];
-    pinc_dect_core(
-        sigma,
-        &views,
-        PivotRouting::RoundRobin,
-        delta,
-        config,
-        None,
-        None,
-        cache,
-        None,
-    )
-    .observed()
+    pinc_dect_prepared_streaming(sigma, old_graph, new_graph, delta, config, cache, None)
 }
 
-/// [`pinc_dect_prepared_cached`] with a [`VioSink`]: every violation is
-/// handed to `sink` **while expansion is still running**, so a serving
-/// layer can put the first `ΔVio` bytes on the wire long before the run
-/// completes.  The returned report is identical to the non-streaming
-/// variants (same deterministic sets); see [`VioSink`] for the delivery
-/// guarantees.
+/// [`pinc_dect_prepared_cached`] with an optional [`VioSink`]: every
+/// violation is also handed to `sink` **while expansion is still running**,
+/// so a serving layer can put the first `ΔVio` bytes on the wire long
+/// before the run completes.  The returned report is identical either way
+/// (same deterministic sets); see [`VioSink`] for the delivery guarantees.
 pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
     sigma: &RuleSet,
     old_graph: &V,
@@ -527,10 +518,10 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
     delta: &BatchUpdate,
     config: &DetectorConfig,
     cache: &PlanCache,
-    sink: VioSink<'_>,
+    sink: Option<VioSink<'_>>,
 ) -> DeltaReport {
-    let p = config.processors.max(1);
-    let views: Vec<(&V, &V)> = vec![(old_graph, new_graph); p];
+    // Every worker shares the same two views.
+    let views: Vec<(&V, &V)> = vec![(old_graph, new_graph); config.processors.max(1)];
     pinc_dect_core(
         sigma,
         &views,
@@ -538,11 +529,10 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
         delta,
         config,
         None,
-        None,
         cache,
-        Some(sink),
+        sink,
+        || 0,
     )
-    .observed()
 }
 
 /// Run `PIncDect` over per-fragment sharded snapshots: one worker per
@@ -631,33 +621,29 @@ pub fn pinc_dect_sharded_rebased<S: ShardedRead>(
         &DeltaOverlay<'_, S::Worker<'_>>,
         &DeltaOverlay<'_, S::Worker<'_>>,
     )> = old_views.iter().zip(new_views.iter()).collect();
-    // The dΣ-neighbourhood statistic is pure reporting: walk it on the
-    // global snapshot so it does not pollute fragment 0's remote-fetch
-    // counter (and with it the modelled communication cost).
-    let global_new = DeltaOverlay::new(sharded.global_view(), &merged);
-    let neighborhood = d_neighbors_many(&global_new, delta.touched_nodes(), sigma.diameter()).len();
-    let mut report = pinc_dect_core(
+    pinc_dect_core(
         sigma,
         &views,
         PivotRouting::Owner(sharded.shard_partition()),
         delta,
         config,
         Some(AlgorithmKind::PIncDectSharded),
-        Some(neighborhood),
         cache,
         sink,
-    );
-    let fetches: u64 = frag_views
-        .iter()
-        .map(RemoteAccounting::remote_fetches)
-        .sum();
-    report.cost.record_remote(fetches, config.latency_c);
-    report.observed()
+        || {
+            frag_views
+                .iter()
+                .map(RemoteAccounting::remote_fetches)
+                .sum()
+        },
+    )
 }
 
 /// The shared worker runtime behind [`pinc_dect_prepared`] and
 /// [`pinc_dect_sharded`]: `views.len()` workers, each reading through its
 /// own `(old, new)` view pair, with pivots placed by `routing`.
+/// `remote_fetches` reads the cross-fragment fetch count once the workers
+/// are done (zero on the shared-snapshot path).
 #[allow(clippy::too_many_arguments)]
 fn pinc_dect_core<V: GraphView + Sync>(
     sigma: &RuleSet,
@@ -666,9 +652,9 @@ fn pinc_dect_core<V: GraphView + Sync>(
     delta: &BatchUpdate,
     config: &DetectorConfig,
     algorithm_override: Option<AlgorithmKind>,
-    neighborhood_override: Option<usize>,
     cache: &PlanCache,
     sink: Option<VioSink<'_>>,
+    remote_fetches: impl FnOnce() -> u64,
 ) -> DeltaReport {
     let start = Instant::now();
     let (hits0, misses0) = (cache.hits(), cache.misses());
@@ -734,27 +720,35 @@ fn pinc_dect_core<V: GraphView + Sync>(
             seen: Mutex::new(DeltaViolations::new()),
         }),
         queues: (0..p).map(|_| Mutex::new(VecDeque::new())).collect(),
-        pending: AtomicUsize::new(0),
-        active: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
+        in_flight: AtomicUsize::new(0),
+        idle: Mutex::new(()),
+        wake: Condvar::new(),
     };
 
     // Phase 1 (continued): enqueue the pivots on their workers.
+    let workers_spawned = if pivots.is_empty() { 0 } else { p - 1 };
     for (worker, unit) in pivots {
         runtime.push(worker, unit);
     }
 
-    // Phase 2 + 3: workers expand, the coordinator balances.
+    // Phase 2 + 3: workers expand — the caller as worker 0 — and, with
+    // more than one of them, the coordinator balances.
     let runtime_ref = &runtime;
+    let balancing = config.workload_balancing && workers_spawned > 0;
     let (outputs, balance_cost) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
+        let coordinator = balancing.then(|| scope.spawn(|| runtime_ref.coordinator_loop()));
+        let handles: Vec<_> = (1..=workers_spawned)
             .map(|worker| scope.spawn(move || runtime_ref.worker_loop(worker)))
             .collect();
-        let balance_cost = runtime_ref.coordinator_loop();
-        let outputs: Vec<WorkerOutput> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread must not panic"))
-            .collect();
+        let mut outputs = vec![runtime_ref.worker_loop(0)];
+        outputs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread must not panic")),
+        );
+        let balance_cost = coordinator.map_or_else(CostLedger::default, |h| {
+            h.join().expect("coordinator thread must not panic")
+        });
         (outputs, balance_cost)
     });
 
@@ -769,12 +763,9 @@ fn pinc_dect_core<V: GraphView + Sync>(
             cost.merge(&out.cost);
         }
     }
+    cost.record_remote(remote_fetches(), config.latency_c);
     stats.record_plan_cache(hits0, misses0, cache);
 
-    let elapsed = start.elapsed();
-    let neighborhood = neighborhood_override.unwrap_or_else(|| {
-        d_neighbors_many(views[0].1, delta.touched_nodes(), sigma.diameter()).len()
-    });
     let algorithm =
         algorithm_override.unwrap_or(match (config.work_splitting, config.workload_balancing) {
             (true, true) => AlgorithmKind::PIncDect,
@@ -785,12 +776,13 @@ fn pinc_dect_core<V: GraphView + Sync>(
     DeltaReport {
         algorithm,
         delta: delta_vio,
-        elapsed,
         stats,
         cost,
         processors: p,
-        neighborhood_nodes: neighborhood,
+        neighborhood_nodes: 0,
+        elapsed: start.elapsed(),
     }
+    .observed(workers_spawned + usize::from(balancing))
 }
 
 #[cfg(test)]
@@ -910,14 +902,14 @@ mod tests {
                 &delta,
                 &config,
                 &PlanCache::new(),
-                &|side, violation| {
+                Some(&|side, violation| {
                     let mut guard = streamed.lock().unwrap();
                     match side {
                         VioSide::Added => guard.0.added.insert(violation.clone()),
                         VioSide::Removed => guard.0.removed.insert(violation.clone()),
                     };
                     guard.1 += 1;
-                },
+                }),
             );
             let (collected, deliveries) = streamed.into_inner().unwrap();
             assert_eq!(collected, report.delta);
@@ -1082,6 +1074,58 @@ mod tests {
         assert_eq!(parallel.delta, sequential.delta);
         assert!(!parallel.delta.added.is_empty());
         assert!(!parallel.delta.removed.is_empty());
+    }
+
+    /// Runs Example 7 on two workers with worker 0 (the caller, which owns
+    /// the only pivot) held in the sink at its first violation until the
+    /// spawned worker delivers one or 50 ms pass.  Worker 1 only ever gets
+    /// work by migration, so the return value says whether the coordinator
+    /// balanced within 50 ms of wall time.
+    fn worker_one_got_work_within_50ms(config: &DetectorConfig) -> (bool, DeltaReport) {
+        let (g, delta, sigma) = example7();
+        let snapshot = g.freeze();
+        let old_view = snapshot.as_overlay();
+        let new_view = DeltaOverlay::new(&snapshot, &delta);
+        let caller = std::thread::current().id();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // `Some` until worker 0's first delivery takes it to wait on.
+        let rx = Mutex::new(Some(rx));
+        let in_time = Mutex::new(false);
+        let report = pinc_dect_prepared_streaming(
+            &sigma,
+            &old_view,
+            &new_view,
+            &delta,
+            config,
+            &PlanCache::new(),
+            Some(&|_, _| {
+                if std::thread::current().id() != caller {
+                    let _ = tx.send(());
+                } else if let Some(rx) = rx.lock().unwrap().take() {
+                    *in_time.lock().unwrap() = rx.recv_timeout(Duration::from_millis(50)).is_ok();
+                }
+            }),
+        );
+        (in_time.into_inner().unwrap(), report)
+    }
+
+    #[test]
+    fn balancing_interval_is_wall_time() {
+        // Two queues never exceed the paper's η = 3, so lower it; no
+        // splitting, so migration is the only way work reaches worker 1.
+        let config = DetectorConfig {
+            skew_high: 1.5,
+            ..DetectorConfig::with_processors(2).interval_ms(5)
+        }
+        .no_splitting();
+        let (in_time, report) = worker_one_got_work_within_50ms(&config);
+        assert!(in_time, "no migration within 10 intervals of wall time");
+        assert!(report.cost.migrations >= 1);
+        assert_eq!(report.delta.removed.len(), 99);
+
+        let (_, report) = worker_one_got_work_within_50ms(&config.no_balancing());
+        assert_eq!(report.cost.migrations, 0);
+        assert_eq!(report.delta.removed.len(), 99);
     }
 
     #[test]

@@ -232,8 +232,10 @@ pub struct DeltaReport {
     pub cost: CostLedger,
     /// Number of workers used.
     pub processors: usize,
-    /// Size of the `dΣ`-neighbourhood of the update (nodes) — the quantity
-    /// the localizability guarantee bounds the work by.
+    /// Always 0: no detector walks the `dΣ`-neighbourhood of the update any
+    /// more (the BFS is `O(|G|)` on connected graphs) — callers that want
+    /// its size ask [`crate::delta_neighborhood`].  The field keeps the
+    /// JSON shape and the `UPDATE_DONE` wire slot.
     pub neighborhood_nodes: usize,
 }
 
@@ -255,17 +257,25 @@ impl DeltaReport {
 
     /// Fold the run into the global metrics registry and pass the report
     /// through (the incremental counterpart of
-    /// [`DetectionReport::observed`]).
-    pub(crate) fn observed(self) -> Self {
+    /// [`DetectionReport::observed`]).  `threads_spawned` is how many OS
+    /// threads the run started; zero means it ran inline on its caller.
+    pub(crate) fn observed(self, threads_spawned: usize) -> Self {
         if !ngd_obs::enabled() {
             return self;
         }
         static RUNS: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("detect.delta.runs");
+        static INLINE: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("detect.delta.inline_runs");
+        static SPAWNED: ngd_obs::LazyCounter =
+            ngd_obs::LazyCounter::new("detect.delta.threads_spawned");
         static RUN_NS: ngd_obs::LazyHistogram = ngd_obs::LazyHistogram::new("detect.delta.run_ns");
         static CHANGES: ngd_obs::LazyCounter =
             ngd_obs::LazyCounter::new("detect.delta.violations_changed");
         static REMOTE: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("detect.remote.fetches");
         RUNS.inc();
+        if threads_spawned == 0 {
+            INLINE.inc();
+        }
+        SPAWNED.add(threads_spawned as u64);
         RUN_NS.record_duration(self.elapsed);
         CHANGES.add(self.delta.len() as u64);
         REMOTE.add(self.cost.remote_fetches);
@@ -280,15 +290,13 @@ impl std::fmt::Display for DeltaReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: ΔVio⁺ = {}, ΔVio⁻ = {} in {:?} on {} worker(s), \
-             dΣ-neighbourhood {} nodes \
+            "{}: ΔVio⁺ = {}, ΔVio⁻ = {} in {:?} on {} worker(s) \
              [expanded {} | candidates {} | matches {}]",
             self.algorithm.label(),
             self.delta.added.len(),
             self.delta.removed.len(),
             self.elapsed,
             self.processors,
-            self.neighborhood_nodes,
             self.stats.expanded,
             self.stats.candidates_inspected,
             self.stats.matches_found,
@@ -364,14 +372,14 @@ mod tests {
             stats: SearchStats::default(),
             cost,
             processors: 4,
-            neighborhood_nodes: 12,
+            neighborhood_nodes: 0,
         };
         let text = report.to_string();
         assert!(text.contains("PIncDect (sharded)"), "{text}");
         assert!(text.contains("remote fetches 17"), "{text}");
         assert!(text.contains("splits 1"), "{text}");
         assert!(text.contains("scanned 420"), "{text}");
-        assert!(text.contains("dΣ-neighbourhood 12"), "{text}");
+        assert!(!text.contains("neighbourhood"), "{text}");
     }
 
     #[test]

@@ -13,7 +13,10 @@
 //! update, so each [`IncrementalSession::apply`] additionally pays
 //! `O(|accumulated|)` bookkeeping (times the fragment count on the sharded
 //! path) — per-batch latency grows linearly with session age, **not** with
-//! `|G|`.  **Snapshot compaction** bounds that term: the accumulated
+//! `|G|`: `tests/locality.rs` counts the base-view reads of one 16-op
+//! batch on 11k and on 111k nodes (equal within 1.5×, no whole-graph
+//! enumeration), and with one processor the run never leaves the calling
+//! thread.  **Snapshot compaction** bounds that term: the accumulated
 //! update is folded into a fresh snapshot epoch
 //! (`ngd_graph::persist::CompactionWriter`), and the session re-roots onto
 //! the new epoch with [`IncrementalSession::rebase_onto`] /
@@ -40,9 +43,7 @@
 
 use crate::batch::dect_on_cached;
 use crate::config::DetectorConfig;
-use crate::pincdect::{
-    pinc_dect_prepared_cached, pinc_dect_prepared_streaming, pinc_dect_sharded_rebased,
-};
+use crate::pincdect::{pinc_dect_prepared_streaming, pinc_dect_sharded_rebased};
 use crate::report::{DeltaReport, DetectionReport, VioSink};
 use ngd_core::RuleSet;
 use ngd_graph::{BatchUpdate, DeltaOverlay, GraphView, RebaseError, ShardedRead, UpdateError};
@@ -221,14 +222,7 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
         let report = {
             let old_view = DeltaOverlay::new(self.base, &self.accumulated);
             let new_view = DeltaOverlay::new(self.base, &merged);
-            match sink {
-                None => {
-                    pinc_dect_prepared_cached(sigma, &old_view, &new_view, delta, config, cache)
-                }
-                Some(sink) => pinc_dect_prepared_streaming(
-                    sigma, &old_view, &new_view, delta, config, cache, sink,
-                ),
-            }
+            pinc_dect_prepared_streaming(sigma, &old_view, &new_view, delta, config, cache, sink)
         };
         self.accumulated = merged;
         self.batches_applied += 1;

@@ -476,15 +476,13 @@ fn main() -> ExitCode {
             match result {
                 Ok(done) => {
                     println!(
-                        "{} @ epoch {}: ΔVio⁺ = {}, ΔVio⁻ = {} in {:?} on {} worker(s), \
-                         dΣ-neighbourhood {} nodes [{}]",
+                        "{} @ epoch {}: ΔVio⁺ = {}, ΔVio⁻ = {} in {:?} on {} worker(s) [{}]",
                         done.algorithm,
                         done.epoch,
                         done.added_total,
                         done.removed_total,
                         std::time::Duration::from_nanos(done.elapsed_nanos),
                         done.processors,
-                        done.neighborhood_nodes,
                         done.cost,
                     );
                     ExitCode::SUCCESS

@@ -607,7 +607,8 @@ pub struct DoneResponse {
     pub elapsed_nanos: u64,
     /// Workers used.
     pub processors: u32,
-    /// `dΣ`-neighbourhood size (0 for queries).
+    /// Reserved slot, always 0 (it used to carry the `dΣ`-neighbourhood
+    /// size of an update; see `docs/wire-protocol.md`).
     pub neighborhood_nodes: u64,
     /// Violations streamed on the added side.
     pub added_total: u64,

@@ -15,9 +15,9 @@
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_social, SocialConfig};
-use ngd_detect::{dect, inc_dect};
+use ngd_detect::{dect, delta_neighborhood, inc_dect};
 use ngd_examples::{describe_node, section};
-use ngd_graph::{intern, AttrMap, BatchUpdate, Value};
+use ngd_graph::{intern, AttrMap, BatchUpdate, DeltaOverlay, Value};
 use std::collections::BTreeSet;
 
 fn main() {
@@ -94,7 +94,7 @@ fn main() {
         inc.delta.added.len(),
         inc.elapsed,
         inc.stats.candidates_inspected,
-        inc.neighborhood_nodes,
+        delta_neighborhood(&DeltaOverlay::new(graph, &delta), &delta, sigma.diameter()),
     );
     assert!(
         inc.delta.added.iter().all(|v| v.nodes.contains(&account)),

@@ -15,10 +15,10 @@
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};
-use ngd_detect::{dect_on, inc_dect_snapshot, pdect_sharded, DetectorConfig};
+use ngd_detect::{dect_on, delta_neighborhood, inc_dect_snapshot, pdect_sharded, DetectorConfig};
 use ngd_examples::section;
 use ngd_graph::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::PartitionStrategy;
+use ngd_graph::{DeltaOverlay, PartitionStrategy};
 use std::time::Instant;
 
 fn main() {
@@ -99,7 +99,11 @@ fn main() {
         inc.delta.added.len(),
         inc.delta.removed.len(),
         inc.elapsed,
-        inc.neighborhood_nodes
+        delta_neighborhood(
+            &DeltaOverlay::new(&mapped, &delta),
+            &delta,
+            sigma.diameter()
+        )
     );
 
     std::fs::remove_file(&snap_path).ok();

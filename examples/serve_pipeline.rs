@@ -19,9 +19,10 @@
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};
-use ngd_detect::DetectorConfig;
+use ngd_detect::{delta_neighborhood, DetectorConfig};
 use ngd_examples::section;
 use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
+use ngd_graph::DeltaOverlay;
 use ngd_serve::{ServeAddr, ServeClient, Server, Side, SnapshotStore};
 
 fn main() {
@@ -96,7 +97,11 @@ fn main() {
             done.added_total,
             done.removed_total,
             std::time::Duration::from_nanos(done.elapsed_nanos),
-            done.neighborhood_nodes,
+            delta_neighborhood(
+                &DeltaOverlay::new(&materialised, &delta),
+                &delta,
+                sigma.diameter()
+            ),
             done.cost
         );
 

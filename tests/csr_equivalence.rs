@@ -20,8 +20,8 @@ use ngd_datagen::{
     UpdateConfig,
 };
 use ngd_detect::{
-    dect_on, inc_dect_prepared, inc_dect_snapshot, pdect_on, pdect_sharded, pinc_dect_prepared,
-    pinc_dect_sharded, DetectorConfig,
+    dect_on, delta_neighborhood, inc_dect_prepared, inc_dect_snapshot, pdect_on, pdect_sharded,
+    pinc_dect_prepared, pinc_dect_sharded, DetectorConfig,
 };
 use ngd_graph::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
 use ngd_graph::{
@@ -135,8 +135,11 @@ fn check_incremental(graph: &Graph, sigma: &RuleSet, delta: &BatchUpdate, contex
     let snapshot = graph.freeze();
     let csr = inc_dect_snapshot(sigma, &snapshot, delta);
     assert_identical_deltas(&adjacency.delta, &csr.delta, context);
+    let d = sigma.diameter();
+    let neighborhood = delta_neighborhood(&updated, delta, d);
     assert_eq!(
-        adjacency.neighborhood_nodes, csr.neighborhood_nodes,
+        neighborhood,
+        delta_neighborhood(&DeltaOverlay::new(&snapshot, delta), delta, d),
         "{context}: dΣ-neighbourhood sizes differ"
     );
 
@@ -149,7 +152,8 @@ fn check_incremental(graph: &Graph, sigma: &RuleSet, delta: &BatchUpdate, contex
         &format!("{context} (mmap)"),
     );
     assert_eq!(
-        adjacency.neighborhood_nodes, from_file.neighborhood_nodes,
+        neighborhood,
+        delta_neighborhood(&DeltaOverlay::new(&mapped, delta), delta, d),
         "{context}: mmap dΣ-neighbourhood size differs"
     );
 

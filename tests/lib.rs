@@ -10,7 +10,7 @@ use ngd_datagen::{
     generate_knowledge, generate_rules, generate_social, generate_update, KnowledgeConfig,
     RuleGenConfig, SocialConfig, UpdateConfig,
 };
-use ngd_graph::{BatchUpdate, Graph};
+use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, Value};
 use ngd_match::ViolationSet;
 
 /// A small DBpedia-like knowledge graph with seeded errors plus the paper's
@@ -44,6 +44,40 @@ pub fn social_workload(seed: u64) -> (Graph, RuleSet) {
         generated.graph,
         RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]),
     )
+}
+
+/// Example 7 of the paper: G4 plus 98 small helper accounts, φ4, and the
+/// deletion of the real account's status edge — one update pivot behind
+/// which sit all 99 violations of the graph, every one of them removed.
+pub fn example7_workload() -> (Graph, BatchUpdate, RuleSet) {
+    let (mut graph, fake) = paper::figure1_g4();
+    let company = graph.nodes_with_label(intern("company"))[0];
+    let real = graph
+        .nodes_with_label(intern("account"))
+        .iter()
+        .copied()
+        .find(|&n| n != fake)
+        .expect("figure 1 G4 has a real account besides the fake one");
+    for _ in 0..98 {
+        let acct = graph.add_node_named("account", AttrMap::new());
+        let m = graph.add_node_named("integer", AttrMap::from_pairs([("val", Value::Int(1))]));
+        let n = graph.add_node_named("integer", AttrMap::from_pairs([("val", Value::Int(2))]));
+        let s = graph.add_node_named("boolean", AttrMap::from_pairs([("val", Value::Bool(true))]));
+        graph.add_edge_named(acct, company, "keys").unwrap();
+        graph.add_edge_named(acct, m, "following").unwrap();
+        graph.add_edge_named(acct, n, "follower").unwrap();
+        graph.add_edge_named(acct, s, "status").unwrap();
+    }
+    let status_node = graph
+        .out_neighbors(real)
+        .iter()
+        .find(|&&(_, l)| l == intern("status"))
+        .map(|&(n, _)| n)
+        .expect("the real account has a status edge");
+    let mut delta = BatchUpdate::new();
+    delta.delete_edge(real, status_node, intern("status"));
+    let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
+    (graph, delta, sigma)
 }
 
 /// A batch update of the given fraction over `graph`, deterministic in

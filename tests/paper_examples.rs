@@ -123,35 +123,8 @@ fn example6_consistent_insertions_add_no_violations() {
 fn example7_ninety_nine_violations_removed_in_parallel() {
     // G4 extended with 98 small helper accounts; deleting the real
     // account's status edge removes 99 violations (Example 7).
-    let (mut graph, fake) = paper::figure1_g4();
-    let company = graph.nodes_with_label(intern("company"))[0];
-    let real = graph
-        .nodes_with_label(intern("account"))
-        .iter()
-        .copied()
-        .find(|&n| n != fake)
-        .unwrap();
-    for _ in 0..98 {
-        let acct = graph.add_node_named("account", AttrMap::new());
-        let m = graph.add_node_named("integer", AttrMap::from_pairs([("val", Value::Int(1))]));
-        let n = graph.add_node_named("integer", AttrMap::from_pairs([("val", Value::Int(2))]));
-        let s = graph.add_node_named("boolean", AttrMap::from_pairs([("val", Value::Bool(true))]));
-        graph.add_edge_named(acct, company, "keys").unwrap();
-        graph.add_edge_named(acct, m, "following").unwrap();
-        graph.add_edge_named(acct, n, "follower").unwrap();
-        graph.add_edge_named(acct, s, "status").unwrap();
-    }
-    let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
+    let (graph, delta, sigma) = ngd_integration_tests::example7_workload();
     assert_eq!(dect(&sigma, &graph).violation_count(), 99);
-
-    let status_node = graph
-        .out_neighbors(real)
-        .iter()
-        .find(|&&(_, l)| l == intern("status"))
-        .map(|&(n, _)| n)
-        .unwrap();
-    let mut delta = BatchUpdate::new();
-    delta.delete_edge(real, status_node, intern("status"));
     let report = pinc_dect(&sigma, &graph, &delta, &DetectorConfig::with_processors(4));
     assert_eq!(report.delta.removed.len(), 99);
     assert!(report.delta.added.is_empty());
