@@ -14,21 +14,14 @@
 //!   over bulk data.
 //!
 //! Both paths must produce **byte-identical** output (asserted before any
-//! timing, shared and sharded), so the speedup is pure mechanism.
-//! Running it rewrites `BENCH_compact.json`; CI's `bench-smoke` job runs
-//! it per PR and the run asserts the acceptance bars: compaction at least
-//! **3× faster** than re-freeze→write on the shared snapshot and at least
-//! **2× faster** on the sharded one (the per-fragment streaming merge —
-//! fragments untouched by the delta are byte-copied, touched ones
-//! rebuilt by slice gathers from the merged global).
+//! timing), so the speedup is pure mechanism.  Running it rewrites
+//! `BENCH_compact.json`; CI's `bench-smoke` job runs it per PR and the run
+//! asserts the acceptance bar: compaction at least **3× faster** than
+//! re-freeze→write.
 
 use ngd_bench::harness::{black_box, Harness};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};
-use ngd_graph::persist::{CompactionWriter, MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::PartitionStrategy;
-
-const FRAGMENTS: usize = 4;
-const HALO: usize = 2;
+use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
 
 fn main() {
     // The 11k-node synthetic workload of the equivalence suite, with an
@@ -38,24 +31,12 @@ fn main() {
     let delta = generate_update(&graph, &UpdateConfig::fraction(0.04).with_seed(13));
     assert!(delta.len() >= 1_000, "overlay holds {} ops", delta.len());
 
-    let dir = std::env::temp_dir();
-    let snap_path = dir.join(format!("ngd-bench-compact-{}.ngds", std::process::id()));
-    let sharded_path = dir.join(format!(
-        "ngd-bench-compact-{}-sharded.ngds",
-        std::process::id()
-    ));
-    let writer = SnapshotWriter::new();
-    writer
+    let snap_path =
+        std::env::temp_dir().join(format!("ngd-bench-compact-{}.ngds", std::process::id()));
+    SnapshotWriter::new()
         .write(&graph.freeze(), &snap_path)
         .expect("write snapshot");
-    writer
-        .write_sharded(
-            &graph.freeze_sharded(FRAGMENTS, PartitionStrategy::EdgeCut, HALO),
-            &sharded_path,
-        )
-        .expect("write sharded snapshot");
     let mapped = MmapSnapshot::load(&snap_path).expect("load snapshot");
-    let mapped_sharded = MmapShardedSnapshot::load(&sharded_path).expect("load sharded");
 
     // Sanity before timing: the two mechanisms must agree byte-for-byte.
     let compactor = CompactionWriter::new();
@@ -65,33 +46,6 @@ fn main() {
     let refrozen = SnapshotWriter::with_epoch(1)
         .encode(&delta.applied_to(&graph).expect("delta applies").freeze());
     assert_eq!(merged, refrozen, "compaction must equal re-freeze→write");
-
-    // Sharded sanity: byte-identical to freezing `G ⊕ ΔG` and sharding it
-    // along the partition the compacted file stores (compaction extends
-    // the old partition rather than repartitioning, so the reference must
-    // shard along the same one).
-    let (sharded_merged, stats) = compactor
-        .encode_sharded_with_stats(&mapped_sharded, &delta, 1)
-        .expect("sharded compaction encodes");
-    {
-        let probe = dir.join(format!(
-            "ngd-bench-compact-{}-probe.ngds",
-            std::process::id()
-        ));
-        std::fs::write(&probe, &sharded_merged).expect("write probe");
-        let compacted = MmapShardedSnapshot::load(&probe).expect("compacted loads");
-        let updated = delta.applied_to(&graph).expect("delta applies");
-        let reference = SnapshotWriter::with_epoch(1).encode_sharded(
-            &updated
-                .freeze()
-                .into_sharded(compacted.partition().clone(), compacted.halo_depth()),
-        );
-        assert_eq!(
-            sharded_merged, reference,
-            "sharded compaction must equal re-freeze→shard→write"
-        );
-        std::fs::remove_file(&probe).ok();
-    }
 
     let mut h = Harness::new();
     println!(
@@ -113,39 +67,8 @@ fn main() {
     let compact_empty = h.bench("compact/identity_rewrite", || {
         black_box(compactor.encode(&mapped, &Default::default(), 1).unwrap());
     });
-    let refreeze_sharded = h.bench("refreeze/sharded", || {
-        let updated = delta.applied_to(&graph).unwrap();
-        black_box(
-            SnapshotWriter::with_epoch(1).encode_sharded(&updated.freeze_sharded(
-                FRAGMENTS,
-                PartitionStrategy::EdgeCut,
-                HALO,
-            )),
-        );
-    });
-    let compact_sharded = h.bench("compact/sharded_merge_encode", || {
-        black_box(
-            compactor
-                .encode_sharded(&mapped_sharded, &delta, 1)
-                .unwrap(),
-        );
-    });
-    let compact_sharded_empty = h.bench("compact/sharded_identity_rewrite", || {
-        black_box(
-            compactor
-                .encode_sharded(&mapped_sharded, &Default::default(), 1)
-                .unwrap(),
-        );
-    });
-
     let speedup = refreeze.ns_per_iter / compact.ns_per_iter;
-    let sharded_speedup = refreeze_sharded.ns_per_iter / compact_sharded.ns_per_iter;
-    println!("compaction vs re-freeze→write speedup (shared): {speedup:.2}x");
-    println!("compaction vs re-freeze→write speedup (sharded): {sharded_speedup:.2}x");
-    println!(
-        "sharded fragments rewritten/copied: {}/{}",
-        stats.fragments_rewritten, stats.fragments_copied
-    );
+    println!("compaction vs re-freeze→write speedup: {speedup:.2}x");
 
     let json = h.to_json(&[
         ("bench".to_string(), "compact".to_string()),
@@ -153,30 +76,13 @@ fn main() {
         ("edges".to_string(), graph.edge_count().to_string()),
         ("delta_ops".to_string(), delta.len().to_string()),
         ("file_bytes".to_string(), merged.len().to_string()),
-        ("fragments".to_string(), FRAGMENTS.to_string()),
         (
             "compact_vs_refreeze_speedup".to_string(),
             format!("{speedup:.2}"),
         ),
         (
-            "compact_vs_refreeze_sharded_speedup".to_string(),
-            format!("{sharded_speedup:.2}"),
-        ),
-        (
             "identity_rewrite_ns".to_string(),
             format!("{:.0}", compact_empty.ns_per_iter),
-        ),
-        (
-            "sharded_identity_rewrite_ns".to_string(),
-            format!("{:.0}", compact_sharded_empty.ns_per_iter),
-        ),
-        (
-            "fragments_rewritten".to_string(),
-            stats.fragments_rewritten.to_string(),
-        ),
-        (
-            "fragments_copied".to_string(),
-            stats.fragments_copied.to_string(),
         ),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compact.json");
@@ -187,17 +93,12 @@ fn main() {
     }
 
     std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&sharded_path).ok();
 
-    // The acceptance bars: folding ~1k updates into the 11k snapshot must
+    // The acceptance bar: folding ~1k updates into the 11k snapshot must
     // beat the full re-freeze→write path by a wide margin, or the merge
-    // has silently degenerated into a re-freeze — on both file kinds.
+    // has silently degenerated into a re-freeze.
     assert!(
         speedup >= 3.0,
         "compaction must be at least 3x faster than re-freeze→write (got {speedup:.2}x)"
-    );
-    assert!(
-        sharded_speedup >= 2.0,
-        "sharded compaction must be at least 2x faster than sharded re-freeze (got {sharded_speedup:.2}x)"
     );
 }

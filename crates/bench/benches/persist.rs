@@ -26,11 +26,8 @@ use ngd_datagen::{
     generate_knowledge, generate_rules, generate_update, KnowledgeConfig, RuleGenConfig,
     UpdateConfig,
 };
-use ngd_detect::{dect_on, inc_dect_snapshot, pdect_sharded, DetectorConfig};
-use ngd_graph::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::PartitionStrategy;
-
-const FRAGMENTS: usize = 4;
+use ngd_detect::{dect_on, inc_dect_snapshot};
+use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
 
 fn main() {
     // The 11k-node synthetic workload of the equivalence suite.
@@ -48,49 +45,35 @@ fn main() {
 
     let dir = std::env::temp_dir();
     let snap_path = dir.join(format!("ngd-bench-persist-{}.snap", std::process::id()));
-    let sharded_path = dir.join(format!(
-        "ngd-bench-persist-{}-sharded.snap",
-        std::process::id()
-    ));
 
     let writer = SnapshotWriter::new();
     let snapshot = graph.freeze();
-    let sharded = graph.freeze_sharded(FRAGMENTS, PartitionStrategy::EdgeCut, sigma.diameter());
     let file_bytes = writer.write(&snapshot, &snap_path).expect("write snapshot");
-    let sharded_bytes = writer
-        .write_sharded(&sharded, &sharded_path)
-        .expect("write sharded snapshot");
 
-    // Sanity before timing anything: detection off the files must return
+    // Sanity before timing anything: detection off the file must return
     // the byte-identical answers whose speed is being compared.
     let mapped = MmapSnapshot::load(&snap_path).expect("load snapshot");
-    let mapped_sharded = MmapShardedSnapshot::load(&sharded_path).expect("load sharded");
     let reference = dect_on(&sigma, &snapshot);
     assert_eq!(reference.violations, dect_on(&sigma, &mapped).violations);
-    assert_eq!(
-        reference.violations,
-        pdect_sharded(&sigma, &mapped_sharded, &DetectorConfig::default()).violations
-    );
     let inc_reference = inc_dect_snapshot(&sigma, &snapshot, &delta);
     let inc_mapped = inc_dect_snapshot(&sigma, &mapped, &delta);
     assert_eq!(inc_reference.delta, inc_mapped.delta);
 
     let mut h = Harness::new();
     println!(
-        "# persist: |V| = {}, |E| = {}, ‖Σ‖ = {}, snapshot file = {} B, sharded file = {} B",
+        "# persist: |V| = {}, |E| = {}, ‖Σ‖ = {}, snapshot file = {} B",
         graph.node_count(),
         graph.edge_count(),
         sigma.len(),
-        file_bytes,
-        sharded_bytes
+        file_bytes
     );
 
     let freeze = h.bench("freeze/shared_snapshot", || {
         black_box(graph.freeze());
     });
-    // Write benches target scratch paths: `mapped` / `mapped_sharded`
-    // hold live MAP_SHARED mappings of the original files, and rewriting
-    // a file under a mapping would be a SIGBUS hazard.
+    // The write bench targets a scratch path: `mapped` holds a live
+    // MAP_SHARED mapping of the original file, and rewriting a file under
+    // a mapping would be a SIGBUS hazard.
     let scratch_path = dir.join(format!(
         "ngd-bench-persist-{}-scratch.snap",
         std::process::id()
@@ -98,14 +81,8 @@ fn main() {
     h.bench("persist/write", || {
         black_box(writer.write(&snapshot, &scratch_path).unwrap());
     });
-    h.bench("persist/write_sharded", || {
-        black_box(writer.write_sharded(&sharded, &scratch_path).unwrap());
-    });
     let load = h.bench("persist/load_mmap", || {
         black_box(MmapSnapshot::load(&snap_path).unwrap());
-    });
-    h.bench("persist/load_mmap_sharded", || {
-        black_box(MmapShardedSnapshot::load(&sharded_path).unwrap());
     });
 
     let dect_csr = h.bench("dect/csr_snapshot", || {
@@ -133,8 +110,6 @@ fn main() {
         ("nodes".to_string(), graph.node_count().to_string()),
         ("edges".to_string(), graph.edge_count().to_string()),
         ("snapshot_file_bytes".to_string(), file_bytes.to_string()),
-        ("sharded_file_bytes".to_string(), sharded_bytes.to_string()),
-        ("fragments".to_string(), FRAGMENTS.to_string()),
         (
             "mmap_load_vs_refreeze_speedup".to_string(),
             format!("{load_speedup:.2}"),
@@ -160,7 +135,6 @@ fn main() {
     }
 
     std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&sharded_path).ok();
     std::fs::remove_file(&scratch_path).ok();
 
     // The acceptance bar of the subsystem: serving a snapshot from disk

@@ -15,7 +15,7 @@
 //! [`harness`], since Criterion is unavailable offline) cover the
 //! micro-level claims: matcher throughput — including the CSR-snapshot
 //! versus adjacency-list candidate-selection comparison recorded in
-//! `BENCH_csr.json` — literal-evaluation overhead, partitioner and solver
+//! `BENCH_csr.json` — literal-evaluation overhead and solver
 //! cost.
 
 pub mod datasets;

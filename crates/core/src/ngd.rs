@@ -208,7 +208,7 @@ ngd_json::impl_json_struct!(Ngd {
 ///
 /// let sigma = paper::paper_rule_set();
 /// assert_eq!(sigma.len(), 7);
-/// assert_eq!(sigma.diameter(), 4);   // dΣ, the halo depth sharding needs
+/// assert_eq!(sigma.diameter(), 4);   // dΣ, the radius incremental detection explores
 ///
 /// let json = sigma.to_json();
 /// let back = RuleSet::from_json(&json).expect("own output parses");

@@ -21,7 +21,7 @@ use crate::config::{AlgorithmKind, DetectorConfig};
 use crate::cost::CostLedger;
 use crate::report::{DetectionReport, SearchStats};
 use ngd_core::{Ngd, RuleSet, Var};
-use ngd_graph::{Graph, GraphView, NodeId, RemoteAccounting, ShardedRead, WILDCARD};
+use ngd_graph::{Graph, GraphView, NodeId, WILDCARD};
 use ngd_match::{compile_plan, MatchPlan, Matcher, PlanCache, Violation, ViolationSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -179,8 +179,6 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
     });
     stats.record_plan_cache(hits0, misses0, cache);
 
-    // Record scanned work the same way the sharded variant does, so
-    // modelled-cost comparisons between PDect and PDectSharded line up.
     let mut cost = CostLedger::default();
     cost.record_scan(stats.candidates_inspected);
     DetectionReport {
@@ -190,113 +188,6 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
         stats,
         cost,
         processors: config.processors,
-    }
-    .observed()
-}
-
-/// Parallel batch detection over per-fragment sharded snapshots: one
-/// worker per fragment, each matching only the root candidates its
-/// fragment **owns** against its own fragment view.
-///
-/// Generic over [`ShardedRead`], so the same worker loop serves the
-/// in-memory [`ngd_graph::ShardedSnapshot`] (workers read
-/// [`ngd_graph::FragmentView`]s) and the memory-mapped
-/// [`ngd_graph::MmapShardedSnapshot`] (workers read
-/// [`ngd_graph::MmapFragmentView`]s straight off the snapshot file).
-///
-/// Root variables and their candidate sets are computed on the global
-/// snapshot (the replicated label dictionary), so the search explores
-/// exactly the shared-snapshot search tree and the merged violation set is
-/// byte-identical to [`pdect_on`] / [`dect`].  Adjacency reads a fragment
-/// cannot serve locally fall back to the global snapshot and are accounted
-/// in the report's [`CostLedger`] as cross-fragment candidate fetches,
-/// each paying `config.latency_c` modelled latency units.
-pub fn pdect_sharded<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    config: &DetectorConfig,
-) -> DetectionReport {
-    pdect_sharded_cached(sigma, sharded, config, &PlanCache::new())
-}
-
-/// [`pdect_sharded`] with a caller-owned [`PlanCache`].  Plans are
-/// compiled against the global snapshot (so the per-step cost estimates
-/// see the full label statistics) and shared by every fragment worker.
-pub fn pdect_sharded_cached<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    config: &DetectorConfig,
-    cache: &PlanCache,
-) -> DetectionReport {
-    let start = Instant::now();
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let global = sharded.global_view();
-    let p = sharded.shard_count().max(1);
-    // Route every (rule, root candidate) work unit to the candidate's
-    // owning fragment; ownership covers each node exactly once, so the
-    // fragments' result sets partition the full violation set.
-    let mut units: Vec<Vec<(usize, Var, NodeId)>> = vec![Vec::new(); p];
-    let mut plans: Vec<Option<Arc<MatchPlan>>> = vec![None; sigma.rules().len()];
-    for (rule_idx, rule) in sigma.iter().enumerate() {
-        if let Some(root) = root_variable(rule, global) {
-            plans[rule_idx] = Some(cache.get_or_compile(&rule.id, &[root], || {
-                compile_plan(&rule.pattern, global, &[root])
-            }));
-            for candidate in candidates_for(rule, global, root) {
-                units[sharded.route_to(candidate)].push((rule_idx, root, candidate));
-            }
-        }
-    }
-
-    let units_ref = &units;
-    let plans_ref = &plans;
-    let (violations, mut stats, cost) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let view = sharded.worker_view(worker);
-                    let mut set = ViolationSet::new();
-                    let mut stats = SearchStats::default();
-                    for &(rule_idx, root, candidate) in &units_ref[worker] {
-                        let rule = &sigma.rules()[rule_idx];
-                        let plan = plans_ref[rule_idx]
-                            .clone()
-                            .expect("a unit exists only for rules with a root plan");
-                        let matcher = Matcher::new(&rule.pattern, &view).with_plan(plan);
-                        let (matches, run_stats) =
-                            matcher.expand_seeded(&[(root, candidate)], Some(rule));
-                        for m in matches {
-                            set.insert(Violation::new(rule.id.clone(), m));
-                        }
-                        stats.merge(&SearchStats::from(run_stats));
-                    }
-                    let mut cost = CostLedger::default();
-                    cost.record_scan(stats.candidates_inspected);
-                    cost.record_remote(view.remote_fetches(), config.latency_c);
-                    (set, stats, cost)
-                })
-            })
-            .collect();
-        let mut violations = ViolationSet::new();
-        let mut stats = SearchStats::default();
-        let mut cost = CostLedger::default();
-        for handle in handles {
-            let (set, s, c) = handle.join().expect("sharded PDect worker must not panic");
-            violations.extend(set);
-            stats.merge(&s);
-            cost.merge(&c);
-        }
-        (violations, stats, cost)
-    });
-    stats.record_plan_cache(hits0, misses0, cache);
-
-    DetectionReport {
-        algorithm: AlgorithmKind::PDectSharded,
-        violations,
-        elapsed: start.elapsed(),
-        stats,
-        cost,
-        processors: p,
     }
     .observed()
 }
@@ -366,44 +257,6 @@ mod tests {
             );
             assert_eq!(parallel.processors, p);
         }
-    }
-
-    #[test]
-    fn pdect_sharded_agrees_with_dect_for_every_strategy_and_halo() {
-        use ngd_graph::PartitionStrategy;
-        let graph = paper_graph();
-        let sigma = paper::paper_rule_set();
-        let sequential = dect(&sigma, &graph);
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            for p in [1, 2, 4] {
-                for halo in [0, sigma.diameter()] {
-                    let sharded = graph.freeze_sharded(p, strategy, halo);
-                    let report = pdect_sharded(&sigma, &sharded, &DetectorConfig::default());
-                    assert_eq!(
-                        report.violations, sequential.violations,
-                        "{strategy:?} p={p} halo={halo}"
-                    );
-                    assert_eq!(report.algorithm, AlgorithmKind::PDectSharded);
-                    assert_eq!(report.processors, p);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_remote_fetches_shrink_with_a_full_halo() {
-        use ngd_graph::PartitionStrategy;
-        let graph = paper_graph();
-        let sigma = paper::paper_rule_set();
-        let config = DetectorConfig::default();
-        let bare = graph.freeze_sharded(4, PartitionStrategy::EdgeCut, 0);
-        let haloed = graph.freeze_sharded(4, PartitionStrategy::EdgeCut, sigma.diameter());
-        let bare_report = pdect_sharded(&sigma, &bare, &config);
-        let haloed_report = pdect_sharded(&sigma, &haloed, &config);
-        assert_eq!(bare_report.violations, haloed_report.violations);
-        // A dΣ-deep halo makes owned-seed expansion fully local.
-        assert_eq!(haloed_report.cost.remote_fetches, 0);
-        assert!(bare_report.cost.remote_fetches >= haloed_report.cost.remote_fetches);
     }
 
     #[test]

@@ -124,8 +124,6 @@ pub enum AlgorithmKind {
     Dect,
     /// Parallel batch detection.
     PDect,
-    /// Parallel batch detection over per-fragment sharded snapshots.
-    PDectSharded,
     /// Sequential incremental detection.
     IncDect,
     /// Parallel incremental detection (hybrid strategy).
@@ -136,20 +134,16 @@ pub enum AlgorithmKind {
     PIncDectNb,
     /// Parallel incremental, neither splitting nor balancing.
     PIncDectNo,
-    /// Parallel incremental detection over per-fragment sharded snapshots.
-    PIncDectSharded,
 }
 
 ngd_json::impl_json_unit_enum!(AlgorithmKind {
     Dect,
     PDect,
-    PDectSharded,
     IncDect,
     PIncDect,
     PIncDectNs,
     PIncDectNb,
     PIncDectNo,
-    PIncDectSharded,
 });
 
 impl AlgorithmKind {
@@ -158,13 +152,11 @@ impl AlgorithmKind {
         match self {
             AlgorithmKind::Dect => "Dect",
             AlgorithmKind::PDect => "PDect",
-            AlgorithmKind::PDectSharded => "PDect (sharded)",
             AlgorithmKind::IncDect => "IncDect",
             AlgorithmKind::PIncDect => "PIncDect",
             AlgorithmKind::PIncDectNs => "PIncDect_ns",
             AlgorithmKind::PIncDectNb => "PIncDect_nb",
             AlgorithmKind::PIncDectNo => "PIncDect_NO",
-            AlgorithmKind::PIncDectSharded => "PIncDect (sharded)",
         }
     }
 }

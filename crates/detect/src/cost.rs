@@ -49,11 +49,6 @@ pub struct CostLedger {
     pub local_expansions: u64,
     /// Number of work units migrated by the workload balancer.
     pub migrations: u64,
-    /// Cross-fragment candidate fetches performed by the sharded
-    /// detectors: adjacency reads a fragment could not serve from its own
-    /// (owned + halo) arrays.  Each one models a message to the owning
-    /// fragment, so crossing-edge traffic shows up here.
-    pub remote_fetches: u64,
 }
 
 ngd_json::impl_json_struct!(CostLedger {
@@ -62,7 +57,6 @@ ngd_json::impl_json_struct!(CostLedger {
     splits,
     local_expansions,
     migrations,
-    remote_fetches,
 });
 
 impl CostLedger {
@@ -87,14 +81,6 @@ impl CostLedger {
         self.migrations += units as u64;
     }
 
-    /// Record `fetches` cross-fragment candidate fetches, each paying one
-    /// `C` latency unit (a fetch ships one partial request/response pair,
-    /// not a partial solution of size `k + 1`).
-    pub fn record_remote(&mut self, fetches: u64, c: f64) {
-        self.remote_fetches += fetches;
-        self.latency_units += c * fetches as f64;
-    }
-
     /// Merge another ledger into this one.
     pub fn merge(&mut self, other: &CostLedger) {
         self.latency_units += other.latency_units;
@@ -102,7 +88,6 @@ impl CostLedger {
         self.splits += other.splits;
         self.local_expansions += other.local_expansions;
         self.migrations += other.migrations;
-        self.remote_fetches += other.remote_fetches;
     }
 
     /// Did the run pay any modelled communication or balancing cost?
@@ -118,21 +103,13 @@ impl CostLedger {
     }
 }
 
-/// Every ledger counter on one line — **including** `remote_fetches`, the
-/// sharded detectors' cross-fragment traffic, which the human-readable
-/// reports used to drop.
+/// Every ledger counter on one line.
 impl std::fmt::Display for CostLedger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "scanned {} | splits {} | local {} | migrations {} | \
-             remote fetches {} | latency units {:.1}",
-            self.scanned,
-            self.splits,
-            self.local_expansions,
-            self.migrations,
-            self.remote_fetches,
-            self.latency_units,
+            "scanned {} | splits {} | local {} | migrations {} | latency units {:.1}",
+            self.scanned, self.splits, self.local_expansions, self.migrations, self.latency_units,
         )
     }
 }

@@ -12,20 +12,10 @@
 //!   parallel scalable relative to `IncDect`, with the paper's hybrid
 //!   workload strategy (cost-model work-unit splitting + periodic
 //!   balancing) and its ablation variants;
-//! * sharded execution — [`pdect_sharded`] and [`pinc_dect_sharded`] run
-//!   the parallel detectors against a
-//!   [`ShardedSnapshot`](ngd_graph::ShardedSnapshot): one worker per
-//!   fragment, work routed by node ownership, cross-fragment candidate
-//!   fetches accounted in the [`CostLedger`] as the paper's communication
-//!   cost — results stay byte-identical to the shared-snapshot path;
-//!   [`pinc_dect_sharded_rebased`] is the one session-shaped entry point
-//!   behind it (accumulated `ΔG`, caller-owned plan cache, optional
-//!   streaming [`VioSink`]);
 //! * [`session`] — reusable incremental session state
-//!   ([`IncrementalSession`] / [`ShardedIncrementalSession`]): a long-lived
-//!   process absorbs a *stream* of `ΔG` batches against one shared
-//!   snapshot, each answered relative to everything absorbed so far — the
-//!   engine under the `ngd-serve` service;
+//!   ([`IncrementalSession`]): a long-lived process absorbs a *stream* of
+//!   `ΔG` batches against one snapshot, each answered relative to
+//!   everything absorbed so far — the engine under the `ngd-serve` service;
 //! * [`cost`] and [`balance`] — the work-splitting cost model and the
 //!   skewness-based balancing policy;
 //! * [`config`] and [`report`] — run configuration and the reports every
@@ -77,10 +67,7 @@ pub mod report;
 pub mod session;
 
 pub use balance::{plan_migrations, skewness, Migration};
-pub use batch::{
-    dect, dect_on, dect_on_cached, pdect, pdect_on, pdect_on_cached, pdect_sharded,
-    pdect_sharded_cached,
-};
+pub use batch::{dect, dect_on, dect_on_cached, pdect, pdect_on, pdect_on_cached};
 pub use config::{AlgorithmKind, DetectorConfig};
 pub use cost::{parallel_cost, sequential_cost, should_split, CostLedger};
 pub use incdect::{
@@ -88,7 +75,6 @@ pub use incdect::{
 };
 pub use pincdect::{
     pinc_dect, pinc_dect_prepared, pinc_dect_prepared_cached, pinc_dect_prepared_streaming,
-    pinc_dect_sharded, pinc_dect_sharded_rebased,
 };
 pub use report::{DeltaReport, DetectionReport, SearchStats, VioSide, VioSink};
-pub use session::{IncrementalSession, ShardedIncrementalSession};
+pub use session::IncrementalSession;

@@ -44,10 +44,7 @@ use crate::config::{AlgorithmKind, DetectorConfig};
 use crate::cost::{should_split, CostLedger};
 use crate::report::{DeltaReport, SearchStats, VioSide, VioSink};
 use ngd_core::{is_violation, Ngd, RuleSet};
-use ngd_graph::{
-    BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Partition, RemoteAccounting,
-    ShardedRead,
-};
+use ngd_graph::{BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId};
 use ngd_match::{
     compile_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, MatchPlan, Matcher,
     PlanCache, Violation,
@@ -108,19 +105,15 @@ struct EmitState<'a> {
     seen: Mutex<DeltaViolations>,
 }
 
-/// Shared runtime state of one `PIncDect` invocation.
-///
-/// Each worker reads the graphs through its *own* `(old, new)` view pair:
-/// on the shared-snapshot path every pair aliases the same two views, on
-/// the sharded path worker `i` holds overlays over fragment `i`'s
-/// [`FragmentView`](ngd_graph::FragmentView) (in-memory or mapped).  All
-/// views observe the same logical graph, so a work
-/// unit may be expanded by any worker (splitting and balancing move units
-/// freely) — a foreign worker merely pays remote candidate fetches.
+/// Shared runtime state of one `PIncDect` invocation.  Every worker reads
+/// the same `(old, new)` view pair, so a work unit may be expanded by any
+/// worker (splitting and balancing move units freely).
 struct Runtime<'a, V: GraphView> {
     sigma: &'a RuleSet,
-    /// Per-worker `(old graph, new graph)` view pairs.
-    views: &'a [(&'a V, &'a V)],
+    /// `G`.
+    old_graph: &'a V,
+    /// `G ⊕ ΔG`.
+    new_graph: &'a V,
     /// Rank of each inserted edge in `ΔG⁺` (pivot de-duplication).
     inserted_ranks: HashMap<EdgeRef, usize>,
     /// Rank of each deleted edge in `ΔG⁻`.
@@ -140,11 +133,11 @@ struct Runtime<'a, V: GraphView> {
 }
 
 impl<'a, V: GraphView> Runtime<'a, V> {
-    fn graphs_for(&self, phase: Phase, worker: usize) -> (&'a V, &'a V) {
-        let (old_graph, new_graph) = self.views[worker];
+    /// `(search graph, other-side graph)` of a phase.
+    fn graphs_for(&self, phase: Phase) -> (&'a V, &'a V) {
         match phase {
-            Phase::Added => (new_graph, old_graph),
-            Phase::Removed => (old_graph, new_graph),
+            Phase::Added => (self.new_graph, self.old_graph),
+            Phase::Removed => (self.old_graph, self.new_graph),
         }
     }
 
@@ -189,7 +182,7 @@ impl<'a, V: GraphView> Runtime<'a, V> {
     /// `out` and pushing children / split chunks onto the queues.
     fn expand(&self, worker: usize, unit: WorkUnit, out: &mut WorkerOutput) {
         let rule = &self.sigma.rules()[unit.rule_idx];
-        let (search_graph, other_graph) = self.graphs_for(unit.phase, worker);
+        let (search_graph, other_graph) = self.graphs_for(unit.phase);
         let matcher = Matcher::new(&rule.pattern, search_graph)
             .with_forbidden(self.ranks_for(unit.phase), unit.pivot_rank);
         out.stats.expanded += 1;
@@ -251,10 +244,8 @@ impl<'a, V: GraphView> Runtime<'a, V> {
 
         // Work-unit splitting (hybrid strategy, ingredient (a)): if the cost
         // model prefers the parallel route, scatter the candidate list over
-        // all workers and stop here.  The worker count is the number of
-        // views/queues, NOT `config.processors` — on the sharded path the
-        // fragment count wins.
-        let p = self.views.len();
+        // all workers and stop here.
+        let p = self.queues.len();
         let already_split = unit.presplit.is_some();
         if self.config.work_splitting
             && !already_split
@@ -445,15 +436,6 @@ fn edge_pivot_units<G: GraphView>(
     units
 }
 
-/// How update pivots are assigned to worker queues.
-enum PivotRouting<'a> {
-    /// Deal the pivots out evenly (shared-snapshot path).
-    RoundRobin,
-    /// Send each pivot to the fragment owning the updated edge's source
-    /// node (sharded path).
-    Owner(&'a Partition),
-}
-
 /// Run `PIncDect` (or one of its ablation variants, depending on
 /// `config.work_splitting` / `config.workload_balancing`) on a graph and a
 /// batch update.
@@ -520,167 +502,26 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
     cache: &PlanCache,
     sink: Option<VioSink<'_>>,
 ) -> DeltaReport {
-    // Every worker shares the same two views.
-    let views: Vec<(&V, &V)> = vec![(old_graph, new_graph); config.processors.max(1)];
-    pinc_dect_core(
-        sigma,
-        &views,
-        PivotRouting::RoundRobin,
-        delta,
-        config,
-        None,
-        cache,
-        sink,
-        || 0,
-    )
-}
-
-/// Run `PIncDect` over per-fragment sharded snapshots: one worker per
-/// fragment, each holding [`DeltaOverlay`]s of its own fragment's view as
-/// the old/new sides.
-///
-/// Generic over [`ShardedRead`], so the same runtime serves the in-memory
-/// [`ngd_graph::ShardedSnapshot`] (workers overlay
-/// [`ngd_graph::FragmentView`]s) and the memory-mapped
-/// [`ngd_graph::MmapShardedSnapshot`] (workers overlay
-/// [`ngd_graph::MmapFragmentView`]s read straight off the snapshot file).
-///
-/// Update pivots are routed to the fragment owning the updated edge's
-/// source node ([`Partition::route_of`]); work-unit splitting and workload
-/// balancing still move units across workers, and a worker expanding a
-/// unit whose nodes live outside its fragment pays cross-fragment
-/// candidate fetches — counted, together with the fetches incurred while
-/// laying `ΔG` over each fragment, in the report's [`CostLedger`]
-/// (`config.latency_c` modelled latency units per fetch).
-///
-/// `config.processors` is ignored: the worker count is the fragment count.
-/// The resulting `ΔVio` is byte-identical to [`pinc_dect`] /
-/// [`crate::inc_dect`].
-pub fn pinc_dect_sharded<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-) -> DeltaReport {
-    pinc_dect_sharded_rebased(
-        sigma,
-        sharded,
-        &BatchUpdate::new(),
-        delta,
-        config,
-        &PlanCache::new(),
-        None,
-    )
-}
-
-/// [`pinc_dect_sharded`] for a session that has already absorbed updates:
-/// the old side of the run is every fragment view with `accumulated` laid
-/// over it, the new side adds `delta` on top, and the reported `ΔVio` is
-/// the change `delta` causes *relative to the accumulated state* — exactly
-/// what a long-lived serving process answers per batch without ever
-/// re-freezing the snapshot.
-///
-/// `cache` is caller-owned so plan compilation amortises across an update
-/// stream (`ngd-serve` keeps one per snapshot epoch).  With a `sink`, every
-/// violation is also handed over **while expansion is still running** —
-/// the sharded twin of [`pinc_dect_prepared_streaming`], same delivery
-/// guarantees ([`VioSink`]); the returned report is identical either way.
-///
-/// `accumulated` must apply cleanly to the snapshot and `delta` to
-/// `snapshot ⊕ accumulated` (validate with
-/// [`BatchUpdate::validate_against`] first on untrusted input).
-pub fn pinc_dect_sharded_rebased<S: ShardedRead>(
-    sigma: &RuleSet,
-    sharded: &S,
-    accumulated: &BatchUpdate,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-    cache: &PlanCache,
-    sink: Option<VioSink<'_>>,
-) -> DeltaReport {
-    let merged = {
-        let mut m = accumulated.clone();
-        m.merge(delta);
-        m
-    };
-    let p = sharded.shard_count().max(1);
-    let frag_views: Vec<S::Worker<'_>> = (0..p).map(|f| sharded.worker_view(f)).collect();
-    let old_views: Vec<DeltaOverlay<'_, S::Worker<'_>>> = frag_views
-        .iter()
-        .map(|view| DeltaOverlay::new(view, accumulated))
-        .collect();
-    let new_views: Vec<DeltaOverlay<'_, S::Worker<'_>>> = frag_views
-        .iter()
-        .map(|view| DeltaOverlay::new(view, &merged))
-        .collect();
-    // Each worker's (old, new) overlay pair; the four lifetimes involved
-    // (sharded borrow, fragment views, overlays, pair refs) defeat a type
-    // alias, so spell the tuple out.
-    #[allow(clippy::type_complexity)]
-    let views: Vec<(
-        &DeltaOverlay<'_, S::Worker<'_>>,
-        &DeltaOverlay<'_, S::Worker<'_>>,
-    )> = old_views.iter().zip(new_views.iter()).collect();
-    pinc_dect_core(
-        sigma,
-        &views,
-        PivotRouting::Owner(sharded.shard_partition()),
-        delta,
-        config,
-        Some(AlgorithmKind::PIncDectSharded),
-        cache,
-        sink,
-        || {
-            frag_views
-                .iter()
-                .map(RemoteAccounting::remote_fetches)
-                .sum()
-        },
-    )
-}
-
-/// The shared worker runtime behind [`pinc_dect_prepared`] and
-/// [`pinc_dect_sharded`]: `views.len()` workers, each reading through its
-/// own `(old, new)` view pair, with pivots placed by `routing`.
-/// `remote_fetches` reads the cross-fragment fetch count once the workers
-/// are done (zero on the shared-snapshot path).
-#[allow(clippy::too_many_arguments)]
-fn pinc_dect_core<V: GraphView + Sync>(
-    sigma: &RuleSet,
-    views: &[(&V, &V)],
-    routing: PivotRouting<'_>,
-    delta: &BatchUpdate,
-    config: &DetectorConfig,
-    algorithm_override: Option<AlgorithmKind>,
-    cache: &PlanCache,
-    sink: Option<VioSink<'_>>,
-    remote_fetches: impl FnOnce() -> u64,
-) -> DeltaReport {
     let start = Instant::now();
     let (hits0, misses0) = (cache.hits(), cache.misses());
-    let p = views.len().max(1);
+    let p = config.processors.max(1);
     let inserted: Vec<EdgeRef> = delta.insertions().collect();
     let deleted: Vec<EdgeRef> = delta.deletions().collect();
 
-    // Phase 1: update pivots for every rule, both phases.  Each pivot is
-    // created against the view of the worker that will own it, so on the
-    // sharded path pivot generation itself runs on the owner's fragment.
+    // Phase 1: update pivots for every rule, both phases, dealt out evenly:
+    // all pivots of one (rule, updated edge) go to the same worker.
     let inserted_ranks = edge_ranks(&inserted);
     let deleted_ranks = edge_ranks(&deleted);
-    let route = |edge: &EdgeRef, seq: usize| match routing {
-        PivotRouting::RoundRobin => seq % p,
-        PivotRouting::Owner(partition) => partition.route_of(edge.src).min(p - 1),
-    };
     let mut pivots: Vec<(usize, WorkUnit)> = Vec::new();
     for (rule_idx, rule) in sigma.iter().enumerate() {
         for (rank, edge) in inserted.iter().enumerate() {
-            let worker = route(edge, pivots.len());
+            let worker = pivots.len() % p;
             pivots.extend(
                 edge_pivot_units(
                     rule_idx,
                     rule,
                     Phase::Added,
-                    views[worker].1,
+                    new_graph,
                     *edge,
                     rank,
                     &inserted_ranks,
@@ -691,13 +532,13 @@ fn pinc_dect_core<V: GraphView + Sync>(
             );
         }
         for (rank, edge) in deleted.iter().enumerate() {
-            let worker = route(edge, pivots.len());
+            let worker = pivots.len() % p;
             pivots.extend(
                 edge_pivot_units(
                     rule_idx,
                     rule,
                     Phase::Removed,
-                    views[worker].0,
+                    old_graph,
                     *edge,
                     rank,
                     &deleted_ranks,
@@ -711,7 +552,8 @@ fn pinc_dect_core<V: GraphView + Sync>(
 
     let runtime = Runtime {
         sigma,
-        views,
+        old_graph,
+        new_graph,
         inserted_ranks,
         deleted_ranks,
         config: *config,
@@ -763,16 +605,14 @@ fn pinc_dect_core<V: GraphView + Sync>(
             cost.merge(&out.cost);
         }
     }
-    cost.record_remote(remote_fetches(), config.latency_c);
     stats.record_plan_cache(hits0, misses0, cache);
 
-    let algorithm =
-        algorithm_override.unwrap_or(match (config.work_splitting, config.workload_balancing) {
-            (true, true) => AlgorithmKind::PIncDect,
-            (false, true) => AlgorithmKind::PIncDectNs,
-            (true, false) => AlgorithmKind::PIncDectNb,
-            (false, false) => AlgorithmKind::PIncDectNo,
-        });
+    let algorithm = match (config.work_splitting, config.workload_balancing) {
+        (true, true) => AlgorithmKind::PIncDect,
+        (false, true) => AlgorithmKind::PIncDectNs,
+        (true, false) => AlgorithmKind::PIncDectNb,
+        (false, false) => AlgorithmKind::PIncDectNo,
+    };
     DeltaReport {
         algorithm,
         delta: delta_vio,
@@ -916,114 +756,6 @@ mod tests {
             assert_eq!(deliveries as usize, report.delta.len());
             assert_eq!(report.delta.removed.len(), 99);
         }
-    }
-
-    #[test]
-    fn sharded_streaming_sink_matches_report() {
-        use ngd_graph::PartitionStrategy;
-        let (g, delta, sigma) = example7();
-        let sharded = g.freeze_sharded(4, PartitionStrategy::EdgeCut, 0);
-        let streamed: Mutex<(DeltaViolations, u64)> = Mutex::new((DeltaViolations::new(), 0));
-        let report = pinc_dect_sharded_rebased(
-            &sigma,
-            &sharded,
-            &BatchUpdate::new(),
-            &delta,
-            &DetectorConfig::default().latency(0.5),
-            &PlanCache::new(),
-            Some(&|side, violation| {
-                let mut guard = streamed.lock().unwrap();
-                match side {
-                    VioSide::Added => guard.0.added.insert(violation.clone()),
-                    VioSide::Removed => guard.0.removed.insert(violation.clone()),
-                };
-                guard.1 += 1;
-            }),
-        );
-        let (collected, deliveries) = streamed.into_inner().unwrap();
-        assert_eq!(collected, report.delta);
-        assert_eq!(deliveries as usize, report.delta.len());
-    }
-
-    #[test]
-    fn sharded_agrees_with_sequential_incremental() {
-        use ngd_graph::PartitionStrategy;
-        let (g, delta, sigma) = example7();
-        let sequential = inc_dect(&sigma, &g, &delta);
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            for p in [1, 2, 4] {
-                for halo in [0, sigma.diameter()] {
-                    let sharded = g.freeze_sharded(p, strategy, halo);
-                    let report =
-                        pinc_dect_sharded(&sigma, &sharded, &delta, &DetectorConfig::default());
-                    assert_eq!(
-                        report.delta, sequential.delta,
-                        "{strategy:?} p={p} halo={halo}"
-                    );
-                    assert_eq!(report.algorithm, AlgorithmKind::PIncDectSharded);
-                    assert_eq!(report.processors, p);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_splitting_targets_fragment_queues_not_config_processors() {
-        use ngd_graph::PartitionStrategy;
-        // Fewer fragments than `config.processors`, with a latency constant
-        // tiny enough to force work-unit splitting: split targets must be
-        // chosen modulo the fragment/queue count (regression — this used to
-        // index past the queue vector and hang the run).
-        let (g, delta, sigma) = example7();
-        let reference = inc_dect(&sigma, &g, &delta);
-        let config = DetectorConfig::with_processors(8).latency(0.001);
-        for p in [1, 2, 3] {
-            let sharded = g.freeze_sharded(p, PartitionStrategy::EdgeCut, sigma.diameter());
-            let report = pinc_dect_sharded(&sigma, &sharded, &delta, &config);
-            assert_eq!(report.delta, reference.delta, "p={p}");
-            assert_eq!(report.processors, p);
-            if p > 1 {
-                assert!(report.cost.splits > 0, "p={p}: expected forced splits");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_handles_insertions_of_new_nodes() {
-        use ngd_graph::PartitionStrategy;
-        let (g_old, fake) = paper::figure1_g4();
-        let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
-        let company = g_old.nodes_with_label(intern("company"))[0];
-        let mut delta = BatchUpdate::new();
-        delta.delete_edge(fake, company, intern("keys"));
-        let base = g_old.node_count();
-        let acct = delta.add_node(base, intern("account"), AttrMap::new());
-        let following = delta.add_node(
-            base,
-            intern("integer"),
-            AttrMap::from_pairs([("val", Value::Int(1_000_000))]),
-        );
-        let follower = delta.add_node(
-            base,
-            intern("integer"),
-            AttrMap::from_pairs([("val", Value::Int(2_000_000))]),
-        );
-        let status = delta.add_node(
-            base,
-            intern("boolean"),
-            AttrMap::from_pairs([("val", Value::Bool(true))]),
-        );
-        delta.insert_edge(acct, company, intern("keys"));
-        delta.insert_edge(acct, following, intern("following"));
-        delta.insert_edge(acct, follower, intern("follower"));
-        delta.insert_edge(acct, status, intern("status"));
-
-        let sequential = inc_dect(&sigma, &g_old, &delta);
-        let sharded = g_old.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-        let report = pinc_dect_sharded(&sigma, &sharded, &delta, &DetectorConfig::default());
-        assert_eq!(report.delta, sequential.delta);
-        assert!(!report.delta.added.is_empty());
-        assert!(!report.delta.removed.is_empty());
     }
 
     #[test]

@@ -161,11 +161,9 @@ impl DetectionReport {
         static RUN_NS: ngd_obs::LazyHistogram = ngd_obs::LazyHistogram::new("detect.batch.run_ns");
         static VIOLATIONS: ngd_obs::LazyCounter =
             ngd_obs::LazyCounter::new("detect.batch.violations_found");
-        static REMOTE: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("detect.remote.fetches");
         RUNS.inc();
         RUN_NS.record_duration(self.elapsed);
         VIOLATIONS.add(self.violations.len() as u64);
-        REMOTE.add(self.cost.remote_fetches);
         self.stats.observe();
         self
     }
@@ -181,8 +179,7 @@ ngd_json::impl_json_struct!(DetectionReport {
 });
 
 /// The human-readable summary (examples, `ngd-cli`, logs).  Every
-/// [`CostLedger`] counter is surfaced — `remote_fetches` in particular,
-/// which the sharded detectors account but earlier summaries dropped.
+/// [`CostLedger`] counter is surfaced.
 impl std::fmt::Display for DetectionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -270,7 +267,6 @@ impl DeltaReport {
         static RUN_NS: ngd_obs::LazyHistogram = ngd_obs::LazyHistogram::new("detect.delta.run_ns");
         static CHANGES: ngd_obs::LazyCounter =
             ngd_obs::LazyCounter::new("detect.delta.violations_changed");
-        static REMOTE: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("detect.remote.fetches");
         RUNS.inc();
         if threads_spawned == 0 {
             INLINE.inc();
@@ -278,14 +274,12 @@ impl DeltaReport {
         SPAWNED.add(threads_spawned as u64);
         RUN_NS.record_duration(self.elapsed);
         CHANGES.add(self.delta.len() as u64);
-        REMOTE.add(self.cost.remote_fetches);
         self.stats.observe();
         self
     }
 }
 
-/// The human-readable summary, cost ledger included (see
-/// [`DetectionReport`]'s `Display` for the `remote_fetches` rationale).
+/// The human-readable summary, cost ledger included.
 impl std::fmt::Display for DeltaReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -360,13 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn display_surfaces_every_cost_counter_including_remote_fetches() {
+    fn display_surfaces_every_cost_counter() {
         let mut cost = CostLedger::default();
         cost.record_split(60.0, 2);
-        cost.record_remote(17, 60.0);
+        cost.record_migration(17);
         cost.record_scan(420);
         let report = DeltaReport {
-            algorithm: AlgorithmKind::PIncDectSharded,
+            algorithm: AlgorithmKind::PIncDect,
             delta: DeltaViolations::default(),
             elapsed: Duration::from_millis(3),
             stats: SearchStats::default(),
@@ -375,8 +369,8 @@ mod tests {
             neighborhood_nodes: 0,
         };
         let text = report.to_string();
-        assert!(text.contains("PIncDect (sharded)"), "{text}");
-        assert!(text.contains("remote fetches 17"), "{text}");
+        assert!(text.starts_with("PIncDect: "), "{text}");
+        assert!(text.contains("migrations 17"), "{text}");
         assert!(text.contains("splits 1"), "{text}");
         assert!(text.contains("scanned 420"), "{text}");
         assert!(!text.contains("neighbourhood"), "{text}");
@@ -394,7 +388,7 @@ mod tests {
         };
         let text = report.to_string();
         assert!(text.starts_with("Dect: 0 violations"), "{text}");
-        assert!(!text.contains("remote fetches"), "{text}");
+        assert!(!text.contains("scanned"), "{text}");
     }
 
     #[test]

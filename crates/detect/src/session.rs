@@ -11,45 +11,37 @@
 //!
 //! The overlays themselves are rebuilt per batch from the accumulated net
 //! update, so each [`IncrementalSession::apply`] additionally pays
-//! `O(|accumulated|)` bookkeeping (times the fragment count on the sharded
-//! path) — per-batch latency grows linearly with session age, **not** with
-//! `|G|`: `tests/locality.rs` counts the base-view reads of one 16-op
+//! `O(|accumulated|)` bookkeeping — per-batch latency grows linearly with
+//! session age, **not** with `|G|`: `tests/locality.rs` counts the base-view reads of one 16-op
 //! batch on 11k and on 111k nodes (equal within 1.5×, no whole-graph
 //! enumeration), and with one processor the run never leaves the calling
 //! thread.  **Snapshot compaction** bounds that term: the accumulated
 //! update is folded into a fresh snapshot epoch
 //! (`ngd_graph::persist::CompactionWriter`), and the session re-roots onto
-//! the new epoch with [`IncrementalSession::rebase_onto`] /
-//! [`ShardedIncrementalSession::rebase_onto`] — already-applied changes
-//! are dropped ([`DeltaOverlay::reroot`]) and only the residue (batches
-//! absorbed after the compaction cut) is carried, so a freshly compacted
-//! session restarts from an empty overlay.  `ngd-serve` drives exactly
+//! the new epoch with [`IncrementalSession::rebase_onto`] —
+//! already-applied changes are dropped ([`DeltaOverlay::reroot`]) and only
+//! the residue (batches absorbed after the compaction cut) is carried, so a
+//! freshly compacted session restarts from an empty overlay.  `ngd-serve` drives exactly
 //! this cycle on its `COMPACT`/epoch-switch path.
 //!
-//! Two session types cover the two snapshot shapes:
-//!
-//! * [`IncrementalSession`] over any shared [`GraphView`]
-//!   (a [`CsrSnapshot`](ngd_graph::CsrSnapshot), an
-//!   [`MmapSnapshot`](ngd_graph::persist::MmapSnapshot), …), answering
-//!   through [`pinc_dect_prepared`](crate::pinc_dect_prepared);
-//! * [`ShardedIncrementalSession`] over any [`ShardedRead`] (in-memory or
-//!   memory-mapped sharded snapshots), answering through
-//!   [`pinc_dect_sharded_rebased`].
-//!
-//! Both validate every batch with [`BatchUpdate::validate_against`] before
-//! touching overlay construction, so a malformed batch is a typed
-//! [`UpdateError`] — never a panic — which is what lets `ngd-serve` expose
-//! sessions to untrusted clients.
+//! There is one session type, [`IncrementalSession`], over any
+//! [`GraphView`] (a [`CsrSnapshot`](ngd_graph::CsrSnapshot), an
+//! [`MmapSnapshot`](ngd_graph::persist::MmapSnapshot), …), answering
+//! through [`pinc_dect_prepared`](crate::pinc_dect_prepared).  It validates
+//! every batch with [`BatchUpdate::validate_against`] before touching
+//! overlay construction, so a malformed batch is a typed [`UpdateError`] —
+//! never a panic — which is what lets `ngd-serve` expose sessions to
+//! untrusted clients.
 
 use crate::batch::dect_on_cached;
 use crate::config::DetectorConfig;
-use crate::pincdect::{pinc_dect_prepared_streaming, pinc_dect_sharded_rebased};
+use crate::pincdect::pinc_dect_prepared_streaming;
 use crate::report::{DeltaReport, DetectionReport, VioSink};
 use ngd_core::RuleSet;
-use ngd_graph::{BatchUpdate, DeltaOverlay, GraphView, RebaseError, ShardedRead, UpdateError};
+use ngd_graph::{BatchUpdate, DeltaOverlay, GraphView, RebaseError, UpdateError};
 use ngd_match::PlanCache;
 
-/// Session state over a shared (unsharded) snapshot.
+/// Session state over a snapshot.
 ///
 /// ```
 /// use ngd_core::{paper, RuleSet};
@@ -253,172 +245,12 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
     }
 }
 
-/// Session state over a sharded snapshot: same contract as
-/// [`IncrementalSession`], answered by one worker per fragment through
-/// [`pinc_dect_sharded_rebased`].
-#[derive(Debug)]
-pub struct ShardedIncrementalSession<'a, S: ShardedRead> {
-    sharded: &'a S,
-    accumulated: BatchUpdate,
-    batches_applied: u64,
-}
-
-impl<'a, S: ShardedRead> ShardedIncrementalSession<'a, S> {
-    /// A fresh session over `sharded` with no absorbed updates.
-    pub fn new(sharded: &'a S) -> Self {
-        ShardedIncrementalSession::resume(sharded, BatchUpdate::new(), 0)
-    }
-
-    /// Rebuild a session from previously extracted state (see
-    /// [`ShardedIncrementalSession::into_parts`]).
-    pub fn resume(sharded: &'a S, accumulated: BatchUpdate, batches_applied: u64) -> Self {
-        ShardedIncrementalSession {
-            sharded,
-            accumulated,
-            batches_applied,
-        }
-    }
-
-    /// The sharded store the session reads through.
-    pub fn sharded(&self) -> &'a S {
-        self.sharded
-    }
-
-    /// Re-root the session onto a new sharded snapshot epoch; the
-    /// accumulated overlay is re-rooted against the *global* views (see
-    /// [`IncrementalSession::rebase_onto`]).
-    pub fn rebase_onto<'b, S2: ShardedRead>(
-        &self,
-        new_sharded: &'b S2,
-    ) -> Result<ShardedIncrementalSession<'b, S2>, RebaseError> {
-        let overlay = DeltaOverlay::new(self.sharded.global_view(), &self.accumulated);
-        let rerooted = overlay.reroot(new_sharded.global_view())?;
-        Ok(ShardedIncrementalSession::resume(
-            new_sharded,
-            rerooted.into_batch(),
-            self.batches_applied,
-        ))
-    }
-
-    /// The *net* pending overlay size as `(nodes, edge ops)`.
-    pub fn pending(&self) -> (usize, usize) {
-        let net = self.view().into_batch();
-        (net.new_nodes.len(), net.ops.len())
-    }
-
-    /// Decompose into `(accumulated, batches_applied)` for
-    /// [`ShardedIncrementalSession::resume`].
-    pub fn into_parts(self) -> (BatchUpdate, u64) {
-        (self.accumulated, self.batches_applied)
-    }
-
-    /// The net of every batch absorbed so far, relative to the snapshot.
-    pub fn accumulated(&self) -> &BatchUpdate {
-        &self.accumulated
-    }
-
-    /// Number of batches absorbed since creation (or the last reset).
-    pub fn batches_applied(&self) -> u64 {
-        self.batches_applied
-    }
-
-    /// The current state over the *global* view (reporting and full
-    /// detection; the per-batch hot path stays on the fragment views).
-    pub fn view(&self) -> DeltaOverlay<'_, S::Global> {
-        DeltaOverlay::new(self.sharded.global_view(), &self.accumulated)
-    }
-
-    /// Validate `delta` against the current state, run the sharded parallel
-    /// incremental detector, and fold the batch into the session.
-    ///
-    /// On error the session is unchanged.
-    pub fn apply(
-        &mut self,
-        sigma: &RuleSet,
-        delta: &BatchUpdate,
-        config: &DetectorConfig,
-    ) -> Result<DeltaReport, UpdateError> {
-        self.apply_with_cache(sigma, delta, config, &PlanCache::new())
-    }
-
-    /// [`ShardedIncrementalSession::apply`] with a caller-owned
-    /// [`PlanCache`] (see [`IncrementalSession::apply_with_cache`]).
-    pub fn apply_with_cache(
-        &mut self,
-        sigma: &RuleSet,
-        delta: &BatchUpdate,
-        config: &DetectorConfig,
-        cache: &PlanCache,
-    ) -> Result<DeltaReport, UpdateError> {
-        self.apply_inner(sigma, delta, config, cache, None)
-    }
-
-    /// [`ShardedIncrementalSession::apply_with_cache`] with a [`VioSink`]
-    /// (see [`IncrementalSession::apply_streaming`]): violations stream to
-    /// `sink` during expansion, one worker per fragment.
-    pub fn apply_streaming(
-        &mut self,
-        sigma: &RuleSet,
-        delta: &BatchUpdate,
-        config: &DetectorConfig,
-        cache: &PlanCache,
-        sink: VioSink<'_>,
-    ) -> Result<DeltaReport, UpdateError> {
-        self.apply_inner(sigma, delta, config, cache, Some(sink))
-    }
-
-    fn apply_inner(
-        &mut self,
-        sigma: &RuleSet,
-        delta: &BatchUpdate,
-        config: &DetectorConfig,
-        cache: &PlanCache,
-        sink: Option<VioSink<'_>>,
-    ) -> Result<DeltaReport, UpdateError> {
-        delta.validate_against(&self.view())?;
-        let report = pinc_dect_sharded_rebased(
-            sigma,
-            self.sharded,
-            &self.accumulated,
-            delta,
-            config,
-            cache,
-            sink,
-        );
-        self.accumulated.merge(delta);
-        self.batches_applied += 1;
-        Ok(report)
-    }
-
-    /// Full batch detection over the current state (global view).
-    pub fn detect_all(&self, sigma: &RuleSet) -> DetectionReport {
-        self.detect_all_with_cache(sigma, &PlanCache::new())
-    }
-
-    /// [`ShardedIncrementalSession::detect_all`] with a caller-owned
-    /// [`PlanCache`].
-    pub fn detect_all_with_cache(&self, sigma: &RuleSet, cache: &PlanCache) -> DetectionReport {
-        dect_on_cached(sigma, &self.view(), cache)
-    }
-
-    /// Drop the absorbed updates, returning what was accumulated.
-    pub fn reset(&mut self) -> BatchUpdate {
-        self.batches_applied = 0;
-        std::mem::take(&mut self.accumulated)
-    }
-
-    /// Consume the session, yielding its accumulated update.
-    pub fn into_accumulated(self) -> BatchUpdate {
-        self.accumulated
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::incdect::inc_dect;
     use ngd_core::paper;
-    use ngd_graph::{intern, AttrMap, EdgeRef, PartitionStrategy, UpdateError, Value};
+    use ngd_graph::{intern, AttrMap, EdgeRef, UpdateError, Value};
 
     fn scenario() -> (ngd_graph::Graph, RuleSet) {
         let (g, _) = paper::figure1_g4();
@@ -436,7 +268,8 @@ mod tests {
 
         let mut current = g.clone();
         let edges = g.edge_vec();
-        // Three batches: delete an edge, re-insert it, delete another.
+        // Four batches: delete an edge, re-insert it, delete another, then
+        // grow the graph by two nodes.
         let batches: Vec<BatchUpdate> = {
             let mut b1 = BatchUpdate::new();
             b1.delete_edge(edges[0].src, edges[0].dst, edges[0].label);
@@ -444,7 +277,17 @@ mod tests {
             b2.insert_edge(edges[0].src, edges[0].dst, edges[0].label);
             let mut b3 = BatchUpdate::new();
             b3.delete_edge(edges[1].src, edges[1].dst, edges[1].label);
-            vec![b1, b2, b3]
+            let mut b4 = BatchUpdate::new();
+            let company = g.nodes_with_label(intern("company"))[0];
+            let acct = b4.add_node(g.node_count(), intern("account"), AttrMap::new());
+            let status = b4.add_node(
+                g.node_count(),
+                intern("boolean"),
+                AttrMap::from_pairs([("val", Value::Bool(true))]),
+            );
+            b4.insert_edge(acct, company, intern("keys"));
+            b4.insert_edge(acct, status, intern("status"));
+            vec![b1, b2, b3, b4]
         };
         for (idx, batch) in batches.iter().enumerate() {
             let reference = inc_dect(&sigma, &current, batch);
@@ -456,42 +299,11 @@ mod tests {
                 .apply(&mut current)
                 .expect("materialised state applies");
         }
-        assert_eq!(session.batches_applied(), 3);
+        assert_eq!(session.batches_applied(), 4);
         // The session view agrees with the materialised state.
         let full = session.detect_all(&sigma);
         let expected = crate::batch::dect(&sigma, &current);
         assert_eq!(full.violations, expected.violations);
-    }
-
-    #[test]
-    fn sharded_session_agrees_with_shared_session() {
-        let (g, sigma) = scenario();
-        let snapshot = g.freeze();
-        let sharded = g.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-        let mut shared_session = IncrementalSession::new(&snapshot);
-        let mut sharded_session = ShardedIncrementalSession::new(&sharded);
-        let config = DetectorConfig::default();
-
-        let edges = g.edge_vec();
-        let company = g.nodes_with_label(intern("company"))[0];
-        let mut batch1 = BatchUpdate::new();
-        batch1.delete_edge(edges[0].src, edges[0].dst, edges[0].label);
-        let mut batch2 = BatchUpdate::new();
-        let acct = batch2.add_node(g.node_count(), intern("account"), AttrMap::new());
-        let status = batch2.add_node(
-            g.node_count(),
-            intern("boolean"),
-            AttrMap::from_pairs([("val", Value::Bool(true))]),
-        );
-        batch2.insert_edge(acct, company, intern("keys"));
-        batch2.insert_edge(acct, status, intern("status"));
-
-        for (idx, batch) in [batch1, batch2].iter().enumerate() {
-            let a = shared_session.apply(&sigma, batch, &config).unwrap();
-            let b = sharded_session.apply(&sigma, batch, &config).unwrap();
-            assert_eq!(a.delta, b.delta, "batch #{idx}");
-        }
-        assert_eq!(shared_session.accumulated(), sharded_session.accumulated());
     }
 
     #[test]
@@ -566,36 +378,6 @@ mod tests {
         // added node, one deletion and one insertion.
         let (nodes, ops) = session.pending();
         assert_eq!((nodes, ops), (1, 2));
-    }
-
-    #[test]
-    fn sharded_rebase_onto_matches_the_shared_path() {
-        let (g, sigma) = scenario();
-        let config = DetectorConfig::default();
-        let sharded = g.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-        let snapshot = g.freeze();
-        let edges = g.edge_vec();
-        let mut b1 = BatchUpdate::new();
-        b1.delete_edge(edges[0].src, edges[0].dst, edges[0].label);
-        let mut b2 = BatchUpdate::new();
-        b2.insert_edge(edges[0].src, edges[0].dst, edges[0].label);
-
-        let mut shared = IncrementalSession::new(&snapshot);
-        let a1 = shared.apply(&sigma, &b1, &config).unwrap();
-
-        let mut session = ShardedIncrementalSession::new(&sharded);
-        let s1 = session.apply(&sigma, &b1, &config).unwrap();
-        assert_eq!(a1.delta, s1.delta);
-
-        let compacted_graph = session.accumulated().applied_to(&g).unwrap();
-        let compacted =
-            compacted_graph.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-        let mut session = session.rebase_onto(&compacted).unwrap();
-        assert_eq!(session.pending(), (0, 0));
-
-        let a2 = shared.apply(&sigma, &b2, &config).unwrap();
-        let s2 = session.apply(&sigma, &b2, &config).unwrap();
-        assert_eq!(a2.delta, s2.delta);
     }
 
     #[test]

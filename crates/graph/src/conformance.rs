@@ -3,19 +3,13 @@
 //! [`assert_conforms`] drives **every** method of the trait on a reader and
 //! checks each answer against what the adjacency-list [`Graph`] says — the
 //! build representation is the oracle, the CSR readers are the subjects.
-//! The battery below runs it over seeded random graphs for every reader of
-//! the crate: the in-memory and mapped whole-graph snapshots, and both
-//! fragment views under either partition strategy with halo 0 and halo
-//! `d`.  Because the read sequence is a pure function of the graph, the
-//! in-memory and mapped fragment views must also end it with the same
-//! `remote_fetches()`.
+//! The battery below runs it over seeded random graphs for both storages
+//! the reader plugs into: the in-memory and the mapped snapshot.
 
 use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeId};
 use crate::interner::{intern, Sym, WILDCARD};
-use crate::partition::PartitionStrategy;
-use crate::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use crate::shard::RemoteAccounting;
+use crate::persist::{MmapSnapshot, SnapshotWriter};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::BTreeSet;
@@ -248,53 +242,5 @@ fn whole_graph_readers_conform() {
         let mapped = MmapSnapshot::load(&path).unwrap();
         assert_conforms(&mapped, &g, &format!("seed {seed}: MmapSnapshot"));
         std::fs::remove_file(&path).ok();
-    }
-}
-
-#[test]
-fn fragment_views_conform_and_account_remote_reads_identically() {
-    const D: usize = 2;
-    for seed in SEEDS {
-        let g = random_graph(seed);
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            for halo in [0, D] {
-                let tag = format!("seed {seed} {strategy:?} halo {halo}");
-                let sharded = g.freeze_sharded(3, strategy, halo);
-                let path = temp_path(&format!("frag-{seed}-{strategy:?}-{halo}"));
-                SnapshotWriter::new()
-                    .write_sharded(&sharded, &path)
-                    .unwrap();
-                let mapped = MmapShardedSnapshot::load(&path).unwrap();
-                assert_conforms(mapped.global(), &g, &format!("{tag}: mapped global"));
-
-                let mut foreign_rows = 0;
-                let mut fetches = 0;
-                for f in 0..sharded.fragment_count() {
-                    let mem = sharded.fragment_view(f);
-                    let map = mapped.fragment_view(f);
-                    assert_eq!(map.owned_nodes(), sharded.fragment(f).owned_nodes());
-                    assert_conforms(&mem, &g, &format!("{tag}: FragmentView {f}"));
-                    assert_conforms(&map, &g, &format!("{tag}: MmapFragmentView {f}"));
-                    assert_eq!(
-                        RemoteAccounting::remote_fetches(&mem),
-                        RemoteAccounting::remote_fetches(&map),
-                        "{tag}: fragment {f} accounts the same read sequence differently"
-                    );
-                    for id in g.node_ids() {
-                        assert_eq!(map.is_local(id), sharded.fragment(f).is_local(id));
-                        foreign_rows += usize::from(!map.is_local(id));
-                    }
-                    fetches += mem.remote_fetches();
-                }
-                // The battery must have crossed fragments, or it proved
-                // nothing about the fallback: every fragment sees foreign
-                // rows exactly when fetches were counted.
-                assert_eq!(foreign_rows > 0, fetches > 0, "{tag}");
-                if halo == 0 {
-                    assert!(fetches > 0, "{tag}: halo 0 must read remotely");
-                }
-                std::fs::remove_file(&path).ok();
-            }
-        }
     }
 }

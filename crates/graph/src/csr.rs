@@ -1,8 +1,8 @@
 //! The CSR reader and its in-memory storage.
 //!
-//! Every frozen representation of this crate stores adjacency the same
-//! way: per node (or per fragment-local row) one **run** of
-//! `(edge label, neighbour)` entries sorted by that pair, so that
+//! Both frozen representations of this crate store adjacency the same
+//! way: per node one **run** of `(edge label, neighbour)` entries sorted by
+//! that pair, so that
 //!
 //! * the matcher's candidate-selection step — "neighbours of `v` along
 //!   edges labelled `l`" — is a binary search yielding a **contiguous
@@ -21,15 +21,12 @@
 //! the crate-private `RowStore` / `CsrStore` traits are the seam through
 //! which a storage hands its arrays to the reader; and the single blanket
 //! impl of [`GraphView`] over `S: CsrStore` at the bottom of this module is
-//! the whole-graph reader.  The fragment reader ([`crate::FragmentView`]) is
-//! built on the same `RowStore` seam.  Who plugs in what:
+//! the reader.  Who plugs in what:
 //!
-//! | storage | run-key space | row label / attributes | read as |
-//! |---|---|---|---|
-//! | [`CsrSnapshot`] (heap arrays, [`Graph::freeze`]) | [`Sym`] itself (identity) | `Vec<NodeData>` | whole graph |
-//! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array, lazily decoded attribute blob | whole graph |
-//! | [`crate::FragmentSnapshot`] (heap arrays, [`CsrSnapshot::shard`]) | [`Sym`] (identity) | `Vec<NodeData>` per local row | [`crate::FragmentView`] of a [`crate::ShardedSnapshot`] |
-//! | mapped fragment (one `.ngds` section group per fragment) | file symbol id (the file's one table) | mapped per-row arrays | [`crate::MmapFragmentView`] of a [`crate::MmapShardedSnapshot`] |
+//! | storage | run-key space | row label / attributes |
+//! |---|---|---|
+//! | [`CsrSnapshot`] (heap arrays, [`Graph::freeze`]) | [`Sym`] itself (identity) | `Vec<NodeData>` |
+//! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array, lazily decoded attribute blob |
 //!
 //! Freezing is a single `O(|V| + |E| log |E|)` pass ([`Graph::freeze`]);
 //! updates keep flowing through the mutable [`Graph`] / `BatchUpdate`
@@ -99,8 +96,7 @@ impl<'a, K: Copy + Ord> Side<'a, K> {
 }
 
 /// Row-addressed CSR storage: the seam between the arrays (heap or mapped
-/// file) and the readers.  A *row* is a node id in a whole-graph storage
-/// and a fragment-local index in a fragment.
+/// file) and the reader.  A *row* is a node id.
 pub(crate) trait RowStore {
     /// The type runs are keyed and sorted by.
     type Key: Copy + Ord;
@@ -139,13 +135,13 @@ pub(crate) trait RowStore {
         }
     }
 
-    /// Successors then predecessors of `row` (whose global id is `id`),
-    /// each with the connecting edge in its directed form.
-    fn for_each_incident(&self, row: usize, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        for (key, n) in self.out_side().entries(row) {
+    /// Successors then predecessors of `id`, each with the connecting edge
+    /// in its directed form.
+    fn for_each_incident(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
+        for (key, n) in self.out_side().entries(id.index()) {
             f(n, EdgeRef::new(id, n, self.sym_of(key)));
         }
-        for (key, n) in self.in_side().entries(row) {
+        for (key, n) in self.in_side().entries(id.index()) {
             f(n, EdgeRef::new(n, id, self.sym_of(key)));
         }
     }
@@ -156,9 +152,8 @@ pub(crate) type LabelRanges = HashMap<Sym, (u32, u32)>;
 /// `(src label, edge label, dst label) → range` into the triple arrays.
 pub(crate) type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
 
-/// Whole-graph CSR storage: rows are node ids, plus the two replicated
-/// dictionaries (label partition, triple index).  Implementing this is
-/// what makes a type a [`GraphView`].
+/// CSR storage: the rows plus the two dictionaries (label partition,
+/// triple index).  Implementing this is what makes a type a [`GraphView`].
 pub(crate) trait CsrStore {
     type Rows: RowStore;
 
@@ -227,8 +222,7 @@ impl CsrSide {
 }
 
 /// Heap-allocated rows: node payloads plus both adjacency directions,
-/// keyed by [`Sym`] directly.  The row storage of [`CsrSnapshot`] (rows =
-/// node ids) and of [`crate::FragmentSnapshot`] (rows = local indexes).
+/// keyed by [`Sym`] directly.  The row storage of [`CsrSnapshot`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MemRows {
     pub(crate) nodes: Vec<NodeData>,
@@ -424,8 +418,8 @@ impl Graph {
     }
 }
 
-/// The whole-graph CSR reader: rows are node ids, every read is served
-/// from the storage's own arrays.
+/// The CSR reader: rows are node ids, every read is served from the
+/// storage's own arrays.
 impl<S: CsrStore> GraphView for S {
     fn node_count(&self) -> usize {
         self.counts().0
@@ -519,7 +513,7 @@ impl<S: CsrStore> GraphView for S {
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        self.rows().for_each_incident(id.index(), id, f);
+        self.rows().for_each_incident(id, f);
     }
 
     fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {

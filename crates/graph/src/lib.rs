@@ -29,12 +29,10 @@
 //! updating through `Graph`/`BatchUpdate`; hand snapshots (or overlays) to
 //! the hot paths.
 //!
-//! The frozen layout has four storages — heap or memory-mapped file, whole
-//! graph or one fragment of a sharded snapshot — and **one reader**: the
-//! label-sorted-run logic exists once (in [`csr`]), a whole-graph
-//! [`GraphView`] impl is generic over [`CsrSnapshot`] / [`MmapSnapshot`],
-//! and a single [`FragmentView`] is generic over the in-memory and mapped
-//! fragments.  The table in [`csr`] says who plugs in what.
+//! The frozen layout has two storages — heap or memory-mapped file — and
+//! **one reader**: the label-sorted-run logic exists once (in [`csr`]) and
+//! the [`GraphView`] impl is generic over [`CsrSnapshot`] /
+//! [`MmapSnapshot`].  The table in [`csr`] says who plugs in what.
 //!
 //! On top of the representations this crate provides:
 //!
@@ -47,22 +45,11 @@
 //!   primitive behind the paper's *localizable* incremental algorithm;
 //! * [`update`] — batch edge insertions/deletions (`ΔG`) and their
 //!   application `G ⊕ ΔG`;
-//! * [`partition`] — edge-cut and vertex-cut fragmentation of any
-//!   [`GraphView`] over `p` workers (the METIS substitute used by the
-//!   parallel detectors);
-//! * [`shard`] — [`ShardedSnapshot`]: per-fragment frozen CSRs built from a
-//!   [`Partition`] ([`Graph::freeze_sharded`] / `CsrSnapshot::shard`), each
-//!   fragment owning its nodes' complete label-sorted runs plus a
-//!   replicated `d`-hop halo around its border nodes; workers read through
-//!   a [`FragmentView`] (the one fragment reader, shared with the mapped
-//!   sharded snapshot) whose rare non-local adjacency reads fall back to
-//!   the global snapshot and are counted as cross-fragment candidate
-//!   fetches (the modelled communication cost of the parallel detectors);
 //! * [`persist`] — zero-copy on-disk snapshots: a versioned, checksummed
-//!   binary writer ([`SnapshotWriter`]) and memory-mapped loaders
-//!   ([`MmapSnapshot`], [`MmapShardedSnapshot`]) that validate a file and
-//!   hand its arrays to the same reader in place, so a graph is frozen
-//!   once on disk and read by many detector processes;
+//!   binary writer ([`SnapshotWriter`]) and a memory-mapped loader
+//!   ([`MmapSnapshot`]) that validates a file and hands its arrays to the
+//!   same reader in place, so a graph is frozen once on disk and read by
+//!   many detector processes;
 //! * [`io`] — a plain-text edge-list/attribute format plus JSON
 //!   (de)serialization for graphs;
 //! * [`stats`] — density, degree and component statistics used to check
@@ -82,9 +69,7 @@ pub mod interner;
 pub mod io;
 pub mod neighborhood;
 pub mod overlay;
-pub mod partition;
 pub mod persist;
-pub mod shard;
 pub mod stats;
 pub mod update;
 pub mod value;
@@ -97,14 +82,9 @@ pub use graph::{EdgeRef, Graph, NodeData, NodeId};
 pub use interner::{intern, resolve, Sym, WILDCARD};
 pub use neighborhood::{d_neighbors, d_neighbors_many, induced_subgraph, Neighborhood};
 pub use overlay::{DeltaOverlay, RebaseError};
-pub use partition::{
-    EdgeCutPartitioner, Fragment, Partition, PartitionStrategy, VertexCutPartitioner,
-};
 pub use persist::{
-    CompactError, CompactReport, CompactionWriter, MmapFragmentView, MmapShardedSnapshot,
-    MmapSnapshot, PersistError, ShardedCompactStats, SnapshotWriter,
+    CompactError, CompactReport, CompactionWriter, MmapSnapshot, PersistError, SnapshotWriter,
 };
-pub use shard::{FragmentSnapshot, FragmentView, RemoteAccounting, ShardedRead, ShardedSnapshot};
 pub use stats::GraphStats;
 pub use update::{BatchUpdate, EdgeOp, NewNode, UpdateError};
 pub use value::Value;

@@ -32,8 +32,8 @@ use std::collections::{HashMap, HashSet};
 /// A read-only view of `base ⊕ delta` without materialisation.
 ///
 /// The base defaults to a [`CsrSnapshot`] (the detectors' shared-snapshot
-/// hot path) but can be any [`GraphView`] — the sharded detectors lay the
-/// same overlay over each worker's [`crate::FragmentView`].
+/// hot path) but can be any [`GraphView`] — served sessions lay the same
+/// overlay over a [`crate::MmapSnapshot`].
 #[derive(Debug, Clone)]
 pub struct DeltaOverlay<'a, B: GraphView = CsrSnapshot> {
     base: &'a B,

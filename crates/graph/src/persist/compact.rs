@@ -30,42 +30,19 @@
 //! compaction-equivalence property the integration tests pin — while
 //! costing linear scans instead of the freeze's hashing and sorting.
 //!
-//! Sharded files compact the same way for their global sections; the
-//! stored [`Partition`] is *extended* (new nodes spread by
-//! [`Partition::route_of`]'s hash rule, edge lists patched, border nodes
-//! recomputed) rather than recomputed from scratch — ownership is the
-//! routing contract live sessions depend on.  The per-fragment sections
-//! are then **streamed, not rebuilt**: the net delta is classified per
-//! fragment (a new owned node, a changed border set, or a dirty edge
-//! endpoint materialised in the fragment's old global→local map), and
-//!
-//! * an **untouched** fragment's section group is copied **byte-for-byte**
-//!   out of the mapped old file — no decode, no re-sort, no per-section
-//!   hashing beyond the whole-file checksum fold over the copied bytes
-//!   (only the global→local map grows by `u32::MAX` slots for new nodes);
-//! * a **touched** fragment is rebuilt by pure *slice gathers* from the
-//!   already-merged global arrays: a fragment row's encoded CSR run, label
-//!   and attribute record are byte-identical to the global file-space ones
-//!   for the same node, so no per-fragment sorting or re-encoding happens
-//!   — only the local halo BFS (to `halo_depth`, from the extended border
-//!   set) and the row copies.
-//!
-//! An all-cancelling (net-empty) delta short-circuits both file kinds to a
-//! header rewrite plus a straight byte-copy of every section.
-//! [`CompactionWriter::encode_sharded_with_stats`] reports how many
-//! fragments took each path.
+//! An all-cancelling (net-empty) delta short-circuits to a header rewrite
+//! plus a straight byte-copy of every section.
 
-use super::format::{file_kind, kind, BlobReader, BlobWriter};
-use super::loader::{MmapShardedSnapshot, MmapSnapshot};
-use super::writer::{encode_attrs, encode_partition, push_strings, FileBuilder, SymTable};
+use super::format::{kind, BlobReader, BlobWriter};
+use super::loader::MmapSnapshot;
+use super::writer::{encode_attrs, push_strings, FileBuilder, SymTable};
 use super::PersistError;
-use crate::graph::{EdgeRef, NodeData, NodeId};
+use crate::graph::{EdgeRef, NodeData};
 use crate::interner::{intern, Sym};
 use crate::overlay::DeltaOverlay;
-use crate::partition::{Fragment, Partition, PartitionStrategy, VertexCutPartitioner};
 use crate::update::{BatchUpdate, UpdateError};
 use crate::view::GraphView;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 /// Why a compaction failed: either the input file is unusable or the
@@ -112,36 +89,6 @@ pub struct CompactReport {
     pub node_count: u64,
     /// Edges in the compacted snapshot.
     pub edge_count: u64,
-    /// Was the input (and therefore the output) a sharded snapshot?
-    pub sharded: bool,
-    /// Fragments whose section groups were rebuilt (0 for a shared file).
-    pub fragments_rewritten: u64,
-    /// Fragments whose section groups were byte-copied from the old file
-    /// (0 for a shared file).
-    pub fragments_copied: u64,
-}
-
-/// How the per-fragment streaming merge split the work: every fragment is
-/// either **rewritten** (a gather rebuild, because the delta touched its
-/// owned rows, border set, or halo replicas) or **copied** byte-for-byte
-/// from the old file.  `rewritten + copied == fragment_count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedCompactStats {
-    /// Fragments whose section groups were rebuilt from the merged global.
-    pub fragments_rewritten: usize,
-    /// Fragments whose section groups were byte-copied unchanged.
-    pub fragments_copied: usize,
-}
-
-impl ShardedCompactStats {
-    /// Fold the rewritten/copied split into the global metrics registry.
-    fn observe(&self) {
-        static REWRITTEN: ngd_obs::LazyCounter =
-            ngd_obs::LazyCounter::new("persist.fragments.rewritten");
-        static COPIED: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("persist.fragments.copied");
-        REWRITTEN.add(self.fragments_rewritten as u64);
-        COPIED.add(self.fragments_copied as u64);
-    }
 }
 
 /// Merges an existing `.ngds` file with a canonical net [`BatchUpdate`]
@@ -156,7 +103,7 @@ impl CompactionWriter {
         CompactionWriter
     }
 
-    /// Merge `delta` into the mapped shared snapshot `old`, returning the
+    /// Merge `delta` into the mapped snapshot `old`, returning the
     /// exact bytes of the successor file stamped with `epoch`.
     ///
     /// Byte-identical to `SnapshotWriter::with_epoch(epoch).encode(&(G ⊕
@@ -175,7 +122,6 @@ impl CompactionWriter {
             // copied verbatim.  The checksum only covers the post-header
             // bytes, so this is still byte-identical to a re-encode.
             let mut builder = FileBuilder::new(
-                file_kind::SNAPSHOT,
                 GraphView::node_count(old) as u64,
                 GraphView::edge_count(old) as u64,
                 epoch,
@@ -183,166 +129,24 @@ impl CompactionWriter {
             replay_sections(old, &mut builder);
             return Ok(builder.finish());
         }
-        let mut merged = merge_global(old, &net);
-        let mut builder = FileBuilder::new(
-            file_kind::SNAPSHOT,
-            merged.node_count as u64,
-            merged.edge_count as u64,
-            epoch,
-        );
+        let mut merged = merge_sections(old, &net);
+        let mut builder =
+            FileBuilder::new(merged.node_count as u64, merged.edge_count as u64, epoch);
         merged.push_sections(&mut builder);
         Ok(builder.finish())
     }
 
-    /// Merge `delta` into the mapped sharded snapshot `old`: global
-    /// sections are merged exactly as in [`CompactionWriter::encode`], the
-    /// stored partition is extended in place, and the per-fragment section
-    /// groups are streamed — touched fragments rebuilt by slice gathers
-    /// from the merged global, untouched ones byte-copied from the old
-    /// file (see the module docs).
-    pub fn encode_sharded(
-        &self,
-        old: &MmapShardedSnapshot,
-        delta: &BatchUpdate,
-        epoch: u64,
-    ) -> Result<Vec<u8>, CompactError> {
-        self.encode_sharded_with_stats(old, delta, epoch)
-            .map(|(bytes, _)| bytes)
-    }
-
-    /// As [`CompactionWriter::encode_sharded`], additionally reporting how
-    /// many fragments were rebuilt vs byte-copied.
-    pub fn encode_sharded_with_stats(
-        &self,
-        old: &MmapShardedSnapshot,
-        delta: &BatchUpdate,
-        epoch: u64,
-    ) -> Result<(Vec<u8>, ShardedCompactStats), CompactError> {
-        let _span = ngd_obs::span!("persist.compact");
-        let global = old.global();
-        delta.validate_against(global)?;
-        let net = NetDelta::from_batch(global, delta);
-        let fragment_count = old.partition().fragment_count();
-        if net.is_empty() {
-            let mut builder = FileBuilder::new(
-                file_kind::SHARDED,
-                GraphView::node_count(global) as u64,
-                GraphView::edge_count(global) as u64,
-                epoch,
-            );
-            replay_sections(global, &mut builder);
-            let stats = ShardedCompactStats {
-                fragments_rewritten: 0,
-                fragments_copied: fragment_count,
-            };
-            stats.observe();
-            return Ok((builder.finish(), stats));
-        }
-
-        let merged = merge_global(global, &net);
-        let partition = extend_partition(old.partition(), &net, &merged);
-
-        // Classify: which fragments can possibly differ from their old
-        // section group?  A fragment must be rewritten iff the symbol
-        // remap is not the identity (every label byte shifts), it gained
-        // an owned node, its border (= halo seed) set changed, or a dirty
-        // edge endpoint is materialised in it — anything else leaves its
-        // encoded rows untouched (first-changed-edge argument: any halo
-        // grow/shrink path crosses a dirty node already materialised).
-        let old_n = GraphView::node_count(global);
-        let mut dirty: Vec<u32> = net
-            .del
-            .iter()
-            .chain(net.ins.iter())
-            .flat_map(|e| [e.src.0, e.dst.0])
-            .filter(|&v| (v as usize) < old_n)
-            .collect();
-        dirty.sort_unstable();
-        dirty.dedup();
-        let rewrite: Vec<bool> = (0..fragment_count)
-            .map(|idx| {
-                if !merged.remap_identity {
-                    return true;
-                }
-                let (old_frag, new_frag) =
-                    (&old.partition().fragments[idx], &partition.fragments[idx]);
-                if new_frag.nodes.len() != old_frag.nodes.len()
-                    || new_frag.border_nodes != old_frag.border_nodes
-                {
-                    return true;
-                }
-                let g2l = old.raw_fragment_g2l(idx);
-                dirty.iter().any(|&v| g2l[v as usize] != u32::MAX)
-            })
-            .collect();
-
-        // Rebuild the touched fragments *before* pushing the global
-        // sections (push_sections consumes the merged blobs).
-        let rebuilt: Vec<Option<FragmentArrays>> = (0..fragment_count)
-            .map(|idx| {
-                rewrite[idx]
-                    .then(|| gather_fragment(&merged, &partition.fragments[idx], old.halo_depth()))
-            })
-            .collect();
-
-        let mut merged = merged;
-        let mut builder = FileBuilder::new(
-            file_kind::SHARDED,
-            merged.node_count as u64,
-            merged.edge_count as u64,
-            epoch,
-        );
-        merged.push_sections(&mut builder);
-
-        let mut meta = BlobWriter::new();
-        meta.put_u64(old.halo_depth() as u64);
-        meta.put_u32(partition.fragment_count() as u32);
-        builder.add_blob(kind::SHARD_META, 0, 1, meta.into_bytes());
-        builder.add_blob(
-            kind::PARTITION,
-            0,
-            partition.fragment_count() as u64,
-            encode_partition(&partition, &merged.syms),
-        );
-
-        let new_nodes = merged.node_count - old_n;
-        for (idx, arrays) in rebuilt.into_iter().enumerate() {
-            match arrays {
-                Some(arrays) => arrays.push(&mut builder, (idx + 1) as u32),
-                None => copy_fragment_group(global, &mut builder, idx, new_nodes),
-            }
-        }
-        let stats = ShardedCompactStats {
-            fragments_rewritten: rewrite.iter().filter(|&&r| r).count(),
-            fragments_copied: rewrite.iter().filter(|&&r| !r).count(),
-        };
-        stats.observe();
-        Ok((builder.finish(), stats))
-    }
-
-    /// Compact `in_path` (shared or sharded — auto-detected) merged with
-    /// `delta` into `out_path`, stamping `old epoch + 1`.
+    /// Compact `in_path` merged with `delta` into `out_path`, stamping
+    /// `old epoch + 1`.
     pub fn compact_file(
         &self,
         in_path: &Path,
         delta: &BatchUpdate,
         out_path: &Path,
     ) -> Result<CompactReport, CompactError> {
-        let (bytes, epoch, sharded, stats) = match MmapSnapshot::load(in_path) {
-            Ok(old) => (
-                self.encode(&old, delta, old.epoch() + 1)?,
-                old.epoch() + 1,
-                false,
-                None,
-            ),
-            Err(PersistError::WrongKind { .. }) => {
-                let old = MmapShardedSnapshot::load(in_path)?;
-                let (bytes, stats) =
-                    self.encode_sharded_with_stats(&old, delta, old.epoch() + 1)?;
-                (bytes, old.epoch() + 1, true, Some(stats))
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let old = MmapSnapshot::load(in_path)?;
+        let epoch = old.epoch() + 1;
+        let bytes = self.encode(&old, delta, epoch)?;
         let header = super::format::FileHeader::parse(&bytes).expect("writer emits valid headers");
         std::fs::write(out_path, &bytes)
             .map_err(|e| PersistError::Io(format!("write {}: {e}", out_path.display())))?;
@@ -351,9 +155,6 @@ impl CompactionWriter {
             epoch,
             node_count: header.node_count,
             edge_count: header.edge_count,
-            sharded,
-            fragments_rewritten: stats.map_or(0, |s| s.fragments_rewritten as u64),
-            fragments_copied: stats.map_or(0, |s| s.fragments_copied as u64),
         })
     }
 }
@@ -366,170 +167,9 @@ fn replay_sections(old: &MmapSnapshot, builder: &mut FileBuilder) {
     for entry in old.raw_section_table() {
         builder.add_blob(
             entry.kind,
-            entry.owner,
             entry.elem_count,
             old.raw_section_bytes(entry).to_vec(),
         );
-    }
-}
-
-/// Byte-copy fragment `idx`'s whole section group out of the mapped old
-/// file.  The only section whose bytes depend on data outside the
-/// fragment is the global→local map (one slot per *global* node): it is
-/// extended with `u32::MAX` (absent) for each appended node.
-fn copy_fragment_group(
-    global: &MmapSnapshot,
-    builder: &mut FileBuilder,
-    idx: usize,
-    new_nodes: usize,
-) {
-    let owner = (idx + 1) as u32;
-    for section_kind in kind::FRAGMENT_GROUP {
-        let (bytes, elem_count) = global
-            .raw_section(section_kind, owner)
-            .expect("sharded file holds a full section group per fragment");
-        if section_kind == kind::FRAG_GLOBAL_TO_LOCAL && new_nodes > 0 {
-            let mut extended = Vec::with_capacity(bytes.len() + new_nodes * 4);
-            extended.extend_from_slice(bytes);
-            extended.extend(std::iter::repeat_n(0xFFu8, new_nodes * 4));
-            builder.add_blob(section_kind, owner, elem_count + new_nodes as u64, extended);
-        } else {
-            builder.add_blob(section_kind, owner, elem_count, bytes.to_vec());
-        }
-    }
-}
-
-/// One rebuilt fragment's section payloads, gathered from the merged
-/// global arrays.
-struct FragmentArrays {
-    meta: Vec<u8>,
-    local_to_global: Vec<u32>,
-    global_to_local: Vec<u32>,
-    node_labels: Vec<u32>,
-    node_attrs: Vec<u8>,
-    out: (Vec<u32>, Vec<u32>, Vec<u32>),
-    inn: (Vec<u32>, Vec<u32>, Vec<u32>),
-}
-
-impl FragmentArrays {
-    /// Emit the group in the exact order
-    /// [`super::writer::push_fragment_sections`] uses.
-    fn push(self, builder: &mut FileBuilder, owner: u32) {
-        let rows = self.local_to_global.len() as u64;
-        builder.add_blob(kind::FRAG_META, owner, 1, self.meta);
-        builder.add_u32s(kind::FRAG_LOCAL_TO_GLOBAL, owner, &self.local_to_global);
-        builder.add_u32s(kind::FRAG_GLOBAL_TO_LOCAL, owner, &self.global_to_local);
-        builder.add_u32s(kind::FRAG_NODE_LABELS, owner, &self.node_labels);
-        builder.add_blob(kind::FRAG_NODE_ATTRS, owner, rows, self.node_attrs);
-        builder.add_u32s(kind::FRAG_OUT_OFFSETS, owner, &self.out.0);
-        builder.add_u32s(kind::FRAG_OUT_LABELS, owner, &self.out.1);
-        builder.add_u32s(kind::FRAG_OUT_NEIGHBORS, owner, &self.out.2);
-        builder.add_u32s(kind::FRAG_IN_OFFSETS, owner, &self.inn.0);
-        builder.add_u32s(kind::FRAG_IN_LABELS, owner, &self.inn.1);
-        builder.add_u32s(kind::FRAG_IN_NEIGHBORS, owner, &self.inn.2);
-    }
-}
-
-/// Rebuild one fragment by slice gathers from the merged global arrays.
-///
-/// A fragment row's encoded content is byte-identical to the global
-/// file-space content of the same node: runs are complete, neighbours
-/// stay global, `(label, neighbour)` order matches, a self-loop lands
-/// once per side in both encodings, and attribute records are per-node
-/// deterministic.  So the rebuild is pure copying — the only computation
-/// is the halo BFS that picks the rows.
-fn gather_fragment(merged: &MergedGlobal, frag: &Fragment, halo_depth: usize) -> FragmentArrays {
-    let mut owned: Vec<u32> = frag.nodes.iter().map(|n| n.0).collect();
-    owned.sort_unstable();
-
-    // Halo: BFS to `halo_depth` undirected hops from the border nodes
-    // over the merged CSR (out ∪ in neighbours), minus owned nodes.
-    let mut visited = vec![false; merged.node_count];
-    let mut frontier: Vec<u32> = Vec::new();
-    for n in &frag.border_nodes {
-        if !std::mem::replace(&mut visited[n.index()], true) {
-            frontier.push(n.0);
-        }
-    }
-    let mut reach: Vec<u32> = frontier.clone();
-    for _ in 0..halo_depth {
-        let mut next: Vec<u32> = Vec::new();
-        for &u in &frontier {
-            let u = u as usize;
-            let out_run = merged.out.0[u] as usize..merged.out.0[u + 1] as usize;
-            let in_run = merged.inn.0[u] as usize..merged.inn.0[u + 1] as usize;
-            for &v in merged.out.2[out_run].iter().chain(&merged.inn.2[in_run]) {
-                if !std::mem::replace(&mut visited[v as usize], true) {
-                    next.push(v);
-                }
-            }
-        }
-        reach.extend_from_slice(&next);
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    let mut halo: Vec<u32> = reach
-        .into_iter()
-        .filter(|v| owned.binary_search(v).is_err())
-        .collect();
-    halo.sort_unstable();
-
-    let owned_count = owned.len();
-    let mut local_to_global = owned;
-    local_to_global.extend_from_slice(&halo);
-    let mut global_to_local = vec![u32::MAX; merged.node_count];
-    for (row, &g) in local_to_global.iter().enumerate() {
-        global_to_local[g as usize] = row as u32;
-    }
-
-    let node_labels: Vec<u32> = local_to_global
-        .iter()
-        .map(|&g| merged.node_labels[g as usize])
-        .collect();
-    let mut node_attrs = Vec::with_capacity(local_to_global.len().saturating_mul(8));
-    for &g in &local_to_global {
-        let (start, end) = (
-            merged.attr_starts[g as usize] as usize,
-            merged.attr_starts[g as usize + 1] as usize,
-        );
-        node_attrs.extend_from_slice(&merged.node_attrs[start..end]);
-    }
-
-    let gather_side = |side: &(Vec<u32>, Vec<u32>, Vec<u32>)| {
-        let (offsets, labels, neighbors) = side;
-        let total: usize = local_to_global
-            .iter()
-            .map(|&g| (offsets[g as usize + 1] - offsets[g as usize]) as usize)
-            .sum();
-        let mut new_offsets = Vec::with_capacity(local_to_global.len() + 1);
-        let mut new_labels = Vec::with_capacity(total);
-        let mut new_neighbors = Vec::with_capacity(total);
-        new_offsets.push(0u32);
-        for &g in &local_to_global {
-            let run = offsets[g as usize] as usize..offsets[g as usize + 1] as usize;
-            new_labels.extend_from_slice(&labels[run.clone()]);
-            new_neighbors.extend_from_slice(&neighbors[run]);
-            new_offsets.push(new_labels.len() as u32);
-        }
-        (new_offsets, new_labels, new_neighbors)
-    };
-    let out = gather_side(&merged.out);
-    let inn = gather_side(&merged.inn);
-
-    let mut meta = BlobWriter::new();
-    meta.put_u32(frag.id as u32);
-    meta.put_u32(owned_count as u32);
-    meta.put_u64(out.1.len() as u64);
-    FragmentArrays {
-        meta: meta.into_bytes(),
-        local_to_global,
-        global_to_local,
-        node_labels,
-        node_attrs,
-        out,
-        inn,
     }
 }
 
@@ -560,20 +200,13 @@ impl NetDelta {
     }
 }
 
-/// Every merged global section, plus the merged symbol table.
-struct MergedGlobal {
+/// Every merged section, plus the merged symbol table.
+struct Merged {
     node_count: usize,
     edge_count: usize,
     syms: SymTable,
-    /// Was the old→new file-symbol remap the identity?  When it is,
-    /// untouched fragments' label/attr/run bytes cannot have shifted and
-    /// become eligible for byte-copying.
-    remap_identity: bool,
     node_labels: Vec<u32>,
     node_attrs: Vec<u8>,
-    /// Record boundaries into `node_attrs` (`node_count + 1` entries), so
-    /// fragment rebuilds can splice per-node records without decoding.
-    attr_starts: Vec<u32>,
     out: (Vec<u32>, Vec<u32>, Vec<u32>),
     inn: (Vec<u32>, Vec<u32>, Vec<u32>),
     label_order: Vec<u32>,
@@ -585,37 +218,34 @@ struct MergedGlobal {
     triple_range_count: u64,
 }
 
-impl MergedGlobal {
-    /// Emit the global sections in the exact order
+impl Merged {
+    /// Emit the sections in the exact order
     /// [`super::SnapshotWriter`] uses, so the file layout is identical.
     /// Consumes the blobs so a megabyte-scale merge is moved, not copied.
     fn push_sections(&mut self, builder: &mut FileBuilder) {
         push_strings(builder, &self.syms);
-        builder.add_u32s(kind::NODE_LABELS, 0, &self.node_labels);
+        builder.add_u32s(kind::NODE_LABELS, &self.node_labels);
         builder.add_blob(
             kind::NODE_ATTRS,
-            0,
             self.node_count as u64,
             std::mem::take(&mut self.node_attrs),
         );
-        builder.add_u32s(kind::OUT_OFFSETS, 0, &self.out.0);
-        builder.add_u32s(kind::OUT_LABELS, 0, &self.out.1);
-        builder.add_u32s(kind::OUT_NEIGHBORS, 0, &self.out.2);
-        builder.add_u32s(kind::IN_OFFSETS, 0, &self.inn.0);
-        builder.add_u32s(kind::IN_LABELS, 0, &self.inn.1);
-        builder.add_u32s(kind::IN_NEIGHBORS, 0, &self.inn.2);
-        builder.add_u32s(kind::LABEL_ORDER, 0, &self.label_order);
+        builder.add_u32s(kind::OUT_OFFSETS, &self.out.0);
+        builder.add_u32s(kind::OUT_LABELS, &self.out.1);
+        builder.add_u32s(kind::OUT_NEIGHBORS, &self.out.2);
+        builder.add_u32s(kind::IN_OFFSETS, &self.inn.0);
+        builder.add_u32s(kind::IN_LABELS, &self.inn.1);
+        builder.add_u32s(kind::IN_NEIGHBORS, &self.inn.2);
+        builder.add_u32s(kind::LABEL_ORDER, &self.label_order);
         builder.add_blob(
             kind::LABEL_RANGES,
-            0,
             self.label_range_count,
             std::mem::take(&mut self.label_ranges),
         );
-        builder.add_u32s(kind::TRIPLE_SRC, 0, &self.triple_src);
-        builder.add_u32s(kind::TRIPLE_DST, 0, &self.triple_dst);
+        builder.add_u32s(kind::TRIPLE_SRC, &self.triple_src);
+        builder.add_u32s(kind::TRIPLE_DST, &self.triple_dst);
         builder.add_blob(
             kind::TRIPLE_RANGES,
-            0,
             self.triple_range_count,
             std::mem::take(&mut self.triple_ranges),
         );
@@ -760,18 +390,9 @@ fn skip_attr_value(reader: &mut BlobReader<'_>) {
 
 /// Rewrite the old attribute blob with remapped name ids and append the
 /// new nodes' tuples.  The remap is monotone, so per-record name order is
-/// preserved without sorting.  Also returns the record boundaries
-/// (`node_count + 1` offsets) for per-row splicing by fragment rebuilds.
-fn merge_attrs(
-    old: &MmapSnapshot,
-    net: &NetDelta,
-    syms: &SymMerge,
-    table: &SymTable,
-) -> (Vec<u8>, Vec<u32>) {
-    let total = GraphView::node_count(old) + net.batch.new_nodes.len();
-    let mut starts = Vec::with_capacity(total + 1);
+/// preserved without sorting.
+fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge, table: &SymTable) -> Vec<u8> {
     let mut blob = BlobWriter::new();
-    starts.push(0u32);
     for idx in 0..GraphView::node_count(old) {
         let record = old.raw_attr_record(idx);
         let mut reader = BlobReader::new(record, "attr record");
@@ -784,7 +405,6 @@ fn merge_attrs(
             skip_attr_value(&mut reader);
             blob.put_bytes(&record[before..reader.pos()]);
         }
-        starts.push(blob.len() as u32);
     }
     let mut out = blob.into_bytes();
     for n in &net.batch.new_nodes {
@@ -793,9 +413,8 @@ fn merge_attrs(
             attrs: n.attrs.clone(),
         };
         out.extend_from_slice(&encode_attrs(std::slice::from_ref(&node), table));
-        starts.push(out.len() as u32);
     }
-    (out, starts)
+    out
 }
 
 /// `(row → sorted per-row entries)` as a row-sorted list, walked with a
@@ -1126,18 +745,13 @@ fn merge_triples(
     (triple_src, triple_dst, ranges.into_bytes(), count)
 }
 
-/// Run every per-section merge over the shared (global) sections.
-fn merge_global(old: &MmapSnapshot, net: &NetDelta) -> MergedGlobal {
+/// Run every per-section merge.
+fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
     let old_n = GraphView::node_count(old);
     let total_nodes = old_n + net.batch.new_nodes.len();
     let edge_count = GraphView::edge_count(old) + net.ins.len() - net.del.len();
 
     let syms = merge_symbols(old, net);
-    let remap_identity = syms
-        .old_to_new
-        .iter()
-        .enumerate()
-        .all(|(fid, &new)| new == fid as u32);
     let mut node_labels: Vec<u32> = old
         .raw_node_labels()
         .iter()
@@ -1146,7 +760,7 @@ fn merge_global(old: &MmapSnapshot, net: &NetDelta) -> MergedGlobal {
     node_labels.extend(net.batch.new_nodes.iter().map(|n| syms.new_fid(n.label)));
 
     let table = SymTable::from_parts(syms.strings.clone(), syms.sym_to_new.clone());
-    let (node_attrs, attr_starts) = merge_attrs(old, net, &syms, &table);
+    let node_attrs = merge_attrs(old, net, &syms, &table);
     let out = merge_side(old, net, &syms, true, total_nodes);
     let inn = merge_side(old, net, &syms, false, total_nodes);
     let (label_order, label_ranges, label_range_count) =
@@ -1154,14 +768,12 @@ fn merge_global(old: &MmapSnapshot, net: &NetDelta) -> MergedGlobal {
     let (triple_src, triple_dst, triple_ranges, triple_range_count) =
         merge_triples(old, net, &syms, &node_labels);
 
-    MergedGlobal {
+    Merged {
         node_count: total_nodes,
         edge_count,
         syms: table,
-        remap_identity,
         node_labels,
         node_attrs,
-        attr_starts,
         out,
         inn,
         label_order,
@@ -1174,112 +786,11 @@ fn merge_global(old: &MmapSnapshot, net: &NetDelta) -> MergedGlobal {
     }
 }
 
-/// Extend the stored partition with the delta instead of repartitioning:
-/// ownership is the routing contract live sessions rely on, so owned-node
-/// sets only grow (new nodes spread by [`Partition::route_of`]'s hash
-/// rule) and the edge/border bookkeeping is patched in place.
-fn extend_partition(old: &Partition, net: &NetDelta, merged: &MergedGlobal) -> Partition {
-    let mut p = old.clone();
-    let parts = p.fragments.len().max(1);
-    let old_n = p.owner.len();
-    for idx in old_n..merged.node_count {
-        let owner = idx % parts;
-        p.owner.push(owner);
-        p.fragments[owner].nodes.push(NodeId(idx as u32));
-    }
-
-    let deleted: HashSet<EdgeRef> = net.del.iter().copied().collect();
-    for frag in &mut p.fragments {
-        frag.internal_edges.retain(|e| !deleted.contains(e));
-    }
-    p.crossing_edges.retain(|e| !deleted.contains(e));
-
-    match p.strategy {
-        PartitionStrategy::EdgeCut => {
-            for e in &net.ins {
-                if p.owner[e.src.index()] == p.owner[e.dst.index()] {
-                    p.fragments[p.owner[e.src.index()]].internal_edges.push(*e);
-                } else {
-                    p.crossing_edges.push(*e);
-                }
-            }
-            // Border nodes: recomputed exactly like the partitioner does
-            // (ascending node id per fragment).
-            let mut is_border = vec![false; merged.node_count];
-            for e in &p.crossing_edges {
-                is_border[e.src.index()] = true;
-                is_border[e.dst.index()] = true;
-            }
-            for frag in &mut p.fragments {
-                frag.border_nodes.clear();
-            }
-            for (idx, &border) in is_border.iter().enumerate() {
-                if border {
-                    p.fragments[p.owner[idx]]
-                        .border_nodes
-                        .push(NodeId(idx as u32));
-                }
-            }
-        }
-        PartitionStrategy::VertexCut => {
-            let hasher = VertexCutPartitioner::new(parts);
-            for e in &net.ins {
-                let frag = hasher.edge_fragment(e);
-                p.fragments[frag].internal_edges.push(*e);
-            }
-            // Re-derive replication from the final edge assignment.
-            // Flat |V|·p bitmap — one allocation, not one Vec per node.
-            let mut membership = vec![false; merged.node_count * parts];
-            for frag in &p.fragments {
-                for e in &frag.internal_edges {
-                    membership[e.src.index() * parts + frag.id] = true;
-                    membership[e.dst.index() * parts + frag.id] = true;
-                }
-            }
-            let replicated: Vec<bool> = membership
-                .chunks(parts)
-                .map(|m| m.iter().filter(|&&t| t).count() > 1)
-                .collect();
-            for frag in &mut p.fragments {
-                frag.border_nodes.clear();
-            }
-            for (idx, frags) in membership.chunks(parts).enumerate() {
-                if !replicated[idx] {
-                    continue;
-                }
-                for (f, &touches) in frags.iter().enumerate() {
-                    if touches {
-                        p.fragments[f].border_nodes.push(NodeId(idx as u32));
-                    }
-                }
-            }
-            // Crossing edges (edges incident to a replicated endpoint):
-            // keep the stored order for entries that still qualify, then
-            // append newly-qualifying edges in canonical order.
-            let crossing = |e: &EdgeRef| replicated[e.src.index()] || replicated[e.dst.index()];
-            p.crossing_edges.retain(crossing);
-            let present: HashSet<EdgeRef> = p.crossing_edges.iter().copied().collect();
-            let mut appended: Vec<EdgeRef> = Vec::new();
-            for frag in &p.fragments {
-                for e in &frag.internal_edges {
-                    if crossing(e) && !present.contains(e) {
-                        appended.push(*e);
-                    }
-                }
-            }
-            appended.sort_unstable();
-            appended.dedup();
-            p.crossing_edges.extend(appended);
-        }
-    }
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::AttrMap;
-    use crate::graph::Graph;
+    use crate::graph::{Graph, NodeId};
     use crate::persist::SnapshotWriter;
     use crate::value::Value;
     use std::path::PathBuf;
@@ -1409,23 +920,6 @@ mod tests {
         delta.delete_edge(n[2], n[0], intern("ghost"));
         let err = CompactionWriter::new().encode(&old, &delta, 1).unwrap_err();
         assert!(matches!(err, CompactError::Update(_)), "{err:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_empty_delta_round_trips_and_loads() {
-        let (g, _) = sample();
-        let sharded = g.freeze_sharded(2, PartitionStrategy::EdgeCut, 1);
-        let path = temp_path("sharded");
-        SnapshotWriter::new()
-            .write_sharded(&sharded, &path)
-            .unwrap();
-        let old = MmapShardedSnapshot::load(&path).unwrap();
-        let compacted = CompactionWriter::new()
-            .encode_sharded(&old, &BatchUpdate::new(), 1)
-            .unwrap();
-        let rewritten = SnapshotWriter::with_epoch(1).encode_sharded(&sharded);
-        assert_eq!(compacted, rewritten);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -22,7 +22,7 @@
 //! |--------|------|---------------------------------------------------|
 //! | 0      | 8    | magic `NGDSNAP\0`                                 |
 //! | 8      | 4    | format version                                    |
-//! | 12     | 4    | file kind (1 = snapshot, 2 = sharded snapshot)    |
+//! | 12     | 4    | file kind (1 = snapshot; 2 reserved, rejected)     |
 //! | 16     | 4    | section count                                     |
 //! | 20     | 4    | section alignment (= 64)                          |
 //! | 24     | 8    | total file length in bytes                        |
@@ -36,7 +36,7 @@
 //! | offset | size | field                                             |
 //! |--------|------|---------------------------------------------------|
 //! | 0      | 4    | section kind ([`kind`])                           |
-//! | 4      | 4    | owner (0 = global, `i + 1` = fragment `i`)        |
+//! | 4      | 4    | owner (always 0)                                  |
 //! | 8      | 8    | absolute byte offset (multiple of 64)             |
 //! | 16     | 8    | payload length in bytes (excludes padding)        |
 //! | 24     | 8    | element count                                     |
@@ -72,14 +72,16 @@ pub const SECTION_ALIGN: usize = 64;
 pub mod file_kind {
     /// A single [`crate::CsrSnapshot`].
     pub const SNAPSHOT: u32 = 1;
-    /// A [`crate::ShardedSnapshot`]: global snapshot + per-fragment sections.
+    /// Reserved: the sharded snapshots older builds wrote.  No writer for it
+    /// remains and every loader rejects it with
+    /// [`crate::PersistError::WrongKind`]; the value is kept so it is never reused.
     pub const SHARDED: u32 = 2;
 }
 
 /// Section kinds.  `u32` sections are flat little-endian `u32` arrays;
 /// `blob` sections carry their own internal layout (documented at the
-/// decoder).  Fragment sections repeat once per fragment with
-/// `owner = fragment + 1`.
+/// decoder).  Kinds 15–27 belonged to the retired sharded file kind and
+/// are not reused.
 pub mod kind {
     /// Blob: the file-local string table (`count`, then `len + UTF-8` each).
     pub const STRINGS: u32 = 1;
@@ -109,51 +111,6 @@ pub mod kind {
     pub const TRIPLE_SRC: u32 = 13;
     /// u32 × `triple entries`: edge destinations, aligned with TRIPLE_SRC.
     pub const TRIPLE_DST: u32 = 14;
-    /// Blob: the [`crate::Partition`] the shards were built from.
-    pub const PARTITION: u32 = 15;
-    /// Blob: sharded metadata (halo depth, fragment count).
-    pub const SHARD_META: u32 = 16;
-    /// Blob: one fragment's metadata (id, owned count, edge entries).
-    pub const FRAG_META: u32 = 17;
-    /// u32 × materialised count: fragment row → global node id.
-    pub const FRAG_LOCAL_TO_GLOBAL: u32 = 18;
-    /// u32 × `node_count`: global node id → fragment row (`u32::MAX` = none).
-    pub const FRAG_GLOBAL_TO_LOCAL: u32 = 19;
-    /// u32 × materialised count: per-row label (file symbol ids).
-    pub const FRAG_NODE_LABELS: u32 = 20;
-    /// Blob: per-row attribute tuples.
-    pub const FRAG_NODE_ATTRS: u32 = 21;
-    /// u32: fragment out-CSR row offsets.
-    pub const FRAG_OUT_OFFSETS: u32 = 22;
-    /// u32: fragment out-CSR edge labels (file symbol ids).
-    pub const FRAG_OUT_LABELS: u32 = 23;
-    /// u32: fragment out-CSR neighbour node ids (global).
-    pub const FRAG_OUT_NEIGHBORS: u32 = 24;
-    /// u32: fragment in-CSR row offsets.
-    pub const FRAG_IN_OFFSETS: u32 = 25;
-    /// u32: fragment in-CSR edge labels (file symbol ids).
-    pub const FRAG_IN_LABELS: u32 = 26;
-    /// u32: fragment in-CSR neighbour node ids (global).
-    pub const FRAG_IN_NEIGHBORS: u32 = 27;
-
-    /// One fragment's **section group**: every per-fragment kind, in the
-    /// exact order the writer pushes them.  The compaction writer walks
-    /// this list to byte-copy an untouched fragment's group out of the
-    /// mapped old file, and to emit a rebuilt fragment's sections in the
-    /// writer's canonical layout.
-    pub const FRAGMENT_GROUP: [u32; 11] = [
-        FRAG_META,
-        FRAG_LOCAL_TO_GLOBAL,
-        FRAG_GLOBAL_TO_LOCAL,
-        FRAG_NODE_LABELS,
-        FRAG_NODE_ATTRS,
-        FRAG_OUT_OFFSETS,
-        FRAG_OUT_LABELS,
-        FRAG_OUT_NEIGHBORS,
-        FRAG_IN_OFFSETS,
-        FRAG_IN_LABELS,
-        FRAG_IN_NEIGHBORS,
-    ];
 }
 
 /// Round `value` up to the next multiple of [`SECTION_ALIGN`].
@@ -299,7 +256,7 @@ impl FileHeader {
 pub struct SectionEntry {
     /// One of [`kind`].
     pub kind: u32,
-    /// 0 for global sections, `fragment + 1` for fragment sections.
+    /// Always 0 (non-zero owners belonged to the retired sharded kind).
     pub owner: u32,
     /// Absolute byte offset of the payload (multiple of [`SECTION_ALIGN`]).
     pub offset: u64,
@@ -394,21 +351,12 @@ impl BlobWriter {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
-    pub(crate) fn put_u64(&mut self, value: u64) {
-        self.buf.extend_from_slice(&value.to_le_bytes());
-    }
-
     pub(crate) fn put_i64(&mut self, value: i64) {
         self.buf.extend_from_slice(&value.to_le_bytes());
     }
 
     pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes written so far — record boundaries for framed sub-blobs.
-    pub(crate) fn len(&self) -> usize {
-        self.buf.len()
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -461,10 +409,6 @@ impl<'a> BlobReader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
     pub(crate) fn i64(&mut self) -> Result<i64, PersistError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
     }
@@ -476,34 +420,6 @@ impl<'a> BlobReader<'a> {
     /// Current read position (used to index records inside a blob).
     pub(crate) fn pos(&self) -> usize {
         self.pos
-    }
-
-    /// Bytes left to read — decoders check `count * record_size` against
-    /// this *before* reserving memory for `count` records, so a crafted
-    /// count fails typed instead of forcing a huge allocation.
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Validate that `count` records of at least `record_size` bytes each
-    /// can still follow, then return `count` for use with `with_capacity`.
-    pub(crate) fn record_count(
-        &self,
-        count: u32,
-        record_size: usize,
-    ) -> Result<usize, PersistError> {
-        let count = count as usize;
-        if count
-            .checked_mul(record_size)
-            .is_none_or(|need| need > self.remaining())
-        {
-            return Err(PersistError::Corrupt(format!(
-                "{}: {count} records of >= {record_size} bytes in {} remaining bytes",
-                self.what,
-                self.remaining()
-            )));
-        }
-        Ok(count)
     }
 
     /// Require that the blob was consumed exactly.

@@ -1,10 +1,9 @@
-//! Zero-copy loading: the file-backed storages [`MmapSnapshot`] and
-//! [`MmapShardedSnapshot`] (whose workers read [`MmapFragmentView`]s).
+//! Zero-copy loading: the file-backed storage [`MmapSnapshot`].
 //!
 //! This module holds no reader of its own: it validates a file, hands its
 //! mapped arrays to the crate's one CSR reader through the storage seam of
-//! [`crate::csr`] (`RowStore` / `CsrStore`) and [`crate::shard`]
-//! (`FragmentStore`), and the generic `GraphView` impls there do the rest.
+//! [`crate::csr`] (`RowStore` / `CsrStore`), and the generic `GraphView`
+//! impl there does the rest.
 //!
 //! A loaded snapshot keeps the file mapped and serves every array read —
 //! CSR offsets, labels, neighbours, label partition, triple arrays —
@@ -12,8 +11,7 @@
 //! `&[u32]` / `&[NodeId]` slices.  Only the variable-length payloads that
 //! cannot be viewed in place are materialised at load time: the string
 //! table (bridged into the process interner), the per-node attribute
-//! tuples, the small range dictionaries, and (for sharded files) the
-//! partition metadata.
+//! tuples and the small range dictionaries.
 //!
 //! **Safety discipline.**  All `unsafe` in this module is the slice
 //! reinterpretation, and it is sound because `load` validates, before any
@@ -41,10 +39,8 @@ use super::mmap::MmapFile;
 use super::PersistError;
 use crate::attrs::AttrMap;
 use crate::csr::{CsrStore, LabelRanges, RowStore, Side, TripleRanges};
-use crate::graph::{EdgeRef, NodeId};
+use crate::graph::NodeId;
 use crate::interner::{intern, Sym};
-use crate::partition::{Fragment, Partition, PartitionStrategy};
-use crate::shard::{FragmentStore, FragmentView, ShardedRead};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::path::Path;
@@ -191,15 +187,17 @@ impl FileData {
         })
     }
 
-    fn entry(&self, kind: u32, owner: u32) -> Result<SectionEntry, PersistError> {
-        self.sections.get(&(kind, owner)).copied().ok_or_else(|| {
-            PersistError::Corrupt(format!("missing section kind {kind} for owner {owner}"))
-        })
+    /// The section of `kind` (owner 0: the only owner a shared file has).
+    fn entry(&self, kind: u32) -> Result<SectionEntry, PersistError> {
+        self.sections
+            .get(&(kind, 0))
+            .copied()
+            .ok_or_else(|| PersistError::Corrupt(format!("missing section kind {kind}")))
     }
 
     /// A `u32`-array section (byte length must match the element count).
-    fn u32_sect(&self, kind: u32, owner: u32) -> Result<Sect, PersistError> {
-        let entry = self.entry(kind, owner)?;
+    fn u32_sect(&self, kind: u32) -> Result<Sect, PersistError> {
+        let entry = self.entry(kind)?;
         // Checked multiply: a crafted elem_count near u64::MAX must fail
         // typed here, not wrap and defeat the length check (the slice it
         // would later describe is the module's UB contract on the line).
@@ -221,8 +219,8 @@ impl FileData {
     /// of every blob kind occupies at least one byte), so decoders can use
     /// it for `with_capacity` without a crafted count forcing a huge
     /// allocation before the bounds-checked parse would catch it.
-    fn blob(&self, kind: u32, owner: u32) -> Result<(&[u8], usize), PersistError> {
-        let entry = self.entry(kind, owner)?;
+    fn blob(&self, kind: u32) -> Result<(&[u8], usize), PersistError> {
+        let entry = self.entry(kind)?;
         let start = entry.offset as usize;
         let end = start + entry.byte_len as usize;
         if entry.elem_count > entry.byte_len {
@@ -234,11 +232,11 @@ impl FileData {
         Ok((&self.map.bytes()[start..end], entry.elem_count as usize))
     }
 
-    fn side(&self, kinds: (u32, u32, u32), owner: u32) -> Result<SideSect, PersistError> {
+    fn side(&self, kinds: (u32, u32, u32)) -> Result<SideSect, PersistError> {
         Ok(SideSect {
-            offsets: self.u32_sect(kinds.0, owner)?,
-            labels: self.u32_sect(kinds.1, owner)?,
-            neighbors: self.u32_sect(kinds.2, owner)?,
+            offsets: self.u32_sect(kinds.0)?,
+            labels: self.u32_sect(kinds.1)?,
+            neighbors: self.u32_sect(kinds.2)?,
         })
     }
 }
@@ -300,17 +298,11 @@ struct LazyAttrs {
 }
 
 impl LazyAttrs {
-    /// Validate the blob section and index its records.
-    fn load(
-        file: &FileData,
-        kind: u32,
-        owner: u32,
-        count: usize,
-        syms: &SymBridge,
-        what: &'static str,
-    ) -> Result<LazyAttrs, PersistError> {
-        let entry = file.entry(kind, owner)?;
-        let (blob, declared) = file.blob(kind, owner)?;
+    /// Validate the node-attribute blob section and index its records.
+    fn load(file: &FileData, count: usize, syms: &SymBridge) -> Result<LazyAttrs, PersistError> {
+        let what = "node attributes";
+        let entry = file.entry(kind::NODE_ATTRS)?;
+        let (blob, declared) = file.blob(kind::NODE_ATTRS)?;
         if declared != count {
             return Err(PersistError::Corrupt(format!(
                 "{what}: {declared} attribute tuples for {count} rows"
@@ -396,7 +388,6 @@ fn validate_side(
     map: &MmapFile,
     side: SideSect,
     rows: usize,
-    neighbor_bound: u32,
     sym_count: u32,
     what: &'static str,
 ) -> Result<usize, PersistError> {
@@ -417,7 +408,7 @@ fn validate_side(
     let labels = u32s(map, side.labels);
     let neighbors = u32s(map, side.neighbors);
     // Neighbour bound: one whole-array pass (vectorises).
-    if let Some(&bad) = neighbors.iter().find(|&&n| n >= neighbor_bound) {
+    if let Some(&bad) = neighbors.iter().find(|&&n| n as usize >= rows) {
         return Err(PersistError::Corrupt(format!(
             "{what}: neighbour id {bad} out of range"
         )));
@@ -602,8 +593,7 @@ fn decode_triple_ranges(
 
 /// Mapped rows: per-row label ids, lazily decoded attribute tuples and
 /// both adjacency directions, keyed by file symbol id.  The row storage of
-/// [`MmapSnapshot`] (rows = node ids) and of every mapped fragment (rows =
-/// local indexes).
+/// [`MmapSnapshot`] (rows = node ids).
 #[derive(Debug)]
 pub(crate) struct MappedRows {
     map: Arc<MmapFile>,
@@ -676,8 +666,8 @@ impl RowStore for MappedRows {
 pub struct MmapSnapshot {
     rows: MappedRows,
     /// The file's section directory in push order, retained so the
-    /// compaction writer can byte-copy whole sections (and, for sharded
-    /// files, whole per-fragment groups) without re-encoding them.
+    /// compaction writer can byte-copy whole sections without re-encoding
+    /// them.
     section_table: Vec<SectionEntry>,
     node_count: usize,
     edge_count: usize,
@@ -701,7 +691,7 @@ impl MmapSnapshot {
                 found: file.header.file_kind,
             });
         }
-        decode_global(&file)
+        decode(&file)
     }
 
     /// Size of the backing file in bytes.
@@ -834,30 +824,20 @@ impl MmapSnapshot {
     pub(crate) fn raw_section_bytes(&self, entry: &SectionEntry) -> &[u8] {
         &self.rows.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
     }
-
-    /// Look up a section by `(kind, owner)` and return its payload bytes
-    /// plus the declared element count.  Linear scan: the table is tiny
-    /// (a handful of global sections + 11 per fragment).
-    pub(crate) fn raw_section(&self, kind: u32, owner: u32) -> Option<(&[u8], u64)> {
-        self.section_table
-            .iter()
-            .find(|e| e.kind == kind && e.owner == owner)
-            .map(|e| (self.raw_section_bytes(e), e.elem_count))
-    }
 }
 
-/// Decode and validate the global (owner 0) sections of a verified file.
-fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
+/// Decode and validate the sections of a verified file.
+fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
     let n = usize::try_from(file.header.node_count)
         .map_err(|_| PersistError::Corrupt("node count exceeds address space".into()))?;
     let edge_count = usize::try_from(file.header.edge_count)
         .map_err(|_| PersistError::Corrupt("edge count exceeds address space".into()))?;
 
-    let (blob, declared) = file.blob(kind::STRINGS, 0)?;
+    let (blob, declared) = file.blob(kind::STRINGS)?;
     let syms = decode_strings(blob, declared)?;
     let sym_count = syms.len() as u32;
 
-    let node_labels = file.u32_sect(kind::NODE_LABELS, 0)?;
+    let node_labels = file.u32_sect(kind::NODE_LABELS)?;
     if node_labels.len != n {
         return Err(PersistError::Corrupt(format!(
             "{} node labels for {n} nodes",
@@ -872,27 +852,24 @@ fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         }
     }
 
-    let attrs = LazyAttrs::load(file, kind::NODE_ATTRS, 0, n, &syms, "node attributes")?;
+    let attrs = LazyAttrs::load(file, n, &syms)?;
 
-    let out = file.side(
-        (kind::OUT_OFFSETS, kind::OUT_LABELS, kind::OUT_NEIGHBORS),
-        0,
-    )?;
-    let out_entries = validate_side(&file.map, out, n, n as u32, sym_count, "out CSR")?;
+    let out = file.side((kind::OUT_OFFSETS, kind::OUT_LABELS, kind::OUT_NEIGHBORS))?;
+    let out_entries = validate_side(&file.map, out, n, sym_count, "out CSR")?;
     if out_entries != edge_count {
         return Err(PersistError::Corrupt(format!(
             "out CSR holds {out_entries} entries but the header claims {edge_count} edges"
         )));
     }
-    let inn = file.side((kind::IN_OFFSETS, kind::IN_LABELS, kind::IN_NEIGHBORS), 0)?;
-    let in_entries = validate_side(&file.map, inn, n, n as u32, sym_count, "in CSR")?;
+    let inn = file.side((kind::IN_OFFSETS, kind::IN_LABELS, kind::IN_NEIGHBORS))?;
+    let in_entries = validate_side(&file.map, inn, n, sym_count, "in CSR")?;
     if in_entries != edge_count {
         return Err(PersistError::Corrupt(format!(
             "in CSR holds {in_entries} entries but the header claims {edge_count} edges"
         )));
     }
 
-    let label_order = file.u32_sect(kind::LABEL_ORDER, 0)?;
+    let label_order = file.u32_sect(kind::LABEL_ORDER)?;
     if label_order.len != n {
         return Err(PersistError::Corrupt(format!(
             "label order has {} entries for {n} nodes",
@@ -907,7 +884,7 @@ fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
             ));
         }
     }
-    let (blob, declared) = file.blob(kind::LABEL_RANGES, 0)?;
+    let (blob, declared) = file.blob(kind::LABEL_RANGES)?;
     let label_ranges = decode_label_ranges(
         blob,
         declared,
@@ -916,8 +893,8 @@ fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         &syms,
     )?;
 
-    let triple_src = file.u32_sect(kind::TRIPLE_SRC, 0)?;
-    let triple_dst = file.u32_sect(kind::TRIPLE_DST, 0)?;
+    let triple_src = file.u32_sect(kind::TRIPLE_SRC)?;
+    let triple_dst = file.u32_sect(kind::TRIPLE_DST)?;
     if triple_src.len != triple_dst.len {
         return Err(PersistError::Corrupt(format!(
             "triple arrays disagree: {} sources, {} destinations",
@@ -933,7 +910,7 @@ fn decode_global(file: &FileData) -> Result<MmapSnapshot, PersistError> {
             }
         }
     }
-    let (blob, declared) = file.blob(kind::TRIPLE_RANGES, 0)?;
+    let (blob, declared) = file.blob(kind::TRIPLE_RANGES)?;
     let triple_ranges = decode_triple_ranges(
         blob,
         declared,
@@ -992,426 +969,5 @@ impl CsrStore for MmapSnapshot {
             as_node_ids(self.rows.arr(self.triple_src)),
             as_node_ids(self.rows.arr(self.triple_dst)),
         )
-    }
-}
-
-/// One fragment's mapped arrays inside a sharded snapshot file — the
-/// file-backed counterpart of [`crate::FragmentSnapshot`].  Nominally
-/// public only because [`MmapFragmentView`] names it; it is not exported.
-#[derive(Debug)]
-pub struct MmapFragment {
-    rows: MappedRows,
-    owned_count: usize,
-    edge_entries: usize,
-    local_to_global: Sect,
-    global_to_local: Sect,
-}
-
-impl FragmentStore for MmapFragment {
-    type Rows = MappedRows;
-
-    #[inline]
-    fn rows(&self) -> &MappedRows {
-        &self.rows
-    }
-
-    #[inline]
-    fn global_to_local(&self) -> &[u32] {
-        self.rows.arr(self.global_to_local)
-    }
-}
-
-/// A memory-mapped [`crate::ShardedSnapshot`]: the global snapshot plus one
-/// set of mapped per-fragment CSR arrays, loaded from a file written by
-/// [`SnapshotWriter::write_sharded`](crate::persist::SnapshotWriter::write_sharded).
-///
-/// Implements [`ShardedRead`], so `pdect_sharded` / `pinc_dect_sharded`
-/// run over it exactly as over the in-memory sharded snapshot.
-#[derive(Debug)]
-pub struct MmapShardedSnapshot {
-    global: MmapSnapshot,
-    partition: Partition,
-    halo_depth: usize,
-    fragments: Vec<MmapFragment>,
-}
-
-impl MmapShardedSnapshot {
-    /// Memory-map a sharded snapshot file.
-    pub fn load(path: &Path) -> Result<MmapShardedSnapshot, PersistError> {
-        let _span = ngd_obs::span!("persist.mmap_load");
-        let file = FileData::open(path)?;
-        if file.header.file_kind != file_kind::SHARDED {
-            return Err(PersistError::WrongKind {
-                expected: file_kind::SHARDED,
-                found: file.header.file_kind,
-            });
-        }
-        let global = decode_global(&file)?;
-        let n = global.node_count;
-        let syms = &global.rows.syms;
-
-        let (blob, _) = file.blob(kind::SHARD_META, 0)?;
-        let mut reader = BlobReader::new(blob, "shard metadata");
-        let halo_depth = reader.u64()? as usize;
-        let fragment_count = reader.u32()? as usize;
-        reader.finish()?;
-        // The writer can never produce zero fragments (`freeze_sharded(0,
-        // ..)` behaves like 1); rejecting it here keeps the detectors'
-        // `worker_view(0)` infallible.
-        if fragment_count == 0 {
-            return Err(PersistError::Corrupt(
-                "sharded snapshot declares zero fragments".into(),
-            ));
-        }
-
-        let (blob, declared) = file.blob(kind::PARTITION, 0)?;
-        let partition = decode_partition(blob, declared, n, fragment_count, syms)?;
-
-        let mut fragments = Vec::with_capacity(fragment_count);
-        for idx in 0..fragment_count {
-            fragments.push(decode_fragment(&file, idx, n, syms)?);
-        }
-        Ok(MmapShardedSnapshot {
-            global,
-            partition,
-            halo_depth,
-            fragments,
-        })
-    }
-
-    /// Number of fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// The snapshot epoch recorded in the file header (see
-    /// [`MmapSnapshot::epoch`]).
-    pub fn epoch(&self) -> u64 {
-        self.global.epoch()
-    }
-
-    /// The halo replication depth the shards were built with.
-    pub fn halo_depth(&self) -> usize {
-        self.halo_depth
-    }
-
-    /// The partition the shards were built from.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// The mapped global snapshot backing remote reads.
-    pub fn global(&self) -> &MmapSnapshot {
-        &self.global
-    }
-
-    /// Fragment a work item anchored at `node` routes to.
-    pub fn route_of(&self, node: NodeId) -> usize {
-        self.partition.route_of(node)
-    }
-
-    /// A worker's [`GraphView`](crate::GraphView) over fragment `idx`.
-    pub fn fragment_view(&self, idx: usize) -> MmapFragmentView<'_> {
-        FragmentView::new(&self.fragments[idx], &self.global)
-    }
-
-    /// Fragment `idx`'s mapped global→local translation array
-    /// (`u32::MAX` = not materialised here).  The compaction writer uses
-    /// it to test in O(1) whether a dirty global node is replicated in a
-    /// fragment without decoding the fragment.
-    pub(crate) fn raw_fragment_g2l(&self, idx: usize) -> &[u32] {
-        self.fragments[idx].global_to_local()
-    }
-}
-
-fn decode_edges(
-    reader: &mut BlobReader<'_>,
-    node_bound: usize,
-    syms: &SymBridge,
-) -> Result<Vec<EdgeRef>, PersistError> {
-    let count = reader.u32()?;
-    let count = reader.record_count(count, 12)?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let src = reader.u32()?;
-        let dst = reader.u32()?;
-        let label = syms.to_proc_checked(reader.u32()?)?;
-        if src as usize >= node_bound || dst as usize >= node_bound {
-            return Err(PersistError::Corrupt(format!(
-                "partition edge {src}->{dst} out of range"
-            )));
-        }
-        out.push(EdgeRef::new(NodeId(src), NodeId(dst), label));
-    }
-    Ok(out)
-}
-
-fn decode_partition(
-    blob: &[u8],
-    declared: usize,
-    node_count: usize,
-    fragment_count: usize,
-    syms: &SymBridge,
-) -> Result<Partition, PersistError> {
-    let mut reader = BlobReader::new(blob, "partition");
-    let strategy = match reader.u8()? {
-        0 => PartitionStrategy::EdgeCut,
-        1 => PartitionStrategy::VertexCut,
-        other => {
-            return Err(PersistError::Corrupt(format!(
-                "unknown partition strategy {other}"
-            )))
-        }
-    };
-    let owner_len = reader.u32()? as usize;
-    if owner_len != node_count {
-        return Err(PersistError::Corrupt(format!(
-            "partition owns {owner_len} nodes of {node_count}"
-        )));
-    }
-    let mut owner = Vec::with_capacity(owner_len);
-    for _ in 0..owner_len {
-        let frag = reader.u32()? as usize;
-        if frag >= fragment_count.max(1) {
-            return Err(PersistError::Corrupt(format!(
-                "node owner {frag} out of range ({fragment_count} fragments)"
-            )));
-        }
-        owner.push(frag);
-    }
-    let count = reader.u32()? as usize;
-    if count != fragment_count || count != declared {
-        return Err(PersistError::Corrupt(format!(
-            "partition encodes {count} fragments, metadata says {fragment_count}"
-        )));
-    }
-    let mut fragments = Vec::with_capacity(count);
-    for expected_id in 0..count {
-        let id = reader.u32()? as usize;
-        if id != expected_id {
-            return Err(PersistError::Corrupt(format!(
-                "fragment {expected_id} encodes id {id}"
-            )));
-        }
-        let node_len = reader.u32()?;
-        let node_len = reader.record_count(node_len, 4)?;
-        let mut nodes = Vec::with_capacity(node_len);
-        for _ in 0..node_len {
-            let node = reader.u32()?;
-            if node as usize >= node_count {
-                return Err(PersistError::Corrupt(format!(
-                    "fragment node {node} out of range"
-                )));
-            }
-            nodes.push(NodeId(node));
-        }
-        let border_len = reader.u32()?;
-        let border_len = reader.record_count(border_len, 4)?;
-        let mut border_nodes = Vec::with_capacity(border_len);
-        for _ in 0..border_len {
-            let node = reader.u32()?;
-            if node as usize >= node_count {
-                return Err(PersistError::Corrupt(format!(
-                    "border node {node} out of range"
-                )));
-            }
-            border_nodes.push(NodeId(node));
-        }
-        let internal_edges = decode_edges(&mut reader, node_count, syms)?;
-        fragments.push(Fragment {
-            id,
-            nodes,
-            internal_edges,
-            border_nodes,
-        });
-    }
-    let crossing_edges = decode_edges(&mut reader, node_count, syms)?;
-    reader.finish()?;
-    Ok(Partition {
-        strategy,
-        fragments,
-        owner,
-        crossing_edges,
-    })
-}
-
-fn decode_fragment(
-    file: &FileData,
-    idx: usize,
-    node_count: usize,
-    syms: &Arc<SymBridge>,
-) -> Result<MmapFragment, PersistError> {
-    let sym_count = syms.len() as u32;
-    let owner = (idx + 1) as u32;
-    let (blob, _) = file.blob(kind::FRAG_META, owner)?;
-    let mut reader = BlobReader::new(blob, "fragment metadata");
-    let id = reader.u32()? as usize;
-    let owned_count = reader.u32()? as usize;
-    let edge_entries = reader.u64()? as usize;
-    reader.finish()?;
-    if id != idx {
-        return Err(PersistError::Corrupt(format!(
-            "fragment {idx} encodes id {id}"
-        )));
-    }
-
-    let local_to_global = file.u32_sect(kind::FRAG_LOCAL_TO_GLOBAL, owner)?;
-    let global_to_local = file.u32_sect(kind::FRAG_GLOBAL_TO_LOCAL, owner)?;
-    let rows = local_to_global.len;
-    if owned_count > rows {
-        return Err(PersistError::Corrupt(format!(
-            "fragment {idx} owns {owned_count} of {rows} materialised rows"
-        )));
-    }
-    if global_to_local.len != node_count {
-        return Err(PersistError::Corrupt(format!(
-            "fragment {idx}: translation table covers {} of {node_count} nodes",
-            global_to_local.len
-        )));
-    }
-    let l2g = u32s(&file.map, local_to_global);
-    let g2l = u32s(&file.map, global_to_local);
-    for (row, &gid) in l2g.iter().enumerate() {
-        if gid as usize >= node_count || g2l[gid as usize] != row as u32 {
-            return Err(PersistError::Corrupt(format!(
-                "fragment {idx}: row {row} and global id {gid} do not round-trip"
-            )));
-        }
-    }
-    for (gid, &row) in g2l.iter().enumerate() {
-        if row != u32::MAX && (row as usize >= rows || l2g[row as usize] as usize != gid) {
-            return Err(PersistError::Corrupt(format!(
-                "fragment {idx}: global id {gid} maps to bad row {row}"
-            )));
-        }
-    }
-
-    let node_labels = file.u32_sect(kind::FRAG_NODE_LABELS, owner)?;
-    if node_labels.len != rows {
-        return Err(PersistError::Corrupt(format!(
-            "fragment {idx}: {} labels for {rows} rows",
-            node_labels.len
-        )));
-    }
-    for &label in u32s(&file.map, node_labels) {
-        if label >= sym_count {
-            return Err(PersistError::Corrupt(format!(
-                "fragment {idx}: label id {label} out of range"
-            )));
-        }
-    }
-    let attrs = LazyAttrs::load(
-        file,
-        kind::FRAG_NODE_ATTRS,
-        owner,
-        rows,
-        syms,
-        "fragment attributes",
-    )?;
-
-    let out = file.side(
-        (
-            kind::FRAG_OUT_OFFSETS,
-            kind::FRAG_OUT_LABELS,
-            kind::FRAG_OUT_NEIGHBORS,
-        ),
-        owner,
-    )?;
-    let out_entries = validate_side(
-        &file.map,
-        out,
-        rows,
-        node_count as u32,
-        sym_count,
-        "fragment out CSR",
-    )?;
-    if out_entries != edge_entries {
-        return Err(PersistError::Corrupt(format!(
-            "fragment {idx}: {out_entries} out entries, metadata says {edge_entries}"
-        )));
-    }
-    let inn = file.side(
-        (
-            kind::FRAG_IN_OFFSETS,
-            kind::FRAG_IN_LABELS,
-            kind::FRAG_IN_NEIGHBORS,
-        ),
-        owner,
-    )?;
-    validate_side(
-        &file.map,
-        inn,
-        rows,
-        node_count as u32,
-        sym_count,
-        "fragment in CSR",
-    )?;
-
-    Ok(MmapFragment {
-        rows: MappedRows {
-            map: Arc::clone(&file.map),
-            syms: Arc::clone(syms),
-            node_labels,
-            attrs,
-            out,
-            inn,
-        },
-        owned_count,
-        edge_entries,
-        local_to_global,
-        global_to_local,
-    })
-}
-
-/// A detector worker's read view of one mapped fragment: the crate's one
-/// fragment reader ([`FragmentView`]) over the fragment's mapped rows, with
-/// the mapped global snapshot as the accounted fallback.
-pub type MmapFragmentView<'a> = FragmentView<'a, MmapFragment, MmapSnapshot>;
-
-impl<'a> MmapFragmentView<'a> {
-    /// Global ids of the rows materialised in this fragment (owned + halo).
-    pub fn materialized_nodes(&self) -> &'a [NodeId] {
-        let fragment = self.storage();
-        as_node_ids(fragment.rows.arr(fragment.local_to_global))
-    }
-
-    /// Global ids of the owned rows.
-    pub fn owned_nodes(&self) -> &'a [NodeId] {
-        &self.materialized_nodes()[..self.storage().owned_count]
-    }
-
-    /// Number of out-edge entries replicated into this fragment.
-    pub fn edge_entries(&self) -> usize {
-        self.storage().edge_entries
-    }
-
-    /// Is the node's adjacency materialised in this fragment?
-    pub fn is_local(&self, id: NodeId) -> bool {
-        self.storage().local_row(id).is_some()
-    }
-}
-
-impl ShardedRead for MmapShardedSnapshot {
-    type Global = MmapSnapshot;
-    type Worker<'a> = MmapFragmentView<'a>;
-
-    fn global_view(&self) -> &MmapSnapshot {
-        &self.global
-    }
-
-    fn shard_count(&self) -> usize {
-        self.fragments.len()
-    }
-
-    fn route_to(&self, node: NodeId) -> usize {
-        self.route_of(node)
-    }
-
-    fn shard_partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    fn worker_view(&self, idx: usize) -> MmapFragmentView<'_> {
-        self.fragment_view(idx)
     }
 }

@@ -8,10 +8,7 @@
 //! number of detector processes [`MmapSnapshot::load`] the file and read
 //! the arrays **in place** through [`crate::GraphView`] — no
 //! deserialisation, no copy, RAM usage bounded by the working set the
-//! kernel pages in rather than by `|G|`.  Sharded snapshots serialise the
-//! same way ([`SnapshotWriter::write_sharded`] /
-//! [`MmapShardedSnapshot::load`]), with one group of sections per
-//! fragment, so the sharded detectors also run straight off disk.
+//! kernel pages in rather than by `|G|`.
 //!
 //! Snapshots carry an **epoch**: a freshly frozen graph is epoch 0, and
 //! [`CompactionWriter`] emits successors — the mapped file merge-joined
@@ -32,13 +29,12 @@
 //!        | IN_OFFSETS  | IN_LABELS  | IN_NEIGHBORS
 //!        | LABEL_ORDER | LABEL_RANGES
 //!        | TRIPLE_SRC  | TRIPLE_DST | TRIPLE_RANGES
-//!        [ | SHARD_META | PARTITION | per-fragment sections … ]
 //! ```
 //!
 //! The array sections (`u32` arrays: CSR offsets / labels / neighbours,
 //! label partition, triple arrays) are the bytes the loader reinterprets
 //! as slices; the blob sections (string table, attribute tuples, range
-//! dictionaries, partition) are decoded once at load time.
+//! dictionaries) are decoded once at load time.
 //!
 //! ## Contract
 //!
@@ -62,6 +58,11 @@
 //!   the writer canonicalises every symbol-ordered structure into that
 //!   order, making the file bytes a pure function of the logical graph
 //!   (the golden-format test pins them).
+//! * **One file kind**: the header's kind word is
+//!   [`format::file_kind::SNAPSHOT`].  Kind 2 (the sharded snapshots older
+//!   builds wrote) is reserved and answered with
+//!   [`PersistError::WrongKind`]; re-create such a file with
+//!   `ngd-cli load`.
 //!
 //! ## Example
 //!
@@ -88,9 +89,9 @@ mod loader;
 mod mmap;
 mod writer;
 
-pub use compact::{CompactError, CompactReport, CompactionWriter, ShardedCompactStats};
+pub use compact::{CompactError, CompactReport, CompactionWriter};
 pub use format::{file_checksum, FileHeader, SectionEntry};
-pub use loader::{MmapFragmentView, MmapShardedSnapshot, MmapSnapshot};
+pub use loader::MmapSnapshot;
 pub use mmap::MmapFile;
 pub use writer::SnapshotWriter;
 
@@ -136,7 +137,8 @@ pub enum PersistError {
         /// The offending byte offset.
         offset: u64,
     },
-    /// The file is a valid snapshot of the other kind (shared vs sharded).
+    /// The file is a well-formed snapshot of a kind this build does not
+    /// read (kind 2, the retired sharded layout).
     WrongKind {
         /// Kind the loader expected (see [`format::file_kind`]).
         expected: u32,
@@ -173,7 +175,8 @@ impl std::fmt::Display for PersistError {
             }
             PersistError::WrongKind { expected, found } => write!(
                 f,
-                "wrong snapshot kind {found} (expected {expected}; 1 = shared, 2 = sharded)"
+                "snapshot kind {found} is no longer supported (this build reads kind \
+                 {expected}); re-create the file with `ngd-cli load`"
             ),
             PersistError::UnsupportedHost(msg) => write!(f, "unsupported host: {msg}"),
             PersistError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
@@ -258,48 +261,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_round_trip_serves_fragment_views() {
-        use crate::partition::PartitionStrategy;
-        let g = sample();
-        let sharded = g.freeze_sharded(2, PartitionStrategy::EdgeCut, 1);
-        let path = temp_path("sharded");
-        SnapshotWriter::new()
-            .write_sharded(&sharded, &path)
-            .unwrap();
-        let mapped = MmapShardedSnapshot::load(&path).unwrap();
-        assert_eq!(mapped.fragment_count(), sharded.fragment_count());
-        assert_eq!(mapped.halo_depth(), sharded.halo_depth());
-        assert_eq!(
-            mapped.partition().crossing_edges,
-            sharded.partition().crossing_edges
-        );
-        assert_conforms(mapped.global(), &g, "mapped global");
-        for f in 0..mapped.fragment_count() {
-            let view = mapped.fragment_view(f);
-            assert_eq!(view.owned_nodes(), sharded.fragment(f).owned_nodes());
-            assert_conforms(&view, &g, &format!("mapped fragment {f}"));
-        }
-        // Owned-node reads must stay local, exactly like the in-memory path.
-        for f in 0..mapped.fragment_count() {
-            let view = mapped.fragment_view(f);
-            for &node in view.owned_nodes() {
-                let _ = view.out_labeled_slice(node, intern("keys"));
-                let _ = view.in_degree(node);
-            }
-            assert_eq!(view.remote_fetches(), 0);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn wrong_kind_is_a_typed_error() {
         let g = sample();
         let path = temp_path("wrongkind");
-        SnapshotWriter::new().write(&g.freeze(), &path).unwrap();
-        match MmapShardedSnapshot::load(&path) {
+        // No writer for the reserved kind remains: patch the header's kind
+        // word (outside the checksummed range) of a shared file.
+        let mut bytes = SnapshotWriter::new().encode(&g.freeze());
+        bytes[12..16].copy_from_slice(&format::file_kind::SHARDED.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match MmapSnapshot::load(&path) {
             Err(PersistError::WrongKind { expected, found }) => {
-                assert_eq!(expected, format::file_kind::SHARDED);
-                assert_eq!(found, format::file_kind::SNAPSHOT);
+                assert_eq!(expected, format::file_kind::SNAPSHOT);
+                assert_eq!(found, format::file_kind::SHARDED);
             }
             other => panic!("expected WrongKind, got {other:?}"),
         }

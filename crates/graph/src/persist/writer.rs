@@ -23,18 +23,16 @@ use super::format::{
     SECTION_ALIGN, SECTION_ENTRY_LEN,
 };
 use super::PersistError;
-use crate::csr::{CsrSnapshot, CsrStore, MemRows, RowStore, Side};
-use crate::graph::{EdgeRef, NodeData};
+use crate::csr::{CsrSnapshot, CsrStore, RowStore, Side};
+use crate::graph::NodeData;
 use crate::interner::Sym;
-use crate::partition::{Partition, PartitionStrategy};
-use crate::shard::{FragmentSnapshot, FragmentStore, ShardedSnapshot};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Serialises [`CsrSnapshot`]s and [`ShardedSnapshot`]s into the versioned
-/// binary snapshot format (see [`crate::persist`] for the layout).
+/// Serialises [`CsrSnapshot`]s into the versioned binary snapshot format
+/// (see [`crate::persist`] for the layout).
 ///
 /// A freshly frozen graph is written as **epoch 0**; compaction
 /// ([`crate::persist::CompactionWriter`]) stamps successors with higher
@@ -61,7 +59,6 @@ impl SnapshotWriter {
     pub fn encode(&self, snapshot: &CsrSnapshot) -> Vec<u8> {
         let syms = SymTable::for_snapshot(snapshot);
         let mut builder = FileBuilder::new(
-            file_kind::SNAPSHOT,
             GraphView::node_count(snapshot) as u64,
             GraphView::edge_count(snapshot) as u64,
             self.epoch,
@@ -71,52 +68,9 @@ impl SnapshotWriter {
         builder.finish()
     }
 
-    /// Encode a sharded snapshot (global snapshot + per-fragment sections +
-    /// partition metadata) into its exact file bytes.
-    pub fn encode_sharded(&self, sharded: &ShardedSnapshot) -> Vec<u8> {
-        let syms = SymTable::for_sharded(sharded);
-        let global = sharded.global();
-        let mut builder = FileBuilder::new(
-            file_kind::SHARDED,
-            GraphView::node_count(global) as u64,
-            GraphView::edge_count(global) as u64,
-            self.epoch,
-        );
-        push_strings(&mut builder, &syms);
-        push_snapshot_sections(&mut builder, global, &syms);
-
-        let mut meta = BlobWriter::new();
-        meta.put_u64(sharded.halo_depth() as u64);
-        meta.put_u32(sharded.fragment_count() as u32);
-        builder.add_blob(kind::SHARD_META, 0, 1, meta.into_bytes());
-        builder.add_blob(
-            kind::PARTITION,
-            0,
-            sharded.partition().fragment_count() as u64,
-            encode_partition(sharded.partition(), &syms),
-        );
-
-        for idx in 0..sharded.fragment_count() {
-            push_fragment_sections(&mut builder, sharded.fragment(idx), (idx + 1) as u32, &syms);
-        }
-        builder.finish()
-    }
-
     /// Write a snapshot to `path`, returning the number of bytes written.
     pub fn write(&self, snapshot: &CsrSnapshot, path: &Path) -> Result<u64, PersistError> {
         let bytes = self.encode(snapshot);
-        std::fs::write(path, &bytes)
-            .map_err(|e| PersistError::Io(format!("write {}: {e}", path.display())))?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Write a sharded snapshot to `path`, returning the bytes written.
-    pub fn write_sharded(
-        &self,
-        sharded: &ShardedSnapshot,
-        path: &Path,
-    ) -> Result<u64, PersistError> {
-        let bytes = self.encode_sharded(sharded);
         std::fs::write(path, &bytes)
             .map_err(|e| PersistError::Io(format!("write {}: {e}", path.display())))?;
         Ok(bytes.len() as u64)
@@ -155,22 +109,14 @@ impl SymTable {
     }
 
     fn for_snapshot(snapshot: &CsrSnapshot) -> SymTable {
+        let rows = snapshot.rows();
         let mut used = Vec::new();
-        collect_row_syms(snapshot.rows(), &mut used);
-        SymTable::build(used)
-    }
-
-    fn for_sharded(sharded: &ShardedSnapshot) -> SymTable {
-        let mut used = Vec::new();
-        collect_row_syms(sharded.global().rows(), &mut used);
-        for idx in 0..sharded.fragment_count() {
-            collect_row_syms(sharded.fragment(idx).rows(), &mut used);
+        for node in &rows.nodes {
+            used.push(node.label);
+            used.extend(node.attrs.iter().map(|(name, _)| name));
         }
-        let partition = sharded.partition();
-        for frag in &partition.fragments {
-            used.extend(frag.internal_edges.iter().map(|e| e.label));
-        }
-        used.extend(partition.crossing_edges.iter().map(|e| e.label));
+        used.extend(rows.out_side().keys);
+        used.extend(rows.in_side().keys);
         SymTable::build(used)
     }
 
@@ -182,18 +128,8 @@ impl SymTable {
     }
 }
 
-fn collect_row_syms(rows: &MemRows, used: &mut Vec<Sym>) {
-    for node in &rows.nodes {
-        used.push(node.label);
-        used.extend(node.attrs.iter().map(|(name, _)| name));
-    }
-    used.extend(rows.out_side().keys);
-    used.extend(rows.in_side().keys);
-}
-
 /// Accumulates sections, then lays out header + table + aligned payloads.
 pub(crate) struct FileBuilder {
-    file_kind: u32,
     node_count: u64,
     edge_count: u64,
     epoch: u64,
@@ -201,9 +137,8 @@ pub(crate) struct FileBuilder {
 }
 
 impl FileBuilder {
-    pub(crate) fn new(file_kind: u32, node_count: u64, edge_count: u64, epoch: u64) -> FileBuilder {
+    pub(crate) fn new(node_count: u64, edge_count: u64, epoch: u64) -> FileBuilder {
         FileBuilder {
-            file_kind,
             node_count,
             edge_count,
             epoch,
@@ -211,19 +146,19 @@ impl FileBuilder {
         }
     }
 
-    pub(crate) fn add_u32s(&mut self, kind: u32, owner: u32, data: &[u32]) {
+    pub(crate) fn add_u32s(&mut self, kind: u32, data: &[u32]) {
         let mut bytes = Vec::with_capacity(data.len() * 4);
         for &value in data {
             bytes.extend_from_slice(&value.to_le_bytes());
         }
-        self.add_blob(kind, owner, data.len() as u64, bytes);
+        self.add_blob(kind, data.len() as u64, bytes);
     }
 
-    pub(crate) fn add_blob(&mut self, kind: u32, owner: u32, elem_count: u64, bytes: Vec<u8>) {
+    pub(crate) fn add_blob(&mut self, kind: u32, elem_count: u64, bytes: Vec<u8>) {
         self.sections.push((
             SectionEntry {
                 kind,
-                owner,
+                owner: 0,
                 offset: 0, // assigned in finish()
                 byte_len: bytes.len() as u64,
                 elem_count,
@@ -252,7 +187,7 @@ impl FileBuilder {
         }
         let header = FileHeader {
             version: super::format::VERSION,
-            file_kind: self.file_kind,
+            file_kind: file_kind::SNAPSHOT,
             section_count: self.sections.len() as u32,
             section_align: SECTION_ALIGN as u32,
             total_len: total_len as u64,
@@ -273,12 +208,7 @@ pub(crate) fn push_strings(builder: &mut FileBuilder, syms: &SymTable) {
         blob.put_u32(text.len() as u32);
         blob.put_bytes(text.as_bytes());
     }
-    builder.add_blob(
-        kind::STRINGS,
-        0,
-        syms.strings.len() as u64,
-        blob.into_bytes(),
-    );
+    builder.add_blob(kind::STRINGS, syms.strings.len() as u64, blob.into_bytes());
 }
 
 /// One CSR side as file arrays: offsets verbatim, every run re-sorted into
@@ -301,7 +231,7 @@ fn encode_side(side: Side<'_, Sym>, syms: &SymTable) -> (Vec<u32>, Vec<u32>, Vec
     (offsets.to_vec(), file_labels, file_neighbors)
 }
 
-/// Per-node (or per-row) attribute tuples, names in file-symbol order.
+/// Per-node attribute tuples, names in file-symbol order.
 pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
     let mut blob = BlobWriter::new();
     let mut entries: Vec<(u32, &Value)> = Vec::new();
@@ -336,27 +266,26 @@ pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
     blob.into_bytes()
 }
 
-/// The global-snapshot sections (shared by both file kinds, owner 0).
+/// Every section after the string table.
 fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, syms: &SymTable) {
     let rows = snapshot.rows();
     let nodes = &rows.nodes;
     let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
-    builder.add_u32s(kind::NODE_LABELS, 0, &node_labels);
+    builder.add_u32s(kind::NODE_LABELS, &node_labels);
     builder.add_blob(
         kind::NODE_ATTRS,
-        0,
         nodes.len() as u64,
         encode_attrs(nodes, syms),
     );
 
     let (offsets, labels, neighbors) = encode_side(rows.out_side(), syms);
-    builder.add_u32s(kind::OUT_OFFSETS, 0, &offsets);
-    builder.add_u32s(kind::OUT_LABELS, 0, &labels);
-    builder.add_u32s(kind::OUT_NEIGHBORS, 0, &neighbors);
+    builder.add_u32s(kind::OUT_OFFSETS, &offsets);
+    builder.add_u32s(kind::OUT_LABELS, &labels);
+    builder.add_u32s(kind::OUT_NEIGHBORS, &neighbors);
     let (offsets, labels, neighbors) = encode_side(rows.in_side(), syms);
-    builder.add_u32s(kind::IN_OFFSETS, 0, &offsets);
-    builder.add_u32s(kind::IN_LABELS, 0, &labels);
-    builder.add_u32s(kind::IN_NEIGHBORS, 0, &neighbors);
+    builder.add_u32s(kind::IN_OFFSETS, &offsets);
+    builder.add_u32s(kind::IN_LABELS, &labels);
+    builder.add_u32s(kind::IN_NEIGHBORS, &neighbors);
 
     // Label partition, groups re-ordered into file-symbol order.
     let (label_ranges, old_order) = snapshot.label_partition();
@@ -374,10 +303,9 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         file_ranges.put_u32(new_start);
         file_ranges.put_u32(label_order.len() as u32);
     }
-    builder.add_u32s(kind::LABEL_ORDER, 0, &label_order);
+    builder.add_u32s(kind::LABEL_ORDER, &label_order);
     builder.add_blob(
         kind::LABEL_RANGES,
-        0,
         ranges.len() as u64,
         file_ranges.into_bytes(),
     );
@@ -408,89 +336,11 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         triple_ranges.put_u32(new_start);
         triple_ranges.put_u32(triple_src.len() as u32);
     }
-    builder.add_u32s(kind::TRIPLE_SRC, 0, &triple_src);
-    builder.add_u32s(kind::TRIPLE_DST, 0, &triple_dst);
+    builder.add_u32s(kind::TRIPLE_SRC, &triple_src);
+    builder.add_u32s(kind::TRIPLE_DST, &triple_dst);
     builder.add_blob(
         kind::TRIPLE_RANGES,
-        0,
         triples.len() as u64,
         triple_ranges.into_bytes(),
     );
-}
-
-pub(crate) fn push_fragment_sections(
-    builder: &mut FileBuilder,
-    fragment: &FragmentSnapshot,
-    owner: u32,
-    syms: &SymTable,
-) {
-    let mut meta = BlobWriter::new();
-    meta.put_u32(fragment.id() as u32);
-    meta.put_u32(fragment.owned_nodes().len() as u32);
-    meta.put_u64(fragment.edge_entries() as u64);
-    builder.add_blob(kind::FRAG_META, owner, 1, meta.into_bytes());
-
-    let local_to_global: Vec<u32> = fragment.raw_local_to_global().iter().map(|n| n.0).collect();
-    builder.add_u32s(kind::FRAG_LOCAL_TO_GLOBAL, owner, &local_to_global);
-    builder.add_u32s(
-        kind::FRAG_GLOBAL_TO_LOCAL,
-        owner,
-        fragment.global_to_local(),
-    );
-
-    let rows = fragment.rows();
-    let nodes = &rows.nodes;
-    let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
-    builder.add_u32s(kind::FRAG_NODE_LABELS, owner, &node_labels);
-    builder.add_blob(
-        kind::FRAG_NODE_ATTRS,
-        owner,
-        nodes.len() as u64,
-        encode_attrs(nodes, syms),
-    );
-
-    let (offsets, labels, neighbors) = encode_side(rows.out_side(), syms);
-    builder.add_u32s(kind::FRAG_OUT_OFFSETS, owner, &offsets);
-    builder.add_u32s(kind::FRAG_OUT_LABELS, owner, &labels);
-    builder.add_u32s(kind::FRAG_OUT_NEIGHBORS, owner, &neighbors);
-    let (offsets, labels, neighbors) = encode_side(rows.in_side(), syms);
-    builder.add_u32s(kind::FRAG_IN_OFFSETS, owner, &offsets);
-    builder.add_u32s(kind::FRAG_IN_LABELS, owner, &labels);
-    builder.add_u32s(kind::FRAG_IN_NEIGHBORS, owner, &neighbors);
-}
-
-fn encode_edges(blob: &mut BlobWriter, edges: &[EdgeRef], syms: &SymTable) {
-    blob.put_u32(edges.len() as u32);
-    for edge in edges {
-        blob.put_u32(edge.src.0);
-        blob.put_u32(edge.dst.0);
-        blob.put_u32(syms.file_id(edge.label));
-    }
-}
-
-pub(crate) fn encode_partition(partition: &Partition, syms: &SymTable) -> Vec<u8> {
-    let mut blob = BlobWriter::new();
-    blob.put_u8(match partition.strategy {
-        PartitionStrategy::EdgeCut => 0,
-        PartitionStrategy::VertexCut => 1,
-    });
-    blob.put_u32(partition.owner.len() as u32);
-    for &owner in &partition.owner {
-        blob.put_u32(owner as u32);
-    }
-    blob.put_u32(partition.fragments.len() as u32);
-    for frag in &partition.fragments {
-        blob.put_u32(frag.id as u32);
-        blob.put_u32(frag.nodes.len() as u32);
-        for node in &frag.nodes {
-            blob.put_u32(node.0);
-        }
-        blob.put_u32(frag.border_nodes.len() as u32);
-        for node in &frag.border_nodes {
-            blob.put_u32(node.0);
-        }
-        encode_edges(&mut blob, &frag.internal_edges, syms);
-    }
-    encode_edges(&mut blob, &partition.crossing_edges, syms);
-    blob.into_bytes()
 }

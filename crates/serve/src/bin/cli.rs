@@ -47,8 +47,8 @@
 //! library's job — keep one client connected and keep submitting.
 
 use ngd_core::RuleSet;
-use ngd_graph::persist::{CompactionWriter, MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{BatchUpdate, GraphView, PersistError};
+use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
+use ngd_graph::{BatchUpdate, GraphView};
 use ngd_match::compile_plan;
 use ngd_serve::{ServeAddr, ServeClient, Side};
 use std::process::ExitCode;
@@ -248,61 +248,17 @@ fn check_rules<G: GraphView>(sigma: &RuleSet, graph: &G) -> Result<(), String> {
     Ok(())
 }
 
-/// A plan-printing action runnable against any snapshot's `GraphView`
-/// (shared or sharded) — the closure shape `with_snapshot_stats` needs,
-/// as a trait because `GraphView` takes the view by generic parameter.
-trait PlanAction {
-    fn run<G: GraphView>(self, graph: &G) -> Result<(), String>;
-}
-
-struct ExplainAction<'a> {
-    sigma: &'a RuleSet,
-    filter: Option<&'a str>,
-}
-
-impl PlanAction for ExplainAction<'_> {
-    fn run<G: GraphView>(self, graph: &G) -> Result<(), String> {
-        explain_rules(self.sigma, graph, self.filter)
-    }
-}
-
-struct CheckAction<'a> {
-    sigma: &'a RuleSet,
-}
-
-impl PlanAction for CheckAction<'_> {
-    fn run<G: GraphView>(self, graph: &G) -> Result<(), String> {
-        check_rules(self.sigma, graph)
-    }
-}
-
-/// Load `snap_path` (shared or sharded), print a header with its
-/// statistics, and run `action` against its graph view.
-fn with_snapshot_stats<A: PlanAction>(snap_path: &str, action: A) -> Result<(), String> {
-    let path = std::path::Path::new(snap_path);
-    match MmapSnapshot::load(path) {
-        Ok(snapshot) => {
-            println!(
-                "plans over {snap_path} (epoch {}, {} nodes, {} edges):",
-                snapshot.epoch(),
-                GraphView::node_count(&snapshot),
-                GraphView::edge_count(&snapshot),
-            );
-            action.run(&snapshot)
-        }
-        Err(PersistError::WrongKind { .. }) => match MmapShardedSnapshot::load(path) {
-            Ok(sharded) => {
-                println!(
-                    "plans over {snap_path} (epoch {}, {} fragments):",
-                    sharded.epoch(),
-                    sharded.fragment_count(),
-                );
-                action.run(sharded.global())
-            }
-            Err(e) => Err(format!("load {snap_path}: {e}")),
-        },
-        Err(e) => Err(format!("load {snap_path}: {e}")),
-    }
+/// Load `snap_path` and print a header with its statistics.
+fn load_snapshot_stats(snap_path: &str) -> Result<MmapSnapshot, String> {
+    let snapshot = MmapSnapshot::load(std::path::Path::new(snap_path))
+        .map_err(|e| format!("load {snap_path}: {e}"))?;
+    println!(
+        "plans over {snap_path} (epoch {}, {} nodes, {} edges):",
+        snapshot.epoch(),
+        GraphView::node_count(&snapshot),
+        GraphView::edge_count(&snapshot),
+    );
+    Ok(snapshot)
 }
 
 fn main() -> ExitCode {
@@ -385,20 +341,12 @@ fn main() -> ExitCode {
                     Ok(report) => {
                         println!(
                             "compacted {in_path} ⊕ {} unit update(s) into {out_path}: \
-                             epoch {}, {} nodes, {} edges, {} bytes{}",
+                             epoch {}, {} nodes, {} edges, {} bytes",
                             delta.len(),
                             report.epoch,
                             report.node_count,
                             report.edge_count,
                             report.bytes,
-                            if report.sharded {
-                                format!(
-                                    " (sharded: {} fragment(s) rewritten, {} byte-copied)",
-                                    report.fragments_rewritten, report.fragments_copied
-                                )
-                            } else {
-                                String::new()
-                            },
                         );
                         ExitCode::SUCCESS
                     }
@@ -558,7 +506,8 @@ fn main() -> ExitCode {
                 Err(e) => return fail(format!("check {rules_path}:\n{e}")),
             };
             let checked = match rest.get(2) {
-                Some(snap_path) => with_snapshot_stats(snap_path, CheckAction { sigma: &sigma }),
+                Some(snap_path) => load_snapshot_stats(snap_path)
+                    .and_then(|snapshot| check_rules(&sigma, &snapshot)),
                 None => {
                     println!("plans over empty statistics (no snapshot given):");
                     check_rules(&sigma, &ngd_graph::Graph::new())
@@ -605,13 +554,8 @@ fn main() -> ExitCode {
                 (None, _) => (None, None),
             };
             let explained = match snapshot {
-                Some(snap_path) => with_snapshot_stats(
-                    snap_path,
-                    ExplainAction {
-                        sigma: &sigma,
-                        filter,
-                    },
-                ),
+                Some(snap_path) => load_snapshot_stats(snap_path)
+                    .and_then(|snapshot| explain_rules(&sigma, &snapshot, filter)),
                 None => {
                     println!("plans over empty statistics (no snapshot given):");
                     explain_rules(&sigma, &ngd_graph::Graph::new(), filter)
@@ -632,13 +576,9 @@ fn main() -> ExitCode {
                 Ok(stats) => {
                     println!("server     : {}", info.server);
                     println!(
-                        "snapshot   : {} nodes, {} edges, {}, epoch {}{}",
+                        "snapshot   : {} nodes, {} edges, epoch {}{}",
                         stats.snapshot_nodes,
                         stats.snapshot_edges,
-                        match stats.fragment_count {
-                            0 => "shared".to_string(),
-                            n => format!("{n} fragments"),
-                        },
                         stats.epoch,
                         if stats.published_epoch != stats.epoch {
                             format!(" (server publishes epoch {})", stats.published_epoch)

@@ -6,10 +6,10 @@
 //!           [--compact-after OPS] [--metrics-dump FILE] [--metrics-interval SECS]
 //! ```
 //!
-//! Maps the snapshot (shared or sharded — auto-detected), compiles the
-//! rule set (a JSON file produced by `RuleSet::to_json`, or the text DSL
-//! understood by `ngd_core::parse_rule_set`; defaults to the paper's rule
-//! set), binds the listener and serves until a client sends `SHUTDOWN`.
+//! Maps the snapshot, compiles the rule set (a JSON file produced by
+//! `RuleSet::to_json`, or the text DSL understood by
+//! `ngd_core::parse_rule_set`; defaults to the paper's rule set), binds the
+//! listener and serves until a client sends `SHUTDOWN`.
 //! With `--compact-after N`, a session whose accumulated update reaches
 //! `N` unit operations triggers a background compaction: the overlay is
 //! folded into a fresh `.ngds` epoch next to the original snapshot and
@@ -161,14 +161,10 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "ngd-serve: snapshot {} ({} nodes, {} edges, {}), ‖Σ‖ = {} (dΣ = {})",
+        "ngd-serve: snapshot {} ({} nodes, {} edges), ‖Σ‖ = {} (dΣ = {})",
         args.snapshot.display(),
         store.node_count(),
         store.edge_count(),
-        match store.fragment_count() {
-            0 => "shared".to_string(),
-            n => format!("{n} fragments"),
-        },
         sigma.len(),
         sigma.diameter(),
     );

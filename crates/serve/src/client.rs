@@ -119,7 +119,6 @@ impl ServeClient {
                 server: String::new(),
                 node_count: 0,
                 edge_count: 0,
-                fragment_count: 0,
                 rule_count: 0,
                 diameter: 0,
             },

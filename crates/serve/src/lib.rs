@@ -39,8 +39,8 @@
 //!   are re-interned on arrival);
 //! * [`error`] — [`ProtocolError`], one typed variant per damage mode,
 //!   mirroring `PersistError`;
-//! * [`server`] — the daemon: [`SnapshotStore`] (shared or sharded,
-//!   auto-detected), an epoll/poll reactor plus a bounded worker pool
+//! * [`server`] — the daemon: [`SnapshotStore`] (one mapped snapshot
+//!   epoch), an epoll/poll reactor plus a bounded worker pool
 //!   (OS threads scale with [`ServeOptions::worker_threads`], not with
 //!   connections), streaming ΔVio during expansion, graceful shutdown;
 //! * [`client`] — [`ServeClient`], the typed client used by `ngd-cli`,

@@ -344,8 +344,6 @@ pub struct HelloResponse {
     pub node_count: u64,
     /// Edges in the served snapshot.
     pub edge_count: u64,
-    /// Fragments of the served snapshot (0 = shared/unsharded).
-    pub fragment_count: u32,
     /// Rules compiled into the server's default rule set.
     pub rule_count: u32,
     /// `dΣ` of the default rule set.
@@ -359,7 +357,7 @@ impl HelloResponse {
         w.str(&self.server);
         w.u64(self.node_count);
         w.u64(self.edge_count);
-        w.u32(self.fragment_count);
+        w.u32(0); // reserved (was the fragment count)
         w.u32(self.rule_count);
         w.u32(self.diameter);
         w.into_bytes()
@@ -368,11 +366,12 @@ impl HelloResponse {
     /// Decode from a frame payload.
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtocolError> {
         let mut r = WireReader::new(bytes, "HelloResponse");
+        let (server, node_count, edge_count) = (r.str()?, r.u64()?, r.u64()?);
+        r.u32()?; // reserved (was the fragment count)
         let out = HelloResponse {
-            server: r.str()?,
-            node_count: r.u64()?,
-            edge_count: r.u64()?,
-            fragment_count: r.u32()?,
+            server,
+            node_count,
+            edge_count,
             rule_count: r.u32()?,
             diameter: r.u32()?,
         };
@@ -601,7 +600,7 @@ impl EpochNotice {
 pub struct DoneResponse {
     /// Epoch of the snapshot that served this answer.
     pub epoch: u64,
-    /// Paper-style algorithm label (e.g. `"PIncDect (sharded)"`).
+    /// Paper-style algorithm label (e.g. `"PIncDect"`).
     pub algorithm: String,
     /// Server-side wall-clock nanoseconds of the detection run.
     pub elapsed_nanos: u64,
@@ -616,8 +615,7 @@ pub struct DoneResponse {
     pub removed_total: u64,
     /// Matcher statistics of the run.
     pub stats: SearchStats,
-    /// Cost ledger of the run — `remote_fetches` included, so a client of a
-    /// sharded server observes the modelled communication cost per batch.
+    /// Cost ledger of the run.
     pub cost: CostLedger,
 }
 
@@ -710,8 +708,6 @@ pub struct StatsResponse {
     pub pending_edge_ops: u64,
     /// Batches absorbed by this session.
     pub batches_applied: u64,
-    /// Fragments of the served snapshot (0 = shared).
-    pub fragment_count: u32,
     /// Sessions currently connected to the server.
     pub sessions_active: u32,
     /// Sessions accepted since startup.
@@ -742,7 +738,7 @@ impl StatsResponse {
         w.u64(self.pending_nodes);
         w.u64(self.pending_edge_ops);
         w.u64(self.batches_applied);
-        w.u32(self.fragment_count);
+        w.u32(0); // reserved (was the fragment count)
         w.u32(self.sessions_active);
         w.u64(self.sessions_total);
         w.u64(self.updates_served);
@@ -767,8 +763,10 @@ impl StatsResponse {
             pending_nodes: r.u64()?,
             pending_edge_ops: r.u64()?,
             batches_applied: r.u64()?,
-            fragment_count: r.u32()?,
-            sessions_active: r.u32()?,
+            sessions_active: {
+                r.u32()?; // reserved (was the fragment count)
+                r.u32()?
+            },
             sessions_total: r.u64()?,
             updates_served: r.u64()?,
             violations_streamed: r.u64()?,
@@ -843,7 +841,6 @@ mod tests {
             server: "ngd-serve/0.1".into(),
             node_count: 11_000,
             edge_count: 40_000,
-            fragment_count: 4,
             rule_count: 7,
             diameter: 3,
         };
@@ -856,7 +853,7 @@ mod tests {
 
         let done = DoneResponse {
             epoch: 3,
-            algorithm: "PIncDect (sharded)".into(),
+            algorithm: "PIncDect".into(),
             elapsed_nanos: 12345,
             processors: 4,
             neighborhood_nodes: 17,
@@ -872,13 +869,13 @@ mod tests {
             },
             cost: {
                 let mut c = CostLedger::default();
-                c.record_remote(9, 60.0);
+                c.record_split(60.0, 2);
                 c
             },
         };
         let back = DoneResponse::decode(&done.encode()).unwrap();
         assert_eq!(back, done);
-        assert_eq!(back.cost.remote_fetches, 9);
+        assert_eq!(back.cost.splits, 1);
 
         let stats = StatsResponse {
             epoch: 2,
@@ -891,7 +888,6 @@ mod tests {
             pending_nodes: 1,
             pending_edge_ops: 4,
             batches_applied: 6,
-            fragment_count: 7,
             sessions_active: 8,
             sessions_total: 9,
             updates_served: 10,

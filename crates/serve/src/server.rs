@@ -1,9 +1,8 @@
 //! The long-lived detection daemon.
 //!
-//! A [`Server`] mmaps one snapshot file (shared or sharded — the kind is
-//! auto-detected), compiles a default rule set, binds a Unix-domain or TCP
-//! listener, and serves connections with a **reactor + bounded worker
-//! pool**:
+//! A [`Server`] mmaps one snapshot file, compiles a default rule set, binds
+//! a Unix-domain or TCP listener, and serves connections with a **reactor +
+//! bounded worker pool**:
 //!
 //! * one `ngd-serve-reactor` thread runs the event loop
 //!   (the private `poller` module — epoll on Linux, poll(2) elsewhere): it owns the
@@ -23,10 +22,9 @@
 //!   socket while the matchers are still running.
 //!
 //! Every connection owns an incremental-detection session
-//! ([`ngd_detect::IncrementalSession`] / [`ShardedIncrementalSession`])
-//! whose [`DeltaOverlay`]s are rebased on the
-//! **shared** mapped snapshot: the `GraphView` split keeps the read path
-//! lock-free across sessions, so concurrency costs no copies of `G`.
+//! ([`ngd_detect::IncrementalSession`]) whose [`DeltaOverlay`]s are rebased
+//! on the **shared** mapped snapshot: the `GraphView` split keeps the read
+//! path lock-free across sessions, so concurrency costs no copies of `G`.
 //!
 //! ## Epoch lifecycle
 //!
@@ -76,10 +74,9 @@ use crate::protocol::{
 };
 use ngd_core::RuleSet;
 use ngd_detect::{
-    DeltaReport, DetectionReport, DetectorConfig, IncrementalSession, ShardedIncrementalSession,
-    VioSide, VioSink,
+    DeltaReport, DetectionReport, DetectorConfig, IncrementalSession, VioSide, VioSink,
 };
-use ngd_graph::persist::{CompactionWriter, MmapShardedSnapshot, MmapSnapshot, PersistError};
+use ngd_graph::persist::{CompactionWriter, MmapSnapshot, PersistError};
 use ngd_graph::{BatchUpdate, DeltaOverlay, GraphView, UpdateError};
 use ngd_match::{PlanCache, Violation};
 use std::collections::VecDeque;
@@ -132,21 +129,12 @@ impl std::fmt::Display for ServeAddr {
     }
 }
 
-/// The two mapped snapshot shapes a store can hold.
-#[derive(Debug)]
-enum StoreKind {
-    /// One [`MmapSnapshot`], served through the shared-snapshot detectors.
-    Shared(MmapSnapshot),
-    /// One [`MmapShardedSnapshot`], served with one worker per fragment.
-    Sharded(MmapShardedSnapshot),
-}
-
-/// The mapped snapshot a server (or one epoch of a server) holds — shared
-/// or sharded, auto-detected — plus the path it was mapped from.
+/// The mapped snapshot a server (or one epoch of a server) holds, plus the
+/// path it was mapped from.
 #[derive(Debug)]
 pub struct SnapshotStore {
     path: PathBuf,
-    kind: StoreKind,
+    snapshot: MmapSnapshot,
     /// Compiled match plans for this mapping, shared by every session that
     /// reads it.  A compaction publishes a *new* store (hence a fresh,
     /// empty cache keyed to the new epoch) — stale plans can never leak
@@ -155,23 +143,13 @@ pub struct SnapshotStore {
 }
 
 impl SnapshotStore {
-    /// Map `path`, accepting either snapshot kind.
+    /// Map `path`.
     pub fn open(path: &Path) -> Result<SnapshotStore, PersistError> {
-        let kind = match MmapSnapshot::load(path) {
-            Ok(snapshot) => StoreKind::Shared(snapshot),
-            Err(PersistError::WrongKind { .. }) => {
-                StoreKind::Sharded(MmapShardedSnapshot::load(path)?)
-            }
-            Err(e) => return Err(e),
-        };
-        let epoch = match &kind {
-            StoreKind::Shared(s) => s.epoch(),
-            StoreKind::Sharded(s) => s.epoch(),
-        };
+        let snapshot = MmapSnapshot::load(path)?;
         Ok(SnapshotStore {
             path: path.to_path_buf(),
-            kind,
-            plan_cache: PlanCache::for_epoch(epoch),
+            plan_cache: PlanCache::for_epoch(snapshot.epoch()),
+            snapshot,
         })
     }
 
@@ -187,45 +165,25 @@ impl SnapshotStore {
 
     /// The epoch recorded in the mapped file's header.
     pub fn epoch(&self) -> u64 {
-        match &self.kind {
-            StoreKind::Shared(s) => s.epoch(),
-            StoreKind::Sharded(s) => s.epoch(),
-        }
+        self.snapshot.epoch()
     }
 
     /// Nodes in the snapshot.
     pub fn node_count(&self) -> usize {
-        match &self.kind {
-            StoreKind::Shared(s) => GraphView::node_count(s),
-            StoreKind::Sharded(s) => GraphView::node_count(s.global()),
-        }
+        GraphView::node_count(&self.snapshot)
     }
 
     /// Edges in the snapshot.
     pub fn edge_count(&self) -> usize {
-        match &self.kind {
-            StoreKind::Shared(s) => GraphView::edge_count(s),
-            StoreKind::Sharded(s) => GraphView::edge_count(s.global()),
-        }
-    }
-
-    /// Fragments (0 for a shared snapshot).
-    pub fn fragment_count(&self) -> usize {
-        match &self.kind {
-            StoreKind::Shared(_) => 0,
-            StoreKind::Sharded(s) => s.fragment_count(),
-        }
+        GraphView::edge_count(&self.snapshot)
     }
 
     /// Merge `net` into this store's file and map the result: the next
-    /// epoch, same snapshot kind, stamped `epoch() + 1`.
+    /// epoch, stamped `epoch() + 1`.
     fn compact_into(&self, net: &BatchUpdate, out_path: &Path) -> Result<SnapshotStore, String> {
-        let writer = CompactionWriter::new();
-        let bytes = match &self.kind {
-            StoreKind::Shared(s) => writer.encode(s, net, s.epoch() + 1),
-            StoreKind::Sharded(s) => writer.encode_sharded(s, net, s.epoch() + 1),
-        }
-        .map_err(|e| e.to_string())?;
+        let bytes = CompactionWriter::new()
+            .encode(&self.snapshot, net, self.epoch() + 1)
+            .map_err(|e| e.to_string())?;
         std::fs::write(out_path, &bytes)
             .map_err(|e| format!("write {}: {e}", out_path.display()))?;
         SnapshotStore::open(out_path).map_err(|e| e.to_string())
@@ -1677,10 +1635,7 @@ impl SessionCtx {
 
     /// The session's accumulated update as a canonical net batch.
     fn net(&self) -> BatchUpdate {
-        match &self.store.kind {
-            StoreKind::Shared(s) => DeltaOverlay::new(s, &self.accumulated).into_batch(),
-            StoreKind::Sharded(s) => DeltaOverlay::new(s.global(), &self.accumulated).into_batch(),
-        }
+        DeltaOverlay::new(&self.store.snapshot, &self.accumulated).into_batch()
     }
 
     /// Apply one `ΔG` batch.  With `sink`, every fresh violation is also
@@ -1696,56 +1651,24 @@ impl SessionCtx {
     ) -> Result<DeltaReport, UpdateError> {
         let accumulated = std::mem::take(&mut self.accumulated);
         let cache = self.store.plan_cache();
-        let (result, accumulated, batches) = match &self.store.kind {
-            StoreKind::Shared(s) => {
-                let mut session = IncrementalSession::resume(s, accumulated, self.batches_applied);
-                let result = match sink {
-                    Some(sink) => session.apply_streaming(sigma, delta, config, cache, sink),
-                    None => session.apply_with_cache(sigma, delta, config, cache),
-                };
-                let (accumulated, batches) = session.into_parts();
-                (result, accumulated, batches)
-            }
-            StoreKind::Sharded(s) => {
-                let mut session =
-                    ShardedIncrementalSession::resume(s, accumulated, self.batches_applied);
-                let result = match sink {
-                    Some(sink) => session.apply_streaming(sigma, delta, config, cache, sink),
-                    None => session.apply_with_cache(sigma, delta, config, cache),
-                };
-                let (accumulated, batches) = session.into_parts();
-                (result, accumulated, batches)
-            }
+        let mut session =
+            IncrementalSession::resume(&self.store.snapshot, accumulated, self.batches_applied);
+        let result = match sink {
+            Some(sink) => session.apply_streaming(sigma, delta, config, cache, sink),
+            None => session.apply_with_cache(sigma, delta, config, cache),
         };
-        self.accumulated = accumulated;
-        self.batches_applied = batches;
+        (self.accumulated, self.batches_applied) = session.into_parts();
         result
     }
 
     fn detect_all(&self, sigma: &RuleSet) -> DetectionReport {
-        let cache = self.store.plan_cache();
-        match &self.store.kind {
-            StoreKind::Shared(s) => IncrementalSession::resume(s, self.accumulated.clone(), 0)
-                .detect_all_with_cache(sigma, cache),
-            StoreKind::Sharded(s) => {
-                ShardedIncrementalSession::resume(s, self.accumulated.clone(), 0)
-                    .detect_all_with_cache(sigma, cache)
-            }
-        }
+        IncrementalSession::resume(&self.store.snapshot, self.accumulated.clone(), 0)
+            .detect_all_with_cache(sigma, self.store.plan_cache())
     }
 
     fn state_counts(&self) -> (usize, usize) {
-        let (nodes, edges) = match &self.store.kind {
-            StoreKind::Shared(s) => {
-                let view = DeltaOverlay::new(s, &self.accumulated);
-                (GraphView::node_count(&view), GraphView::edge_count(&view))
-            }
-            StoreKind::Sharded(s) => {
-                let view = DeltaOverlay::new(s.global(), &self.accumulated);
-                (GraphView::node_count(&view), GraphView::edge_count(&view))
-            }
-        };
-        (nodes, edges)
+        let view = DeltaOverlay::new(&self.store.snapshot, &self.accumulated);
+        (GraphView::node_count(&view), GraphView::edge_count(&view))
     }
 
     /// `(net pending nodes, net pending edge ops)` of the overlay.
@@ -1783,26 +1706,13 @@ impl SessionCtx {
         }
         let previous_epoch = self.epoch();
         let accumulated = std::mem::take(&mut self.accumulated);
-        let rerooted: Result<BatchUpdate, BatchUpdate> = match (&self.store.kind, &current.kind) {
-            (StoreKind::Shared(old), StoreKind::Shared(new)) => {
-                let session = IncrementalSession::resume(old, accumulated, self.batches_applied);
-                match session.rebase_onto(new) {
-                    Ok(moved) => Ok(moved.into_parts().0),
-                    Err(_) => Err(session.into_parts().0),
-                }
-            }
-            (StoreKind::Sharded(old), StoreKind::Sharded(new)) => {
-                let session =
-                    ShardedIncrementalSession::resume(old, accumulated, self.batches_applied);
-                match session.rebase_onto(new) {
-                    Ok(moved) => Ok(moved.into_parts().0),
-                    Err(_) => Err(session.into_parts().0),
-                }
-            }
-            // A published epoch never changes kind; treat a mismatch as
-            // un-carriable rather than corrupting the session.
-            _ => Err(accumulated),
-        };
+        let session =
+            IncrementalSession::resume(&self.store.snapshot, accumulated, self.batches_applied);
+        let rerooted: Result<BatchUpdate, BatchUpdate> =
+            match session.rebase_onto(&current.snapshot) {
+                Ok(moved) => Ok(moved.into_parts().0),
+                Err(_) => Err(session.into_parts().0),
+            };
         match rerooted {
             Ok(residue) => {
                 self.notice = Some(EpochNotice {
@@ -1928,7 +1838,6 @@ fn handle_request(
                 server: shared.server_name.clone(),
                 node_count: ctx.store.node_count() as u64,
                 edge_count: ctx.store.edge_count() as u64,
-                fragment_count: ctx.store.fragment_count() as u32,
                 rule_count: sigma.len() as u32,
                 diameter: sigma.diameter() as u32,
             };
@@ -2074,7 +1983,6 @@ fn handle_request(
                 pending_nodes,
                 pending_edge_ops,
                 batches_applied: ctx.batches_applied,
-                fragment_count: ctx.store.fragment_count() as u32,
                 sessions_active: shared.sessions_active.load(Ordering::SeqCst) as u32,
                 sessions_total: shared.sessions_total.load(Ordering::SeqCst),
                 updates_served: shared.updates_served.load(Ordering::SeqCst),

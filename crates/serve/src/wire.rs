@@ -347,26 +347,28 @@ pub fn get_violations(r: &mut WireReader<'_>) -> Result<Vec<Violation>, Protocol
     Ok(out)
 }
 
-/// Encode the full cost ledger (every counter, `remote_fetches` included).
+/// Encode the full cost ledger, followed by one reserved `u64` (always 0;
+/// it used to carry the cross-fragment fetch count).
 pub fn put_cost(w: &mut WireWriter, cost: &CostLedger) {
     w.f64(cost.latency_units);
     w.u64(cost.scanned);
     w.u64(cost.splits);
     w.u64(cost.local_expansions);
     w.u64(cost.migrations);
-    w.u64(cost.remote_fetches);
+    w.u64(0);
 }
 
-/// Decode a cost ledger.
+/// Decode a cost ledger (the trailing reserved `u64` is read and ignored).
 pub fn get_cost(r: &mut WireReader<'_>) -> Result<CostLedger, ProtocolError> {
-    Ok(CostLedger {
+    let cost = CostLedger {
         latency_units: r.f64()?,
         scanned: r.u64()?,
         splits: r.u64()?,
         local_expansions: r.u64()?,
         migrations: r.u64()?,
-        remote_fetches: r.u64()?,
-    })
+    };
+    r.u64()?;
+    Ok(cost)
 }
 
 /// Encode matcher statistics.
@@ -491,7 +493,7 @@ mod tests {
         let mut w = WireWriter::new();
         put_violations(&mut w, &violations.iter().collect::<Vec<_>>());
         let mut cost = CostLedger::default();
-        cost.record_remote(5, 60.0);
+        cost.record_migration(5);
         cost.record_scan(77);
         put_cost(&mut w, &cost);
         put_stats(
@@ -509,7 +511,7 @@ mod tests {
         let mut r = WireReader::new(&bytes, "report");
         assert_eq!(get_violations(&mut r).unwrap(), violations);
         let cost_back = get_cost(&mut r).unwrap();
-        assert_eq!(cost_back.remote_fetches, 5);
+        assert_eq!(cost_back.migrations, 5);
         assert_eq!(cost_back.scanned, 77);
         let stats = get_stats(&mut r).unwrap();
         assert_eq!(stats.matches_found, 3);

@@ -135,6 +135,48 @@ fn explain_with_a_missing_snapshot_file_fails_typed() {
     assert!(!stderr_of(&out).contains("no rule"));
 }
 
+/// A snapshot of the retired sharded kind (header kind word 2) must be
+/// refused by every entry point with the typed `WrongKind` message and a
+/// non-zero exit — not a panic, not a fallback reader.  No writer for the
+/// kind remains, so the file is a shared one with its kind word patched
+/// (the word sits outside the checksummed range).
+#[test]
+fn a_kind_2_snapshot_is_rejected_by_explain_compact_and_the_daemon() {
+    use ngd_graph::persist::{format::file_kind, SnapshotWriter};
+
+    let (graph, _) = ngd_core::paper::figure1_g4();
+    let mut bytes = SnapshotWriter::new().encode(&graph.freeze());
+    bytes[12..16].copy_from_slice(&file_kind::SHARDED.to_le_bytes());
+    let snap = write_temp("kind2.ngds", "");
+    std::fs::write(&snap, &bytes).expect("patched snapshot writes");
+    let snap_arg = snap.to_str().unwrap();
+    let rules = write_temp("kind2.ngdl", GOOD_RULES);
+    let out_path = write_temp("kind2-out.ngds", "");
+
+    let explain = cli(&["explain", rules.to_str().unwrap(), snap_arg]);
+    let compact = cli(&["compact", snap_arg, out_path.to_str().unwrap()]);
+    let daemon = Command::new(env!("CARGO_BIN_EXE_ngd-serve"))
+        .args(["--snapshot", snap_arg, "--listen", "tcp:127.0.0.1:0"])
+        .output()
+        .expect("ngd-serve runs");
+    for path in [&snap, &rules, &out_path] {
+        std::fs::remove_file(path).ok();
+    }
+    for (what, out) in [
+        ("explain", explain),
+        ("compact", compact),
+        ("ngd-serve", daemon),
+    ] {
+        assert_eq!(out.status.code(), Some(1), "{what}: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("snapshot kind 2 is no longer supported"),
+            "{what}: {err}"
+        );
+        assert!(err.contains("ngd-cli load"), "{what}: {err}");
+    }
+}
+
 #[test]
 fn rules_against_a_dead_daemon_fails_typed_after_local_validation() {
     let path = write_temp("rules.ngdl", GOOD_RULES);

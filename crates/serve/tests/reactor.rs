@@ -266,7 +266,6 @@ fn client_absorbs_epoch_switches_between_chunks() {
             server: "scripted".into(),
             node_count: 0,
             edge_count: 0,
-            fragment_count: 0,
             rule_count: 1,
             diameter: 1,
         };

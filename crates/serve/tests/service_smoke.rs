@@ -8,7 +8,7 @@
 use ngd_core::{paper, RuleSet};
 use ngd_detect::{pinc_dect, DetectorConfig};
 use ngd_graph::persist::SnapshotWriter;
-use ngd_graph::{intern, BatchUpdate, PartitionStrategy};
+use ngd_graph::{intern, BatchUpdate};
 use ngd_serve::{ServeAddr, ServeClient, Server, SnapshotStore};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -90,6 +90,9 @@ fn unix_socket_daemon_serves_concurrent_sessions_byte_identically() {
     // Reset + re-submit on a fresh session: same answer again.
     let served = client.submit_update(&delta).unwrap();
     assert_eq!(served.delta, reference.delta);
+    // The closing summary forwards the detector's own report.
+    assert_eq!(served.done.algorithm, "PIncDect");
+    assert_eq!(served.done.processors, 2);
     client.reset().unwrap();
     let served = client.submit_update(&delta).unwrap();
     assert_eq!(served.delta, reference.delta);
@@ -99,54 +102,6 @@ fn unix_socket_daemon_serves_concurrent_sessions_byte_identically() {
     drop(client);
     server.wait();
     assert!(!sock_path.exists(), "socket file is cleaned up");
-    std::fs::remove_file(&snap_path).ok();
-}
-
-#[test]
-fn sharded_snapshots_serve_with_per_fragment_workers_and_report_remote_fetches() {
-    let (graph, fake) = paper::figure1_g4();
-    let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
-    let snap_path = temp_path("sharded.ngds");
-    // Halo 0 forces cross-fragment candidate fetches, which must surface in
-    // the served cost ledger.
-    let sharded = graph.freeze_sharded(3, PartitionStrategy::EdgeCut, 0);
-    SnapshotWriter::new()
-        .write_sharded(&sharded, &snap_path)
-        .expect("sharded snapshot writes");
-
-    let server = Server::start(
-        SnapshotStore::open(&snap_path).expect("auto-detects the sharded kind"),
-        sigma.clone(),
-        &ServeAddr::Unix(temp_path("sharded-sock")),
-        DetectorConfig::default(),
-    )
-    .expect("server starts");
-
-    let mut client = ServeClient::connect(server.local_addr()).unwrap();
-    assert_eq!(client.server_info().fragment_count, 3);
-
-    let status = graph
-        .out_neighbors(fake)
-        .iter()
-        .find(|&&(_, l)| l == intern("status"))
-        .map(|&(n, _)| n)
-        .unwrap();
-    let mut delta = BatchUpdate::new();
-    delta.delete_edge(fake, status, intern("status"));
-
-    let reference = pinc_dect(&sigma, &graph, &delta, &DetectorConfig::default());
-    let served = client.submit_update(&delta).unwrap();
-    assert_eq!(served.delta, reference.delta);
-    assert_eq!(served.done.algorithm, "PIncDect (sharded)");
-    assert_eq!(served.done.processors, 3);
-    assert!(
-        served.done.cost.remote_fetches > 0,
-        "halo-0 sharding must pay (and report) cross-fragment fetches"
-    );
-
-    client.shutdown_server().unwrap();
-    drop(client);
-    server.wait();
     std::fs::remove_file(&snap_path).ok();
 }
 

@@ -5,31 +5,29 @@
 //! deployment across a file boundary:
 //!
 //! 1. **Ingest** (run once): generate a synthetic knowledge graph, freeze
-//!    it, and write shared + sharded snapshot files with `SnapshotWriter`.
-//! 2. **Serve** (run per detector process): `MmapSnapshot::load` /
-//!    `MmapShardedSnapshot::load` map the files zero-copy and run batch
-//!    (`dect`/`pdect_sharded`) and incremental (`inc_dect`) detection
-//!    straight off the mapped arrays — no re-freeze, no deserialisation.
+//!    it, and write a snapshot file with `SnapshotWriter`.
+//! 2. **Serve** (run per detector process): `MmapSnapshot::load` maps the
+//!    file zero-copy and runs batch (`dect`) and incremental (`inc_dect`)
+//!    detection straight off the mapped arrays — no re-freeze, no
+//!    deserialisation.
 //!
 //! Run with `cargo run -p ngd-examples --example persist_pipeline`.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};
-use ngd_detect::{dect_on, delta_neighborhood, inc_dect_snapshot, pdect_sharded, DetectorConfig};
+use ngd_detect::{dect_on, delta_neighborhood, inc_dect_snapshot};
 use ngd_examples::section;
-use ngd_graph::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{DeltaOverlay, PartitionStrategy};
+use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
+use ngd_graph::DeltaOverlay;
 use std::time::Instant;
 
 fn main() {
-    // Per-process file names: a concurrent run must not truncate a file
+    // Per-process file name: a concurrent run must not truncate a file
     // this process still has memory-mapped.
-    let dir = std::env::temp_dir();
-    let snap_path = dir.join(format!("ngd-pipeline-{}.snap", std::process::id()));
-    let sharded_path = dir.join(format!("ngd-pipeline-{}-sharded.snap", std::process::id()));
+    let snap_path = std::env::temp_dir().join(format!("ngd-pipeline-{}.snap", std::process::id()));
 
     // ---- Ingest process: build, freeze, persist. ------------------------
-    section("ingest: freeze once, write snapshot files");
+    section("ingest: freeze once, write the snapshot file");
     let graph = generate_knowledge(&KnowledgeConfig::dbpedia_like(8).with_seed(0xF11E)).graph;
     let sigma = RuleSet::from_rules(vec![paper::phi1(1), paper::phi2(), paper::phi3()]);
     println!(
@@ -43,18 +41,10 @@ fn main() {
     let snapshot = graph.freeze();
     let freeze_time = start.elapsed();
 
-    let writer = SnapshotWriter::new();
-    let bytes = writer.write(&snapshot, &snap_path).expect("write snapshot");
-    let sharded = snapshot.clone().into_sharded(
-        ngd_graph::partition::partition(&snapshot, 4, PartitionStrategy::EdgeCut),
-        sigma.diameter(),
-    );
-    let sharded_bytes = writer
-        .write_sharded(&sharded, &sharded_path)
-        .expect("write sharded snapshot");
-    println!(
-        "froze in {freeze_time:?}; wrote {bytes} bytes (shared) + {sharded_bytes} bytes (sharded, 4 fragments)"
-    );
+    let bytes = SnapshotWriter::new()
+        .write(&snapshot, &snap_path)
+        .expect("write snapshot");
+    println!("froze in {freeze_time:?}; wrote {bytes} bytes");
 
     // Reference answer from the in-memory snapshot, for the cross-check.
     let reference = dect_on(&sigma, &snapshot);
@@ -78,17 +68,6 @@ fn main() {
     );
     assert_eq!(report.violations, reference.violations);
 
-    let mapped_sharded = MmapShardedSnapshot::load(&sharded_path).expect("load sharded snapshot");
-    let sharded_report = pdect_sharded(&sigma, &mapped_sharded, &DetectorConfig::default());
-    println!(
-        "sharded detection off the file: {} violations across {} fragment workers \
-         ({} remote fetches)",
-        sharded_report.violation_count(),
-        mapped_sharded.fragment_count(),
-        sharded_report.cost.remote_fetches
-    );
-    assert_eq!(sharded_report.violations, reference.violations);
-
     // ---- Incremental monitoring against the mapped snapshot. ------------
     section("serve: incremental ΔG batches against the mapped snapshot");
     let delta = generate_update(&graph, &UpdateConfig::fraction(0.05).with_seed(21));
@@ -107,6 +86,5 @@ fn main() {
     );
 
     std::fs::remove_file(&snap_path).ok();
-    std::fs::remove_file(&sharded_path).ok();
-    println!("\nfreeze once, serve many: every detector ran off the snapshot files.");
+    println!("\nfreeze once, serve many: every detector ran off the snapshot file.");
 }

@@ -12,21 +12,13 @@
 //!   mid-stream (fold the accumulated `ΔG` into a new epoch file, mmap
 //!   it, [`IncrementalSession::rebase_onto`] it) answers every subsequent
 //!   batch byte-identically to a session that never compacted, on every
-//!   figure-1 scenario and the 11k-node synthetic, shared and sharded.
+//!   figure-1 scenario and the 11k-node synthetic.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, StdRng, UpdateConfig};
-use ngd_detect::{
-    dect_on, pdect_sharded, DetectorConfig, IncrementalSession, ShardedIncrementalSession,
-};
-use ngd_graph::persist::format::read_section_table;
-use ngd_graph::persist::{
-    CompactError, CompactionWriter, FileHeader, MmapShardedSnapshot, MmapSnapshot, SnapshotWriter,
-};
-use ngd_graph::{
-    intern, AttrMap, BatchUpdate, Fragment, Graph, GraphView, NodeId, Partition, PartitionStrategy,
-    Value,
-};
+use ngd_detect::{DetectorConfig, IncrementalSession};
+use ngd_graph::persist::{CompactError, CompactionWriter, MmapSnapshot, SnapshotWriter};
+use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, NodeId, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -167,359 +159,6 @@ fn compaction_bytes_equal_a_fresh_freeze_of_the_updated_graph() {
     }
 }
 
-/// Sharded compaction preserves the partition rather than repartitioning,
-/// so its contract is behavioural: the compacted file loads, the epoch is
-/// stamped, ownership covers every node, and full detection over it is
-/// byte-identical to the shared answer on the same logical graph.
-#[test]
-fn sharded_compaction_loads_and_answers_identically() {
-    let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
-    for case in 0..16u64 {
-        let mut rng = StdRng::seed_from_u64(9_000 + case);
-        let graph = random_graph(&mut rng);
-        let delta = random_delta(&mut rng, &graph);
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            let sharded = graph.freeze_sharded(3, strategy, sigma.diameter());
-            let path = temp_path("sharded");
-            SnapshotWriter::new()
-                .write_sharded(&sharded, &path)
-                .unwrap();
-            let old = MmapShardedSnapshot::load(&path).unwrap();
-
-            // ∅-delta: byte-identical to rewriting the same sharded
-            // snapshot at the bumped epoch.
-            let identity = CompactionWriter::new()
-                .encode_sharded(&old, &BatchUpdate::new(), 1)
-                .unwrap();
-            assert_eq!(
-                identity,
-                SnapshotWriter::with_epoch(1).encode_sharded(&sharded),
-                "case {case} {strategy:?}: sharded compact(∅) drifted"
-            );
-
-            // Real delta: the compacted file must load and agree with the
-            // shared detectors on the materialised graph.
-            let bytes = CompactionWriter::new()
-                .encode_sharded(&old, &delta, 1)
-                .unwrap();
-            let out = temp_path("sharded-out");
-            std::fs::write(&out, &bytes).unwrap();
-            let compacted = MmapShardedSnapshot::load(&out).expect("compacted sharded loads");
-            assert_eq!(compacted.epoch(), 1);
-            let updated = delta.applied_to(&graph).unwrap();
-            assert_eq!(
-                GraphView::node_count(compacted.global()),
-                updated.node_count()
-            );
-            // Ownership still covers every node exactly once.
-            let partition = compacted.partition();
-            assert_eq!(partition.owner.len(), updated.node_count());
-            let reference = dect_on(&sigma, &updated.freeze());
-            let served = pdect_sharded(&sigma, &compacted, &DetectorConfig::with_processors(3));
-            assert_eq!(
-                reference.violations, served.violations,
-                "case {case} {strategy:?}"
-            );
-            std::fs::remove_file(&path).ok();
-            std::fs::remove_file(&out).ok();
-        }
-    }
-}
-
-/// The section-group payloads owned by one section-table `owner`, as
-/// `(kind, bytes)` pairs in file order — the unit the per-fragment
-/// streaming merge copies or rewrites.
-fn fragment_group_bytes(file: &[u8], owner: u32) -> Vec<(u32, Vec<u8>)> {
-    let header = FileHeader::parse(file).expect("valid header");
-    read_section_table(file, &header)
-        .expect("valid section table")
-        .into_iter()
-        .filter(|e| e.owner == owner)
-        .map(|e| {
-            (
-                e.kind,
-                file[e.offset as usize..][..e.byte_len as usize].to_vec(),
-            )
-        })
-        .collect()
-}
-
-/// Sharded byte-determinism across 48 random seeds: compacting `ΔG` into
-/// a sharded file produces exactly the bytes of freezing `G ⊕ ΔG` and
-/// sharding it along the compacted file's own (extended) partition at the
-/// same epoch.  This pins the per-fragment streaming merge — gathered
-/// rebuilds and byte-copied groups alike — to the writer's canonical
-/// encoding.
-#[test]
-fn sharded_compaction_bytes_equal_a_fresh_shard_of_the_updated_graph() {
-    for case in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(10_000 + case);
-        let graph = random_graph(&mut rng);
-        let delta = random_delta(&mut rng, &graph);
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            let sharded = graph.freeze_sharded(3, strategy, 2);
-            let path = temp_path("sharded-bytes");
-            SnapshotWriter::new()
-                .write_sharded(&sharded, &path)
-                .unwrap();
-            let old = MmapShardedSnapshot::load(&path).unwrap();
-            let (bytes, stats) = CompactionWriter::new()
-                .encode_sharded_with_stats(&old, &delta, 1)
-                .unwrap();
-            assert_eq!(
-                stats.fragments_rewritten + stats.fragments_copied,
-                3,
-                "case {case} {strategy:?}: stats must cover every fragment"
-            );
-
-            // Reference: freeze the materialised graph and shard it along
-            // the partition the compacted file actually stores (compaction
-            // extends the old partition, it never repartitions).
-            let out = temp_path("sharded-bytes-out");
-            std::fs::write(&out, &bytes).unwrap();
-            let compacted = MmapShardedSnapshot::load(&out).unwrap();
-            let updated = delta.applied_to(&graph).unwrap();
-            let reference = SnapshotWriter::with_epoch(1).encode_sharded(
-                &updated
-                    .freeze()
-                    .into_sharded(compacted.partition().clone(), compacted.halo_depth()),
-            );
-            assert_eq!(
-                bytes,
-                reference,
-                "case {case} {strategy:?}: sharded compact(ΔG) ≠ freeze(G⊕ΔG)→shard→write \
-                 ({} dels, {} ins, {} new nodes; {} rewritten, {} copied)",
-                delta.deletions().count(),
-                delta.insertions().count(),
-                delta.new_nodes.len(),
-                stats.fragments_rewritten,
-                stats.fragments_copied
-            );
-            std::fs::remove_file(&path).ok();
-            std::fs::remove_file(&out).ok();
-        }
-    }
-}
-
-/// Four disconnected triangles, one per fragment: a delta confined to one
-/// fragment must rewrite that fragment alone and byte-copy every other
-/// fragment's section group unchanged from the old epoch.
-#[test]
-fn delta_confined_to_one_fragment_copies_every_other_group_byte_for_byte() {
-    let mut graph = Graph::new();
-    for _ in 0..12 {
-        graph.add_node_named("N", AttrMap::new());
-    }
-    for clique in 0..4u32 {
-        let base = clique * 3;
-        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
-            graph
-                .add_edge_named(NodeId(base + a), NodeId(base + b), "e")
-                .unwrap();
-        }
-    }
-    let partition = Partition {
-        strategy: PartitionStrategy::EdgeCut,
-        owner: (0..12).map(|i| i / 3).collect(),
-        fragments: (0..4)
-            .map(|f| Fragment {
-                id: f,
-                nodes: (0..3).map(|i| NodeId((f * 3 + i) as u32)).collect(),
-                internal_edges: graph
-                    .edge_vec()
-                    .into_iter()
-                    .filter(|e| e.src.index() / 3 == f)
-                    .collect(),
-                border_nodes: Vec::new(),
-            })
-            .collect(),
-        crossing_edges: Vec::new(),
-    };
-    let path = temp_path("confined");
-    SnapshotWriter::new()
-        .write_sharded(&graph.freeze().into_sharded(partition, 2), &path)
-        .unwrap();
-    let old = MmapShardedSnapshot::load(&path).unwrap();
-    let old_bytes = std::fs::read(&path).unwrap();
-
-    // Delete one triangle edge in fragment 0 ("e" survives elsewhere, so
-    // the symbol table — and every other fragment's bytes — cannot move).
-    let mut delta = BatchUpdate::new();
-    delta.delete_edge(NodeId(0), NodeId(1), intern("e"));
-    let (bytes, stats) = CompactionWriter::new()
-        .encode_sharded_with_stats(&old, &delta, 1)
-        .unwrap();
-    assert_eq!(
-        (stats.fragments_rewritten, stats.fragments_copied),
-        (1, 3),
-        "only the touched fragment may rewrite"
-    );
-    assert_ne!(
-        fragment_group_bytes(&old_bytes, 1),
-        fragment_group_bytes(&bytes, 1),
-        "the touched fragment's group must change"
-    );
-    for owner in 2..=4u32 {
-        assert_eq!(
-            fragment_group_bytes(&old_bytes, owner),
-            fragment_group_bytes(&bytes, owner),
-            "fragment {} must be byte-identical to the previous epoch",
-            owner - 1
-        );
-    }
-
-    // The optimised file is still exactly the canonical encoding.
-    let out = temp_path("confined-out");
-    std::fs::write(&out, &bytes).unwrap();
-    let compacted = MmapShardedSnapshot::load(&out).unwrap();
-    let updated = delta.applied_to(&graph).unwrap();
-    let reference = SnapshotWriter::with_epoch(1).encode_sharded(
-        &updated
-            .freeze()
-            .into_sharded(compacted.partition().clone(), compacted.halo_depth()),
-    );
-    assert_eq!(bytes, reference);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&out).ok();
-}
-
-/// Halo-boundary churn: an edge whose endpoint one fragment owns and
-/// another replicates as halo must rewrite exactly those two fragments —
-/// the bystander fragment's group is byte-copied — for inserts, deletes of
-/// the bridge itself, and interior churn far from every border.
-#[test]
-fn halo_boundary_churn_rewrites_exactly_the_owning_and_replicating_fragments() {
-    // Fragment 0 owns the path 0-1-2-3, fragment 1 owns 4-5-6-7 (bridge
-    // 3→4 makes 3 and 4 borders; halo depth 1 replicates 4 into fragment
-    // 0 and 3 into fragment 1), fragment 2 owns a disconnected triangle
-    // 8-9-10.
-    let mut graph = Graph::new();
-    for _ in 0..11 {
-        graph.add_node_named("N", AttrMap::new());
-    }
-    let mut edge = |a: u32, b: u32| {
-        graph.add_edge_named(NodeId(a), NodeId(b), "e").unwrap();
-    };
-    edge(0, 1);
-    edge(1, 2);
-    edge(2, 3);
-    edge(4, 5);
-    edge(5, 6);
-    edge(6, 7);
-    edge(3, 4);
-    edge(8, 9);
-    edge(9, 10);
-    edge(10, 8);
-    let bridge = ngd_graph::EdgeRef::new(NodeId(3), NodeId(4), intern("e"));
-    let partition = Partition {
-        strategy: PartitionStrategy::EdgeCut,
-        owner: (0..11)
-            .map(|i| if i < 4 { 0 } else { (i / 4).min(2) })
-            .collect(),
-        fragments: vec![
-            Fragment {
-                id: 0,
-                nodes: (0..4).map(NodeId).collect(),
-                internal_edges: graph
-                    .edge_vec()
-                    .into_iter()
-                    .filter(|e| e.src.index() < 4 && e.dst.index() < 4)
-                    .collect(),
-                border_nodes: vec![NodeId(3)],
-            },
-            Fragment {
-                id: 1,
-                nodes: (4..8).map(NodeId).collect(),
-                internal_edges: graph
-                    .edge_vec()
-                    .into_iter()
-                    .filter(|e| (4..8).contains(&e.src.index()) && (4..8).contains(&e.dst.index()))
-                    .collect(),
-                border_nodes: vec![NodeId(4)],
-            },
-            Fragment {
-                id: 2,
-                nodes: (8..11).map(NodeId).collect(),
-                internal_edges: graph
-                    .edge_vec()
-                    .into_iter()
-                    .filter(|e| e.src.index() >= 8)
-                    .collect(),
-                border_nodes: Vec::new(),
-            },
-        ],
-        crossing_edges: vec![bridge],
-    };
-    let path = temp_path("halo");
-    SnapshotWriter::new()
-        .write_sharded(&graph.freeze().into_sharded(partition, 1), &path)
-        .unwrap();
-    let old_bytes = std::fs::read(&path).unwrap();
-
-    let check = |delta: &BatchUpdate, expect_rewritten: &[u32], context: &str| {
-        let old = MmapShardedSnapshot::load(&path).unwrap();
-        let (bytes, stats) = CompactionWriter::new()
-            .encode_sharded_with_stats(&old, delta, 1)
-            .unwrap();
-        assert_eq!(
-            (stats.fragments_rewritten, stats.fragments_copied),
-            (expect_rewritten.len(), 3 - expect_rewritten.len()),
-            "{context}: wrong rewrite split"
-        );
-        for owner in 1..=3u32 {
-            let (old_group, new_group) = (
-                fragment_group_bytes(&old_bytes, owner),
-                fragment_group_bytes(&bytes, owner),
-            );
-            if expect_rewritten.contains(&(owner - 1)) {
-                assert_ne!(
-                    old_group,
-                    new_group,
-                    "{context}: fragment {} must rewrite",
-                    owner - 1
-                );
-            } else {
-                assert_eq!(
-                    old_group,
-                    new_group,
-                    "{context}: fragment {} must copy",
-                    owner - 1
-                );
-            }
-        }
-        let out = temp_path("halo-out");
-        std::fs::write(&out, &bytes).unwrap();
-        let compacted = MmapShardedSnapshot::load(&out).unwrap();
-        let updated = delta.applied_to(&graph).unwrap();
-        let reference = SnapshotWriter::with_epoch(1).encode_sharded(
-            &updated
-                .freeze()
-                .into_sharded(compacted.partition().clone(), compacted.halo_depth()),
-        );
-        assert_eq!(bytes, reference, "{context}: canonical-bytes drift");
-        std::fs::remove_file(&out).ok();
-    };
-
-    // (a) Insert an edge wholly inside fragment 1 but incident to node 4,
-    // which fragment 0 replicates as halo: owner and replicator rewrite.
-    let mut ins = BatchUpdate::new();
-    ins.insert_edge(NodeId(4), NodeId(6), intern("e"));
-    check(&ins, &[0, 1], "halo-replica insert");
-
-    // (b) Delete the bridge: both border sets change, the halos dissolve.
-    let mut del = BatchUpdate::new();
-    del.delete_edge(NodeId(3), NodeId(4), intern("e"));
-    check(&del, &[0, 1], "bridge delete");
-
-    // (c) Interior churn in fragment 2, far from every border: nobody
-    // else rewrites.
-    let mut interior = BatchUpdate::new();
-    interior.insert_edge(NodeId(8), NodeId(10), intern("e"));
-    check(&interior, &[2], "interior insert");
-
-    std::fs::remove_file(&path).ok();
-}
-
 /// Drive one scenario's batch stream twice over mapped snapshots — once
 /// plainly, once compacting + re-rooting after `cut` batches — and demand
 /// byte-identical deltas.
@@ -565,41 +204,6 @@ fn check_stream_with_mid_stream_compaction(
         std::fs::remove_file(&compacted_path).ok();
     }
     std::fs::remove_file(&path).ok();
-
-    // Sharded path.
-    let sharded_path = temp_path("stream-sharded");
-    let sharded = graph.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-    SnapshotWriter::new()
-        .write_sharded(&sharded, &sharded_path)
-        .unwrap();
-    {
-        let base = MmapShardedSnapshot::load(&sharded_path).unwrap();
-        let mut plain = ShardedIncrementalSession::new(&base);
-        let reference: Vec<_> = batches
-            .iter()
-            .map(|b| plain.apply(sigma, b, &config).unwrap().delta)
-            .collect();
-
-        let base = MmapShardedSnapshot::load(&sharded_path).unwrap();
-        let mut session = ShardedIncrementalSession::new(&base);
-        let mut deltas = Vec::new();
-        for batch in &batches[..cut] {
-            deltas.push(session.apply(sigma, batch, &config).unwrap().delta);
-        }
-        let compacted_path = temp_path("stream-sharded-epoch");
-        CompactionWriter::new()
-            .compact_file(&sharded_path, session.accumulated(), &compacted_path)
-            .expect("sharded compaction succeeds");
-        let new_base = MmapShardedSnapshot::load(&compacted_path).unwrap();
-        let mut session = session.rebase_onto(&new_base).expect("re-root succeeds");
-        assert_eq!(session.pending(), (0, 0), "{context}: fully compacted");
-        for batch in &batches[cut..] {
-            deltas.push(session.apply(sigma, batch, &config).unwrap().delta);
-        }
-        assert_eq!(deltas, reference, "{context} (sharded)");
-        std::fs::remove_file(&compacted_path).ok();
-    }
-    std::fs::remove_file(&sharded_path).ok();
 }
 
 fn figure1_scenarios() -> Vec<(&'static str, Graph, RuleSet)> {
@@ -695,7 +299,7 @@ fn compact_file_bumps_epochs_across_generations() {
     let report = CompactionWriter::new()
         .compact_file(&path, &d1, &gen1)
         .unwrap();
-    assert_eq!((report.epoch, report.sharded), (1, false));
+    assert_eq!(report.epoch, 1);
 
     // Epoch 1 → 2: re-insert it.
     let mut d2 = BatchUpdate::new();

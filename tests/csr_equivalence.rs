@@ -9,10 +9,9 @@
 //! serialized JSON).
 //!
 //! Every scenario additionally runs through the **mmap path**: the frozen
-//! snapshot (shared and sharded) is written to a snapshot file, loaded
-//! back zero-copy with [`MmapSnapshot`] / [`MmapShardedSnapshot`], and
-//! detection from the file must be byte-identical to both in-memory
-//! backends — three representations, one answer.
+//! snapshot is written to a snapshot file, loaded back zero-copy with
+//! [`MmapSnapshot`], and detection from the file must be byte-identical to
+//! both in-memory backends — three representations, one answer.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{
@@ -20,13 +19,11 @@ use ngd_datagen::{
     UpdateConfig,
 };
 use ngd_detect::{
-    dect_on, delta_neighborhood, inc_dect_prepared, inc_dect_snapshot, pdect_on, pdect_sharded,
-    pinc_dect_prepared, pinc_dect_sharded, DetectorConfig,
+    dect_on, delta_neighborhood, inc_dect_prepared, inc_dect_snapshot, pdect_on,
+    pinc_dect_prepared, DetectorConfig,
 };
-use ngd_graph::persist::{MmapShardedSnapshot, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{
-    BatchUpdate, CsrSnapshot, DeltaOverlay, Graph, PartitionStrategy, ShardedSnapshot,
-};
+use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
+use ngd_graph::{BatchUpdate, CsrSnapshot, DeltaOverlay, Graph};
 use ngd_match::{DeltaViolations, ViolationSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -38,7 +35,7 @@ fn temp_snapshot_path() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ngd-equiv-{}-{seq}.snap", std::process::id()))
 }
 
-/// Freeze → write → mmap-load round trip of a shared snapshot.
+/// Freeze → write → mmap-load round trip of a snapshot.
 fn mmap_of(snapshot: &CsrSnapshot) -> MmapSnapshot {
     let path = temp_snapshot_path();
     SnapshotWriter::new()
@@ -46,17 +43,6 @@ fn mmap_of(snapshot: &CsrSnapshot) -> MmapSnapshot {
         .expect("snapshot file writes");
     let loaded = MmapSnapshot::load(&path).expect("snapshot file loads");
     // The mapping keeps the inode alive; unlink so temp dirs stay clean.
-    std::fs::remove_file(&path).ok();
-    loaded
-}
-
-/// Freeze → write → mmap-load round trip of a sharded snapshot.
-fn mmap_sharded_of(sharded: &ShardedSnapshot) -> MmapShardedSnapshot {
-    let path = temp_snapshot_path();
-    SnapshotWriter::new()
-        .write_sharded(sharded, &path)
-        .expect("sharded snapshot file writes");
-    let loaded = MmapShardedSnapshot::load(&path).expect("sharded snapshot file loads");
     std::fs::remove_file(&path).ok();
     loaded
 }
@@ -80,8 +66,7 @@ fn assert_identical_deltas(adjacency: &DeltaViolations, csr: &DeltaViolations, c
     );
 }
 
-/// Batch equivalence on one (graph, rules) scenario, including PDect and
-/// sharded PDect (both partitioning strategies, with and without a halo).
+/// Batch equivalence on one (graph, rules) scenario, including PDect.
 fn check_batch(graph: &Graph, sigma: &RuleSet, context: &str) {
     let adjacency = dect_on(sigma, graph);
     let snapshot = graph.freeze();
@@ -104,25 +89,6 @@ fn check_batch(graph: &Graph, sigma: &RuleSet, context: &str) {
         &parallel_file.violations,
         &format!("{context} (mmap parallel)"),
     );
-
-    for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-        for halo in [0, sigma.diameter()] {
-            let sharded = graph.freeze_sharded(3, strategy, halo);
-            let report = pdect_sharded(sigma, &sharded, &DetectorConfig::default());
-            assert_identical_sets(
-                &adjacency.violations,
-                &report.violations,
-                &format!("{context} (sharded {strategy:?} halo={halo})"),
-            );
-            let mapped_sharded = mmap_sharded_of(&sharded);
-            let report_file = pdect_sharded(sigma, &mapped_sharded, &DetectorConfig::default());
-            assert_identical_sets(
-                &adjacency.violations,
-                &report_file.violations,
-                &format!("{context} (mmap sharded {strategy:?} halo={halo})"),
-            );
-        }
-    }
 }
 
 /// Incremental equivalence on one (graph, rules, update) scenario:
@@ -171,26 +137,6 @@ fn check_incremental(graph: &Graph, sigma: &RuleSet, delta: &BatchUpdate, contex
             &parallel.delta,
             &format!("{context} ({:?})", parallel.algorithm),
         );
-    }
-
-    for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-        for halo in [0, sigma.diameter()] {
-            let sharded = graph.freeze_sharded(3, strategy, halo);
-            let report = pinc_dect_sharded(sigma, &sharded, delta, &DetectorConfig::default());
-            assert_identical_deltas(
-                &adjacency.delta,
-                &report.delta,
-                &format!("{context} (sharded {strategy:?} halo={halo})"),
-            );
-            let mapped_sharded = mmap_sharded_of(&sharded);
-            let report_file =
-                pinc_dect_sharded(sigma, &mapped_sharded, delta, &DetectorConfig::default());
-            assert_identical_deltas(
-                &adjacency.delta,
-                &report_file.delta,
-                &format!("{context} (mmap sharded {strategy:?} halo={halo})"),
-            );
-        }
     }
 }
 
@@ -294,22 +240,14 @@ fn batch_detection_is_identical_on_a_10k_node_synthetic_graph() {
     let csr = dect_on(&sigma, &snapshot);
     assert_identical_sets(&adjacency.violations, &csr.violations, "synthetic-10k");
 
-    // Mmap path on the 11k-node graph, shared and sharded: detection off
-    // the snapshot file stays byte-identical at scale.
+    // Mmap path on the 11k-node graph: detection off the snapshot file
+    // stays byte-identical at scale.
     let mapped = mmap_of(&snapshot);
     let from_file = dect_on(&sigma, &mapped);
     assert_identical_sets(
         &adjacency.violations,
         &from_file.violations,
         "synthetic-10k (mmap)",
-    );
-    let sharded = graph.freeze_sharded(3, PartitionStrategy::EdgeCut, sigma.diameter());
-    let mapped_sharded = mmap_sharded_of(&sharded);
-    let report_file = pdect_sharded(&sigma, &mapped_sharded, &DetectorConfig::default());
-    assert_identical_sets(
-        &adjacency.violations,
-        &report_file.violations,
-        "synthetic-10k (mmap sharded)",
     );
 }
 

@@ -2,11 +2,7 @@
 //! sequential yardsticks, for every processor count and every ablation
 //! variant — parallelism and workload balancing may never change results.
 
-use ngd_detect::{
-    dect, inc_dect, pdect, pdect_sharded, pinc_dect, pinc_dect_sharded, AlgorithmKind,
-    DetectorConfig,
-};
-use ngd_graph::PartitionStrategy;
+use ngd_detect::{dect, inc_dect, pdect, pinc_dect, AlgorithmKind, DetectorConfig};
 use ngd_integration_tests::{knowledge_workload, social_workload, update_for};
 
 #[test]
@@ -94,90 +90,28 @@ fn parallel_runs_are_deterministic_in_their_results() {
 }
 
 #[test]
-fn sharded_pdect_matches_dect_for_every_strategy_and_fragment_count() {
-    let (graph, sigma) = knowledge_workload(61);
-    let reference = dect(&sigma, &graph);
-    for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-        for p in [1, 2, 3, 5] {
-            let sharded = graph.freeze_sharded(p, strategy, sigma.diameter());
-            let report = pdect_sharded(&sigma, &sharded, &DetectorConfig::default());
-            assert_eq!(
-                report.violations, reference.violations,
-                "sharded PDect ({strategy:?}, p={p}) diverged"
-            );
-            assert_eq!(report.algorithm, AlgorithmKind::PDectSharded);
-            assert_eq!(report.processors, p);
-        }
-    }
-}
-
-#[test]
-fn sharded_pincdect_matches_incdect_for_every_strategy_and_halo() {
-    let (graph, sigma) = knowledge_workload(67);
-    let delta = update_for(&graph, 0.12, 67);
-    let reference = inc_dect(&sigma, &graph, &delta);
-    for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-        for (p, halo) in [(1, 0), (2, sigma.diameter()), (4, 1), (6, sigma.diameter())] {
-            let sharded = graph.freeze_sharded(p, strategy, halo);
-            let report = pinc_dect_sharded(&sigma, &sharded, &delta, &DetectorConfig::default());
-            assert_eq!(
-                report.delta, reference.delta,
-                "sharded PIncDect ({strategy:?}, p={p}, halo={halo}) diverged from IncDect"
-            );
-            assert_eq!(report.algorithm, AlgorithmKind::PIncDectSharded);
-        }
-    }
-}
-
-#[test]
-fn sharded_social_workload_consistency() {
-    let (graph, sigma) = social_workload(71);
-    let delta = update_for(&graph, 0.15, 71);
-    let reference = inc_dect(&sigma, &graph, &delta);
-    let batch_reference = dect(&sigma, &graph);
-    for p in [2, 4] {
-        let sharded = graph.freeze_sharded(p, PartitionStrategy::EdgeCut, sigma.diameter());
-        let batch = pdect_sharded(&sigma, &sharded, &DetectorConfig::default());
-        assert_eq!(batch.violations, batch_reference.violations);
-        let report = pinc_dect_sharded(&sigma, &sharded, &delta, &DetectorConfig::default());
-        assert_eq!(report.delta, reference.delta);
-    }
-}
-
-#[test]
-fn sharded_runs_account_communication_in_the_ledger() {
-    let (graph, sigma) = knowledge_workload(89);
-    let reference = dect(&sigma, &graph);
-    // Zero-depth halo on several fragments: candidate generation around
-    // the cut must reach across fragments, and every such fetch is charged
-    // to the ledger (the crossing-edge traffic of the paper's cost model).
-    let bare = graph.freeze_sharded(4, PartitionStrategy::EdgeCut, 0);
-    let config = DetectorConfig::default();
-    let report = pdect_sharded(&sigma, &bare, &config);
-    assert_eq!(report.violations, reference.violations);
-    assert!(
-        report.cost.remote_fetches > 0,
-        "a halo-less sharded run over a connected workload must fetch remotely"
-    );
-    assert!(report.cost.latency_units >= config.latency_c * report.cost.remote_fetches as f64);
-    // A dΣ-deep halo removes the remote traffic of owned-seed expansion.
-    let haloed = graph.freeze_sharded(4, PartitionStrategy::EdgeCut, sigma.diameter());
-    let haloed_report = pdect_sharded(&sigma, &haloed, &config);
-    assert_eq!(haloed_report.violations, reference.violations);
-    assert!(haloed_report.cost.remote_fetches < report.cost.remote_fetches);
-    // Replication is the price: the haloed shards materialise more nodes.
-    assert!(haloed.replication_factor() >= bare.replication_factor());
-}
-
-#[test]
 fn work_and_violations_are_reported_in_the_ledger() {
     let (graph, sigma) = knowledge_workload(83);
     let delta = update_for(&graph, 0.10, 83);
-    let report = pinc_dect(&sigma, &graph, &delta, &DetectorConfig::with_processors(4));
+    let config = DetectorConfig::with_processors(4);
+    let report = pinc_dect(&sigma, &graph, &delta, &config);
     if !report.delta.is_empty() {
         assert!(report.stats.expanded > 0);
         assert!(report.stats.candidates_inspected > 0);
     }
+    // Every inspected candidate is charged as scanned work, and every split
+    // or migration pays at least one latency unit `C`.
+    assert_eq!(
+        report.cost.scanned,
+        report.stats.candidates_inspected as u64
+    );
+    let messages = (report.cost.splits + report.cost.migrations) as f64;
+    assert!(report.cost.latency_units >= config.latency_c * messages);
+    // The batch detector charges its scan the same way and never pays
+    // latency: it neither splits nor migrates.
+    let batch = pdect(&sigma, &graph, &config);
+    assert_eq!(batch.cost.scanned, batch.stats.candidates_inspected as u64);
+    assert_eq!(batch.cost.latency_units, 0.0);
     // The modelled cost is monotone in the processor count's inverse.
     assert!(report.cost.modelled_cost(1) >= report.cost.modelled_cost(8));
 }

@@ -357,30 +357,22 @@ fn crafted_element_counts_fail_typed_not_catastrophically() {
         PersistError::Corrupt(_)
     ));
 
-    // A sharded file declaring zero fragments: the in-memory writer can
-    // never produce one, and the sharded detectors index fragment 0
-    // unconditionally, so the loader must reject it.
-    use ngd_graph::persist::MmapShardedSnapshot;
-    use ngd_graph::PartitionStrategy;
-    let sharded = golden_graph().freeze_sharded(2, PartitionStrategy::EdgeCut, 1);
-    let mut bytes = SnapshotWriter::new().encode_sharded(&sharded);
-    let header = FileHeader::parse(&bytes).unwrap();
-    let table = format::read_section_table(&bytes, &header).unwrap();
-    let meta = table
-        .iter()
-        .find(|s| s.kind == format::kind::SHARD_META)
-        .unwrap();
-    // SHARD_META layout: halo depth (u64), then fragment count (u32).
-    let count_off = meta.offset as usize + 8;
-    bytes[count_off..count_off + 4].copy_from_slice(&0u32.to_le_bytes());
-    restamp(&mut bytes);
-    let path = temp_file("zero-fragments", &bytes);
-    let result = MmapShardedSnapshot::load(&path);
+    // The reserved kind 2 (the sharded snapshots older builds wrote): no
+    // writer for it remains, so patch the kind word of a shared file — it
+    // sits in the header, outside the checksummed range.  Every opener
+    // must refuse it typed rather than read it as kind 1.
+    let mut bytes = golden_bytes();
+    bytes[12..16].copy_from_slice(&format::file_kind::SHARDED.to_le_bytes());
+    let wrong_kind = PersistError::WrongKind {
+        expected: format::file_kind::SNAPSHOT,
+        found: format::file_kind::SHARDED,
+    };
+    assert_eq!(load_err("kind-2", &bytes), wrong_kind);
+    assert!(wrong_kind.to_string().contains("no longer supported"));
+    let path = temp_file("kind-2-store", &bytes);
+    let opened = ngd_serve::SnapshotStore::open(&path);
     std::fs::remove_file(&path).ok();
-    assert!(
-        matches!(result, Err(PersistError::Corrupt(_))),
-        "{result:?}"
-    );
+    assert_eq!(opened.err(), Some(wrong_kind));
 }
 
 #[test]

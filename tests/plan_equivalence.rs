@@ -3,9 +3,9 @@
 //! and without it.  The reference point is the pre-planner greedy order,
 //! still reachable through [`Matcher::with_legacy_order`]:
 //!
-//! * `Vio(Σ, G)` — planned `dect`/`pdect`/`pdect_sharded` vs the legacy
-//!   order, on seeded random graphs across the adjacency, CSR-snapshot,
-//!   sharded and mmap-file backends (down to the serialized JSON bytes);
+//! * `Vio(Σ, G)` — planned `dect`/`pdect` vs the legacy order, on seeded
+//!   random graphs across the adjacency, CSR-snapshot and mmap-file
+//!   backends (down to the serialized JSON bytes);
 //! * `ΔVio` — planned incremental and parallel-incremental detection vs a
 //!   legacy-order update-driven recomputation;
 //! * the figure-1 scenarios with the full paper rule set;
@@ -16,13 +16,10 @@
 use ngd_core::{paper, Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_datagen::StdRng;
 use ngd_detect::{
-    dect_on, dect_on_cached, inc_dect_prepared, pdect_on, pdect_sharded, pinc_dect_prepared,
-    DetectorConfig,
+    dect_on, dect_on_cached, inc_dect_prepared, pdect_on, pinc_dect_prepared, DetectorConfig,
 };
 use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{
-    AttrMap, BatchUpdate, EdgeRef, Graph, GraphView, NodeId, PartitionStrategy, Value,
-};
+use ngd_graph::{AttrMap, BatchUpdate, EdgeRef, Graph, GraphView, NodeId, Value};
 use ngd_match::{
     edge_ranks, pattern_matches, update_pivots, DeltaViolations, Matcher, PlanCache, Violation,
     ViolationSet,
@@ -230,16 +227,6 @@ fn planned_batch_detection_matches_legacy_order_on_every_backend() {
         let parallel = pdect_on(&sigma, &snapshot, &DetectorConfig::with_processors(p)).violations;
         assert_eq!(parallel, expected, "pdect p={p} (case {case})");
 
-        // Sharded CSR with plans compiled on the global view.
-        let strategy = if case % 2 == 0 {
-            PartitionStrategy::EdgeCut
-        } else {
-            PartitionStrategy::VertexCut
-        };
-        let sharded = graph.freeze_sharded(rng.gen_range(1..4usize), strategy, 0);
-        let from_shards = pdect_sharded(&sigma, &sharded, &DetectorConfig::default()).violations;
-        assert_eq!(from_shards, expected, "{strategy:?} (case {case})");
-
         // Memory-mapped snapshot file, down to the serialized bytes.
         let path = temp_path("batch");
         writer.write(&snapshot, &path).expect("snapshot writes");
@@ -316,14 +303,6 @@ fn figure1_scenarios_match_legacy_order() {
             expected,
             "p={p}"
         );
-        for strategy in [PartitionStrategy::EdgeCut, PartitionStrategy::VertexCut] {
-            let sharded = combined.freeze_sharded(p, strategy, sigma.diameter());
-            assert_eq!(
-                pdect_sharded(&sigma, &sharded, &DetectorConfig::default()).violations,
-                expected,
-                "{strategy:?} p={p}"
-            );
-        }
     }
 }
 

@@ -8,8 +8,6 @@
 //! * the parallel incremental detector agrees with the sequential one,
 //! * `d`-neighbourhoods are monotone in `d` and bounded by the graph,
 //! * generated updates always apply cleanly,
-//! * the edge-cut and vertex-cut partitioners uphold their ownership,
-//!   balance and cut invariants on arbitrary graphs and fragment counts,
 //! * freezing a random graph, writing it to a snapshot file and
 //!   mmap-loading it back yields a view byte-identical to the in-memory
 //!   snapshot — adjacency runs, label partition, triple index and the
@@ -19,11 +17,7 @@ use ngd_core::{Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_datagen::StdRng;
 use ngd_detect::{dect, dect_on, inc_dect_prepared, pinc_dect_prepared, DetectorConfig};
 use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
-use ngd_graph::{
-    d_neighbors, intern, AttrMap, BatchUpdate, EdgeCutPartitioner, Fragment, Graph, GraphView,
-    NodeId, Value, VertexCutPartitioner,
-};
-use std::collections::HashSet;
+use ngd_graph::{d_neighbors, intern, AttrMap, BatchUpdate, Graph, GraphView, NodeId, Value};
 
 /// Number of random cases per property.
 const CASES: u64 = 48;
@@ -279,118 +273,6 @@ fn d_neighborhoods_are_monotone_and_bounded() {
             smaller.contains(v),
             "a node is always in its own neighbourhood (case {case})"
         );
-    }
-}
-
-#[test]
-fn edge_cut_partitions_uphold_their_invariants() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(6000 + case);
-        let graph = build_graph(&random_graph(&mut rng));
-        // Deliberately includes p = 0 (treated as 1) and p > |V|.
-        let parts = rng.gen_range(0..16usize);
-        let part = EdgeCutPartitioner { parts }.partition(&graph);
-        let p = part.fragment_count();
-        assert_eq!(p, parts.max(1), "case {case}");
-
-        // Every node is owned exactly once, consistently with `owner_of`.
-        let mut seen = vec![0usize; graph.node_count()];
-        for frag in &part.fragments {
-            for &node in &frag.nodes {
-                seen[node.index()] += 1;
-                assert_eq!(part.owner_of(node), frag.id, "case {case}");
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "case {case}: {seen:?}");
-
-        // The balance cap ⌈|V|/p⌉ is a hard limit per fragment.
-        let cap = graph.node_count().div_ceil(p).max(1);
-        for frag in &part.fragments {
-            assert!(
-                frag.node_count() <= cap,
-                "case {case}: fragment {} holds {} > cap {cap}",
-                frag.id,
-                frag.node_count()
-            );
-        }
-
-        // Crossing and internal edges are disjoint and together cover E.
-        let crossing: HashSet<_> = part.crossing_edges.iter().copied().collect();
-        assert_eq!(crossing.len(), part.crossing_edges.len(), "case {case}");
-        let mut internal_total = 0usize;
-        for frag in &part.fragments {
-            for edge in &frag.internal_edges {
-                assert!(!crossing.contains(edge), "case {case}: {edge:?}");
-                assert_eq!(part.owner_of(edge.src), frag.id, "case {case}");
-                assert_eq!(part.owner_of(edge.dst), frag.id, "case {case}");
-                internal_total += 1;
-            }
-        }
-        assert_eq!(
-            internal_total + crossing.len(),
-            graph.edge_count(),
-            "case {case}"
-        );
-
-        // Statistics are well-defined even on degenerate inputs.
-        assert!(part.balance().is_finite(), "case {case}");
-        assert!(part.cut_ratio(&graph).is_finite(), "case {case}");
-    }
-}
-
-#[test]
-fn vertex_cut_partitions_uphold_their_invariants() {
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(7000 + case);
-        let graph = build_graph(&random_graph(&mut rng));
-        let parts = rng.gen_range(0..16usize);
-        let part = VertexCutPartitioner { parts }.partition(&graph);
-        let p = part.fragment_count();
-        assert_eq!(p, parts.max(1), "case {case}");
-
-        // Every node is owned exactly once.
-        let owned: usize = part.fragments.iter().map(Fragment::node_count).sum();
-        assert_eq!(owned, graph.node_count(), "case {case}");
-
-        // Every edge is assigned to exactly one fragment.
-        let assigned: usize = part.fragments.iter().map(Fragment::edge_count).sum();
-        assert_eq!(assigned, graph.edge_count(), "case {case}");
-
-        // Border nodes are exactly the replicated nodes: a node listed as a
-        // border node of fragment f touches edges of f *and* of some other
-        // fragment — and appears as a border node of every fragment it
-        // touches.
-        let mut touches: Vec<HashSet<usize>> = vec![HashSet::new(); graph.node_count()];
-        for frag in &part.fragments {
-            for edge in &frag.internal_edges {
-                touches[edge.src.index()].insert(frag.id);
-                touches[edge.dst.index()].insert(frag.id);
-            }
-        }
-        for frag in &part.fragments {
-            for &node in &frag.border_nodes {
-                assert!(
-                    touches[node.index()].len() > 1,
-                    "case {case}: border node {node} of fragment {} is not replicated",
-                    frag.id
-                );
-                assert!(touches[node.index()].contains(&frag.id), "case {case}");
-            }
-        }
-        for (idx, frags) in touches.iter().enumerate() {
-            if frags.len() > 1 {
-                let node = NodeId(idx as u32);
-                for &f in frags {
-                    assert!(
-                        part.fragments[f].border_nodes.contains(&node),
-                        "case {case}: replicated node {node} missing from fragment {f}'s border"
-                    );
-                }
-            }
-        }
-
-        assert!(part.balance().is_finite(), "case {case}");
-        assert!(part.cut_ratio(&graph).is_finite(), "case {case}");
     }
 }
 

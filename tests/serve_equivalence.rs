@@ -4,8 +4,8 @@
 //! written snapshot file must stream `ΔVio` answers that are
 //! **byte-identical** to running `pinc_dect` in-process — equality of the
 //! structures *and* of their serialized JSON — on every figure-1 scenario
-//! and on the 11k-node synthetic workload, for shared and sharded
-//! snapshots, over concurrent sessions, across *sequences* of batches.
+//! and on the 11k-node synthetic workload, over concurrent sessions,
+//! across *sequences* of batches.
 //!
 //! One daemon per scenario graph; every update of the scenario runs through
 //! a fresh session (connection) of that daemon.
@@ -17,7 +17,7 @@ use ngd_datagen::{
 };
 use ngd_detect::{inc_dect, pinc_dect, DetectorConfig};
 use ngd_graph::persist::SnapshotWriter;
-use ngd_graph::{AttrMap, BatchUpdate, Graph, PartitionStrategy};
+use ngd_graph::{AttrMap, BatchUpdate, Graph};
 use ngd_match::DeltaViolations;
 use ngd_serve::{ServeAddr, ServeClient, Server, SnapshotStore};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,20 +38,12 @@ fn assert_identical_deltas(reference: &DeltaViolations, served: &DeltaViolations
     );
 }
 
-/// Start a daemon serving `graph` (shared or sharded snapshot file).
-fn start_daemon(graph: &Graph, sigma: &RuleSet, fragments: usize) -> (Server, std::path::PathBuf) {
+/// Start a daemon serving `graph` from a written snapshot file.
+fn start_daemon(graph: &Graph, sigma: &RuleSet) -> (Server, std::path::PathBuf) {
     let path = temp_snapshot_path();
-    let writer = SnapshotWriter::new();
-    if fragments == 0 {
-        writer
-            .write(&graph.freeze(), &path)
-            .expect("snapshot writes");
-    } else {
-        let sharded = graph.freeze_sharded(fragments, PartitionStrategy::EdgeCut, sigma.diameter());
-        writer
-            .write_sharded(&sharded, &path)
-            .expect("sharded snapshot writes");
-    }
+    SnapshotWriter::new()
+        .write(&graph.freeze(), &path)
+        .expect("snapshot writes");
     let addr = if cfg!(unix) {
         let seq = FILE_SEQ.fetch_add(1, Ordering::Relaxed);
         ServeAddr::Unix(
@@ -73,29 +65,27 @@ fn start_daemon(graph: &Graph, sigma: &RuleSet, fragments: usize) -> (Server, st
 /// Every update served by a fresh session must match in-process `pinc_dect`.
 fn check_served_updates(graph: &Graph, sigma: &RuleSet, updates: &[BatchUpdate], context: &str) {
     let config = DetectorConfig::with_processors(3);
-    for fragments in [0usize, 3] {
-        let (server, path) = start_daemon(graph, sigma, fragments);
-        for (idx, delta) in updates.iter().enumerate() {
-            let reference = pinc_dect(sigma, graph, delta, &config);
-            let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
-            let served = client.submit_update(delta).expect("update serves");
-            assert_identical_deltas(
-                &reference.delta,
-                &served.delta,
-                &format!("{context} frag={fragments} update#{idx}"),
-            );
-            assert_eq!(
-                served.done.added_total + served.done.removed_total,
-                reference.delta.len() as u64
-            );
-        }
-        // Shut the daemon down through the protocol.
+    let (server, path) = start_daemon(graph, sigma);
+    for (idx, delta) in updates.iter().enumerate() {
+        let reference = pinc_dect(sigma, graph, delta, &config);
         let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
-        client.shutdown_server().expect("daemon shuts down");
-        drop(client);
-        server.wait();
-        std::fs::remove_file(&path).ok();
+        let served = client.submit_update(delta).expect("update serves");
+        assert_identical_deltas(
+            &reference.delta,
+            &served.delta,
+            &format!("{context} update#{idx}"),
+        );
+        assert_eq!(
+            served.done.added_total + served.done.removed_total,
+            reference.delta.len() as u64
+        );
     }
+    // Shut the daemon down through the protocol.
+    let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
+    client.shutdown_server().expect("daemon shuts down");
+    drop(client);
+    server.wait();
+    std::fs::remove_file(&path).ok();
 }
 
 fn figure1_scenarios() -> Vec<(&'static str, Graph, RuleSet)> {
@@ -176,7 +166,7 @@ fn a_session_absorbing_a_batch_stream_matches_materialised_reruns() {
         let (g, _) = paper::figure1_g4();
         (g, RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]))
     };
-    let (server, path) = start_daemon(&graph, &sigma, 0);
+    let (server, path) = start_daemon(&graph, &sigma);
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let edges = graph.edge_vec();
@@ -250,80 +240,74 @@ fn check_compact_mid_stream(
     cut: usize,
     context: &str,
 ) {
-    for fragments in [0usize, 3] {
-        // Reference daemon: no compaction.
-        let (server, path) = start_daemon(graph, sigma, fragments);
-        let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
-        let reference: Vec<DeltaViolations> = batches
-            .iter()
-            .map(|b| client.submit_update(b).expect("update serves").delta)
-            .collect();
-        client.shutdown_server().unwrap();
-        drop(client);
-        server.wait();
-        std::fs::remove_file(&path).ok();
+    // Reference daemon: no compaction.
+    let (server, path) = start_daemon(graph, sigma);
+    let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
+    let reference: Vec<DeltaViolations> = batches
+        .iter()
+        .map(|b| client.submit_update(b).expect("update serves").delta)
+        .collect();
+    client.shutdown_server().unwrap();
+    drop(client);
+    server.wait();
+    std::fs::remove_file(&path).ok();
 
-        // Compacting daemon: same stream, epoch switch after `cut`.
-        let (server, path) = start_daemon(graph, sigma, fragments);
-        let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
-        // A second session rides along to observe the broadcast.
-        let mut observer = ServeClient::connect(server.local_addr()).expect("observer connects");
-        observer
-            .submit_update(&batches[0])
-            .expect("observer absorbs a batch");
+    // Compacting daemon: same stream, epoch switch after `cut`.
+    let (server, path) = start_daemon(graph, sigma);
+    let mut client = ServeClient::connect(server.local_addr()).expect("client connects");
+    // A second session rides along to observe the broadcast.
+    let mut observer = ServeClient::connect(server.local_addr()).expect("observer connects");
+    observer
+        .submit_update(&batches[0])
+        .expect("observer absorbs a batch");
 
-        let mut served = Vec::new();
-        for (idx, batch) in batches.iter().enumerate() {
-            if idx == cut {
-                let epoch = client.compact().expect("COMPACT succeeds");
-                assert_eq!(epoch.epoch, 1, "{context}: compaction bumps the epoch");
-                assert_eq!(epoch.published_epoch, 1, "{context}");
-                let stats = client.stats().expect("stats after compaction");
-                assert_eq!(stats.epoch, 1, "{context}");
-                assert_eq!(
-                    (stats.pending_nodes, stats.pending_edge_ops),
-                    (0, 0),
-                    "{context}: compaction empties the requester's overlay"
-                );
-            }
-            served.push(client.submit_update(batch).expect("update serves").delta);
-        }
-        for (idx, (reference, served)) in reference.iter().zip(&served).enumerate() {
-            assert_identical_deltas(
-                reference,
-                served,
-                &format!("{context} frag={fragments} batch#{idx}"),
+    let mut served = Vec::new();
+    for (idx, batch) in batches.iter().enumerate() {
+        if idx == cut {
+            let epoch = client.compact().expect("COMPACT succeeds");
+            assert_eq!(epoch.epoch, 1, "{context}: compaction bumps the epoch");
+            assert_eq!(epoch.published_epoch, 1, "{context}");
+            let stats = client.stats().expect("stats after compaction");
+            assert_eq!(stats.epoch, 1, "{context}");
+            assert_eq!(
+                (stats.pending_nodes, stats.pending_edge_ops),
+                (0, 0),
+                "{context}: compaction empties the requester's overlay"
             );
         }
-
-        // The observer re-roots at its next message boundary and is told so.
-        assert!(observer.last_epoch_switch().is_none());
-        let stats = observer.stats().expect("observer stats");
-        let notice = observer
-            .last_epoch_switch()
-            .expect("observer receives EPOCH_SWITCHED at its message boundary");
-        assert_eq!(notice.epoch, 1, "{context}");
-        assert_eq!(notice.previous_epoch, 0, "{context}");
-        assert_eq!(
-            stats.epoch, 1,
-            "{context}: observer now reads the new epoch"
-        );
-        assert_eq!(
-            notice.carried_ops,
-            {
-                // The observer's batch#0 relative to epoch 1 (which folded
-                // the *requester's* overlay, not the observer's).
-                stats.pending_edge_ops
-            },
-            "{context}: the notice reports the carried residue"
-        );
-
-        client.shutdown_server().unwrap();
-        drop(client);
-        drop(observer);
-        server.wait();
-        std::fs::remove_file(&path).ok();
+        served.push(client.submit_update(batch).expect("update serves").delta);
     }
+    for (idx, (reference, served)) in reference.iter().zip(&served).enumerate() {
+        assert_identical_deltas(reference, served, &format!("{context} batch#{idx}"));
+    }
+
+    // The observer re-roots at its next message boundary and is told so.
+    assert!(observer.last_epoch_switch().is_none());
+    let stats = observer.stats().expect("observer stats");
+    let notice = observer
+        .last_epoch_switch()
+        .expect("observer receives EPOCH_SWITCHED at its message boundary");
+    assert_eq!(notice.epoch, 1, "{context}");
+    assert_eq!(notice.previous_epoch, 0, "{context}");
+    assert_eq!(
+        stats.epoch, 1,
+        "{context}: observer now reads the new epoch"
+    );
+    assert_eq!(
+        notice.carried_ops,
+        {
+            // The observer's batch#0 relative to epoch 1 (which folded
+            // the *requester's* overlay, not the observer's).
+            stats.pending_edge_ops
+        },
+        "{context}: the notice reports the carried residue"
+    );
+
+    client.shutdown_server().unwrap();
+    drop(client);
+    drop(observer);
+    server.wait();
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
