@@ -22,7 +22,7 @@ use crate::cost::CostLedger;
 use crate::report::{DetectionReport, SearchStats};
 use ngd_core::{Ngd, RuleSet, Var};
 use ngd_graph::{Graph, GraphView, NodeId, WILDCARD};
-use ngd_match::{compile_plan, MatchPlan, Matcher, PlanCache, Violation, ViolationSet};
+use ngd_match::{compile_rule_plan, MatchPlan, Matcher, PlanCache, Violation, ViolationSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,7 +50,7 @@ pub fn dect_on_cached<G: GraphView>(
     let mut stats = SearchStats::default();
     for rule in sigma.iter() {
         let rule_start = Instant::now();
-        let plan = cache.get_or_compile(&rule.id, &[], || compile_plan(&rule.pattern, graph, &[]));
+        let plan = cache.get_or_compile(&rule.id, &[], || compile_rule_plan(rule, graph, &[]));
         let matcher = Matcher::new(&rule.pattern, graph).with_plan(plan);
         let (vio, s) = matcher.find_violations_with_stats(rule);
         violations.extend(vio);
@@ -114,6 +114,18 @@ pub fn pdect_on<G: GraphView + Sync>(
     pdect_on_cached(sigma, graph, config, &PlanCache::new())
 }
 
+/// The batch pivots of one rule: every candidate of its root variable,
+/// expanded through one compiled plan.
+struct RootedRule<'a> {
+    rule: &'a Ngd,
+    root: Var,
+    plan: Arc<MatchPlan>,
+    candidates: Vec<NodeId>,
+    /// Position of the rule's first candidate in the concatenation of all
+    /// rules' candidates, which is what the workers stride over.
+    offset: usize,
+}
+
 /// [`pdect_on`] with a caller-owned [`PlanCache`].  Each rule's plan is
 /// compiled (or fetched) once, before the worker pool starts, and the one
 /// `Arc<MatchPlan>` is shared by every batch pivot of that rule.
@@ -127,56 +139,64 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
     let (hits0, misses0) = (cache.hits(), cache.misses());
     // One work unit per (rule, candidate of the rule's root variable); one
     // compiled plan per rule, shared across all of its pivots.
-    let mut units: Vec<(usize, Var, NodeId)> = Vec::new();
-    let mut plans: Vec<Option<Arc<MatchPlan>>> = vec![None; sigma.rules().len()];
-    for (rule_idx, rule) in sigma.iter().enumerate() {
+    let mut rooted: Vec<RootedRule<'_>> = Vec::new();
+    let mut units = 0usize;
+    for rule in sigma.iter() {
         if let Some(root) = root_variable(rule, graph) {
-            plans[rule_idx] = Some(cache.get_or_compile(&rule.id, &[root], || {
-                compile_plan(&rule.pattern, graph, &[root])
-            }));
-            for candidate in candidates_for(rule, graph, root) {
-                units.push((rule_idx, root, candidate));
-            }
+            let plan = cache.get_or_compile(&rule.id, &[root], || {
+                compile_rule_plan(rule, graph, &[root])
+            });
+            let candidates = candidates_for(rule, graph, root);
+            let offset = units;
+            units += candidates.len();
+            rooted.push(RootedRule {
+                rule,
+                root,
+                plan,
+                candidates,
+                offset,
+            });
         }
     }
 
     let p = config.processors.max(1);
-    let units_ref = &units;
-    let plans_ref = &plans;
-    let (violations, mut stats) = std::thread::scope(|scope| {
+    let rooted_ref = &rooted;
+    let (found, mut stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..p)
             .map(|worker| {
                 scope.spawn(move || {
-                    let mut set = ViolationSet::new();
+                    let mut found: Vec<Violation> = Vec::new();
                     let mut stats = SearchStats::default();
-                    // Strided assignment keeps the per-thread load even when
-                    // consecutive units (same rule) have similar cost.
-                    for &(rule_idx, root, candidate) in units_ref.iter().skip(worker).step_by(p) {
-                        let rule = &sigma.rules()[rule_idx];
-                        let plan = plans_ref[rule_idx]
-                            .clone()
-                            .expect("a unit exists only for rules with a root plan");
-                        let matcher = Matcher::new(&rule.pattern, graph).with_plan(plan);
-                        let (matches, run_stats) =
-                            matcher.expand_seeded(&[(root, candidate)], Some(rule));
-                        for m in matches {
-                            set.insert(Violation::new(rule.id.clone(), m));
-                        }
+                    for work in rooted_ref {
+                        // Strided assignment over the concatenated units
+                        // keeps the per-thread load even when consecutive
+                        // units (same rule) have similar cost.  One matcher
+                        // and one set of search buffers serve the stride.
+                        let first = (worker + p - work.offset % p) % p;
+                        let stride = work.candidates.iter().copied().skip(first).step_by(p);
+                        let matcher = Matcher::new(&work.rule.pattern, graph)
+                            .with_plan(Arc::clone(&work.plan));
+                        let run_stats =
+                            matcher.expand_roots(work.root, stride, work.rule, &mut |m| {
+                                found.push(Violation::new(work.rule.id.clone(), m.to_vec()));
+                            });
                         stats.merge(&SearchStats::from(run_stats));
                     }
-                    (set, stats)
+                    (found, stats)
                 })
             })
             .collect();
-        let mut violations = ViolationSet::new();
+        let mut found: Vec<Violation> = Vec::new();
         let mut stats = SearchStats::default();
         for handle in handles {
-            let (set, s) = handle.join().expect("PDect worker must not panic");
-            violations.extend(set);
+            let (part, s) = handle.join().expect("PDect worker must not panic");
+            found.extend(part);
             stats.merge(&s);
         }
-        (violations, stats)
+        (found, stats)
     });
+    // Distinct roots give distinct matches, so the set is built once.
+    let violations: ViolationSet = found.into_iter().collect();
     stats.record_plan_cache(hits0, misses0, cache);
 
     let mut cost = CostLedger::default();

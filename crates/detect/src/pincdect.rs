@@ -46,8 +46,8 @@ use crate::report::{DeltaReport, SearchStats, VioSide, VioSink};
 use ngd_core::{is_violation, Ngd, RuleSet};
 use ngd_graph::{BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId};
 use ngd_match::{
-    compile_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, MatchPlan, Matcher,
-    PlanCache, Violation,
+    compile_rule_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, FastPathTally,
+    MatchPlan, Matcher, PlanCache, Violation,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,6 +92,9 @@ struct WorkerOutput {
     delta: DeltaViolations,
     stats: SearchStats,
     cost: CostLedger,
+    /// Literal-schedule and candidate-list tallies, folded into the metrics
+    /// registry once when the run ends.
+    fast_path: FastPathTally,
 }
 
 /// Streaming state shared by every worker when the caller installed a
@@ -237,7 +240,12 @@ impl<'a, V: GraphView> Runtime<'a, V> {
         let var = unit.plan.var_at(depth);
         let (candidates, anchor_degree) = match unit.presplit {
             Some(ref pre) => (pre.clone(), pre.len()),
-            None => matcher.planned_candidate_step(&unit.plan, depth, &unit.assignment),
+            None => matcher.planned_candidate_step(
+                &unit.plan,
+                depth,
+                &unit.assignment,
+                &mut out.fast_path,
+            ),
         };
         out.stats.candidates_inspected += candidates.len();
         out.cost.record_scan(candidates.len());
@@ -274,7 +282,15 @@ impl<'a, V: GraphView> Runtime<'a, V> {
         for candidate in candidates {
             let mut child_assignment = unit.assignment.clone();
             child_assignment[var.index()] = Some(candidate);
-            if !matcher.partial_viable(Some(rule), &child_assignment) {
+            // The unit was viable before this step, so only what the step
+            // newly decides needs checking — the recursive search's test.
+            if !matcher.step_viable(
+                &unit.plan,
+                depth,
+                Some(rule),
+                &child_assignment,
+                &mut out.fast_path,
+            ) {
                 continue;
             }
             self.push(
@@ -421,7 +437,7 @@ fn edge_pivot_units<G: GraphView>(
             continue;
         }
         let plan = cache.get_or_compile(&rule.id, &[pe.src, pe.dst], || {
-            compile_plan(&rule.pattern, search_graph, &[pe.src, pe.dst])
+            compile_rule_plan(rule, search_graph, &[pe.src, pe.dst])
         });
         units.push(WorkUnit {
             rule_idx,
@@ -597,14 +613,17 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
     let mut delta_vio = DeltaViolations::new();
     let mut stats = SearchStats::default();
     let mut cost = balance_cost;
+    let mut fast_path = FastPathTally::default();
     {
         let _span = ngd_obs::span!("detect.fold");
         for out in outputs {
             delta_vio.extend(out.delta);
             stats.merge(&out.stats);
             cost.merge(&out.cost);
+            fast_path.merge(&out.fast_path);
         }
     }
+    fast_path.observe();
     stats.record_plan_cache(hits0, misses0, cache);
 
     let algorithm = match (config.work_splitting, config.workload_balancing) {

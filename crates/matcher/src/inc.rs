@@ -21,7 +21,7 @@
 //! re-inserted in the same batch).
 
 use crate::matchn::{MatchStats, Matcher};
-use crate::plan::{compile_plan, PlanCache};
+use crate::plan::{compile_rule_plan, PlanCache};
 use crate::violation::{DeltaViolations, Violation, ViolationSet};
 use ngd_core::{Ngd, RuleSet};
 use ngd_graph::{EdgeRef, GraphView, NodeId, WILDCARD};
@@ -146,7 +146,7 @@ pub fn update_driven_violations_cached<S: GraphView, O: GraphView>(
             let pe = rule.pattern.edges()[pivot.pattern_edge];
             let seed_vars = [pe.src, pe.dst];
             let plan = cache.get_or_compile(&rule.id, &seed_vars, || {
-                compile_plan(&rule.pattern, search_graph, &seed_vars)
+                compile_rule_plan(rule, search_graph, &seed_vars)
             });
             let matcher = Matcher::new(&rule.pattern, search_graph)
                 .with_forbidden(&ranks, idx)

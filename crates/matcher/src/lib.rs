@@ -7,8 +7,9 @@
 //!   pruning for violation search;
 //! * [`plan`] — the cost-based match planner: compiles each pattern into an
 //!   explicit [`MatchPlan`] (seed choice, variable order by estimated
-//!   fan-out, per-step anchor sets) from O(1) snapshot statistics, cached
-//!   per (rule, seed set) in an epoch-keyed [`PlanCache`];
+//!   fan-out, per-step anchor sets, and the step at which each literal of
+//!   the rule is decided) from O(1) snapshot statistics, cached per (rule,
+//!   seed set) in an epoch-keyed [`PlanCache`];
 //! * [`inc`] — the update-driven incremental matcher (`IncMatch`): expands
 //!   update pivots triggered by edge insertions/deletions and returns the
 //!   exact violation delta `(ΔVio⁺, ΔVio⁻)`;
@@ -37,6 +38,10 @@ pub use inc::{
     delta_violations_for_rule_cached, edge_ranks, pattern_matches, update_driven_violations,
     update_driven_violations_cached, update_pivots, UpdatePivot,
 };
-pub use matchn::{find_matches, find_violations, ForbiddenEdges, MatchLimits, MatchStats, Matcher};
-pub use plan::{compile_plan, Anchor, MatchPlan, PlanCache, PlanStep, SeedChoice};
+pub use matchn::{
+    find_matches, find_violations, FastPathTally, ForbiddenEdges, MatchLimits, MatchStats, Matcher,
+};
+pub use plan::{
+    compile_plan, compile_rule_plan, Anchor, MatchPlan, PlanCache, PlanRule, PlanStep, SeedChoice,
+};
 pub use violation::{DeltaViolations, Violation, ViolationSet};

@@ -16,7 +16,19 @@
 //! * **literal pruning** — when searching for *violations* of an NGD, a
 //!   partial solution is abandoned as soon as a premise literal is decided
 //!   false, or all consequence literals are decided true (Section 6.2,
-//!   step (3)).
+//!   step (3)).  "As soon as" is computed once, when the plan is compiled,
+//!   not on every node of the search tree: the plan's literal schedule
+//!   (see [`crate::plan`]) names the one step at which each literal becomes
+//!   decided, and the planned search evaluates a literal at that step only
+//!   — every literal is evaluated once more where the seeds are installed,
+//!   and the leaf test `is_violation` is unchanged.
+//!
+//! The planned search allocates nothing per search-tree node: a step with
+//! one anchored run iterates the graph's own slice, a multi-anchor step
+//! intersects its runs into a per-depth buffer that is reused across the
+//! run, and complete matches are handed out as borrowed slices.  The
+//! [`FastPathTally`] counters say, from outside, whether both fast paths
+//! are engaged.
 //!
 //! The same engine expands *update pivots* for the incremental matcher in
 //! [`crate::inc`], via [`Matcher::expand_seeded`].
@@ -26,6 +38,7 @@ use crate::violation::{Violation, ViolationSet};
 use ngd_core::eval::eval_literal_partial;
 use ngd_core::{Ngd, Pattern, Var};
 use ngd_graph::{EdgeRef, Graph, GraphView, NodeId, WILDCARD};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -76,6 +89,64 @@ pub struct MatchStats {
     pub gallop_intersections: usize,
 }
 
+/// Hit/miss tallies of the planned search's two fast paths, kept in plain
+/// integers during a run and folded into the metrics registry once per run
+/// ([`FastPathTally::observe`]).
+///
+/// `literal_evals ÷ matcher.search.expanded` well below 1 says the literal
+/// schedule is engaged (a search that re-checked every literal on every
+/// node reads about the number of literals); `borrowed ÷ (borrowed +
+/// materialised)` says how many steps iterated the graph's own adjacency
+/// run instead of a copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FastPathTally {
+    /// Literal evaluations made by the pruning checks (at seed installation
+    /// and at scheduled steps; the leaf `is_violation` is not counted).
+    pub literal_evals: u64,
+    /// Partial solutions abandoned by a literal check.
+    pub literal_pruned: u64,
+    /// Steps that iterated a borrowed adjacency run.
+    pub candidates_borrowed: u64,
+    /// Steps that copied their candidates into a list (run intersections,
+    /// seed lists, views without contiguous runs, stepwise expansion).
+    pub candidates_materialised: u64,
+}
+
+impl FastPathTally {
+    /// Add another tally into this one.
+    pub fn merge(&mut self, other: &FastPathTally) {
+        self.literal_evals += other.literal_evals;
+        self.literal_pruned += other.literal_pruned;
+        self.candidates_borrowed += other.candidates_borrowed;
+        self.candidates_materialised += other.candidates_materialised;
+    }
+
+    /// Fold the tally into the global metrics registry
+    /// (`matcher.literal.*`, `matcher.candidates.*`).
+    pub fn observe(&self) {
+        static EVALS: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("matcher.literal.evals");
+        static PRUNED: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("matcher.literal.pruned");
+        static BORROWED: ngd_obs::LazyCounter =
+            ngd_obs::LazyCounter::new("matcher.candidates.borrowed");
+        static MATERIALISED: ngd_obs::LazyCounter =
+            ngd_obs::LazyCounter::new("matcher.candidates.materialised");
+        EVALS.add(self.literal_evals);
+        PRUNED.add(self.literal_pruned);
+        BORROWED.add(self.candidates_borrowed);
+        MATERIALISED.add(self.candidates_materialised);
+    }
+}
+
+/// Where a plan step's candidates were drawn to.
+enum Drawn<'g> {
+    /// The step's single anchored run, borrowed from the graph.  Every
+    /// anchor edge is present by construction.
+    Run(&'g [NodeId]),
+    /// The caller's buffer; `verified` says whether every anchor edge is
+    /// already guaranteed present (so the executor can skip `has_edge`).
+    Buffer { verified: bool },
+}
+
 /// A subgraph-homomorphism matcher for one pattern over one graph view.
 ///
 /// The matcher is generic over [`GraphView`], so the same search runs over
@@ -122,7 +193,9 @@ impl<'g, G: GraphView> Matcher<'g, G> {
 
     /// Execute runs through the given compiled plan (typically fetched from
     /// a [`crate::PlanCache`]).  The plan is used when its seed-variable
-    /// set matches the run's; otherwise a fresh plan is compiled.
+    /// set matches the run's and — for a violation search — its literal
+    /// schedule was compiled for the run's rule; otherwise a fresh plan is
+    /// compiled.
     pub fn with_plan(mut self, plan: Arc<MatchPlan>) -> Self {
         self.plan = Some(plan);
         self
@@ -142,15 +215,26 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         plan::compile_plan(self.pattern, self.graph, seeds)
     }
 
-    /// The plan a run with the given seed variables would execute: the
-    /// installed plan when its seed set matches, else a fresh compilation.
-    fn plan_for(&self, seed_vars: &[Var]) -> Arc<MatchPlan> {
-        if let Some(plan) = &self.plan {
-            if plan.matches_seeds(seed_vars) {
-                return Arc::clone(plan);
+    /// The plan a run seeded at `seed_vars` executes.  The installed plan,
+    /// if the seed sets agree and — when literals will be checked — its
+    /// schedule indexes this rule's literals and no other's; else a fresh
+    /// one, with `rule`'s literal schedule when violations are searched and
+    /// pattern-only otherwise.
+    fn plan_for(
+        &self,
+        seed_vars: impl Iterator<Item = Var> + Clone,
+        rule: Option<&Ngd>,
+    ) -> Cow<'_, MatchPlan> {
+        if let Some(plan) = self.plan.as_deref() {
+            if plan.seeds_match(seed_vars.clone()) && rule.is_none_or(|r| plan.matches_rule(r)) {
+                return Cow::Borrowed(plan);
             }
         }
-        Arc::new(self.compile_plan(seed_vars))
+        let seed_vars: Vec<Var> = seed_vars.collect();
+        Cow::Owned(match rule {
+            Some(rule) => plan::compile_rule_plan(rule, self.graph, &seed_vars),
+            None => self.compile_plan(&seed_vars),
+        })
     }
 
     fn label_ok(&self, var: Var, node: NodeId) -> bool {
@@ -360,8 +444,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// Enumerate every homomorphic match of the pattern.
     pub fn find_all(&self) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
-        let mut stats = MatchStats::default();
-        self.run(&[], None, &mut |m| out.push(m), &mut stats);
+        self.run(&[], None, &mut |m| out.push(m.to_vec()));
         out
     }
 
@@ -376,15 +459,9 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// statistics of the run.
     pub fn find_violations_with_stats(&self, rule: &Ngd) -> (ViolationSet, MatchStats) {
         let mut out = ViolationSet::new();
-        let mut stats = MatchStats::default();
-        self.run(
-            &[],
-            Some(rule),
-            &mut |m| {
-                out.insert(Violation::new(rule.id.clone(), m));
-            },
-            &mut stats,
-        );
+        let stats = self.run(&[], Some(rule), &mut |m| {
+            out.insert(Violation::new(rule.id.clone(), m.to_vec()));
+        });
         (out, stats)
     }
 
@@ -397,9 +474,36 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         rule: Option<&Ngd>,
     ) -> (Vec<Vec<NodeId>>, MatchStats) {
         let mut out = Vec::new();
-        let mut stats = MatchStats::default();
-        self.run(seeds, rule, &mut |m| out.push(m), &mut stats);
+        let stats = self.run(seeds, rule, &mut |m| out.push(m.to_vec()));
         (out, stats)
+    }
+
+    /// Expand every node of `roots` as the seed of `root`, handing each
+    /// violation of `rule` to `emit` — [`Matcher::expand_seeded`] once per
+    /// root with the same per-root validation (node present, label, the
+    /// root's self-loop edges, every literal the root alone decides), but
+    /// through one plan lookup and one set of search buffers for the whole
+    /// call.  This is `PDect`'s inner loop: a worker's stride of a rule's
+    /// root candidates.  Limits, if set, bound the call as a whole.
+    pub fn expand_roots(
+        &self,
+        root: Var,
+        roots: impl IntoIterator<Item = NodeId>,
+        rule: &Ngd,
+        emit: &mut dyn FnMut(&[NodeId]),
+    ) -> MatchStats {
+        if self.pattern.node_count() == 0 {
+            return MatchStats::default();
+        }
+        let plan = self.plan_for(std::iter::once(root), Some(rule));
+        let mut search = PlannedSearch::new(self, &plan, Some(rule), emit);
+        for node in roots {
+            if !search.run_seeded(&[(root, node)]) {
+                break;
+            }
+        }
+        search.tally.observe();
+        search.stats
     }
 
     /// The matching order the search would use for the given seed variables
@@ -440,10 +544,40 @@ impl<'g, G: GraphView> Matcher<'g, G> {
 
     /// Is the partial assignment still viable: all decided pattern edges
     /// present, and (when searching for violations of `rule`) not pruned by
-    /// the literal checks?  Mirrors the test applied after every assignment
-    /// inside the recursive search.
+    /// any literal?  This is the **full** check — every pattern edge and
+    /// every literal — applied where seeds or pivots are installed; after
+    /// that, an extension by one plan step only needs
+    /// [`Matcher::step_viable`].
     pub fn partial_viable(&self, rule: Option<&Ngd>, assignment: &[Option<NodeId>]) -> bool {
-        self.edges_consistent(assignment) && rule.is_none_or(|r| !self.pruned(r, assignment))
+        self.edges_consistent(assignment)
+            && rule.is_none_or(|r| !self.pruned(r, assignment, &mut FastPathTally::default()))
+    }
+
+    /// Is the extension of a viable partial assignment by the variable of
+    /// `plan.steps[depth]` (already written into `assignment`) still
+    /// viable?  Checks exactly what the step newly decides — its anchor and
+    /// self-loop edges and the literals the plan scheduled on it — which,
+    /// for an assignment that was viable before the step, is equivalent to
+    /// [`Matcher::partial_viable`] (see [`crate::plan`]).  This is the test
+    /// the recursive search applies to every candidate.  A plan that was
+    /// not compiled for `rule` carries no usable schedule; it falls back to
+    /// the full check.
+    pub fn step_viable(
+        &self,
+        plan: &MatchPlan,
+        depth: usize,
+        rule: Option<&Ngd>,
+        assignment: &[Option<NodeId>],
+        tally: &mut FastPathTally,
+    ) -> bool {
+        let step = &plan.steps[depth];
+        match rule {
+            Some(rule) if !plan.matches_rule(rule) => self.partial_viable(Some(rule), assignment),
+            _ => {
+                self.step_consistent(step, false, assignment)
+                    && rule.is_none_or(|r| !self.step_pruned(step, r, assignment, tally))
+            }
+        }
     }
 
     /// Does a node satisfy the label constraint of a pattern variable?
@@ -456,65 +590,103 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         &self,
         seeds: &[(Var, NodeId)],
         rule: Option<&Ngd>,
-        emit: &mut dyn FnMut(Vec<NodeId>),
-        stats: &mut MatchStats,
-    ) {
+        emit: &mut dyn FnMut(&[NodeId]),
+    ) -> MatchStats {
         let n = self.pattern.node_count();
         if n == 0 {
-            return;
+            return MatchStats::default();
         }
-        let mut assignment: Vec<Option<NodeId>> = vec![None; n];
-        // Install and validate seeds.
+        let seed_vars = seeds.iter().map(|&(v, _)| v);
+        if self.legacy {
+            let mut stats = MatchStats::default();
+            let mut assignment: Vec<Option<NodeId>> = vec![None; n];
+            let mut tally = FastPathTally::default();
+            if self.install_seeds(seeds, rule, &mut assignment, &mut tally) {
+                let order = self.matching_order(&seed_vars.collect::<Vec<_>>());
+                let mut emitted = 0usize;
+                self.search(
+                    &order,
+                    0,
+                    &mut assignment,
+                    rule,
+                    emit,
+                    &mut stats,
+                    &mut tally,
+                    &mut emitted,
+                );
+            }
+            tally.observe();
+            return stats;
+        }
+        let plan = self.plan_for(seed_vars, rule);
+        let mut search = PlannedSearch::new(self, &plan, rule, emit);
+        search.run_seeded(seeds);
+        search.tally.observe();
+        search.stats
+    }
+
+    /// Write `seeds` into `assignment` and validate them: nodes present and
+    /// correctly labelled, no variable seeded with two nodes, every pattern
+    /// edge among the seeds present, and no literal the seeds already
+    /// decide pruning the match.  Already-seeded variables are skipped
+    /// inside the search (this also handles duplicate seed variables
+    /// safely).
+    fn install_seeds(
+        &self,
+        seeds: &[(Var, NodeId)],
+        rule: Option<&Ngd>,
+        assignment: &mut [Option<NodeId>],
+        tally: &mut FastPathTally,
+    ) -> bool {
         for &(var, node) in seeds {
             if !self.graph.contains_node(node) || !self.label_ok(var, node) {
-                return;
+                return false;
             }
-            if let Some(existing) = assignment[var.index()] {
-                if existing != node {
-                    return;
-                }
+            if assignment[var.index()].is_some_and(|existing| existing != node) {
+                return false;
             }
             assignment[var.index()] = Some(node);
         }
-        if !self.edges_consistent(&assignment) {
-            return;
-        }
-        if let Some(rule) = rule {
-            if self.pruned(rule, &assignment) {
-                return;
-            }
-        }
-        let seed_vars: Vec<Var> = seeds.iter().map(|&(v, _)| v).collect();
-        let mut emitted = 0usize;
-        // Start at depth 0: already-seeded variables are skipped inside the
-        // search (this also handles duplicate seed variables safely).
-        if self.legacy {
-            let order = self.matching_order(&seed_vars);
-            self.search(&order, 0, &mut assignment, rule, emit, stats, &mut emitted);
-        } else {
-            let plan = self.plan_for(&seed_vars);
-            self.search_planned(&plan, 0, &mut assignment, rule, emit, stats, &mut emitted);
-        }
+        self.edges_consistent(assignment) && rule.is_none_or(|r| !self.pruned(r, assignment, tally))
     }
 
     /// Should the partial solution be pruned based on the rule's literals?
-    fn pruned(&self, rule: &Ngd, assignment: &[Option<NodeId>]) -> bool {
-        // A premise literal decided false ⇒ the match cannot satisfy X.
-        for literal in &rule.premise {
-            if eval_literal_partial(literal, self.graph, assignment) == Ok(false) {
-                return true;
-            }
-        }
-        // Every consequence literal decided true ⇒ the match satisfies Y.
-        if !rule.consequence.is_empty()
-            && rule
-                .consequence
-                .iter()
-                .all(|l| eval_literal_partial(l, self.graph, assignment) == Ok(true))
-        {
-            return true;
-        }
-        false
+    /// The full check: every literal, whatever the assignment binds.
+    fn pruned(&self, rule: &Ngd, assignment: &[Option<NodeId>], tally: &mut FastPathTally) -> bool {
+        let mut eval = |literal| {
+            tally.literal_evals += 1;
+            eval_literal_partial(literal, self.graph, assignment)
+        };
+        // A premise literal decided false ⇒ the match cannot satisfy X;
+        // every consequence literal decided true ⇒ the match satisfies Y.
+        let pruned = rule.premise.iter().any(|l| eval(l) == Ok(false))
+            || (!rule.consequence.is_empty()
+                && rule.consequence.iter().all(|l| eval(l) == Ok(true)));
+        tally.literal_pruned += u64::from(pruned);
+        pruned
+    }
+
+    /// The scheduled part of [`Matcher::pruned`]: only the literals `step`
+    /// decides (its variable is already written into `assignment`).  The
+    /// plan must be bound to `rule` ([`MatchPlan::matches_rule`]).
+    fn step_pruned(
+        &self,
+        step: &PlanStep,
+        rule: &Ngd,
+        assignment: &[Option<NodeId>],
+        tally: &mut FastPathTally,
+    ) -> bool {
+        let mut eval = |literal| {
+            tally.literal_evals += 1;
+            eval_literal_partial(literal, self.graph, assignment)
+        };
+        let pruned = step
+            .premise_checks
+            .iter()
+            .any(|&i| eval(&rule.premise[i]) == Ok(false))
+            || (step.consequence_check && rule.consequence.iter().all(|l| eval(l) == Ok(true)));
+        tally.literal_pruned += u64::from(pruned);
+        pruned
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -524,8 +696,9 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         depth: usize,
         assignment: &mut Vec<Option<NodeId>>,
         rule: Option<&Ngd>,
-        emit: &mut dyn FnMut(Vec<NodeId>),
+        emit: &mut dyn FnMut(&[NodeId]),
         stats: &mut MatchStats,
+        tally: &mut FastPathTally,
         emitted: &mut usize,
     ) -> bool {
         if let Some(max) = self.limits.max_steps {
@@ -537,17 +710,9 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         if depth == order.len() {
             let complete: Vec<NodeId> = assignment.iter().map(|n| n.unwrap()).collect();
             stats.matches_found += 1;
-            match rule {
-                Some(rule) => {
-                    if ngd_core::is_violation(rule, self.graph, &complete) {
-                        emit(complete);
-                        *emitted += 1;
-                    }
-                }
-                None => {
-                    emit(complete);
-                    *emitted += 1;
-                }
+            if rule.is_none_or(|r| ngd_core::is_violation(r, self.graph, &complete)) {
+                emit(&complete);
+                *emitted += 1;
             }
             if let Some(max) = self.limits.max_results {
                 if *emitted >= max {
@@ -560,14 +725,33 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         if assignment[var.index()].is_some() {
             // Seed variable already assigned (can happen when seeds overlap
             // the natural order); just descend.
-            return self.search(order, depth + 1, assignment, rule, emit, stats, emitted);
+            return self.search(
+                order,
+                depth + 1,
+                assignment,
+                rule,
+                emit,
+                stats,
+                tally,
+                emitted,
+            );
         }
         let candidates = self.candidates(var, assignment, stats);
         for node in candidates {
             assignment[var.index()] = Some(node);
             let consistent = self.edges_consistent(assignment)
-                && rule.is_none_or(|r| !self.pruned(r, assignment));
-            if consistent && !self.search(order, depth + 1, assignment, rule, emit, stats, emitted)
+                && rule.is_none_or(|r| !self.pruned(r, assignment, tally));
+            if consistent
+                && !self.search(
+                    order,
+                    depth + 1,
+                    assignment,
+                    rule,
+                    emit,
+                    stats,
+                    tally,
+                    emitted,
+                )
             {
                 assignment[var.index()] = None;
                 return false;
@@ -577,20 +761,34 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         true
     }
 
-    /// Candidates for one plan step: a run intersection when two or more
-    /// anchored runs are available as sorted slices, else the smallest
-    /// materialised run, else the step's compiled seed choice.  The flag
-    /// reports whether every anchor edge is already guaranteed present for
-    /// the returned candidates (so the executor can skip `has_edge`).
-    fn planned_candidates(
+    /// The anchored run of one anchor under the partial assignment, when
+    /// the view stores it contiguously.
+    fn anchor_slice(&self, anchor: &plan::Anchor, node: NodeId) -> Option<&'g [NodeId]> {
+        if anchor.from_other {
+            self.graph.out_labeled_slice(node, anchor.label)
+        } else {
+            self.graph.in_labeled_slice(node, anchor.label)
+        }
+    }
+
+    /// Draw the (not yet label-filtered) candidates of one plan step: the
+    /// step's one anchored run as a borrowed slice, else — into `buf` — the
+    /// gallop intersection of two or more anchored slices, the smallest
+    /// anchored run of a view without contiguous runs, or the step's
+    /// compiled seed choice.  `runs` is scratch for the slices of a
+    /// multi-anchor step; both buffers are cleared here and keep their
+    /// capacity across calls.
+    fn draw_candidates(
         &self,
         step: &PlanStep,
         assignment: &[Option<NodeId>],
         stats: &mut MatchStats,
-    ) -> (Vec<NodeId>, bool) {
+        runs: &mut Vec<&'g [NodeId]>,
+        buf: &mut Vec<NodeId>,
+    ) -> Drawn<'g> {
         let var = step.var;
         if step.anchors.is_empty() {
-            let raw = match &step.seed {
+            *buf = match &step.seed {
                 Some(choice) => plan::seed_nodes(choice, self.pattern.label(var), self.graph),
                 None => self.seed_candidates(var),
             };
@@ -598,77 +796,58 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             // histogram record is off the per-candidate hot path.
             static SEED_RUN: ngd_obs::LazyHistogram =
                 ngd_obs::LazyHistogram::new("matcher.seed_run.size");
-            SEED_RUN.record(raw.len() as u64);
-            stats.candidates_inspected += raw.len();
-            return (
-                raw.into_iter().filter(|&n| self.label_ok(var, n)).collect(),
-                false,
-            );
+            SEED_RUN.record(buf.len() as u64);
+            stats.candidates_inspected += buf.len();
+            return Drawn::Buffer { verified: false };
         }
+        let anchored = |anchor: &plan::Anchor| {
+            assignment[anchor.other.index()].expect("anchor endpoint assigned")
+        };
         // Try the slice fast path for every anchor run.
-        let mut slices: Vec<&[NodeId]> = Vec::with_capacity(step.anchors.len());
-        let mut all_slices = true;
-        for anchor in &step.anchors {
-            let node = assignment[anchor.other.index()].expect("anchor endpoint assigned");
-            let slice = if anchor.from_other {
-                self.graph.out_labeled_slice(node, anchor.label)
-            } else {
-                self.graph.in_labeled_slice(node, anchor.label)
-            };
-            match slice {
-                Some(s) => slices.push(s),
-                None => {
-                    all_slices = false;
-                    break;
-                }
+        runs.clear();
+        let all_slices = step.anchors.iter().all(|anchor| {
+            self.anchor_slice(anchor, anchored(anchor))
+                .map(|run| runs.push(run))
+                .is_some()
+        });
+        buf.clear();
+        if all_slices {
+            if let [run] = runs[..] {
+                stats.candidates_inspected += run.len();
+                return Drawn::Run(run);
             }
-        }
-        if all_slices && slices.len() >= 2 {
-            let raw = intersect_sorted_runs(&mut slices);
+            intersect_sorted_runs(runs, buf);
             stats.gallop_intersections += 1;
-            stats.candidates_inspected += raw.len();
-            return (
-                raw.into_iter().filter(|&n| self.label_ok(var, n)).collect(),
-                true,
-            );
-        }
-        if all_slices && slices.len() == 1 {
-            let raw = slices[0];
-            stats.candidates_inspected += raw.len();
-            return (
-                raw.iter()
-                    .copied()
-                    .filter(|&n| self.label_ok(var, n))
-                    .collect(),
-                true,
-            );
+            stats.candidates_inspected += buf.len();
+            return Drawn::Buffer { verified: true };
         }
         // No contiguous runs (adjacency lists, overlay-touched nodes):
         // materialise the smallest run; the executor re-checks the rest.
-        let best = step
+        let (anchor, node) = step
             .anchors
             .iter()
-            .map(|anchor| {
-                let node = assignment[anchor.other.index()].expect("anchor endpoint assigned");
-                let len = if anchor.from_other {
+            .map(|anchor| (anchor, anchored(anchor)))
+            .min_by_key(|&(anchor, node)| {
+                if anchor.from_other {
                     self.graph.out_labeled_count(node, anchor.label)
                 } else {
                     self.graph.in_labeled_count(node, anchor.label)
-                };
-                (anchor, node, len)
+                }
             })
-            .min_by_key(|&(_, _, len)| len)
             .expect("anchors non-empty");
-        let raw = if best.0.from_other {
-            self.graph.out_labeled_vec(best.1, best.0.label)
-        } else {
-            self.graph.in_labeled_vec(best.1, best.0.label)
-        };
-        stats.candidates_inspected += raw.len();
-        (
-            raw.into_iter().filter(|&n| self.label_ok(var, n)).collect(),
-            false,
-        )
+        match self.anchor_slice(anchor, node) {
+            Some(run) => buf.extend_from_slice(run),
+            None if anchor.from_other => {
+                self.graph
+                    .for_each_out_labeled(node, anchor.label, &mut |n| buf.push(n));
+            }
+            None => {
+                self.graph
+                    .for_each_in_labeled(node, anchor.label, &mut |n| buf.push(n));
+            }
+        }
+        stats.candidates_inspected += buf.len();
+        Drawn::Buffer { verified: false }
     }
 
     /// Are the pattern edges newly decided by `step` satisfied for the
@@ -711,81 +890,17 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         true
     }
 
-    /// Plan-driven counterpart of [`Matcher::search`]: the order, anchor
-    /// sets and seed choices come from the compiled plan, newly-decided
-    /// edges are checked per step instead of rescanning the whole pattern,
-    /// and multi-anchor steps intersect their runs.
-    #[allow(clippy::too_many_arguments)]
-    fn search_planned(
-        &self,
-        plan: &MatchPlan,
-        depth: usize,
-        assignment: &mut Vec<Option<NodeId>>,
-        rule: Option<&Ngd>,
-        emit: &mut dyn FnMut(Vec<NodeId>),
-        stats: &mut MatchStats,
-        emitted: &mut usize,
-    ) -> bool {
-        if let Some(max) = self.limits.max_steps {
-            if stats.expanded >= max {
-                return false;
-            }
-        }
-        stats.expanded += 1;
-        if depth == plan.len() {
-            let complete: Vec<NodeId> = assignment.iter().map(|n| n.unwrap()).collect();
-            stats.matches_found += 1;
-            match rule {
-                Some(rule) => {
-                    if ngd_core::is_violation(rule, self.graph, &complete) {
-                        emit(complete);
-                        *emitted += 1;
-                    }
-                }
-                None => {
-                    emit(complete);
-                    *emitted += 1;
-                }
-            }
-            if let Some(max) = self.limits.max_results {
-                if *emitted >= max {
-                    return false;
-                }
-            }
-            return true;
-        }
-        let step = &plan.steps[depth];
-        if assignment[step.var.index()].is_some() {
-            // Seed variable already assigned; its edges were validated when
-            // the seeds were installed.
-            return self.search_planned(plan, depth + 1, assignment, rule, emit, stats, emitted);
-        }
-        let (candidates, verified) = self.planned_candidates(step, assignment, stats);
-        for node in candidates {
-            assignment[step.var.index()] = Some(node);
-            let consistent = self.step_consistent(step, verified, assignment)
-                && rule.is_none_or(|r| !self.pruned(r, assignment));
-            if consistent
-                && !self.search_planned(plan, depth + 1, assignment, rule, emit, stats, emitted)
-            {
-                assignment[step.var.index()] = None;
-                return false;
-            }
-            assignment[step.var.index()] = None;
-        }
-        true
-    }
-
     /// Plan-driven counterpart of [`Matcher::candidate_step`] for stepwise
-    /// engines: candidates for the plan step at `depth` (anchored-run
-    /// intersection included), with the anchor degree of the paper's
-    /// work-splitting cost model.  Callers validate extensions through
-    /// [`Matcher::partial_viable`] exactly as with the unplanned step.
+    /// engines: the label-filtered candidates for the plan step at `depth`
+    /// (anchored-run intersection included) as an owned list, with the
+    /// anchor degree of the paper's work-splitting cost model.  Callers
+    /// validate each extension through [`Matcher::step_viable`].
     pub fn planned_candidate_step(
         &self,
         plan: &MatchPlan,
         depth: usize,
         assignment: &[Option<NodeId>],
+        tally: &mut FastPathTally,
     ) -> (Vec<NodeId>, usize) {
         let step = &plan.steps[depth];
         let anchor_degree = step
@@ -795,35 +910,194 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             .min()
             .unwrap_or_else(|| self.candidate_count(step.var));
         let mut stats = MatchStats::default();
-        let (candidates, _) = self.planned_candidates(step, assignment, &mut stats);
+        // One allocation per step: the owned list is filled once (a slice
+        // copy on the common path) and label-filtered in place.
+        let mut candidates = Vec::new();
+        if let Drawn::Run(run) = self.draw_candidates(
+            step,
+            assignment,
+            &mut stats,
+            &mut Vec::new(),
+            &mut candidates,
+        ) {
+            candidates.extend_from_slice(run);
+        }
+        candidates.retain(|&n| self.label_ok(step.var, n));
+        tally.candidates_materialised += 1;
         (candidates, anchor_degree)
+    }
+}
+
+/// One plan-driven search: the plan-side counterpart of
+/// [`Matcher::search`].  The order, anchor sets, seed choices and literal
+/// schedule come from the compiled plan; newly-decided edges and literals
+/// are checked per step instead of rescanning the whole pattern and rule,
+/// and multi-anchor steps intersect their runs.  The struct owns every
+/// buffer the search needs, so a caller expanding many seeds (one per root
+/// candidate, say) pays for them once.
+struct PlannedSearch<'m, 'g, G: GraphView> {
+    matcher: &'m Matcher<'g, G>,
+    plan: &'m MatchPlan,
+    rule: Option<&'m Ngd>,
+    emit: &'m mut dyn FnMut(&[NodeId]),
+    assignment: Vec<Option<NodeId>>,
+    /// The complete match handed to `emit` at a leaf.
+    complete: Vec<NodeId>,
+    /// Per-depth candidate buffers for the steps that cannot borrow a run.
+    buffers: Vec<Vec<NodeId>>,
+    /// Scratch for the slices of a multi-anchor step.
+    runs: Vec<&'g [NodeId]>,
+    stats: MatchStats,
+    tally: FastPathTally,
+    emitted: usize,
+}
+
+impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
+    fn new(
+        matcher: &'m Matcher<'g, G>,
+        plan: &'m MatchPlan,
+        rule: Option<&'m Ngd>,
+        emit: &'m mut dyn FnMut(&[NodeId]),
+    ) -> Self {
+        let n = matcher.pattern.node_count();
+        PlannedSearch {
+            matcher,
+            plan,
+            rule,
+            emit,
+            assignment: vec![None; n],
+            complete: Vec::with_capacity(n),
+            buffers: vec![Vec::new(); plan.len()],
+            runs: Vec::new(),
+            stats: MatchStats::default(),
+            tally: FastPathTally::default(),
+            emitted: 0,
+        }
+    }
+
+    /// Install `seeds`, search below them, and clear them again.  Returns
+    /// `false` when a limit stopped the search.
+    fn run_seeded(&mut self, seeds: &[(Var, NodeId)]) -> bool {
+        let installed =
+            self.matcher
+                .install_seeds(seeds, self.rule, &mut self.assignment, &mut self.tally);
+        let go = !installed || self.descend(0);
+        for &(var, _) in seeds {
+            self.assignment[var.index()] = None;
+        }
+        go
+    }
+
+    /// Expand the partial solution at `depth`.  Returns `false` when a
+    /// limit stopped the search.
+    fn descend(&mut self, depth: usize) -> bool {
+        let limits = self.matcher.limits;
+        if limits
+            .max_steps
+            .is_some_and(|max| self.stats.expanded >= max)
+        {
+            return false;
+        }
+        self.stats.expanded += 1;
+        let plan = self.plan;
+        if depth == plan.len() {
+            self.complete.clear();
+            self.complete
+                .extend(self.assignment.iter().map(|n| n.expect("complete match")));
+            self.stats.matches_found += 1;
+            let graph = self.matcher.graph;
+            if self
+                .rule
+                .is_none_or(|r| ngd_core::is_violation(r, graph, &self.complete))
+            {
+                (self.emit)(&self.complete);
+                self.emitted += 1;
+            }
+            return limits.max_results.is_none_or(|max| self.emitted < max);
+        }
+        let step = &plan.steps[depth];
+        if self.assignment[step.var.index()].is_some() {
+            // Seed variable already assigned; its edges and literals were
+            // validated when the seeds were installed.
+            return self.descend(depth + 1);
+        }
+        let mut buf = std::mem::take(&mut self.buffers[depth]);
+        let drawn = self.matcher.draw_candidates(
+            step,
+            &self.assignment,
+            &mut self.stats,
+            &mut self.runs,
+            &mut buf,
+        );
+        let go = match drawn {
+            Drawn::Run(run) => {
+                self.tally.candidates_borrowed += 1;
+                self.try_each(step, depth, run, true)
+            }
+            Drawn::Buffer { verified } => {
+                self.tally.candidates_materialised += 1;
+                self.try_each(step, depth, &buf, verified)
+            }
+        };
+        self.buffers[depth] = buf;
+        go
+    }
+
+    /// Try every label-compatible candidate of `step`, descending below the
+    /// ones that pass the step's edge and literal checks.
+    fn try_each(
+        &mut self,
+        step: &PlanStep,
+        depth: usize,
+        candidates: &[NodeId],
+        anchors_verified: bool,
+    ) -> bool {
+        let matcher = self.matcher;
+        let slot = step.var.index();
+        let want = matcher.pattern.label(step.var);
+        for &node in candidates {
+            if want != WILDCARD && want != matcher.graph.label(node) {
+                continue;
+            }
+            self.assignment[slot] = Some(node);
+            let viable = matcher.step_consistent(step, anchors_verified, &self.assignment)
+                && self.rule.is_none_or(|r| {
+                    !matcher.step_pruned(step, r, &self.assignment, &mut self.tally)
+                });
+            let go = !viable || self.descend(depth + 1);
+            self.assignment[slot] = None;
+            if !go {
+                return false;
+            }
+        }
+        true
     }
 }
 
 /// Intersect k ≥ 2 sorted neighbour runs by galloping: walk the smallest
 /// run and exponentially probe the rest, so the cost is bounded by the
 /// smallest run times log of the larger ones rather than their sum.
-fn intersect_sorted_runs(runs: &mut [&[NodeId]]) -> Vec<NodeId> {
-    runs.sort_by_key(|r| r.len());
-    let (first, rest) = runs.split_first().expect("at least one run");
-    let mut out = Vec::with_capacity(first.len());
-    let mut cursors = vec![0usize; rest.len()];
+///
+/// The result is appended to `out`; the entries of `runs` are consumed as
+/// cursors (each is advanced past what has been probed), so the
+/// intersection itself allocates nothing.
+fn intersect_sorted_runs(runs: &mut [&[NodeId]], out: &mut Vec<NodeId>) {
+    runs.sort_unstable_by_key(|r| r.len());
+    let (first, rest) = runs.split_first_mut().expect("at least one run");
     'outer: for (idx, &node) in first.iter().enumerate() {
         if idx > 0 && first[idx - 1] == node {
             continue; // duplicate in the driving run
         }
-        for (run, cursor) in rest.iter().zip(cursors.iter_mut()) {
-            *cursor += gallop(&run[*cursor..], node);
-            if *cursor >= run.len() {
-                break 'outer; // this run is exhausted; no further matches
-            }
-            if run[*cursor] != node {
-                continue 'outer;
+        for run in rest.iter_mut() {
+            *run = &run[gallop(run, node)..];
+            match run.first() {
+                None => break 'outer, // this run is exhausted; no further matches
+                Some(&next) if next != node => continue 'outer,
+                Some(_) => {}
             }
         }
         out.push(node);
     }
-    out
 }
 
 /// Index of the first element `>= target` in a sorted slice, found by
@@ -854,7 +1128,8 @@ pub fn find_violations<G: GraphView>(rule: &Ngd, graph: &G) -> ViolationSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ngd_core::paper;
+    use crate::plan::tests::{chain_rule, val};
+    use ngd_core::{paper, Expr, Literal};
     use ngd_graph::{AttrMap, GraphBuilder, Value};
 
     #[test]
@@ -1080,6 +1355,121 @@ mod tests {
         let recursive = find_violations(&rule, &g2);
         assert_eq!(complete.len(), recursive.len());
         assert_eq!(complete.len(), 1);
+    }
+
+    /// A 12-node ring with chords, every node labelled `T` with `val`.
+    fn ring() -> Graph {
+        let mut g = Graph::new();
+        for i in 0..12i64 {
+            g.add_node_named("T", AttrMap::from_pairs([("val", Value::Int(i * 7 % 12))]));
+        }
+        for i in 0..12u32 {
+            for hop in [1, 5] {
+                g.add_edge_named(NodeId(i), NodeId((i + hop) % 12), "e")
+                    .unwrap();
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn a_plan_bound_to_another_rule_is_recompiled_not_trusted() {
+        let snap = ring().freeze();
+        // `wide` schedules premise #2 on its last step; `narrow` has one
+        // premise literal, so trusting `wide`'s plan would index past it.
+        let wide = chain_rule(
+            "r",
+            vec![
+                Literal::ge(val(0), Expr::constant(0)),
+                Literal::ge(val(1), Expr::constant(0)),
+                Literal::lt(val(0), val(2)),
+            ],
+            vec![Literal::lt(val(1), val(2))],
+        );
+        let narrow = chain_rule("r", vec![Literal::lt(val(2), val(0))], vec![]);
+        let other_id = chain_rule("s", wide.premise.clone(), wide.consequence.clone());
+        let wide_plan = Arc::new(plan::compile_rule_plan(&wide, &snap, &[]));
+        assert!(wide_plan.matches_rule(&wide));
+        assert!(!wide_plan.matches_rule(&narrow), "same id, other lengths");
+        assert!(
+            !wide_plan.matches_rule(&other_id),
+            "same literals, other id"
+        );
+        for rule in [&wide, &narrow, &other_id] {
+            let own = Matcher::new(&rule.pattern, &snap).find_violations_with_stats(rule);
+            let installed = Matcher::new(&rule.pattern, &snap)
+                .with_plan(Arc::clone(&wide_plan))
+                .find_violations_with_stats(rule);
+            assert_eq!(installed, own, "{}", rule.id);
+            let legacy = Matcher::new(&rule.pattern, &snap)
+                .with_legacy_order()
+                .find_violations(rule);
+            assert_eq!(installed.0, legacy, "{}", rule.id);
+        }
+        // A pattern-only plan is bound to no rule: a violation search
+        // recompiles it, a plain match enumeration runs it as it is.
+        let bare = Arc::new(Matcher::new(&wide.pattern, &snap).compile_plan(&[]));
+        let installed = Matcher::new(&wide.pattern, &snap).with_plan(Arc::clone(&bare));
+        assert_eq!(
+            installed.find_violations_with_stats(&wide),
+            Matcher::new(&wide.pattern, &snap).find_violations_with_stats(&wide)
+        );
+        assert_eq!(installed.find_all(), find_matches(&wide.pattern, &snap));
+        // The stepwise check does the same: with a foreign plan it falls
+        // back to the full check instead of reading the foreign schedule.
+        let matcher = Matcher::new(&narrow.pattern, &snap);
+        let last = wide_plan.len() - 1;
+        let mut tally = FastPathTally::default();
+        for m in find_matches(&narrow.pattern, &snap) {
+            let assignment: Vec<Option<NodeId>> = m.iter().copied().map(Some).collect();
+            assert_eq!(
+                matcher.step_viable(&wide_plan, last, Some(&narrow), &assignment, &mut tally),
+                matcher.partial_viable(Some(&narrow), &assignment),
+            );
+        }
+    }
+
+    #[test]
+    fn expand_roots_is_expand_seeded_once_per_root() {
+        let g = ring();
+        let snap = g.freeze();
+        // A self-loop on the root variable is part of the per-root check.
+        let mut looped = g.clone();
+        looped.add_edge_named(NodeId(3), NodeId(3), "e").unwrap();
+        let looped = looped.freeze();
+        let mut q = Pattern::new();
+        let a = q.add_node("a", "T");
+        let b = q.add_node("b", "T");
+        q.add_edge(a, a, "e").add_edge(a, b, "e");
+        let self_loop = Ngd::new("loop", q, vec![], vec![Literal::lt(val(0), val(1))]).unwrap();
+        let plain = chain_rule(
+            "plain",
+            vec![Literal::le(val(1), Expr::constant(8))],
+            vec![Literal::lt(val(1), val(2))],
+        );
+        for (rule, graph) in [(&plain, &snap), (&self_loop, &looped)] {
+            for root in rule.pattern.vars() {
+                let matcher = Matcher::new(&rule.pattern, graph);
+                // Absent nodes and repeated roots included.
+                let roots = (0..14u32).map(NodeId).chain([NodeId(3)]);
+                let mut expected = Vec::new();
+                let mut expected_stats = MatchStats::default();
+                for node in roots.clone() {
+                    let (matches, stats) = matcher.expand_seeded(&[(root, node)], Some(rule));
+                    expected.extend(matches);
+                    expected_stats.expanded += stats.expanded;
+                    expected_stats.candidates_inspected += stats.candidates_inspected;
+                    expected_stats.matches_found += stats.matches_found;
+                    expected_stats.gallop_intersections += stats.gallop_intersections;
+                }
+                let mut found = Vec::new();
+                let stats =
+                    matcher.expand_roots(root, roots, rule, &mut |m| found.push(m.to_vec()));
+                assert_eq!(found, expected, "{} rooted at {root}", rule.id);
+                assert_eq!(stats, expected_stats, "{} rooted at {root}", rule.id);
+                assert!(!found.is_empty(), "{} rooted at {root}", rule.id);
+            }
+        }
     }
 
     #[test]

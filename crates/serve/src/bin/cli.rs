@@ -49,7 +49,7 @@
 use ngd_core::RuleSet;
 use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
 use ngd_graph::{BatchUpdate, GraphView};
-use ngd_match::compile_plan;
+use ngd_match::compile_rule_plan;
 use ngd_serve::{ServeAddr, ServeClient, Side};
 use std::process::ExitCode;
 
@@ -150,6 +150,20 @@ fn print_top_tick(
         stats.plan_cache_hits,
         stats.plan_cache_misses,
     );
+    let count = |name: &str| cur.counter(name).unwrap_or(0);
+    let expanded = count("matcher.search.expanded");
+    if expanded > 0 {
+        println!(
+            "  matcher    : {:.2} literal eval(s) per expanded node ({} pruned), \
+             {} of candidate lists borrowed",
+            count("matcher.literal.evals") as f64 / expanded as f64,
+            count("matcher.literal.pruned"),
+            hit_rate(
+                count("matcher.candidates.borrowed"),
+                count("matcher.candidates.materialised"),
+            ),
+        );
+    }
     if let Some(runs) = cur.histogram("detect.batch.run_ns") {
         println!(
             "  detect     : {} batch run(s), p50 {} / p95 {}; {} delta run(s)",
@@ -215,9 +229,9 @@ fn explain_rules<G: GraphView>(
             continue;
         }
         found = true;
-        let plan = compile_plan(&rule.pattern, graph, &[]);
+        let plan = compile_rule_plan(rule, graph, &[]);
         println!("{}:", rule.id);
-        print!("{}", plan.describe(&rule.pattern));
+        print!("{}", plan.describe(rule));
     }
     match filter {
         Some(id) if !found => Err(format!("no rule `{id}` in the rule set")),
@@ -242,8 +256,8 @@ fn check_rules<G: GraphView>(sigma: &RuleSet, graph: &G) -> Result<(), String> {
             rule.premise.len(),
             rule.consequence.len(),
         );
-        let plan = compile_plan(&rule.pattern, graph, &[]);
-        print!("{}", plan.describe(&rule.pattern));
+        let plan = compile_rule_plan(rule, graph, &[]);
+        print!("{}", plan.describe(rule));
     }
     Ok(())
 }

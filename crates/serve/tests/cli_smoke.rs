@@ -125,6 +125,33 @@ fn explain_with_a_known_rule_id_prints_only_that_plan() {
 }
 
 #[test]
+fn explain_prints_each_literal_check_under_the_step_that_decides_it() {
+    let path = write_temp("explain-schedule.ngdl", GOOD_RULES);
+    let out = cli(&["explain", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    // The premise names x and y, so it can only bite once the second of
+    // them is bound; `=> false` names no variable and is checked before
+    // the search starts.
+    let lines: Vec<&str> = stdout.lines().collect();
+    let second_step = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("1. "))
+        .unwrap_or_else(|| panic!("no step 1 in: {stdout}"));
+    assert_eq!(
+        lines[second_step + 1].trim(),
+        "check premise #0: x.balance > (10 * y.balance)",
+        "unexpected stdout: {stdout}"
+    );
+    assert_eq!(
+        stdout.matches("check ").count(),
+        1,
+        "unexpected stdout: {stdout}"
+    );
+}
+
+#[test]
 fn explain_with_a_missing_snapshot_file_fails_typed() {
     let path = write_temp("explain-snap.ngdl", GOOD_RULES);
     let out = cli(&["explain", path.to_str().unwrap(), "/nonexistent/snap.ngds"]);

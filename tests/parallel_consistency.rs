@@ -2,7 +2,11 @@
 //! sequential yardsticks, for every processor count and every ablation
 //! variant — parallelism and workload balancing may never change results.
 
-use ngd_detect::{dect, inc_dect, pdect, pinc_dect, AlgorithmKind, DetectorConfig};
+use ngd_core::{Expr, Literal, Ngd, Pattern, RuleSet};
+use ngd_detect::{
+    dect, dect_on, inc_dect, pdect, pdect_on, pinc_dect, AlgorithmKind, DetectorConfig,
+};
+use ngd_graph::{AttrMap, Graph, NodeId, Value};
 use ngd_integration_tests::{knowledge_workload, social_workload, update_for};
 
 #[test]
@@ -114,4 +118,87 @@ fn work_and_violations_are_reported_in_the_ledger() {
     assert_eq!(batch.cost.latency_units, 0.0);
     // The modelled cost is monotone in the processor count's inverse.
     assert!(report.cost.modelled_cost(1) >= report.cost.modelled_cost(8));
+}
+
+#[test]
+fn pdect_on_a_frozen_graph_matches_dect_on_for_small_processor_counts() {
+    let (graph, sigma) = knowledge_workload(89);
+    let snapshot = graph.freeze();
+    let reference = dect_on(&sigma, &snapshot);
+    assert!(!reference.violations.is_empty());
+    let one = pdect_on(&sigma, &snapshot, &DetectorConfig::with_processors(1));
+    for p in [1, 2, 3, 4] {
+        let parallel = pdect_on(&sigma, &snapshot, &DetectorConfig::with_processors(p));
+        assert_eq!(parallel.violations, reference.violations, "p={p}");
+        // Each worker walks its own stride of every rule's roots: the
+        // strides partition the roots, so the work does not depend on p.
+        assert_eq!(parallel.stats.expanded, one.stats.expanded, "p={p}");
+        assert_eq!(
+            parallel.stats.candidates_inspected, one.stats.candidates_inspected,
+            "p={p}"
+        );
+        assert_eq!(
+            parallel.stats.matches_found, one.stats.matches_found,
+            "p={p}"
+        );
+    }
+}
+
+/// Two `hub` nodes (fewer roots than workers once p > 2), each with `leaf`
+/// neighbours; hub 0 also carries a self-loop, hub 1 does not.
+fn two_hubs() -> Graph {
+    let mut g = Graph::new();
+    let hubs: Vec<NodeId> = (0..2i64)
+        .map(|i| g.add_node_named("hub", AttrMap::from_pairs([("val", Value::Int(5 * i))])))
+        .collect();
+    for i in 0..9i64 {
+        let leaf = g.add_node_named("leaf", AttrMap::from_pairs([("val", Value::Int(i))]));
+        g.add_edge_named(hubs[(i % 2) as usize], leaf, "has")
+            .unwrap();
+    }
+    g.add_edge_named(hubs[0], hubs[0], "self").unwrap();
+    g.add_edge_named(hubs[0], hubs[1], "peer").unwrap();
+    g
+}
+
+#[test]
+fn pdect_with_fewer_roots_than_workers_and_a_self_loop_on_the_root() {
+    let val = |v| Expr::attr(v, "val");
+    // `hub` is the rarest label, so `h` is the root of both rules.
+    let mut q = Pattern::new();
+    let h = q.add_node("h", "hub");
+    let l = q.add_node("l", "leaf");
+    q.add_edge(h, l, "has");
+    let few_roots = Ngd::new("few_roots", q, vec![], vec![Literal::le(val(l), val(h))]).unwrap();
+
+    // The self-loop is decided by the root alone: it is part of the
+    // per-root validation, not of any search step.
+    let mut q = Pattern::new();
+    let h = q.add_node("h", "hub");
+    let l = q.add_node("l", "leaf");
+    q.add_edge(h, h, "self").add_edge(h, l, "has");
+    let looped = Ngd::new(
+        "looped",
+        q,
+        vec![Literal::ge(val(h), Expr::constant(0))],
+        vec![Literal::gt(val(l), Expr::constant(2))],
+    )
+    .unwrap();
+
+    let sigma = RuleSet::from_rules(vec![few_roots, looped]);
+    let snapshot = two_hubs().freeze();
+    let reference = dect_on(&sigma, &snapshot);
+    assert!(reference.violations.of_rule("few_roots").count() > 0);
+    // Hub 1 has no self-loop: only hub 0's even leaves 0 and 2 violate.
+    assert_eq!(reference.violations.of_rule("looped").count(), 2);
+    for p in [1, 2, 3, 4] {
+        let config = DetectorConfig::with_processors(p);
+        let parallel = pdect_on(&sigma, &snapshot, &config);
+        assert_eq!(parallel.violations, reference.violations, "csr p={p}");
+        let adjacency = pdect_on(&sigma, &two_hubs(), &config);
+        assert_eq!(
+            adjacency.violations, reference.violations,
+            "adjacency p={p}"
+        );
+    }
 }

@@ -11,21 +11,28 @@
 //! * the figure-1 scenarios with the full paper rule set;
 //! * an epoch compaction: plans compiled against the old epoch's mapped
 //!   file never leak into the new epoch ([`PlanCache::for_epoch`] keying),
-//!   and both epochs keep agreeing with the legacy order.
+//!   and both epochs keep agreeing with the legacy order;
+//! * the literal schedule — the per-step check of the planned search
+//!   (`Matcher::step_viable`) against the full check
+//!   (`Matcher::partial_viable`) on every partial assignment of a stepwise
+//!   expansion, on every backend, seeded, unseeded and with forbidden
+//!   edges.
 
-use ngd_core::{paper, Expr, Literal, Ngd, Pattern, RuleSet};
+use ngd_core::{paper, Expr, Literal, Ngd, Pattern, RuleSet, Var};
 use ngd_datagen::StdRng;
 use ngd_detect::{
     dect_on, dect_on_cached, inc_dect_prepared, pdect_on, pinc_dect_prepared, DetectorConfig,
 };
 use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{AttrMap, BatchUpdate, EdgeRef, Graph, GraphView, NodeId, Value};
+use ngd_graph::{AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Value};
 use ngd_match::{
-    edge_ranks, pattern_matches, update_pivots, DeltaViolations, Matcher, PlanCache, Violation,
-    ViolationSet,
+    compile_rule_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, FastPathTally,
+    MatchPlan, Matcher, PlanCache, Violation, ViolationSet,
 };
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Number of random cases per property.
 const CASES: u64 = 48;
@@ -360,5 +367,203 @@ fn plan_cache_epochs_stay_correct_across_a_compaction() {
 
         std::fs::remove_file(&base_path).ok();
         std::fs::remove_file(&next_path).ok();
+    }
+}
+
+/// Which test a stepwise expansion applies to each extended partial
+/// assignment.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Check {
+    /// Every pattern edge and every literal (`partial_viable`).
+    Full,
+    /// What the plan step newly decides (`step_viable`).
+    Scheduled,
+}
+
+/// Expand `seeds` breadth-first over `plan`, one plan step per round, the
+/// way the parallel incremental detector does.  Returns the violations and
+/// the number of viable partial assignments after each searched step, or
+/// `None` when the seeds themselves are rejected.
+fn stepwise<G: GraphView>(
+    matcher: &Matcher<'_, G>,
+    graph: &G,
+    plan: &MatchPlan,
+    rule: &Ngd,
+    seeds: &[(Var, NodeId)],
+    check: Check,
+) -> Option<(BTreeSet<Vec<NodeId>>, Vec<usize>)> {
+    let mut assignment = vec![None; rule.pattern.node_count()];
+    for &(var, node) in seeds {
+        if !matcher.node_matches_var(var, node)
+            || assignment[var.index()].is_some_and(|n| n != node)
+        {
+            return None;
+        }
+        assignment[var.index()] = Some(node);
+    }
+    if !matcher.partial_viable(Some(rule), &assignment) {
+        return None;
+    }
+    let mut tally = FastPathTally::default();
+    let mut frontier = vec![assignment];
+    let mut viable_per_step = Vec::new();
+    for depth in 0..plan.len() {
+        let var = plan.var_at(depth);
+        if frontier.first().is_some_and(|a| a[var.index()].is_some()) {
+            continue; // a seed step
+        }
+        let mut next = Vec::new();
+        for partial in &frontier {
+            let (candidates, _) = matcher.planned_candidate_step(plan, depth, partial, &mut tally);
+            for candidate in candidates {
+                let mut extended = partial.clone();
+                extended[var.index()] = Some(candidate);
+                let viable = match check {
+                    Check::Full => matcher.partial_viable(Some(rule), &extended),
+                    Check::Scheduled => {
+                        matcher.step_viable(plan, depth, Some(rule), &extended, &mut tally)
+                    }
+                };
+                if viable {
+                    next.push(extended);
+                }
+            }
+        }
+        viable_per_step.push(next.len());
+        frontier = next;
+    }
+    let violations = frontier
+        .into_iter()
+        .map(|a| a.into_iter().map(Option::unwrap).collect::<Vec<NodeId>>())
+        .filter(|m| ngd_core::is_violation(rule, graph, m))
+        .collect();
+    Some((violations, viable_per_step))
+}
+
+/// One seeded (or unseeded) expansion of `rule` over `graph`, four ways:
+/// the recursive planned search, the legacy-order search, and the stepwise
+/// expansion under the full and under the scheduled check.  All four must
+/// find the same violations; the two stepwise runs must keep the same
+/// number of partial assignments alive after every step; and the recursive
+/// search must have expanded exactly those.
+fn check_expansion<G: GraphView>(
+    graph: &G,
+    rule: &Ngd,
+    seeds: &[(Var, NodeId)],
+    forbidden: Option<(&HashMap<EdgeRef, usize>, usize)>,
+    ctx: &str,
+) -> BTreeSet<Vec<NodeId>> {
+    let ctx = format!("{ctx}: {} seeds {seeds:?}", rule.id);
+    let matcher = || {
+        let m = Matcher::new(&rule.pattern, graph);
+        match forbidden {
+            Some((ranks, below)) => m.with_forbidden(ranks, below),
+            None => m,
+        }
+    };
+    let seed_vars: Vec<Var> = seeds.iter().map(|&(v, _)| v).collect();
+    let plan = Arc::new(compile_rule_plan(rule, graph, &seed_vars));
+
+    let (legacy, _) = matcher()
+        .with_legacy_order()
+        .expand_seeded(seeds, Some(rule));
+    let legacy: BTreeSet<Vec<NodeId>> = legacy.into_iter().collect();
+    let (planned, stats) = matcher()
+        .with_plan(Arc::clone(&plan))
+        .expand_seeded(seeds, Some(rule));
+    let planned_count = planned.len();
+    let planned: BTreeSet<Vec<NodeId>> = planned.into_iter().collect();
+    assert_eq!(planned.len(), planned_count, "{ctx}: a match emitted twice");
+    assert_eq!(planned, legacy, "{ctx}: scheduled vs legacy order");
+
+    let full = stepwise(&matcher(), graph, &plan, rule, seeds, Check::Full);
+    let scheduled = stepwise(&matcher(), graph, &plan, rule, seeds, Check::Scheduled);
+    assert_eq!(scheduled, full, "{ctx}: step check vs full check");
+    match full {
+        None => {
+            assert!(planned.is_empty(), "{ctx}");
+            assert_eq!(stats.expanded, 0, "{ctx}: rejected seeds expand nothing");
+        }
+        Some((violations, viable_per_step)) => {
+            assert_eq!(violations, planned, "{ctx}: stepwise vs recursive");
+            // One search-tree node per viable partial assignment, plus the
+            // root and one pass-through per distinct seeded variable.
+            let nodes = 1 + plan.seeds.len() + viable_per_step.iter().sum::<usize>();
+            assert_eq!(stats.expanded, nodes, "{ctx}: {viable_per_step:?}");
+        }
+    }
+    planned
+}
+
+/// Every expansion shape of every rule over one view of a graph: unseeded,
+/// each variable seeded with each node, and — `forbidden` permitting — the
+/// update pivots of `edges` with the earlier ones forbidden.
+fn check_view<G: GraphView>(
+    graph: &G,
+    sigma: &RuleSet,
+    edges: &[EdgeRef],
+    ctx: &str,
+) -> Vec<BTreeSet<Vec<NodeId>>> {
+    let mut found = Vec::new();
+    let ranks = edge_ranks(edges);
+    for rule in sigma.iter() {
+        found.push(check_expansion(graph, rule, &[], None, ctx));
+        for var in rule.pattern.vars() {
+            for node in 0..graph.node_count() as u32 + 1 {
+                let seeds = [(var, NodeId(node))];
+                found.push(check_expansion(graph, rule, &seeds, None, ctx));
+            }
+        }
+        for (idx, edge) in edges.iter().enumerate() {
+            for pivot in update_pivots(rule, graph, std::iter::once(*edge)) {
+                let pe = rule.pattern.edges()[pivot.pattern_edge];
+                let seeds = [(pe.src, pivot.edge.src), (pe.dst, pivot.edge.dst)];
+                found.push(check_expansion(
+                    graph,
+                    rule,
+                    &seeds,
+                    Some((&ranks, idx)),
+                    ctx,
+                ));
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn scheduled_literal_checks_match_the_full_check_on_every_backend() {
+    let sigma = rules();
+    let writer = SnapshotWriter::new();
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(9_400 + case);
+        let graph = random_graph(&mut rng);
+        let delta = random_update(&mut rng, &graph);
+        let updated = delta
+            .applied_to(&graph)
+            .expect("random updates apply cleanly");
+        // The inserted edges exist in the updated graph: they are the
+        // pivots, each forbidding the ones before it.
+        let pivots: Vec<EdgeRef> = delta.insertions().collect();
+
+        let adjacency = check_view(&updated, &sigma, &pivots, &format!("adjacency {case}"));
+
+        let snapshot = updated.freeze();
+        let csr = check_view(&snapshot, &sigma, &pivots, &format!("csr {case}"));
+        assert_eq!(csr, adjacency, "case {case}");
+
+        let path = temp_path("schedule");
+        writer.write(&snapshot, &path).expect("snapshot writes");
+        let mapped = MmapSnapshot::load(&path).expect("snapshot loads");
+        let mmap = check_view(&mapped, &sigma, &pivots, &format!("mmap {case}"));
+        std::fs::remove_file(&path).ok();
+        assert_eq!(mmap, adjacency, "case {case}");
+
+        // The same graph as base ⊕ ΔG: the nodes ΔG touches have no
+        // contiguous runs, so anchored steps mix borrowed and copied lists.
+        let base = graph.freeze();
+        let overlay = DeltaOverlay::new(&base, &delta);
+        let overlaid = check_view(&overlay, &sigma, &pivots, &format!("overlay {case}"));
+        assert_eq!(overlaid, adjacency, "case {case}");
     }
 }
