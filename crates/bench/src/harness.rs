@@ -119,6 +119,12 @@ impl Harness {
         measurement
     }
 
+    /// Record a measurement the caller timed itself (e.g. interleaved
+    /// pairs, which `bench` cannot express), in run order.
+    pub fn record(&mut self, measurement: Measurement) {
+        self.results.push(measurement);
+    }
+
     /// All measurements so far.
     pub fn results(&self) -> &[Measurement] {
         &self.results

@@ -20,8 +20,8 @@
 //!
 //! This crate provides:
 //!
-//! * the rule language: [`Pattern`], [`Expr`], [`Literal`], [`Ngd`],
-//!   [`RuleSet`] (with serde round-tripping and a text DSL in [`parser`]);
+//! * the rule model: [`Pattern`], [`Expr`], [`Literal`], [`Ngd`],
+//!   [`RuleSet`] (with JSON round-tripping);
 //! * exact evaluation of literals and dependencies on matches ([`eval`]);
 //! * the static analyses of Section 4: satisfiability, strong
 //!   satisfiability ([`satisfiability`]) and implication ([`implication`]),
@@ -71,7 +71,6 @@ pub mod linsolve;
 pub mod literal;
 pub mod ngd;
 pub mod paper;
-pub mod parser;
 pub mod pattern;
 pub mod rational;
 pub mod satisfiability;
@@ -82,7 +81,6 @@ pub use implication::implies;
 pub use linsolve::{ConstraintSystem, Feasibility};
 pub use literal::{CmpOp, Literal};
 pub use ngd::{Ngd, NgdError, RuleSet};
-pub use parser::{parse_rule, parse_rule_set, ParseError};
 pub use pattern::{Pattern, PatternEdge, PatternNode, Var};
 pub use rational::Rational;
 pub use satisfiability::{

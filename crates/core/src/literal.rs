@@ -70,7 +70,7 @@ impl CmpOp {
         self == CmpOp::Eq
     }
 
-    /// Parse from the textual representation used by the rule DSLs.
+    /// Parse from the textual representation used by the `.ngdl` rule language.
     /// ASCII digraphs and the Unicode comparison glyphs are accepted
     /// interchangeably; [`CmpOp`]'s `Display` prints the canonical ASCII
     /// spelling back:

@@ -71,6 +71,15 @@ struct SideSect {
 fn u32s(map: &MmapFile, s: Sect) -> &[u32] {
     let bytes = &map.bytes()[s.off..s.off + s.len * 4];
     debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
+    // SAFETY: every `Sect` is built by `FileData::u32_sect` from an entry
+    // that passed `read_section_table` — `offset` a multiple of
+    // `SECTION_ALIGN` (`MisalignedSection` otherwise) and
+    // `offset + byte_len` inside the mapping (`Corrupt` otherwise) — and
+    // whose `byte_len` is `elem_count * 4` by the checked multiply there;
+    // the slice index above re-checks the bounds.  The base is
+    // page-aligned (mmap) or 8-aligned (the `Vec<u64>` fallback), so
+    // `base + off` is 4-aligned; every bit pattern is a valid `u32`; the
+    // mapping is never written and the borrow is tied to `map`.
     unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), s.len) }
 }
 
@@ -78,6 +87,9 @@ fn u32s(map: &MmapFile, s: Sect) -> &[u32] {
 /// `repr(transparent)` over `u32`).
 #[inline]
 fn as_node_ids(xs: &[u32]) -> &[NodeId] {
+    // SAFETY: `NodeId` is `#[repr(transparent)]` over `u32` (a documented
+    // contract of the type), so size, alignment and validity coincide;
+    // pointer, length and lifetime are those of `xs`.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<NodeId>(), xs.len()) }
 }
 

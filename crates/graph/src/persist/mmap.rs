@@ -27,9 +27,13 @@ pub struct MmapFile {
     inner: Inner,
 }
 
-// SAFETY: the mapping is created PROT_READ and never mutated or remapped
-// after construction; sharing immutable bytes across threads is sound.
+// SAFETY: the only non-`Send` field is `Inner::ptr`, the base of a mapping
+// created PROT_READ and never mutated or remapped after construction;
+// `len` is a plain integer.  The mapping is tied to no thread, so the owner
+// (and its `munmap` in Drop) may move.
 unsafe impl Send for MmapFile {}
+// SAFETY: `&MmapFile` only hands out `&[u8]` over those immutable bytes
+// (`bytes()`); no method writes through `ptr`, so shared readers cannot race.
 unsafe impl Sync for MmapFile {}
 
 impl MmapFile {

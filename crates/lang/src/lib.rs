@@ -16,11 +16,10 @@
 //! ([`parse_rules`], [`parse_rule`]) that lower directly onto
 //! `ngd_core::{Pattern, Ngd, RuleSet}`, a canonical pretty-printer
 //! ([`print_rule`], [`print_rule_set`]) with `parse(print(r)) ≡ r`, and a
-//! format-sniffing loader ([`load_rules`]) that accepts `.ngdl`, the
-//! legacy `rule … { … }` DSL of `ngd_core::parser`, and the JSON rule
-//! interchange format behind one entry point — so every rule-loading
-//! surface (`ngd-serve --rules`, `ngd-cli`, examples) understands all
-//! three.
+//! format-sniffing loader ([`load_rules`]) that accepts `.ngdl` and the
+//! JSON rule interchange format behind one entry point — so every
+//! rule-loading surface (`ngd-serve --rules`, `ngd-cli`, the `RULES` wire
+//! frame, examples) understands both.
 //!
 //! Variables are numbered in order of first mention in the `MATCH`
 //! clause, and the match planner breaks cost ties toward lower variable
@@ -72,9 +71,6 @@ use ngd_core::RuleSet;
 pub enum RuleFormat {
     /// The JSON interchange format of `RuleSet::{to_json, from_json}`.
     Json,
-    /// The legacy `rule name { match …; edge …; then …; }` DSL of
-    /// `ngd_core::parser`.
-    LegacyDsl,
     /// The declarative `RULE name: MATCH … => …` language of this crate.
     Ngdl,
 }
@@ -83,7 +79,6 @@ impl std::fmt::Display for RuleFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             RuleFormat::Json => "json",
-            RuleFormat::LegacyDsl => "legacy dsl",
             RuleFormat::Ngdl => "ngdl",
         })
     }
@@ -94,8 +89,6 @@ impl std::fmt::Display for RuleFormat {
 pub enum LoadError {
     /// The source sniffed as JSON but failed to decode.
     Json(ngd_json::JsonError),
-    /// The source sniffed as the legacy DSL but failed to parse.
-    Legacy(ngd_core::ParseError),
     /// The source sniffed as `.ngdl` but failed to parse.
     Ngdl(ParseError),
 }
@@ -104,7 +97,6 @@ impl std::fmt::Display for LoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LoadError::Json(e) => write!(f, "invalid rule json: {e}"),
-            LoadError::Legacy(e) => write!(f, "{e}"),
             LoadError::Ngdl(e) => write!(f, "{e}"),
         }
     }
@@ -114,71 +106,32 @@ impl std::error::Error for LoadError {}
 
 /// Sniff which rule format `source` is written in, without parsing it.
 ///
-/// The decision needs only the leading shape of the text: a first
-/// significant character of `[`, `{` or `"` means JSON; otherwise the
-/// first `{` or `:` outside comments and strings decides between the
-/// legacy `rule name { … }` DSL and `RULE name: …` ngdl.  Empty or
-/// comment-only sources sniff as [`RuleFormat::Ngdl`], whose parser
-/// accepts them as an empty rule set.
+/// The first significant character decides: after leading whitespace and
+/// `#` / `//` comment lines, `[`, `{` or `"` means JSON and anything else
+/// means `.ngdl`.  Empty or comment-only sources sniff as
+/// [`RuleFormat::Ngdl`], whose parser accepts them as an empty rule set.
 ///
 /// ```
 /// use ngd_lang::{detect_format, RuleFormat};
 ///
 /// assert_eq!(detect_format("[]"), RuleFormat::Json);
-/// assert_eq!(detect_format("rule phi { match (x:_); then x.v = 1; }"),
-///            RuleFormat::LegacyDsl);
+/// assert_eq!(detect_format("# Σ\n{\"rules\": []}"), RuleFormat::Json);
 /// assert_eq!(detect_format("RULE phi: MATCH (x) => false"),
 ///            RuleFormat::Ngdl);
 /// ```
 pub fn detect_format(source: &str) -> RuleFormat {
-    let mut chars = source.chars().peekable();
-    let mut first_significant = true;
-    while let Some(c) = chars.next() {
-        match c {
-            c if c.is_whitespace() => continue,
-            '#' => {
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
-                }
-            }
-            '/' if chars.peek() == Some(&'/') => {
-                for c in chars.by_ref() {
-                    if c == '\n' {
-                        break;
-                    }
-                }
-            }
-            '"' if !first_significant => {
-                // Skip the string body so a `:` inside a quoted name
-                // does not decide the format.
-                while let Some(c) = chars.next() {
-                    match c {
-                        '\\' => {
-                            chars.next();
-                        }
-                        '"' => break,
-                        _ => {}
-                    }
-                }
-            }
-            c => {
-                if first_significant {
-                    if matches!(c, '[' | '{' | '"') {
-                        return RuleFormat::Json;
-                    }
-                    first_significant = false;
-                }
-                match c {
-                    '{' => return RuleFormat::LegacyDsl,
-                    ':' => return RuleFormat::Ngdl,
-                    _ => {}
-                }
-            }
-        }
+    let mut rest = source.trim_start();
+    while rest.starts_with('#') || rest.starts_with("//") {
+        rest = rest
+            .split_once('\n')
+            .map_or("", |(_, tail)| tail)
+            .trim_start();
     }
-    RuleFormat::Ngdl
+    if rest.starts_with(['[', '{', '"']) {
+        RuleFormat::Json
+    } else {
+        RuleFormat::Ngdl
+    }
 }
 
 /// Parse rules in whichever supported format `source` is written in.
@@ -199,7 +152,6 @@ pub fn detect_format(source: &str) -> RuleFormat {
 pub fn load_rules(source: &str) -> Result<RuleSet, LoadError> {
     match detect_format(source) {
         RuleFormat::Json => RuleSet::from_json(source).map_err(LoadError::Json),
-        RuleFormat::LegacyDsl => ngd_core::parse_rule_set(source).map_err(LoadError::Legacy),
         RuleFormat::Ngdl => parse_rules(source).map_err(LoadError::Ngdl),
     }
 }
@@ -212,22 +164,27 @@ mod tests {
     fn sniffing_ignores_comments_and_quoted_colons() {
         assert_eq!(detect_format(""), RuleFormat::Ngdl);
         assert_eq!(detect_format("# only a comment\n"), RuleFormat::Ngdl);
+        assert_eq!(detect_format("// no newline after it"), RuleFormat::Ngdl);
         assert_eq!(
             detect_format("// note\n  [ {\"id\": \"r\"} ]"),
             RuleFormat::Json
         );
         assert_eq!(
-            detect_format("# note\nrule phi1 {\n  match (x:_);\n}"),
-            RuleFormat::LegacyDsl
+            detect_format("# one\n  // two\n{\"rules\": []}"),
+            RuleFormat::Json
         );
         assert_eq!(
             detect_format("RULE \"has { brace\": MATCH (x) => false"),
             RuleFormat::Ngdl
         );
+        assert_eq!(
+            detect_format("# note\nrule phi1 {\n  match (x:_);\n}"),
+            RuleFormat::Ngdl
+        );
     }
 
     #[test]
-    fn load_rules_accepts_all_three_formats() {
+    fn load_rules_accepts_both_formats() {
         let ngdl = "RULE r: MATCH (x:A)-[:e]->(y:B) WHERE x.v > y.v => false";
         let sigma = load_rules(ngdl).unwrap();
         assert_eq!(sigma.len(), 1);
@@ -235,20 +192,24 @@ mod tests {
         let json = sigma.to_json();
         assert_eq!(load_rules(&json).unwrap().rules(), sigma.rules());
 
-        let legacy = "rule r {\n  match (x:A), (y:B);\n  edge x -[e]-> y;\n  when x.v > y.v;\n  then 0 = 1;\n}";
-        assert_eq!(load_rules(legacy).unwrap().rules(), sigma.rules());
+        let quoted = load_rules("RULE \"has { brace\": MATCH (x) => false").unwrap();
+        assert_eq!(quoted.rules()[0].id, "has { brace");
     }
 
     #[test]
     fn load_errors_carry_the_sniffed_format() {
         assert!(matches!(load_rules("[ broken"), Err(LoadError::Json(_))));
         assert!(matches!(
-            load_rules("rule r { oops }"),
-            Err(LoadError::Legacy(_))
-        ));
-        assert!(matches!(
             load_rules("RULE r: MATCH ("),
             Err(LoadError::Ngdl(_))
         ));
+        // The retired `rule name { … }` block syntax has no parser left: it
+        // reaches the `.ngdl` one, which refuses it at the `{`.
+        let retired = "# old syntax\nrule r { match (x:A); then x.v = 1; }";
+        let Err(LoadError::Ngdl(err)) = load_rules(retired) else {
+            panic!("expected a positioned ngdl refusal");
+        };
+        assert_eq!((err.line, err.col), (2, 8), "{err}");
+        assert!(err.to_string().contains('^'), "{err}");
     }
 }

@@ -506,42 +506,6 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         search.stats
     }
 
-    /// The matching order the search would use for the given seed variables
-    /// (seeds first, then connectivity-driven expansion).  Exposed so that
-    /// stepwise engines — the parallel incremental detector expands partial
-    /// solutions one variable at a time across workers — follow exactly the
-    /// same order as the recursive search.
-    pub fn order_with_seeds(&self, seeds: &[Var]) -> Vec<Var> {
-        self.matching_order(seeds)
-    }
-
-    /// One candidate-generation step for a stepwise expansion: the candidate
-    /// nodes for `var` under the partial `assignment`, together with the
-    /// adjacency-list length of the anchor node they were drawn from (the
-    /// `|h(u_r).adj|` quantity of the paper's work-splitting cost model).
-    /// When no assigned neighbour anchors the step, the anchor degree is the
-    /// size of the label index consulted instead.
-    pub fn candidate_step(&self, var: Var, assignment: &[Option<NodeId>]) -> (Vec<NodeId>, usize) {
-        let anchor_degree = self
-            .pattern
-            .edges()
-            .iter()
-            .filter_map(|edge| {
-                if edge.src == var {
-                    assignment[edge.dst.index()].map(|dst| self.graph.degree(dst))
-                } else if edge.dst == var {
-                    assignment[edge.src.index()].map(|src| self.graph.degree(src))
-                } else {
-                    None
-                }
-            })
-            .min()
-            .unwrap_or_else(|| self.candidate_count(var));
-        let mut stats = MatchStats::default();
-        let candidates = self.candidates(var, assignment, &mut stats);
-        (candidates, anchor_degree)
-    }
-
     /// Is the partial assignment still viable: all decided pattern edges
     /// present, and (when searching for violations of `rule`) not pruned by
     /// any literal?  This is the **full** check — every pattern edge and
@@ -890,10 +854,14 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         true
     }
 
-    /// Plan-driven counterpart of [`Matcher::candidate_step`] for stepwise
-    /// engines: the label-filtered candidates for the plan step at `depth`
-    /// (anchored-run intersection included) as an owned list, with the
-    /// anchor degree of the paper's work-splitting cost model.  Callers
+    /// One candidate-generation step for stepwise engines (the parallel
+    /// incremental detector expands partial solutions one variable at a
+    /// time across workers): the label-filtered candidates for the plan
+    /// step at `depth` (anchored-run intersection included) as an owned
+    /// list, with the adjacency-list length of the anchor node they were
+    /// drawn from — the `|h(u_r).adj|` quantity of the paper's
+    /// work-splitting cost model; when no assigned neighbour anchors the
+    /// step, the size of the label index consulted instead.  Callers
     /// validate each extension through [`Matcher::step_viable`].
     pub fn planned_candidate_step(
         &self,
@@ -1312,49 +1280,6 @@ mod tests {
             max_steps: None,
         });
         assert_eq!(matcher.find_all().len(), 5);
-    }
-
-    #[test]
-    fn stepwise_api_mirrors_recursive_search() {
-        // Drive a full expansion by hand using the stepwise API and check it
-        // reaches the same violation the recursive search finds.
-        let (g2, village) = paper::figure1_g2();
-        let rule = paper::phi2();
-        let matcher = Matcher::new(&rule.pattern, &g2);
-        let x = rule.pattern.var_by_name("x").unwrap();
-        assert!(matcher.node_matches_var(x, village));
-        let order = matcher.order_with_seeds(&[x]);
-        assert_eq!(order[0], x);
-        assert_eq!(order.len(), rule.pattern.node_count());
-
-        let mut frontier: Vec<Vec<Option<NodeId>>> = vec![{
-            let mut a = vec![None; rule.pattern.node_count()];
-            a[x.index()] = Some(village);
-            a
-        }];
-        for &var in &order[1..] {
-            let mut next = Vec::new();
-            for partial in &frontier {
-                let (candidates, anchor) = matcher.candidate_step(var, partial);
-                assert!(anchor > 0);
-                for c in candidates {
-                    let mut extended = partial.clone();
-                    extended[var.index()] = Some(c);
-                    if matcher.partial_viable(Some(&rule), &extended) {
-                        next.push(extended);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        let complete: Vec<Vec<NodeId>> = frontier
-            .into_iter()
-            .map(|a| a.into_iter().map(Option::unwrap).collect())
-            .filter(|a: &Vec<NodeId>| ngd_core::is_violation(&rule, &g2, a))
-            .collect();
-        let recursive = find_violations(&rule, &g2);
-        assert_eq!(complete.len(), recursive.len());
-        assert_eq!(complete.len(), 1);
     }
 
     /// A 12-node ring with chords, every node labelled `T` with `val`.

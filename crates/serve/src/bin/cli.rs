@@ -15,8 +15,8 @@
 //!   epoch                         session + server snapshot epochs
 //!   update <batch.json>           submit a ΔG batch, stream ΔVio back
 //!   query                         full detection over the session state
-//!   rules <file>                  install a session rule set (.ngdl, JSON
-//!                                 or legacy DSL — the format is sniffed)
+//!   rules <file>                  install a session rule set (.ngdl or
+//!                                 JSON — the format is sniffed)
 //!   check <rules> [snap]          offline: parse + lower a rule file,
 //!                                 report each rule (pattern size, literal
 //!                                 counts, denial?) and its compiled match
@@ -202,9 +202,9 @@ fn print_top_tick(
     }
 }
 
-/// Parse a rule set in any supported format (`.ngdl`, JSON or the legacy
-/// DSL); `ngd_lang::load_rules` sniffs which parser applies.  `.ngdl`
-/// errors keep their multi-line caret snippet.
+/// Parse a rule set in either supported format (`.ngdl` or JSON);
+/// `ngd_lang::load_rules` sniffs which parser applies.  `.ngdl` errors
+/// keep their multi-line caret snippet.
 fn parse_rules(text: &str) -> Result<RuleSet, String> {
     ngd_lang::load_rules(text).map_err(|e| e.to_string())
 }

@@ -2,14 +2,13 @@
 //!
 //! ```text
 //! ngd-serve --snapshot graph.ngds [--listen unix:/run/ngd.sock | tcp:127.0.0.1:7411]
-//!           [--rules rules.json|rules.ngd] [--processors N] [--latency C]
+//!           [--rules rules.ngdl|rules.json] [--processors N] [--latency C]
 //!           [--compact-after OPS] [--metrics-dump FILE] [--metrics-interval SECS]
 //! ```
 //!
-//! Maps the snapshot, compiles the rule set (a JSON file produced by
-//! `RuleSet::to_json`, or the text DSL understood by
-//! `ngd_core::parse_rule_set`; defaults to the paper's rule set), binds the
-//! listener and serves until a client sends `SHUTDOWN`.
+//! Maps the snapshot, compiles the rule set (a `.ngdl` file, or the JSON
+//! produced by `RuleSet::to_json`; defaults to the paper's rule set), binds
+//! the listener and serves until a client sends `SHUTDOWN`.
 //! With `--compact-after N`, a session whose accumulated update reaches
 //! `N` unit operations triggers a background compaction: the overlay is
 //! folded into a fresh `.ngds` epoch next to the original snapshot and
@@ -122,8 +121,8 @@ fn parse_args() -> Args {
     }
 }
 
-/// Load a rules file in any supported format (`.ngdl`, legacy DSL or
-/// JSON); `ngd_lang::load_rules` sniffs which parser applies.
+/// Load a rules file in either supported format (`.ngdl` or JSON);
+/// `ngd_lang::load_rules` sniffs which parser applies.
 fn load_rules(path: &PathBuf) -> Result<RuleSet, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;

@@ -195,9 +195,9 @@ impl ServeClient {
         self.set_rules_source(&sigma.to_json())
     }
 
-    /// Install a rule set from raw rule-file text (`.ngdl`, the legacy
-    /// DSL, or JSON — the server sniffs the format), so a session can
-    /// swap rules straight from a file without parsing client-side.
+    /// Install a rule set from raw rule-file text (`.ngdl` or JSON — the
+    /// server sniffs the format), so a session can swap rules straight
+    /// from a file without parsing client-side.
     pub fn set_rules_source(&mut self, source: &str) -> Result<String, ProtocolError> {
         let request = RulesRequest {
             source: source.to_owned(),

@@ -256,9 +256,12 @@ mod imp {
         }
     }
 
-    // SAFETY: the eventfd is a kernel object; concurrent writes from many
-    // threads and reads from the reactor are the documented use.
+    // SAFETY: the only field is the eventfd number, a kernel object tied to
+    // no thread; the owner (and its `close` in Drop) may move.
     unsafe impl Send for Waker {}
+    // SAFETY: `&Waker` reaches only `write`/`read` on the eventfd, which the
+    // kernel serialises; concurrent writes from many threads and reads
+    // from the reactor are the documented use.
     unsafe impl Sync for Waker {}
 }
 
@@ -435,9 +438,12 @@ mod imp {
         }
     }
 
-    // SAFETY: pipe writes are atomic per POSIX; many writers + one reader
-    // is the documented self-pipe pattern.
+    // SAFETY: both fields are pipe fd numbers, kernel objects tied to no
+    // thread; the owner (and its `close` in Drop) may move.
     unsafe impl Send for Waker {}
+    // SAFETY: `&Waker` reaches only 1-byte `write`s and non-blocking
+    // `read`s; pipe writes of at most PIPE_BUF bytes are atomic per POSIX,
+    // and many writers + one reader is the documented self-pipe pattern.
     unsafe impl Sync for Waker {}
 }
 

@@ -382,13 +382,13 @@ impl HelloResponse {
 
 /// `RULES`: rule-set source text, compiled server-side.
 ///
-/// The payload is the verbatim text of a rule file in any format the
-/// sniffing loader (`ngd_lang::load_rules`) understands — `.ngdl`, the
-/// legacy DSL, or `RuleSet::to_json()` output — so a client can swap a
-/// served session's rules straight from a file on disk.
+/// The payload is the verbatim text of a rule file in either format the
+/// sniffing loader (`ngd_lang::load_rules`) understands — `.ngdl` or
+/// `RuleSet::to_json()` output — so a client can swap a served session's
+/// rules straight from a file on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RulesRequest {
-    /// Rule file contents (ngdl / legacy DSL / JSON; format is sniffed).
+    /// Rule file contents (ngdl / JSON; format is sniffed).
     pub source: String,
 }
 

@@ -17,6 +17,10 @@ RULE no_fake_accts:
 // Line 3 ends in a dangling `>`: the caret must land there.
 const BAD_RULES: &str = "RULE broken:\n  MATCH (x:Account)\n  WHERE x.balance >\n  => false\n";
 
+// The retired `rule name { … }` block syntax: no parser is left for it, so
+// it reaches the `.ngdl` parser, which stops at the `{` on line 2.
+const RETIRED_SYNTAX_RULES: &str = "# old syntax\nrule r { match (x:A); then x.v = 1; }\n";
+
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ngd-cli"))
         .args(args)
@@ -75,16 +79,28 @@ fn check_accepts_a_valid_ngdl_file() {
 
 #[test]
 fn check_reports_a_parse_error_with_a_caret_and_exits_nonzero() {
-    let path = write_temp("bad.ngdl", BAD_RULES);
-    let out = cli(&["check", path.to_str().unwrap()]);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = stderr_of(&out);
-    assert!(
-        stderr.contains("parse error at line"),
-        "no positioned parse error in: {stderr}"
-    );
-    assert!(stderr.contains('^'), "no caret snippet in: {stderr}");
+    for (name, rules, snippet) in [
+        ("bad.ngdl", BAD_RULES, "  4 |   => false\n    |   ^"),
+        (
+            "retired.ngd",
+            RETIRED_SYNTAX_RULES,
+            "  2 | rule r { match (x:A); then x.v = 1; }\n    |        ^",
+        ),
+    ] {
+        let path = write_temp(name, rules);
+        let out = cli(&["check", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let stderr = stderr_of(&out);
+        assert!(
+            stderr.contains("parse error at line"),
+            "{name}: no positioned parse error in: {stderr}"
+        );
+        assert!(
+            stderr.contains(snippet),
+            "{name}: no caret snippet in: {stderr}"
+        );
+    }
 }
 
 #[test]

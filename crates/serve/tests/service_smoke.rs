@@ -9,7 +9,8 @@ use ngd_core::{paper, RuleSet};
 use ngd_detect::{pinc_dect, DetectorConfig};
 use ngd_graph::persist::SnapshotWriter;
 use ngd_graph::{intern, BatchUpdate};
-use ngd_serve::{ServeAddr, ServeClient, Server, SnapshotStore};
+use ngd_serve::protocol::err_code;
+use ngd_serve::{ProtocolError, ServeAddr, ServeClient, Server, SnapshotStore};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -129,6 +130,18 @@ fn session_rule_swap_changes_answers_for_that_session_only() {
         .set_rules(&RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]))
         .unwrap();
     assert!(message.contains("1 rule"), "{message}");
+    assert_eq!(swapped.query().unwrap().violations.len(), 0);
+    // A source no parser accepts (the retired `rule name { … }` block
+    // syntax reaches the `.ngdl` parser) is a typed refusal with the
+    // position; the session lives on with the Σ it had — the swapped-in
+    // one, not the server default.
+    match swapped.set_rules_source("rule r { match (x:A); then x.v = 1; }") {
+        Err(ProtocolError::Remote { code, message }) => {
+            assert_eq!(code, err_code::RULES_REJECTED);
+            assert!(message.contains("line 1, column 8"), "{message}");
+        }
+        other => panic!("expected a typed remote error, got {other:?}"),
+    }
     assert_eq!(swapped.query().unwrap().violations.len(), 0);
     // Session B keeps the server default.
     assert_eq!(vanilla.query().unwrap().violations.len(), 1);

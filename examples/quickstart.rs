@@ -2,15 +2,16 @@
 //!
 //! This walks through the paper's Example 1 (2): the Yago village Bhonpur
 //! claims 600 female + 722 male inhabitants but a total population of 1572.
-//! We (1) build the graph, (2) write the rule φ2 in the text DSL,
-//! (3) detect the violation, (4) repair the value and re-check.
+//! We (1) build the graph, (2) write the rule φ2 in the `.ngdl` rule
+//! language, (3) detect the violation, (4) repair the value and re-check.
 //!
 //! Run with `cargo run -p ngd-examples --example quickstart`.
 
-use ngd_core::{parse_rule, RuleSet};
+use ngd_core::RuleSet;
 use ngd_detect::dect;
 use ngd_examples::{describe_violation, section};
 use ngd_graph::{intern, GraphBuilder, Value};
+use ngd_lang::parse_rule;
 
 fn main() {
     // (1) A small property graph: the village and its three counters.
@@ -24,17 +25,15 @@ fn main() {
     builder.edge("bhonpur", "total", "populationTotal");
     let (mut graph, names) = builder.build_with_names();
 
-    // (2) The rule φ2 of the paper, written in the rule DSL: in any area,
+    // (2) The rule φ2 of the paper, written in `.ngdl`: in any area,
     // female + male population must equal the total.
     let phi2 = parse_rule(
         r#"
-        rule phi2 {
-          match (x:area), (y:integer), (z:integer), (w:integer);
-          edge x -[femalePopulation]-> y;
-          edge x -[malePopulation]-> z;
-          edge x -[populationTotal]-> w;
-          then y.val + z.val = w.val;
-        }
+        RULE phi2:
+          MATCH (x:area)-[:femalePopulation]->(y:integer),
+                (x)-[:malePopulation]->(z:integer),
+                (x)-[:populationTotal]->(w:integer)
+          => y.val + z.val = w.val
         "#,
     )
     .expect("the quickstart rule is well-formed");

@@ -4,45 +4,41 @@
 //! rules that are implied by the rest (they are redundant and only cost
 //! detection time).
 //!
-//! The example audits a small rule file written in the text DSL that mixes
+//! The example audits a small `.ngdl` rule file that mixes
 //! the paper's Example-5 rules (φ5–φ9) with a redundant weakening of one of
 //! them, then prints which subsets conflict and which rules are redundant.
 //!
 //! Run with `cargo run -p ngd-examples --example rule_auditing`.
 
 use ngd_core::satisfiability::{is_satisfiable, is_strongly_satisfiable, AnalysisConfig};
-use ngd_core::{implies, parse_rule_set, RuleSet};
+use ngd_core::{implies, RuleSet};
 use ngd_examples::section;
+use ngd_lang::parse_rules;
 
 const RULE_FILE: &str = r#"
 # Every sensor reading must report a plausible split of its two channels.
-rule channels_sum {
-  match (x:sensor);
-  then x.chanA + x.chanB = x.total;
-}
+RULE channels_sum:
+  MATCH (x:sensor)
+  => x.chanA + x.chanB = x.total
 
 # Channel A never exceeds the total.
-rule chanA_bounded {
-  match (x:sensor);
-  then x.chanA <= x.total;
-}
+RULE chanA_bounded:
+  MATCH (x:sensor)
+  => x.chanA <= x.total
 
 # The same constraint as chanA_bounded, written the other way around: the
 # audit flags the pair as mutually redundant, so either one can be dropped.
-rule total_not_smaller {
-  match (x:sensor);
-  then x.total >= x.chanA;
-}
+RULE total_not_smaller:
+  MATCH (x:sensor)
+  => x.total >= x.chanA
 
 # Example 5 of the paper: these two conflict on every node.
-rule phi5 {
-  match (x:_);
-  then x.A = 7, x.B = 7;
-}
-rule phi6 {
-  match (x:_);
-  then x.A + x.B = 11;
-}
+RULE phi5:
+  MATCH (x)
+  => x.A = 7, x.B = 7
+RULE phi6:
+  MATCH (x)
+  => x.A + x.B = 11
 "#;
 
 fn audit(sigma: &RuleSet) {
@@ -100,7 +96,7 @@ fn audit(sigma: &RuleSet) {
 }
 
 fn main() {
-    let sigma = parse_rule_set(RULE_FILE).expect("the audit rule file parses");
+    let sigma = parse_rules(RULE_FILE).expect("the audit rule file parses");
     println!("auditing {} rules", sigma.len());
     audit(&sigma);
 

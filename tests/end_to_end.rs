@@ -2,7 +2,7 @@
 //! detect in batch → update → detect incrementally → maintain the
 //! violation set — everything a downstream user of the workspace would do.
 
-use ngd_core::{paper, parse_rule_set, RuleSet};
+use ngd_core::{paper, RuleSet};
 use ngd_detect::{dect, inc_dect, pdect, pinc_dect, DetectorConfig};
 use ngd_graph::GraphStats;
 use ngd_integration_tests::{knowledge_workload, oracle_delta, social_workload, update_for};
@@ -55,21 +55,17 @@ fn social_graph_pipeline_flags_every_seeded_fake_account() {
 #[test]
 fn rules_written_in_the_dsl_behave_like_programmatic_ones() {
     let (graph, _) = knowledge_workload(3);
-    let parsed = parse_rule_set(
+    let parsed = ngd_lang::parse_rules(
         r#"
-        rule phi2 {
-          match (x:area), (y:integer), (z:integer), (w:integer);
-          edge x -[femalePopulation]-> y;
-          edge x -[malePopulation]-> z;
-          edge x -[populationTotal]-> w;
-          then y.val + z.val = w.val;
-        }
-        rule phi1 {
-          match (x:_), (y:date), (z:date);
-          edge x -[wasCreatedOnDate]-> y;
-          edge x -[wasDestroyedOnDate]-> z;
-          then z.val - y.val >= 1;
-        }
+        RULE phi2:
+          MATCH (x:area)-[:femalePopulation]->(y:integer),
+                (x)-[:malePopulation]->(z:integer),
+                (x)-[:populationTotal]->(w:integer)
+          => y.val + z.val = w.val
+        RULE phi1:
+          MATCH (x)-[:wasCreatedOnDate]->(y:date),
+                (x)-[:wasDestroyedOnDate]->(z:date)
+          => z.val - y.val >= 1
         "#,
     )
     .expect("rule file parses");

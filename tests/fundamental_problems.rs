@@ -5,7 +5,7 @@
 //! refused, not mis-analysed).
 
 use ngd_core::satisfiability::{is_satisfiable, is_strongly_satisfiable, AnalysisConfig, Verdict};
-use ngd_core::{implies, paper, parse_rule, Expr, Literal, Ngd, Pattern, RuleSet};
+use ngd_core::{implies, paper, Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_rules, KnowledgeConfig, RuleGenConfig};
 
 fn cfg() -> AnalysisConfig {
@@ -160,13 +160,12 @@ fn nonlinear_rules_are_refused_not_misanalysed() {
 
 #[test]
 fn parsed_and_programmatic_rules_get_the_same_verdicts() {
-    let parsed = parse_rule(
+    let parsed = ngd_lang::parse_rule(
         r#"
-        rule bound {
-          match (x:sensor);
-          when x.low <= x.high;
-          then 2 * x.low <= x.high + x.high;
-        }
+        RULE bound:
+          MATCH (x:sensor)
+          WHERE x.low <= x.high
+          => 2 * x.low <= x.high + x.high
         "#,
     )
     .unwrap();
