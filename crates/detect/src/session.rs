@@ -33,7 +33,7 @@
 //! never a panic — which is what lets `ngd-serve` expose sessions to
 //! untrusted clients.
 
-use crate::batch::dect_on_cached;
+use crate::batch::dect_on;
 use crate::config::DetectorConfig;
 use crate::pincdect::pinc_dect_prepared_streaming;
 use crate::report::{DeltaReport, DetectionReport, VioSink};
@@ -102,11 +102,6 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
             accumulated,
             batches_applied,
         }
-    }
-
-    /// The shared base view the session reads through.
-    pub fn base(&self) -> &'a B {
-        self.base
     }
 
     /// Re-root the session onto a new snapshot epoch.
@@ -224,24 +219,13 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
     /// Full batch detection `Vio(Σ, G ⊕ accumulated)` over the current
     /// state.
     pub fn detect_all(&self, sigma: &RuleSet) -> DetectionReport {
-        self.detect_all_with_cache(sigma, &PlanCache::new())
-    }
-
-    /// [`IncrementalSession::detect_all`] with a caller-owned [`PlanCache`].
-    pub fn detect_all_with_cache(&self, sigma: &RuleSet, cache: &PlanCache) -> DetectionReport {
-        dect_on_cached(sigma, &self.view(), cache)
+        dect_on(sigma, &self.view())
     }
 
     /// Drop the absorbed updates, returning what was accumulated.
     pub fn reset(&mut self) -> BatchUpdate {
         self.batches_applied = 0;
         std::mem::take(&mut self.accumulated)
-    }
-
-    /// Consume the session, yielding its accumulated update (the input to
-    /// snapshot compaction / overlay re-rooting).
-    pub fn into_accumulated(self) -> BatchUpdate {
-        self.accumulated
     }
 }
 

@@ -126,8 +126,8 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str)
         "{what}: for_each_edge"
     );
 
-    // Triple index: concrete triples through `triple_*`, every wildcard
-    // combination through `labeled_triple_*`.
+    // Triple index: every concrete triple and every wildcard combination
+    // through `labeled_triple_*`.
     let wild = |probes: &[Sym]| probes.iter().copied().chain([WILDCARD]).collect::<Vec<_>>();
     for &s in &wild(&node_probes) {
         for &e in &wild(&edge_probes) {
@@ -160,13 +160,6 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str)
                         want,
                         "{at}"
                     );
-                }
-                if s != WILDCARD && e != WILDCARD && d != WILDCARD {
-                    assert_eq!(view.triple_run_len(s, e, d), Some(hits.len()), "{at}");
-                    for want_src in [true, false] {
-                        let want = Some(endpoints(want_src));
-                        assert_eq!(view.triple_endpoints(s, e, d, want_src), want, "{at}");
-                    }
                 }
             }
         }

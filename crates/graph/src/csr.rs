@@ -18,10 +18,10 @@
 //! That layout is read by exactly one piece of code.  `Side` borrows one
 //! direction's three arrays and owns the run logic (the binary search that
 //! bounds a labelled run lives in `Side::labeled_range` and nowhere else);
-//! the crate-private `RowStore` / `CsrStore` traits are the seam through
-//! which a storage hands its arrays to the reader; and the single blanket
-//! impl of [`GraphView`] over `S: CsrStore` at the bottom of this module is
-//! the reader.  Who plugs in what:
+//! the crate-private `CsrStore` trait is the seam through which a storage
+//! hands its arrays to the reader; and the single blanket impl of
+//! [`GraphView`] over `S: CsrStore` at the bottom of this module is the
+//! reader.  Who plugs in what:
 //!
 //! | storage | run-key space | row label / attributes |
 //! |---|---|---|
@@ -95,9 +95,16 @@ impl<'a, K: Copy + Ord> Side<'a, K> {
     }
 }
 
-/// Row-addressed CSR storage: the seam between the arrays (heap or mapped
-/// file) and the reader.  A *row* is a node id.
-pub(crate) trait RowStore {
+/// `label → range` into a label-partitioned node permutation.
+pub(crate) type LabelRanges = HashMap<Sym, (u32, u32)>;
+/// `(src label, edge label, dst label) → range` into the triple arrays.
+pub(crate) type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
+
+/// CSR storage: the seam between the arrays (heap or mapped file) and the
+/// reader — row-addressed adjacency (a *row* is a node id) plus the two
+/// dictionaries (label partition, triple index).  Implementing this is
+/// what makes a type a [`GraphView`].
+pub(crate) trait CsrStore {
     /// The type runs are keyed and sorted by.
     type Key: Copy + Ord;
 
@@ -109,6 +116,13 @@ pub(crate) trait RowStore {
     fn sym_of(&self, key: Self::Key) -> Sym;
     fn row_label(&self, row: usize) -> Sym;
     fn row_attrs(&self, row: usize) -> &AttrMap;
+    /// `(|V|, |E|)`.
+    fn counts(&self) -> (usize, usize);
+    /// The label ranges and the node permutation they index.
+    fn label_partition(&self) -> (&LabelRanges, &[NodeId]);
+    /// The triple ranges and the `(src, dst)` arrays they index, each
+    /// group sorted by `(src, dst)`.
+    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]);
 
     /// Out-neighbours of `row` along `label`, sorted.
     #[inline]
@@ -127,44 +141,6 @@ pub(crate) trait RowStore {
             None => &[],
         }
     }
-
-    /// Every out-entry of `row` as `(neighbour, edge label)`.
-    fn for_each_out_entry(&self, row: usize, f: &mut dyn FnMut(NodeId, Sym)) {
-        for (key, n) in self.out_side().entries(row) {
-            f(n, self.sym_of(key));
-        }
-    }
-
-    /// Successors then predecessors of `id`, each with the connecting edge
-    /// in its directed form.
-    fn for_each_incident(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        for (key, n) in self.out_side().entries(id.index()) {
-            f(n, EdgeRef::new(id, n, self.sym_of(key)));
-        }
-        for (key, n) in self.in_side().entries(id.index()) {
-            f(n, EdgeRef::new(n, id, self.sym_of(key)));
-        }
-    }
-}
-
-/// `label → range` into a label-partitioned node permutation.
-pub(crate) type LabelRanges = HashMap<Sym, (u32, u32)>;
-/// `(src label, edge label, dst label) → range` into the triple arrays.
-pub(crate) type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
-
-/// CSR storage: the rows plus the two dictionaries (label partition,
-/// triple index).  Implementing this is what makes a type a [`GraphView`].
-pub(crate) trait CsrStore {
-    type Rows: RowStore;
-
-    fn rows(&self) -> &Self::Rows;
-    /// `(|V|, |E|)`.
-    fn counts(&self) -> (usize, usize);
-    /// The label ranges and the node permutation they index.
-    fn label_partition(&self) -> (&LabelRanges, &[NodeId]);
-    /// The triple ranges and the `(src, dst)` arrays they index, each
-    /// group sorted by `(src, dst)`.
-    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]);
 
     /// The nodes labelled `label`, as a contiguous slice of the partition.
     fn label_members(&self, label: Sym) -> &[NodeId] {
@@ -193,6 +169,8 @@ struct CsrSide {
 }
 
 impl CsrSide {
+    /// Build from per-row `(label, neighbour)` lists; every run is sorted
+    /// here, so the lists' entry order does not matter.
     fn build(lists: Vec<Vec<(Sym, NodeId)>>) -> CsrSide {
         let total: usize = lists.iter().map(Vec::len).sum();
         let mut side = CsrSide {
@@ -221,32 +199,55 @@ impl CsrSide {
     }
 }
 
-/// Heap-allocated rows: node payloads plus both adjacency directions,
-/// keyed by [`Sym`] directly.  The row storage of [`CsrSnapshot`].
+/// An immutable, label-partitioned CSR snapshot of a [`Graph`].
 #[derive(Debug, Clone, Default)]
-pub(crate) struct MemRows {
+pub struct CsrSnapshot {
     pub(crate) nodes: Vec<NodeData>,
     out: CsrSide,
     inn: CsrSide,
+    /// Node ids permuted so that equal labels are contiguous.
+    label_order: Vec<NodeId>,
+    label_ranges: LabelRanges,
+    triple_ranges: TripleRanges,
+    /// Edge sources, grouped by label triple, each group sorted by
+    /// `(src, dst)`.
+    triple_src: Vec<NodeId>,
+    /// Edge destinations, aligned with [`CsrSnapshot::triple_src`].
+    triple_dst: Vec<NodeId>,
+    edge_count: usize,
 }
 
-impl MemRows {
-    /// Build from per-row `(label, neighbour)` lists; every run is sorted
-    /// here, so the lists' entry order does not matter.
-    pub(crate) fn build(
-        nodes: Vec<NodeData>,
-        out_lists: Vec<Vec<(Sym, NodeId)>>,
-        in_lists: Vec<Vec<(Sym, NodeId)>>,
-    ) -> MemRows {
-        MemRows {
-            nodes,
-            out: CsrSide::build(out_lists),
-            inn: CsrSide::build(in_lists),
-        }
+impl CsrSnapshot {
+    /// The nodes labelled `label`, as a contiguous slice of the
+    /// label-partitioned permutation.
+    pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
+        self.label_members(label)
+    }
+
+    /// Out-neighbours of `id` along `label`, as a contiguous sorted slice.
+    pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
+        self.out_run(id.index(), label)
+    }
+
+    /// In-neighbours of `id` along `label`, as a contiguous sorted slice.
+    pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
+        self.in_run(id.index(), label)
+    }
+
+    /// Number of edges matching the label triple.
+    pub fn triple_count(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> usize {
+        self.triple_len((src_label, edge_label, dst_label))
+    }
+
+    /// A [`DeltaOverlay`](crate::DeltaOverlay) of this snapshot with no
+    /// pending update — a zero-cost "identity" view, useful where an
+    /// overlay type is required for both sides of an incremental run.
+    pub fn as_overlay(&self) -> crate::overlay::DeltaOverlay<'_> {
+        crate::overlay::DeltaOverlay::empty(self)
     }
 }
 
-impl RowStore for MemRows {
+impl CsrStore for CsrSnapshot {
     type Key = Sym;
 
     #[inline]
@@ -278,65 +279,10 @@ impl RowStore for MemRows {
     fn row_attrs(&self, row: usize) -> &AttrMap {
         &self.nodes[row].attrs
     }
-}
-
-/// An immutable, label-partitioned CSR snapshot of a [`Graph`].
-#[derive(Debug, Clone, Default)]
-pub struct CsrSnapshot {
-    rows: MemRows,
-    /// Node ids permuted so that equal labels are contiguous.
-    label_order: Vec<NodeId>,
-    label_ranges: LabelRanges,
-    triple_ranges: TripleRanges,
-    /// Edge sources, grouped by label triple, each group sorted by
-    /// `(src, dst)`.
-    triple_src: Vec<NodeId>,
-    /// Edge destinations, aligned with [`CsrSnapshot::triple_src`].
-    triple_dst: Vec<NodeId>,
-    edge_count: usize,
-}
-
-impl CsrSnapshot {
-    /// The nodes labelled `label`, as a contiguous slice of the
-    /// label-partitioned permutation.
-    pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
-        self.label_members(label)
-    }
-
-    /// Out-neighbours of `id` along `label`, as a contiguous sorted slice.
-    pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.rows.out_run(id.index(), label)
-    }
-
-    /// In-neighbours of `id` along `label`, as a contiguous sorted slice.
-    pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.rows.in_run(id.index(), label)
-    }
-
-    /// Number of edges matching the label triple.
-    pub fn triple_count(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> usize {
-        self.triple_len((src_label, edge_label, dst_label))
-    }
-
-    /// A [`DeltaOverlay`](crate::DeltaOverlay) of this snapshot with no
-    /// pending update — a zero-cost "identity" view, useful where an
-    /// overlay type is required for both sides of an incremental run.
-    pub fn as_overlay(&self) -> crate::overlay::DeltaOverlay<'_> {
-        crate::overlay::DeltaOverlay::empty(self)
-    }
-}
-
-impl CsrStore for CsrSnapshot {
-    type Rows = MemRows;
-
-    #[inline]
-    fn rows(&self) -> &MemRows {
-        &self.rows
-    }
 
     #[inline]
     fn counts(&self) -> (usize, usize) {
-        (self.rows.nodes.len(), self.edge_count)
+        (self.nodes.len(), self.edge_count)
     }
 
     fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
@@ -407,7 +353,9 @@ impl Graph {
         }
 
         CsrSnapshot {
-            rows: MemRows::build(nodes, out_lists, in_lists),
+            nodes,
+            out: CsrSide::build(out_lists),
+            inn: CsrSide::build(in_lists),
             label_order,
             label_ranges,
             triple_ranges,
@@ -436,27 +384,26 @@ impl<S: CsrStore> GraphView for S {
 
     #[inline]
     fn label(&self, id: NodeId) -> Sym {
-        self.rows().row_label(id.index())
+        self.row_label(id.index())
     }
 
     fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        self.rows().row_attrs(id.index()).get(name)
+        self.row_attrs(id.index()).get(name)
     }
 
     fn attrs_of(&self, id: NodeId) -> &AttrMap {
-        self.rows().row_attrs(id.index())
+        self.row_attrs(id.index())
     }
 
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
         if !self.contains_node(src) || !self.contains_node(dst) {
             return false;
         }
-        let rows = self.rows();
-        let Some(key) = rows.key_of(label) else {
+        let Some(key) = self.key_of(label) else {
             return false;
         };
         // Search whichever side has the smaller run.
-        let (out, inn) = (rows.out_side(), rows.in_side());
+        let (out, inn) = (self.out_side(), self.in_side());
         if out.degree(src.index()) <= inn.degree(dst.index()) {
             out.contains(src.index(), key, dst)
         } else {
@@ -465,11 +412,11 @@ impl<S: CsrStore> GraphView for S {
     }
 
     fn out_degree(&self, id: NodeId) -> usize {
-        self.rows().out_side().degree(id.index())
+        self.out_side().degree(id.index())
     }
 
     fn in_degree(&self, id: NodeId) -> usize {
-        self.rows().in_side().degree(id.index())
+        self.in_side().degree(id.index())
     }
 
     fn label_count(&self, label: Sym) -> usize {
@@ -481,73 +428,54 @@ impl<S: CsrStore> GraphView for S {
     }
 
     fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.rows().out_run(id.index(), label).len()
+        self.out_run(id.index(), label).len()
     }
 
     fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.rows().in_run(id.index(), label).len()
+        self.in_run(id.index(), label).len()
     }
 
     #[inline]
     fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.rows().out_run(id.index(), label))
+        Some(self.out_run(id.index(), label))
     }
 
     #[inline]
     fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.rows().in_run(id.index(), label))
+        Some(self.in_run(id.index(), label))
     }
 
     fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.rows()
-            .out_run(id.index(), label)
-            .iter()
-            .for_each(|&n| f(n));
+        self.out_run(id.index(), label).iter().for_each(|&n| f(n));
     }
 
     fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.rows()
-            .in_run(id.index(), label)
-            .iter()
-            .for_each(|&n| f(n));
+        self.in_run(id.index(), label).iter().for_each(|&n| f(n));
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
-        self.rows().for_each_incident(id, f);
-    }
-
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        self.rows().for_each_out_entry(id.index(), f);
-    }
-
-    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
-        let rows = self.rows();
-        let out = rows.out_side();
-        for row in 0..self.counts().0 {
-            let src = NodeId(row as u32);
-            for (key, dst) in out.entries(row) {
-                f(EdgeRef::new(src, dst, rows.sym_of(key)));
-            }
+        for (key, n) in self.out_side().entries(id.index()) {
+            f(n, EdgeRef::new(id, n, self.sym_of(key)));
+        }
+        for (key, n) in self.in_side().entries(id.index()) {
+            f(n, EdgeRef::new(n, id, self.sym_of(key)));
         }
     }
 
-    fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        Some(self.triple_len((src_label, edge_label, dst_label)))
+    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
+        for (key, n) in self.out_side().entries(id.index()) {
+            f(n, self.sym_of(key));
+        }
     }
 
-    fn triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        let (ranges, src, dst) = self.triple_index();
-        let &(start, end) = ranges
-            .get(&(src_label, edge_label, dst_label))
-            .unwrap_or(&(0, 0));
-        let side = if want_src { src } else { dst };
-        Some(sorted_distinct(side[start as usize..end as usize].to_vec()))
+    fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
+        let out = self.out_side();
+        for row in 0..self.counts().0 {
+            let src = NodeId(row as u32);
+            for (key, dst) in out.entries(row) {
+                f(EdgeRef::new(src, dst, self.sym_of(key)));
+            }
+        }
     }
 
     fn labeled_triple_run_len(
@@ -683,9 +611,13 @@ mod tests {
         let snap = g.freeze();
         let key = (intern("account"), intern("keys"), intern("company"));
         assert_eq!(snap.triple_count(key.0, key.1, key.2), 2);
-        let srcs = GraphView::triple_endpoints(&snap, key.0, key.1, key.2, true).unwrap();
+        assert_eq!(
+            GraphView::labeled_triple_run_len(&snap, key.0, key.1, key.2),
+            Some(2)
+        );
+        let srcs = GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, true).unwrap();
         assert_eq!(srcs, vec![n[0], n[1]]);
-        let dsts = GraphView::triple_endpoints(&snap, key.0, key.1, key.2, false).unwrap();
+        let dsts = GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, false).unwrap();
         assert_eq!(dsts, vec![n[2]]);
         assert_eq!(
             snap.triple_count(intern("company"), intern("keys"), intern("account")),

@@ -586,30 +586,6 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         }
     }
 
-    fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        if self.is_identity() {
-            GraphView::triple_run_len(self.base, src_label, edge_label, dst_label)
-        } else {
-            None
-        }
-    }
-
-    fn triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        if self.is_identity() {
-            GraphView::triple_endpoints(self.base, src_label, edge_label, dst_label, want_src)
-        } else {
-            // The triple index does not reflect the pending update; fall
-            // back to label-index candidate selection.
-            None
-        }
-    }
-
     fn labeled_triple_run_len(
         &self,
         src_label: Sym,
@@ -635,6 +611,8 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
                 self.base, src_label, edge_label, dst_label, want_src,
             )
         } else {
+            // The triple index does not reflect the pending update; fall
+            // back to label-index candidate selection.
             None
         }
     }
@@ -725,10 +703,14 @@ mod tests {
         // Touched nodes lose the zero-copy slice; untouched keep it.
         assert!(overlay.out_labeled_slice(n[0], intern("e")).is_none());
         assert!(overlay.out_labeled_slice(n[2], intern("f")).is_some());
-        assert!(
-            GraphView::triple_endpoints(&overlay, intern("x"), intern("e"), intern("y"), true)
-                .is_none()
-        );
+        assert!(GraphView::labeled_triple_endpoints(
+            &overlay,
+            intern("x"),
+            intern("e"),
+            intern("y"),
+            true
+        )
+        .is_none());
     }
 
     #[test]

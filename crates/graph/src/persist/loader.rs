@@ -2,8 +2,8 @@
 //!
 //! This module holds no reader of its own: it validates a file, hands its
 //! mapped arrays to the crate's one CSR reader through the storage seam of
-//! [`crate::csr`] (`RowStore` / `CsrStore`), and the generic `GraphView`
-//! impl there does the rest.
+//! [`crate::csr`] (`CsrStore`), and the generic `GraphView` impl there does
+//! the rest.
 //!
 //! A loaded snapshot keeps the file mapped and serves every array read —
 //! CSR offsets, labels, neighbours, label partition, triple arrays —
@@ -38,7 +38,7 @@ use super::format::{
 use super::mmap::MmapFile;
 use super::PersistError;
 use crate::attrs::AttrMap;
-use crate::csr::{CsrStore, LabelRanges, RowStore, Side, TripleRanges};
+use crate::csr::{CsrStore, LabelRanges, Side, TripleRanges};
 use crate::graph::NodeId;
 use crate::interner::{intern, Sym};
 use crate::value::Value;
@@ -603,66 +603,12 @@ fn decode_triple_ranges(
     Ok(out)
 }
 
-/// Mapped rows: per-row label ids, lazily decoded attribute tuples and
-/// both adjacency directions, keyed by file symbol id.  The row storage of
-/// [`MmapSnapshot`] (rows = node ids).
-#[derive(Debug)]
-pub(crate) struct MappedRows {
-    map: Arc<MmapFile>,
-    syms: Arc<SymBridge>,
-    node_labels: Sect,
-    attrs: LazyAttrs,
-    out: SideSect,
-    inn: SideSect,
-}
-
-impl MappedRows {
-    #[inline]
-    fn arr(&self, s: Sect) -> &[u32] {
-        u32s(&self.map, s)
-    }
-}
-
 #[inline]
 fn side_of(map: &MmapFile, s: SideSect) -> Side<'_, u32> {
     Side {
         offsets: u32s(map, s.offsets),
         keys: u32s(map, s.labels),
         neighbors: as_node_ids(u32s(map, s.neighbors)),
-    }
-}
-
-impl RowStore for MappedRows {
-    type Key = u32;
-
-    #[inline]
-    fn out_side(&self) -> Side<'_, u32> {
-        side_of(&self.map, self.out)
-    }
-
-    #[inline]
-    fn in_side(&self) -> Side<'_, u32> {
-        side_of(&self.map, self.inn)
-    }
-
-    #[inline]
-    fn key_of(&self, label: Sym) -> Option<u32> {
-        self.syms.to_file(label)
-    }
-
-    #[inline]
-    fn sym_of(&self, key: u32) -> Sym {
-        self.syms.to_proc(key)
-    }
-
-    #[inline]
-    fn row_label(&self, row: usize) -> Sym {
-        self.syms.to_proc(self.arr(self.node_labels)[row])
-    }
-
-    #[inline]
-    fn row_attrs(&self, row: usize) -> &AttrMap {
-        self.attrs.get(&self.map, &self.syms, row)
     }
 }
 
@@ -676,7 +622,14 @@ impl RowStore for MappedRows {
 /// disk and are paged in on demand.
 #[derive(Debug)]
 pub struct MmapSnapshot {
-    rows: MappedRows,
+    map: Arc<MmapFile>,
+    syms: Arc<SymBridge>,
+    /// Per-row label ids (file symbol space).
+    node_labels: Sect,
+    /// Lazily decoded attribute tuples.
+    attrs: LazyAttrs,
+    out: SideSect,
+    inn: SideSect,
     /// The file's section directory in push order, retained so the
     /// compaction writer can byte-copy whole sections without re-encoding
     /// them.
@@ -692,6 +645,11 @@ pub struct MmapSnapshot {
 }
 
 impl MmapSnapshot {
+    #[inline]
+    fn arr(&self, s: Sect) -> &[u32] {
+        u32s(&self.map, s)
+    }
+
     /// Memory-map a snapshot file written by
     /// [`SnapshotWriter::write`](crate::persist::SnapshotWriter::write).
     pub fn load(path: &Path) -> Result<MmapSnapshot, PersistError> {
@@ -708,7 +666,7 @@ impl MmapSnapshot {
 
     /// Size of the backing file in bytes.
     pub fn file_len(&self) -> usize {
-        self.rows.map.len()
+        self.map.len()
     }
 
     /// The snapshot epoch recorded in the file header: 0 for a freshly
@@ -726,12 +684,12 @@ impl MmapSnapshot {
 
     /// Out-neighbours of `id` along `label`, as a mapped sorted slice.
     pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.rows.out_run(id.index(), label)
+        self.out_run(id.index(), label)
     }
 
     /// In-neighbours of `id` along `label`, as a mapped sorted slice.
     pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.rows.in_run(id.index(), label)
+        self.in_run(id.index(), label)
     }
 
     /// Number of edges matching the label triple.
@@ -753,38 +711,37 @@ impl MmapSnapshot {
     /// The strings of the file's symbol table, in file-id order
     /// (lexicographic by construction).
     pub(crate) fn raw_strings(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.rows.syms.file_to_proc.iter().map(|s| s.as_str())
+        self.syms.file_to_proc.iter().map(|s| s.as_str())
     }
 
     /// Translate a file symbol id into its interned process symbol.
     pub(crate) fn sym_of_fid(&self, fid: u32) -> Sym {
-        self.rows.syms.to_proc(fid)
+        self.syms.to_proc(fid)
     }
 
     /// Translate a process symbol into its file id, if the file knows it.
     pub(crate) fn fid_of_sym(&self, sym: Sym) -> Option<u32> {
-        self.rows.syms.to_file(sym)
+        self.syms.to_file(sym)
     }
 
     /// Per-node labels as file symbol ids.
     pub(crate) fn raw_node_labels(&self) -> &[u32] {
-        self.rows.arr(self.rows.node_labels)
+        self.arr(self.node_labels)
     }
 
     /// One CSR side's `(offsets, labels, neighbors)` mapped arrays.
     pub(crate) fn raw_side_arrays(&self, out: bool) -> (&[u32], &[u32], &[u32]) {
-        let rows = &self.rows;
-        let side = if out { rows.out } else { rows.inn };
+        let side = if out { self.out } else { self.inn };
         (
-            rows.arr(side.offsets),
-            rows.arr(side.labels),
-            rows.arr(side.neighbors),
+            self.arr(side.offsets),
+            self.arr(side.labels),
+            self.arr(side.neighbors),
         )
     }
 
     /// The label-partition permutation array.
     pub(crate) fn raw_label_order(&self) -> &[u32] {
-        self.rows.arr(self.label_order)
+        self.arr(self.label_order)
     }
 
     /// The label-partition ranges in file order (sorted by range start,
@@ -801,10 +758,7 @@ impl MmapSnapshot {
 
     /// The triple-index `(src, dst)` arrays.
     pub(crate) fn raw_triple_arrays(&self) -> (&[u32], &[u32]) {
-        (
-            self.rows.arr(self.triple_src),
-            self.rows.arr(self.triple_dst),
-        )
+        (self.arr(self.triple_src), self.arr(self.triple_dst))
     }
 
     /// The triple-index ranges in file order (sorted by range start).
@@ -820,8 +774,8 @@ impl MmapSnapshot {
 
     /// The raw bytes of node `idx`'s attribute record (validated at load).
     pub(crate) fn raw_attr_record(&self, idx: usize) -> &[u8] {
-        let attrs = &self.rows.attrs;
-        let blob = &self.rows.map.bytes()[attrs.off..attrs.off + attrs.len];
+        let attrs = &self.attrs;
+        let blob = &self.map.bytes()[attrs.off..attrs.off + attrs.len];
         &blob[attrs.starts[idx] as usize..attrs.starts[idx + 1] as usize]
     }
 
@@ -834,7 +788,7 @@ impl MmapSnapshot {
 
     /// The mapped payload bytes of a directory entry.
     pub(crate) fn raw_section_bytes(&self, entry: &SectionEntry) -> &[u8] {
-        &self.rows.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
+        &self.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
     }
 }
 
@@ -935,14 +889,12 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
     )?;
 
     Ok(MmapSnapshot {
-        rows: MappedRows {
-            map: Arc::clone(&file.map),
-            syms: Arc::new(syms),
-            node_labels,
-            attrs,
-            out,
-            inn,
-        },
+        map: Arc::clone(&file.map),
+        syms: Arc::new(syms),
+        node_labels,
+        attrs,
+        out,
+        inn,
         section_table: file.table.clone(),
         node_count: n,
         edge_count,
@@ -956,11 +908,36 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
 }
 
 impl CsrStore for MmapSnapshot {
-    type Rows = MappedRows;
+    type Key = u32;
 
     #[inline]
-    fn rows(&self) -> &MappedRows {
-        &self.rows
+    fn out_side(&self) -> Side<'_, u32> {
+        side_of(&self.map, self.out)
+    }
+
+    #[inline]
+    fn in_side(&self) -> Side<'_, u32> {
+        side_of(&self.map, self.inn)
+    }
+
+    #[inline]
+    fn key_of(&self, label: Sym) -> Option<u32> {
+        self.syms.to_file(label)
+    }
+
+    #[inline]
+    fn sym_of(&self, key: u32) -> Sym {
+        self.syms.to_proc(key)
+    }
+
+    #[inline]
+    fn row_label(&self, row: usize) -> Sym {
+        self.syms.to_proc(self.arr(self.node_labels)[row])
+    }
+
+    #[inline]
+    fn row_attrs(&self, row: usize) -> &AttrMap {
+        self.attrs.get(&self.map, &self.syms, row)
     }
 
     #[inline]
@@ -969,17 +946,14 @@ impl CsrStore for MmapSnapshot {
     }
 
     fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
-        (
-            &self.label_ranges,
-            as_node_ids(self.rows.arr(self.label_order)),
-        )
+        (&self.label_ranges, as_node_ids(self.arr(self.label_order)))
     }
 
     fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]) {
         (
             &self.triple_ranges,
-            as_node_ids(self.rows.arr(self.triple_src)),
-            as_node_ids(self.rows.arr(self.triple_dst)),
+            as_node_ids(self.arr(self.triple_src)),
+            as_node_ids(self.arr(self.triple_dst)),
         )
     }
 }

@@ -23,7 +23,7 @@ use super::format::{
     SECTION_ALIGN, SECTION_ENTRY_LEN,
 };
 use super::PersistError;
-use crate::csr::{CsrSnapshot, CsrStore, RowStore, Side};
+use crate::csr::{CsrSnapshot, CsrStore, Side};
 use crate::graph::NodeData;
 use crate::interner::Sym;
 use crate::value::Value;
@@ -109,14 +109,13 @@ impl SymTable {
     }
 
     fn for_snapshot(snapshot: &CsrSnapshot) -> SymTable {
-        let rows = snapshot.rows();
         let mut used = Vec::new();
-        for node in &rows.nodes {
+        for node in &snapshot.nodes {
             used.push(node.label);
             used.extend(node.attrs.iter().map(|(name, _)| name));
         }
-        used.extend(rows.out_side().keys);
-        used.extend(rows.in_side().keys);
+        used.extend(snapshot.out_side().keys);
+        used.extend(snapshot.in_side().keys);
         SymTable::build(used)
     }
 
@@ -268,8 +267,7 @@ pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
 
 /// Every section after the string table.
 fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, syms: &SymTable) {
-    let rows = snapshot.rows();
-    let nodes = &rows.nodes;
+    let nodes = &snapshot.nodes;
     let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
     builder.add_u32s(kind::NODE_LABELS, &node_labels);
     builder.add_blob(
@@ -278,11 +276,11 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         encode_attrs(nodes, syms),
     );
 
-    let (offsets, labels, neighbors) = encode_side(rows.out_side(), syms);
+    let (offsets, labels, neighbors) = encode_side(snapshot.out_side(), syms);
     builder.add_u32s(kind::OUT_OFFSETS, &offsets);
     builder.add_u32s(kind::OUT_LABELS, &labels);
     builder.add_u32s(kind::OUT_NEIGHBORS, &neighbors);
-    let (offsets, labels, neighbors) = encode_side(rows.in_side(), syms);
+    let (offsets, labels, neighbors) = encode_side(snapshot.in_side(), syms);
     builder.add_u32s(kind::IN_OFFSETS, &offsets);
     builder.add_u32s(kind::IN_LABELS, &labels);
     builder.add_u32s(kind::IN_NEIGHBORS, &neighbors);

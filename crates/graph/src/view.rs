@@ -108,11 +108,13 @@ pub trait GraphView {
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef));
 
     /// The distinct sources (`want_src = true`) or destinations of edges
-    /// matching the `(source label, edge label, destination label)` triple.
-    /// `None` means the representation keeps no triple index and the caller
-    /// must use the label index instead.  Implementations must return the
-    /// *exact* endpoint set — the matcher relies on it for seeding.
-    fn triple_endpoints(
+    /// matching the `(source label, edge label, destination label)` triple,
+    /// where any of the three labels may be [`WILDCARD`] (every triple
+    /// group matching the concrete components contributes).  `None` means
+    /// the representation keeps no triple index and the caller must use
+    /// the label index instead.  Implementations must return the *exact*
+    /// endpoint set — the matcher relies on it for seeding.
+    fn labeled_triple_endpoints(
         &self,
         src_label: Sym,
         edge_label: Sym,
@@ -123,55 +125,19 @@ pub trait GraphView {
         None
     }
 
-    /// Number of edges matching the label triple (an O(1) upper bound used
-    /// to pick the smallest seed set before materialising it), or `None`
-    /// when no triple index is kept.
-    fn triple_run_len(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> Option<usize> {
-        let _ = (src_label, edge_label, dst_label);
-        None
-    }
-
-    /// As [`GraphView::triple_endpoints`], but any of the three labels may
-    /// be [`WILDCARD`], in which case every triple group matching the
-    /// concrete components contributes.  Representations with a triple
-    /// index override this by unioning the matching groups; the default
-    /// only answers the fully-concrete case.
-    fn labeled_triple_endpoints(
-        &self,
-        src_label: Sym,
-        edge_label: Sym,
-        dst_label: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        if src_label != WILDCARD && edge_label != WILDCARD && dst_label != WILDCARD {
-            self.triple_endpoints(src_label, edge_label, dst_label, want_src)
-        } else {
-            None
-        }
-    }
-
-    /// As [`GraphView::triple_run_len`], but wildcard-tolerant like
-    /// [`GraphView::labeled_triple_endpoints`] (the two must agree on which
-    /// triples they can answer).
+    /// Number of edges matching the (possibly wildcarded) label triple —
+    /// an upper bound used to pick the smallest seed set before
+    /// materialising it — or `None` when no triple index is kept.  Must
+    /// answer exactly the triples [`GraphView::labeled_triple_endpoints`]
+    /// answers.
     fn labeled_triple_run_len(
         &self,
         src_label: Sym,
         edge_label: Sym,
         dst_label: Sym,
     ) -> Option<usize> {
-        if src_label != WILDCARD && edge_label != WILDCARD && dst_label != WILDCARD {
-            self.triple_run_len(src_label, edge_label, dst_label)
-        } else {
-            None
-        }
-    }
-
-    /// The O(1) statistics handle the match planner's cost model reads.
-    fn selectivity(&self) -> SelectivityStats<'_>
-    where
-        Self: Sized,
-    {
-        SelectivityStats::new(self)
+        let _ = (src_label, edge_label, dst_label);
+        None
     }
 
     /// Collect the out-neighbours of `id` along `label` (uses the slice
@@ -212,8 +178,7 @@ pub struct SelectivityStats<'g> {
 }
 
 impl<'g> SelectivityStats<'g> {
-    /// Statistics over any view (use [`GraphView::selectivity`] where the
-    /// concrete type is known).
+    /// Statistics over any view.
     pub fn new(view: &'g dyn GraphView) -> Self {
         SelectivityStats { view }
     }
@@ -392,7 +357,7 @@ mod tests {
         view.for_each_edge(&mut |_| edges += 1);
         assert_eq!(edges, 3);
         assert!(view
-            .triple_endpoints(intern("a"), intern("e"), intern("b"), true)
+            .labeled_triple_endpoints(intern("a"), intern("e"), intern("b"), true)
             .is_none());
     }
 }

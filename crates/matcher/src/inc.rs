@@ -114,23 +114,10 @@ pub fn edge_ranks(edges: &[EdgeRef]) -> std::collections::HashMap<EdgeRef, usize
 /// Pivots are expanded in batch order; the expansion of the `i`-th unit
 /// update prunes any partial solution that uses an earlier updated edge, so
 /// no match is enumerated twice even when it spans several updated edges.
-pub fn update_driven_violations<S: GraphView, O: GraphView>(
-    rule: &Ngd,
-    search_graph: &S,
-    other_graph: &O,
-    edges: &[EdgeRef],
-    stats: &mut MatchStats,
-) -> ViolationSet {
-    // A batch-local cache still shares one compiled plan across every pivot
-    // of the batch that seeds the same pattern-edge endpoints.
-    let cache = PlanCache::new();
-    update_driven_violations_cached(rule, search_graph, other_graph, edges, stats, &cache)
-}
-
-/// As [`update_driven_violations`], compiling each pivot's plan at most
-/// once through the given [`PlanCache`] (one plan per pattern edge, reused
-/// across all pivots of the batch — and across batches when the caller
-/// keeps the cache alive).
+///
+/// Each pivot's plan is compiled at most once through the given
+/// [`PlanCache`] (one plan per pattern edge, reused across all pivots of
+/// the batch — and across batches when the caller keeps the cache alive).
 pub fn update_driven_violations_cached<S: GraphView, O: GraphView>(
     rule: &Ngd,
     search_graph: &S,
@@ -166,20 +153,7 @@ pub fn update_driven_violations_cached<S: GraphView, O: GraphView>(
     out
 }
 
-/// Compute `ΔVio` for a single rule.
-pub fn delta_violations_for_rule<GOld: GraphView, GNew: GraphView>(
-    rule: &Ngd,
-    old_graph: &GOld,
-    new_graph: &GNew,
-    inserted: &[EdgeRef],
-    deleted: &[EdgeRef],
-    stats: &mut MatchStats,
-) -> DeltaViolations {
-    let cache = PlanCache::new();
-    delta_violations_for_rule_cached(rule, old_graph, new_graph, inserted, deleted, stats, &cache)
-}
-
-/// As [`delta_violations_for_rule`], with plans drawn from `cache`.
+/// Compute `ΔVio` for a single rule, with plans drawn from `cache`.
 #[allow(clippy::too_many_arguments)]
 pub fn delta_violations_for_rule_cached<GOld: GraphView, GNew: GraphView>(
     rule: &Ngd,
@@ -196,19 +170,8 @@ pub fn delta_violations_for_rule_cached<GOld: GraphView, GNew: GraphView>(
     }
 }
 
-/// Compute `ΔVio(Σ, G, ΔG)` for a whole rule set (sequentially).
-pub fn delta_violations<GOld: GraphView, GNew: GraphView>(
-    sigma: &RuleSet,
-    old_graph: &GOld,
-    new_graph: &GNew,
-    inserted: &[EdgeRef],
-    deleted: &[EdgeRef],
-) -> (DeltaViolations, MatchStats) {
-    let cache = PlanCache::new();
-    delta_violations_cached(sigma, old_graph, new_graph, inserted, deleted, &cache)
-}
-
-/// As [`delta_violations`], with plans drawn from `cache`.
+/// Compute `ΔVio(Σ, G, ΔG)` for a whole rule set (sequentially), with
+/// plans drawn from `cache`.
 pub fn delta_violations_cached<GOld: GraphView, GNew: GraphView>(
     sigma: &RuleSet,
     old_graph: &GOld,
@@ -245,6 +208,18 @@ mod tests {
         }
     }
 
+    /// `ΔVio` for one rule with a throw-away plan cache.
+    fn rule_delta(
+        rule: &Ngd,
+        g_old: &Graph,
+        g_new: &Graph,
+        inserted: &[EdgeRef],
+        deleted: &[EdgeRef],
+    ) -> DeltaViolations {
+        let (mut stats, cache) = (MatchStats::default(), PlanCache::new());
+        delta_violations_for_rule_cached(rule, g_old, g_new, inserted, deleted, &mut stats, &cache)
+    }
+
     #[test]
     fn pivots_require_matching_labels() {
         let (g4, _) = paper::figure1_g4();
@@ -274,9 +249,7 @@ mod tests {
         delta.delete_edge(status_edge.src, status_edge.dst, status_edge.label);
         let g_new = delta.applied_to(&g_old).unwrap();
 
-        let mut stats = MatchStats::default();
-        let result =
-            delta_violations_for_rule(&rule, &g_old, &g_new, &[], &[status_edge], &mut stats);
+        let result = rule_delta(&rule, &g_old, &g_new, &[], &[status_edge]);
         assert_eq!(result.removed.len(), 1);
         assert!(result.added.is_empty());
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
@@ -303,9 +276,7 @@ mod tests {
         let mut insert = BatchUpdate::new();
         insert.insert_edge(total_edge.src, total_edge.dst, total_edge.label);
         let g_new = insert.applied_to(&g_old).unwrap();
-        let mut stats = MatchStats::default();
-        let result =
-            delta_violations_for_rule(&rule, &g_old, &g_new, &[total_edge], &[], &mut stats);
+        let result = rule_delta(&rule, &g_old, &g_new, &[total_edge], &[]);
         assert_eq!(result.added.len(), 1);
         assert!(result.removed.is_empty());
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
@@ -345,8 +316,7 @@ mod tests {
         let g_new = delta.applied_to(&g_old).unwrap();
 
         let inserted: Vec<EdgeRef> = delta.insertions().collect();
-        let mut stats = MatchStats::default();
-        let result = delta_violations_for_rule(&rule, &g_old, &g_new, &inserted, &[], &mut stats);
+        let result = rule_delta(&rule, &g_old, &g_new, &inserted, &[]);
         // The pre-existing fake-account violation is NOT reported (it does
         // not involve an inserted edge and was already in Vio(Σ, G)).
         assert!(
@@ -394,9 +364,7 @@ mod tests {
 
         let inserted: Vec<EdgeRef> = delta.insertions().collect();
         let deleted: Vec<EdgeRef> = delta.deletions().collect();
-        let mut stats = MatchStats::default();
-        let result =
-            delta_violations_for_rule(&rule, &g_old, &g_new, &inserted, &deleted, &mut stats);
+        let result = rule_delta(&rule, &g_old, &g_new, &inserted, &deleted);
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
         assert!(
             !result.removed.is_empty(),
@@ -422,7 +390,8 @@ mod tests {
         delta.delete_edge(fake, status_node, intern("status"));
         let g_new = delta.applied_to(&g_old).unwrap();
         let deleted: Vec<EdgeRef> = delta.deletions().collect();
-        let (result, stats) = delta_violations(&sigma, &g_old, &g_new, &[], &deleted);
+        let (result, stats) =
+            delta_violations_cached(&sigma, &g_old, &g_new, &[], &deleted, &PlanCache::new());
         assert_eq!(result.removed.len(), 1);
         assert!(result.added.is_empty());
         assert!(stats.expanded > 0);
@@ -432,8 +401,7 @@ mod tests {
     fn noop_update_produces_empty_delta() {
         let (g, _) = paper::figure1_g2();
         let rule = paper::phi2();
-        let mut stats = MatchStats::default();
-        let result = delta_violations_for_rule(&rule, &g, &g, &[], &[], &mut stats);
+        let result = rule_delta(&rule, &g, &g, &[], &[]);
         assert!(result.added.is_empty());
         assert!(result.removed.is_empty());
     }

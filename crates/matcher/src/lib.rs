@@ -34,8 +34,7 @@ pub mod plan;
 pub mod violation;
 
 pub use inc::{
-    delta_violations, delta_violations_cached, delta_violations_for_rule,
-    delta_violations_for_rule_cached, edge_ranks, pattern_matches, update_driven_violations,
+    delta_violations_cached, delta_violations_for_rule_cached, edge_ranks, pattern_matches,
     update_driven_violations_cached, update_pivots, UpdatePivot,
 };
 pub use matchn::{

@@ -611,10 +611,11 @@ pub(crate) fn seed_nodes<G: GraphView>(
 /// A concurrent cache of compiled plans, keyed by (rule id, seed variable
 /// set) and valid for a single snapshot epoch.
 ///
-/// The cache is wholesale-invalidated when [`PlanCache::ensure_epoch`] sees
-/// a new epoch — plans encode label statistics of the snapshot they were
-/// compiled against, and a compaction changes those.  Hit/miss counters
-/// feed the detection reports and the serve `STATS` reply.
+/// Plans encode label statistics of the snapshot they were compiled
+/// against, and a compaction changes those — so a cache is never carried
+/// across epochs: whoever maps a new epoch builds a fresh
+/// [`PlanCache::for_epoch`] beside it.  Hit/miss counters feed the
+/// detection reports and the serve `STATS` reply.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     epoch: AtomicU64,
@@ -642,14 +643,6 @@ impl PlanCache {
     /// The epoch the cached plans were compiled against.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Drop every cached plan if the epoch moved (compaction published a
-    /// new snapshot).
-    pub fn ensure_epoch(&self, epoch: u64) {
-        if self.epoch.swap(epoch, Ordering::Relaxed) != epoch {
-            self.plans.lock().unwrap().clear();
-        }
     }
 
     /// Fetch the plan for `(rule_id, seeds)`, compiling it on a miss.
@@ -771,7 +764,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cache_hits_misses_and_epoch_invalidation() {
+    fn cache_hits_and_misses() {
         let rule = paper::phi1(1);
         let (g, _) = paper::figure1_g1();
         let snap = g.freeze();
@@ -786,12 +779,6 @@ pub(crate) mod tests {
             compile_plan(&rule.pattern, &snap, &[Var(0)])
         });
         assert_eq!(cache.len(), 2);
-        // Epoch move clears the cache; same epoch keeps it.
-        cache.ensure_epoch(0);
-        assert_eq!(cache.len(), 2);
-        cache.ensure_epoch(1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.epoch(), 1);
     }
 
     #[test]

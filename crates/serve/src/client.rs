@@ -8,18 +8,16 @@
 //! detectors return — the equivalence tests assert the two are
 //! byte-identical.
 
+use crate::addr::{ServeAddr, Stream};
 use crate::error::ProtocolError;
 use crate::protocol::{
     frame, read_frame, write_frame, DoneResponse, EpochNotice, EpochResponse, ErrorResponse,
     HelloRequest, HelloResponse, MetricsResponse, OkResponse, RulesRequest, Side, StatsResponse,
     UpdateRequest, VioChunk,
 };
-use crate::server::ServeAddr;
 use ngd_core::RuleSet;
 use ngd_graph::BatchUpdate;
 use ngd_match::{DeltaViolations, Violation, ViolationSet};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 /// A served incremental answer: the reassembled `ΔVio` plus the closing
@@ -55,39 +53,9 @@ impl ServedQuery {
     }
 }
 
-enum ClientStream {
-    Unix(std::os::unix::net::UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for ClientStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Unix(s) => s.read(buf),
-            ClientStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientStream::Unix(s) => s.write(buf),
-            ClientStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientStream::Unix(s) => s.flush(),
-            ClientStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// One connection to an `ngd-serve` daemon (= one server-side session).
 pub struct ServeClient {
-    stream: ClientStream,
+    stream: Stream,
     hello: HelloResponse,
     /// The most recent `EPOCH_SWITCHED` push absorbed from the stream
     /// (the server announces a re-root once, ahead of its next answer).
@@ -101,18 +69,8 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connect and perform the `HELLO` handshake as `client_name`.
     pub fn connect_as(addr: &ServeAddr, client_name: &str) -> Result<ServeClient, ProtocolError> {
-        let stream = match addr {
-            ServeAddr::Unix(path) => ClientStream::Unix(
-                std::os::unix::net::UnixStream::connect(path)
-                    .map_err(|e| ProtocolError::Io(format!("connect {}: {e}", path.display())))?,
-            ),
-            ServeAddr::Tcp(spec) => {
-                let stream = TcpStream::connect(spec)
-                    .map_err(|e| ProtocolError::Io(format!("connect {spec}: {e}")))?;
-                let _ = stream.set_nodelay(true);
-                ClientStream::Tcp(stream)
-            }
-        };
+        let stream =
+            Stream::connect(addr).map_err(|e| ProtocolError::Io(format!("connect {addr}: {e}")))?;
         let mut client = ServeClient {
             stream,
             hello: HelloResponse {

@@ -39,10 +39,18 @@
 //!   are re-interned on arrival);
 //! * [`error`] — [`ProtocolError`], one typed variant per damage mode,
 //!   mirroring `PersistError`;
-//! * [`server`] — the daemon: [`SnapshotStore`] (one mapped snapshot
-//!   epoch), an epoll/poll reactor plus a bounded worker pool
-//!   (OS threads scale with [`ServeOptions::worker_threads`], not with
-//!   connections), streaming ΔVio during expansion, graceful shutdown;
+//! * [`server`] — the daemon's handle: [`Server`], [`ServeOptions`],
+//!   start and graceful shutdown.  What the daemon *does* is split over
+//!   private modules that each own one decision (table in
+//!   `docs/architecture.md`): `addr` ([`ServeAddr`], the one Unix/TCP
+//!   listener + stream pair shared with [`client`], the one liveness
+//!   probe), `store` ([`SnapshotStore`], the published epoch, the **epoch
+//!   files** and their GC), `reactor` (the event loop and, in
+//!   `reactor::conn_io`, the per-connection **write queue**), `pool` (the
+//!   bounded **worker pool**: OS threads scale with
+//!   [`ServeOptions::worker_threads`], not with connections), `session`
+//!   (the per-connection **session**, one handler per frame kind),
+//!   `streamer` (`VIO_CHUNK` assembly during expansion);
 //! * [`client`] — [`ServeClient`], the typed client used by `ngd-cli`,
 //!   the benches and the equivalence tests.
 //!
@@ -100,11 +108,17 @@ compile_error!(
      and Unix-domain sockets, and there is no other serving path"
 );
 
+mod addr;
 pub mod client;
 pub mod error;
 mod poller;
+mod pool;
 pub mod protocol;
+mod reactor;
 pub mod server;
+mod session;
+mod store;
+mod streamer;
 pub mod wire;
 
 pub use client::{ServeClient, ServedDelta, ServedQuery};

@@ -74,9 +74,6 @@ impl<B: GraphView> GraphView for Counting<B> {
     fn label_count(&self, label: Sym) -> usize {
         self.inner.label_count(label)
     }
-    fn triple_run_len(&self, s: Sym, e: Sym, d: Sym) -> Option<usize> {
-        self.inner.triple_run_len(s, e, d)
-    }
     fn labeled_triple_run_len(&self, s: Sym, e: Sym, d: Sym) -> Option<usize> {
         self.inner.labeled_triple_run_len(s, e, d)
     }
@@ -144,9 +141,6 @@ impl<B: GraphView> GraphView for Counting<B> {
     }
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
         self.scan().for_each_edge(f)
-    }
-    fn triple_endpoints(&self, s: Sym, e: Sym, d: Sym, want_src: bool) -> Option<Vec<NodeId>> {
-        self.scan().triple_endpoints(s, e, d, want_src)
     }
     fn labeled_triple_endpoints(
         &self,

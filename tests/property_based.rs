@@ -376,8 +376,8 @@ fn snapshot_files_round_trip_byte_identically() {
                     );
                     for want_src in [true, false] {
                         assert_eq!(
-                            GraphView::triple_endpoints(&mapped, s, e, d, want_src),
-                            GraphView::triple_endpoints(&snapshot, s, e, d, want_src),
+                            GraphView::labeled_triple_endpoints(&mapped, s, e, d, want_src),
+                            GraphView::labeled_triple_endpoints(&snapshot, s, e, d, want_src),
                             "case {case}"
                         );
                     }
