@@ -121,9 +121,9 @@ pub fn eval_expr<G: GraphView + ?Sized, L: VarLookup + ?Sized>(
                 .attr(node, r.attr)
                 .ok_or(EvalFailure::MissingAttribute)?;
             match value {
-                Value::Int(i) => Ok(Evaluated::Num(Rational::from_int(*i))),
-                Value::Bool(b) => Ok(Evaluated::Num(Rational::from_int(i64::from(*b)))),
-                Value::Str(_) => Ok(Evaluated::Val(value.clone())),
+                Value::Int(i) => Ok(Evaluated::Num(Rational::from_int(i))),
+                Value::Bool(b) => Ok(Evaluated::Num(Rational::from_int(i64::from(b)))),
+                Value::Str(_) => Ok(Evaluated::Val(value)),
             }
         }
         Expr::Abs(e) => match eval_expr(e, graph, lookup)? {

@@ -62,9 +62,13 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str)
     for &id in &ids {
         assert!(view.contains_node(id), "{what}: contains_node({id})");
         assert_eq!(view.label(id), graph.label(id), "{what}: label({id})");
-        assert_eq!(view.attrs_of(id), graph.attrs(id), "{what}: attrs({id})");
+        assert_eq!(&view.attrs_of(id), graph.attrs(id), "{what}: attrs({id})");
         for &name in attr_names.iter().chain([&ghost]) {
-            assert_eq!(view.attr(id, name), graph.attr(id, name), "{what}: attr");
+            assert_eq!(
+                view.attr(id, name).as_ref(),
+                graph.attr(id, name),
+                "{what}: attr"
+            );
         }
         assert_eq!(view.out_degree(id), graph.out_degree(id), "{what}: out°");
         assert_eq!(view.in_degree(id), graph.in_degree(id), "{what}: in°");
@@ -183,8 +187,13 @@ impl Rng {
     }
 }
 
+/// Values at the edges of what the file's attribute decoder parses.
+const EDGE_INTS: [i64; 2] = [i64::MIN, i64::MAX];
+const EDGE_STRS: [&str; 2] = ["", "zürich–東京 ✓"];
+
 /// A random multigraph with self-loops, parallel edges under different
-/// labels, mixed-type attributes, and one guaranteed isolated node.
+/// labels, mixed-type attributes (the edge values above among them), and
+/// one guaranteed isolated node that carries every edge value.
 fn random_graph(seed: u64) -> Graph {
     let mut rng = Rng(seed);
     let node_labels = ["account", "company", "integer"];
@@ -194,17 +203,33 @@ fn random_graph(seed: u64) -> Graph {
     for i in 0..n {
         let mut attrs = AttrMap::new();
         if rng.below(3) > 0 {
-            attrs.set_named("val", Value::Int(rng.below(100) as i64 - 50));
+            let val = match rng.below(8) {
+                pick @ 0..=1 => EDGE_INTS[pick],
+                _ => rng.below(100) as i64 - 50,
+            };
+            attrs.set_named("val", Value::Int(val));
         }
         if rng.below(3) == 0 {
-            attrs.set_named("name", Value::from(format!("n{i}")));
+            let name = match rng.below(4) {
+                pick @ 0..=1 => EDGE_STRS[pick].to_owned(),
+                _ => format!("n{i}"),
+            };
+            attrs.set_named("name", Value::from(name));
         }
         if rng.below(4) == 0 {
             attrs.set_named("active", Value::Bool(rng.below(2) == 0));
         }
         g.add_node_named(node_labels[rng.below(node_labels.len())], attrs);
     }
-    let isolated = g.add_node_named("integer", AttrMap::new());
+    let isolated = g.add_node_named(
+        "integer",
+        AttrMap::from_pairs([
+            ("min", Value::Int(EDGE_INTS[0])),
+            ("max", Value::Int(EDGE_INTS[1])),
+            ("empty", Value::from(EDGE_STRS[0])),
+            ("utf8", Value::from(EDGE_STRS[1])),
+        ]),
+    );
     for _ in 0..3 * n {
         let (src, dst) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
         // A repeated (src, dst, label) is rejected by the graph; skip it.

@@ -26,7 +26,7 @@
 //! | storage | run-key space | row label / attributes |
 //! |---|---|---|
 //! | [`CsrSnapshot`] (heap arrays, [`Graph::freeze`]) | [`Sym`] itself (identity) | `Vec<NodeData>` |
-//! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array, lazily decoded attribute blob |
+//! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array; attribute records decoded in place on each read, nothing cached |
 //!
 //! Freezing is a single `O(|V| + |E| log |E|)` pass ([`Graph::freeze`]);
 //! updates keep flowing through the mutable [`Graph`] / `BatchUpdate`
@@ -115,7 +115,10 @@ pub(crate) trait CsrStore {
     fn key_of(&self, label: Sym) -> Option<Self::Key>;
     fn sym_of(&self, key: Self::Key) -> Sym;
     fn row_label(&self, row: usize) -> Sym;
-    fn row_attrs(&self, row: usize) -> &AttrMap;
+    /// One attribute of `row`, by value (see [`GraphView::attr`]).
+    fn row_attr(&self, row: usize, name: Sym) -> Option<Value>;
+    /// The attribute tuple of `row`, owned (see [`GraphView::attrs_of`]).
+    fn row_attrs(&self, row: usize) -> AttrMap;
     /// `(|V|, |E|)`.
     fn counts(&self) -> (usize, usize);
     /// The label ranges and the node permutation they index.
@@ -276,8 +279,12 @@ impl CsrStore for CsrSnapshot {
     }
 
     #[inline]
-    fn row_attrs(&self, row: usize) -> &AttrMap {
-        &self.nodes[row].attrs
+    fn row_attr(&self, row: usize, name: Sym) -> Option<Value> {
+        self.nodes[row].attrs.get(name).cloned()
+    }
+
+    fn row_attrs(&self, row: usize) -> AttrMap {
+        self.nodes[row].attrs.clone()
     }
 
     #[inline]
@@ -387,11 +394,12 @@ impl<S: CsrStore> GraphView for S {
         self.row_label(id.index())
     }
 
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        self.row_attrs(id.index()).get(name)
+    #[inline]
+    fn attr(&self, id: NodeId, name: Sym) -> Option<Value> {
+        self.row_attr(id.index(), name)
     }
 
-    fn attrs_of(&self, id: NodeId) -> &AttrMap {
+    fn attrs_of(&self, id: NodeId) -> AttrMap {
         self.row_attrs(id.index())
     }
 
@@ -554,7 +562,7 @@ mod tests {
         }
         assert_eq!(
             GraphView::attr(&snap, n[3], intern("val")),
-            Some(&Value::Int(7))
+            Some(Value::Int(7))
         );
     }
 

@@ -102,7 +102,7 @@ pub fn induced_subgraph<G: GraphView + ?Sized>(
         if !graph.contains_node(old) {
             continue;
         }
-        let new = sub.add_node(graph.label(old), graph.attrs_of(old).clone());
+        let new = sub.add_node(graph.label(old), graph.attrs_of(old));
         mapping.insert(old, new);
     }
     for &old in &sorted {

@@ -282,7 +282,7 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
             for (idx, node) in self.added_nodes.iter().enumerate() {
                 let id = NodeId((self.base_count() + idx) as u32);
                 if GraphView::label(new_base, id) != node.label
-                    || GraphView::attrs_of(new_base, id) != &node.attrs
+                    || GraphView::attrs_of(new_base, id) != node.attrs
                 {
                     return Err(RebaseError::ConflictingNodes { id });
                 }
@@ -385,19 +385,19 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         }
     }
 
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
+    fn attr(&self, id: NodeId, name: Sym) -> Option<Value> {
         if self.is_base_node(id) {
             GraphView::attr(self.base, id, name)
         } else {
-            self.node_data(id).attrs.get(name)
+            self.node_data(id).attrs.get(name).cloned()
         }
     }
 
-    fn attrs_of(&self, id: NodeId) -> &crate::attrs::AttrMap {
+    fn attrs_of(&self, id: NodeId) -> crate::attrs::AttrMap {
         if self.is_base_node(id) {
             GraphView::attrs_of(self.base, id)
         } else {
-            &self.node_data(id).attrs
+            self.node_data(id).attrs.clone()
         }
     }
 
@@ -697,7 +697,7 @@ mod tests {
         assert_matches_materialised(&overlay, &materialised);
         assert_eq!(
             GraphView::attr(&overlay, d, intern("v")),
-            Some(&Value::Int(3))
+            Some(Value::Int(3))
         );
         assert_eq!(GraphView::label_count(&overlay, intern("y")), 3);
         // Touched nodes lose the zero-copy slice; untouched keep it.

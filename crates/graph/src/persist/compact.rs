@@ -33,8 +33,8 @@
 //! An all-cancelling (net-empty) delta short-circuits to a header rewrite
 //! plus a straight byte-copy of every section.
 
-use super::format::{kind, BlobReader, BlobWriter};
-use super::loader::MmapSnapshot;
+use super::format::{kind, AttrEntries, BlobWriter};
+use super::loader::{MmapSnapshot, VALIDATED};
 use super::writer::{encode_attrs, push_strings, FileBuilder, SymTable};
 use super::PersistError;
 use crate::graph::{EdgeRef, NodeData};
@@ -288,11 +288,8 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
         survives[fid as usize] = true;
     }
     for idx in 0..GraphView::node_count(old) {
-        let mut reader = BlobReader::new(old.raw_attr_record(idx), "attr record");
-        let count = reader.u32().expect("validated at load");
-        for _ in 0..count {
-            survives[reader.u32().expect("validated at load") as usize] = true;
-            skip_attr_value(&mut reader);
+        for (fid, _) in old.attr_entries(idx) {
+            survives[fid as usize] = true;
         }
     }
     let mut edge_labels: Vec<i64> = vec![0; old_count];
@@ -372,38 +369,22 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
     }
 }
 
-/// Advance `reader` past one encoded attribute value.
-fn skip_attr_value(reader: &mut BlobReader<'_>) {
-    match reader.u8().expect("validated at load") {
-        0 => {
-            reader.i64().expect("validated at load");
-        }
-        1 => {
-            let len = reader.u32().expect("validated at load") as usize;
-            reader.bytes(len).expect("validated at load");
-        }
-        _ => {
-            reader.u8().expect("validated at load");
-        }
-    }
-}
-
 /// Rewrite the old attribute blob with remapped name ids and append the
 /// new nodes' tuples.  The remap is monotone, so per-record name order is
-/// preserved without sorting.
+/// preserved without sorting; each value's encoded bytes are copied as
+/// they are.
 fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge, table: &SymTable) -> Vec<u8> {
     let mut blob = BlobWriter::new();
     for idx in 0..GraphView::node_count(old) {
-        let record = old.raw_attr_record(idx);
-        let mut reader = BlobReader::new(record, "attr record");
-        let count = reader.u32().expect("validated at load");
-        blob.put_u32(count);
-        for _ in 0..count {
-            let fid = reader.u32().expect("validated at load");
+        let mut entries = AttrEntries::new(old.raw_attr_record(idx)).expect(VALIDATED);
+        blob.put_u32(entries.len() as u32);
+        loop {
+            let entry = entries.rest();
+            let Some(decoded) = entries.next() else { break };
+            let (fid, _) = decoded.expect(VALIDATED);
             blob.put_u32(syms.old_to_new[fid as usize]);
-            let before = reader.pos();
-            skip_attr_value(&mut reader);
-            blob.put_bytes(&record[before..reader.pos()]);
+            // The entry minus its 4-byte name: tag and payload.
+            blob.put_bytes(&entry[4..entry.len() - entries.rest().len()]);
         }
     }
     let mut out = blob.into_bytes();

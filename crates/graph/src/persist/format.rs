@@ -42,6 +42,7 @@
 //! | 24     | 8    | element count                                     |
 
 use super::PersistError;
+use crate::value::Value;
 
 /// File magic, first 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"NGDSNAP\0";
@@ -401,25 +402,12 @@ impl<'a> BlobReader<'a> {
         ))
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
     pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
     }
 
-    pub(crate) fn i64(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
     pub(crate) fn bytes(&mut self, len: usize) -> Result<&'a [u8], PersistError> {
         self.take(len)
-    }
-
-    /// Current read position (used to index records inside a blob).
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
     }
 
     /// Require that the blob was consumed exactly.
@@ -433,4 +421,120 @@ impl<'a> BlobReader<'a> {
         }
         Ok(())
     }
+}
+
+/// One attribute value of a [`kind::NODE_ATTRS`] record, borrowed from the
+/// blob.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RawValue<'a> {
+    Int(i64),
+    Str(&'a str),
+    Bool(bool),
+}
+
+impl From<RawValue<'_>> for Value {
+    #[inline]
+    fn from(raw: RawValue<'_>) -> Value {
+        match raw {
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Str(s) => Value::Str(s.to_owned()),
+            RawValue::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+/// Why a [`kind::NODE_ATTRS`] record failed to decode.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AttrFault {
+    /// The record ends inside an entry.
+    Overrun,
+    /// A value tag other than 0, 1 or 2.
+    Tag(u8),
+    /// A string value that is not UTF-8.
+    Utf8,
+}
+
+impl std::fmt::Display for AttrFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrFault::Overrun => write!(f, "record runs past the end of the blob"),
+            AttrFault::Tag(tag) => write!(f, "unknown attribute value tag {tag}"),
+            AttrFault::Utf8 => write!(f, "string is not UTF-8"),
+        }
+    }
+}
+
+/// The entries of one [`kind::NODE_ATTRS`] record, decoded one at a time —
+/// the only decoder of attribute records.
+///
+/// A record is `count: u32` followed by `count` entries, each a name (file
+/// symbol id, `u32`), a tag byte and its payload: `0` → `i64`, `1` →
+/// `u32` length + UTF-8 bytes, `2` → one byte, non-zero meaning `true`.
+/// Records are concatenated in the blob; [`AttrEntries::rest`] is where the
+/// next one starts once this one is exhausted.
+#[derive(Debug)]
+pub(crate) struct AttrEntries<'a> {
+    rest: &'a [u8],
+    left: u32,
+}
+
+impl<'a> AttrEntries<'a> {
+    /// Start decoding the record at the front of `bytes`.
+    #[inline]
+    pub(crate) fn new(mut bytes: &'a [u8]) -> Result<AttrEntries<'a>, AttrFault> {
+        let left = u32::from_le_bytes(take(&mut bytes)?);
+        Ok(AttrEntries { rest: bytes, left })
+    }
+
+    /// The bytes after the entries decoded so far.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+}
+
+impl<'a> Iterator for AttrEntries<'a> {
+    type Item = Result<(u32, RawValue<'a>), AttrFault>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some(read_entry(&mut self.rest))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for AttrEntries<'_> {}
+
+#[inline]
+fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], AttrFault> {
+    let (head, tail) = bytes.split_first_chunk::<N>().ok_or(AttrFault::Overrun)?;
+    *bytes = tail;
+    Ok(*head)
+}
+
+#[inline]
+fn read_entry<'a>(bytes: &mut &'a [u8]) -> Result<(u32, RawValue<'a>), AttrFault> {
+    let name = u32::from_le_bytes(take(bytes)?);
+    let [tag] = take(bytes)?;
+    let value = match tag {
+        0 => RawValue::Int(i64::from_le_bytes(take(bytes)?)),
+        1 => {
+            let len = u32::from_le_bytes(take(bytes)?) as usize;
+            if bytes.len() < len {
+                return Err(AttrFault::Overrun);
+            }
+            let (text, tail) = bytes.split_at(len);
+            *bytes = tail;
+            RawValue::Str(std::str::from_utf8(text).map_err(|_| AttrFault::Utf8)?)
+        }
+        2 => RawValue::Bool(take::<1>(bytes)?[0] != 0),
+        other => return Err(AttrFault::Tag(other)),
+    };
+    Ok((name, value))
 }

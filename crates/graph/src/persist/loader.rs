@@ -10,8 +10,9 @@
 //! directly from the mapping by reinterpreting validated byte ranges as
 //! `&[u32]` / `&[NodeId]` slices.  Only the variable-length payloads that
 //! cannot be viewed in place are materialised at load time: the string
-//! table (bridged into the process interner), the per-node attribute
-//! tuples and the small range dictionaries.
+//! table (bridged into the process interner) and the small range
+//! dictionaries.  Per-node attribute records are validated and indexed at
+//! load and decoded from the mapping on every read.
 //!
 //! **Safety discipline.**  All `unsafe` in this module is the slice
 //! reinterpretation, and it is sound because `load` validates, before any
@@ -32,8 +33,8 @@
 //! simply yields an empty run, mirroring the in-memory snapshot.
 
 use super::format::{
-    file_checksum, file_kind, kind, read_section_table, BlobReader, FileHeader, SectionEntry,
-    HEADER_LEN, SECTION_ALIGN,
+    file_checksum, file_kind, kind, read_section_table, AttrEntries, AttrFault, BlobReader,
+    FileHeader, RawValue, SectionEntry, HEADER_LEN, SECTION_ALIGN,
 };
 use super::mmap::MmapFile;
 use super::PersistError;
@@ -44,7 +45,10 @@ use crate::interner::{intern, Sym};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
+
+/// Why reading a mapped attribute record cannot fail.
+pub(crate) const VALIDATED: &str = "attribute record validated at load";
 
 /// A validated `u32`-array section: byte offset + element count.
 #[derive(Debug, Clone, Copy)]
@@ -289,15 +293,17 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistErro
     })
 }
 
-/// Lazily-materialised attribute tuples over a mapped blob section.
+/// The record index of the mapped attribute blob: nothing is decoded
+/// ahead of a read and nothing decoded is kept.
 ///
-/// The load-time pass only *validates* every record (symbol ids in range,
-/// known value tags, UTF-8 strings, exact blob consumption) and indexes
-/// the record boundaries; the `AttrMap` of a node is decoded on first
-/// access and cached in a [`OnceLock`].  Detection touches the attributes
-/// of matched candidates only, so most tuples of a large snapshot are
-/// never materialised at all — and load time stays independent of the
-/// attribute payload's heap shape.
+/// The load-time pass *validates* every record — name ids in range and
+/// strictly increasing in file-symbol order, known value tags, UTF-8
+/// strings, exact blob consumption — and keeps only the record
+/// boundaries.  A read decodes straight from the mapped bytes
+/// ([`MmapSnapshot::attr_entries`]): `attr` walks one record up to the
+/// name and copies the value out, `attrs_of` builds an owned tuple.  So a
+/// cold read allocates nothing for an `Int`/`Bool` value, and dropping
+/// the snapshot frees the same blocks however many nodes were read.
 #[derive(Debug)]
 struct LazyAttrs {
     /// Byte range of the attribute blob inside the mapping.
@@ -305,8 +311,6 @@ struct LazyAttrs {
     len: usize,
     /// Record boundaries within the blob (`count + 1` entries).
     starts: Vec<u32>,
-    /// One cell per record, filled on first access.
-    cells: Vec<OnceLock<AttrMap>>,
 }
 
 impl LazyAttrs {
@@ -325,72 +329,40 @@ impl LazyAttrs {
                 "{what}: attribute blob exceeds the 4 GiB record index"
             )));
         }
-        let mut reader = BlobReader::new(blob, what);
+        let corrupt = |row: usize, fault: AttrFault| {
+            PersistError::Corrupt(format!("{what}: row {row}: {fault}"))
+        };
+        let mut rest = blob;
         let mut starts = Vec::with_capacity(count + 1);
-        for _ in 0..count {
-            starts.push(reader.pos() as u32);
-            let attrs = reader.u32()?;
-            for _ in 0..attrs {
-                syms.to_proc_checked(reader.u32()?)?;
-                match reader.u8()? {
-                    0 => {
-                        reader.i64()?;
-                    }
-                    1 => {
-                        let len = reader.u32()? as usize;
-                        std::str::from_utf8(reader.bytes(len)?).map_err(|_| {
-                            PersistError::Corrupt(format!("{what}: string is not UTF-8"))
-                        })?;
-                    }
-                    2 => {
-                        reader.u8()?;
-                    }
-                    other => {
-                        return Err(PersistError::Corrupt(format!(
-                            "{what}: unknown attribute value tag {other}"
-                        )))
-                    }
+        for row in 0..count {
+            starts.push((blob.len() - rest.len()) as u32);
+            let mut entries = AttrEntries::new(rest).map_err(|fault| corrupt(row, fault))?;
+            let mut previous = None;
+            for entry in &mut entries {
+                let (name, _) = entry.map_err(|fault| corrupt(row, fault))?;
+                syms.to_proc_checked(name)?;
+                // A read stops at the first matching name, so there must be
+                // no later duplicate for it to miss.
+                if previous >= Some(name) {
+                    return Err(PersistError::Corrupt(format!(
+                        "{what}: row {row}: names are not strictly increasing"
+                    )));
                 }
+                previous = Some(name);
             }
+            rest = entries.rest();
         }
-        starts.push(reader.pos() as u32);
-        reader.finish()?;
+        starts.push((blob.len() - rest.len()) as u32);
+        if !rest.is_empty() {
+            return Err(PersistError::Corrupt(format!(
+                "{what}: {} trailing bytes after the last record",
+                rest.len()
+            )));
+        }
         Ok(LazyAttrs {
             off: entry.offset as usize,
             len: entry.byte_len as usize,
             starts,
-            cells: std::iter::repeat_with(OnceLock::new).take(count).collect(),
-        })
-    }
-
-    /// The tuple of record `idx`, decoding and caching it on first use.
-    ///
-    /// Infallible: every record was fully validated by [`LazyAttrs::load`].
-    fn get(&self, map: &MmapFile, syms: &SymBridge, idx: usize) -> &AttrMap {
-        self.cells[idx].get_or_init(|| {
-            let blob = &map.bytes()[self.off..self.off + self.len];
-            let record = &blob[self.starts[idx] as usize..self.starts[idx + 1] as usize];
-            let mut reader = BlobReader::new(record, "attribute record");
-            let mut attrs = AttrMap::new();
-            let count = reader.u32().expect("validated at load");
-            for _ in 0..count {
-                let name = syms.to_proc(reader.u32().expect("validated at load"));
-                let value = match reader.u8().expect("validated at load") {
-                    0 => Value::Int(reader.i64().expect("validated at load")),
-                    1 => {
-                        let len = reader.u32().expect("validated at load") as usize;
-                        let bytes = reader.bytes(len).expect("validated at load");
-                        Value::Str(
-                            std::str::from_utf8(bytes)
-                                .expect("validated at load")
-                                .to_owned(),
-                        )
-                    }
-                    _ => Value::Bool(reader.u8().expect("validated at load") != 0),
-                };
-                attrs.set(name, value);
-            }
-            attrs
         })
     }
 }
@@ -626,7 +598,7 @@ pub struct MmapSnapshot {
     syms: Arc<SymBridge>,
     /// Per-row label ids (file symbol space).
     node_labels: Sect,
-    /// Lazily decoded attribute tuples.
+    /// Attribute record boundaries; values are decoded on each read.
     attrs: LazyAttrs,
     out: SideSect,
     inn: SideSect,
@@ -777,6 +749,15 @@ impl MmapSnapshot {
         let attrs = &self.attrs;
         let blob = &self.map.bytes()[attrs.off..attrs.off + attrs.len];
         &blob[attrs.starts[idx] as usize..attrs.starts[idx + 1] as usize]
+    }
+
+    /// The `(name file id, value)` entries of node `idx`'s attribute
+    /// record, names strictly increasing, decoded in place.
+    #[inline]
+    pub(crate) fn attr_entries(&self, idx: usize) -> impl Iterator<Item = (u32, RawValue<'_>)> {
+        AttrEntries::new(self.raw_attr_record(idx))
+            .expect(VALIDATED)
+            .map(|entry| entry.expect(VALIDATED))
     }
 
     /// The file's section directory in push order.  Lets the compaction
@@ -936,8 +917,20 @@ impl CsrStore for MmapSnapshot {
     }
 
     #[inline]
-    fn row_attrs(&self, row: usize) -> &AttrMap {
-        self.attrs.get(&self.map, &self.syms, row)
+    fn row_attr(&self, row: usize, name: Sym) -> Option<Value> {
+        let fid = self.syms.to_file(name)?;
+        self.attr_entries(row)
+            .take_while(|&(at, _)| at <= fid)
+            .find(|&(at, _)| at == fid)
+            .map(|(_, value)| value.into())
+    }
+
+    fn row_attrs(&self, row: usize) -> AttrMap {
+        let mut attrs = AttrMap::new();
+        for (fid, value) in self.attr_entries(row) {
+            attrs.set(self.syms.to_proc(fid), value.into());
+        }
+        attrs
     }
 
     #[inline]

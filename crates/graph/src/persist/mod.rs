@@ -33,8 +33,9 @@
 //!
 //! The array sections (`u32` arrays: CSR offsets / labels / neighbours,
 //! label partition, triple arrays) are the bytes the loader reinterprets
-//! as slices; the blob sections (string table, attribute tuples, range
-//! dictionaries) are decoded once at load time.
+//! as slices; the string table and range dictionaries are decoded once at
+//! load time, and the attribute records are validated at load and decoded
+//! in place on every read.
 //!
 //! ## Contract
 //!

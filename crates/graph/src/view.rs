@@ -37,11 +37,20 @@ pub trait GraphView {
     /// The label of a node.
     fn label(&self, id: NodeId) -> Sym;
 
-    /// A single attribute of a node.
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value>;
+    /// A single attribute of a node, returned by value.
+    ///
+    /// An `Int` or `Bool` is a plain copy and allocates nothing; a `Str`
+    /// allocates its clone.  A mapped snapshot decodes the value from the
+    /// node's file record, walking its entries (a handful per node) up to
+    /// the name; nothing decoded is kept.
+    fn attr(&self, id: NodeId, name: Sym) -> Option<Value>;
 
-    /// The full attribute tuple of a node.
-    fn attrs_of(&self, id: NodeId) -> &AttrMap;
+    /// The full attribute tuple of a node, returned owned.
+    ///
+    /// Allocates the tuple on every call (one entry vector plus its
+    /// strings), so it is meant for whole-node copies, not per-literal
+    /// reads — use [`GraphView::attr`] for those.
+    fn attrs_of(&self, id: NodeId) -> AttrMap;
 
     /// Does the exact edge `(src, dst, label)` exist?
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool;
@@ -247,12 +256,12 @@ impl GraphView for Graph {
         Graph::label(self, id)
     }
 
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
-        Graph::attr(self, id, name)
+    fn attr(&self, id: NodeId, name: Sym) -> Option<Value> {
+        Graph::attr(self, id, name).cloned()
     }
 
-    fn attrs_of(&self, id: NodeId) -> &AttrMap {
-        Graph::attrs(self, id)
+    fn attrs_of(&self, id: NodeId) -> AttrMap {
+        Graph::attrs(self, id).clone()
     }
 
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {

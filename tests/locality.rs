@@ -84,10 +84,10 @@ impl<B: GraphView> GraphView for Counting<B> {
     fn label(&self, id: NodeId) -> Sym {
         self.node().label(id)
     }
-    fn attr(&self, id: NodeId, name: Sym) -> Option<&Value> {
+    fn attr(&self, id: NodeId, name: Sym) -> Option<Value> {
         self.node().attr(id, name)
     }
-    fn attrs_of(&self, id: NodeId) -> &AttrMap {
+    fn attrs_of(&self, id: NodeId) -> AttrMap {
         self.node().attrs_of(id)
     }
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {

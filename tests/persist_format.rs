@@ -17,7 +17,9 @@
 //! * **Corruption battery** — a truncated file, wrong magic, a future
 //!   version, a flipped payload byte and a misaligned section each fail
 //!   with their own typed [`PersistError`] variant: no panics, no UB, no
-//!   silently wrong answers.
+//!   silently wrong answers.  Restamped files reach the validators behind
+//!   the checksum, down to each fault of an attribute record that the
+//!   in-place attribute reader trusts load to have refused.
 
 use ngd_graph::persist::{
     file_checksum, format, FileHeader, MmapSnapshot, PersistError, SnapshotWriter,
@@ -193,7 +195,7 @@ fn version_1_files_load_as_epoch_0() {
     for id in 0..4u32 {
         let id = NodeId(id);
         assert_eq!(GraphView::label(&snapshot, id), g.label(id));
-        assert_eq!(GraphView::attrs_of(&snapshot, id), g.attrs(id));
+        assert_eq!(&GraphView::attrs_of(&snapshot, id), g.attrs(id));
     }
     // A v1 file differs from its v1.1 epoch-0 rewrite ONLY in the header
     // version word: payload bytes (and therefore the checksum) are
@@ -215,7 +217,7 @@ fn golden_file_loads_and_matches_the_graph() {
     for id in 0..4u32 {
         let id = NodeId(id);
         assert_eq!(GraphView::label(&snapshot, id), g.label(id));
-        assert_eq!(GraphView::attrs_of(&snapshot, id), g.attrs(id));
+        assert_eq!(&GraphView::attrs_of(&snapshot, id), g.attrs(id));
     }
     assert!(GraphView::has_edge(
         &snapshot,
@@ -450,4 +452,86 @@ fn structural_damage_behind_the_checksum_is_corrupt_not_ub() {
         load_err("oob-section", &damaged),
         PersistError::Corrupt(_)
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Attribute records: every fault the in-place reader relies on load to have
+// ruled out is refused at load, typed.
+// ---------------------------------------------------------------------------
+
+/// Two nodes whose attribute records cover every value tag and a record of
+/// more than one entry.  File symbols are lexicographic — `a`=0, `b`=1,
+/// `c`=2, `e`=3, `n`=4 — so the `NODE_ATTRS` blob is, byte by byte:
+///
+/// ```text
+///  0  count 2 │  4  name 0 │  8  tag 0 │  9  i64 1
+/// 17  name 1  │ 21  tag 1  │ 22  len 2 │ 26  "xy"
+/// 28  count 1 │ 32  name 2 │ 36  tag 2 │ 37  byte 1     (38 bytes)
+/// ```
+fn record_graph_bytes() -> Vec<u8> {
+    let mut g = Graph::new();
+    let first = g.add_node_named(
+        "n",
+        AttrMap::from_pairs([("a", Value::Int(1)), ("b", Value::from("xy"))]),
+    );
+    let second = g.add_node_named("n", AttrMap::from_pairs([("c", Value::Bool(true))]));
+    g.add_edge_named(first, second, "e").unwrap();
+    SnapshotWriter::new().encode(&g.freeze())
+}
+
+/// `bytes` with `patch` written at `at` inside the `NODE_ATTRS` blob,
+/// restamped so that the record validator, not the checksum, judges it.
+fn with_attr_patch(at: usize, patch: &[u8]) -> Vec<u8> {
+    let mut bytes = record_graph_bytes();
+    let header = FileHeader::parse(&bytes).unwrap();
+    let table = format::read_section_table(&bytes, &header).unwrap();
+    let attrs = table
+        .iter()
+        .find(|s| s.kind == format::kind::NODE_ATTRS)
+        .unwrap();
+    assert_eq!(attrs.byte_len, 38, "the layout drawn above");
+    let at = attrs.offset as usize + at;
+    bytes[at..at + patch.len()].copy_from_slice(patch);
+    restamp(&mut bytes);
+    bytes
+}
+
+#[test]
+fn the_crafted_record_file_loads_unpatched() {
+    let path = temp_file("records-intact", &record_graph_bytes());
+    let snapshot = MmapSnapshot::load(&path).expect("the unpatched file loads");
+    std::fs::remove_file(&path).ok();
+    let read = |id: u32, name: &str| GraphView::attr(&snapshot, NodeId(id), intern(name));
+    assert_eq!(read(0, "a"), Some(Value::Int(1)));
+    assert_eq!(read(0, "b"), Some(Value::from("xy")));
+    assert_eq!(read(0, "c"), None);
+    assert_eq!(read(1, "c"), Some(Value::Bool(true)));
+}
+
+#[test]
+fn corrupt_attribute_records_fail_typed_at_load() {
+    let cases: [(&str, usize, &[u8], &str); 6] = [
+        (
+            "duplicate-name",
+            17,
+            &0u32.to_le_bytes(),
+            "not strictly increasing",
+        ),
+        (
+            "unsorted-names",
+            4,
+            &2u32.to_le_bytes(),
+            "not strictly increasing",
+        ),
+        ("unknown-tag", 36, &[9], "unknown attribute value tag 9"),
+        ("non-utf8", 26, &[0xFF, 0xFE], "not UTF-8"),
+        ("name-out-of-range", 32, &5u32.to_le_bytes(), "out of range"),
+        ("record-overrun", 28, &2u32.to_le_bytes(), "past the end"),
+    ];
+    for (tag, at, patch, expected) in cases {
+        match load_err(tag, &with_attr_patch(at, patch)) {
+            PersistError::Corrupt(msg) => assert!(msg.contains(expected), "{tag}: {msg}"),
+            other => panic!("{tag}: expected Corrupt, got {other:?}"),
+        }
+    }
 }

@@ -332,7 +332,7 @@ fn snapshot_files_round_trip_byte_identically() {
                 "case {case}"
             );
             assert_eq!(
-                GraphView::attrs_of(&mapped, id),
+                &GraphView::attrs_of(&mapped, id),
                 graph.attrs(id),
                 "case {case}"
             );
