@@ -6,14 +6,20 @@
 //! times differ from the paper (the paper uses a 20-machine cluster on
 //! graphs three orders of magnitude larger); the relationships the paper
 //! reports — incremental beats batch for small `|ΔG|`, parallel scales
-//! with `p`, the hybrid workload strategy beats its ablations — are what
-//! these runners verify and what EXPERIMENTS.md records.
+//! with `p` — are what these runners verify and what EXPERIMENTS.md
+//! records.
+//!
+//! Figures 4(m) (latency constant `C`) and 4(n) (balancing interval) are
+//! not reproduced: they sweep the knobs of the paper's work-splitting and
+//! balancing strategy, which the detectors do not implement — the
+//! stepwise engine it needs was slower with it than the planned search
+//! is without it (ROADMAP, "Closed").
 
 use crate::datasets::{build_dataset, synthetic_dataset, Dataset, DatasetKind, Scale};
 use crate::table::{ExperimentResult, Series};
 use ngd_core::satisfiability::{is_satisfiable, is_strongly_satisfiable, AnalysisConfig};
 use ngd_core::{implies, paper, RuleSet};
-use ngd_datagen::{generate_synthetic, generate_update, SyntheticConfig, UpdateConfig};
+use ngd_datagen::{generate_update, UpdateConfig};
 use ngd_detect::{dect, delta_neighborhood, inc_dect, pdect, pinc_dect, DetectorConfig};
 use ngd_graph::{BatchUpdate, Graph};
 use std::time::Duration;
@@ -48,18 +54,12 @@ fn run_all_algorithms(
     // Incremental algorithms compute ΔVio from G and ΔG.
     let inc = inc_dect(sigma, graph, delta);
     let pinc = pinc_dect(sigma, graph, delta, &config);
-    let pinc_ns = pinc_dect(sigma, graph, delta, &config.no_splitting());
-    let pinc_nb = pinc_dect(sigma, graph, delta, &config.no_balancing());
-    let pinc_no = pinc_dect(sigma, graph, delta, &config.no_hybrid());
 
     let values = [
         ms(batch.elapsed),
         ms(pbatch.elapsed),
         ms(inc.elapsed),
         ms(pinc.elapsed),
-        ms(pinc_ns.elapsed),
-        ms(pinc_nb.elapsed),
-        ms(pinc_no.elapsed),
     ];
     for (slot, value) in series.iter_mut().zip(values) {
         slot.push(x, value);
@@ -67,18 +67,10 @@ fn run_all_algorithms(
 }
 
 fn exp1_series() -> Vec<Series> {
-    [
-        "Dect",
-        "PDect",
-        "IncDect",
-        "PIncDect",
-        "PIncDect_ns",
-        "PIncDect_nb",
-        "PIncDect_NO",
-    ]
-    .into_iter()
-    .map(Series::new)
-    .collect()
+    ["Dect", "PDect", "IncDect", "PIncDect"]
+        .into_iter()
+        .map(Series::new)
+        .collect()
 }
 
 /// Figures 4(a)–4(d): varying `|ΔG|` on one dataset.
@@ -245,9 +237,6 @@ pub fn fig4_processor_sweep(id: &str, kind: DatasetKind, scale: Scale) -> Experi
     let names = [
         "PDect (modelled)",
         "PIncDect (modelled)",
-        "PIncDect_ns (modelled)",
-        "PIncDect_nb (modelled)",
-        "PIncDect_NO (modelled)",
         "PIncDect (measured ms)",
     ];
     let mut series: Vec<Series> = names.into_iter().map(Series::new).collect();
@@ -256,29 +245,13 @@ pub fn fig4_processor_sweep(id: &str, kind: DatasetKind, scale: Scale) -> Experi
         let config = DetectorConfig::with_processors(p);
         let x = p.to_string();
         let batch = pdect(&dataset.sigma, &updated, &config);
-        let hybrid = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config);
-        let ns = pinc_dect(
-            &dataset.sigma,
-            dataset.graph(),
-            &delta,
-            &config.no_splitting(),
-        );
-        let nb = pinc_dect(
-            &dataset.sigma,
-            dataset.graph(),
-            &delta,
-            &config.no_balancing(),
-        );
-        let no = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config.no_hybrid());
+        let inc = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config);
+        // Both detectors' work is spread over p workers; the modelled cost
+        // is the inspected candidates over p.
         let values = [
-            // The batch detector's work is embarrassingly parallel over its
-            // work units; its modelled cost is inspected candidates over p.
             batch.stats.candidates_inspected as f64 / p as f64,
-            hybrid.cost.modelled_cost(p),
-            ns.cost.modelled_cost(p),
-            nb.cost.modelled_cost(p),
-            no.cost.modelled_cost(p),
-            ms(hybrid.elapsed),
+            inc.cost.scanned as f64 / p as f64,
+            ms(inc.elapsed),
         ];
         for (slot, value) in series.iter_mut().zip(values) {
             slot.push(&x, value);
@@ -287,95 +260,9 @@ pub fn fig4_processor_sweep(id: &str, kind: DatasetKind, scale: Scale) -> Experi
     result.series = series;
     result.note(format!(
         "this machine exposes {} hardware thread(s), so wall-clock parallel speed-up is not observable; \
-         the modelled-cost series (work per processor + paid communication latency, the paper's own cost model) \
-         carries the T ∝ t/p shape of Figs 4(i)-4(l)",
+         the modelled-cost series (inspected candidates per processor) carries the T ∝ t/p shape of Figs 4(i)-4(l)",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
-    result
-}
-
-/// Figure 4(m): varying the latency constant `C` on Pokec.
-///
-/// Wall-clock times in the shared-memory runtime do not pay real network
-/// latency, so in addition to measured times the modelled cost
-/// (`scanned/p + latency units paid`) is reported — that is the curve whose
-/// U-shape the paper plots.
-pub fn fig4m_latency_sweep(scale: Scale) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "fig4m",
-        "Pokec: varying C",
-        "C",
-        "time (ms) / modelled cost (arbitrary units)",
-    );
-    let sigma_size = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 50,
-    };
-    let dataset = build_dataset(DatasetKind::Pokec, scale, sigma_size, 4);
-    let delta = generate_update(
-        dataset.graph(),
-        &UpdateConfig::fraction(DEFAULT_DELTA).with_seed(600),
-    );
-    let mut measured = Series::new("PIncDect (measured ms)");
-    let mut measured_nb = Series::new("PIncDect_nb (measured ms)");
-    let mut modelled = Series::new("PIncDect (modelled cost)");
-    let mut splits = Series::new("PIncDect (splits)");
-    for c in [20.0, 40.0, 60.0, 80.0, 100.0] {
-        let config = DetectorConfig::with_processors(DEFAULT_P).latency(c);
-        let report = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config);
-        let nb = pinc_dect(
-            &dataset.sigma,
-            dataset.graph(),
-            &delta,
-            &config.no_balancing(),
-        );
-        let x = format!("{c:.0}");
-        measured.push(&x, ms(report.elapsed));
-        measured_nb.push(&x, ms(nb.elapsed));
-        modelled.push(&x, report.cost.modelled_cost(DEFAULT_P));
-        splits.push(&x, report.cost.splits as f64);
-    }
-    result.series = vec![measured, measured_nb, modelled, splits];
-    result.note("larger C discourages work-unit splitting (fewer splits, more local work); the paper's optimum on Pokec is C = 80");
-    result
-}
-
-/// Figure 4(n): varying the workload-monitoring interval on YAGO2.
-pub fn fig4n_interval_sweep(scale: Scale) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "fig4n",
-        "YAGO2: varying intvl",
-        "intvl (ms)",
-        "time (ms) / migrations",
-    );
-    let sigma_size = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 50,
-    };
-    let dataset = build_dataset(DatasetKind::Yago2, scale, sigma_size, 4);
-    let delta = generate_update(
-        dataset.graph(),
-        &UpdateConfig::fraction(DEFAULT_DELTA).with_seed(700),
-    );
-    let mut measured = Series::new("PIncDect (measured ms)");
-    let mut measured_ns = Series::new("PIncDect_ns (measured ms)");
-    let mut migrations = Series::new("PIncDect (migrations)");
-    for intvl in [15u64, 30, 45, 50, 65] {
-        let config = DetectorConfig::with_processors(DEFAULT_P).interval_ms(intvl);
-        let report = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config);
-        let ns = pinc_dect(
-            &dataset.sigma,
-            dataset.graph(),
-            &delta,
-            &config.no_splitting(),
-        );
-        let x = intvl.to_string();
-        measured.push(&x, ms(report.elapsed));
-        measured_ns.push(&x, ms(ns.elapsed));
-        migrations.push(&x, report.cost.migrations as f64);
-    }
-    result.series = vec![measured, measured_ns, migrations];
-    result.note("the paper's intvl is 15..65 seconds on cluster-scale runs; the single-machine simulation scales it to milliseconds");
     result
 }
 
@@ -559,39 +446,6 @@ pub fn ablation_local(scale: Scale) -> ExperimentResult {
     result
 }
 
-/// Work-splitting ablation on a skew-degree graph: hubs create straggler
-/// work units that only the splitting strategy can break up.
-pub fn ablation_skew(scale: Scale) -> ExperimentResult {
-    let mut result = ExperimentResult::new(
-        "ablation-skew",
-        "Work-unit splitting on skewed-degree graphs",
-        "hub bias",
-        "time (ms) / splits",
-    );
-    let f = scale.factor();
-    let mut hybrid = Series::new("PIncDect (ms)");
-    let mut no_split = Series::new("PIncDect_ns (ms)");
-    let mut splits = Series::new("splits performed");
-    for bias in [0.0, 0.5, 0.9] {
-        let graph = generate_synthetic(&SyntheticConfig {
-            hub_bias: bias,
-            ..SyntheticConfig::paper_style(4_000 * f, 12_000 * f)
-        });
-        let sigma = crate::datasets::rule_set_for(&graph, RuleSet::new(), 8, 4);
-        let delta = generate_update(&graph, &UpdateConfig::fraction(0.10).with_seed(900));
-        let config = DetectorConfig::with_processors(DEFAULT_P).latency(20.0);
-        let x = format!("{bias:.1}");
-        let report = pinc_dect(&sigma, &graph, &delta, &config);
-        let ns = pinc_dect(&sigma, &graph, &delta, &config.no_splitting());
-        hybrid.push(&x, ms(report.elapsed));
-        no_split.push(&x, ms(ns.elapsed));
-        splits.push(&x, report.cost.splits as f64);
-    }
-    result.series = vec![hybrid, no_split, splits];
-    result.note("higher hub bias creates larger adjacency lists; the cost model splits more work units there");
-    result
-}
-
 /// All experiment identifiers in paper order.
 pub fn all_experiment_names() -> Vec<&'static str> {
     vec![
@@ -607,12 +461,9 @@ pub fn all_experiment_names() -> Vec<&'static str> {
         "fig4j",
         "fig4k",
         "fig4l",
-        "fig4m",
-        "fig4n",
         "exp5",
         "fundamentals",
         "ablation-local",
-        "ablation-skew",
     ]
 }
 
@@ -631,12 +482,9 @@ pub fn run_experiment(name: &str, scale: Scale) -> Option<ExperimentResult> {
         "fig4j" => fig4_processor_sweep("fig4j", DatasetKind::Yago2, scale),
         "fig4k" => fig4_processor_sweep("fig4k", DatasetKind::Pokec, scale),
         "fig4l" => fig4_processor_sweep("fig4l", DatasetKind::Synthetic, scale),
-        "fig4m" => fig4m_latency_sweep(scale),
-        "fig4n" => fig4n_interval_sweep(scale),
         "exp5" => exp5_effectiveness(scale),
         "fundamentals" => fundamentals(),
         "ablation-local" => ablation_local(scale),
-        "ablation-skew" => ablation_skew(scale),
         _ => return None,
     };
     Some(result)

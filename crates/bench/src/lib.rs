@@ -5,8 +5,8 @@
 //! * [`datasets`] — named, scaled-down simulations of the paper's datasets
 //!   (DBpedia, YAGO2, Pokec, synthetic) with matched rule sets;
 //! * [`experiments`] — one runner per figure/table of the paper's
-//!   evaluation (Figures 4(a)–4(n), Exp-5, the Section-4 examples, plus two
-//!   ablations called out in DESIGN.md);
+//!   evaluation (Figures 4(a)–4(l), Exp-5, the Section-4 examples, plus the
+//!   localizability ablation called out in DESIGN.md);
 //! * [`table`] — the result tables the runners produce, rendered as text or
 //!   JSON (EXPERIMENTS.md is generated from them).
 //!

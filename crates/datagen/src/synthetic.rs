@@ -6,8 +6,7 @@
 //! "Experimental setting").  [`generate_synthetic`] reproduces exactly that
 //! recipe: uniformly labelled nodes carrying a numeric `val` attribute,
 //! and edges wired with a preferential-attachment bias so the degree
-//! distribution is skewed like real graphs (which is what stresses the
-//! parallel detector's work-splitting).
+//! distribution is skewed like real graphs.
 
 use crate::rng::StdRng;
 use ngd_graph::{intern, AttrMap, Graph, NodeId, Value};

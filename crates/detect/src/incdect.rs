@@ -12,14 +12,16 @@
 //! tests that plot or assert its size call [`delta_neighborhood`]
 //! explicitly, and `tests/locality.rs` checks the guarantee as an
 //! access count.
+//!
+//! `IncDect` is the search body of [`crate::pincdect`] on one worker; its
+//! reports carry the `IncDect` label for the paper's figures.
 
-use crate::config::AlgorithmKind;
-use crate::cost::CostLedger;
-use crate::report::{DeltaReport, SearchStats};
+use crate::config::{AlgorithmKind, DetectorConfig};
+use crate::pincdect::pinc_dect_prepared_cached;
+use crate::report::DeltaReport;
 use ngd_core::RuleSet;
-use ngd_graph::{d_neighbors_many, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView};
-use ngd_match::{delta_violations_cached, MatchStats, PlanCache};
-use std::time::Instant;
+use ngd_graph::{d_neighbors_many, BatchUpdate, DeltaOverlay, Graph, GraphView};
+use ngd_match::PlanCache;
 
 /// Number of nodes in `G_d(ΔG)`, the `d`-neighbourhood of the nodes `delta`
 /// touches — with `view` = `G ⊕ ΔG` and `d` = `dΣ`, the quantity the
@@ -49,7 +51,7 @@ pub fn inc_dect(sigma: &RuleSet, graph: &Graph, delta: &BatchUpdate) -> DeltaRep
 /// Generic over the snapshot representation, so the same entry point
 /// serves an in-memory [`CsrSnapshot`](ngd_graph::CsrSnapshot) and a
 /// memory-mapped [`ngd_graph::MmapSnapshot`] loaded from a snapshot file.
-pub fn inc_dect_snapshot<S: GraphView>(
+pub fn inc_dect_snapshot<S: GraphView + Sync>(
     sigma: &RuleSet,
     snapshot: &S,
     delta: &BatchUpdate,
@@ -61,10 +63,10 @@ pub fn inc_dect_snapshot<S: GraphView>(
 
 /// Run `IncDect` when both `G` and `G ⊕ ΔG` are already available as
 /// graph views.
-pub fn inc_dect_prepared<GOld: GraphView, GNew: GraphView>(
+pub fn inc_dect_prepared<V: GraphView + Sync>(
     sigma: &RuleSet,
-    old_graph: &GOld,
-    new_graph: &GNew,
+    old_graph: &V,
+    new_graph: &V,
     delta: &BatchUpdate,
 ) -> DeltaReport {
     inc_dect_prepared_cached(sigma, old_graph, new_graph, delta, &PlanCache::new())
@@ -73,36 +75,21 @@ pub fn inc_dect_prepared<GOld: GraphView, GNew: GraphView>(
 /// [`inc_dect_prepared`] with a caller-owned [`PlanCache`], so a session
 /// applying a stream of batches against one snapshot epoch compiles each
 /// (rule, pivot-seed) plan once and reuses it for every later batch.
-pub fn inc_dect_prepared_cached<GOld: GraphView, GNew: GraphView>(
+///
+/// This is the `PIncDect` body on one worker, which never leaves the
+/// calling thread.
+pub fn inc_dect_prepared_cached<V: GraphView + Sync>(
     sigma: &RuleSet,
-    old_graph: &GOld,
-    new_graph: &GNew,
+    old_graph: &V,
+    new_graph: &V,
     delta: &BatchUpdate,
     cache: &PlanCache,
 ) -> DeltaReport {
-    let start = Instant::now();
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let inserted: Vec<EdgeRef> = delta.insertions().collect();
-    let deleted: Vec<EdgeRef> = delta.deletions().collect();
-    let (delta_vio, stats) =
-        delta_violations_cached(sigma, old_graph, new_graph, &inserted, &deleted, cache);
-    let mut stats = SearchStats::from(MatchStats {
-        expanded: stats.expanded,
-        candidates_inspected: stats.candidates_inspected,
-        matches_found: stats.matches_found,
-        gallop_intersections: stats.gallop_intersections,
-    });
-    stats.record_plan_cache(hits0, misses0, cache);
+    let config = DetectorConfig::with_processors(1);
     DeltaReport {
         algorithm: AlgorithmKind::IncDect,
-        delta: delta_vio,
-        stats,
-        cost: CostLedger::default(),
-        processors: 1,
-        neighborhood_nodes: 0,
-        elapsed: start.elapsed(),
+        ..pinc_dect_prepared_cached(sigma, old_graph, new_graph, delta, &config, cache)
     }
-    .observed(0)
 }
 
 #[cfg(test)]

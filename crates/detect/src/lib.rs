@@ -9,18 +9,17 @@
 //!   [`inc_dect`], whose cost is governed by the `dΣ`-neighbourhood of the
 //!   update rather than by `|G|`;
 //! * [`pincdect`] — the parallel incremental detector [`pinc_dect`],
-//!   parallel scalable relative to `IncDect`, with the paper's hybrid
-//!   workload strategy (cost-model work-unit splitting + periodic
-//!   balancing) and its ablation variants;
+//!   parallel scalable relative to `IncDect`: update pivots grouped by
+//!   updated edge and dealt round-robin to `p` workers that share nothing
+//!   while they run.  It is the one incremental search body; `IncDect` is
+//!   it on one worker;
 //! * [`session`] — reusable incremental session state
 //!   ([`IncrementalSession`]): a long-lived process absorbs a *stream* of
 //!   `ΔG` batches against one snapshot, each answered relative to
 //!   everything absorbed so far — the engine under the `ngd-serve` service;
-//! * [`cost`] and [`balance`] — the work-splitting cost model and the
-//!   skewness-based balancing policy;
-//! * [`config`] and [`report`] — run configuration and the reports every
-//!   detector returns (violations / deltas, timings, search statistics,
-//!   communication-cost ledger).
+//! * [`config`], [`report`] and [`cost`] — the processor count and the
+//!   reports every detector returns (violations / deltas, timings, search
+//!   statistics, the scanned-work ledger).
 //!
 //! ## Quick example
 //!
@@ -57,7 +56,6 @@
 //! assert_eq!(par.delta, inc.delta);
 //! ```
 
-pub mod balance;
 pub mod batch;
 pub mod config;
 pub mod cost;
@@ -66,10 +64,9 @@ pub mod pincdect;
 pub mod report;
 pub mod session;
 
-pub use balance::{plan_migrations, skewness, Migration};
 pub use batch::{dect, dect_on, dect_on_cached, pdect, pdect_on, pdect_on_cached};
 pub use config::{AlgorithmKind, DetectorConfig};
-pub use cost::{parallel_cost, sequential_cost, should_split, CostLedger};
+pub use cost::CostLedger;
 pub use incdect::{
     delta_neighborhood, inc_dect, inc_dect_prepared, inc_dect_prepared_cached, inc_dect_snapshot,
 };

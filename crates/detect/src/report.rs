@@ -1,8 +1,8 @@
 //! Detection reports.
 //!
 //! Every detector returns a report carrying the violations (or the
-//! violation delta), wall-clock timing, matcher statistics and the cost
-//! ledger of the parallel runtime, so that the experiment harness can print
+//! violation delta), wall-clock timing, matcher statistics and the
+//! scanned-work ledger, so that the experiment harness can print
 //! the series the paper plots without re-instrumenting the algorithms.
 
 use crate::config::AlgorithmKind;
@@ -114,9 +114,10 @@ pub enum VioSide {
 ///
 /// Guarantees:
 ///
-/// * each `(side, violation)` pair is delivered **exactly once** — the
-///   runtime de-duplicates across workers before calling the sink, so the
-///   delivered totals equal the final report's `delta.added.len()` /
+/// * each `(side, violation)` pair is delivered **exactly once** — a
+///   violation can only be found twice by the worker that owns its updated
+///   edge, which delivers only its first find — so the delivered totals
+///   equal the final report's `delta.added.len()` /
 ///   `delta.removed.len()`;
 /// * calls may come from any worker thread (the sink must be `Sync`), but
 ///   never concurrently for the same violation;
@@ -138,7 +139,7 @@ pub struct DetectionReport {
     pub elapsed: Duration,
     /// Matcher statistics.
     pub stats: SearchStats,
-    /// Parallel-runtime cost ledger (zero for sequential runs).
+    /// Scanned-work ledger (zero for `Dect`).
     pub cost: CostLedger,
     /// Number of workers used.
     pub processors: usize,
@@ -178,8 +179,8 @@ ngd_json::impl_json_struct!(DetectionReport {
     processors,
 });
 
-/// The human-readable summary (examples, `ngd-cli`, logs).  Every
-/// [`CostLedger`] counter is surfaced.
+/// The human-readable summary (examples, `ngd-cli`, logs), with the
+/// [`CostLedger`] when the run charged anything.
 impl std::fmt::Display for DetectionReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -225,7 +226,7 @@ pub struct DeltaReport {
     pub elapsed: Duration,
     /// Matcher statistics.
     pub stats: SearchStats,
-    /// Parallel-runtime cost ledger (zero for sequential runs).
+    /// Scanned-work ledger.
     pub cost: CostLedger,
     /// Number of workers used.
     pub processors: usize,
@@ -356,8 +357,6 @@ mod tests {
     #[test]
     fn display_surfaces_every_cost_counter() {
         let mut cost = CostLedger::default();
-        cost.record_split(60.0, 2);
-        cost.record_migration(17);
         cost.record_scan(420);
         let report = DeltaReport {
             algorithm: AlgorithmKind::PIncDect,
@@ -370,9 +369,7 @@ mod tests {
         };
         let text = report.to_string();
         assert!(text.starts_with("PIncDect: "), "{text}");
-        assert!(text.contains("migrations 17"), "{text}");
-        assert!(text.contains("splits 1"), "{text}");
-        assert!(text.contains("scanned 420"), "{text}");
+        assert!(text.ends_with("[scanned 420]"), "{text}");
         assert!(!text.contains("neighbourhood"), "{text}");
     }
 

@@ -282,8 +282,7 @@ impl Graph {
         self.inn[id.index()].len()
     }
 
-    /// Total (undirected) degree of a node — the `|v.adj|` quantity used by
-    /// the parallel detector's cost model.
+    /// Total (undirected) degree of a node.
     pub fn degree(&self, id: NodeId) -> usize {
         self.out_degree(id) + self.in_degree(id)
     }

@@ -1,29 +1,31 @@
-//! Update-driven incremental matching (`IncMatch` / `IncSubMatch`,
-//! Section 6.2).
+//! The building blocks of update-driven incremental matching (`IncMatch` /
+//! `IncSubMatch`, Section 6.2).
 //!
-//! Given a batch update `ΔG`, the incremental matcher computes
+//! Given a batch update `ΔG`, incremental detection computes
 //!
 //! * `ΔVio⁺` — violations of `G ⊕ ΔG` whose matches use at least one
 //!   **inserted** edge (edge insertions can only introduce violations), and
 //! * `ΔVio⁻` — violations of `G` whose matches use at least one **deleted**
 //!   edge (edge deletions can only remove violations),
 //!
-//! by expanding **update pivots**: for every unit update `(v, v')` and
-//! every pattern edge `(u, u')` with matching labels, the partial solution
-//! `{u ↦ v, u' ↦ v'}` is expanded with the seeded matcher.  Expansion only
-//! ever walks adjacency lists of already-matched nodes, so the work is
-//! confined to the `d_Q`-neighbourhood of the updated edges — this is what
-//! makes the enclosing `IncDect` algorithm *localizable*.
+//! by expanding **update pivots** ([`update_pivots`]): for every unit update
+//! `(v, v')` and every pattern edge `(u, u')` with matching labels, the
+//! partial solution `{u ↦ v, u' ↦ v'}` is expanded with the seeded matcher
+//! ([`Matcher::expand_seeded_into`](crate::Matcher::expand_seeded_into)),
+//! with every updated edge ranked below the pivot's forbidden
+//! ([`edge_ranks`]).  Expansion only ever walks adjacency lists of
+//! already-matched nodes, so the work is confined to the
+//! `d_Q`-neighbourhood of the updated edges — this is what makes the
+//! enclosing `IncDect` algorithm *localizable*.
 //!
 //! Each candidate violation is finally checked against the "other side"
-//! graph so that `ΔVio⁺`/`ΔVio⁻` are exactly the set differences of the
-//! paper's definition even in degenerate cases (e.g. an edge deleted and
-//! re-inserted in the same batch).
+//! graph ([`pattern_matches`]) so that `ΔVio⁺`/`ΔVio⁻` are exactly the set
+//! differences of the paper's definition even in degenerate cases (e.g. an
+//! edge deleted and re-inserted in the same batch).  The detector in
+//! `ngd-detect` composes these pieces; the tests below compose them the
+//! same way, one rule at a time, against a batch recomputation.
 
-use crate::matchn::{MatchStats, Matcher};
-use crate::plan::{compile_rule_plan, PlanCache};
-use crate::violation::{DeltaViolations, Violation, ViolationSet};
-use ngd_core::{Ngd, RuleSet};
+use ngd_core::Ngd;
 use ngd_graph::{EdgeRef, GraphView, NodeId, WILDCARD};
 
 /// An update pivot: a pattern edge together with the updated graph edge it
@@ -73,8 +75,7 @@ pub fn update_pivots<'a, G: GraphView>(
 /// pattern in `graph`?  Used to turn "violations containing an updated
 /// edge" into exact set-difference semantics: a violation found in
 /// `G ⊕ ΔG` only belongs to `ΔVio⁺` if it is *not* a match in `G` (and
-/// symmetrically for `ΔVio⁻`).  The parallel incremental detector applies
-/// the same filter, hence the function is public.
+/// symmetrically for `ΔVio⁻`).
 pub fn pattern_matches<G: GraphView>(rule: &Ngd, graph: &G, assignment: &[NodeId]) -> bool {
     for (var, &node) in rule.pattern.vars().zip(assignment.iter()) {
         if !graph.contains_node(node) {
@@ -105,96 +106,13 @@ pub fn edge_ranks(edges: &[EdgeRef]) -> std::collections::HashMap<EdgeRef, usize
     ranks
 }
 
-/// Expand the update pivots of `rule` over `search_graph`, keeping the
-/// violations that are **not** matches of the pattern in `other_graph`.
-///
-/// * for `ΔVio⁺`: `search_graph = G ⊕ ΔG`, `edges = ΔG⁺`, `other_graph = G`;
-/// * for `ΔVio⁻`: `search_graph = G`, `edges = ΔG⁻`, `other_graph = G ⊕ ΔG`.
-///
-/// Pivots are expanded in batch order; the expansion of the `i`-th unit
-/// update prunes any partial solution that uses an earlier updated edge, so
-/// no match is enumerated twice even when it spans several updated edges.
-///
-/// Each pivot's plan is compiled at most once through the given
-/// [`PlanCache`] (one plan per pattern edge, reused across all pivots of
-/// the batch — and across batches when the caller keeps the cache alive).
-pub fn update_driven_violations_cached<S: GraphView, O: GraphView>(
-    rule: &Ngd,
-    search_graph: &S,
-    other_graph: &O,
-    edges: &[EdgeRef],
-    stats: &mut MatchStats,
-    cache: &PlanCache,
-) -> ViolationSet {
-    let mut out = ViolationSet::new();
-    let ranks = edge_ranks(edges);
-    for (idx, edge) in edges.iter().enumerate() {
-        for pivot in update_pivots(rule, search_graph, std::iter::once(*edge)) {
-            let pe = rule.pattern.edges()[pivot.pattern_edge];
-            let seed_vars = [pe.src, pe.dst];
-            let plan = cache.get_or_compile(&rule.id, &seed_vars, || {
-                compile_rule_plan(rule, search_graph, &seed_vars)
-            });
-            let matcher = Matcher::new(&rule.pattern, search_graph)
-                .with_forbidden(&ranks, idx)
-                .with_plan(plan);
-            let seeds = [(pe.src, pivot.edge.src), (pe.dst, pivot.edge.dst)];
-            let (matches, run_stats) = matcher.expand_seeded(&seeds, Some(rule));
-            stats.expanded += run_stats.expanded;
-            stats.candidates_inspected += run_stats.candidates_inspected;
-            stats.matches_found += run_stats.matches_found;
-            for m in matches {
-                if !pattern_matches(rule, other_graph, &m) {
-                    out.insert(Violation::new(rule.id.clone(), m));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Compute `ΔVio` for a single rule, with plans drawn from `cache`.
-#[allow(clippy::too_many_arguments)]
-pub fn delta_violations_for_rule_cached<GOld: GraphView, GNew: GraphView>(
-    rule: &Ngd,
-    old_graph: &GOld,
-    new_graph: &GNew,
-    inserted: &[EdgeRef],
-    deleted: &[EdgeRef],
-    stats: &mut MatchStats,
-    cache: &PlanCache,
-) -> DeltaViolations {
-    DeltaViolations {
-        added: update_driven_violations_cached(rule, new_graph, old_graph, inserted, stats, cache),
-        removed: update_driven_violations_cached(rule, old_graph, new_graph, deleted, stats, cache),
-    }
-}
-
-/// Compute `ΔVio(Σ, G, ΔG)` for a whole rule set (sequentially), with
-/// plans drawn from `cache`.
-pub fn delta_violations_cached<GOld: GraphView, GNew: GraphView>(
-    sigma: &RuleSet,
-    old_graph: &GOld,
-    new_graph: &GNew,
-    inserted: &[EdgeRef],
-    deleted: &[EdgeRef],
-    cache: &PlanCache,
-) -> (DeltaViolations, MatchStats) {
-    let mut delta = DeltaViolations::new();
-    let mut stats = MatchStats::default();
-    for rule in sigma.iter() {
-        delta.extend(delta_violations_for_rule_cached(
-            rule, old_graph, new_graph, inserted, deleted, &mut stats, cache,
-        ));
-    }
-    (delta, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matchn::find_violations;
+    use crate::matchn::{find_violations, FastPathTally, Matcher};
+    use crate::violation::{DeltaViolations, Violation, ViolationSet};
     use ngd_core::paper;
+    use ngd_core::RuleSet;
     use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, Value};
 
     /// Recompute ΔVio from scratch (batch on both graphs) — the oracle the
@@ -208,16 +126,38 @@ mod tests {
         }
     }
 
-    /// `ΔVio` for one rule with a throw-away plan cache.
+    /// `ΔVio` for one rule, expanded from the update pivots of both
+    /// halves of the batch, and the search-tree nodes it took.
     fn rule_delta(
         rule: &Ngd,
         g_old: &Graph,
         g_new: &Graph,
         inserted: &[EdgeRef],
         deleted: &[EdgeRef],
-    ) -> DeltaViolations {
-        let (mut stats, cache) = (MatchStats::default(), PlanCache::new());
-        delta_violations_for_rule_cached(rule, g_old, g_new, inserted, deleted, &mut stats, &cache)
+    ) -> (DeltaViolations, usize) {
+        let mut expanded = 0;
+        let mut side = |search: &Graph, other: &Graph, edges: &[EdgeRef]| {
+            let ranks = edge_ranks(edges);
+            let mut found = ViolationSet::new();
+            for (rank, &edge) in edges.iter().enumerate() {
+                let matcher = Matcher::new(&rule.pattern, search).with_forbidden(&ranks, rank);
+                for pivot in update_pivots(rule, search, std::iter::once(edge)) {
+                    let pe = rule.pattern.edges()[pivot.pattern_edge];
+                    let seeds = [(pe.src, edge.src), (pe.dst, edge.dst)];
+                    let mut tally = FastPathTally::default();
+                    let stats = matcher.expand_seeded_into(&seeds, rule, &mut tally, &mut |m| {
+                        if !pattern_matches(rule, other, m) {
+                            found.insert(Violation::new(rule.id.clone(), m.to_vec()));
+                        }
+                    });
+                    expanded += stats.expanded;
+                }
+            }
+            found
+        };
+        let added = side(g_new, g_old, inserted);
+        let removed = side(g_old, g_new, deleted);
+        (DeltaViolations { added, removed }, expanded)
     }
 
     #[test]
@@ -249,7 +189,7 @@ mod tests {
         delta.delete_edge(status_edge.src, status_edge.dst, status_edge.label);
         let g_new = delta.applied_to(&g_old).unwrap();
 
-        let result = rule_delta(&rule, &g_old, &g_new, &[], &[status_edge]);
+        let (result, _) = rule_delta(&rule, &g_old, &g_new, &[], &[status_edge]);
         assert_eq!(result.removed.len(), 1);
         assert!(result.added.is_empty());
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
@@ -276,7 +216,7 @@ mod tests {
         let mut insert = BatchUpdate::new();
         insert.insert_edge(total_edge.src, total_edge.dst, total_edge.label);
         let g_new = insert.applied_to(&g_old).unwrap();
-        let result = rule_delta(&rule, &g_old, &g_new, &[total_edge], &[]);
+        let (result, _) = rule_delta(&rule, &g_old, &g_new, &[total_edge], &[]);
         assert_eq!(result.added.len(), 1);
         assert!(result.removed.is_empty());
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
@@ -316,7 +256,7 @@ mod tests {
         let g_new = delta.applied_to(&g_old).unwrap();
 
         let inserted: Vec<EdgeRef> = delta.insertions().collect();
-        let result = rule_delta(&rule, &g_old, &g_new, &inserted, &[]);
+        let (result, _) = rule_delta(&rule, &g_old, &g_new, &inserted, &[]);
         // The pre-existing fake-account violation is NOT reported (it does
         // not involve an inserted edge and was already in Vio(Σ, G)).
         assert!(
@@ -364,7 +304,7 @@ mod tests {
 
         let inserted: Vec<EdgeRef> = delta.insertions().collect();
         let deleted: Vec<EdgeRef> = delta.deletions().collect();
-        let result = rule_delta(&rule, &g_old, &g_new, &inserted, &deleted);
+        let (result, _) = rule_delta(&rule, &g_old, &g_new, &inserted, &deleted);
         assert_eq!(result, oracle_delta(&rule, &g_old, &g_new));
         assert!(
             !result.removed.is_empty(),
@@ -390,18 +330,23 @@ mod tests {
         delta.delete_edge(fake, status_node, intern("status"));
         let g_new = delta.applied_to(&g_old).unwrap();
         let deleted: Vec<EdgeRef> = delta.deletions().collect();
-        let (result, stats) =
-            delta_violations_cached(&sigma, &g_old, &g_new, &[], &deleted, &PlanCache::new());
+        let mut result = DeltaViolations::new();
+        let mut expanded = 0;
+        for rule in sigma.iter() {
+            let (delta, nodes) = rule_delta(rule, &g_old, &g_new, &[], &deleted);
+            result.extend(delta);
+            expanded += nodes;
+        }
         assert_eq!(result.removed.len(), 1);
         assert!(result.added.is_empty());
-        assert!(stats.expanded > 0);
+        assert!(expanded > 0);
     }
 
     #[test]
     fn noop_update_produces_empty_delta() {
         let (g, _) = paper::figure1_g2();
         let rule = paper::phi2();
-        let result = rule_delta(&rule, &g, &g, &[], &[]);
+        let (result, _) = rule_delta(&rule, &g, &g, &[], &[]);
         assert!(result.added.is_empty());
         assert!(result.removed.is_empty());
     }

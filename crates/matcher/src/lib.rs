@@ -10,9 +10,10 @@
 //!   fan-out, per-step anchor sets, and the step at which each literal of
 //!   the rule is decided) from O(1) snapshot statistics, cached per (rule,
 //!   seed set) in an epoch-keyed [`PlanCache`];
-//! * [`inc`] — the update-driven incremental matcher (`IncMatch`): expands
-//!   update pivots triggered by edge insertions/deletions and returns the
-//!   exact violation delta `(ΔVio⁺, ΔVio⁻)`;
+//! * [`inc`] — the pieces of update-driven incremental matching
+//!   (`IncMatch`): the update pivots triggered by edge insertions/deletions,
+//!   their de-duplication ranks and the other-side check that makes the
+//!   violation delta `(ΔVio⁺, ΔVio⁻)` exact;
 //! * [`violation`] — violation records, violation sets and deltas.
 //!
 //! Everything is generic over `ngd_graph::GraphView`, so the same search
@@ -33,10 +34,7 @@ pub mod matchn;
 pub mod plan;
 pub mod violation;
 
-pub use inc::{
-    delta_violations_cached, delta_violations_for_rule_cached, edge_ranks, pattern_matches,
-    update_driven_violations_cached, update_pivots, UpdatePivot,
-};
+pub use inc::{edge_ranks, pattern_matches, update_pivots, UpdatePivot};
 pub use matchn::{
     find_matches, find_violations, FastPathTally, ForbiddenEdges, MatchLimits, MatchStats, Matcher,
 };

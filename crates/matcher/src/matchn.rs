@@ -30,8 +30,8 @@
 //! [`FastPathTally`] counters say, from outside, whether both fast paths
 //! are engaged.
 //!
-//! The same engine expands *update pivots* for the incremental matcher in
-//! [`crate::inc`], via [`Matcher::expand_seeded`].
+//! The same engine expands the *update pivots* of [`crate::inc`] for the
+//! incremental detectors, via [`Matcher::expand_seeded_into`].
 
 use crate::plan::{self, MatchPlan, PlanStep};
 use crate::violation::{Violation, ViolationSet};
@@ -76,7 +76,7 @@ pub struct MatchLimits {
 }
 
 /// Statistics of a matching run (used by tests that assert locality and by
-/// the workload cost model).
+/// the detectors' reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Number of partial solutions expanded (search-tree nodes).
@@ -108,7 +108,7 @@ pub struct FastPathTally {
     /// Steps that iterated a borrowed adjacency run.
     pub candidates_borrowed: u64,
     /// Steps that copied their candidates into a list (run intersections,
-    /// seed lists, views without contiguous runs, stepwise expansion).
+    /// seed lists, views without contiguous runs).
     pub candidates_materialised: u64,
 }
 
@@ -444,7 +444,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// Enumerate every homomorphic match of the pattern.
     pub fn find_all(&self) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
-        self.run(&[], None, &mut |m| out.push(m.to_vec()));
+        self.run_observed(&[], None, &mut |m| out.push(m.to_vec()));
         out
     }
 
@@ -459,22 +459,22 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// statistics of the run.
     pub fn find_violations_with_stats(&self, rule: &Ngd) -> (ViolationSet, MatchStats) {
         let mut out = ViolationSet::new();
-        let stats = self.run(&[], Some(rule), &mut |m| {
+        let stats = self.run_observed(&[], Some(rule), &mut |m| {
             out.insert(Violation::new(rule.id.clone(), m.to_vec()));
         });
         (out, stats)
     }
 
     /// Enumerate matches (or violations, if `rule` is given) that extend the
-    /// given seed assignment — the update-pivot expansion of `IncMatch`.
-    /// Returns the matches and the search statistics.
+    /// given seed assignment.  Returns the matches and the search
+    /// statistics.
     pub fn expand_seeded(
         &self,
         seeds: &[(Var, NodeId)],
         rule: Option<&Ngd>,
     ) -> (Vec<Vec<NodeId>>, MatchStats) {
         let mut out = Vec::new();
-        let stats = self.run(seeds, rule, &mut |m| out.push(m.to_vec()));
+        let stats = self.run_observed(seeds, rule, &mut |m| out.push(m.to_vec()));
         (out, stats)
     }
 
@@ -549,11 +549,41 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         self.graph.contains_node(node) && self.label_ok(var, node)
     }
 
+    /// [`Matcher::expand_seeded`] for a caller that runs many seeded
+    /// searches: each violation of `rule` is handed to `emit` as a borrowed
+    /// slice, and the fast-path tallies are added to `tally` instead of the
+    /// metrics registry, so the caller folds them once.  This is the
+    /// incremental detectors' inner loop: one call per update pivot.
+    pub fn expand_seeded_into(
+        &self,
+        seeds: &[(Var, NodeId)],
+        rule: &Ngd,
+        tally: &mut FastPathTally,
+        emit: &mut dyn FnMut(&[NodeId]),
+    ) -> MatchStats {
+        self.run(seeds, Some(rule), tally, emit)
+    }
+
+    /// [`Matcher::run`] with its fast-path tally folded into the metrics
+    /// registry.
+    fn run_observed(
+        &self,
+        seeds: &[(Var, NodeId)],
+        rule: Option<&Ngd>,
+        emit: &mut dyn FnMut(&[NodeId]),
+    ) -> MatchStats {
+        let mut tally = FastPathTally::default();
+        let stats = self.run(seeds, rule, &mut tally, emit);
+        tally.observe();
+        stats
+    }
+
     /// Core search driver.
     fn run(
         &self,
         seeds: &[(Var, NodeId)],
         rule: Option<&Ngd>,
+        tally: &mut FastPathTally,
         emit: &mut dyn FnMut(&[NodeId]),
     ) -> MatchStats {
         let n = self.pattern.node_count();
@@ -564,8 +594,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         if self.legacy {
             let mut stats = MatchStats::default();
             let mut assignment: Vec<Option<NodeId>> = vec![None; n];
-            let mut tally = FastPathTally::default();
-            if self.install_seeds(seeds, rule, &mut assignment, &mut tally) {
+            if self.install_seeds(seeds, rule, &mut assignment, tally) {
                 let order = self.matching_order(&seed_vars.collect::<Vec<_>>());
                 let mut emitted = 0usize;
                 self.search(
@@ -575,17 +604,16 @@ impl<'g, G: GraphView> Matcher<'g, G> {
                     rule,
                     emit,
                     &mut stats,
-                    &mut tally,
+                    tally,
                     &mut emitted,
                 );
             }
-            tally.observe();
             return stats;
         }
         let plan = self.plan_for(seed_vars, rule);
         let mut search = PlannedSearch::new(self, &plan, rule, emit);
         search.run_seeded(seeds);
-        search.tally.observe();
+        tally.merge(&search.tally);
         search.stats
     }
 
@@ -852,47 +880,6 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             }
         }
         true
-    }
-
-    /// One candidate-generation step for stepwise engines (the parallel
-    /// incremental detector expands partial solutions one variable at a
-    /// time across workers): the label-filtered candidates for the plan
-    /// step at `depth` (anchored-run intersection included) as an owned
-    /// list, with the adjacency-list length of the anchor node they were
-    /// drawn from — the `|h(u_r).adj|` quantity of the paper's
-    /// work-splitting cost model; when no assigned neighbour anchors the
-    /// step, the size of the label index consulted instead.  Callers
-    /// validate each extension through [`Matcher::step_viable`].
-    pub fn planned_candidate_step(
-        &self,
-        plan: &MatchPlan,
-        depth: usize,
-        assignment: &[Option<NodeId>],
-        tally: &mut FastPathTally,
-    ) -> (Vec<NodeId>, usize) {
-        let step = &plan.steps[depth];
-        let anchor_degree = step
-            .anchors
-            .iter()
-            .filter_map(|a| assignment[a.other.index()].map(|n| self.graph.degree(n)))
-            .min()
-            .unwrap_or_else(|| self.candidate_count(step.var));
-        let mut stats = MatchStats::default();
-        // One allocation per step: the owned list is filled once (a slice
-        // copy on the common path) and label-filtered in place.
-        let mut candidates = Vec::new();
-        if let Drawn::Run(run) = self.draw_candidates(
-            step,
-            assignment,
-            &mut stats,
-            &mut Vec::new(),
-            &mut candidates,
-        ) {
-            candidates.extend_from_slice(run);
-        }
-        candidates.retain(|&n| self.label_ok(step.var, n));
-        tally.candidates_materialised += 1;
-        (candidates, anchor_degree)
     }
 }
 
@@ -1340,7 +1327,7 @@ mod tests {
             Matcher::new(&wide.pattern, &snap).find_violations_with_stats(&wide)
         );
         assert_eq!(installed.find_all(), find_matches(&wide.pattern, &snap));
-        // The stepwise check does the same: with a foreign plan it falls
+        // The per-step check does the same: with a foreign plan it falls
         // back to the full check instead of reading the foreign schedule.
         let matcher = Matcher::new(&narrow.pattern, &snap);
         let last = wide_plan.len() - 1;

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ngd-serve --snapshot graph.ngds [--listen unix:/run/ngd.sock | tcp:127.0.0.1:7411]
-//!           [--rules rules.ngdl|rules.json] [--processors N] [--latency C]
+//!           [--rules rules.ngdl|rules.json] [--processors N]
 //!           [--compact-after OPS] [--metrics-dump FILE] [--metrics-interval SECS]
 //! ```
 //!
@@ -25,7 +25,6 @@ struct Args {
     listen: ServeAddr,
     rules: Option<PathBuf>,
     processors: Option<usize>,
-    latency: Option<f64>,
     compact_after: Option<u64>,
     metrics_dump: Option<PathBuf>,
     metrics_interval: Option<u64>,
@@ -35,7 +34,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: ngd-serve --snapshot <file.ngds> [--listen unix:<path>|tcp:<host>:<port>]\n\
-         \x20                [--rules <file>] [--processors <n>] [--latency <C>]\n\
+         \x20                [--rules <file>] [--processors <n>]\n\
          \x20                [--compact-after <ops>] [--workers <n>]\n\
          \x20                [--metrics-dump <file.json>] [--metrics-interval <secs>]\n\
          \n\
@@ -53,7 +52,6 @@ fn parse_args() -> Args {
     let mut listen = ServeAddr::Tcp("127.0.0.1:7411".into());
     let mut rules = None;
     let mut processors = None;
-    let mut latency = None;
     let mut compact_after = None;
     let mut metrics_dump = None;
     let mut metrics_interval = None;
@@ -78,10 +76,6 @@ fn parse_args() -> Args {
             "--rules" => rules = Some(PathBuf::from(value("--rules"))),
             "--processors" => match value("--processors").parse() {
                 Ok(n) => processors = Some(n),
-                Err(_) => usage(),
-            },
-            "--latency" => match value("--latency").parse() {
-                Ok(c) => latency = Some(c),
                 Err(_) => usage(),
             },
             "--compact-after" => match value("--compact-after").parse() {
@@ -113,7 +107,6 @@ fn parse_args() -> Args {
         listen,
         rules,
         processors,
-        latency,
         compact_after,
         metrics_dump,
         metrics_interval,
@@ -154,9 +147,6 @@ fn main() -> ExitCode {
     let mut detector = DetectorConfig::default();
     if let Some(p) = args.processors {
         detector.processors = p.max(1);
-    }
-    if let Some(c) = args.latency {
-        detector.latency_c = c;
     }
 
     println!(

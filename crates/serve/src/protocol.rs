@@ -867,10 +867,9 @@ mod tests {
                 plan_cache_hits: 6,
                 plan_cache_misses: 2,
             },
-            cost: {
-                let mut c = CostLedger::default();
-                c.record_split(60.0, 2);
-                c
+            cost: CostLedger {
+                splits: 1,
+                ..CostLedger::default()
             },
         };
         let back = DoneResponse::decode(&done.encode()).unwrap();

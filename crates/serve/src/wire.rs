@@ -492,9 +492,11 @@ mod tests {
         ];
         let mut w = WireWriter::new();
         put_violations(&mut w, &violations.iter().collect::<Vec<_>>());
-        let mut cost = CostLedger::default();
-        cost.record_migration(5);
-        cost.record_scan(77);
+        let cost = CostLedger {
+            scanned: 77,
+            migrations: 5,
+            ..CostLedger::default()
+        };
         put_cost(&mut w, &cost);
         put_stats(
             &mut w,

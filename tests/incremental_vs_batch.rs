@@ -1,20 +1,64 @@
-//! `IncDect` must compute exactly the delta a batch recomputation would:
-//! `ΔVio⁺ = Vio(G ⊕ ΔG) \ Vio(G)` and `ΔVio⁻ = Vio(G) \ Vio(G ⊕ ΔG)`.
-//! These tests drive it with many different update mixes (insert-only,
-//! delete-only, mixed, overlapping, degenerate) on both dataset families.
+//! `IncDect` and `PIncDect` must compute exactly the delta a batch
+//! recomputation would: `ΔVio⁺ = Vio(G ⊕ ΔG) \ Vio(G)` and
+//! `ΔVio⁻ = Vio(G) \ Vio(G ⊕ ΔG)`, with `Vio` computed by `Dect` over the
+//! materialised graphs.  These tests drive them with many different update
+//! mixes (insert-only, delete-only, mixed, overlapping, degenerate) on both
+//! dataset families.
 
 use ngd_core::paper;
 use ngd_core::RuleSet;
-use ngd_detect::{dect, inc_dect, inc_dect_prepared};
+use ngd_detect::{
+    dect, inc_dect, inc_dect_prepared, pinc_dect_prepared, pinc_dect_prepared_streaming,
+    DetectorConfig, VioSide,
+};
 use ngd_graph::{intern, BatchUpdate};
 use ngd_integration_tests::{knowledge_workload, oracle_delta, social_workload, update_for};
+use ngd_match::{DeltaViolations, PlanCache};
+use std::sync::Mutex;
 
+/// `IncDect`, `PIncDect` at p ∈ {1, 2, 3}, and what `PIncDect` streams at
+/// p = 2, each against the batch oracle.
 fn assert_matches_oracle(graph: &ngd_graph::Graph, sigma: &RuleSet, delta: &BatchUpdate) {
     let updated = delta.applied_to(graph).expect("update applies");
     let (added, removed) = oracle_delta(sigma, graph, &updated);
     let report = inc_dect_prepared(sigma, graph, &updated, delta);
     assert_eq!(report.delta.added, added, "ΔVio⁺ mismatch");
     assert_eq!(report.delta.removed, removed, "ΔVio⁻ mismatch");
+
+    for p in [1, 2, 3] {
+        let config = DetectorConfig::with_processors(p);
+        let report = pinc_dect_prepared(sigma, graph, &updated, delta, &config);
+        assert_eq!(report.delta.added, added, "ΔVio⁺ mismatch at p={p}");
+        assert_eq!(report.delta.removed, removed, "ΔVio⁻ mismatch at p={p}");
+    }
+
+    // The stream, collected with its raw delivery count: a duplicate would
+    // vanish into the sets but not from the count.
+    let streamed = Mutex::new((DeltaViolations::new(), 0));
+    pinc_dect_prepared_streaming(
+        sigma,
+        graph,
+        &updated,
+        delta,
+        &DetectorConfig::with_processors(2),
+        &PlanCache::new(),
+        Some(&|side, violation| {
+            let mut guard = streamed.lock().unwrap();
+            match side {
+                VioSide::Added => guard.0.added.insert(violation.clone()),
+                VioSide::Removed => guard.0.removed.insert(violation.clone()),
+            };
+            guard.1 += 1;
+        }),
+    );
+    let (streamed, deliveries) = streamed.into_inner().unwrap();
+    assert_eq!(streamed.added, added, "streamed ΔVio⁺ mismatch");
+    assert_eq!(streamed.removed, removed, "streamed ΔVio⁻ mismatch");
+    assert_eq!(
+        deliveries,
+        added.len() + removed.len(),
+        "a repeated delivery"
+    );
 }
 
 #[test]

@@ -8,9 +8,9 @@
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{
     generate_knowledge, generate_rules, generate_social, generate_update, KnowledgeConfig,
-    RuleGenConfig, SocialConfig, UpdateConfig,
+    RuleGenConfig, SocialConfig, StdRng, UpdateConfig,
 };
-use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, Value};
+use ngd_graph::{intern, AttrMap, BatchUpdate, EdgeRef, Graph, Value};
 use ngd_match::ViolationSet;
 
 /// A small DBpedia-like knowledge graph with seeded errors plus the paper's
@@ -84,6 +84,29 @@ pub fn example7_workload() -> (Graph, BatchUpdate, RuleSet) {
 /// `seed`.
 pub fn update_for(graph: &Graph, fraction: f64, seed: u64) -> BatchUpdate {
     generate_update(graph, &UpdateConfig::fraction(fraction).with_seed(seed))
+}
+
+/// The benchmark's `small_*` request: `ops / 2` edges moved — `(s, d, l)`
+/// deleted, `(s, d', l)` inserted with `d'` another node of `d`'s label.
+pub fn paired_moves(graph: &Graph, ops: usize, rng: &mut StdRng) -> BatchUpdate {
+    let edges = graph.edge_vec();
+    let mut batch = BatchUpdate::new();
+    let mut moved: Vec<EdgeRef> = Vec::new();
+    while batch.len() < ops {
+        let edge = edges[rng.gen_range(0..edges.len())];
+        let peers = graph.nodes_with_label(graph.label(edge.dst));
+        let target = EdgeRef::new(edge.src, peers[rng.gen_range(0..peers.len())], edge.label);
+        if moved.contains(&edge)
+            || moved.contains(&target)
+            || graph.has_edge(target.src, target.dst, target.label)
+        {
+            continue;
+        }
+        batch.delete_edge(edge.src, edge.dst, edge.label);
+        batch.insert_edge(target.src, target.dst, target.label);
+        moved.extend([edge, target]);
+    }
+    batch
 }
 
 /// The incremental-detection oracle: recompute the violation sets of both

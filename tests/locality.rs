@@ -8,8 +8,8 @@
 //! 1. a small batch reads the same amount of graph on an 11k-node and on a
 //!    111k-node snapshot, and never enumerates the whole graph;
 //! 2. with one processor the run stays on the caller's thread;
-//! 3. the workers' block-and-notify protocol always terminates, with the
-//!    right answer, for every worker count and ablation variant.
+//! 3. the workers always terminate with the right answer, for every worker
+//!    count — including more workers than pivot groups.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_rules, KnowledgeConfig, RuleGenConfig, StdRng};
@@ -17,7 +17,7 @@ use ngd_detect::{inc_dect, pinc_dect_prepared, DetectorConfig, IncrementalSessio
 use ngd_graph::{
     AttrMap, BatchUpdate, CsrSnapshot, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Sym, Value,
 };
-use ngd_integration_tests::example7_workload;
+use ngd_integration_tests::{example7_workload, paired_moves};
 use ngd_match::PlanCache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -153,29 +153,6 @@ impl<B: GraphView> GraphView for Counting<B> {
     }
 }
 
-/// The benchmark's `small_*` request: `ops / 2` edges moved — `(s, d, l)`
-/// deleted, `(s, d', l)` inserted with `d'` another node of `d`'s label.
-fn paired_moves(graph: &Graph, ops: usize, rng: &mut StdRng) -> BatchUpdate {
-    let edges = graph.edge_vec();
-    let mut batch = BatchUpdate::new();
-    let mut moved: Vec<EdgeRef> = Vec::new();
-    while batch.len() < ops {
-        let edge = edges[rng.gen_range(0..edges.len())];
-        let peers = graph.nodes_with_label(graph.label(edge.dst));
-        let target = EdgeRef::new(edge.src, peers[rng.gen_range(0..peers.len())], edge.label);
-        if moved.contains(&edge)
-            || moved.contains(&target)
-            || graph.has_edge(target.src, target.dst, target.label)
-        {
-            continue;
-        }
-        batch.delete_edge(edge.src, edge.dst, edge.label);
-        batch.insert_edge(target.src, target.dst, target.label);
-        moved.extend([edge, target]);
-    }
-    batch
-}
-
 /// Node reads and scans of `rounds` 16-op requests against a fresh session
 /// each (the benchmark's `RESET` after every `UPDATE`), plans warm.
 fn reads_per_request(snapshot: CsrSnapshot, graph: &Graph, sigma: &RuleSet) -> (u64, u64) {
@@ -278,8 +255,9 @@ fn one_processor_runs_on_the_callers_thread() {
     assert_eq!(deliveries.into_inner(), 99);
 }
 
-/// A lost wake-up shows as a worker blocked forever: the watchdog turns
-/// that into a failure here rather than a hung request in production.
+/// A worker that never returns shows as a hung request: the watchdog turns
+/// that into a failure here.  Example 7 has one pivot group, so every
+/// count above 1 leaves workers with nothing to do.
 #[test]
 fn block_and_notify_terminates_for_every_worker_count_and_variant() {
     const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
@@ -291,34 +269,18 @@ fn block_and_notify_terminates_for_every_worker_count_and_variant() {
         let snapshot = graph.freeze();
         let old_view = snapshot.as_overlay();
         let new_view = DeltaOverlay::new(&snapshot, &delta);
-        // A small latency constant forces splits (cross-queue pushes), a
-        // 1 ms interval forces migrations: every notification path runs.
         for p in WORKER_COUNTS {
-            let base = DetectorConfig::with_processors(p)
-                .latency(0.5)
-                .interval_ms(1);
-            for config in [
-                base.hybrid(),
-                base.no_splitting(),
-                base.no_balancing(),
-                base.no_hybrid(),
-            ] {
-                for round in 0..200 {
-                    let report = pinc_dect_prepared(&sigma, &old_view, &new_view, &delta, &config);
-                    assert_eq!(
-                        report.delta,
-                        expected,
-                        "{} p={p} round {round}",
-                        report.algorithm.label()
-                    );
-                }
-                progress_tx.send(()).expect("the test is still waiting");
+            let config = DetectorConfig::with_processors(p);
+            for round in 0..200 {
+                let report = pinc_dect_prepared(&sigma, &old_view, &new_view, &delta, &config);
+                assert_eq!(report.delta, expected, "p={p} round {round}");
             }
+            progress_tx.send(()).expect("the test is still waiting");
         }
     });
     // 200 runs take about a second unoptimised; 30 s without progress is a
-    // blocked worker, not a slow machine.
-    for _ in 0..WORKER_COUNTS.len() * 4 {
+    // hung worker, not a slow machine.
+    for _ in 0..WORKER_COUNTS.len() {
         progress_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("200 runs terminate with IncDect's ΔVio within 30 s");

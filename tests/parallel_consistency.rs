@@ -1,10 +1,10 @@
 //! The parallel detectors must return exactly the same answers as their
-//! sequential yardsticks, for every processor count and every ablation
-//! variant — parallelism and workload balancing may never change results.
+//! sequential yardsticks, for every processor count — parallelism may
+//! never change results.
 
 use ngd_core::{Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_detect::{
-    dect, dect_on, inc_dect, pdect, pdect_on, pinc_dect, AlgorithmKind, DetectorConfig,
+    dect, dect_on, inc_dect, pdect, pdect_on, pinc_dect, AlgorithmKind, DeltaReport, DetectorConfig,
 };
 use ngd_graph::{AttrMap, Graph, NodeId, Value};
 use ngd_integration_tests::{knowledge_workload, social_workload, update_for};
@@ -28,21 +28,26 @@ fn pincdect_matches_incdect_for_every_variant_and_processor_count() {
     let (graph, sigma) = knowledge_workload(67);
     let delta = update_for(&graph, 0.12, 67);
     let reference = inc_dect(&sigma, &graph, &delta);
-    for p in [1, 2, 4, 6] {
-        let base = DetectorConfig::with_processors(p);
-        for (config, expected) in [
-            (base.hybrid(), AlgorithmKind::PIncDect),
-            (base.no_splitting(), AlgorithmKind::PIncDectNs),
-            (base.no_balancing(), AlgorithmKind::PIncDectNb),
-            (base.no_hybrid(), AlgorithmKind::PIncDectNo),
-        ] {
-            let report = pinc_dect(&sigma, &graph, &delta, &config);
-            assert_eq!(report.algorithm, expected);
-            assert_eq!(
-                report.delta, reference.delta,
-                "{expected:?} with p={p} diverged from IncDect"
-            );
-        }
+    assert_eq!(reference.algorithm, AlgorithmKind::IncDect);
+    // Dealing pivot groups to workers moves work, it never adds any: the
+    // search tree is IncDect's, whatever p.
+    let counts = |r: &DeltaReport| {
+        let s = r.stats;
+        (
+            s.expanded,
+            s.candidates_inspected,
+            s.matches_found,
+            s.gallop_intersections,
+        )
+    };
+    for p in [1, 2, 4, 5, 6] {
+        let report = pinc_dect(&sigma, &graph, &delta, &DetectorConfig::with_processors(p));
+        assert_eq!(report.algorithm, AlgorithmKind::PIncDect);
+        assert_eq!(
+            report.delta, reference.delta,
+            "PIncDect with p={p} diverged from IncDect"
+        );
+        assert_eq!(counts(&report), counts(&reference), "p={p}");
     }
 }
 
@@ -55,29 +60,6 @@ fn social_workload_parallel_consistency() {
         let report = pinc_dect(&sigma, &graph, &delta, &DetectorConfig::with_processors(p));
         assert_eq!(report.delta, reference.delta);
     }
-}
-
-#[test]
-fn aggressive_splitting_and_balancing_settings_do_not_change_results() {
-    let (graph, sigma) = knowledge_workload(73);
-    let delta = update_for(&graph, 0.10, 73);
-    let reference = inc_dect(&sigma, &graph, &delta);
-    // Tiny latency constant → split as often as possible; 1 ms interval →
-    // balance as often as possible; extreme thresholds in both directions.
-    let config = DetectorConfig {
-        processors: 5,
-        latency_c: 0.1,
-        balance_interval_ms: 1,
-        skew_high: 1.1,
-        skew_low: 0.95,
-        work_splitting: true,
-        workload_balancing: true,
-    };
-    let report = pinc_dect(&sigma, &graph, &delta, &config);
-    assert_eq!(report.delta, reference.delta);
-    // With such a small latency constant at least some unit must have split
-    // (the knowledge graph has hub nodes with sizable adjacency lists).
-    assert!(report.cost.splits + report.cost.local_expansions > 0);
 }
 
 #[test]
@@ -103,21 +85,14 @@ fn work_and_violations_are_reported_in_the_ledger() {
         assert!(report.stats.expanded > 0);
         assert!(report.stats.candidates_inspected > 0);
     }
-    // Every inspected candidate is charged as scanned work, and every split
-    // or migration pays at least one latency unit `C`.
+    // Every inspected candidate is charged as scanned work.
     assert_eq!(
         report.cost.scanned,
         report.stats.candidates_inspected as u64
     );
-    let messages = (report.cost.splits + report.cost.migrations) as f64;
-    assert!(report.cost.latency_units >= config.latency_c * messages);
-    // The batch detector charges its scan the same way and never pays
-    // latency: it neither splits nor migrates.
+    // The batch detector charges its scan the same way.
     let batch = pdect(&sigma, &graph, &config);
     assert_eq!(batch.cost.scanned, batch.stats.candidates_inspected as u64);
-    assert_eq!(batch.cost.latency_units, 0.0);
-    // The modelled cost is monotone in the processor count's inverse.
-    assert!(report.cost.modelled_cost(1) >= report.cost.modelled_cost(8));
 }
 
 #[test]

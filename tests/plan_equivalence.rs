@@ -15,8 +15,8 @@
 //! * the literal schedule — the per-step check of the planned search
 //!   (`Matcher::step_viable`) against the full check
 //!   (`Matcher::partial_viable`) on every partial assignment of a stepwise
-//!   expansion, on every backend, seeded, unseeded and with forbidden
-//!   edges.
+//!   expansion that draws its own candidates, on every backend, seeded,
+//!   unseeded and with forbidden edges.
 
 use ngd_core::{paper, Expr, Literal, Ngd, Pattern, RuleSet, Var};
 use ngd_datagen::StdRng;
@@ -24,10 +24,12 @@ use ngd_detect::{
     dect_on, dect_on_cached, inc_dect_prepared, pdect_on, pinc_dect_prepared, DetectorConfig,
 };
 use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Value};
+use ngd_graph::{
+    AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Value, WILDCARD,
+};
 use ngd_match::{
     compile_rule_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, FastPathTally,
-    MatchPlan, Matcher, PlanCache, Violation, ViolationSet,
+    MatchPlan, Matcher, PlanCache, PlanStep, SeedChoice, Violation, ViolationSet,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -380,10 +382,38 @@ enum Check {
     Scheduled,
 }
 
-/// Expand `seeds` breadth-first over `plan`, one plan step per round, the
-/// way the parallel incremental detector does.  Returns the violations and
-/// the number of viable partial assignments after each searched step, or
-/// `None` when the seeds themselves are rejected.
+/// The candidates a stepwise expansion tries for `step`: the nodes its
+/// compiled seed choice names when no assigned variable anchors it (as the
+/// planned search draws them), else the whole label partition of its
+/// variable — a superset of the anchored runs, which the check under test
+/// must narrow down.
+fn step_candidates<G: GraphView>(graph: &G, rule: &Ngd, step: &PlanStep) -> Vec<NodeId> {
+    if let (
+        true,
+        Some(SeedChoice::Triple {
+            src_label,
+            edge_label,
+            dst_label,
+            want_src,
+        }),
+    ) = (step.anchors.is_empty(), step.seed)
+    {
+        if let Some(nodes) =
+            graph.labeled_triple_endpoints(src_label, edge_label, dst_label, want_src)
+        {
+            return nodes;
+        }
+    }
+    match rule.pattern.label(step.var) {
+        WILDCARD => graph.node_ids_vec(),
+        label => graph.nodes_with_label_vec(label),
+    }
+}
+
+/// Expand `seeds` breadth-first over `plan`, one plan step per round.
+/// Returns the violations and the number of viable partial assignments
+/// after each searched step, or `None` when the seeds themselves are
+/// rejected.
 fn stepwise<G: GraphView>(
     matcher: &Matcher<'_, G>,
     graph: &G,
@@ -413,9 +443,9 @@ fn stepwise<G: GraphView>(
             continue; // a seed step
         }
         let mut next = Vec::new();
+        let candidates = step_candidates(graph, rule, &plan.steps[depth]);
         for partial in &frontier {
-            let (candidates, _) = matcher.planned_candidate_step(plan, depth, partial, &mut tally);
-            for candidate in candidates {
+            for &candidate in &candidates {
                 let mut extended = partial.clone();
                 extended[var.index()] = Some(candidate);
                 let viable = match check {
