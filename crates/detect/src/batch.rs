@@ -1,15 +1,15 @@
 //! Batch detectors `Dect` (sequential) and `PDect` (parallel).
 //!
-//! `Dect` computes `Vio(Σ, G)` by running the violation matcher rule by
-//! rule — the yardstick every incremental algorithm is compared against.
+//! `Dect` computes `Vio(Σ, G)` by running each rule's unseeded match plan
+//! — the yardstick every incremental algorithm is compared against.
 //!
-//! `PDect` is the parallel batch baseline (the paper extends the GFD
-//! detection algorithms of SIGMOD'16 to NGDs): the match space of every
-//! rule is partitioned by the candidate nodes of the rule's most selective
-//! pattern variable, and the resulting work units are processed by a fixed
-//! pool of OS threads.  Each unit expands the seeded partial solution
-//! exactly like the sequential matcher, so `PDect` returns the same
-//! violation set as `Dect`.
+//! `PDect` is the same search with its match space split over `p` workers
+//! (the paper extends the GFD detection algorithms of SIGMOD'16 to NGDs):
+//! the caller draws each rule's first-step candidates once, from the plan's
+//! seed choice, and every worker expands its stride of them exactly as the
+//! sequential search would.  `PDect` therefore returns `Dect`'s violations
+//! and the same search counts at every `p`, and [`dect`] is this body on
+//! one worker, inline on the caller.
 //!
 //! Both detectors run over any [`GraphView`] via [`dect_on`] /
 //! [`pdect_on`]; the [`Graph`]-taking entry points freeze the graph into a
@@ -20,9 +20,9 @@
 use crate::config::{AlgorithmKind, DetectorConfig};
 use crate::cost::CostLedger;
 use crate::report::{DetectionReport, SearchStats};
-use ngd_core::{Ngd, RuleSet, Var};
-use ngd_graph::{Graph, GraphView, NodeId, WILDCARD};
-use ngd_match::{compile_rule_plan, MatchPlan, Matcher, PlanCache, Violation, ViolationSet};
+use ngd_core::RuleSet;
+use ngd_graph::{Graph, GraphView};
+use ngd_match::{compile_rule_plan, Matcher, PlanCache, Violation, ViolationSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,68 +33,24 @@ pub fn dect(sigma: &RuleSet, graph: &Graph) -> DetectionReport {
 }
 
 /// Sequential batch detection over any graph view: compute `Vio(Σ, G)`.
-pub fn dect_on<G: GraphView>(sigma: &RuleSet, graph: &G) -> DetectionReport {
+pub fn dect_on<G: GraphView + Sync>(sigma: &RuleSet, graph: &G) -> DetectionReport {
     dect_on_cached(sigma, graph, &PlanCache::new())
 }
 
 /// [`dect_on`] with a caller-owned [`PlanCache`]: compiled match plans are
 /// reused across calls against the same snapshot epoch (the serving path).
-pub fn dect_on_cached<G: GraphView>(
+///
+/// This is the `PDect` body on one worker, which never leaves the calling
+/// thread.
+pub fn dect_on_cached<G: GraphView + Sync>(
     sigma: &RuleSet,
     graph: &G,
     cache: &PlanCache,
 ) -> DetectionReport {
-    let start = Instant::now();
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let mut violations = ViolationSet::new();
-    let mut stats = SearchStats::default();
-    for rule in sigma.iter() {
-        let rule_start = Instant::now();
-        let plan = cache.get_or_compile(&rule.id, &[], || compile_rule_plan(rule, graph, &[]));
-        let matcher = Matcher::new(&rule.pattern, graph).with_plan(plan);
-        let (vio, s) = matcher.find_violations_with_stats(rule);
-        violations.extend(vio);
-        stats.merge(&s.into());
-        // Per-rule match latency: one registry lookup per rule per run,
-        // nowhere near the per-candidate hot path.
-        if ngd_obs::enabled() {
-            ngd_obs::global()
-                .histogram(&format!("detect.rule.{}.match_ns", rule.id))
-                .record_duration(rule_start.elapsed());
-        }
-    }
-    stats.record_plan_cache(hits0, misses0, cache);
+    let config = DetectorConfig::with_processors(1);
     DetectionReport {
         algorithm: AlgorithmKind::Dect,
-        violations,
-        elapsed: start.elapsed(),
-        stats,
-        cost: CostLedger::default(),
-        processors: 1,
-    }
-    .observed()
-}
-
-/// The most selective pattern variable of a rule: the one with the fewest
-/// label-compatible candidates in `graph`.
-fn root_variable<G: GraphView>(rule: &Ngd, graph: &G) -> Option<Var> {
-    rule.pattern.vars().min_by_key(|&v| {
-        let label = rule.pattern.label(v);
-        if label == WILDCARD {
-            graph.node_count()
-        } else {
-            graph.label_count(label)
-        }
-    })
-}
-
-/// Candidate nodes for a pattern variable.
-fn candidates_for<G: GraphView>(rule: &Ngd, graph: &G, var: Var) -> Vec<NodeId> {
-    let label = rule.pattern.label(var);
-    if label == WILDCARD {
-        graph.node_ids_vec()
-    } else {
-        graph.nodes_with_label_vec(label)
+        ..pdect_on_cached(sigma, graph, &config, cache)
     }
 }
 
@@ -105,7 +61,7 @@ pub fn pdect(sigma: &RuleSet, graph: &Graph, config: &DetectorConfig) -> Detecti
 }
 
 /// Parallel batch detection over any graph view with `config.processors`
-/// worker threads.
+/// workers.
 pub fn pdect_on<G: GraphView + Sync>(
     sigma: &RuleSet,
     graph: &G,
@@ -114,21 +70,9 @@ pub fn pdect_on<G: GraphView + Sync>(
     pdect_on_cached(sigma, graph, config, &PlanCache::new())
 }
 
-/// The batch pivots of one rule: every candidate of its root variable,
-/// expanded through one compiled plan.
-struct RootedRule<'a> {
-    rule: &'a Ngd,
-    root: Var,
-    plan: Arc<MatchPlan>,
-    candidates: Vec<NodeId>,
-    /// Position of the rule's first candidate in the concatenation of all
-    /// rules' candidates, which is what the workers stride over.
-    offset: usize,
-}
-
-/// [`pdect_on`] with a caller-owned [`PlanCache`].  Each rule's plan is
-/// compiled (or fetched) once, before the worker pool starts, and the one
-/// `Arc<MatchPlan>` is shared by every batch pivot of that rule.
+/// [`pdect_on`] with a caller-owned [`PlanCache`]: the one batch body,
+/// which every `dect*` and `pdect*` entry point ends in.  The caller is
+/// worker 0 and `p − 1` scoped threads are spawned.
 pub fn pdect_on_cached<G: GraphView + Sync>(
     sigma: &RuleSet,
     graph: &G,
@@ -137,64 +81,51 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
 ) -> DetectionReport {
     let start = Instant::now();
     let (hits0, misses0) = (cache.hits(), cache.misses());
-    // One work unit per (rule, candidate of the rule's root variable); one
-    // compiled plan per rule, shared across all of its pivots.
-    let mut rooted: Vec<RootedRule<'_>> = Vec::new();
-    let mut units = 0usize;
+    let p = config.processors.max(1);
+    // The caller fetches each rule's unseeded plan and draws its first
+    // step's candidates once, so the depth-0 counts are the sequential's.
+    let mut stats = SearchStats::default();
+    let mut drawn = Vec::with_capacity(sigma.len());
     for rule in sigma.iter() {
-        if let Some(root) = root_variable(rule, graph) {
-            let plan = cache.get_or_compile(&rule.id, &[root], || {
-                compile_rule_plan(rule, graph, &[root])
-            });
-            let candidates = candidates_for(rule, graph, root);
-            let offset = units;
-            units += candidates.len();
-            rooted.push(RootedRule {
-                rule,
-                root,
-                plan,
-                candidates,
-                offset,
-            });
-        }
+        let plan = cache.get_or_compile(&rule.id, &[], || compile_rule_plan(rule, graph, &[]));
+        let (roots, depth0) = Matcher::new(&rule.pattern, graph)
+            .with_plan(Arc::clone(&plan))
+            .first_step_candidates(rule);
+        stats.merge(&depth0.into());
+        drawn.push((rule, plan, roots));
     }
 
-    let p = config.processors.max(1);
-    let rooted_ref = &rooted;
-    let (found, mut stats) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut found: Vec<Violation> = Vec::new();
-                    let mut stats = SearchStats::default();
-                    for work in rooted_ref {
-                        // Strided assignment over the concatenated units
-                        // keeps the per-thread load even when consecutive
-                        // units (same rule) have similar cost.  One matcher
-                        // and one set of search buffers serve the stride.
-                        let first = (worker + p - work.offset % p) % p;
-                        let stride = work.candidates.iter().copied().skip(first).step_by(p);
-                        let matcher = Matcher::new(&work.rule.pattern, graph)
-                            .with_plan(Arc::clone(&work.plan));
-                        let run_stats =
-                            matcher.expand_roots(work.root, stride, work.rule, &mut |m| {
-                                found.push(Violation::new(work.rule.id.clone(), m.to_vec()));
-                            });
-                        stats.merge(&SearchStats::from(run_stats));
-                    }
-                    (found, stats)
-                })
-            })
-            .collect();
+    let outputs = crate::on_workers(p, |worker| {
         let mut found: Vec<Violation> = Vec::new();
         let mut stats = SearchStats::default();
-        for handle in handles {
-            let (part, s) = handle.join().expect("PDect worker must not panic");
-            found.extend(part);
-            stats.merge(&s);
+        let mut offset = 0;
+        for (rule, plan, roots) in &drawn {
+            let stride_start = Instant::now();
+            // Strided over all rules' candidates end to end, so the load
+            // stays even when one rule's consecutive candidates cost alike.
+            let first = (worker + p - offset % p) % p;
+            offset += roots.len();
+            let stride = roots.iter().copied().skip(first).step_by(p);
+            let matcher = Matcher::new(&rule.pattern, graph).with_plan(Arc::clone(plan));
+            let run_stats = matcher.expand_roots(stride, rule, &mut |m| {
+                found.push(Violation::new(rule.id.clone(), m.to_vec()));
+            });
+            stats.merge(&run_stats.into());
+            // One registry lookup per (worker, rule) stride, nowhere near
+            // the per-candidate hot path.
+            if ngd_obs::enabled() {
+                ngd_obs::global()
+                    .histogram(&format!("detect.rule.{}.match_ns", rule.id))
+                    .record_duration(stride_start.elapsed());
+            }
         }
         (found, stats)
     });
+    let mut found = Vec::new();
+    for (part, s) in outputs {
+        found.extend(part);
+        stats.merge(&s);
+    }
     // Distinct roots give distinct matches, so the set is built once.
     let violations: ViolationSet = found.into_iter().collect();
     stats.record_plan_cache(hits0, misses0, cache);
@@ -207,7 +138,7 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
         elapsed: start.elapsed(),
         stats,
         cost,
-        processors: config.processors,
+        processors: p,
     }
     .observed()
 }
@@ -216,6 +147,7 @@ pub fn pdect_on_cached<G: GraphView + Sync>(
 mod tests {
     use super::*;
     use ngd_core::paper;
+    use ngd_graph::NodeId;
 
     fn paper_graph() -> Graph {
         // Union of the four Figure-1 graphs as one dataset.
@@ -275,8 +207,18 @@ mod tests {
                 parallel.violations, sequential.violations,
                 "PDect with p={p} must agree with Dect"
             );
+            assert_eq!(parallel.stats, sequential.stats, "p={p}");
             assert_eq!(parallel.processors, p);
         }
+    }
+
+    #[test]
+    fn zero_processors_run_and_report_one_worker() {
+        let graph = paper_graph();
+        let sigma = paper::paper_rule_set();
+        let report = pdect(&sigma, &graph, &DetectorConfig { processors: 0 });
+        assert_eq!(report.processors, 1);
+        assert_eq!(report.violations, dect(&sigma, &graph).violations);
     }
 
     #[test]
@@ -291,15 +233,5 @@ mod tests {
             pdect(&sigma, &empty_graph, &DetectorConfig::default()).violation_count(),
             0
         );
-    }
-
-    #[test]
-    fn root_variable_prefers_selective_labels() {
-        let graph = paper_graph();
-        let rule = paper::phi4(1, 1, 10_000);
-        let root = root_variable(&rule, &graph).unwrap();
-        // `company` has a single node in the combined graph; `integer` has
-        // many — the root must be the company variable.
-        assert_eq!(rule.pattern.name(root), "w");
     }
 }

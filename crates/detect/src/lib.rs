@@ -4,7 +4,9 @@
 //! and 6 of *"Catching Numeric Inconsistencies in Graphs"*, SIGMOD 2018):
 //!
 //! * [`batch`] — the batch detectors: sequential [`dect`] and parallel
-//!   [`pdect`] compute the full violation set `Vio(Σ, G)`;
+//!   [`pdect`] compute the full violation set `Vio(Σ, G)`.  `PDect` deals
+//!   each rule's first-step candidates out to `p` workers; it is the one
+//!   batch search body, and `Dect` is it on one worker;
 //! * [`incdect`] — the sequential, *localizable* incremental detector
 //!   [`inc_dect`], whose cost is governed by the `dΣ`-neighbourhood of the
 //!   update rather than by `|G|`;
@@ -75,3 +77,17 @@ pub use pincdect::{
 };
 pub use report::{DeltaReport, DetectionReport, SearchStats, VioSide, VioSink};
 pub use session::IncrementalSession;
+
+/// Run `work(0)`, …, `work(p − 1)` and return their results in worker
+/// order.  The caller is worker 0; the others run on `p − 1` scoped
+/// threads, so `p = 1` never leaves the calling thread.
+fn on_workers<T: Send>(p: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..p).map(|w| scope.spawn(move || work(w))).collect();
+        let joined = spawned
+            .into_iter()
+            .map(|h| h.join().expect("worker must not panic"));
+        std::iter::once(work(0)).chain(joined).collect()
+    })
+}

@@ -220,12 +220,12 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
     let groups = pivot_groups(sigma, old_graph, new_graph, &inserted, &deleted, cache);
     let (inserted_ranks, deleted_ranks) = (edge_ranks(&inserted), edge_ranks(&deleted));
 
-    let spawned = if groups.is_empty() { 0 } else { p - 1 };
+    let workers = if groups.is_empty() { 1 } else { p };
     // Dealt last group first, so one worker meets the last rule's deletions
     // first.  The first violation streamed travels in a frame of its own,
     // so this order decides how a served answer is framed; it is kept as it
     // is to keep responses byte-identical.
-    let work = |worker: usize| {
+    let outputs = crate::on_workers(workers, |worker| {
         expand_groups(
             groups.iter().rev().skip(worker).step_by(p),
             old_graph,
@@ -233,19 +233,6 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
             [&inserted_ranks, &deleted_ranks],
             sink,
         )
-    };
-    let work = &work;
-    let outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..=spawned)
-            .map(|worker| scope.spawn(move || work(worker)))
-            .collect();
-        let mut outputs = vec![work(0)];
-        outputs.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PIncDect worker must not panic")),
-        );
-        outputs
     });
 
     let mut delta_vio = DeltaViolations::new();
@@ -272,7 +259,7 @@ pub fn pinc_dect_prepared_streaming<V: GraphView + Sync>(
         neighborhood_nodes: 0,
         elapsed: start.elapsed(),
     }
-    .observed(spawned)
+    .observed(workers - 1)
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ pub struct DetectionReport {
     pub elapsed: Duration,
     /// Matcher statistics.
     pub stats: SearchStats,
-    /// Scanned-work ledger (zero for `Dect`).
+    /// Scanned-work ledger: every candidate the search inspected.
     pub cost: CostLedger,
     /// Number of workers used.
     pub processors: usize,

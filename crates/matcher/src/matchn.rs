@@ -478,16 +478,45 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         (out, stats)
     }
 
-    /// Expand every node of `roots` as the seed of `root`, handing each
-    /// violation of `rule` to `emit` — [`Matcher::expand_seeded`] once per
-    /// root with the same per-root validation (node present, label, the
-    /// root's self-loop edges, every literal the root alone decides), but
-    /// through one plan lookup and one set of search buffers for the whole
-    /// call.  This is `PDect`'s inner loop: a worker's stride of a rule's
-    /// root candidates.  Limits, if set, bound the call as a whole.
+    /// The first half of [`Matcher::find_violations_with_stats`]: check the
+    /// literals no variable decides, expand the empty partial solution and
+    /// draw the candidates of the unseeded plan's first step (from its seed
+    /// choice — the triple index or the label partition).  Returns them with
+    /// the statistics of that depth-0 expansion; no candidates when a
+    /// literal already prunes the whole search.
+    ///
+    /// [`Matcher::expand_roots`] over the returned candidates is the second
+    /// half: the two runs' statistics add up to the one-call search's.
+    pub fn first_step_candidates(&self, rule: &Ngd) -> (Vec<NodeId>, MatchStats) {
+        let mut roots = Vec::new();
+        let mut stats = MatchStats::default();
+        let n = self.pattern.node_count();
+        if n == 0 {
+            return (roots, stats);
+        }
+        let plan = self.plan_for(std::iter::empty(), Some(rule));
+        let mut tally = FastPathTally::default();
+        if self.install_seeds(&[], Some(rule), &mut vec![None; n], &mut tally) {
+            stats.expanded += 1;
+            self.draw_seeds(&plan.steps[0], &mut stats, &mut roots);
+            tally.candidates_materialised += 1;
+        }
+        tally.observe();
+        (roots, stats)
+    }
+
+    /// Search below each of `roots` as the first step of `rule`'s unseeded
+    /// plan, handing each violation to `emit`.  A root goes through the
+    /// same checks as any candidate of that step — its label, the step's
+    /// self-loops and the literals scheduled on it — and a root the view
+    /// does not contain is skipped.  One plan lookup and one set of search
+    /// buffers serve the whole call.
+    ///
+    /// This is the batch detectors' inner loop: a worker's stride of the
+    /// candidates [`Matcher::first_step_candidates`] drew.  Limits, if
+    /// set, bound the call as a whole.
     pub fn expand_roots(
         &self,
-        root: Var,
         roots: impl IntoIterator<Item = NodeId>,
         rule: &Ngd,
         emit: &mut dyn FnMut(&[NodeId]),
@@ -495,10 +524,12 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         if self.pattern.node_count() == 0 {
             return MatchStats::default();
         }
-        let plan = self.plan_for(std::iter::once(root), Some(rule));
+        let plan = self.plan_for(std::iter::empty(), Some(rule));
+        let first = &plan.steps[0];
         let mut search = PlannedSearch::new(self, &plan, Some(rule), emit);
         for node in roots {
-            if !search.run_seeded(&[(root, node)]) {
+            let root = std::slice::from_ref(&node);
+            if self.graph.contains_node(node) && !search.try_each(first, 0, root, false) {
                 break;
             }
         }
@@ -763,6 +794,21 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         }
     }
 
+    /// Draw the candidates of an unanchored plan step into `buf`, from its
+    /// compiled seed choice.
+    fn draw_seeds(&self, step: &PlanStep, stats: &mut MatchStats, buf: &mut Vec<NodeId>) {
+        *buf = match &step.seed {
+            Some(choice) => plan::seed_nodes(choice, self.pattern.label(step.var), self.graph),
+            None => self.seed_candidates(step.var),
+        };
+        // Seed-run size distribution: once per seeded step, so the
+        // histogram record is off the per-candidate hot path.
+        static SEED_RUN: ngd_obs::LazyHistogram =
+            ngd_obs::LazyHistogram::new("matcher.seed_run.size");
+        SEED_RUN.record(buf.len() as u64);
+        stats.candidates_inspected += buf.len();
+    }
+
     /// Draw the (not yet label-filtered) candidates of one plan step: the
     /// step's one anchored run as a borrowed slice, else — into `buf` — the
     /// gallop intersection of two or more anchored slices, the smallest
@@ -778,18 +824,8 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         runs: &mut Vec<&'g [NodeId]>,
         buf: &mut Vec<NodeId>,
     ) -> Drawn<'g> {
-        let var = step.var;
         if step.anchors.is_empty() {
-            *buf = match &step.seed {
-                Some(choice) => plan::seed_nodes(choice, self.pattern.label(var), self.graph),
-                None => self.seed_candidates(var),
-            };
-            // Seed-run size distribution: once per seeded step, so the
-            // histogram record is off the per-candidate hot path.
-            static SEED_RUN: ngd_obs::LazyHistogram =
-                ngd_obs::LazyHistogram::new("matcher.seed_run.size");
-            SEED_RUN.record(buf.len() as u64);
-            stats.candidates_inspected += buf.len();
+            self.draw_seeds(step, stats, buf);
             return Drawn::Buffer { verified: false };
         }
         let anchored = |anchor: &plan::Anchor| {
@@ -1342,13 +1378,16 @@ mod tests {
     }
 
     #[test]
-    fn expand_roots_is_expand_seeded_once_per_root() {
-        let g = ring();
-        let snap = g.freeze();
-        // A self-loop on the root variable is part of the per-root check.
-        let mut looped = g.clone();
+    fn expand_roots_over_the_first_step_candidates_is_the_unseeded_search() {
+        let sum = |a: MatchStats, b: MatchStats| MatchStats {
+            expanded: a.expanded + b.expanded,
+            candidates_inspected: a.candidates_inspected + b.candidates_inspected,
+            matches_found: a.matches_found + b.matches_found,
+            gallop_intersections: a.gallop_intersections + b.gallop_intersections,
+        };
+        // A self-loop on the first step's variable is checked on each root.
+        let mut looped = ring();
         looped.add_edge_named(NodeId(3), NodeId(3), "e").unwrap();
-        let looped = looped.freeze();
         let mut q = Pattern::new();
         let a = q.add_node("a", "T");
         let b = q.add_node("b", "T");
@@ -1359,28 +1398,38 @@ mod tests {
             vec![Literal::le(val(1), Expr::constant(8))],
             vec![Literal::lt(val(1), val(2))],
         );
-        for (rule, graph) in [(&plain, &snap), (&self_loop, &looped)] {
-            for root in rule.pattern.vars() {
-                let matcher = Matcher::new(&rule.pattern, graph);
-                // Absent nodes and repeated roots included.
-                let roots = (0..14u32).map(NodeId).chain([NodeId(3)]);
-                let mut expected = Vec::new();
-                let mut expected_stats = MatchStats::default();
-                for node in roots.clone() {
-                    let (matches, stats) = matcher.expand_seeded(&[(root, node)], Some(rule));
-                    expected.extend(matches);
-                    expected_stats.expanded += stats.expanded;
-                    expected_stats.candidates_inspected += stats.candidates_inspected;
-                    expected_stats.matches_found += stats.matches_found;
-                    expected_stats.gallop_intersections += stats.gallop_intersections;
+        for (rule, graph) in [(&plain, ring().freeze()), (&self_loop, looped.freeze())] {
+            let matcher = Matcher::new(&rule.pattern, &graph);
+            let first = &matcher.compile_plan(&[]).steps[0];
+            assert_eq!(first.self_loops.is_empty(), rule.id == "plain");
+            let (expected, expected_stats) = matcher.find_violations_with_stats(rule);
+            assert!(!expected.is_empty(), "{}", rule.id);
+            let (roots, drawn) = matcher.first_step_candidates(rule);
+            assert_eq!(
+                (drawn.expanded, drawn.candidates_inspected),
+                (1, roots.len())
+            );
+            // p = 1 is every candidate in one call; p > 1 splits them into
+            // strides whose matches and stats add up to the same totals.
+            // Absent nodes are skipped.
+            for p in 1..=4 {
+                let mut found = ViolationSet::new();
+                let mut stats = drawn;
+                for worker in 0..p {
+                    let stride = roots.iter().copied().skip(worker).step_by(p);
+                    let absent = [NodeId(12), NodeId(13)];
+                    let part = matcher.expand_roots(stride.chain(absent), rule, &mut |m| {
+                        assert!(found.insert(Violation::new(rule.id.clone(), m.to_vec())));
+                    });
+                    stats = sum(stats, part);
                 }
-                let mut found = Vec::new();
-                let stats =
-                    matcher.expand_roots(root, roots, rule, &mut |m| found.push(m.to_vec()));
-                assert_eq!(found, expected, "{} rooted at {root}", rule.id);
-                assert_eq!(stats, expected_stats, "{} rooted at {root}", rule.id);
-                assert!(!found.is_empty(), "{} rooted at {root}", rule.id);
+                assert_eq!(found, expected, "{} p={p}", rule.id);
+                assert_eq!(stats, expected_stats, "{} p={p}", rule.id);
             }
+            // A repeated root is searched again.
+            let once = matcher.expand_roots([roots[3]], rule, &mut |_| {});
+            let twice = matcher.expand_roots([roots[3]; 2], rule, &mut |_| {});
+            assert_eq!(twice, sum(once, once), "{}", rule.id);
         }
     }
 
