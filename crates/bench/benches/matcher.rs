@@ -1,7 +1,10 @@
 //! Matcher micro-benchmarks: homomorphic match/violation enumeration for
 //! the paper's rules, plus the CSR-snapshot versus adjacency-list
 //! candidate-selection comparison.  Running this bench records the CSR
-//! performance baseline in `BENCH_csr.json` at the repository root.
+//! performance baseline in `BENCH_csr.json` at the repository root; CI's
+//! `bench-smoke` job runs it per PR and asserts the acceptance bar: over
+//! 20 interleaved pairs, the lower quartile of adjacency ÷ CSR on the
+//! label-skewed workload is at least **1.5×**.
 
 use ngd_bench::harness::{black_box, Harness};
 use ngd_core::paper;
@@ -74,44 +77,23 @@ fn main() {
     let skew = label_skew_graph(120_000);
     let skew_snap = skew.freeze();
     let pattern = skewed_pattern();
-    let adj = h.bench("candidate_selection_skewed/adjacency", || {
-        black_box(find_matches(&pattern, &skew));
-    });
-    let csr = h.bench("candidate_selection_skewed/csr", || {
-        black_box(find_matches(&pattern, &skew_snap));
-    });
-    let speedup = adj.ns_per_iter / csr.ns_per_iter;
-    println!("candidate-selection speedup (adjacency / csr): {speedup:.2}x");
+    let speedup = h.ratio(
+        "skewed_candidate_selection_speedup",
+        ("candidate_selection_skewed/adjacency", || {
+            black_box(find_matches(&pattern, &skew));
+        }),
+        ("candidate_selection_skewed/csr", || {
+            black_box(find_matches(&pattern, &skew_snap));
+        }),
+    );
 
     h.bench("freeze/label_skew_120k_nodes", || {
         black_box(skew.freeze());
     });
 
-    // Record the baseline only when the acceptance bar is met, so a noisy
-    // or loaded machine cannot clobber a good committed baseline with
-    // sub-threshold numbers on its way to failing.
-    if speedup >= 1.5 {
-        let json = h.to_json(&[
-            ("bench".to_string(), "matcher".to_string()),
-            (
-                "skewed_candidate_selection_speedup".to_string(),
-                format!("{speedup:.2}"),
-            ),
-        ]);
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_csr.json");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("could not write {path}: {e}");
-        } else {
-            println!("wrote {path}");
-        }
-    } else {
-        eprintln!(
-            "NOT updating BENCH_csr.json: measured speedup {speedup:.2}x is below the 1.5x bar"
-        );
-    }
-    assert!(
-        speedup >= 1.5,
-        "CSR candidate selection must beat the adjacency path by >= 1.5x on \
-         label-skewed workloads (measured {speedup:.2}x)"
+    h.write_if_met(
+        "BENCH_csr.json",
+        &[("bench", "matcher".to_string())],
+        &[speedup.at_least(1.5)],
     );
 }

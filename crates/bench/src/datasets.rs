@@ -14,12 +14,12 @@
 //! rules up to the requested `‖Σ‖`, mirroring the paper's "100 mined NGDs
 //! per graph".
 
-use ngd_core::{paper, RuleSet};
+use ngd_core::{paper, Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_datagen::{
     generate_knowledge, generate_rules, generate_social, generate_synthetic, GeneratedGraph,
-    KnowledgeConfig, RuleGenConfig, SocialConfig, SyntheticConfig,
+    KnowledgeConfig, RuleGenConfig, SocialConfig, StdRng, SyntheticConfig,
 };
-use ngd_graph::Graph;
+use ngd_graph::{AttrMap, Graph, Value};
 
 /// How large the harness runs are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +176,63 @@ pub fn synthetic_dataset(nodes: usize, edges: usize, sigma_size: usize) -> Datas
         },
         sigma,
     }
+}
+
+/// The label-skewed 11k workload of the `plan` and `obs` benches: a dense
+/// 200-hub core (20k `r`-edges), 10.8k satellite `T`-nodes, and only 10
+/// `s`-edges from the core into the satellites, with the one rule
+/// `(a:H) -[r]-> (b:H) -[s]-> (c:T)` whose `val` consequence turns matches
+/// into violations.  Label counts say "start at the hubs"; the triple
+/// index says "start at the 10 `s`-edges".
+pub fn skewed_workload() -> (Graph, RuleSet) {
+    let mut rng = StdRng::seed_from_u64(0x9_1A_11);
+    let mut g = Graph::new();
+    let hubs: Vec<_> = (0..200)
+        .map(|i| {
+            let mut attrs = AttrMap::new();
+            attrs.set_named("val", Value::Int(i as i64 % 37));
+            g.add_node_named("H", attrs)
+        })
+        .collect();
+    let sats: Vec<_> = (0..10_800)
+        .map(|i| {
+            let mut attrs = AttrMap::new();
+            attrs.set_named("val", Value::Int(i as i64 % 53));
+            g.add_node_named("T", attrs)
+        })
+        .collect();
+    // Dense hub core: ~100 distinct r-targets per hub.
+    for &h in &hubs {
+        for _ in 0..100 {
+            let other = hubs[rng.gen_range(0..hubs.len())];
+            let _ = g.add_edge_named(h, other, "r");
+        }
+    }
+    // The rare seam: ten s-edges out of the core.
+    for i in 0..10 {
+        let _ = g.add_edge_named(hubs[i * 17 % hubs.len()], sats[i * 997 % sats.len()], "s");
+    }
+    // Satellite noise so T's label partition is paid for when scanned.
+    for _ in 0..8_000 {
+        let a = sats[rng.gen_range(0..sats.len())];
+        let b = sats[rng.gen_range(0..sats.len())];
+        let _ = g.add_edge_named(a, b, "t");
+    }
+
+    let mut q = Pattern::new();
+    let a = q.add_node("a", "H");
+    let b = q.add_node("b", "H");
+    let c = q.add_node("c", "T");
+    q.add_edge(a, b, "r");
+    q.add_edge(b, c, "s");
+    let rule = Ngd::new(
+        "skew",
+        q,
+        vec![],
+        vec![Literal::le(Expr::attr(a, "val"), Expr::attr(c, "val"))],
+    )
+    .expect("the skewed rule is well-formed");
+    (g, RuleSet::from_rules(vec![rule]))
 }
 
 #[cfg(test)]

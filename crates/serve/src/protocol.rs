@@ -136,24 +136,86 @@ pub mod err_code {
     pub const COMPACT_FAILED: u32 = 5;
 }
 
-/// Serialize one frame onto `w`.
+/// Serialize one frame onto `w`: [`encode_frame`]'s bytes in one write.
 pub fn write_frame(w: &mut impl Write, kind: u32, payload: &[u8]) -> Result<(), ProtocolError> {
+    w.write_all(&encode_frame(kind, payload)?)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Serialize one frame into a byte vector (header + payload), for write
+/// paths that queue bytes instead of owning a `Write` stream.
+pub fn encode_frame(kind: u32, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     if payload.len() as u64 > MAX_FRAME_LEN {
         return Err(ProtocolError::Oversized {
             len: payload.len() as u64,
             max: MAX_FRAME_LEN,
         });
     }
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0..8].copy_from_slice(&MAGIC);
-    header[8..12].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&kind.to_le_bytes());
-    header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&file_checksum(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    let mut bytes = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&kind.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&file_checksum(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    Ok(bytes)
+}
+
+/// The fields of a validated frame header.
+struct FrameHeader {
+    kind: u32,
+    payload_len: u64,
+    checksum: u64,
+}
+
+impl FrameHeader {
+    /// Validate whatever prefix of a frame header `bytes` holds, failing as
+    /// soon as damage is provable: the magic needs 8 bytes, the version 12,
+    /// the length ceiling the whole header.  `Ok(None)` while the header is
+    /// still incomplete.
+    fn parse(bytes: &[u8]) -> Result<Option<FrameHeader>, ProtocolError> {
+        let le32 = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4B"));
+        let le64 = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8B"));
+        if bytes.len() >= 8 && bytes[0..8] != MAGIC {
+            return Err(ProtocolError::BadMagic {
+                found: bytes[0..8].try_into().expect("8B"),
+            });
+        }
+        if bytes.len() >= 12 && le32(8) != WIRE_VERSION {
+            return Err(ProtocolError::UnsupportedVersion {
+                found: le32(8),
+                supported: WIRE_VERSION,
+            });
+        }
+        if bytes.len() < FRAME_HEADER_LEN {
+            return Ok(None);
+        }
+        let header = FrameHeader {
+            kind: le32(12),
+            payload_len: le64(16),
+            checksum: le64(24),
+        };
+        if header.payload_len > MAX_FRAME_LEN {
+            return Err(ProtocolError::Oversized {
+                len: header.payload_len,
+                max: MAX_FRAME_LEN,
+            });
+        }
+        Ok(Some(header))
+    }
+
+    /// Check the payload against the header's checksum.
+    fn verify(&self, payload: &[u8]) -> Result<(), ProtocolError> {
+        let computed = file_checksum(payload);
+        if computed != self.checksum {
+            return Err(ProtocolError::ChecksumMismatch {
+                stored: self.checksum,
+                computed,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Read exactly `buf.len()` bytes; `Ok(false)` on a clean EOF **before the
@@ -189,49 +251,16 @@ fn read_exact_or_eof(
 /// damage mode (short header, bad magic, foreign version, oversized length
 /// prefix, short payload, checksum mismatch) is its own typed error.
 pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), ProtocolError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !read_exact_or_eof(r, &mut header, 0)? {
+    let mut bytes = [0u8; FRAME_HEADER_LEN];
+    if !read_exact_or_eof(r, &mut bytes, 0)? {
         return Err(ProtocolError::Disconnected);
     }
-    let mut magic = [0u8; 8];
-    magic.copy_from_slice(&header[0..8]);
-    if magic != MAGIC {
-        return Err(ProtocolError::BadMagic { found: magic });
-    }
-    let le32 = |off: usize| u32::from_le_bytes(header[off..off + 4].try_into().expect("4B"));
-    let le64 = |off: usize| u64::from_le_bytes(header[off..off + 8].try_into().expect("8B"));
-    let version = le32(8);
-    if version != WIRE_VERSION {
-        return Err(ProtocolError::UnsupportedVersion {
-            found: version,
-            supported: WIRE_VERSION,
-        });
-    }
-    let kind = le32(12);
-    let payload_len = le64(16);
-    let stored_checksum = le64(24);
-    if payload_len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized {
-            len: payload_len,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut payload = vec![0u8; payload_len as usize];
-    if !payload.is_empty() && !read_exact_or_eof(r, &mut payload, FRAME_HEADER_LEN as u64)? {
-        // Unreachable (already > 0 forces Truncated), kept for clarity.
-        return Err(ProtocolError::Truncated {
-            expected: FRAME_HEADER_LEN as u64 + payload_len,
-            actual: FRAME_HEADER_LEN as u64,
-        });
-    }
-    let computed = file_checksum(&payload);
-    if computed != stored_checksum {
-        return Err(ProtocolError::ChecksumMismatch {
-            stored: stored_checksum,
-            computed,
-        });
-    }
-    Ok((kind, payload))
+    let header = FrameHeader::parse(&bytes)?.expect("a whole header was read");
+    let mut payload = vec![0u8; header.payload_len as usize];
+    // With a header already read, EOF is `Truncated`, never `Ok(false)`.
+    read_exact_or_eof(r, &mut payload, FRAME_HEADER_LEN as u64)?;
+    header.verify(&payload)?;
+    Ok((header.kind, payload))
 }
 
 /// Incrementally scan `buf` for one complete frame — the non-blocking dual
@@ -245,66 +274,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), ProtocolError> {
 /// the bytes seen so far: a bad magic needs only 8 bytes, a checksum
 /// mismatch needs the whole frame.
 pub fn scan_frame(buf: &[u8]) -> Result<Option<(u32, Vec<u8>, usize)>, ProtocolError> {
-    if buf.len() >= 8 {
-        let mut magic = [0u8; 8];
-        magic.copy_from_slice(&buf[0..8]);
-        if magic != MAGIC {
-            return Err(ProtocolError::BadMagic { found: magic });
-        }
-    }
-    if buf.len() >= 12 {
-        let version = u32::from_le_bytes(buf[8..12].try_into().expect("4B"));
-        if version != WIRE_VERSION {
-            return Err(ProtocolError::UnsupportedVersion {
-                found: version,
-                supported: WIRE_VERSION,
-            });
-        }
-    }
-    if buf.len() < FRAME_HEADER_LEN {
+    let Some(header) = FrameHeader::parse(buf)? else {
         return Ok(None);
-    }
-    let kind = u32::from_le_bytes(buf[12..16].try_into().expect("4B"));
-    let payload_len = u64::from_le_bytes(buf[16..24].try_into().expect("8B"));
-    let stored_checksum = u64::from_le_bytes(buf[24..32].try_into().expect("8B"));
-    if payload_len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized {
-            len: payload_len,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let total = FRAME_HEADER_LEN + payload_len as usize;
+    };
+    let total = FRAME_HEADER_LEN + header.payload_len as usize;
     if buf.len() < total {
         return Ok(None);
     }
-    let payload = buf[FRAME_HEADER_LEN..total].to_vec();
-    let computed = file_checksum(&payload);
-    if computed != stored_checksum {
-        return Err(ProtocolError::ChecksumMismatch {
-            stored: stored_checksum,
-            computed,
-        });
-    }
-    Ok(Some((kind, payload, total)))
-}
-
-/// Serialize one frame into a byte vector (header + payload), for write
-/// paths that queue bytes instead of owning a `Write` stream.
-pub fn encode_frame(kind: u32, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-    if payload.len() as u64 > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized {
-            len: payload.len() as u64,
-            max: MAX_FRAME_LEN,
-        });
-    }
-    let mut bytes = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&kind.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&file_checksum(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    Ok(bytes)
+    let payload = &buf[FRAME_HEADER_LEN..total];
+    header.verify(payload)?;
+    Ok(Some((header.kind, payload.to_vec(), total)))
 }
 
 // ---------------------------------------------------------------------------

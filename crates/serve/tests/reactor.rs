@@ -1,6 +1,7 @@
 //! Reactor-specific service tests: slow-reader back-pressure, mid-stream
-//! client disconnect, interleaved `EPOCH_SWITCHED` pushes, and the
-//! bounded-thread guarantee (connections cost buffers, not OS threads).
+//! client disconnect, interleaved `EPOCH_SWITCHED` pushes, the early flush
+//! of an `UPDATE`'s first violation, and the bounded-thread guarantee
+//! (connections cost buffers, not OS threads).
 
 #![cfg(unix)]
 
@@ -8,7 +9,7 @@ use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_social, SocialConfig};
 use ngd_detect::{CostLedger, DetectorConfig, SearchStats};
 use ngd_graph::persist::SnapshotWriter;
-use ngd_graph::Graph;
+use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, Value};
 use ngd_serve::protocol::{
     frame, read_frame, write_frame, DoneResponse, EpochNotice, HelloRequest, HelloResponse, Side,
     VioChunk,
@@ -120,6 +121,67 @@ fn counter_value(client: &mut ServeClient, name: &str) -> u64 {
         .find(|c| c.name == name)
         .map(|c| c.value)
         .unwrap_or(0)
+}
+
+fn histogram_count(client: &mut ServeClient, name: &str) -> u64 {
+    let snapshot = client.metrics().expect("metrics");
+    snapshot
+        .histograms
+        .iter()
+        .find(|h| h.name == name)
+        .map(|h| h.count)
+        .unwrap_or(0)
+}
+
+/// An `UPDATE`'s first violation is flushed on its own, ahead of the
+/// chunked rest, so first-violation latency does not wait for a full
+/// chunk: the answer's first `VIO_CHUNK` carries exactly one violation,
+/// `serve.first_vio.ns` counts one sample per such `UPDATE`, and the
+/// chunks add up to `UPDATE_DONE`'s totals.  (No other test in this binary
+/// sends an `UPDATE`, so the process-wide histogram moves only here.)
+#[test]
+fn an_update_streams_its_first_violation_alone() {
+    // Each inserted `a -[e]-> b` edge adds one violation: `val`s differ.
+    let mut graph = Graph::new();
+    let a = graph.add_node_named("A", AttrMap::from_pairs([("val", Value::Int(1))]));
+    let bs: Vec<_> = (0..8)
+        .map(|_| graph.add_node_named("B", AttrMap::from_pairs([("val", Value::Int(2))])))
+        .collect();
+    let sigma = ngd_lang::load_rules("RULE same_val: MATCH (x:A)-[:e]->(y:B) => x.val = y.val")
+        .expect("rule parses");
+    let server = start_server(&graph, &sigma, ServeOptions::default());
+    let mut client = ServeClient::connect_as(server.local_addr(), "first-vio").expect("connect");
+
+    for targets in bs.chunks(4) {
+        let mut batch = BatchUpdate::new();
+        for &b in targets {
+            batch.insert_edge(a, b, intern("e"));
+        }
+        let before = histogram_count(&mut client, "serve.first_vio.ns");
+        let mut chunks: Vec<(Side, u64)> = Vec::new();
+        let done = client
+            .submit_update_streaming(&batch, |side, v| chunks.push((side, v.len() as u64)))
+            .expect("served update");
+        assert_eq!(chunks.first(), Some(&(Side::Added, 1)), "chunks {chunks:?}");
+        let streamed = |side| {
+            chunks
+                .iter()
+                .filter(|c| c.0 == side)
+                .map(|c| c.1)
+                .sum::<u64>()
+        };
+        assert_eq!((done.added_total, done.removed_total), (4, 0));
+        assert_eq!(streamed(Side::Added), done.added_total);
+        assert_eq!(streamed(Side::Removed), done.removed_total);
+        assert_eq!(
+            histogram_count(&mut client, "serve.first_vio.ns"),
+            before + 1
+        );
+    }
+
+    client.shutdown_server().expect("shutdown");
+    drop(client);
+    server.wait();
 }
 
 /// A slow reader must stall only its own session: its QUERY's chunk stream
