@@ -28,10 +28,12 @@
 //! | [`CsrSnapshot`] (heap arrays, [`Graph::freeze`]) | [`Sym`] itself (identity) | `Vec<NodeData>` |
 //! | [`crate::MmapSnapshot`] (mapped `.ngds` sections) | file symbol id, via a dense `Sym → id` table | mapped label array; attribute records decoded in place on each read, nothing cached |
 //!
-//! Freezing is a single `O(|V| + |E| log |E|)` pass ([`Graph::freeze`]);
-//! updates keep flowing through the mutable [`Graph`] / `BatchUpdate`
-//! machinery, and the incremental detectors search a snapshot plus an
-//! unapplied update through [`crate::DeltaOverlay`].
+//! Freezing ([`Graph::freeze`]) is a few linear passes over the graph's
+//! own adjacency lists: nothing is sorted as a whole, only each node's
+//! run and the distinct labels and label triples.  Updates keep flowing
+//! through the mutable [`Graph`] / `BatchUpdate` machinery, and the
+//! incremental detectors search a snapshot plus an unapplied update
+//! through [`crate::DeltaOverlay`].
 
 use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeData, NodeId};
@@ -39,6 +41,7 @@ use crate::interner::{Sym, WILDCARD};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::ops::Range;
 
 /// One direction (out or in) of a CSR adjacency, borrowed from whichever
@@ -172,25 +175,30 @@ struct CsrSide {
 }
 
 impl CsrSide {
-    /// Build from per-row `(label, neighbour)` lists; every run is sorted
-    /// here, so the lists' entry order does not matter.
-    fn build(lists: Vec<Vec<(Sym, NodeId)>>) -> CsrSide {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        let mut side = CsrSide {
-            offsets: Vec::with_capacity(lists.len() + 1),
-            labels: Vec::with_capacity(total),
-            neighbors: Vec::with_capacity(total),
-        };
-        side.offsets.push(0);
-        for mut list in lists {
-            list.sort_unstable();
-            for (label, neighbor) in list {
-                side.labels.push(label);
-                side.neighbors.push(neighbor);
-            }
-            side.offsets.push(side.labels.len() as u32);
+    /// Lay one direction out from the graph's own adjacency lists: the
+    /// offsets are the running sum of the list lengths, and one flat
+    /// `(label, neighbour)` array is filled list by list and each run
+    /// sorted in place, so the lists' entry order does not matter.
+    fn from_lists<'g>(
+        rows: usize,
+        total: usize,
+        list: impl Fn(NodeId) -> &'g [(NodeId, Sym)],
+    ) -> CsrSide {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        let mut entries: Vec<(Sym, NodeId)> = Vec::with_capacity(total);
+        offsets.push(0);
+        for row in 0..rows {
+            let start = entries.len();
+            entries.extend(list(NodeId(row as u32)).iter().map(|&(n, l)| (l, n)));
+            entries[start..].sort_unstable();
+            offsets.push(entries.len() as u32);
         }
-        side
+        let (labels, neighbors) = entries.into_iter().unzip();
+        CsrSide {
+            offsets,
+            labels,
+            neighbors,
+        }
     }
 
     fn side(&self) -> Side<'_, Sym> {
@@ -308,69 +316,98 @@ impl Graph {
     /// matches, violations and reports computed over the snapshot are
     /// directly comparable with those computed over the adjacency-list
     /// representation.
+    ///
+    /// Linear passes, no global sort: each side's offsets are the running
+    /// sum of the adjacency-list lengths and its runs are sorted one at a
+    /// time; the label partition and the triple index are counting sorts
+    /// (`group_by_key`) in which only the distinct keys are sorted.
     pub fn freeze(&self) -> CsrSnapshot {
         let _span = ngd_obs::span!("persist.freeze");
-        let n = self.node_count();
+        let (n, m) = (self.node_count(), self.edge_count());
         let nodes: Vec<NodeData> = self.node_ids().map(|id| self.node(id).clone()).collect();
+        let labels: Vec<Sym> = nodes.iter().map(|node| node.label).collect();
+        let out = CsrSide::from_lists(n, m, |id| self.out_neighbors(id));
+        let inn = CsrSide::from_lists(n, m, |id| self.in_neighbors(id));
 
-        let mut out_lists: Vec<Vec<(Sym, NodeId)>> = vec![Vec::new(); n];
-        let mut in_lists: Vec<Vec<(Sym, NodeId)>> = vec![Vec::new(); n];
-        let mut triples: Vec<((Sym, Sym, Sym), NodeId, NodeId)> =
-            Vec::with_capacity(self.edge_count());
-        for edge in self.edges() {
-            out_lists[edge.src.index()].push((edge.label, edge.dst));
-            in_lists[edge.dst.index()].push((edge.label, edge.src));
-            triples.push((
-                (self.label(edge.src), edge.label, self.label(edge.dst)),
-                edge.src,
-                edge.dst,
-            ));
+        // Label partition: a counting pass over the node labels; ids are
+        // placed in id order, so each group is ascending.
+        let (slots, label_ranges) = group_by_key(labels.iter().copied(), n);
+        let mut label_order = vec![NodeId(0); n];
+        for (id, &slot) in slots.iter().enumerate() {
+            label_order[slot as usize] = NodeId(id as u32);
         }
 
-        // Label partition: node ids permuted so equal labels are contiguous.
-        let mut label_order: Vec<NodeId> = self.node_ids().collect();
-        label_order.sort_by_key(|&id| (self.label(id), id));
-        let mut label_ranges = LabelRanges::new();
-        let mut start = 0usize;
-        while start < label_order.len() {
-            let label = self.label(label_order[start]);
-            let mut end = start + 1;
-            while end < label_order.len() && self.label(label_order[end]) == label {
-                end += 1;
-            }
-            label_ranges.insert(label, (start as u32, end as u32));
-            start = end;
-        }
-
-        // Triple index: edges grouped by (src label, edge label, dst label).
-        triples.sort_unstable();
-        let mut triple_ranges = TripleRanges::new();
-        let mut triple_src = Vec::with_capacity(triples.len());
-        let mut triple_dst = Vec::with_capacity(triples.len());
-        let mut idx = 0usize;
-        while idx < triples.len() {
-            let key = triples[idx].0;
-            let run_start = idx;
-            while idx < triples.len() && triples[idx].0 == key {
-                triple_src.push(triples[idx].1);
-                triple_dst.push(triples[idx].2);
-                idx += 1;
-            }
-            triple_ranges.insert(key, (run_start as u32, idx as u32));
+        // Triple index: a count-then-place pass over the sorted out-runs.
+        // Sources are walked in id order and each run is sorted by
+        // `(edge label, dst)`, so every group comes out `(src, dst)`-sorted.
+        let side = out.side();
+        let out_edges = || {
+            (0..n).flat_map(move |row| side.row_range(row).map(move |i| (NodeId(row as u32), i)))
+        };
+        let keys = out_edges().map(|(src, i)| {
+            let dst = side.neighbors[i];
+            (labels[src.index()], side.keys[i], labels[dst.index()])
+        });
+        let (slots, triple_ranges) = group_by_key(keys, m);
+        let mut triple_src = vec![NodeId(0); m];
+        let mut triple_dst = vec![NodeId(0); m];
+        for (src, i) in out_edges() {
+            let slot = slots[i] as usize;
+            triple_src[slot] = src;
+            triple_dst[slot] = side.neighbors[i];
         }
 
         CsrSnapshot {
             nodes,
-            out: CsrSide::build(out_lists),
-            inn: CsrSide::build(in_lists),
+            out,
+            inn,
             label_order,
             label_ranges,
             triple_ranges,
             triple_src,
             triple_dst,
-            edge_count: self.edge_count(),
+            edge_count: m,
         }
     }
+}
+
+/// A counting sort by key: the slot of each of the `len` items once they
+/// are grouped by key (groups in key order, items in input order within
+/// a group), and each key's slot range.  One hash lookup per item; only
+/// the distinct keys are sorted.
+fn group_by_key<K: Copy + Ord + Hash>(
+    keys: impl Iterator<Item = K>,
+    len: usize,
+) -> (Vec<u32>, HashMap<K, (u32, u32)>) {
+    let mut group_of: HashMap<K, u32> = HashMap::new();
+    let mut distinct: Vec<K> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
+    let mut slots: Vec<u32> = Vec::with_capacity(len);
+    for key in keys {
+        let group = *group_of.entry(key).or_insert_with(|| {
+            distinct.push(key);
+            counts.push(0);
+            (distinct.len() - 1) as u32
+        });
+        counts[group as usize] += 1;
+        slots.push(group);
+    }
+    let mut order: Vec<usize> = (0..distinct.len()).collect();
+    order.sort_unstable_by_key(|&group| distinct[group]);
+    let mut next = vec![0u32; distinct.len()];
+    let mut ranges = HashMap::with_capacity(distinct.len());
+    let mut at = 0u32;
+    for group in order {
+        next[group] = at;
+        ranges.insert(distinct[group], (at, at + counts[group]));
+        at += counts[group];
+    }
+    for slot in &mut slots {
+        let group = *slot as usize;
+        *slot = next[group];
+        next[group] += 1;
+    }
+    (slots, ranges)
 }
 
 /// The CSR reader: rows are node ids, every read is served from the

@@ -178,11 +178,6 @@ impl Graph {
             .ok_or(GraphError::NodeNotFound(id))
     }
 
-    /// Mutable access to a node's payload.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut NodeData {
-        &mut self.nodes[id.index()]
-    }
-
     /// The label of a node.
     pub fn label(&self, id: NodeId) -> Sym {
         self.nodes[id.index()].label

@@ -20,11 +20,17 @@
 //! [`CsrSnapshot::as_overlay`](crate::CsrSnapshot::as_overlay)) behaves
 //! exactly like the snapshot, which lets an incremental run use the *same*
 //! view type for the old and new sides.
+//!
+//! Which op sequences apply cleanly is decided in one place, the fold
+//! `BatchUpdate::net_edges` in `update.rs`.  [`DeltaOverlay::try_new`]
+//! builds from its net sets ([`DeltaOverlay::new`] panics on its error),
+//! [`BatchUpdate::validate_against`] discards them, and compaction
+//! validates and canonicalises a `ΔG` with one `try_new` call.
 
 use crate::csr::CsrSnapshot;
 use crate::graph::{EdgeRef, NodeData, NodeId};
 use crate::interner::Sym;
-use crate::update::{BatchUpdate, EdgeOp};
+use crate::update::{BatchUpdate, EdgeOp, NetEdges, UpdateError};
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::{HashMap, HashSet};
@@ -79,7 +85,23 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
     /// sequence (an edge deleted and re-inserted within the batch is
     /// present; inserted and re-deleted is absent), matching what
     /// [`BatchUpdate::apply`] produces on a mutable graph.
+    ///
+    /// # Panics
+    ///
+    /// If `delta` does not apply cleanly to `base` — a silently accepted
+    /// invalid op would corrupt degrees and edge counts.  Callers holding
+    /// an untrusted batch use [`DeltaOverlay::try_new`].
     pub fn new(base: &'a B, delta: &BatchUpdate) -> Self {
+        Self::try_new(base, delta)
+            .unwrap_or_else(|e| panic!("batch update must apply cleanly: {e}"))
+    }
+
+    /// Lay `delta` over `base`, or report the first operation that does
+    /// not apply, exactly as [`BatchUpdate::validate_against`] does: both
+    /// run the update rules' one fold (`BatchUpdate::net_edges`, in
+    /// `update.rs`), and this builds the overlay from its net sets.
+    pub fn try_new(base: &'a B, delta: &BatchUpdate) -> Result<Self, UpdateError> {
+        let NetEdges { added, removed } = delta.net_edges(base)?;
         let mut overlay = DeltaOverlay::empty(base);
         let base_count = GraphView::node_count(base);
         for (idx, node) in delta.new_nodes.iter().enumerate() {
@@ -94,44 +116,8 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
                 .or_default()
                 .push(id);
         }
-        // Net insert/delete sets from the op sequence, validated with the
-        // same rules `BatchUpdate::apply` enforces on a mutable graph (a
-        // silently-accepted invalid op would corrupt degrees and edge
-        // counts instead of failing loudly).  Both sets are hash sets so
-        // construction stays O(|ΔG|); insertion order is irrelevant because
-        // the per-node adjacency lists are sorted below.
-        let total_nodes = base_count + overlay.added_nodes.len();
-        let mut added: HashSet<EdgeRef> = HashSet::new();
-        for op in &delta.ops {
-            let e = op.edge();
-            assert!(
-                e.src.index() < total_nodes && e.dst.index() < total_nodes,
-                "batch update must apply cleanly: unknown node in {e:?}"
-            );
-            let currently_present = added.contains(&e)
-                || (GraphView::has_edge(base, e.src, e.dst, e.label)
-                    && !overlay.removed.contains(&e));
-            match op {
-                EdgeOp::Insert(_) => {
-                    assert!(
-                        !currently_present,
-                        "batch update must apply cleanly: insert of existing edge {e:?}"
-                    );
-                    if !overlay.removed.remove(&e) {
-                        added.insert(e);
-                    }
-                }
-                EdgeOp::Delete(_) => {
-                    assert!(
-                        currently_present,
-                        "batch update must apply cleanly: delete of missing edge {e:?}"
-                    );
-                    if !added.remove(&e) {
-                        overlay.removed.insert(e);
-                    }
-                }
-            }
-        }
+        // Insertion order is irrelevant: the per-node adjacency lists are
+        // sorted below.
         for e in &added {
             overlay
                 .added_out
@@ -147,19 +133,20 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
             overlay.touched.insert(e.dst);
         }
         overlay.added_edge_count = added.len();
-        for e in &overlay.removed {
+        for e in &removed {
             *overlay.removed_out.entry(e.src).or_default() += 1;
             *overlay.removed_in.entry(e.dst).or_default() += 1;
             overlay.touched.insert(e.src);
             overlay.touched.insert(e.dst);
         }
+        overlay.removed = removed;
         for list in overlay.added_out.values_mut() {
             list.sort_unstable();
         }
         for list in overlay.added_in.values_mut() {
             list.sort_unstable();
         }
-        overlay
+        Ok(overlay)
     }
 
     /// Does the overlay carry any pending change?

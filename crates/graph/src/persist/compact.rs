@@ -28,7 +28,8 @@
 //! structure into exactly these orders, the output is **byte-identical**
 //! to freezing `G ⊕ ΔG` and writing it at the same epoch — the
 //! compaction-equivalence property the integration tests pin — while
-//! costing linear scans instead of the freeze's hashing and sorting.
+//! costing linear scans of the mapped file instead of materialising
+//! `G ⊕ ΔG` as a mutable graph, freezing it and re-canonicalising it.
 //!
 //! An all-cancelling (net-empty) delta short-circuits to a header rewrite
 //! plus a straight byte-copy of every section.
@@ -107,7 +108,10 @@ impl CompactionWriter {
     /// exact bytes of the successor file stamped with `epoch`.
     ///
     /// Byte-identical to `SnapshotWriter::with_epoch(epoch).encode(&(G ⊕
-    /// ΔG).freeze())`.
+    /// ΔG).freeze())`.  `delta` is validated and canonicalised in one
+    /// [`DeltaOverlay::try_new`] pass; an op that does not apply is a
+    /// [`CompactError::Update`] carrying the error
+    /// [`BatchUpdate::validate_against`] reports.
     pub fn encode(
         &self,
         old: &MmapSnapshot,
@@ -115,8 +119,7 @@ impl CompactionWriter {
         epoch: u64,
     ) -> Result<Vec<u8>, CompactError> {
         let _span = ngd_obs::span!("persist.compact");
-        delta.validate_against(old)?;
-        let net = NetDelta::from_batch(old, delta);
+        let net = NetDelta::new(old, delta)?;
         if net.is_empty() {
             // Nothing changed: a fresh header over the old sections,
             // copied verbatim.  The checksum only covers the post-header
@@ -185,11 +188,13 @@ struct NetDelta {
 }
 
 impl NetDelta {
-    fn from_batch<V: GraphView>(old: &V, delta: &BatchUpdate) -> NetDelta {
-        let batch = DeltaOverlay::new(old, delta).into_batch();
+    /// Validate `delta` against `old` and canonicalise it, in the one
+    /// pass [`DeltaOverlay::try_new`] makes.
+    fn new<V: GraphView>(old: &V, delta: &BatchUpdate) -> Result<NetDelta, UpdateError> {
+        let batch = DeltaOverlay::try_new(old, delta)?.into_batch();
         let del: Vec<EdgeRef> = batch.deletions().collect();
         let ins: Vec<EdgeRef> = batch.insertions().collect();
-        NetDelta { batch, del, ins }
+        Ok(NetDelta { batch, del, ins })
     }
 
     /// True when the delta nets out to no change at all — no surviving
@@ -224,26 +229,26 @@ impl Merged {
     /// Consumes the blobs so a megabyte-scale merge is moved, not copied.
     fn push_sections(&mut self, builder: &mut FileBuilder) {
         push_strings(builder, &self.syms);
-        builder.add_u32s(kind::NODE_LABELS, &self.node_labels);
+        builder.add_u32s(kind::NODE_LABELS, std::mem::take(&mut self.node_labels));
         builder.add_blob(
             kind::NODE_ATTRS,
             self.node_count as u64,
             std::mem::take(&mut self.node_attrs),
         );
-        builder.add_u32s(kind::OUT_OFFSETS, &self.out.0);
-        builder.add_u32s(kind::OUT_LABELS, &self.out.1);
-        builder.add_u32s(kind::OUT_NEIGHBORS, &self.out.2);
-        builder.add_u32s(kind::IN_OFFSETS, &self.inn.0);
-        builder.add_u32s(kind::IN_LABELS, &self.inn.1);
-        builder.add_u32s(kind::IN_NEIGHBORS, &self.inn.2);
-        builder.add_u32s(kind::LABEL_ORDER, &self.label_order);
+        builder.add_u32s(kind::OUT_OFFSETS, std::mem::take(&mut self.out.0));
+        builder.add_u32s(kind::OUT_LABELS, std::mem::take(&mut self.out.1));
+        builder.add_u32s(kind::OUT_NEIGHBORS, std::mem::take(&mut self.out.2));
+        builder.add_u32s(kind::IN_OFFSETS, std::mem::take(&mut self.inn.0));
+        builder.add_u32s(kind::IN_LABELS, std::mem::take(&mut self.inn.1));
+        builder.add_u32s(kind::IN_NEIGHBORS, std::mem::take(&mut self.inn.2));
+        builder.add_u32s(kind::LABEL_ORDER, std::mem::take(&mut self.label_order));
         builder.add_blob(
             kind::LABEL_RANGES,
             self.label_range_count,
             std::mem::take(&mut self.label_ranges),
         );
-        builder.add_u32s(kind::TRIPLE_SRC, &self.triple_src);
-        builder.add_u32s(kind::TRIPLE_DST, &self.triple_dst);
+        builder.add_u32s(kind::TRIPLE_SRC, std::mem::take(&mut self.triple_src));
+        builder.add_u32s(kind::TRIPLE_DST, std::mem::take(&mut self.triple_dst));
         builder.add_blob(
             kind::TRIPLE_RANGES,
             self.triple_range_count,

@@ -132,7 +132,15 @@ pub(crate) struct FileBuilder {
     node_count: u64,
     edge_count: u64,
     epoch: u64,
-    sections: Vec<(SectionEntry, Vec<u8>)>,
+    sections: Vec<(SectionEntry, Payload)>,
+}
+
+/// A section's payload, held in its own type until [`FileBuilder::finish`]
+/// lays it out: a `u32` array is encoded straight into the file bytes,
+/// never into a byte buffer of its own first.
+enum Payload {
+    Bytes(Vec<u8>),
+    U32s(Vec<u32>),
 }
 
 impl FileBuilder {
@@ -145,33 +153,35 @@ impl FileBuilder {
         }
     }
 
-    pub(crate) fn add_u32s(&mut self, kind: u32, data: &[u32]) {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for &value in data {
-            bytes.extend_from_slice(&value.to_le_bytes());
-        }
-        self.add_blob(kind, data.len() as u64, bytes);
+    pub(crate) fn add_u32s(&mut self, kind: u32, data: Vec<u32>) {
+        let (elem_count, byte_len) = (data.len() as u64, data.len() as u64 * 4);
+        self.push(kind, elem_count, byte_len, Payload::U32s(data));
     }
 
     pub(crate) fn add_blob(&mut self, kind: u32, elem_count: u64, bytes: Vec<u8>) {
+        let byte_len = bytes.len() as u64;
+        self.push(kind, elem_count, byte_len, Payload::Bytes(bytes));
+    }
+
+    fn push(&mut self, kind: u32, elem_count: u64, byte_len: u64, payload: Payload) {
         self.sections.push((
             SectionEntry {
                 kind,
                 owner: 0,
                 offset: 0, // assigned in finish()
-                byte_len: bytes.len() as u64,
+                byte_len,
                 elem_count,
             },
-            bytes,
+            payload,
         ));
     }
 
     pub(crate) fn finish(mut self) -> Vec<u8> {
         let table_end = HEADER_LEN + self.sections.len() * SECTION_ENTRY_LEN;
         let mut offset = align_up(table_end);
-        for (entry, bytes) in &mut self.sections {
+        for (entry, _) in &mut self.sections {
             entry.offset = offset as u64;
-            offset = align_up(offset + bytes.len());
+            offset = align_up(offset + entry.byte_len as usize);
         }
         let total_len = offset;
 
@@ -180,9 +190,16 @@ impl FileBuilder {
             let at = HEADER_LEN + idx * SECTION_ENTRY_LEN;
             out[at..at + SECTION_ENTRY_LEN].copy_from_slice(&entry.encode());
         }
-        for (entry, bytes) in &self.sections {
-            let at = entry.offset as usize;
-            out[at..at + bytes.len()].copy_from_slice(bytes);
+        for (entry, payload) in &self.sections {
+            let dst = &mut out[entry.offset as usize..][..entry.byte_len as usize];
+            match payload {
+                Payload::Bytes(bytes) => dst.copy_from_slice(bytes),
+                Payload::U32s(values) => {
+                    for (slot, value) in dst.chunks_exact_mut(4).zip(values) {
+                        slot.copy_from_slice(&value.to_le_bytes());
+                    }
+                }
+            }
         }
         let header = FileHeader {
             version: super::format::VERSION,
@@ -269,7 +286,7 @@ pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
 fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, syms: &SymTable) {
     let nodes = &snapshot.nodes;
     let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
-    builder.add_u32s(kind::NODE_LABELS, &node_labels);
+    builder.add_u32s(kind::NODE_LABELS, node_labels);
     builder.add_blob(
         kind::NODE_ATTRS,
         nodes.len() as u64,
@@ -277,13 +294,13 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
     );
 
     let (offsets, labels, neighbors) = encode_side(snapshot.out_side(), syms);
-    builder.add_u32s(kind::OUT_OFFSETS, &offsets);
-    builder.add_u32s(kind::OUT_LABELS, &labels);
-    builder.add_u32s(kind::OUT_NEIGHBORS, &neighbors);
+    builder.add_u32s(kind::OUT_OFFSETS, offsets);
+    builder.add_u32s(kind::OUT_LABELS, labels);
+    builder.add_u32s(kind::OUT_NEIGHBORS, neighbors);
     let (offsets, labels, neighbors) = encode_side(snapshot.in_side(), syms);
-    builder.add_u32s(kind::IN_OFFSETS, &offsets);
-    builder.add_u32s(kind::IN_LABELS, &labels);
-    builder.add_u32s(kind::IN_NEIGHBORS, &neighbors);
+    builder.add_u32s(kind::IN_OFFSETS, offsets);
+    builder.add_u32s(kind::IN_LABELS, labels);
+    builder.add_u32s(kind::IN_NEIGHBORS, neighbors);
 
     // Label partition, groups re-ordered into file-symbol order.
     let (label_ranges, old_order) = snapshot.label_partition();
@@ -301,7 +318,7 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         file_ranges.put_u32(new_start);
         file_ranges.put_u32(label_order.len() as u32);
     }
-    builder.add_u32s(kind::LABEL_ORDER, &label_order);
+    builder.add_u32s(kind::LABEL_ORDER, label_order);
     builder.add_blob(
         kind::LABEL_RANGES,
         ranges.len() as u64,
@@ -334,8 +351,8 @@ fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, sym
         triple_ranges.put_u32(new_start);
         triple_ranges.put_u32(triple_src.len() as u32);
     }
-    builder.add_u32s(kind::TRIPLE_SRC, &triple_src);
-    builder.add_u32s(kind::TRIPLE_DST, &triple_dst);
+    builder.add_u32s(kind::TRIPLE_SRC, triple_src);
+    builder.add_u32s(kind::TRIPLE_DST, triple_dst);
     builder.add_blob(
         kind::TRIPLE_RANGES,
         triples.len() as u64,

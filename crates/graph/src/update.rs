@@ -103,6 +103,16 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+/// The net edge effect of a [`BatchUpdate`] on a base view
+/// ([`BatchUpdate::net_edges`]).
+#[derive(Debug, Default)]
+pub(crate) struct NetEdges {
+    /// Edges present after the update and absent from the base.
+    pub(crate) added: HashSet<EdgeRef>,
+    /// Base edges absent after the update.
+    pub(crate) removed: HashSet<EdgeRef>,
+}
+
 /// A batch update `ΔG`: new nodes plus a sequence of edge operations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchUpdate {
@@ -209,16 +219,28 @@ impl BatchUpdate {
     /// Check that this update would apply cleanly to `base`, without
     /// panicking and without materialising anything.
     ///
-    /// Walks the operation sequence with the same net insert/delete
-    /// bookkeeping as [`crate::DeltaOverlay::new`] and [`BatchUpdate::apply`],
-    /// but reports the first offending operation as a typed [`UpdateError`]
-    /// instead of asserting — the validation a server must run on an
-    /// untrusted client batch before handing it to the overlay constructor
-    /// (whose invalid-update path is a panic by design).
+    /// Reports the first offending operation as a typed [`UpdateError`] —
+    /// the validation a server must run on an untrusted client batch
+    /// before handing it to [`crate::DeltaOverlay::new`], whose
+    /// invalid-update path is a panic by design.  The rules are the one
+    /// fold `net_edges` below, which [`crate::DeltaOverlay::try_new`] (and
+    /// through it compaction) builds from, so the three cannot disagree.
     pub fn validate_against<V: GraphView + ?Sized>(&self, base: &V) -> Result<(), UpdateError> {
+        self.net_edges(base).map(drop)
+    }
+
+    /// The update rules, in their one copy: walk the operation sequence
+    /// against `base` and return its net effect — the edges it adds that
+    /// `base` lacks and the `base` edges it removes — or the first
+    /// operation that would not apply, as [`BatchUpdate::apply`] would
+    /// report it.  An edge deleted and re-inserted within the batch nets
+    /// out to nothing; so does one inserted and re-deleted.
+    pub(crate) fn net_edges<V: GraphView + ?Sized>(
+        &self,
+        base: &V,
+    ) -> Result<NetEdges, UpdateError> {
         let total_nodes = base.node_count() + self.new_nodes.len();
-        let mut added: HashSet<EdgeRef> = HashSet::new();
-        let mut removed: HashSet<EdgeRef> = HashSet::new();
+        let mut net = NetEdges::default();
         for op in &self.ops {
             let e = op.edge();
             for end in [e.src, e.dst] {
@@ -229,27 +251,28 @@ impl BatchUpdate {
             let in_base = e.src.index() < base.node_count()
                 && e.dst.index() < base.node_count()
                 && base.has_edge(e.src, e.dst, e.label);
-            let currently_present = added.contains(&e) || (in_base && !removed.contains(&e));
+            let currently_present =
+                net.added.contains(&e) || (in_base && !net.removed.contains(&e));
             match op {
                 EdgeOp::Insert(_) => {
                     if currently_present {
                         return Err(UpdateError::InsertExisting(e));
                     }
-                    if !removed.remove(&e) {
-                        added.insert(e);
+                    if !net.removed.remove(&e) {
+                        net.added.insert(e);
                     }
                 }
                 EdgeOp::Delete(_) => {
                     if !currently_present {
                         return Err(UpdateError::DeleteMissing(e));
                     }
-                    if !added.remove(&e) {
-                        removed.insert(e);
+                    if !net.added.remove(&e) {
+                        net.removed.insert(e);
                     }
                 }
             }
         }
-        Ok(())
+        Ok(net)
     }
 
     /// Apply the update to `graph` in place, producing `G ⊕ ΔG`.

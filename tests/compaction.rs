@@ -13,12 +13,21 @@
 //!   it, [`IncrementalSession::rebase_onto`] it) answers every subsequent
 //!   batch byte-identically to a session that never compacted, on every
 //!   figure-1 scenario and the 11k-node synthetic.
+//! * **Two encoders at scale** — the 11k-node synthetic written through
+//!   `freeze → SnapshotWriter` equals an empty snapshot compacted with the
+//!   whole graph as its `ΔG`, and the same graph rebuilt with its
+//!   adjacency lists out of order freezes to the same bytes.
+//! * **One set of update rules** — `validate_against`,
+//!   `DeltaOverlay::try_new` and `CompactionWriter::encode` report the
+//!   same [`UpdateError`] for the first failing op of every failure mode.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, StdRng, UpdateConfig};
 use ngd_detect::{DetectorConfig, IncrementalSession};
 use ngd_graph::persist::{CompactError, CompactionWriter, MmapSnapshot, SnapshotWriter};
-use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, NodeId, Value};
+use ngd_graph::{
+    intern, AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, NodeId, UpdateError, Value,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -329,5 +338,191 @@ fn compact_file_bumps_epochs_across_generations() {
 
     for p in [path, gen1, gen2] {
         std::fs::remove_file(p).ok();
+    }
+}
+
+/// The index of the first byte at which two encodings differ, for a
+/// failure message that does not print a megabyte.
+fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
+    (a.iter().zip(b).position(|(x, y)| x != y))
+        .or((a.len() != b.len()).then(|| a.len().min(b.len())))
+}
+
+#[test]
+fn freeze_write_equals_compacting_the_whole_11k_graph_into_an_empty_snapshot() {
+    let graph = generate_knowledge(&KnowledgeConfig::dbpedia_like(50).with_seed(0xC5_A11)).graph;
+    assert!(graph.node_count() >= 10_000);
+    let frozen = SnapshotWriter::new().encode(&graph.freeze());
+
+    let path = temp_path("empty");
+    SnapshotWriter::new()
+        .write(&Graph::new().freeze(), &path)
+        .unwrap();
+    let empty = MmapSnapshot::load(&path).unwrap();
+    let mut everything = BatchUpdate::new();
+    for id in graph.node_ids() {
+        let node = graph.node(id);
+        everything.add_node(0, node.label, node.attrs.clone());
+    }
+    for e in graph.edges() {
+        everything.insert_edge(e.src, e.dst, e.label);
+    }
+    let compacted = CompactionWriter::new()
+        .encode(&empty, &everything, 0)
+        .unwrap();
+    assert_eq!(
+        first_difference(&frozen, &compacted),
+        None,
+        "freeze→write ({} B) ≠ compact(∅, G) ({} B)",
+        frozen.len(),
+        compacted.len()
+    );
+    std::fs::remove_file(&path).ok();
+
+    // The same graph with its edges inserted in reverse order, and every
+    // 37th one removed and re-added, so its adjacency lists hold the
+    // same entries in another order.
+    let mut rebuilt = Graph::with_capacity(graph.node_count());
+    for id in graph.node_ids() {
+        rebuilt.add_node(graph.label(id), graph.attrs(id).clone());
+    }
+    let edges = graph.edge_vec();
+    for e in edges.iter().rev() {
+        rebuilt.add_edge(e.src, e.dst, e.label).unwrap();
+    }
+    for e in edges.iter().step_by(37) {
+        rebuilt.remove_edge(e.src, e.dst, e.label).unwrap();
+    }
+    for e in edges.iter().step_by(37) {
+        rebuilt.add_edge(e.src, e.dst, e.label).unwrap();
+    }
+    let reordered = graph
+        .node_ids()
+        .filter(|&id| rebuilt.out_neighbors(id) != graph.out_neighbors(id))
+        .count();
+    assert!(reordered > 1_000, "only {reordered} out-lists reordered");
+    let refrozen = SnapshotWriter::new().encode(&rebuilt.freeze());
+    assert_eq!(
+        first_difference(&frozen, &refrozen),
+        None,
+        "adjacency-list order leaked into the snapshot bytes"
+    );
+}
+
+#[test]
+fn validation_overlay_and_compaction_report_the_same_first_failing_op() {
+    let mut graph = Graph::new();
+    let a = graph.add_node_named("A", AttrMap::new());
+    let b = graph.add_node_named("B", AttrMap::new());
+    let c = graph.add_node_named("C", AttrMap::new());
+    graph.add_edge_named(a, b, "e").unwrap();
+    graph.add_edge_named(b, c, "e").unwrap();
+    let path = temp_path("rules");
+    SnapshotWriter::new().write(&graph.freeze(), &path).unwrap();
+    let mapped = MmapSnapshot::load(&path).unwrap();
+    let csr = graph.freeze();
+
+    let ab = EdgeRef::new(a, b, intern("e"));
+    let ca = EdgeRef::new(c, a, intern("x"));
+    let ghost = EdgeRef::new(c, a, intern("ghost"));
+    let with = |ops: &[(bool, EdgeRef)]| {
+        let mut delta = BatchUpdate::new();
+        delta.add_node(graph.node_count(), intern("D"), AttrMap::new());
+        for &(insert, e) in ops {
+            if insert {
+                delta.insert_edge(e.src, e.dst, e.label);
+            } else {
+                delta.delete_edge(e.src, e.dst, e.label);
+            }
+        }
+        delta
+    };
+    let (ins, del) = (true, false);
+    let unknown = EdgeRef::new(a, NodeId(99), intern("e"));
+    let cases: Vec<(&str, BatchUpdate, UpdateError)> = vec![
+        (
+            "unknown node",
+            with(&[(ins, ca), (ins, unknown)]),
+            UpdateError::UnknownNode(NodeId(99)),
+        ),
+        (
+            "unknown source before unknown destination",
+            with(&[(del, EdgeRef::new(NodeId(50), NodeId(60), intern("e")))]),
+            UpdateError::UnknownNode(NodeId(50)),
+        ),
+        (
+            "insert of an existing edge",
+            with(&[(ins, ab)]),
+            UpdateError::InsertExisting(ab),
+        ),
+        (
+            "delete of a missing edge",
+            with(&[(del, ghost)]),
+            UpdateError::DeleteMissing(ghost),
+        ),
+        (
+            "a second insert within the batch",
+            with(&[(ins, ca), (ins, ca)]),
+            UpdateError::InsertExisting(ca),
+        ),
+        (
+            "a second delete within the batch",
+            with(&[(del, ab), (del, ab)]),
+            UpdateError::DeleteMissing(ab),
+        ),
+        (
+            "a re-insert after a net cancellation",
+            with(&[(del, ab), (ins, ab), (ins, ab)]),
+            UpdateError::InsertExisting(ab),
+        ),
+        (
+            "the first of two failing ops",
+            with(&[(ins, ca), (del, ghost), (ins, unknown), (ins, ab)]),
+            UpdateError::DeleteMissing(ghost),
+        ),
+    ];
+    for (name, delta, expected) in cases {
+        assert_eq!(
+            delta.validate_against(&mapped),
+            Err(expected.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            delta.validate_against(&csr),
+            Err(expected.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            DeltaOverlay::try_new(&mapped, &delta).err(),
+            Some(expected.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            DeltaOverlay::try_new(&csr, &delta).err(),
+            Some(expected.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            CompactionWriter::new().encode(&mapped, &delta, 1),
+            Err(CompactError::Update(expected)),
+            "{name}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn try_new_and_new_canonicalise_valid_batches_alike() {
+    for case in 0..48u64 {
+        let mut rng = StdRng::seed_from_u64(9_000 + case);
+        let graph = random_graph(&mut rng);
+        let delta = random_delta(&mut rng, &graph);
+        let snap = graph.freeze();
+        assert_eq!(delta.validate_against(&snap), Ok(()), "case {case}");
+        assert_eq!(
+            DeltaOverlay::try_new(&snap, &delta).unwrap().into_batch(),
+            DeltaOverlay::new(&snap, &delta).into_batch(),
+            "case {case}"
+        );
     }
 }
