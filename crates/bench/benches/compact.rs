@@ -9,10 +9,12 @@
 //!   a mutable graph (clone + apply), `freeze()` it (linear passes over
 //!   the adjacency lists, each run sorted) and encode the file (symbol
 //!   table, every run re-sorted into file-symbol order);
-//! * `compact/*` — `CompactionWriter`: merge-join the *mapped* old file's
-//!   arrays with the net delta (monotone symbol remap, two-pointer run
-//!   merges, attribute-blob rewrite) — no `Graph`, no freeze, no sorts
-//!   over bulk data.
+//! * `compact/*` — `CompactionWriter`: fold the delta into its net sets
+//!   (the update rules' one fold plus a sort of each set, no overlay),
+//!   then merge-join the *mapped* old file's arrays with them (monotone
+//!   symbol remap, spans of untouched rows and triple groups copied
+//!   whole, two-pointer merges of the touched ones, attribute-blob
+//!   rewrite) — no `Graph`, no freeze, no sorts over bulk data.
 //!
 //! Both paths must produce **byte-identical** output (asserted before any
 //! timing), so the speedup is pure mechanism.  Running it rewrites
@@ -22,7 +24,9 @@
 //! is the budget a faster freeze or encode spends, so the three stages of
 //! the re-freeze side are timed on their own too (un-gated
 //! `refreeze/stage/*` rows): a ratio that moves can be traced to the side
-//! and the stage that moved it.
+//! and the stage that moved it.  Both sides share the id-keyed hashing
+//! (`ngd_graph::hash`) and the dense `Sym → file id` table, so a change to
+//! either moves both.
 
 use ngd_bench::harness::{black_box, Harness};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};

@@ -22,7 +22,7 @@
 
 use crate::dataset::GeneratedGraph;
 use crate::rng::StdRng;
-use ngd_graph::{AttrMap, Value};
+use ngd_graph::{intern, AttrMap, NodeId, Sym, Value};
 
 /// Configuration of the knowledge-base simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,44 +113,133 @@ impl Default for KnowledgeConfig {
     }
 }
 
-fn int_attrs(value: i64) -> AttrMap {
-    AttrMap::from_pairs([("val", Value::Int(value))])
+/// The simulator's alphabet — node labels, edge labels and attribute
+/// names — interned once per [`generate_knowledge`] call, so the per-node,
+/// per-edge and per-attribute work is a copy of a [`Sym`], not a lookup
+/// in the process-wide interner.
+struct Alphabet {
+    institution: Sym,
+    date: Sym,
+    val: Sym,
+    was_created_on_date: Sym,
+    was_destroyed_on_date: Sym,
+    area: Sym,
+    integer: Sym,
+    female_population: Sym,
+    male_population: Sym,
+    population_total: Sym,
+    place: Sym,
+    part_of: Sym,
+    population: Sym,
+    population_rank: Sym,
+    person: Sym,
+    string: Sym,
+    birth_year: Sym,
+    category: Sym,
+    competition: Sym,
+    event: Sym,
+    kind: Sym,
+    includes: Sym,
+    competitors: Sym,
+    nations: Sym,
+    year: Sym,
+    team: Sym,
+    number_of_wins: Sym,
+    driver: Sym,
+    links_to: Sym,
+}
+
+impl Alphabet {
+    fn new() -> Alphabet {
+        Alphabet {
+            institution: intern("institution"),
+            date: intern("date"),
+            val: intern("val"),
+            was_created_on_date: intern("wasCreatedOnDate"),
+            was_destroyed_on_date: intern("wasDestroyedOnDate"),
+            area: intern("area"),
+            integer: intern("integer"),
+            female_population: intern("femalePopulation"),
+            male_population: intern("malePopulation"),
+            population_total: intern("populationTotal"),
+            place: intern("place"),
+            part_of: intern("partOf"),
+            population: intern("population"),
+            population_rank: intern("populationRank"),
+            person: intern("person"),
+            string: intern("string"),
+            birth_year: intern("birthYear"),
+            category: intern("category"),
+            competition: intern("competition"),
+            event: intern("event"),
+            kind: intern("type"),
+            includes: intern("includes"),
+            competitors: intern("competitors"),
+            nations: intern("nations"),
+            year: intern("year"),
+            team: intern("team"),
+            number_of_wins: intern("numberOfWins"),
+            driver: intern("driver"),
+            links_to: intern("linksTo"),
+        }
+    }
+
+    /// A node labelled `label` carrying one `val` attribute.
+    fn value_node(&self, out: &mut GeneratedGraph, label: Sym, value: Value) -> NodeId {
+        out.graph.add_node(label, attrs(self.val, value))
+    }
+}
+
+/// A one-attribute tuple.
+fn attrs(name: Sym, value: Value) -> AttrMap {
+    let mut attrs = AttrMap::new();
+    attrs.set(name, value);
+    attrs
+}
+
+/// Add an edge the generator knows to be new.
+fn link(out: &mut GeneratedGraph, src: NodeId, dst: NodeId, label: Sym) {
+    out.graph
+        .add_edge(src, dst, label)
+        .expect("generated edges are distinct");
 }
 
 /// Generate a knowledge-base graph according to `config`.
 pub fn generate_knowledge(config: &KnowledgeConfig) -> GeneratedGraph {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut out = GeneratedGraph::default();
+    let a = Alphabet::new();
     let seed_error = |rng: &mut StdRng| rng.gen_bool(config.error_rate.clamp(0.0, 1.0));
 
-    generate_institutions(config, &mut rng, &mut out, seed_error);
-    generate_areas(config, &mut rng, &mut out, seed_error);
-    generate_regions(config, &mut rng, &mut out);
-    generate_persons(config, &mut rng, &mut out, seed_error);
-    generate_competitions(config, &mut rng, &mut out, seed_error);
-    generate_teams(config, &mut rng, &mut out, seed_error);
-    generate_filler_links(config, &mut rng, &mut out);
+    generate_institutions(config, &a, &mut rng, &mut out, seed_error);
+    generate_areas(config, &a, &mut rng, &mut out, seed_error);
+    generate_regions(config, &a, &mut rng, &mut out);
+    generate_persons(config, &a, &mut rng, &mut out, seed_error);
+    generate_competitions(config, &a, &mut rng, &mut out, seed_error);
+    generate_teams(config, &a, &mut rng, &mut out, seed_error);
+    generate_filler_links(config, &a, &mut rng, &mut out);
     out
 }
 
 /// Rule-irrelevant `linksTo` edges between entity nodes (the bulk of a real
 /// knowledge base).  Only entity-labelled nodes are linked, so the filler
 /// never changes the truth value of any paper rule.
-fn generate_filler_links(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut GeneratedGraph) {
+fn generate_filler_links(
+    config: &KnowledgeConfig,
+    a: &Alphabet,
+    rng: &mut StdRng,
+    out: &mut GeneratedGraph,
+) {
     let entities: Vec<_> = [
-        "institution",
-        "area",
-        "place",
-        "person",
-        "competition",
-        "team",
+        a.institution,
+        a.area,
+        a.place,
+        a.person,
+        a.competition,
+        a.team,
     ]
     .iter()
-    .flat_map(|label| {
-        out.graph
-            .nodes_with_label(ngd_graph::intern(label))
-            .to_vec()
-    })
+    .flat_map(|&label| out.graph.nodes_with_label(label).to_vec())
     .collect();
     if entities.len() < 2 {
         return;
@@ -164,7 +253,7 @@ fn generate_filler_links(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut G
         if src == dst {
             continue;
         }
-        if out.graph.add_edge_named(src, dst, "linksTo").is_ok() {
+        if out.graph.add_edge(src, dst, a.links_to).is_ok() {
             added += 1;
         }
     }
@@ -175,12 +264,13 @@ fn generate_filler_links(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut G
 /// BBC-Trust error of Figure 1).  Violates φ1.
 fn generate_institutions(
     config: &KnowledgeConfig,
+    a: &Alphabet,
     rng: &mut StdRng,
     out: &mut GeneratedGraph,
     mut seed_error: impl FnMut(&mut StdRng) -> bool,
 ) {
     for _ in 0..config.institutions {
-        let inst = out.graph.add_node_named("institution", AttrMap::new());
+        let inst = out.graph.add_node(a.institution, AttrMap::new());
         let created_year = rng.gen_range(1900..2010);
         let lifetime_years = rng.gen_range(1..80);
         let bad = seed_error(rng);
@@ -189,20 +279,10 @@ fn generate_institutions(
         } else {
             created_year + lifetime_years
         };
-        let created = out.graph.add_node_named(
-            "date",
-            AttrMap::from_pairs([("val", Value::from_date(created_year, 1, 1))]),
-        );
-        let destroyed = out.graph.add_node_named(
-            "date",
-            AttrMap::from_pairs([("val", Value::from_date(destroyed_year, 6, 15))]),
-        );
-        out.graph
-            .add_edge_named(inst, created, "wasCreatedOnDate")
-            .unwrap();
-        out.graph
-            .add_edge_named(inst, destroyed, "wasDestroyedOnDate")
-            .unwrap();
+        let created = a.value_node(out, a.date, Value::from_date(created_year, 1, 1));
+        let destroyed = a.value_node(out, a.date, Value::from_date(destroyed_year, 6, 15));
+        link(out, inst, created, a.was_created_on_date);
+        link(out, inst, destroyed, a.was_destroyed_on_date);
         if bad {
             out.record_seed("phi1", inst);
         }
@@ -213,12 +293,13 @@ fn generate_institutions(
 /// error).  Violates φ2.
 fn generate_areas(
     config: &KnowledgeConfig,
+    a: &Alphabet,
     rng: &mut StdRng,
     out: &mut GeneratedGraph,
     mut seed_error: impl FnMut(&mut StdRng) -> bool,
 ) {
     for _ in 0..config.areas {
-        let area = out.graph.add_node_named("area", AttrMap::new());
+        let area = out.graph.add_node(a.area, AttrMap::new());
         let female = rng.gen_range(100..5_000);
         let male = rng.gen_range(100..5_000);
         let bad = seed_error(rng);
@@ -227,16 +308,12 @@ fn generate_areas(
         } else {
             female + male
         };
-        let f = out.graph.add_node_named("integer", int_attrs(female));
-        let m = out.graph.add_node_named("integer", int_attrs(male));
-        let t = out.graph.add_node_named("integer", int_attrs(total));
-        out.graph
-            .add_edge_named(area, f, "femalePopulation")
-            .unwrap();
-        out.graph.add_edge_named(area, m, "malePopulation").unwrap();
-        out.graph
-            .add_edge_named(area, t, "populationTotal")
-            .unwrap();
+        let f = a.value_node(out, a.integer, Value::Int(female));
+        let m = a.value_node(out, a.integer, Value::Int(male));
+        let t = a.value_node(out, a.integer, Value::Int(total));
+        link(out, area, f, a.female_population);
+        link(out, area, m, a.male_population);
+        link(out, area, t, a.population_total);
         if bad {
             out.record_seed("phi2", area);
         }
@@ -247,13 +324,15 @@ fn generate_areas(
 /// Ranks are consistent with populations (rank 1 = most populous) unless a
 /// region is seeded, in which case one adjacent pair of ranks is swapped —
 /// exactly the Corona/Downey error of Figure 1.  Violates φ3.
-fn generate_regions(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut GeneratedGraph) {
+fn generate_regions(
+    config: &KnowledgeConfig,
+    a: &Alphabet,
+    rng: &mut StdRng,
+    out: &mut GeneratedGraph,
+) {
     for _ in 0..config.regions {
-        let region = out.graph.add_node_named("place", AttrMap::new());
-        let census = out.graph.add_node_named(
-            "date",
-            AttrMap::from_pairs([("val", Value::from_date(2014, 4, 1))]),
-        );
+        let region = out.graph.add_node(a.place, AttrMap::new());
+        let census = a.value_node(out, a.date, Value::from_date(2014, 4, 1));
         let count = config.places_per_region.max(2);
         // Distinct populations, descending so that index = rank − 1.
         let mut populations: Vec<i64> = (0..count)
@@ -274,15 +353,13 @@ fn generate_regions(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut Genera
             None
         };
         for (idx, (&population, &rank)) in populations.iter().zip(ranks.iter()).enumerate() {
-            let place = out.graph.add_node_named("place", AttrMap::new());
-            let pop = out.graph.add_node_named("integer", int_attrs(population));
-            let rk = out.graph.add_node_named("integer", int_attrs(rank));
-            out.graph.add_edge_named(place, region, "partOf").unwrap();
-            out.graph.add_edge_named(place, pop, "population").unwrap();
-            out.graph
-                .add_edge_named(place, rk, "populationRank")
-                .unwrap();
-            out.graph.add_edge_named(pop, census, "date").unwrap();
+            let place = out.graph.add_node(a.place, AttrMap::new());
+            let pop = a.value_node(out, a.integer, Value::Int(population));
+            let rk = a.value_node(out, a.integer, Value::Int(rank));
+            link(out, place, region, a.part_of);
+            link(out, place, pop, a.population);
+            link(out, place, rk, a.population_rank);
+            link(out, pop, census, a.date);
             if idx >= 1 && swapped_at == Some(idx - 1) {
                 // The less-populous place of the swapped pair (index i+1 of
                 // the swap) is the `x` of the violating φ3 match: it has the
@@ -297,12 +374,13 @@ fn generate_regions(config: &KnowledgeConfig, rng: &mut StdRng, out: &mut Genera
 /// born before 1800 yet categorised as "living people" (NGD1).
 fn generate_persons(
     config: &KnowledgeConfig,
+    a: &Alphabet,
     rng: &mut StdRng,
     out: &mut GeneratedGraph,
     mut seed_error: impl FnMut(&mut StdRng) -> bool,
 ) {
     for _ in 0..config.persons {
-        let person = out.graph.add_node_named("person", AttrMap::new());
+        let person = out.graph.add_node(a.person, AttrMap::new());
         let bad = seed_error(rng);
         let (birth_year, category) = if bad {
             (rng.gen_range(1500..1800), "living people")
@@ -311,13 +389,10 @@ fn generate_persons(
         } else {
             (rng.gen_range(1500..1900), "deceased")
         };
-        let year = out.graph.add_node_named("integer", int_attrs(birth_year));
-        let cat = out.graph.add_node_named(
-            "string",
-            AttrMap::from_pairs([("val", Value::Str(category.to_string()))]),
-        );
-        out.graph.add_edge_named(person, year, "birthYear").unwrap();
-        out.graph.add_edge_named(person, cat, "category").unwrap();
+        let year = a.value_node(out, a.integer, Value::Int(birth_year));
+        let cat = a.value_node(out, a.string, Value::Str(category.to_string()));
+        link(out, person, year, a.birth_year);
+        link(out, person, cat, a.category);
         if bad {
             out.record_seed("ngd1", person);
         }
@@ -329,20 +404,18 @@ fn generate_persons(
 /// competitors (NGD2).
 fn generate_competitions(
     config: &KnowledgeConfig,
+    a: &Alphabet,
     rng: &mut StdRng,
     out: &mut GeneratedGraph,
     mut seed_error: impl FnMut(&mut StdRng) -> bool,
 ) {
     for i in 0..config.competitions {
-        let comp = out.graph.add_node_named("competition", AttrMap::new());
+        let comp = out.graph.add_node(a.competition, AttrMap::new());
         let olympic = i % 2 == 0;
-        let event = out.graph.add_node_named(
-            "event",
-            AttrMap::from_pairs([(
-                "type",
-                Value::Str(if olympic { "Olympic" } else { "Regional" }.to_string()),
-            )]),
-        );
+        let kind = if olympic { "Olympic" } else { "Regional" };
+        let event = out
+            .graph
+            .add_node(a.event, attrs(a.kind, Value::Str(kind.to_string())));
         let competitors = rng.gen_range(10..500);
         let bad = olympic && seed_error(rng);
         let nations = if bad {
@@ -350,11 +423,11 @@ fn generate_competitions(
         } else {
             rng.gen_range(1..=competitors)
         };
-        let y = out.graph.add_node_named("integer", int_attrs(competitors));
-        let z = out.graph.add_node_named("integer", int_attrs(nations));
-        out.graph.add_edge_named(comp, event, "includes").unwrap();
-        out.graph.add_edge_named(comp, y, "competitors").unwrap();
-        out.graph.add_edge_named(comp, z, "nations").unwrap();
+        let y = a.value_node(out, a.integer, Value::Int(competitors));
+        let z = a.value_node(out, a.integer, Value::Int(nations));
+        link(out, comp, event, a.includes);
+        link(out, comp, y, a.competitors);
+        link(out, comp, z, a.nations);
         if bad {
             out.record_seed("ngd2", comp);
         }
@@ -366,13 +439,14 @@ fn generate_competitions(
 /// (NGD3 — the Vettel/Verstappen error of Exp-5).
 fn generate_teams(
     config: &KnowledgeConfig,
+    a: &Alphabet,
     rng: &mut StdRng,
     out: &mut GeneratedGraph,
     mut seed_error: impl FnMut(&mut StdRng) -> bool,
 ) {
     for i in 0..config.teams {
         let season = 2000 + (i as i64 % 20);
-        let year = out.graph.add_node_named("year", int_attrs(season));
+        let year = a.value_node(out, a.year, Value::Int(season));
         let wins1: i64 = rng.gen_range(1..5);
         let wins2: i64 = rng.gen_range(1..5);
         let bad = seed_error(rng);
@@ -382,23 +456,15 @@ fn generate_teams(
         } else {
             wins1 + wins2 + rng.gen_range(0..3)
         };
-        let team = out.graph.add_node_named(
-            "team",
-            AttrMap::from_pairs([("numberOfWins", Value::Int(team_wins))]),
-        );
-        let d1 = out.graph.add_node_named(
-            "driver",
-            AttrMap::from_pairs([("numberOfWins", Value::Int(wins1))]),
-        );
-        let d2 = out.graph.add_node_named(
-            "driver",
-            AttrMap::from_pairs([("numberOfWins", Value::Int(wins2))]),
-        );
-        out.graph.add_edge_named(d1, team, "team").unwrap();
-        out.graph.add_edge_named(d2, team, "team").unwrap();
-        out.graph.add_edge_named(team, year, "year").unwrap();
-        out.graph.add_edge_named(d1, year, "year").unwrap();
-        out.graph.add_edge_named(d2, year, "year").unwrap();
+        let wins = |count: i64| attrs(a.number_of_wins, Value::Int(count));
+        let team = out.graph.add_node(a.team, wins(team_wins));
+        let d1 = out.graph.add_node(a.driver, wins(wins1));
+        let d2 = out.graph.add_node(a.driver, wins(wins2));
+        link(out, d1, team, a.team);
+        link(out, d2, team, a.team);
+        link(out, team, year, a.year);
+        link(out, d1, year, a.year);
+        link(out, d2, year, a.year);
         if bad {
             out.record_seed("ngd3", team);
         }
@@ -408,7 +474,6 @@ fn generate_teams(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ngd_graph::intern;
 
     #[test]
     fn error_free_generation_has_no_seeds() {

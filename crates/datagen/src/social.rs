@@ -17,7 +17,7 @@
 
 use crate::dataset::GeneratedGraph;
 use crate::rng::StdRng;
-use ngd_graph::{AttrMap, NodeId, Value};
+use ngd_graph::{intern, AttrMap, NodeId, Sym, Value};
 
 /// Configuration of the social-network simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,30 +70,74 @@ impl Default for SocialConfig {
     }
 }
 
-fn int_node(out: &mut GeneratedGraph, value: i64) -> NodeId {
-    out.graph
-        .add_node_named("integer", AttrMap::from_pairs([("val", Value::Int(value))]))
+/// The simulator's alphabet, interned once per [`generate_social`] call.
+struct Alphabet {
+    company: Sym,
+    account: Sym,
+    integer: Sym,
+    val: Sym,
+    boolean: Sym,
+    keys: Sym,
+    following: Sym,
+    follower: Sym,
+    status: Sym,
+    profile: Sym,
+    age: Sym,
+    registered: Sym,
+    follows: Sym,
+}
+
+impl Alphabet {
+    fn new() -> Alphabet {
+        Alphabet {
+            company: intern("company"),
+            account: intern("account"),
+            integer: intern("integer"),
+            val: intern("val"),
+            boolean: intern("boolean"),
+            keys: intern("keys"),
+            following: intern("following"),
+            follower: intern("follower"),
+            status: intern("status"),
+            profile: intern("profile"),
+            age: intern("age"),
+            registered: intern("registered"),
+            follows: intern("follows"),
+        }
+    }
+
+    /// A node labelled `label` carrying one `val` attribute.
+    fn value_node(&self, out: &mut GeneratedGraph, label: Sym, value: Value) -> NodeId {
+        let mut attrs = AttrMap::new();
+        attrs.set(self.val, value);
+        out.graph.add_node(label, attrs)
+    }
 }
 
 /// Attach an account to a company with the given follower/following counts
 /// and status flag, returning the account node.
 fn add_account(
     out: &mut GeneratedGraph,
+    a: &Alphabet,
     company: NodeId,
     following: i64,
     follower: i64,
     real: bool,
 ) -> NodeId {
-    let account = out.graph.add_node_named("account", AttrMap::new());
-    let m = int_node(out, following);
-    let n = int_node(out, follower);
-    let status = out
-        .graph
-        .add_node_named("boolean", AttrMap::from_pairs([("val", Value::Bool(real))]));
-    out.graph.add_edge_named(account, company, "keys").unwrap();
-    out.graph.add_edge_named(account, m, "following").unwrap();
-    out.graph.add_edge_named(account, n, "follower").unwrap();
-    out.graph.add_edge_named(account, status, "status").unwrap();
+    let account = out.graph.add_node(a.account, AttrMap::new());
+    let m = a.value_node(out, a.integer, Value::Int(following));
+    let n = a.value_node(out, a.integer, Value::Int(follower));
+    let status = a.value_node(out, a.boolean, Value::Bool(real));
+    for (dst, label) in [
+        (company, a.keys),
+        (m, a.following),
+        (n, a.follower),
+        (status, a.status),
+    ] {
+        out.graph
+            .add_edge(account, dst, label)
+            .expect("a new account's edges are distinct");
+    }
     account
 }
 
@@ -104,14 +148,16 @@ fn add_account(
 pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut out = GeneratedGraph::default();
+    let a = Alphabet::new();
 
     // Corporate layer: companies with one verified account plus satellites.
     for _ in 0..config.companies {
-        let company = out.graph.add_node_named("company", AttrMap::new());
+        let company = out.graph.add_node(a.company, AttrMap::new());
         let verified_following = rng.gen_range(5_000..50_000);
         let verified_follower = rng.gen_range(50_000..500_000);
         add_account(
             &mut out,
+            &a,
             company,
             verified_following,
             verified_follower,
@@ -123,6 +169,7 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
                 // Tiny account that still claims to be real: the φ4 error.
                 let account = add_account(
                     &mut out,
+                    &a,
                     company,
                     rng.gen_range(0..10),
                     rng.gen_range(0..10),
@@ -133,6 +180,7 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
                 // Small but honestly flagged as not-verified.
                 add_account(
                     &mut out,
+                    &a,
                     company,
                     rng.gen_range(0..100),
                     rng.gen_range(0..100),
@@ -143,6 +191,7 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
                 // one that the follower gap stays under any sane threshold.
                 add_account(
                     &mut out,
+                    &a,
                     company,
                     verified_following - rng.gen_range(0..1_000),
                     verified_follower - rng.gen_range(0..1_000),
@@ -157,13 +206,10 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
     for _ in 0..config.profiles {
         let age = rng.gen_range(14..80);
         let registered = rng.gen_range(2005..2018);
-        out.graph.add_node_named(
-            "profile",
-            AttrMap::from_pairs([
-                ("age", Value::Int(age)),
-                ("registered", Value::Int(registered)),
-            ]),
-        );
+        let mut attrs = AttrMap::new();
+        attrs.set(a.age, Value::Int(age));
+        attrs.set(a.registered, Value::Int(registered));
+        out.graph.add_node(a.profile, attrs);
     }
     if config.profiles > 1 {
         let mut pool: Vec<usize> = Vec::new();
@@ -182,7 +228,7 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
                 continue;
             }
             let (src, dst) = (NodeId(src as u32), NodeId(dst as u32));
-            if out.graph.add_edge_named(src, dst, "follows").is_ok() {
+            if out.graph.add_edge(src, dst, a.follows).is_ok() {
                 pool.push(dst.index());
                 added += 1;
             }

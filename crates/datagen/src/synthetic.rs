@@ -9,7 +9,7 @@
 //! distribution is skewed like real graphs.
 
 use crate::rng::StdRng;
-use ngd_graph::{intern, AttrMap, Graph, NodeId, Value};
+use ngd_graph::{intern, AttrMap, Graph, NodeId, Sym, Value};
 
 /// Configuration of the synthetic generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,13 +70,19 @@ impl Default for SyntheticConfig {
 pub fn generate_synthetic(config: &SyntheticConfig) -> Graph {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut graph = Graph::with_capacity(config.nodes);
+    // The alphabet, interned once per call.
+    let alphabet = |prefix: &str, size: usize| -> Vec<Sym> {
+        (0..size.max(1))
+            .map(|k| intern(&format!("{prefix}{k}")))
+            .collect()
+    };
+    let node_labels = alphabet("L", config.node_labels);
+    let edge_labels = alphabet("e", config.edge_labels);
+    let val = intern("val");
     for _ in 0..config.nodes {
-        let label = intern(&format!("L{}", rng.gen_range(0..config.node_labels.max(1))));
+        let label = node_labels[rng.gen_range(0..node_labels.len())];
         let mut attrs = AttrMap::new();
-        attrs.set_named(
-            "val",
-            Value::Int(rng.gen_range(0..config.value_range.max(1))),
-        );
+        attrs.set(val, Value::Int(rng.gen_range(0..config.value_range.max(1))));
         graph.add_node(label, attrs);
     }
     if config.nodes == 0 {
@@ -96,7 +102,7 @@ pub fn generate_synthetic(config: &SyntheticConfig) -> Graph {
         } else {
             NodeId(rng.gen_range(0..config.nodes) as u32)
         };
-        let label = intern(&format!("e{}", rng.gen_range(0..config.edge_labels.max(1))));
+        let label = edge_labels[rng.gen_range(0..edge_labels.len())];
         if graph.add_edge(src, dst, label).is_ok() {
             pool.push(src);
             pool.push(dst);

@@ -34,12 +34,11 @@ use crate::config::{AlgorithmKind, DetectorConfig};
 use crate::cost::CostLedger;
 use crate::report::{DeltaReport, SearchStats, VioSide, VioSink};
 use ngd_core::{Ngd, RuleSet, Var};
-use ngd_graph::{BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId};
+use ngd_graph::{BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, IdMap, NodeId};
 use ngd_match::{
     compile_rule_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, FastPathTally,
     MatchPlan, Matcher, PlanCache, Violation,
 };
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -115,7 +114,7 @@ fn expand_groups<'g, V: GraphView>(
     groups: impl Iterator<Item = &'g PivotGroup<'g>>,
     old_graph: &V,
     new_graph: &V,
-    ranks: [&HashMap<EdgeRef, usize>; 2],
+    ranks: [&IdMap<EdgeRef, usize>; 2],
     sink: Option<VioSink<'_>>,
 ) -> WorkerOutput {
     let mut out = WorkerOutput::default();

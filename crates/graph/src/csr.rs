@@ -37,10 +37,10 @@
 
 use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeData, NodeId};
+use crate::hash::IdMap;
 use crate::interner::{Sym, WILDCARD};
 use crate::value::Value;
 use crate::view::GraphView;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
 
@@ -99,9 +99,9 @@ impl<'a, K: Copy + Ord> Side<'a, K> {
 }
 
 /// `label → range` into a label-partitioned node permutation.
-pub(crate) type LabelRanges = HashMap<Sym, (u32, u32)>;
+pub(crate) type LabelRanges = IdMap<Sym, (u32, u32)>;
 /// `(src label, edge label, dst label) → range` into the triple arrays.
-pub(crate) type TripleRanges = HashMap<(Sym, Sym, Sym), (u32, u32)>;
+pub(crate) type TripleRanges = IdMap<(Sym, Sym, Sym), (u32, u32)>;
 
 /// CSR storage: the seam between the arrays (heap or mapped file) and the
 /// reader — row-addressed adjacency (a *row* is a node id) plus the two
@@ -378,8 +378,8 @@ impl Graph {
 fn group_by_key<K: Copy + Ord + Hash>(
     keys: impl Iterator<Item = K>,
     len: usize,
-) -> (Vec<u32>, HashMap<K, (u32, u32)>) {
-    let mut group_of: HashMap<K, u32> = HashMap::new();
+) -> (Vec<u32>, IdMap<K, (u32, u32)>) {
+    let mut group_of: IdMap<K, u32> = IdMap::default();
     let mut distinct: Vec<K> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut slots: Vec<u32> = Vec::with_capacity(len);
@@ -395,7 +395,7 @@ fn group_by_key<K: Copy + Ord + Hash>(
     let mut order: Vec<usize> = (0..distinct.len()).collect();
     order.sort_unstable_by_key(|&group| distinct[group]);
     let mut next = vec![0u32; distinct.len()];
-    let mut ranges = HashMap::with_capacity(distinct.len());
+    let mut ranges = IdMap::with_capacity_and_hasher(distinct.len(), Default::default());
     let mut at = 0u32;
     for group in order {
         next[group] = at;

@@ -8,11 +8,11 @@
 //! paper's `E ⊆ V × V` formulation (per label).
 
 use crate::attrs::AttrMap;
+use crate::hash::{IdMap, IdSet};
 use crate::interner::{intern, Sym};
 use crate::value::Value;
 use crate::{GraphError, Result};
 use ngd_json::{FromJson, Json, ToJson};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A dense node identifier (index into the node arena).
@@ -97,11 +97,11 @@ pub struct Graph {
     /// Incoming adjacency: `inn[v] = [(u, label), …]` for edges `u → v`.
     inn: Vec<Vec<(NodeId, Sym)>>,
     /// Node ids grouped by label, for candidate selection.
-    label_index: HashMap<Sym, Vec<NodeId>>,
+    label_index: IdMap<Sym, Vec<NodeId>>,
     /// Every edge as a set, for O(1) `has_edge` / duplicate checks —
     /// without it, bulk loads pay an O(deg) adjacency scan per insertion,
     /// which is quadratic on hub-heavy graphs.
-    edge_set: HashSet<EdgeRef>,
+    edge_set: IdSet<EdgeRef>,
     edge_count: usize,
 }
 
@@ -117,8 +117,8 @@ impl Graph {
             nodes: Vec::with_capacity(nodes),
             out: Vec::with_capacity(nodes),
             inn: Vec::with_capacity(nodes),
-            label_index: HashMap::new(),
-            edge_set: HashSet::new(),
+            label_index: IdMap::default(),
+            edge_set: IdSet::default(),
             edge_count: 0,
         }
     }

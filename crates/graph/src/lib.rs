@@ -65,6 +65,7 @@ pub mod builder;
 mod conformance;
 pub mod csr;
 pub mod graph;
+pub mod hash;
 pub mod interner;
 pub mod io;
 pub mod neighborhood;
@@ -79,6 +80,7 @@ pub use attrs::AttrMap;
 pub use builder::GraphBuilder;
 pub use csr::CsrSnapshot;
 pub use graph::{EdgeRef, Graph, NodeData, NodeId};
+pub use hash::{IdMap, IdSet};
 pub use interner::{intern, resolve, Sym, WILDCARD};
 pub use neighborhood::{d_neighbors, d_neighbors_many, induced_subgraph, Neighborhood};
 pub use overlay::{DeltaOverlay, RebaseError};

@@ -25,15 +25,15 @@
 //! `BatchUpdate::net_edges` in `update.rs`.  [`DeltaOverlay::try_new`]
 //! builds from its net sets ([`DeltaOverlay::new`] panics on its error),
 //! [`BatchUpdate::validate_against`] discards them, and compaction
-//! validates and canonicalises a `ΔG` with one `try_new` call.
+//! validates and canonicalises a `ΔG` by sorting them.
 
 use crate::csr::CsrSnapshot;
 use crate::graph::{EdgeRef, NodeData, NodeId};
+use crate::hash::{IdMap, IdSet};
 use crate::interner::Sym;
 use crate::update::{BatchUpdate, EdgeOp, NetEdges, UpdateError};
 use crate::value::Value;
 use crate::view::GraphView;
-use std::collections::{HashMap, HashSet};
 
 /// A read-only view of `base ⊕ delta` without materialisation.
 ///
@@ -46,19 +46,19 @@ pub struct DeltaOverlay<'a, B: GraphView = CsrSnapshot> {
     /// Nodes introduced by the update; node `base_count + i` is `added_nodes[i]`.
     added_nodes: Vec<NodeData>,
     /// Net-inserted edges, grouped by source (sorted by `(label, dst)`).
-    added_out: HashMap<NodeId, Vec<(Sym, NodeId)>>,
+    added_out: IdMap<NodeId, Vec<(Sym, NodeId)>>,
     /// Net-inserted edges, grouped by destination (sorted by `(label, src)`).
-    added_in: HashMap<NodeId, Vec<(Sym, NodeId)>>,
+    added_in: IdMap<NodeId, Vec<(Sym, NodeId)>>,
     /// Net-deleted edges.
-    removed: HashSet<EdgeRef>,
+    removed: IdSet<EdgeRef>,
     /// Per-node count of net-deleted out-edges (for degrees).
-    removed_out: HashMap<NodeId, usize>,
+    removed_out: IdMap<NodeId, usize>,
     /// Per-node count of net-deleted in-edges.
-    removed_in: HashMap<NodeId, usize>,
+    removed_in: IdMap<NodeId, usize>,
     /// New nodes per label (extends the snapshot's label partition).
-    added_label_index: HashMap<Sym, Vec<NodeId>>,
+    added_label_index: IdMap<Sym, Vec<NodeId>>,
     /// Nodes whose adjacency differs from the snapshot's.
-    touched: HashSet<NodeId>,
+    touched: IdSet<NodeId>,
     added_edge_count: usize,
 }
 
@@ -68,13 +68,13 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
         DeltaOverlay {
             base,
             added_nodes: Vec::new(),
-            added_out: HashMap::new(),
-            added_in: HashMap::new(),
-            removed: HashSet::new(),
-            removed_out: HashMap::new(),
-            removed_in: HashMap::new(),
-            added_label_index: HashMap::new(),
-            touched: HashSet::new(),
+            added_out: IdMap::default(),
+            added_in: IdMap::default(),
+            removed: IdSet::default(),
+            removed_out: IdMap::default(),
+            removed_in: IdMap::default(),
+            added_label_index: IdMap::default(),
+            touched: IdSet::default(),
             added_edge_count: 0,
         }
     }

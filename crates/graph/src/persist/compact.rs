@@ -5,10 +5,15 @@
 //! [`DeltaOverlay`] over an immortal mapped snapshot; per-batch cost then
 //! grows with the overlay, slowly degrading back toward batch detection.
 //! Compaction closes that loop: it merge-joins the *file-ordered* arrays
-//! of the old `.ngds` with the canonical net update
-//! ([`DeltaOverlay::into_batch`]) and emits a fresh file stamped with the
-//! next **epoch**, after which sessions re-root
+//! of the old `.ngds` with the canonical net update (what
+//! [`DeltaOverlay::into_batch`] returns, recomputed here by the update
+//! rules' fold without building an overlay) and emits a fresh file
+//! stamped with the next **epoch**, after which sessions re-root
 //! ([`DeltaOverlay::reroot`]) and restart from an empty overlay.
+//!
+//! [`DeltaOverlay`]: crate::DeltaOverlay
+//! [`DeltaOverlay::into_batch`]: crate::DeltaOverlay::into_batch
+//! [`DeltaOverlay::reroot`]: crate::DeltaOverlay::reroot
 //!
 //! The merge is streaming and sort-free on the bulk data:
 //!
@@ -34,16 +39,15 @@
 //! An all-cancelling (net-empty) delta short-circuits to a header rewrite
 //! plus a straight byte-copy of every section.
 
-use super::format::{kind, AttrEntries, BlobWriter};
+use super::format::{kind, AttrEntries, BlobWriter, SymTable};
 use super::loader::{MmapSnapshot, VALIDATED};
-use super::writer::{encode_attrs, push_strings, FileBuilder, SymTable};
+use super::writer::{encode_attrs, push_strings, FileBuilder};
 use super::PersistError;
 use crate::graph::{EdgeRef, NodeData};
-use crate::interner::{intern, Sym};
-use crate::overlay::DeltaOverlay;
-use crate::update::{BatchUpdate, UpdateError};
+use crate::interner::Sym;
+use crate::update::{BatchUpdate, NetEdges, NewNode, UpdateError};
 use crate::view::GraphView;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Why a compaction failed: either the input file is unusable or the
@@ -109,8 +113,9 @@ impl CompactionWriter {
     ///
     /// Byte-identical to `SnapshotWriter::with_epoch(epoch).encode(&(G ⊕
     /// ΔG).freeze())`.  `delta` is validated and canonicalised in one
-    /// [`DeltaOverlay::try_new`] pass; an op that does not apply is a
-    /// [`CompactError::Update`] carrying the error
+    /// pass of the update rules' fold, the one
+    /// [`crate::DeltaOverlay::try_new`] builds from; an op that does not
+    /// apply is a [`CompactError::Update`] carrying the error
     /// [`BatchUpdate::validate_against`] reports.
     pub fn encode(
         &self,
@@ -177,31 +182,37 @@ fn replay_sections(old: &MmapSnapshot, builder: &mut FileBuilder) {
 }
 
 /// The canonical net delta, pre-indexed for the per-section merges.
-struct NetDelta {
-    /// The canonical net batch (deletions sorted, then insertions sorted,
-    /// then new nodes in id order) — [`DeltaOverlay::into_batch`] output.
-    batch: BatchUpdate,
+struct NetDelta<'d> {
+    /// The delta's new nodes, in id order.
+    new_nodes: &'d [NewNode],
     /// Net deletions, sorted.
     del: Vec<EdgeRef>,
     /// Net insertions, sorted.
     ins: Vec<EdgeRef>,
 }
 
-impl NetDelta {
-    /// Validate `delta` against `old` and canonicalise it, in the one
-    /// pass [`DeltaOverlay::try_new`] makes.
-    fn new<V: GraphView>(old: &V, delta: &BatchUpdate) -> Result<NetDelta, UpdateError> {
-        let batch = DeltaOverlay::try_new(old, delta)?.into_batch();
-        let del: Vec<EdgeRef> = batch.deletions().collect();
-        let ins: Vec<EdgeRef> = batch.insertions().collect();
-        Ok(NetDelta { batch, del, ins })
+impl<'d> NetDelta<'d> {
+    /// Validate `delta` against `old` and canonicalise it: the update
+    /// rules' one fold (`BatchUpdate::net_edges`), then one sort of each
+    /// net set.
+    fn new<V: GraphView>(old: &V, delta: &'d BatchUpdate) -> Result<NetDelta<'d>, UpdateError> {
+        let NetEdges { added, removed } = delta.net_edges(old)?;
+        let mut del: Vec<EdgeRef> = removed.into_iter().collect();
+        del.sort_unstable();
+        let mut ins: Vec<EdgeRef> = added.into_iter().collect();
+        ins.sort_unstable();
+        Ok(NetDelta {
+            new_nodes: &delta.new_nodes,
+            del,
+            ins,
+        })
     }
 
     /// True when the delta nets out to no change at all — no surviving
     /// edge churn *and* no new nodes (checked explicitly:
     /// [`BatchUpdate::is_empty`] ignores node additions).
     fn is_empty(&self) -> bool {
-        self.del.is_empty() && self.ins.is_empty() && self.batch.new_nodes.is_empty()
+        self.del.is_empty() && self.ins.is_empty() && self.new_nodes.is_empty()
     }
 }
 
@@ -261,29 +272,35 @@ impl Merged {
 struct SymMerge {
     /// `old file id → new file id` (dense; every old id that survives).
     old_to_new: Vec<u32>,
-    /// `Sym → new file id` for every merged symbol.
-    sym_to_new: HashMap<Sym, u32>,
-    /// Merged strings in new-id (lexicographic) order.
-    strings: Vec<&'static str>,
+    /// The merged table: strings in new-id (lexicographic) order.
+    table: SymTable,
 }
 
 impl SymMerge {
     fn new_fid(&self, sym: Sym) -> u32 {
-        self.sym_to_new[&sym]
+        self.table.file_id(sym)
     }
 
     /// As [`SymMerge::new_fid`], but `None` for a symbol the merged table
     /// dropped (an edge label whose every edge was deleted).
     fn live_fid(&self, sym: Sym) -> Option<u32> {
-        self.sym_to_new.get(&sym).copied()
+        self.table.get(sym)
+    }
+
+    /// Whether every old file id keeps its number.
+    fn is_identity(&self) -> bool {
+        self.old_to_new
+            .iter()
+            .enumerate()
+            .all(|(fid, &new)| new == fid as u32)
     }
 }
 
 /// Merge the string tables: old strings that the merged graph still uses,
 /// plus the delta's new symbols, lexicographic, with a monotone remap.
 fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
-    let old_strings: Vec<&'static str> = old.raw_strings().collect();
-    let old_count = old_strings.len();
+    let old_syms = old.sym_table();
+    let old_count = old_syms.len();
 
     // An old symbol survives iff the merged graph still references it: as
     // a node label or attribute name (nodes are never deleted), or as the
@@ -302,13 +319,11 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
         edge_labels[fid as usize] += 1;
     }
     for e in &net.del {
-        let fid = old
-            .fid_of_sym(e.label)
-            .expect("deleted edge label is known");
+        let fid = old_syms.file_id(e.label);
         edge_labels[fid as usize] -= 1;
     }
     for e in &net.ins {
-        if let Some(fid) = old.fid_of_sym(e.label) {
+        if let Some(fid) = old_syms.get(e.label) {
             edge_labels[fid as usize] += 1;
         }
     }
@@ -321,13 +336,13 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
     // Symbols the delta introduces that the old table never saw.
     let mut fresh: Vec<Sym> = Vec::new();
     let mut note = |sym: Sym| {
-        if let Some(fid) = old.fid_of_sym(sym) {
+        if let Some(fid) = old_syms.get(sym) {
             survives[fid as usize] = true;
         } else {
             fresh.push(sym);
         }
     };
-    for node in &net.batch.new_nodes {
+    for node in net.new_nodes {
         note(node.label);
         for (name, _) in node.attrs.iter() {
             note(name);
@@ -336,41 +351,35 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
     for e in &net.ins {
         note(e.label);
     }
-    let mut fresh: Vec<&'static str> = fresh.into_iter().map(Sym::as_str).collect();
+    let mut fresh: Vec<(&'static str, Sym)> = fresh.into_iter().map(|s| (s.as_str(), s)).collect();
     fresh.sort_unstable();
     fresh.dedup();
 
     // Linear merge of the two sorted string lists; both id assignments and
     // the old→new remap fall out monotone.
-    let mut strings = Vec::with_capacity(old_count + fresh.len());
+    let mut syms = Vec::with_capacity(old_count + fresh.len());
     let mut old_to_new = vec![u32::MAX; old_count];
-    let mut sym_to_new = HashMap::with_capacity(old_count + fresh.len());
     let mut fresh_iter = fresh.iter().peekable();
-    for (fid, &text) in old_strings.iter().enumerate() {
+    for (fid, &old_sym) in old_syms.syms().iter().enumerate() {
         if !survives[fid] {
             continue;
         }
-        while let Some(&&f) = fresh_iter.peek() {
+        let text = old_sym.as_str();
+        while let Some(&&(f, sym)) = fresh_iter.peek() {
             if f < text {
-                sym_to_new.insert(intern(f), strings.len() as u32);
-                strings.push(f);
+                syms.push(sym);
                 fresh_iter.next();
             } else {
                 break;
             }
         }
-        old_to_new[fid] = strings.len() as u32;
-        sym_to_new.insert(old.sym_of_fid(fid as u32), strings.len() as u32);
-        strings.push(text);
+        old_to_new[fid] = syms.len() as u32;
+        syms.push(old_sym);
     }
-    for &f in fresh_iter {
-        sym_to_new.insert(intern(f), strings.len() as u32);
-        strings.push(f);
-    }
+    syms.extend(fresh_iter.map(|&(_, sym)| sym));
     SymMerge {
         old_to_new,
-        sym_to_new,
-        strings,
+        table: SymTable::new(syms),
     }
 }
 
@@ -378,7 +387,7 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
 /// new nodes' tuples.  The remap is monotone, so per-record name order is
 /// preserved without sorting; each value's encoded bytes are copied as
 /// they are.
-fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge, table: &SymTable) -> Vec<u8> {
+fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge) -> Vec<u8> {
     let mut blob = BlobWriter::new();
     for idx in 0..GraphView::node_count(old) {
         let mut entries = AttrEntries::new(old.raw_attr_record(idx)).expect(VALIDATED);
@@ -393,20 +402,20 @@ fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge, table: &SymT
         }
     }
     let mut out = blob.into_bytes();
-    for n in &net.batch.new_nodes {
+    for n in net.new_nodes {
         let node = NodeData {
             label: n.label,
             attrs: n.attrs.clone(),
         };
-        out.extend_from_slice(&encode_attrs(std::slice::from_ref(&node), table));
+        out.extend_from_slice(&encode_attrs(std::slice::from_ref(&node), &syms.table));
     }
     out
 }
 
-/// `(row → sorted per-row entries)` as a row-sorted list, walked with a
-/// cursor in step with the row loop.  A per-row hash probe would pay a
-/// SipHash for every one of `|V|` rows; the cursor pays only `O(|ΔG| log
-/// |ΔG|)` once.
+/// `(row → sorted per-row entries)` as a row-sorted list, consumed with a
+/// cursor in step with the row walk: building it sorts the `|ΔG|` entries
+/// once, and the walk then jumps from one touched row to the next instead
+/// of asking a table about each of the `|V|` rows.
 struct RowDeltas {
     /// `(row, start, end)` ranges into `entries`, sorted by row.
     rows: Vec<(u32, u32, u32)>,
@@ -439,21 +448,28 @@ impl RowDeltas {
         }
     }
 
-    /// The entries of `row`, assuming rows are requested in ascending
-    /// order (empty slice when the row has none).
-    fn advance(&mut self, row: u32) -> &[(u32, u32)] {
-        while self.rows.get(self.cursor).is_some_and(|&(r, _, _)| r < row) {
-            self.cursor += 1;
-        }
+    /// The lowest row not yet taken, if any.
+    fn next_row(&self) -> Option<usize> {
+        self.rows.get(self.cursor).map(|&(row, _, _)| row as usize)
+    }
+
+    /// The entries of `row` (empty when it has none), taken in ascending
+    /// row order.
+    fn take(&mut self, row: usize) -> &[(u32, u32)] {
         match self.rows.get(self.cursor) {
-            Some(&(r, start, end)) if r == row => &self.entries[start as usize..end as usize],
+            Some(&(r, start, end)) if r as usize == row => {
+                self.cursor += 1;
+                &self.entries[start as usize..end as usize]
+            }
             _ => &[],
         }
     }
 }
 
-/// Merge one CSR side: per row, the old run (minus net deletions, labels
-/// remapped) two-pointer-merged with the row's net insertions.
+/// Merge one CSR side: rows no delta touches are copied as whole spans
+/// (offsets shifted, labels remapped unless the remap is the identity),
+/// and each touched row's old run, minus net deletions and with labels
+/// remapped, is two-pointer-merged with the row's net insertions.
 fn merge_side(
     old: &MmapSnapshot,
     net: &NetDelta,
@@ -467,60 +483,90 @@ fn merge_side(
     // may not survive into the new table), per-row insertions in new space.
     let row_of = |e: &EdgeRef| if out_side { e.src } else { e.dst };
     let other_of = |e: &EdgeRef| if out_side { e.dst } else { e.src };
-    let mut dels = RowDeltas::build(net.del.iter().map(|e| {
-        let fid = old
-            .fid_of_sym(e.label)
-            .expect("deleted edge label is known");
-        (row_of(e).0, (fid, other_of(e).0))
-    }));
+    let old_syms = old.sym_table();
+    let mut dels = RowDeltas::build(
+        net.del
+            .iter()
+            .map(|e| (row_of(e).0, (old_syms.file_id(e.label), other_of(e).0))),
+    );
     let mut inss = RowDeltas::build(
         net.ins
             .iter()
             .map(|e| (row_of(e).0, (syms.new_fid(e.label), other_of(e).0))),
     );
+    let identity = syms.is_identity();
 
     let entry_estimate = labels.len() + net.ins.len();
     let mut new_offsets = Vec::with_capacity(total_nodes + 1);
     let mut new_labels = Vec::with_capacity(entry_estimate);
     let mut new_neighbors = Vec::with_capacity(entry_estimate);
     new_offsets.push(0u32);
-    for row in 0..total_nodes {
-        let (del, ins) = (dels.advance(row as u32), inss.advance(row as u32));
+    let mut row = 0;
+    while row < total_nodes {
+        let touched = [dels.next_row(), inss.next_row()]
+            .into_iter()
+            .flatten()
+            .min();
+        let span_end = touched.unwrap_or(total_nodes);
+        if row < span_end {
+            // Untouched rows `row..span_end`: the old ones as one span,
+            // then the new nodes' empty runs.
+            let old_end = span_end.min(old_n);
+            if row < old_end {
+                let (start, end) = (offsets[row] as usize, offsets[old_end] as usize);
+                let shift = new_labels.len() as u32;
+                new_neighbors.extend_from_slice(&neighbors[start..end]);
+                if identity {
+                    new_labels.extend_from_slice(&labels[start..end]);
+                } else {
+                    new_labels.extend(
+                        labels[start..end]
+                            .iter()
+                            .map(|&l| syms.old_to_new[l as usize]),
+                    );
+                }
+                new_offsets.extend(
+                    offsets[row + 1..=old_end]
+                        .iter()
+                        .map(|&offset| offset - start as u32 + shift),
+                );
+            }
+            let empty_rows = span_end - row.max(old_end);
+            new_offsets.extend(std::iter::repeat_n(new_labels.len() as u32, empty_rows));
+            row = span_end;
+            continue;
+        }
+        let (del, ins) = (dels.take(row), inss.take(row));
         let range = if row < old_n {
             offsets[row] as usize..offsets[row + 1] as usize
         } else {
             0..0
         };
-        if del.is_empty() && ins.is_empty() {
-            // Untouched row: bulk-copy the neighbours, remap the labels.
-            new_neighbors.extend_from_slice(&neighbors[range.clone()]);
-            new_labels.extend(range.map(|i| syms.old_to_new[labels[i] as usize]));
-        } else {
-            let mut ins_iter = ins.iter().peekable();
-            for i in range {
-                let key = (labels[i], neighbors[i]);
-                if del.binary_search(&key).is_ok() {
-                    continue;
-                }
-                let mapped = (syms.old_to_new[labels[i] as usize], neighbors[i]);
-                while let Some(&&pending) = ins_iter.peek() {
-                    if pending < mapped {
-                        new_labels.push(pending.0);
-                        new_neighbors.push(pending.1);
-                        ins_iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                new_labels.push(mapped.0);
-                new_neighbors.push(mapped.1);
+        let mut ins_iter = ins.iter().peekable();
+        for i in range {
+            let key = (labels[i], neighbors[i]);
+            if del.binary_search(&key).is_ok() {
+                continue;
             }
-            for &(label, neighbor) in ins_iter {
-                new_labels.push(label);
-                new_neighbors.push(neighbor);
+            let mapped = (syms.old_to_new[labels[i] as usize], neighbors[i]);
+            while let Some(&&pending) = ins_iter.peek() {
+                if pending < mapped {
+                    new_labels.push(pending.0);
+                    new_neighbors.push(pending.1);
+                    ins_iter.next();
+                } else {
+                    break;
+                }
             }
+            new_labels.push(mapped.0);
+            new_neighbors.push(mapped.1);
+        }
+        for &(label, neighbor) in ins_iter {
+            new_labels.push(label);
+            new_neighbors.push(neighbor);
         }
         new_offsets.push(new_labels.len() as u32);
+        row += 1;
     }
     (new_offsets, new_labels, new_neighbors)
 }
@@ -544,7 +590,7 @@ fn merge_label_partition(
             (start as usize..end as usize, Vec::new()),
         );
     }
-    for (idx, node) in net.batch.new_nodes.iter().enumerate() {
+    for (idx, node) in net.new_nodes.iter().enumerate() {
         groups
             .entry(syms.new_fid(node.label))
             .or_insert((0..0, Vec::new()))
@@ -734,7 +780,7 @@ fn merge_triples(
 /// Run every per-section merge.
 fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
     let old_n = GraphView::node_count(old);
-    let total_nodes = old_n + net.batch.new_nodes.len();
+    let total_nodes = old_n + net.new_nodes.len();
     let edge_count = GraphView::edge_count(old) + net.ins.len() - net.del.len();
 
     let syms = merge_symbols(old, net);
@@ -743,10 +789,9 @@ fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
         .iter()
         .map(|&fid| syms.old_to_new[fid as usize])
         .collect();
-    node_labels.extend(net.batch.new_nodes.iter().map(|n| syms.new_fid(n.label)));
+    node_labels.extend(net.new_nodes.iter().map(|n| syms.new_fid(n.label)));
 
-    let table = SymTable::from_parts(syms.strings.clone(), syms.sym_to_new.clone());
-    let node_attrs = merge_attrs(old, net, &syms, &table);
+    let node_attrs = merge_attrs(old, net, &syms);
     let out = merge_side(old, net, &syms, true, total_nodes);
     let inn = merge_side(old, net, &syms, false, total_nodes);
     let (label_order, label_ranges, label_range_count) =
@@ -757,7 +802,7 @@ fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
     Merged {
         node_count: total_nodes,
         edge_count,
-        syms: table,
+        syms: syms.table,
         node_labels,
         node_attrs,
         out,
@@ -777,6 +822,7 @@ mod tests {
     use super::*;
     use crate::attrs::AttrMap;
     use crate::graph::{Graph, NodeId};
+    use crate::interner::intern;
     use crate::persist::SnapshotWriter;
     use crate::value::Value;
     use std::path::PathBuf;

@@ -42,6 +42,7 @@
 //! | 24     | 8    | element count                                     |
 
 use super::PersistError;
+use crate::interner::Sym;
 use crate::value::Value;
 
 /// File magic, first 8 bytes of every snapshot file.
@@ -68,6 +69,80 @@ pub const SECTION_ENTRY_LEN: usize = 32;
 /// format stores (and a cache line), so memory-mapped sections can be
 /// reinterpreted as `&[u32]`/`&[u64]` without copying.
 pub const SECTION_ALIGN: usize = 64;
+
+/// A file's string table on the process side: file symbol id ↔ [`Sym`],
+/// dense both ways.  File ids follow the strings' lexicographic order;
+/// `Sym → file id` is a vector indexed by `Sym.0` (symbols are small
+/// dense integers), so translating a symbol is one bounds-checked load.
+/// The writer, the loader and the compaction writer all hold one.
+#[derive(Debug)]
+pub(crate) struct SymTable {
+    /// File id → symbol, in file order.
+    syms: Vec<Sym>,
+    /// Indexed by `Sym.0`; [`NO_FILE_ID`] where the file has no such
+    /// symbol (as for every symbol past the end).
+    ids: Vec<u32>,
+}
+
+/// [`SymTable`] sentinel.  Never a real id: a string table's entry count
+/// is itself a `u32`, so file ids stop at `u32::MAX - 1`.
+const NO_FILE_ID: u32 = u32::MAX;
+
+impl SymTable {
+    /// The table whose file id `i` is `syms[i]`; `syms` must be in
+    /// strictly ascending string order.
+    pub(crate) fn new(syms: Vec<Sym>) -> SymTable {
+        debug_assert!(syms.windows(2).all(|w| w[0].as_str() < w[1].as_str()));
+        let dense_len = syms.iter().map(|sym| sym.0 as usize + 1).max();
+        let mut ids = vec![NO_FILE_ID; dense_len.unwrap_or(0)];
+        for (fid, sym) in syms.iter().enumerate() {
+            ids[sym.0 as usize] = fid as u32;
+        }
+        SymTable { syms, ids }
+    }
+
+    /// Number of strings in the table.
+    pub(crate) fn len(&self) -> usize {
+        self.syms.len()
+    }
+
+    /// The symbols in file-id order.
+    pub(crate) fn syms(&self) -> &[Sym] {
+        &self.syms
+    }
+
+    /// The symbol of a file id known to be in range.
+    #[inline]
+    pub(crate) fn sym(&self, fid: u32) -> Sym {
+        self.syms[fid as usize]
+    }
+
+    /// The symbol of a file id read from a file.
+    #[inline]
+    pub(crate) fn sym_checked(&self, fid: u32) -> Result<Sym, PersistError> {
+        self.syms.get(fid as usize).copied().ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "symbol id {fid} out of range ({} strings)",
+                self.syms.len()
+            ))
+        })
+    }
+
+    /// The file id of `sym`, if the table has it.
+    #[inline]
+    pub(crate) fn get(&self, sym: Sym) -> Option<u32> {
+        match self.ids.get(sym.0 as usize) {
+            Some(&fid) if fid != NO_FILE_ID => Some(fid),
+            _ => None,
+        }
+    }
+
+    /// The file id of a symbol the table was built with.
+    #[inline]
+    pub(crate) fn file_id(&self, sym: Sym) -> u32 {
+        self.get(sym).expect("symbol is in the table")
+    }
+}
 
 /// File kinds.
 pub mod file_kind {

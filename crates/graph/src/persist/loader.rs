@@ -34,7 +34,7 @@
 
 use super::format::{
     file_checksum, file_kind, kind, read_section_table, AttrEntries, AttrFault, BlobReader,
-    FileHeader, RawValue, SectionEntry, HEADER_LEN, SECTION_ALIGN,
+    FileHeader, RawValue, SectionEntry, SymTable, HEADER_LEN, SECTION_ALIGN,
 };
 use super::mmap::MmapFile;
 use super::PersistError;
@@ -95,47 +95,6 @@ fn as_node_ids(xs: &[u32]) -> &[NodeId] {
     // contract of the type), so size, alignment and validity coincide;
     // pointer, length and lifetime are those of `xs`.
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<NodeId>(), xs.len()) }
-}
-
-/// The file ↔ process symbol translation built from the string table.
-#[derive(Debug)]
-struct SymBridge {
-    file_to_proc: Vec<Sym>,
-    /// Indexed by `Sym.0`; [`NO_FILE_ID`] where the file never saw the
-    /// symbol (as do all symbols past the end).
-    proc_to_file: Vec<u32>,
-}
-
-/// `proc_to_file` sentinel.  Never a real id: a string table's entry count
-/// is itself a `u32`, so file ids stop at `u32::MAX - 1`.
-const NO_FILE_ID: u32 = u32::MAX;
-
-impl SymBridge {
-    #[inline]
-    fn to_proc(&self, fid: u32) -> Sym {
-        self.file_to_proc[fid as usize]
-    }
-
-    fn to_proc_checked(&self, fid: u32) -> Result<Sym, PersistError> {
-        self.file_to_proc.get(fid as usize).copied().ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "symbol id {fid} out of range ({} strings)",
-                self.file_to_proc.len()
-            ))
-        })
-    }
-
-    #[inline]
-    fn to_file(&self, sym: Sym) -> Option<u32> {
-        match self.proc_to_file.get(sym.0 as usize) {
-            Some(&fid) if fid != NO_FILE_ID => Some(fid),
-            _ => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.file_to_proc.len()
-    }
 }
 
 /// A parsed, checksum-verified file: mapping + header + section directory.
@@ -257,7 +216,7 @@ impl FileData {
     }
 }
 
-fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistError> {
+fn decode_strings(blob: &[u8], declared: usize) -> Result<SymTable, PersistError> {
     let mut reader = BlobReader::new(blob, "string table");
     let count = reader.u32()? as usize;
     if count != declared {
@@ -265,7 +224,7 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistErro
             "string table declares {declared} entries but encodes {count}"
         )));
     }
-    let mut file_to_proc = Vec::with_capacity(count);
+    let mut syms = Vec::with_capacity(count);
     let mut previous: Option<String> = None;
     for fid in 0..count {
         let len = reader.u32()? as usize;
@@ -279,18 +238,10 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymBridge, PersistErro
             )));
         }
         previous = Some(text.to_owned());
-        file_to_proc.push(intern(text));
+        syms.push(intern(text));
     }
     reader.finish()?;
-    let dense_len = file_to_proc.iter().map(|sym| sym.0 as usize + 1).max();
-    let mut proc_to_file = vec![NO_FILE_ID; dense_len.unwrap_or(0)];
-    for (fid, sym) in file_to_proc.iter().enumerate() {
-        proc_to_file[sym.0 as usize] = fid as u32;
-    }
-    Ok(SymBridge {
-        file_to_proc,
-        proc_to_file,
-    })
+    Ok(SymTable::new(syms))
 }
 
 /// The record index of the mapped attribute blob: nothing is decoded
@@ -315,7 +266,7 @@ struct LazyAttrs {
 
 impl LazyAttrs {
     /// Validate the node-attribute blob section and index its records.
-    fn load(file: &FileData, count: usize, syms: &SymBridge) -> Result<LazyAttrs, PersistError> {
+    fn load(file: &FileData, count: usize, syms: &SymTable) -> Result<LazyAttrs, PersistError> {
         let what = "node attributes";
         let entry = file.entry(kind::NODE_ATTRS)?;
         let (blob, declared) = file.blob(kind::NODE_ATTRS)?;
@@ -340,7 +291,7 @@ impl LazyAttrs {
             let mut previous = None;
             for entry in &mut entries {
                 let (name, _) = entry.map_err(|fault| corrupt(row, fault))?;
-                syms.to_proc_checked(name)?;
+                syms.sym_checked(name)?;
                 // A read stops at the first matching name, so there must be
                 // no later duplicate for it to miss.
                 if previous >= Some(name) {
@@ -438,10 +389,10 @@ fn decode_label_ranges(
     declared: usize,
     node_labels: &[u32],
     label_order: &[u32],
-    syms: &SymBridge,
+    syms: &SymTable,
 ) -> Result<LabelRanges, PersistError> {
     let mut reader = BlobReader::new(blob, "label ranges");
-    let mut out = HashMap::with_capacity(declared);
+    let mut out = LabelRanges::with_capacity_and_hasher(declared, Default::default());
     let mut previous: Option<u32> = None;
     let mut cursor = 0u32;
     for _ in 0..declared {
@@ -470,7 +421,7 @@ fn decode_label_ranges(
                 )));
             }
         }
-        out.insert(syms.to_proc_checked(fid)?, (start, end));
+        out.insert(syms.sym_checked(fid)?, (start, end));
     }
     if cursor as usize != label_order.len() {
         return Err(PersistError::Corrupt(format!(
@@ -501,7 +452,7 @@ fn decode_triple_ranges(
     triple_dst: &[u32],
     edge_count: usize,
     out_side: Side<'_, u32>,
-    syms: &SymBridge,
+    syms: &SymTable,
 ) -> Result<TripleRanges, PersistError> {
     if triple_src.len() != edge_count {
         return Err(PersistError::Corrupt(format!(
@@ -510,7 +461,7 @@ fn decode_triple_ranges(
         )));
     }
     let mut reader = BlobReader::new(blob, "triple ranges");
-    let mut out = HashMap::with_capacity(declared);
+    let mut out = TripleRanges::with_capacity_and_hasher(declared, Default::default());
     let mut previous: Option<(u32, u32, u32)> = None;
     let mut cursor = 0u32;
     for _ in 0..declared {
@@ -558,9 +509,9 @@ fn decode_triple_ranges(
         }
         out.insert(
             (
-                syms.to_proc_checked(key.0)?,
-                syms.to_proc_checked(key.1)?,
-                syms.to_proc_checked(key.2)?,
+                syms.sym_checked(key.0)?,
+                syms.sym_checked(key.1)?,
+                syms.sym_checked(key.2)?,
             ),
             (start, end),
         );
@@ -595,7 +546,7 @@ fn side_of(map: &MmapFile, s: SideSect) -> Side<'_, u32> {
 #[derive(Debug)]
 pub struct MmapSnapshot {
     map: Arc<MmapFile>,
-    syms: Arc<SymBridge>,
+    syms: Arc<SymTable>,
     /// Per-row label ids (file symbol space).
     node_labels: Sect,
     /// Attribute record boundaries; values are decoded on each read.
@@ -680,20 +631,9 @@ impl MmapSnapshot {
     // file-ordered arrays with a net `ΔG` without re-freezing.  All crate
     // private: the file layout stays an implementation detail.
 
-    /// The strings of the file's symbol table, in file-id order
-    /// (lexicographic by construction).
-    pub(crate) fn raw_strings(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.syms.file_to_proc.iter().map(|s| s.as_str())
-    }
-
-    /// Translate a file symbol id into its interned process symbol.
-    pub(crate) fn sym_of_fid(&self, fid: u32) -> Sym {
-        self.syms.to_proc(fid)
-    }
-
-    /// Translate a process symbol into its file id, if the file knows it.
-    pub(crate) fn fid_of_sym(&self, sym: Sym) -> Option<u32> {
-        self.syms.to_file(sym)
+    /// The file's symbol table (file ids in lexicographic string order).
+    pub(crate) fn sym_table(&self) -> &SymTable {
+        &self.syms
     }
 
     /// Per-node labels as file symbol ids.
@@ -903,22 +843,22 @@ impl CsrStore for MmapSnapshot {
 
     #[inline]
     fn key_of(&self, label: Sym) -> Option<u32> {
-        self.syms.to_file(label)
+        self.syms.get(label)
     }
 
     #[inline]
     fn sym_of(&self, key: u32) -> Sym {
-        self.syms.to_proc(key)
+        self.syms.sym(key)
     }
 
     #[inline]
     fn row_label(&self, row: usize) -> Sym {
-        self.syms.to_proc(self.arr(self.node_labels)[row])
+        self.syms.sym(self.arr(self.node_labels)[row])
     }
 
     #[inline]
     fn row_attr(&self, row: usize, name: Sym) -> Option<Value> {
-        let fid = self.syms.to_file(name)?;
+        let fid = self.syms.get(name)?;
         self.attr_entries(row)
             .take_while(|&(at, _)| at <= fid)
             .find(|&(at, _)| at == fid)
@@ -928,7 +868,7 @@ impl CsrStore for MmapSnapshot {
     fn row_attrs(&self, row: usize) -> AttrMap {
         let mut attrs = AttrMap::new();
         for (fid, value) in self.attr_entries(row) {
-            attrs.set(self.syms.to_proc(fid), value.into());
+            attrs.set(self.syms.sym(fid), value.into());
         }
         attrs
     }

@@ -19,8 +19,8 @@
 //! lets two processes produce identical, diffable snapshots.
 
 use super::format::{
-    align_up, file_checksum, file_kind, kind, BlobWriter, FileHeader, SectionEntry, HEADER_LEN,
-    SECTION_ALIGN, SECTION_ENTRY_LEN,
+    align_up, file_checksum, file_kind, kind, BlobWriter, FileHeader, SectionEntry, SymTable,
+    HEADER_LEN, SECTION_ALIGN, SECTION_ENTRY_LEN,
 };
 use super::PersistError;
 use crate::csr::{CsrSnapshot, CsrStore, Side};
@@ -28,7 +28,6 @@ use crate::graph::NodeData;
 use crate::interner::Sym;
 use crate::value::Value;
 use crate::view::GraphView;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Serialises [`CsrSnapshot`]s into the versioned binary snapshot format
@@ -57,7 +56,7 @@ impl SnapshotWriter {
 
     /// Encode a snapshot into its exact file bytes.
     pub fn encode(&self, snapshot: &CsrSnapshot) -> Vec<u8> {
-        let syms = SymTable::for_snapshot(snapshot);
+        let syms = sym_table(snapshot);
         let mut builder = FileBuilder::new(
             GraphView::node_count(snapshot) as u64,
             GraphView::edge_count(snapshot) as u64,
@@ -77,54 +76,37 @@ impl SnapshotWriter {
     }
 }
 
-/// The file's string table: every symbol the snapshot references, with
-/// file-local ids assigned lexicographically by string.
-pub(crate) struct SymTable {
-    strings: Vec<&'static str>,
-    to_file: HashMap<Sym, u32>,
-}
-
-impl SymTable {
-    /// Assemble a table from an already-merged string list (sorted,
-    /// deduplicated) and its `Sym → file id` map — the constructor the
-    /// compaction writer uses after merging an existing file's table with
-    /// a delta's new symbols.
-    pub(crate) fn from_parts(strings: Vec<&'static str>, to_file: HashMap<Sym, u32>) -> SymTable {
-        debug_assert!(strings.windows(2).all(|w| w[0] < w[1]));
-        SymTable { strings, to_file }
-    }
-
-    fn build(mut used: Vec<Sym>) -> SymTable {
-        used.sort_unstable();
-        used.dedup();
-        let mut pairs: Vec<(&'static str, Sym)> = used.iter().map(|&s| (s.as_str(), s)).collect();
-        pairs.sort_unstable_by_key(|&(text, _)| text);
-        let mut to_file = HashMap::with_capacity(pairs.len());
-        let mut strings = Vec::with_capacity(pairs.len());
-        for (fid, (text, sym)) in pairs.into_iter().enumerate() {
-            strings.push(text);
-            to_file.insert(sym, fid as u32);
+/// The file's string table for `snapshot`: every symbol it references,
+/// with file ids assigned lexicographically by string.  The symbols are
+/// marked in a vector indexed by `Sym.0` — node and edge labels from the
+/// label partition's and triple index's keys, attribute names from each
+/// node — so only the distinct ones are sorted.
+fn sym_table(snapshot: &CsrSnapshot) -> SymTable {
+    let mut used: Vec<bool> = Vec::new();
+    let mut mark = |sym: Sym| {
+        let at = sym.0 as usize;
+        if at >= used.len() {
+            used.resize(at + 1, false);
         }
-        SymTable { strings, to_file }
-    }
-
-    fn for_snapshot(snapshot: &CsrSnapshot) -> SymTable {
-        let mut used = Vec::new();
-        for node in &snapshot.nodes {
-            used.push(node.label);
-            used.extend(node.attrs.iter().map(|(name, _)| name));
+        used[at] = true;
+    };
+    for node in &snapshot.nodes {
+        for (name, _) in node.attrs.iter() {
+            mark(name);
         }
-        used.extend(snapshot.out_side().keys);
-        used.extend(snapshot.in_side().keys);
-        SymTable::build(used)
     }
-
-    pub(crate) fn file_id(&self, sym: Sym) -> u32 {
-        *self
-            .to_file
-            .get(&sym)
-            .expect("symbol collected before encoding")
+    for &label in snapshot.label_partition().0.keys() {
+        mark(label);
     }
+    for &(_, edge_label, _) in snapshot.triple_index().0.keys() {
+        mark(edge_label);
+    }
+    let mut syms: Vec<Sym> = (0..used.len() as u32)
+        .map(Sym)
+        .filter(|sym| used[sym.0 as usize])
+        .collect();
+    syms.sort_unstable_by_key(|sym| sym.as_str());
+    SymTable::new(syms)
 }
 
 /// Accumulates sections, then lays out header + table + aligned payloads.
@@ -219,12 +201,13 @@ impl FileBuilder {
 
 pub(crate) fn push_strings(builder: &mut FileBuilder, syms: &SymTable) {
     let mut blob = BlobWriter::new();
-    blob.put_u32(syms.strings.len() as u32);
-    for text in &syms.strings {
+    blob.put_u32(syms.len() as u32);
+    for sym in syms.syms() {
+        let text = sym.as_str();
         blob.put_u32(text.len() as u32);
         blob.put_bytes(text.as_bytes());
     }
-    builder.add_blob(kind::STRINGS, syms.strings.len() as u64, blob.into_bytes());
+    builder.add_blob(kind::STRINGS, syms.len() as u64, blob.into_bytes());
 }
 
 /// One CSR side as file arrays: offsets verbatim, every run re-sorted into

@@ -13,10 +13,10 @@
 
 use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeId};
+use crate::hash::IdSet;
 use crate::interner::Sym;
 use crate::view::GraphView;
 use ngd_json::{FromJson, Json, JsonError, ToJson};
-use std::collections::HashSet;
 
 /// A node introduced by a batch update.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,9 +108,9 @@ impl std::error::Error for UpdateError {}
 #[derive(Debug, Default)]
 pub(crate) struct NetEdges {
     /// Edges present after the update and absent from the base.
-    pub(crate) added: HashSet<EdgeRef>,
+    pub(crate) added: IdSet<EdgeRef>,
     /// Base edges absent after the update.
-    pub(crate) removed: HashSet<EdgeRef>,
+    pub(crate) removed: IdSet<EdgeRef>,
 }
 
 /// A batch update `ΔG`: new nodes plus a sequence of edge operations.
@@ -223,8 +223,8 @@ impl BatchUpdate {
     /// the validation a server must run on an untrusted client batch
     /// before handing it to [`crate::DeltaOverlay::new`], whose
     /// invalid-update path is a panic by design.  The rules are the one
-    /// fold `net_edges` below, which [`crate::DeltaOverlay::try_new`] (and
-    /// through it compaction) builds from, so the three cannot disagree.
+    /// fold `net_edges` below, which [`crate::DeltaOverlay::try_new`] and
+    /// compaction build from, so the three cannot disagree.
     pub fn validate_against<V: GraphView + ?Sized>(&self, base: &V) -> Result<(), UpdateError> {
         self.net_edges(base).map(drop)
     }

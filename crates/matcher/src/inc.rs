@@ -26,7 +26,7 @@
 //! same way, one rule at a time, against a batch recomputation.
 
 use ngd_core::Ngd;
-use ngd_graph::{EdgeRef, GraphView, NodeId, WILDCARD};
+use ngd_graph::{EdgeRef, GraphView, IdMap, NodeId, WILDCARD};
 
 /// An update pivot: a pattern edge together with the updated graph edge it
 /// may be matched onto.
@@ -98,8 +98,8 @@ pub fn pattern_matches<G: GraphView>(rule: &Ngd, graph: &G, assignment: &[NodeId
 /// Rank every updated edge by its position in the batch, for the pivot
 /// de-duplication of Section 6.2: a match containing several updated edges
 /// is enumerated only from its lowest-ranked one.
-pub fn edge_ranks(edges: &[EdgeRef]) -> std::collections::HashMap<EdgeRef, usize> {
-    let mut ranks = std::collections::HashMap::with_capacity(edges.len());
+pub fn edge_ranks(edges: &[EdgeRef]) -> IdMap<EdgeRef, usize> {
+    let mut ranks = IdMap::with_capacity_and_hasher(edges.len(), Default::default());
     for (idx, &edge) in edges.iter().enumerate() {
         ranks.entry(edge).or_insert(idx);
     }

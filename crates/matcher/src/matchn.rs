@@ -37,9 +37,8 @@ use crate::plan::{self, MatchPlan, PlanStep};
 use crate::violation::{Violation, ViolationSet};
 use ngd_core::eval::eval_literal_partial;
 use ngd_core::{Ngd, Pattern, Var};
-use ngd_graph::{EdgeRef, Graph, GraphView, NodeId, WILDCARD};
+use ngd_graph::{EdgeRef, Graph, GraphView, IdMap, NodeId, WILDCARD};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Update-pivot de-duplication (Section 6.2, "optimization strategy").
@@ -54,7 +53,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy)]
 pub struct ForbiddenEdges<'a> {
     /// Rank of every updated edge within the batch.
-    pub rank: &'a HashMap<EdgeRef, usize>,
+    pub rank: &'a IdMap<EdgeRef, usize>,
     /// Edges with a rank strictly below this value are forbidden.
     pub below: usize,
 }
@@ -186,7 +185,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// Prune any partial solution that maps a pattern edge onto an updated
     /// edge of rank `< below` (the incremental matchers' pivot
     /// de-duplication; see [`ForbiddenEdges`]).
-    pub fn with_forbidden(mut self, rank: &'g HashMap<EdgeRef, usize>, below: usize) -> Self {
+    pub fn with_forbidden(mut self, rank: &'g IdMap<EdgeRef, usize>, below: usize) -> Self {
         self.forbidden = Some(ForbiddenEdges { rank, below });
         self
     }

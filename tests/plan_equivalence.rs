@@ -25,13 +25,13 @@ use ngd_detect::{
 };
 use ngd_graph::persist::{CompactionWriter, MmapSnapshot, SnapshotWriter};
 use ngd_graph::{
-    AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Value, WILDCARD,
+    AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, IdMap, NodeId, Value, WILDCARD,
 };
 use ngd_match::{
     compile_rule_plan, edge_ranks, pattern_matches, update_pivots, DeltaViolations, FastPathTally,
     MatchPlan, Matcher, PlanCache, PlanStep, SeedChoice, Violation, ViolationSet,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -480,7 +480,7 @@ fn check_expansion<G: GraphView>(
     graph: &G,
     rule: &Ngd,
     seeds: &[(Var, NodeId)],
-    forbidden: Option<(&HashMap<EdgeRef, usize>, usize)>,
+    forbidden: Option<(&IdMap<EdgeRef, usize>, usize)>,
     ctx: &str,
 ) -> BTreeSet<Vec<NodeId>> {
     let ctx = format!("{ctx}: {} seeds {seeds:?}", rule.id);
