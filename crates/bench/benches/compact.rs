@@ -6,9 +6,10 @@
 //! must emit the next `.ngds` epoch.  Two ways to get there:
 //!
 //! * `refreeze/*` — the pre-compaction baseline: materialise `G ⊕ ΔG` as
-//!   a mutable graph (clone + apply), `freeze()` it (linear passes over
-//!   the adjacency lists, each run sorted) and encode the file (symbol
-//!   table, every run re-sorted into file-symbol order);
+//!   a mutable graph (clone + apply), `freeze()` it (the file bytes laid
+//!   out in linear passes over the adjacency lists — symbol table, each
+//!   run sorted in file-symbol order — then validated by the loader) and
+//!   take the file's bytes;
 //! * `compact/*` — `CompactionWriter`: fold the delta into its net sets
 //!   (the update rules' one fold plus a sort of each set, no overlay),
 //!   then merge-join the *mapped* old file's arrays with them (monotone
@@ -21,12 +22,13 @@
 //! `BENCH_compact.json`; CI's `bench-smoke` job runs it per PR and the run
 //! asserts the acceptance bar: over 20 interleaved pairs, the lower
 //! quartile of re-freeze→write ÷ compaction is at least **3×**.  That bar
-//! is the budget a faster freeze or encode spends, so the three stages of
-//! the re-freeze side are timed on their own too (un-gated
-//! `refreeze/stage/*` rows): a ratio that moves can be traced to the side
-//! and the stage that moved it.  Both sides share the id-keyed hashing
-//! (`ngd_graph::hash`) and the dense `Sym → file id` table, so a change to
-//! either moves both.
+//! is the budget a faster freeze spends, so the two stages of the
+//! re-freeze side are timed on their own too (un-gated `refreeze/stage/*`
+//! rows: `materialise`, and `freeze`, which is the bytes plus the
+//! in-memory load): a ratio that moves can be traced to the side and the
+//! stage that moved it.  Both sides share the id-keyed hashing
+//! (`ngd_graph::hash`), the dense `Sym → file id` table and the file
+//! builder, so a change to any of them moves both.
 
 use ngd_bench::harness::{black_box, Harness};
 use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, UpdateConfig};
@@ -77,15 +79,11 @@ fn main() {
         }),
     );
     let updated = delta.applied_to(&graph).unwrap();
-    let frozen = updated.freeze();
     h.bench("refreeze/stage/materialise", || {
         black_box(delta.applied_to(&graph).unwrap());
     });
     h.bench("refreeze/stage/freeze", || {
         black_box(updated.freeze());
-    });
-    h.bench("refreeze/stage/encode", || {
-        black_box(SnapshotWriter::with_epoch(1).encode(&frozen));
     });
     h.bench("compact/identity_rewrite", || {
         black_box(compactor.encode(&mapped, &Default::default(), 1).unwrap());

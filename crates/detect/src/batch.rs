@@ -13,9 +13,9 @@
 //!
 //! Both detectors run over any [`GraphView`] via [`dect_on`] /
 //! [`pdect_on`]; the [`Graph`]-taking entry points freeze the graph into a
-//! [`CsrSnapshot`](ngd_graph::CsrSnapshot) first, making the
-//! label-partitioned CSR representation
-//! the default hot path.
+//! [`CsrSnapshot`](ngd_graph::CsrSnapshot) first (its `.ngds` bytes, laid
+//! out in memory), making the label-partitioned CSR representation the
+//! default hot path.
 
 use crate::config::{AlgorithmKind, DetectorConfig};
 use crate::cost::CostLedger;

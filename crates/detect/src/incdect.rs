@@ -33,9 +33,10 @@ pub fn delta_neighborhood<G: GraphView>(view: &G, delta: &BatchUpdate, d: usize)
 /// Run `IncDect` on a graph and a batch update.
 ///
 /// Default path: the graph is frozen into a
-/// [`CsrSnapshot`](ngd_graph::CsrSnapshot) (an `O(|G|)`
-/// cost paid by *this* convenience entry point, once per call) and the
-/// updated side is a [`DeltaOverlay`], so `G ⊕ ΔG` is never materialised.
+/// [`CsrSnapshot`](ngd_graph::CsrSnapshot), its `.ngds` bytes in memory
+/// (an `O(|G|)` cost paid by *this* convenience entry point, once per
+/// call), and the updated side is a [`DeltaOverlay`], so `G ⊕ ΔG` is
+/// never materialised.
 /// Callers streaming many batches should freeze once and use
 /// [`inc_dect_snapshot`], whose per-batch cost is the `O(|ΔG|)`-local one
 /// the paper's localizability result promises; [`inc_dect_prepared`]
@@ -48,9 +49,9 @@ pub fn inc_dect(sigma: &RuleSet, graph: &Graph, delta: &BatchUpdate) -> DeltaRep
 /// Run `IncDect` over a reusable frozen snapshot: `G` is the snapshot
 /// itself, `G ⊕ ΔG` is an overlay built in `O(|ΔG|)`.
 ///
-/// Generic over the snapshot representation, so the same entry point
-/// serves an in-memory [`CsrSnapshot`](ngd_graph::CsrSnapshot) and a
-/// memory-mapped [`ngd_graph::MmapSnapshot`] loaded from a snapshot file.
+/// Generic over the view, so the same entry point serves a snapshot
+/// whether its bytes are owned in memory ([`ngd_graph::Graph::freeze`])
+/// or mapped from a snapshot file ([`ngd_graph::MmapSnapshot::load`]).
 pub fn inc_dect_snapshot<S: GraphView + Sync>(
     sigma: &RuleSet,
     snapshot: &S,

@@ -25,8 +25,8 @@
 //! this cycle on its `COMPACT`/epoch-switch path.
 //!
 //! There is one session type, [`IncrementalSession`], over any
-//! [`GraphView`] (a [`CsrSnapshot`](ngd_graph::CsrSnapshot), an
-//! [`MmapSnapshot`](ngd_graph::persist::MmapSnapshot), …), answering
+//! [`GraphView`] (a frozen snapshot, in memory or
+//! [mapped](ngd_graph::persist::MmapSnapshot::load), …), answering
 //! through [`pinc_dect_prepared`](crate::pinc_dect_prepared).  It validates
 //! every batch with [`BatchUpdate::validate_against`] before touching
 //! overlay construction, so a malformed batch is a typed [`UpdateError`] —

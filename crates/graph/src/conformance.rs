@@ -2,9 +2,10 @@
 //!
 //! [`assert_conforms`] drives **every** method of the trait on a reader and
 //! checks each answer against what the adjacency-list [`Graph`] says — the
-//! build representation is the oracle, the CSR readers are the subjects.
-//! The battery below runs it over seeded random graphs for both storages
-//! the reader plugs into: the in-memory and the mapped snapshot.
+//! build representation is the oracle, the CSR reader is the subject.
+//! The battery below runs it over seeded random graphs for both backings
+//! of the one frozen storage: the bytes [`Graph::freeze`] owns in memory,
+//! and the same bytes written to a file and mapped.
 
 use crate::attrs::AttrMap;
 use crate::graph::{EdgeRef, Graph, NodeId};
@@ -253,12 +254,13 @@ fn whole_graph_readers_conform() {
     intern("conformance-ghost-label");
     for seed in SEEDS {
         let g = random_graph(seed);
-        let snapshot = g.freeze();
-        assert_conforms(&snapshot, &g, &format!("seed {seed}: CsrSnapshot"));
+        let owned = g.freeze();
+        assert_conforms(&owned, &g, &format!("seed {seed}: owned bytes"));
         let path = temp_path(&format!("whole-{seed}"));
-        SnapshotWriter::new().write(&snapshot, &path).unwrap();
+        SnapshotWriter::new().write(&owned, &path).unwrap();
         let mapped = MmapSnapshot::load(&path).unwrap();
-        assert_conforms(&mapped, &g, &format!("seed {seed}: MmapSnapshot"));
+        assert_conforms(&mapped, &g, &format!("seed {seed}: mapped file"));
+        assert_eq!(mapped.file_bytes(), owned.file_bytes(), "seed {seed}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -21,7 +21,8 @@
 //!   snapshot produced by [`Graph::freeze`], whose label-sorted contiguous
 //!   neighbour runs and `(node label, edge label, node label)` triple index
 //!   make matcher candidate selection a binary search over a slice instead
-//!   of a scan over heap-allocated lists.
+//!   of a scan over heap-allocated lists.  It is the graph's `.ngds` bytes
+//!   ([`MmapSnapshot`], of which `CsrSnapshot` is an alias).
 //!
 //! Both (plus [`DeltaOverlay`], a snapshot composed with an *unapplied*
 //! `ΔG`) implement the read-only [`GraphView`] trait that the matcher and
@@ -29,26 +30,26 @@
 //! updating through `Graph`/`BatchUpdate`; hand snapshots (or overlays) to
 //! the hot paths.
 //!
-//! The frozen layout has two storages — heap or memory-mapped file — and
-//! **one reader**: the label-sorted-run logic exists once (in [`csr`]) and
-//! the [`GraphView`] impl is generic over [`CsrSnapshot`] /
-//! [`MmapSnapshot`].  The table in [`csr`] says who plugs in what.
+//! The frozen layout has **one storage and one reader**: the `.ngds`
+//! bytes, owned in memory by [`Graph::freeze`] or memory-mapped by
+//! [`MmapSnapshot::load`], read by the one [`GraphView`] impl in [`csr`].
+//! The table in [`csr`] lists the two backings.
 //!
 //! On top of the representations this crate provides:
 //!
 //! * [`view`] — the [`GraphView`] read abstraction;
-//! * [`csr`] — the CSR reader, the in-memory frozen snapshot and
-//!   [`Graph::freeze`];
+//! * [`csr`] — the CSR reader over the frozen snapshot;
 //! * [`overlay`] — [`DeltaOverlay`], `snapshot ⊕ ΔG` without
 //!   materialisation (what keeps incremental detection `O(|ΔG|)`-local);
 //! * [`neighborhood`] — `d`-hop neighbourhoods (`G_d(v)`), the locality
 //!   primitive behind the paper's *localizable* incremental algorithm;
 //! * [`update`] — batch edge insertions/deletions (`ΔG`) and their
 //!   application `G ⊕ ΔG`;
-//! * [`persist`] — zero-copy on-disk snapshots: a versioned, checksummed
-//!   binary writer ([`SnapshotWriter`]) and a memory-mapped loader
-//!   ([`MmapSnapshot`]) that validates a file and hands its arrays to the
-//!   same reader in place, so a graph is frozen once on disk and read by
+//! * [`persist`] — the frozen storage: [`Graph::freeze`] lays a graph out
+//!   as versioned, checksummed binary snapshot bytes, [`SnapshotWriter`]
+//!   writes them to a file, and the one loader ([`MmapSnapshot`])
+//!   validates bytes in memory or memory-mapped and hands their arrays to
+//!   the reader in place, so a graph is frozen once on disk and read by
 //!   many detector processes;
 //! * [`io`] — a plain-text edge-list/attribute format plus JSON
 //!   (de)serialization for graphs;

@@ -1,4 +1,4 @@
-//! A [`CsrSnapshot`] composed with an *unapplied* batch update.
+//! A frozen snapshot composed with an *unapplied* batch update.
 //!
 //! The incremental detectors need to search both `G` and `G ⊕ ΔG`.  With
 //! frozen snapshots, materialising `G ⊕ ΔG` would cost `O(|G|)` per batch —
@@ -17,7 +17,7 @@
 //!   as fast as on the frozen graph.
 //!
 //! An overlay with an empty update ([`DeltaOverlay::empty`] /
-//! [`CsrSnapshot::as_overlay`](crate::CsrSnapshot::as_overlay)) behaves
+//! [`MmapSnapshot::as_overlay`](crate::MmapSnapshot::as_overlay)) behaves
 //! exactly like the snapshot, which lets an incremental run use the *same*
 //! view type for the old and new sides.
 //!
@@ -27,21 +27,21 @@
 //! [`BatchUpdate::validate_against`] discards them, and compaction
 //! validates and canonicalises a `ΔG` by sorting them.
 
-use crate::csr::CsrSnapshot;
 use crate::graph::{EdgeRef, NodeData, NodeId};
 use crate::hash::{IdMap, IdSet};
 use crate::interner::Sym;
+use crate::persist::MmapSnapshot;
 use crate::update::{BatchUpdate, EdgeOp, NetEdges, UpdateError};
 use crate::value::Value;
 use crate::view::GraphView;
 
 /// A read-only view of `base ⊕ delta` without materialisation.
 ///
-/// The base defaults to a [`CsrSnapshot`] (the detectors' shared-snapshot
-/// hot path) but can be any [`GraphView`] — served sessions lay the same
-/// overlay over a [`crate::MmapSnapshot`].
+/// The base defaults to the frozen snapshot, [`MmapSnapshot`] (the bytes
+/// [`crate::Graph::freeze`] owns in memory, or a mapped file, as served
+/// sessions use), but can be any [`GraphView`].
 #[derive(Debug, Clone)]
-pub struct DeltaOverlay<'a, B: GraphView = CsrSnapshot> {
+pub struct DeltaOverlay<'a, B: GraphView = MmapSnapshot> {
     base: &'a B,
     /// Nodes introduced by the update; node `base_count + i` is `added_nodes[i]`.
     added_nodes: Vec<NodeData>,

@@ -29,21 +29,22 @@
 //! * the **triple index** merge-joins each `(src, edge, dst)`-label
 //!   group's `(src, dst)`-sorted entries with the delta's.
 //!
-//! Because [`SnapshotWriter`](super::SnapshotWriter) canonicalises every
-//! structure into exactly these orders, the output is **byte-identical**
-//! to freezing `G ⊕ ΔG` and writing it at the same epoch — the
+//! Because [`Graph::freeze`](crate::Graph::freeze) lays every structure
+//! out in exactly these orders, the output is **byte-identical** to
+//! freezing `G ⊕ ΔG` and writing it at the same epoch — the
 //! compaction-equivalence property the integration tests pin — while
 //! costing linear scans of the mapped file instead of materialising
-//! `G ⊕ ΔG` as a mutable graph, freezing it and re-canonicalising it.
+//! `G ⊕ ΔG` as a mutable graph and freezing it.
 //!
-//! An all-cancelling (net-empty) delta short-circuits to a header rewrite
-//! plus a straight byte-copy of every section.
+//! An all-cancelling (net-empty) delta short-circuits to a copy of the old
+//! bytes under a re-stamped header.
 
-use super::format::{kind, AttrEntries, BlobWriter, SymTable};
+use super::format::{AttrEntries, BlobWriter, SymTable};
 use super::loader::{MmapSnapshot, VALIDATED};
-use super::writer::{encode_attrs, push_strings, FileBuilder};
+use super::writer::{encode_attrs, Sections, SnapshotWriter};
 use super::PersistError;
-use crate::graph::{EdgeRef, NodeData};
+use crate::graph::EdgeRef;
+use crate::hash::IdMap;
 use crate::interner::Sym;
 use crate::update::{BatchUpdate, NetEdges, NewNode, UpdateError};
 use crate::view::GraphView;
@@ -126,22 +127,11 @@ impl CompactionWriter {
         let _span = ngd_obs::span!("persist.compact");
         let net = NetDelta::new(old, delta)?;
         if net.is_empty() {
-            // Nothing changed: a fresh header over the old sections,
-            // copied verbatim.  The checksum only covers the post-header
-            // bytes, so this is still byte-identical to a re-encode.
-            let mut builder = FileBuilder::new(
-                GraphView::node_count(old) as u64,
-                GraphView::edge_count(old) as u64,
-                epoch,
-            );
-            replay_sections(old, &mut builder);
-            return Ok(builder.finish());
+            // Nothing changed: the old bytes under a header stamped
+            // `epoch`, which the checksum does not cover.
+            return Ok(SnapshotWriter::with_epoch(epoch).encode(old));
         }
-        let mut merged = merge_sections(old, &net);
-        let mut builder =
-            FileBuilder::new(merged.node_count as u64, merged.edge_count as u64, epoch);
-        merged.push_sections(&mut builder);
-        Ok(builder.finish())
+        Ok(merge_sections(old, &net).into_builder(epoch).finish())
     }
 
     /// Compact `in_path` merged with `delta` into `out_path`, stamping
@@ -164,20 +154,6 @@ impl CompactionWriter {
             node_count: header.node_count,
             edge_count: header.edge_count,
         })
-    }
-}
-
-/// Re-emit every section of `old` verbatim, in file order.  With a fresh
-/// header this reproduces the writer's bytes exactly: offsets re-derive
-/// from the unchanged push order and lengths, and the checksum folds over
-/// the same post-header bytes.
-fn replay_sections(old: &MmapSnapshot, builder: &mut FileBuilder) {
-    for entry in old.raw_section_table() {
-        builder.add_blob(
-            entry.kind,
-            entry.elem_count,
-            old.raw_section_bytes(entry).to_vec(),
-        );
     }
 }
 
@@ -213,58 +189,6 @@ impl<'d> NetDelta<'d> {
     /// [`BatchUpdate::is_empty`] ignores node additions).
     fn is_empty(&self) -> bool {
         self.del.is_empty() && self.ins.is_empty() && self.new_nodes.is_empty()
-    }
-}
-
-/// Every merged section, plus the merged symbol table.
-struct Merged {
-    node_count: usize,
-    edge_count: usize,
-    syms: SymTable,
-    node_labels: Vec<u32>,
-    node_attrs: Vec<u8>,
-    out: (Vec<u32>, Vec<u32>, Vec<u32>),
-    inn: (Vec<u32>, Vec<u32>, Vec<u32>),
-    label_order: Vec<u32>,
-    label_ranges: Vec<u8>,
-    label_range_count: u64,
-    triple_src: Vec<u32>,
-    triple_dst: Vec<u32>,
-    triple_ranges: Vec<u8>,
-    triple_range_count: u64,
-}
-
-impl Merged {
-    /// Emit the sections in the exact order
-    /// [`super::SnapshotWriter`] uses, so the file layout is identical.
-    /// Consumes the blobs so a megabyte-scale merge is moved, not copied.
-    fn push_sections(&mut self, builder: &mut FileBuilder) {
-        push_strings(builder, &self.syms);
-        builder.add_u32s(kind::NODE_LABELS, std::mem::take(&mut self.node_labels));
-        builder.add_blob(
-            kind::NODE_ATTRS,
-            self.node_count as u64,
-            std::mem::take(&mut self.node_attrs),
-        );
-        builder.add_u32s(kind::OUT_OFFSETS, std::mem::take(&mut self.out.0));
-        builder.add_u32s(kind::OUT_LABELS, std::mem::take(&mut self.out.1));
-        builder.add_u32s(kind::OUT_NEIGHBORS, std::mem::take(&mut self.out.2));
-        builder.add_u32s(kind::IN_OFFSETS, std::mem::take(&mut self.inn.0));
-        builder.add_u32s(kind::IN_LABELS, std::mem::take(&mut self.inn.1));
-        builder.add_u32s(kind::IN_NEIGHBORS, std::mem::take(&mut self.inn.2));
-        builder.add_u32s(kind::LABEL_ORDER, std::mem::take(&mut self.label_order));
-        builder.add_blob(
-            kind::LABEL_RANGES,
-            self.label_range_count,
-            std::mem::take(&mut self.label_ranges),
-        );
-        builder.add_u32s(kind::TRIPLE_SRC, std::mem::take(&mut self.triple_src));
-        builder.add_u32s(kind::TRIPLE_DST, std::mem::take(&mut self.triple_dst));
-        builder.add_blob(
-            kind::TRIPLE_RANGES,
-            self.triple_range_count,
-            std::mem::take(&mut self.triple_ranges),
-        );
     }
 }
 
@@ -306,7 +230,7 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
     // a node label or attribute name (nodes are never deleted), or as the
     // label of at least one surviving or inserted edge.
     let mut survives = vec![false; old_count];
-    for &fid in old.raw_node_labels() {
+    for &fid in old.node_labels() {
         survives[fid as usize] = true;
     }
     for idx in 0..GraphView::node_count(old) {
@@ -315,7 +239,7 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
         }
     }
     let mut edge_labels: Vec<i64> = vec![0; old_count];
-    for &fid in old.raw_side_arrays(true).1 {
+    for &fid in old.out_side().keys {
         edge_labels[fid as usize] += 1;
     }
     for e in &net.del {
@@ -402,13 +326,8 @@ fn merge_attrs(old: &MmapSnapshot, net: &NetDelta, syms: &SymMerge) -> Vec<u8> {
         }
     }
     let mut out = blob.into_bytes();
-    for n in net.new_nodes {
-        let node = NodeData {
-            label: n.label,
-            attrs: n.attrs.clone(),
-        };
-        out.extend_from_slice(&encode_attrs(std::slice::from_ref(&node), &syms.table));
-    }
+    let new_attrs = net.new_nodes.iter().map(|node| &node.attrs);
+    out.extend_from_slice(&encode_attrs(new_attrs, &syms.table));
     out
 }
 
@@ -476,8 +395,13 @@ fn merge_side(
     syms: &SymMerge,
     out_side: bool,
     total_nodes: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let (offsets, labels, neighbors) = old.raw_side_arrays(out_side);
+) -> [Vec<u32>; 3] {
+    let side = if out_side {
+        old.out_side()
+    } else {
+        old.in_side()
+    };
+    let (offsets, labels, neighbors) = (side.offsets, side.keys, side.neighbors);
     let old_n = GraphView::node_count(old);
     // Per-row deletions in *old* file-symbol space (a fully deleted label
     // may not survive into the new table), per-row insertions in new space.
@@ -515,7 +439,7 @@ fn merge_side(
             if row < old_end {
                 let (start, end) = (offsets[row] as usize, offsets[old_end] as usize);
                 let shift = new_labels.len() as u32;
-                new_neighbors.extend_from_slice(&neighbors[start..end]);
+                new_neighbors.extend(neighbors[start..end].iter().map(|n| n.0));
                 if identity {
                     new_labels.extend_from_slice(&labels[start..end]);
                 } else {
@@ -544,11 +468,11 @@ fn merge_side(
         };
         let mut ins_iter = ins.iter().peekable();
         for i in range {
-            let key = (labels[i], neighbors[i]);
+            let key = (labels[i], neighbors[i].0);
             if del.binary_search(&key).is_ok() {
                 continue;
             }
-            let mapped = (syms.old_to_new[labels[i] as usize], neighbors[i]);
+            let mapped = (syms.old_to_new[labels[i] as usize], neighbors[i].0);
             while let Some(&&pending) = ins_iter.peek() {
                 if pending < mapped {
                     new_labels.push(pending.0);
@@ -568,7 +492,18 @@ fn merge_side(
         new_offsets.push(new_labels.len() as u32);
         row += 1;
     }
-    (new_offsets, new_labels, new_neighbors)
+    [new_offsets, new_labels, new_neighbors]
+}
+
+/// A range dictionary's entries in file order: sorted by range start,
+/// which is file-symbol key order because the ranges tile their array.
+fn in_file_order<K: Copy>(ranges: &IdMap<K, (u32, u32)>) -> Vec<(K, u32, u32)> {
+    let mut out: Vec<(K, u32, u32)> = ranges
+        .iter()
+        .map(|(&key, &(start, end))| (key, start, end))
+        .collect();
+    out.sort_unstable_by_key(|&(_, start, _)| start);
+    out
 }
 
 /// Merge the label partition: every new node joins its label's group at
@@ -579,12 +514,12 @@ fn merge_label_partition(
     net: &NetDelta,
     syms: &SymMerge,
     total_nodes: usize,
-) -> (Vec<u32>, Vec<u8>, u64) {
-    let old_order = old.raw_label_order();
+) -> (Vec<u32>, (u64, Vec<u8>)) {
+    let old_order = old.label_partition().1;
     let old_n = GraphView::node_count(old);
     // new fid → (old range, appended new node ids)
     let mut groups: BTreeMap<u32, (std::ops::Range<usize>, Vec<u32>)> = BTreeMap::new();
-    for (sym, start, end) in old.raw_label_ranges() {
+    for (sym, start, end) in in_file_order(old.label_partition().0) {
         groups.insert(
             syms.new_fid(sym),
             (start as usize..end as usize, Vec::new()),
@@ -602,14 +537,14 @@ fn merge_label_partition(
     let mut count = 0u64;
     for (fid, (old_range, added)) in groups {
         let start = order.len() as u32;
-        order.extend_from_slice(&old_order[old_range]);
+        order.extend(old_order[old_range].iter().map(|n| n.0));
         order.extend_from_slice(&added);
         ranges.put_u32(fid);
         ranges.put_u32(start);
         ranges.put_u32(order.len() as u32);
         count += 1;
     }
-    (order, ranges.into_bytes(), count)
+    (order, (count, ranges.into_bytes()))
 }
 
 /// Merge the triple index: per `(src label, edge label, dst label)` group,
@@ -625,8 +560,8 @@ fn merge_triples(
     net: &NetDelta,
     syms: &SymMerge,
     node_labels: &[u32],
-) -> (Vec<u32>, Vec<u32>, Vec<u8>, u64) {
-    let (old_src, old_dst) = old.raw_triple_arrays();
+) -> (Vec<u32>, Vec<u32>, (u64, Vec<u8>)) {
+    let (_, old_src, old_dst) = old.triple_index();
     type Key = (u32, u32, u32);
     // Deletions and insertions in new-fid key space, each list sorted by
     // (key, src, dst).  A deletion whose edge label *died* (no edge kept
@@ -671,7 +606,7 @@ fn merge_triples(
     // nothing — and filtering keeps the remapped key stream *sorted*,
     // because the componentwise-monotone remap preserves lexicographic
     // order only among fully-live keys.
-    let old_groups = old.raw_triple_ranges();
+    let old_groups = in_file_order(old.triple_index().0);
 
     let total_estimate = old_src.len() + inss.len();
     let mut triple_src: Vec<u32> = Vec::with_capacity(total_estimate);
@@ -724,8 +659,8 @@ fn merge_triples(
             let ins = &inss[ins_start..ins_cursor];
             if del.is_empty() && ins.is_empty() {
                 // Untouched group: bulk-copy from the mapped arrays.
-                triple_src.extend_from_slice(&old_src[start..end]);
-                triple_dst.extend_from_slice(&old_dst[start..end]);
+                triple_src.extend(old_src[start..end].iter().map(|n| n.0));
+                triple_dst.extend(old_dst[start..end].iter().map(|n| n.0));
             } else {
                 // Both the group and its delta slices are (src, dst)-sorted:
                 // one three-way pointer walk, no per-entry scans.
@@ -736,7 +671,7 @@ fn merge_triples(
                     .map(|&(_, pair)| pair)
                     .peekable();
                 for i in start..end {
-                    let pair = (old_src[i], old_dst[i]);
+                    let pair = (old_src[i].0, old_dst[i].0);
                     while del_iter.peek().is_some_and(|&deleted| deleted < pair) {
                         del_iter.next();
                     }
@@ -774,18 +709,18 @@ fn merge_triples(
             emit(key, group_start, &mut triple_src);
         }
     }
-    (triple_src, triple_dst, ranges.into_bytes(), count)
+    (triple_src, triple_dst, (count, ranges.into_bytes()))
 }
 
 /// Run every per-section merge.
-fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
+fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Sections {
     let old_n = GraphView::node_count(old);
     let total_nodes = old_n + net.new_nodes.len();
     let edge_count = GraphView::edge_count(old) + net.ins.len() - net.del.len();
 
     let syms = merge_symbols(old, net);
     let mut node_labels: Vec<u32> = old
-        .raw_node_labels()
+        .node_labels()
         .iter()
         .map(|&fid| syms.old_to_new[fid as usize])
         .collect();
@@ -794,12 +729,10 @@ fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
     let node_attrs = merge_attrs(old, net, &syms);
     let out = merge_side(old, net, &syms, true, total_nodes);
     let inn = merge_side(old, net, &syms, false, total_nodes);
-    let (label_order, label_ranges, label_range_count) =
-        merge_label_partition(old, net, &syms, total_nodes);
-    let (triple_src, triple_dst, triple_ranges, triple_range_count) =
-        merge_triples(old, net, &syms, &node_labels);
+    let (label_order, label_ranges) = merge_label_partition(old, net, &syms, total_nodes);
+    let (triple_src, triple_dst, triple_ranges) = merge_triples(old, net, &syms, &node_labels);
 
-    Merged {
+    Sections {
         node_count: total_nodes,
         edge_count,
         syms: syms.table,
@@ -809,11 +742,9 @@ fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Merged {
         inn,
         label_order,
         label_ranges,
-        label_range_count,
         triple_src,
         triple_dst,
         triple_ranges,
-        triple_range_count,
     }
 }
 

@@ -146,7 +146,7 @@ impl SymTable {
 
 /// File kinds.
 pub mod file_kind {
-    /// A single [`crate::CsrSnapshot`].
+    /// A single frozen snapshot ([`crate::MmapSnapshot`]).
     pub const SNAPSHOT: u32 = 1;
     /// Reserved: the sharded snapshots older builds wrote.  No writer for it
     /// remains and every loader rejects it with

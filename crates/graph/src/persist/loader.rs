@@ -1,36 +1,40 @@
-//! Zero-copy loading: the file-backed storage [`MmapSnapshot`].
+//! Loading: the frozen storage [`MmapSnapshot`].
 //!
-//! This module holds no reader of its own: it validates a file, hands its
-//! mapped arrays to the crate's one CSR reader through the storage seam of
-//! [`crate::csr`] (`CsrStore`), and the generic `GraphView` impl there does
-//! the rest.
+//! This module holds no reader of its own: it validates a snapshot's
+//! bytes — a mapped `.ngds` file, or the bytes [`crate::Graph::freeze`]
+//! laid out in memory — and keeps their arrays for the crate's one CSR
+//! reader (the `GraphView` impl in [`crate::csr`]).
 //!
-//! A loaded snapshot keeps the file mapped and serves every array read —
+//! A snapshot keeps its bytes ([`MmapFile`]) and serves every array read —
 //! CSR offsets, labels, neighbours, label partition, triple arrays —
-//! directly from the mapping by reinterpreting validated byte ranges as
+//! directly from them by reinterpreting validated byte ranges as
 //! `&[u32]` / `&[NodeId]` slices.  Only the variable-length payloads that
 //! cannot be viewed in place are materialised at load time: the string
 //! table (bridged into the process interner) and the small range
 //! dictionaries.  Per-node attribute records are validated and indexed at
-//! load and decoded from the mapping on every read.
+//! load and decoded from the bytes on every read.
 //!
-//! **Safety discipline.**  All `unsafe` in this module is the slice
-//! reinterpretation, and it is sound because `load` validates, before any
-//! view is handed out, that every section lies inside the mapping, is
+//! **Safety discipline.**  The `unsafe` in this module is of two kinds.
+//! The slice reinterpretation is sound because `decode` validates, before
+//! any slice is kept, that every section lies inside the bytes, is
 //! aligned, has a consistent element count, and satisfies the structural
 //! invariants the readers rely on (monotone offsets, in-bounds neighbour
 //! ids and symbol ids, sorted runs, permutation label order).  Corrupt
 //! input therefore fails with a typed [`PersistError`] at load — never
-//! with UB, a panic, or a silently wrong answer at read time.
+//! with UB, a panic, or a silently wrong answer at read time.  And each
+//! validated slice is resolved **once**, into a field beside the
+//! `Arc<MmapFile>` it borrows from, so a read pays no re-slicing; that
+//! self-reference has its own precondition at the one place it is built
+//! (`decode`), and every accessor re-borrows it for `&self` only.
 //!
 //! **Symbol spaces.**  File symbol ids are lexicographic by string and
 //! process [`Sym`]s are interning-ordered, so the two orders differ; the
-//! loader never rewrites the mapped arrays.  Instead the file symbol id is
-//! the storage's run key: each query symbol is translated into file space
-//! (one load from a dense `Sym → file id` table), the binary search runs
-//! over the file-ordered run, and results translate back through a dense
+//! loader never rewrites the arrays.  Instead the file symbol id is the
+//! run key: each query symbol is translated into file space (one load
+//! from a dense `Sym → file id` table), the binary search runs over the
+//! file-ordered run, and results translate back through a dense
 //! `file id → Sym` table.  A symbol the file never saw has no run key and
-//! simply yields an empty run, mirroring the in-memory snapshot.
+//! simply yields an empty run.
 
 use super::format::{
     file_checksum, file_kind, kind, read_section_table, AttrEntries, AttrFault, BlobReader,
@@ -38,54 +42,18 @@ use super::format::{
 };
 use super::mmap::MmapFile;
 use super::PersistError;
-use crate::attrs::AttrMap;
-use crate::csr::{CsrStore, LabelRanges, Side, TripleRanges};
+use crate::csr::{LabelRanges, Side, TripleRanges};
 use crate::graph::NodeId;
+use crate::hash::IdMap;
 use crate::interner::{intern, Sym};
-use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Why reading a mapped attribute record cannot fail.
+/// Why reading an attribute record cannot fail.
 pub(crate) const VALIDATED: &str = "attribute record validated at load";
-
-/// A validated `u32`-array section: byte offset + element count.
-#[derive(Debug, Clone, Copy)]
-struct Sect {
-    off: usize,
-    len: usize,
-}
-
-/// One CSR side's three array sections.
-#[derive(Debug, Clone, Copy)]
-struct SideSect {
-    offsets: Sect,
-    labels: Sect,
-    neighbors: Sect,
-}
-
-/// Reinterpret a mapped byte range as `&[u32]`.
-///
-/// Soundness: the range was bounds-checked against the mapping and starts
-/// at a [`SECTION_ALIGN`]-multiple offset of an (at least) 8-byte-aligned
-/// base, so the pointer is 4-byte aligned; `u32` has no invalid bit
-/// patterns; the mapping is immutable and outlives the borrow.
-#[inline]
-fn u32s(map: &MmapFile, s: Sect) -> &[u32] {
-    let bytes = &map.bytes()[s.off..s.off + s.len * 4];
-    debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
-    // SAFETY: every `Sect` is built by `FileData::u32_sect` from an entry
-    // that passed `read_section_table` — `offset` a multiple of
-    // `SECTION_ALIGN` (`MisalignedSection` otherwise) and
-    // `offset + byte_len` inside the mapping (`Corrupt` otherwise) — and
-    // whose `byte_len` is `elem_count * 4` by the checked multiply there;
-    // the slice index above re-checks the bounds.  The base is
-    // page-aligned (mmap) or 8-aligned (the `Vec<u64>` fallback), so
-    // `base + off` is 4-aligned; every bit pattern is a valid `u32`; the
-    // mapping is never written and the borrow is tied to `map`.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), s.len) }
-}
 
 /// Reinterpret a `u32` slice as node ids (`NodeId` is
 /// `repr(transparent)` over `u32`).
@@ -97,26 +65,21 @@ fn as_node_ids(xs: &[u32]) -> &[NodeId] {
     unsafe { std::slice::from_raw_parts(xs.as_ptr().cast::<NodeId>(), xs.len()) }
 }
 
-/// A parsed, checksum-verified file: mapping + header + section directory.
-///
-/// `table` keeps the entries in **file (push) order** — the directory the
-/// compaction writer replays when it byte-copies sections into the next
-/// epoch; `sections` is the same set keyed for random access.
+/// A parsed, checksum-verified snapshot file: bytes + header + section
+/// directory, keyed for random access.
 struct FileData {
     map: Arc<MmapFile>,
     header: FileHeader,
-    table: Vec<SectionEntry>,
     sections: HashMap<(u32, u32), SectionEntry>,
 }
 
 impl FileData {
-    fn open(path: &Path) -> Result<FileData, PersistError> {
+    fn parse(map: MmapFile) -> Result<FileData, PersistError> {
         if cfg!(target_endian = "big") {
             return Err(PersistError::UnsupportedHost(
                 "snapshot files are little-endian and this host is big-endian".into(),
             ));
         }
-        let map = MmapFile::open(path)?;
         let bytes = map.bytes();
         let header = FileHeader::parse(bytes)?;
         if header.section_align != SECTION_ALIGN as u32 {
@@ -144,20 +107,24 @@ impl FileData {
                 computed,
             });
         }
-        let table = read_section_table(bytes, &header)?;
         let mut sections = HashMap::new();
-        for entry in &table {
-            if sections.insert((entry.kind, entry.owner), *entry).is_some() {
+        for entry in read_section_table(bytes, &header)? {
+            if sections.insert((entry.kind, entry.owner), entry).is_some() {
                 return Err(PersistError::Corrupt(format!(
                     "duplicate section kind {} for owner {}",
                     entry.kind, entry.owner
                 )));
             }
         }
+        if header.file_kind != file_kind::SNAPSHOT {
+            return Err(PersistError::WrongKind {
+                expected: file_kind::SNAPSHOT,
+                found: header.file_kind,
+            });
+        }
         Ok(FileData {
             map: Arc::new(map),
             header,
-            table,
             sections,
         })
     }
@@ -170,21 +137,41 @@ impl FileData {
             .ok_or_else(|| PersistError::Corrupt(format!("missing section kind {kind}")))
     }
 
-    /// A `u32`-array section (byte length must match the element count).
-    fn u32_sect(&self, kind: u32) -> Result<Sect, PersistError> {
+    /// The payload bytes of a section, bounds-checked against the file.
+    fn payload(&self, kind: u32) -> Result<(SectionEntry, &[u8]), PersistError> {
         let entry = self.entry(kind)?;
+        let end = entry.offset.checked_add(entry.byte_len);
+        match end.and_then(|end| self.map.bytes().get(entry.offset as usize..end as usize)) {
+            Some(bytes) => Ok((entry, bytes)),
+            None => Err(PersistError::Corrupt(format!(
+                "section kind {kind} ends past the file ({} bytes)",
+                self.header.total_len
+            ))),
+        }
+    }
+
+    /// A `u32`-array section (byte length must match the element count).
+    fn u32s(&self, kind: u32) -> Result<&[u32], PersistError> {
+        let (entry, bytes) = self.payload(kind)?;
         // Checked multiply: a crafted elem_count near u64::MAX must fail
         // typed here, not wrap and defeat the length check (the slice it
-        // would later describe is the module's UB contract on the line).
+        // would describe is the module's UB contract on the line).
         if entry.elem_count.checked_mul(4) != Some(entry.byte_len) {
             return Err(PersistError::Corrupt(format!(
                 "section kind {kind}: {} bytes for {} u32 elements",
                 entry.byte_len, entry.elem_count
             )));
         }
-        Ok(Sect {
-            off: entry.offset as usize,
-            len: entry.elem_count as usize,
+        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
+        // SAFETY: `bytes` is in bounds (`payload` sliced it) and holds
+        // exactly `elem_count * 4` bytes (checked multiply above).  Its
+        // offset passed `read_section_table`, so it is a multiple of
+        // `SECTION_ALIGN` (`MisalignedSection` otherwise), and the base is
+        // page-aligned (mmap) or 8-aligned (`OwnedBytes`), so the pointer
+        // is 4-aligned; every bit pattern is a valid `u32`; the bytes are
+        // never written and the borrow is tied to `self`.
+        Ok(unsafe {
+            std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), entry.elem_count as usize)
         })
     }
 
@@ -195,23 +182,21 @@ impl FileData {
     /// it for `with_capacity` without a crafted count forcing a huge
     /// allocation before the bounds-checked parse would catch it.
     fn blob(&self, kind: u32) -> Result<(&[u8], usize), PersistError> {
-        let entry = self.entry(kind)?;
-        let start = entry.offset as usize;
-        let end = start + entry.byte_len as usize;
+        let (entry, bytes) = self.payload(kind)?;
         if entry.elem_count > entry.byte_len {
             return Err(PersistError::Corrupt(format!(
                 "section kind {kind}: {} records in {} bytes",
                 entry.elem_count, entry.byte_len
             )));
         }
-        Ok((&self.map.bytes()[start..end], entry.elem_count as usize))
+        Ok((bytes, entry.elem_count as usize))
     }
 
-    fn side(&self, kinds: (u32, u32, u32)) -> Result<SideSect, PersistError> {
-        Ok(SideSect {
-            offsets: self.u32_sect(kinds.0)?,
-            labels: self.u32_sect(kinds.1)?,
-            neighbors: self.u32_sect(kinds.2)?,
+    fn side(&self, kinds: (u32, u32, u32)) -> Result<Side<'_>, PersistError> {
+        Ok(Side {
+            offsets: self.u32s(kinds.0)?,
+            keys: self.u32s(kinds.1)?,
+            neighbors: as_node_ids(self.u32s(kinds.2)?),
         })
     }
 }
@@ -244,31 +229,32 @@ fn decode_strings(blob: &[u8], declared: usize) -> Result<SymTable, PersistError
     Ok(SymTable::new(syms))
 }
 
-/// The record index of the mapped attribute blob: nothing is decoded
-/// ahead of a read and nothing decoded is kept.
+/// The record index of the attribute blob: nothing is decoded ahead of a
+/// read and nothing decoded is kept.
 ///
 /// The load-time pass *validates* every record — name ids in range and
 /// strictly increasing in file-symbol order, known value tags, UTF-8
 /// strings, exact blob consumption — and keeps only the record
-/// boundaries.  A read decodes straight from the mapped bytes
+/// boundaries.  A read decodes straight from the bytes
 /// ([`MmapSnapshot::attr_entries`]): `attr` walks one record up to the
 /// name and copies the value out, `attrs_of` builds an owned tuple.  So a
 /// cold read allocates nothing for an `Int`/`Bool` value, and dropping
 /// the snapshot frees the same blocks however many nodes were read.
 #[derive(Debug)]
-struct LazyAttrs {
-    /// Byte range of the attribute blob inside the mapping.
-    off: usize,
-    len: usize,
-    /// Record boundaries within the blob (`count + 1` entries).
+struct AttrIndex<'a> {
+    blob: &'a [u8],
+    /// Where each row's record starts within the blob.
     starts: Vec<u32>,
 }
 
-impl LazyAttrs {
+impl AttrIndex<'_> {
     /// Validate the node-attribute blob section and index its records.
-    fn load(file: &FileData, count: usize, syms: &SymTable) -> Result<LazyAttrs, PersistError> {
+    fn load<'f>(
+        file: &'f FileData,
+        count: usize,
+        syms: &SymTable,
+    ) -> Result<AttrIndex<'f>, PersistError> {
         let what = "node attributes";
-        let entry = file.entry(kind::NODE_ATTRS)?;
         let (blob, declared) = file.blob(kind::NODE_ATTRS)?;
         if declared != count {
             return Err(PersistError::Corrupt(format!(
@@ -284,7 +270,7 @@ impl LazyAttrs {
             PersistError::Corrupt(format!("{what}: row {row}: {fault}"))
         };
         let mut rest = blob;
-        let mut starts = Vec::with_capacity(count + 1);
+        let mut starts = Vec::with_capacity(count);
         for row in 0..count {
             starts.push((blob.len() - rest.len()) as u32);
             let mut entries = AttrEntries::new(rest).map_err(|fault| corrupt(row, fault))?;
@@ -303,30 +289,28 @@ impl LazyAttrs {
             }
             rest = entries.rest();
         }
-        starts.push((blob.len() - rest.len()) as u32);
         if !rest.is_empty() {
             return Err(PersistError::Corrupt(format!(
                 "{what}: {} trailing bytes after the last record",
                 rest.len()
             )));
         }
-        Ok(LazyAttrs {
-            off: entry.offset as usize,
-            len: entry.byte_len as usize,
-            starts,
-        })
+        Ok(AttrIndex { blob, starts })
     }
 }
 
 /// Validate one CSR side's invariants and return its entry count.
 fn validate_side(
-    map: &MmapFile,
-    side: SideSect,
+    side: Side<'_>,
     rows: usize,
     sym_count: u32,
     what: &'static str,
 ) -> Result<usize, PersistError> {
-    let offsets = u32s(map, side.offsets);
+    let Side {
+        offsets,
+        keys: labels,
+        neighbors,
+    } = side;
     if offsets.len() != rows + 1 || offsets.first() != Some(&0) {
         return Err(PersistError::Corrupt(format!(
             "{what}: offsets array has {} entries for {rows} rows",
@@ -334,16 +318,15 @@ fn validate_side(
         )));
     }
     let entries = *offsets.last().expect("non-empty offsets") as usize;
-    if side.labels.len != entries || side.neighbors.len != entries {
+    if labels.len() != entries || neighbors.len() != entries {
         return Err(PersistError::Corrupt(format!(
             "{what}: {} labels / {} neighbours for {entries} entries",
-            side.labels.len, side.neighbors.len
+            labels.len(),
+            neighbors.len()
         )));
     }
-    let labels = u32s(map, side.labels);
-    let neighbors = u32s(map, side.neighbors);
     // Neighbour bound: one whole-array pass (vectorises).
-    if let Some(&bad) = neighbors.iter().find(|&&n| n as usize >= rows) {
+    if let Some(&bad) = neighbors.iter().find(|&&n| n.index() >= rows) {
         return Err(PersistError::Corrupt(format!(
             "{what}: neighbour id {bad} out of range"
         )));
@@ -361,7 +344,7 @@ fn validate_side(
         }
         let mut previous = 0u64;
         for i in start..end {
-            let key = (u64::from(labels[i]) << 32) | u64::from(neighbors[i]);
+            let key = (u64::from(labels[i]) << 32) | u64::from(neighbors[i].0);
             if key >= label_bound {
                 return Err(PersistError::Corrupt(format!(
                     "{what}: label id {} out of range",
@@ -379,215 +362,202 @@ fn validate_side(
     Ok(entries)
 }
 
-/// Decode the label-partition dictionary and cross-check it against the
-/// node labels: the ranges must **exactly tile** the label-order array in
-/// file-symbol order, and every node inside a range must carry that
-/// range's label.  A repointed, swapped or overlapping range is therefore
-/// a typed error at load, never a silently wrong candidate set.
-fn decode_label_ranges(
+/// Decode a range dictionary: `declared` entries of `K` key words (file
+/// symbol ids) and a `start, end` window, keys strictly increasing and
+/// windows **exactly tiling** `0..len` in key order.  `check` vets each
+/// entry against the array its window indexes, and `key` makes the
+/// dictionary key of its process symbols.
+fn decode_ranges<const K: usize, T: Eq + Hash>(
     blob: &[u8],
     declared: usize,
-    node_labels: &[u32],
-    label_order: &[u32],
+    len: usize,
+    what: &'static str,
     syms: &SymTable,
-) -> Result<LabelRanges, PersistError> {
-    let mut reader = BlobReader::new(blob, "label ranges");
-    let mut out = LabelRanges::with_capacity_and_hasher(declared, Default::default());
-    let mut previous: Option<u32> = None;
+    mut check: impl FnMut([u32; K], Range<usize>) -> Result<(), PersistError>,
+    key: impl Fn([Sym; K]) -> T,
+) -> Result<IdMap<T, (u32, u32)>, PersistError> {
+    let mut reader = BlobReader::new(blob, what);
+    let mut out = IdMap::with_capacity_and_hasher(declared, Default::default());
+    let mut previous: Option<[u32; K]> = None;
     let mut cursor = 0u32;
     for _ in 0..declared {
-        let fid = reader.u32()?;
-        let start = reader.u32()?;
-        let end = reader.u32()?;
-        if previous >= Some(fid) {
-            return Err(PersistError::Corrupt(
-                "label ranges are not sorted by symbol".into(),
-            ));
+        let mut fids = [0u32; K];
+        for word in &mut fids {
+            *word = reader.u32()?;
         }
-        previous = Some(fid);
-        if start != cursor || start > end || end as usize > label_order.len() {
+        let (start, end) = (reader.u32()?, reader.u32()?);
+        if previous >= Some(fids) {
             return Err(PersistError::Corrupt(format!(
-                "label range {start}..{end} does not tile the label order \
-                 (expected start {cursor}, order length {})",
-                label_order.len()
+                "{what} are not sorted by key"
+            )));
+        }
+        previous = Some(fids);
+        if start != cursor || start > end || end as usize > len {
+            return Err(PersistError::Corrupt(format!(
+                "{what}: range {start}..{end} does not tile the array it indexes \
+                 (expected start {cursor}, array length {len})"
             )));
         }
         cursor = end;
-        for &node in &label_order[start as usize..end as usize] {
-            if node_labels[node as usize] != fid {
-                return Err(PersistError::Corrupt(format!(
-                    "label range of symbol {fid} lists node {node} whose label is {}",
-                    node_labels[node as usize]
-                )));
-            }
+        check(fids, start as usize..end as usize)?;
+        let mut key_syms = [Sym(0); K];
+        for (sym, fid) in key_syms.iter_mut().zip(fids) {
+            *sym = syms.sym_checked(fid)?;
         }
-        out.insert(syms.sym_checked(fid)?, (start, end));
+        out.insert(key(key_syms), (start, end));
     }
-    if cursor as usize != label_order.len() {
+    if cursor as usize != len {
         return Err(PersistError::Corrupt(format!(
-            "label ranges cover {cursor} of {} label-order entries",
-            label_order.len()
+            "{what} cover {cursor} of {len} entries"
         )));
     }
     reader.finish()?;
     Ok(out)
 }
 
+/// Decode the label-partition dictionary and cross-check it against the
+/// node labels: every node inside a range must carry that range's label.
+/// A repointed, swapped or overlapping range is therefore a typed error at
+/// load, never a silently wrong candidate set.
+fn decode_label_ranges(
+    blob: &[u8],
+    declared: usize,
+    node_labels: &[u32],
+    label_order: &[NodeId],
+    syms: &SymTable,
+) -> Result<LabelRanges, PersistError> {
+    let check = |[fid]: [u32; 1], window: Range<usize>| match label_order[window]
+        .iter()
+        .find(|n| node_labels[n.index()] != fid)
+    {
+        Some(node) => Err(PersistError::Corrupt(format!(
+            "label range of symbol {fid} lists node {node} whose label is {}",
+            node_labels[node.index()]
+        ))),
+        None => Ok(()),
+    };
+    let len = label_order.len();
+    decode_ranges(blob, declared, len, "label ranges", syms, check, |[l]| l)
+}
+
 /// Decode the triple-index dictionary and cross-check it against the node
-/// labels and the out-CSR.  The ranges must exactly tile the triple
-/// arrays in key order and hold as many entries as the graph has edges;
-/// inside a range, entries must be strictly `(src, dst)`-sorted with both
-/// endpoints labelled as the key says, and the first and last entry of
-/// every range are probed against the out-CSR to confirm the edge exists
-/// under the key's edge label.  (Entries between the probes are verified
-/// for endpoint labels and ordering, not re-derived edge-by-edge — a file
-/// forging those is indistinguishable from one validly encoding a
-/// different graph.)
-#[allow(clippy::too_many_arguments)]
+/// labels and the out-CSR.  The ranges must hold as many entries as the
+/// graph has edges; inside a range, entries must be strictly
+/// `(src, dst)`-sorted with both endpoints labelled as the key says, and
+/// the first and last entry of every range are probed against the out-CSR
+/// to confirm the edge exists under the key's edge label.  (Entries
+/// between the probes are verified for endpoint labels and ordering, not
+/// re-derived edge-by-edge — a file forging those is indistinguishable
+/// from one validly encoding a different graph.)
 fn decode_triple_ranges(
     blob: &[u8],
     declared: usize,
     node_labels: &[u32],
-    triple_src: &[u32],
-    triple_dst: &[u32],
-    edge_count: usize,
-    out_side: Side<'_, u32>,
+    (triple_src, triple_dst): (&[NodeId], &[NodeId]),
+    out_side: Side<'_>,
     syms: &SymTable,
 ) -> Result<TripleRanges, PersistError> {
+    let edge_count = out_side.keys.len();
     if triple_src.len() != edge_count {
         return Err(PersistError::Corrupt(format!(
             "triple arrays hold {} entries for {edge_count} edges",
             triple_src.len()
         )));
     }
-    let mut reader = BlobReader::new(blob, "triple ranges");
-    let mut out = TripleRanges::with_capacity_and_hasher(declared, Default::default());
-    let mut previous: Option<(u32, u32, u32)> = None;
-    let mut cursor = 0u32;
-    for _ in 0..declared {
-        let key = (reader.u32()?, reader.u32()?, reader.u32()?);
-        let start = reader.u32()?;
-        let end = reader.u32()?;
-        if previous >= Some(key) {
-            return Err(PersistError::Corrupt(
-                "triple ranges are not sorted by key".into(),
-            ));
+    let check = |key: [u32; 3], window: Range<usize>| {
+        let corrupt = |why: String| PersistError::Corrupt(format!("triple range {key:?} {why}"));
+        if window.is_empty() {
+            return Ok(());
         }
-        previous = Some(key);
-        if start != cursor || start > end || end as usize > triple_src.len() {
-            return Err(PersistError::Corrupt(format!(
-                "triple range {start}..{end} does not tile the triple arrays \
-                 (expected start {cursor}, array length {})",
-                triple_src.len()
-            )));
-        }
-        cursor = end;
-        let mut prev_pair = None;
-        for i in start as usize..end as usize {
+        let mut previous = None;
+        for i in window.clone() {
             let (src, dst) = (triple_src[i], triple_dst[i]);
-            if node_labels[src as usize] != key.0 || node_labels[dst as usize] != key.2 {
-                return Err(PersistError::Corrupt(format!(
-                    "triple range {key:?} lists edge {src}->{dst} with other endpoint labels"
+            if node_labels[src.index()] != key[0] || node_labels[dst.index()] != key[2] {
+                let why = format!("lists edge {src}->{dst} with other endpoint labels");
+                return Err(corrupt(why));
+            }
+            if previous >= Some((src, dst)) {
+                return Err(corrupt("is not strictly (src, dst)-sorted".into()));
+            }
+            previous = Some((src, dst));
+        }
+        for i in [window.start, window.end - 1] {
+            let (src, dst) = (triple_src[i], triple_dst[i]);
+            if !out_side.contains(src.index(), key[1], dst) {
+                return Err(corrupt(format!(
+                    "lists edge {src}->{dst} absent from the CSR"
                 )));
             }
-            if prev_pair >= Some((src, dst)) {
-                return Err(PersistError::Corrupt(format!(
-                    "triple range {key:?} is not strictly (src, dst)-sorted"
-                )));
-            }
-            prev_pair = Some((src, dst));
         }
-        if start < end {
-            for i in [start as usize, end as usize - 1] {
-                if !out_side.contains(triple_src[i] as usize, key.1, NodeId(triple_dst[i])) {
-                    return Err(PersistError::Corrupt(format!(
-                        "triple range {key:?} lists edge {}->{} absent from the CSR",
-                        triple_src[i], triple_dst[i]
-                    )));
-                }
-            }
-        }
-        out.insert(
-            (
-                syms.sym_checked(key.0)?,
-                syms.sym_checked(key.1)?,
-                syms.sym_checked(key.2)?,
-            ),
-            (start, end),
-        );
-    }
-    if cursor as usize != triple_src.len() {
-        return Err(PersistError::Corrupt(format!(
-            "triple ranges cover {cursor} of {} entries",
-            triple_src.len()
-        )));
-    }
-    reader.finish()?;
-    Ok(out)
+        Ok(())
+    };
+    let key = |[s, l, d]: [Sym; 3]| (s, l, d);
+    decode_ranges(
+        blob,
+        declared,
+        edge_count,
+        "triple ranges",
+        syms,
+        check,
+        key,
+    )
 }
 
-#[inline]
-fn side_of(map: &MmapFile, s: SideSect) -> Side<'_, u32> {
-    Side {
-        offsets: u32s(map, s.offsets),
-        keys: u32s(map, s.labels),
-        neighbors: as_node_ids(u32s(map, s.neighbors)),
-    }
-}
-
-/// A memory-mapped, read-only snapshot implementing
-/// [`GraphView`](crate::GraphView).
+/// The frozen, label-partitioned CSR snapshot: a read-only
+/// [`GraphView`](crate::GraphView) over the `.ngds` bytes of a graph.
 ///
-/// Produced by [`MmapSnapshot::load`] from a file written by
-/// [`crate::persist::SnapshotWriter`]; behaves exactly like the
-/// [`crate::CsrSnapshot`] it was serialised from (same violation sets and
-/// deltas through every detector), while the heavyweight arrays stay on
+/// [`Graph::freeze`](crate::Graph::freeze) lays those bytes out in memory;
+/// [`MmapSnapshot::load`] maps a file [`SnapshotWriter`] wrote.  Both go
+/// through the same validation and serve the same reads, with identical
+/// answers through every detector; a mapped snapshot's arrays stay on
 /// disk and are paged in on demand.
-#[derive(Debug)]
+///
+/// [`SnapshotWriter`]: crate::persist::SnapshotWriter
 pub struct MmapSnapshot {
-    map: Arc<MmapFile>,
-    syms: Arc<SymTable>,
+    syms: SymTable,
     /// Per-row label ids (file symbol space).
-    node_labels: Sect,
+    node_labels: &'static [u32],
     /// Attribute record boundaries; values are decoded on each read.
-    attrs: LazyAttrs,
-    out: SideSect,
-    inn: SideSect,
-    /// The file's section directory in push order, retained so the
-    /// compaction writer can byte-copy whole sections without re-encoding
-    /// them.
-    section_table: Vec<SectionEntry>,
-    node_count: usize,
-    edge_count: usize,
-    epoch: u64,
+    attrs: AttrIndex<'static>,
+    out: Side<'static>,
+    inn: Side<'static>,
+    label_order: &'static [NodeId],
+    triple_src: &'static [NodeId],
+    triple_dst: &'static [NodeId],
     label_ranges: LabelRanges,
     triple_ranges: TripleRanges,
-    label_order: Sect,
-    triple_src: Sect,
-    triple_dst: Sect,
+    epoch: u64,
+    /// The bytes every slice above borrows from; see the `SAFETY` comment
+    /// in `decode`.  Last, because fields drop in declaration order and
+    /// this one must drop after every slice borrowing from it.
+    map: Arc<MmapFile>,
+}
+
+impl std::fmt::Debug for MmapSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MmapSnapshot")
+            .field("nodes", &self.node_labels.len())
+            .field("edges", &self.out.keys.len())
+            .field("epoch", &self.epoch)
+            .field("bytes", &self.map.len())
+            .finish()
+    }
 }
 
 impl MmapSnapshot {
-    #[inline]
-    fn arr(&self, s: Sect) -> &[u32] {
-        u32s(&self.map, s)
-    }
-
     /// Memory-map a snapshot file written by
     /// [`SnapshotWriter::write`](crate::persist::SnapshotWriter::write).
     pub fn load(path: &Path) -> Result<MmapSnapshot, PersistError> {
         let _span = ngd_obs::span!("persist.mmap_load");
-        let file = FileData::open(path)?;
-        if file.header.file_kind != file_kind::SNAPSHOT {
-            return Err(PersistError::WrongKind {
-                expected: file_kind::SNAPSHOT,
-                found: file.header.file_kind,
-            });
-        }
-        decode(&file)
+        MmapSnapshot::from_bytes(MmapFile::open(path)?)
     }
 
-    /// Size of the backing file in bytes.
+    /// Validate `bytes` as a snapshot and keep them.
+    pub(crate) fn from_bytes(bytes: MmapFile) -> Result<MmapSnapshot, PersistError> {
+        decode(&FileData::parse(bytes)?)
+    }
+
+    /// Size of the snapshot's bytes (of the backing file, when mapped).
     pub fn file_len(&self) -> usize {
         self.map.len()
     }
@@ -599,96 +569,59 @@ impl MmapSnapshot {
         self.epoch
     }
 
-    /// The nodes labelled `label`, as a contiguous slice of the mapped
-    /// label partition (mirrors [`crate::CsrSnapshot::nodes_with_label`]).
-    pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
-        self.label_members(label)
-    }
+    // Array accessors for the reader (`crate::csr`) and the compaction
+    // writer ([`crate::persist::CompactionWriter`]), which merge-joins
+    // these file-ordered arrays with a net `ΔG` without re-freezing.  All
+    // crate private and all bounded by `&self`: the file layout stays an
+    // implementation detail, and no `'static` slice leaves this type.
 
-    /// Out-neighbours of `id` along `label`, as a mapped sorted slice.
-    pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.out_run(id.index(), label)
+    /// The snapshot's exact file bytes.
+    pub(crate) fn file_bytes(&self) -> &[u8] {
+        self.map.bytes()
     }
-
-    /// In-neighbours of `id` along `label`, as a mapped sorted slice.
-    pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        self.in_run(id.index(), label)
-    }
-
-    /// Number of edges matching the label triple.
-    pub fn triple_count(&self, src_label: Sym, edge_label: Sym, dst_label: Sym) -> usize {
-        self.triple_len((src_label, edge_label, dst_label))
-    }
-
-    /// An empty-update [`crate::DeltaOverlay`] over this snapshot (mirrors
-    /// [`crate::CsrSnapshot::as_overlay`]).
-    pub fn as_overlay(&self) -> crate::overlay::DeltaOverlay<'_, MmapSnapshot> {
-        crate::overlay::DeltaOverlay::empty(self)
-    }
-
-    // Raw mapped-array accessors for the compaction writer
-    // ([`crate::persist::CompactionWriter`]), which merge-joins these
-    // file-ordered arrays with a net `ΔG` without re-freezing.  All crate
-    // private: the file layout stays an implementation detail.
 
     /// The file's symbol table (file ids in lexicographic string order).
+    #[inline]
     pub(crate) fn sym_table(&self) -> &SymTable {
         &self.syms
     }
 
     /// Per-node labels as file symbol ids.
-    pub(crate) fn raw_node_labels(&self) -> &[u32] {
-        self.arr(self.node_labels)
+    #[inline]
+    pub(crate) fn node_labels(&self) -> &[u32] {
+        self.node_labels
     }
 
-    /// One CSR side's `(offsets, labels, neighbors)` mapped arrays.
-    pub(crate) fn raw_side_arrays(&self, out: bool) -> (&[u32], &[u32], &[u32]) {
-        let side = if out { self.out } else { self.inn };
-        (
-            self.arr(side.offsets),
-            self.arr(side.labels),
-            self.arr(side.neighbors),
-        )
+    /// The out-CSR, runs keyed by file symbol id.
+    #[inline]
+    pub(crate) fn out_side(&self) -> Side<'_> {
+        self.out
     }
 
-    /// The label-partition permutation array.
-    pub(crate) fn raw_label_order(&self) -> &[u32] {
-        self.arr(self.label_order)
+    /// The in-CSR, runs keyed by file symbol id.
+    #[inline]
+    pub(crate) fn in_side(&self) -> Side<'_> {
+        self.inn
     }
 
-    /// The label-partition ranges in file order (sorted by range start,
-    /// which equals file-symbol order because the ranges tile the array).
-    pub(crate) fn raw_label_ranges(&self) -> Vec<(Sym, u32, u32)> {
-        let mut out: Vec<(Sym, u32, u32)> = self
-            .label_ranges
-            .iter()
-            .map(|(&sym, &(start, end))| (sym, start, end))
-            .collect();
-        out.sort_unstable_by_key(|&(_, start, _)| start);
-        out
+    /// The label ranges and the node permutation they index.
+    #[inline]
+    pub(crate) fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
+        (&self.label_ranges, self.label_order)
     }
 
-    /// The triple-index `(src, dst)` arrays.
-    pub(crate) fn raw_triple_arrays(&self) -> (&[u32], &[u32]) {
-        (self.arr(self.triple_src), self.arr(self.triple_dst))
+    /// The triple ranges and the `(src, dst)` arrays they index, each
+    /// group sorted by `(src, dst)`.
+    #[inline]
+    pub(crate) fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]) {
+        (&self.triple_ranges, self.triple_src, self.triple_dst)
     }
 
-    /// The triple-index ranges in file order (sorted by range start).
-    pub(crate) fn raw_triple_ranges(&self) -> Vec<((Sym, Sym, Sym), u32, u32)> {
-        let mut out: Vec<((Sym, Sym, Sym), u32, u32)> = self
-            .triple_ranges
-            .iter()
-            .map(|(&key, &(start, end))| (key, start, end))
-            .collect();
-        out.sort_unstable_by_key(|&(_, start, _)| start);
-        out
-    }
-
-    /// The raw bytes of node `idx`'s attribute record (validated at load).
+    /// The attribute blob from node `idx`'s record on (validated at load;
+    /// the record's own count says where it ends).
+    #[inline]
     pub(crate) fn raw_attr_record(&self, idx: usize) -> &[u8] {
-        let attrs = &self.attrs;
-        let blob = &self.map.bytes()[attrs.off..attrs.off + attrs.len];
-        &blob[attrs.starts[idx] as usize..attrs.starts[idx + 1] as usize]
+        &self.attrs.blob[self.attrs.starts[idx] as usize..]
     }
 
     /// The `(name file id, value)` entries of node `idx`'s attribute
@@ -699,18 +632,21 @@ impl MmapSnapshot {
             .expect(VALIDATED)
             .map(|entry| entry.expect(VALIDATED))
     }
+}
 
-    /// The file's section directory in push order.  Lets the compaction
-    /// writer replay unchanged sections byte-for-byte instead of
-    /// re-encoding them.
-    pub(crate) fn raw_section_table(&self) -> &[SectionEntry] {
-        &self.section_table
-    }
-
-    /// The mapped payload bytes of a directory entry.
-    pub(crate) fn raw_section_bytes(&self, entry: &SectionEntry) -> &[u8] {
-        &self.map.bytes()[entry.offset as usize..][..entry.byte_len as usize]
-    }
+/// Detach a borrow of a [`FileData`]'s bytes from the borrow of the
+/// `FileData`.
+///
+/// # Safety
+///
+/// `slice` must point into the bytes of an `Arc<MmapFile>`, and the result
+/// must be stored only in a value that holds a clone of that `Arc` for as
+/// long as it holds the result (declared after every field holding such a
+/// result, so it also drops after them), and that hands it out only
+/// re-borrowed for its own lifetime.
+unsafe fn detach<T>(slice: &[T]) -> &'static [T] {
+    // SAFETY: forwarded to the caller; pointer and length are `slice`'s.
+    unsafe { std::slice::from_raw_parts(slice.as_ptr(), slice.len()) }
 }
 
 /// Decode and validate the sections of a verified file.
@@ -724,169 +660,120 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
     let syms = decode_strings(blob, declared)?;
     let sym_count = syms.len() as u32;
 
-    let node_labels = file.u32_sect(kind::NODE_LABELS)?;
-    if node_labels.len != n {
+    let node_labels = file.u32s(kind::NODE_LABELS)?;
+    if node_labels.len() != n {
         return Err(PersistError::Corrupt(format!(
             "{} node labels for {n} nodes",
-            node_labels.len
+            node_labels.len()
         )));
     }
-    for &label in u32s(&file.map, node_labels) {
-        if label >= sym_count {
-            return Err(PersistError::Corrupt(format!(
-                "node label id {label} out of range"
-            )));
-        }
+    if let Some(&label) = node_labels.iter().find(|&&label| label >= sym_count) {
+        return Err(PersistError::Corrupt(format!(
+            "node label id {label} out of range"
+        )));
     }
 
-    let attrs = LazyAttrs::load(file, n, &syms)?;
+    let attrs = AttrIndex::load(file, n, &syms)?;
 
     let out = file.side((kind::OUT_OFFSETS, kind::OUT_LABELS, kind::OUT_NEIGHBORS))?;
-    let out_entries = validate_side(&file.map, out, n, sym_count, "out CSR")?;
+    let out_entries = validate_side(out, n, sym_count, "out CSR")?;
     if out_entries != edge_count {
         return Err(PersistError::Corrupt(format!(
             "out CSR holds {out_entries} entries but the header claims {edge_count} edges"
         )));
     }
     let inn = file.side((kind::IN_OFFSETS, kind::IN_LABELS, kind::IN_NEIGHBORS))?;
-    let in_entries = validate_side(&file.map, inn, n, sym_count, "in CSR")?;
+    let in_entries = validate_side(inn, n, sym_count, "in CSR")?;
     if in_entries != edge_count {
         return Err(PersistError::Corrupt(format!(
             "in CSR holds {in_entries} entries but the header claims {edge_count} edges"
         )));
     }
 
-    let label_order = file.u32_sect(kind::LABEL_ORDER)?;
-    if label_order.len != n {
+    let label_order = as_node_ids(file.u32s(kind::LABEL_ORDER)?);
+    if label_order.len() != n {
         return Err(PersistError::Corrupt(format!(
             "label order has {} entries for {n} nodes",
-            label_order.len
+            label_order.len()
         )));
     }
     let mut seen = vec![false; n];
-    for &id in u32s(&file.map, label_order) {
-        if (id as usize) >= n || std::mem::replace(&mut seen[id as usize], true) {
+    for &id in label_order {
+        if id.index() >= n || std::mem::replace(&mut seen[id.index()], true) {
             return Err(PersistError::Corrupt(
                 "label order is not a permutation of the node ids".into(),
             ));
         }
     }
     let (blob, declared) = file.blob(kind::LABEL_RANGES)?;
-    let label_ranges = decode_label_ranges(
-        blob,
-        declared,
-        u32s(&file.map, node_labels),
-        u32s(&file.map, label_order),
-        &syms,
-    )?;
+    let label_ranges = decode_label_ranges(blob, declared, node_labels, label_order, &syms)?;
 
-    let triple_src = file.u32_sect(kind::TRIPLE_SRC)?;
-    let triple_dst = file.u32_sect(kind::TRIPLE_DST)?;
-    if triple_src.len != triple_dst.len {
+    let triple_src = as_node_ids(file.u32s(kind::TRIPLE_SRC)?);
+    let triple_dst = as_node_ids(file.u32s(kind::TRIPLE_DST)?);
+    if triple_src.len() != triple_dst.len() {
         return Err(PersistError::Corrupt(format!(
             "triple arrays disagree: {} sources, {} destinations",
-            triple_src.len, triple_dst.len
+            triple_src.len(),
+            triple_dst.len()
         )));
     }
-    for sect in [triple_src, triple_dst] {
-        for &id in u32s(&file.map, sect) {
-            if id as usize >= n {
-                return Err(PersistError::Corrupt(format!(
-                    "triple endpoint {id} out of range"
-                )));
-            }
+    for &id in triple_src.iter().chain(triple_dst) {
+        if id.index() >= n {
+            return Err(PersistError::Corrupt(format!(
+                "triple endpoint {id} out of range"
+            )));
         }
     }
     let (blob, declared) = file.blob(kind::TRIPLE_RANGES)?;
     let triple_ranges = decode_triple_ranges(
         blob,
         declared,
-        u32s(&file.map, node_labels),
-        u32s(&file.map, triple_src),
-        u32s(&file.map, triple_dst),
-        edge_count,
-        side_of(&file.map, out),
+        node_labels,
+        (triple_src, triple_dst),
+        out,
         &syms,
     )?;
 
+    // SAFETY (`detach`): every slice below was cut from `file.map`'s bytes
+    // by `FileData::{u32s, blob}` and validated above.  The snapshot
+    // holds a clone of that `Arc<MmapFile>` in `map` for its whole life,
+    // and `map` is its last field, so it drops after every slice.  The
+    // bytes never move or change while an `MmapFile` lives (its docs: a
+    // mapping is never remapped, an owned buffer never reallocated), so
+    // the slices stay valid for as long as the snapshot exists.  They are
+    // private fields, handed out only through accessors that re-borrow
+    // them for `&self`, so none outlives the `Arc`.
+    let (node_labels, attr_blob, out, inn, label_order, triple_src, triple_dst) = unsafe {
+        let side = |side: Side<'_>| Side {
+            offsets: detach(side.offsets),
+            keys: detach(side.keys),
+            neighbors: detach(side.neighbors),
+        };
+        (
+            detach(node_labels),
+            detach(attrs.blob),
+            side(out),
+            side(inn),
+            detach(label_order),
+            detach(triple_src),
+            detach(triple_dst),
+        )
+    };
     Ok(MmapSnapshot {
-        map: Arc::clone(&file.map),
-        syms: Arc::new(syms),
+        syms,
         node_labels,
-        attrs,
+        attrs: AttrIndex {
+            blob: attr_blob,
+            starts: attrs.starts,
+        },
         out,
         inn,
-        section_table: file.table.clone(),
-        node_count: n,
-        edge_count,
-        epoch: file.header.epoch,
-        label_ranges,
-        triple_ranges,
         label_order,
         triple_src,
         triple_dst,
+        label_ranges,
+        triple_ranges,
+        epoch: file.header.epoch,
+        map: Arc::clone(&file.map),
     })
-}
-
-impl CsrStore for MmapSnapshot {
-    type Key = u32;
-
-    #[inline]
-    fn out_side(&self) -> Side<'_, u32> {
-        side_of(&self.map, self.out)
-    }
-
-    #[inline]
-    fn in_side(&self) -> Side<'_, u32> {
-        side_of(&self.map, self.inn)
-    }
-
-    #[inline]
-    fn key_of(&self, label: Sym) -> Option<u32> {
-        self.syms.get(label)
-    }
-
-    #[inline]
-    fn sym_of(&self, key: u32) -> Sym {
-        self.syms.sym(key)
-    }
-
-    #[inline]
-    fn row_label(&self, row: usize) -> Sym {
-        self.syms.sym(self.arr(self.node_labels)[row])
-    }
-
-    #[inline]
-    fn row_attr(&self, row: usize, name: Sym) -> Option<Value> {
-        let fid = self.syms.get(name)?;
-        self.attr_entries(row)
-            .take_while(|&(at, _)| at <= fid)
-            .find(|&(at, _)| at == fid)
-            .map(|(_, value)| value.into())
-    }
-
-    fn row_attrs(&self, row: usize) -> AttrMap {
-        let mut attrs = AttrMap::new();
-        for (fid, value) in self.attr_entries(row) {
-            attrs.set(self.syms.sym(fid), value.into());
-        }
-        attrs
-    }
-
-    #[inline]
-    fn counts(&self) -> (usize, usize) {
-        (self.node_count, self.edge_count)
-    }
-
-    fn label_partition(&self) -> (&LabelRanges, &[NodeId]) {
-        (&self.label_ranges, as_node_ids(self.arr(self.label_order)))
-    }
-
-    fn triple_index(&self) -> (&TripleRanges, &[NodeId], &[NodeId]) {
-        (
-            &self.triple_ranges,
-            as_node_ids(self.arr(self.triple_src)),
-            as_node_ids(self.arr(self.triple_dst)),
-        )
-    }
 }

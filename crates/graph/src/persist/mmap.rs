@@ -1,4 +1,5 @@
-//! A minimal safe wrapper over `mmap(2)` for read-only file mappings.
+//! The bytes behind a snapshot: a read-only file mapping, or an owned
+//! buffer.
 //!
 //! The workspace builds without registry access, so instead of the `memmap2`
 //! crate this module vendors the two `libc` calls it needs (`mmap` /
@@ -6,35 +7,37 @@
 //! for serde.  The wrapper is deliberately tiny: open a file, map it
 //! `PROT_READ`/`MAP_SHARED`, expose the bytes as a `&[u8]`, unmap on drop.
 //!
-//! On hosts without a matching `mmap` ABI — non-Unix, and 32-bit Unix
-//! targets where `off_t` may be 32-bit and would mismatch the vendored
-//! 64-bit declaration — the type degrades to reading the file into an
-//! 8-byte-aligned heap buffer: same API, no zero-copy guarantee, which
-//! keeps the persist module portable without `unsafe` platform branches in
-//! its callers.
+//! The second backing is an owned `u64`-aligned buffer ([`OwnedBytes`]):
+//! [`crate::Graph::freeze`] lays a snapshot's file bytes out in one and
+//! hands it to the same loader a mapped file goes through.  On hosts
+//! without a matching `mmap` ABI — non-Unix, and 32-bit Unix targets where
+//! `off_t` may be 32-bit and would mismatch the vendored 64-bit
+//! declaration — [`MmapFile::open`] reads the file into such a buffer
+//! instead: same API, no zero-copy guarantee.
 
 use super::PersistError;
 use std::path::Path;
 
-/// A read-only byte view of a file, memory-mapped where the platform
-/// allows it.
+/// A read-only byte view of a snapshot: a file memory-mapped where the
+/// platform allows it, or bytes owned on the heap.
 ///
-/// The mapping (or buffer) is immutable for the lifetime of the value, so
-/// handing out `&[u8]` is sound; the pages are shared read-only, so
-/// concurrent readers in other processes are fine too.
+/// The bytes are immutable for the lifetime of the value and their
+/// address never changes (a mapping is never remapped; an owned buffer is
+/// never reallocated), so handing out `&[u8]` is sound and a borrow of
+/// them stays valid while the value lives, wherever it moves.  Mapped
+/// pages are shared read-only, so concurrent readers in other processes
+/// are fine too.
 #[derive(Debug)]
 pub struct MmapFile {
-    inner: Inner,
+    backing: Backing,
 }
 
-// SAFETY: the only non-`Send` field is `Inner::ptr`, the base of a mapping
-// created PROT_READ and never mutated or remapped after construction;
-// `len` is a plain integer.  The mapping is tied to no thread, so the owner
-// (and its `munmap` in Drop) may move.
-unsafe impl Send for MmapFile {}
-// SAFETY: `&MmapFile` only hands out `&[u8]` over those immutable bytes
-// (`bytes()`); no method writes through `ptr`, so shared readers cannot race.
-unsafe impl Sync for MmapFile {}
+#[derive(Debug)]
+enum Backing {
+    #[cfg(all(unix, target_pointer_width = "64"))]
+    Mapped(unix_impl::Mapping),
+    Owned(OwnedBytes),
+}
 
 impl MmapFile {
     /// Map `path` read-only.
@@ -57,29 +60,80 @@ impl MmapFile {
         }
         let len = usize::try_from(len)
             .map_err(|_| PersistError::Io(format!("{} exceeds address space", path.display())))?;
-        Inner::map(&file, len, path).map(|inner| MmapFile { inner })
+        #[cfg(all(unix, target_pointer_width = "64"))]
+        let backing = Backing::Mapped(unix_impl::Mapping::map(&file, len, path)?);
+        #[cfg(not(all(unix, target_pointer_width = "64")))]
+        let backing = {
+            use std::io::Read;
+            let mut owned = OwnedBytes::zeroed(len);
+            (&file)
+                .read_exact(owned.bytes_mut())
+                .map_err(|e| PersistError::Io(format!("read {}: {e}", path.display())))?;
+            Backing::Owned(owned)
+        };
+        Ok(MmapFile { backing })
     }
 
-    /// The mapped bytes.
+    /// Snapshot bytes laid out in memory (see [`crate::Graph::freeze`]).
+    pub(crate) fn owned(bytes: OwnedBytes) -> MmapFile {
+        MmapFile {
+            backing: Backing::Owned(bytes),
+        }
+    }
+
+    /// The bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        self.inner.bytes()
+        match &self.backing {
+            #[cfg(all(unix, target_pointer_width = "64"))]
+            Backing::Mapped(mapping) => mapping.bytes(),
+            Backing::Owned(owned) => owned.bytes(),
+        }
     }
 
-    /// Length of the mapping in bytes.
+    /// Length of the bytes.
     #[inline]
     pub fn len(&self) -> usize {
         self.bytes().len()
     }
 
-    /// Whether the mapping is empty (never true for a valid snapshot file).
+    /// Whether there are no bytes (never true for a valid snapshot).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
 
-#[cfg(all(unix, target_pointer_width = "64"))]
-use unix_impl::Inner;
+/// Zero-initialised heap bytes backed by `u64`s, so that the 64-byte-aligned
+/// sections of a snapshot laid out in them are at least 8-byte aligned in
+/// memory.
+#[derive(Debug)]
+pub(crate) struct OwnedBytes {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl OwnedBytes {
+    pub(crate) fn zeroed(len: usize) -> OwnedBytes {
+        OwnedBytes {
+            words: vec![0; len.div_ceil(8)],
+            len,
+        }
+    }
+
+    #[inline]
+    fn bytes(&self) -> &[u8] {
+        // SAFETY: `words` owns `len.div_ceil(8) * 8 >= len` initialised
+        // bytes; `u8` has alignment 1 and no invalid bit patterns; the
+        // borrow is tied to `self`.
+        unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast::<u8>(), self.len) }
+    }
+
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as in `bytes`, and the unique borrow of `self` makes this
+        // the only view of the buffer while it lives.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<u8>(), self.len) }
+    }
+}
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod unix_impl {
@@ -93,7 +147,8 @@ mod unix_impl {
     // platforms this workspace targets (Linux and the BSD family); the
     // `offset: i64` declaration matches `off_t` only on 64-bit targets,
     // which is why this module is gated on `target_pointer_width = "64"`
-    // (32-bit hosts take the heap fallback instead of a mismatched ABI).
+    // (32-bit hosts read the file into owned bytes instead of risking a
+    // mismatched ABI).
     extern "C" {
         fn mmap(
             addr: *mut c_void,
@@ -111,17 +166,27 @@ mod unix_impl {
     const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
     #[derive(Debug)]
-    pub(super) struct Inner {
+    pub(super) struct Mapping {
         ptr: *const u8,
         len: usize,
     }
 
-    impl Inner {
+    // SAFETY: `ptr` is the base of a mapping created PROT_READ and never
+    // mutated or remapped after construction; `len` is a plain integer.
+    // The mapping is tied to no thread, so the owner (and its `munmap` in
+    // Drop) may move.
+    unsafe impl Send for Mapping {}
+    // SAFETY: `&Mapping` only hands out `&[u8]` over those immutable bytes
+    // (`bytes()`); no method writes through `ptr`, so shared readers cannot
+    // race.
+    unsafe impl Sync for Mapping {}
+
+    impl Mapping {
         pub(super) fn map(
             file: &std::fs::File,
             len: usize,
             path: &Path,
-        ) -> Result<Inner, PersistError> {
+        ) -> Result<Mapping, PersistError> {
             // SAFETY: fd is a live, readable file descriptor and `len` is
             // its (non-zero) size; the kernel validates everything else and
             // reports failure via MAP_FAILED.
@@ -142,7 +207,7 @@ mod unix_impl {
                     std::io::Error::last_os_error()
                 )));
             }
-            Ok(Inner {
+            Ok(Mapping {
                 ptr: ptr as *const u8,
                 len,
             })
@@ -156,56 +221,12 @@ mod unix_impl {
         }
     }
 
-    impl Drop for Inner {
+    impl Drop for Mapping {
         fn drop(&mut self) {
             // SAFETY: undoes exactly the mmap performed in `map`.
             unsafe {
                 munmap(self.ptr as *mut c_void, self.len);
             }
-        }
-    }
-}
-
-#[cfg(not(all(unix, target_pointer_width = "64")))]
-use heap_impl::Inner;
-
-#[cfg(not(all(unix, target_pointer_width = "64")))]
-mod heap_impl {
-    use super::PersistError;
-    use std::io::Read;
-    use std::path::Path;
-
-    /// Heap fallback: the file is read into a `u64`-backed buffer so the
-    /// 64-byte-aligned sections stay at least 8-byte aligned in memory.
-    #[derive(Debug)]
-    pub(super) struct Inner {
-        buf: Vec<u64>,
-        len: usize,
-    }
-
-    impl Inner {
-        pub(super) fn map(
-            file: &std::fs::File,
-            len: usize,
-            path: &Path,
-        ) -> Result<Inner, PersistError> {
-            let mut buf = vec![0u64; len.div_ceil(8)];
-            // SAFETY: u64 -> u8 reinterpretation of an owned, initialised
-            // buffer; lengths match by construction.
-            let bytes = unsafe {
-                std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, buf.len() * 8)
-            };
-            let mut handle = file;
-            handle
-                .read_exact(&mut bytes[..len])
-                .map_err(|e| PersistError::Io(format!("read {}: {e}", path.display())))?;
-            Ok(Inner { buf, len })
-        }
-
-        #[inline]
-        pub(super) fn bytes(&self) -> &[u8] {
-            // SAFETY: same reinterpretation as in `map`.
-            unsafe { std::slice::from_raw_parts(self.buf.as_ptr() as *const u8, self.len) }
         }
     }
 }

@@ -1,12 +1,14 @@
-//! Zero-copy on-disk CSR snapshots: a versioned binary writer and a
-//! memory-mapped loader.
+//! The one frozen storage: CSR snapshots as versioned binary `.ngds`
+//! bytes, owned in memory or memory-mapped from a file.
 //!
 //! The detectors assume a graph is frozen once and served to many batch /
-//! incremental runs.  In memory that is [`crate::Graph::freeze`]; this
-//! module extends the idea across process boundaries: freeze once, write
-//! the snapshot's flat arrays to disk ([`SnapshotWriter`]), then let any
-//! number of detector processes [`MmapSnapshot::load`] the file and read
-//! the arrays **in place** through [`crate::GraphView`] — no
+//! incremental runs.  [`crate::Graph::freeze`] lays the graph out as the
+//! exact bytes of a snapshot file, in memory, and reads them through the
+//! one loader ([`MmapSnapshot`]).  This module extends the idea across
+//! process boundaries: freeze once, write those bytes to disk
+//! ([`SnapshotWriter`], which only stamps the header's epoch), then let
+//! any number of detector processes [`MmapSnapshot::load`] the file and
+//! read the arrays **in place** through [`crate::GraphView`] — no
 //! deserialisation, no copy, RAM usage bounded by the working set the
 //! kernel pages in rather than by `|G|`.
 //!
@@ -41,6 +43,9 @@
 //!
 //! * **Little-endian**, 64-byte-aligned sections; a big-endian host gets a
 //!   typed [`PersistError::UnsupportedHost`], never byte-swapped garbage.
+//!   A frozen graph is read in place like a loaded file, so the
+//!   requirement holds for [`crate::Graph::freeze`] as well as for
+//!   [`MmapSnapshot::load`]: freeze panics on a big-endian host.
 //! * **Versioned**: any layout change bumps [`format::VERSION`]; a reader
 //!   confronted with a newer file returns
 //!   [`PersistError::UnsupportedVersion`] instead of guessing.  Older
@@ -56,9 +61,9 @@
 //!   and the read path needs no per-access checks.
 //! * **Symbol-stable**: [`crate::Sym`]s are process-local, so the file
 //!   carries its own string table with ids assigned lexicographically;
-//!   the writer canonicalises every symbol-ordered structure into that
-//!   order, making the file bytes a pure function of the logical graph
-//!   (the golden-format test pins them).
+//!   freeze lays every symbol-ordered structure out in that order,
+//!   making the file bytes a pure function of the logical graph (the
+//!   golden-format test pins them).
 //! * **One file kind**: the header's kind word is
 //!   [`format::file_kind::SNAPSHOT`].  Kind 2 (the sharded snapshots older
 //!   builds wrote) is reserved and answered with
@@ -231,8 +236,8 @@ mod tests {
         let path = temp_path("roundtrip");
         SnapshotWriter::new().write(&snapshot, &path).unwrap();
         let mapped = MmapSnapshot::load(&path).unwrap();
-        assert_conforms(&snapshot, &g, "in-memory snapshot");
-        assert_conforms(&mapped, &g, "mapped snapshot");
+        assert_conforms(&snapshot, &g, "owned bytes");
+        assert_conforms(&mapped, &g, "mapped file");
         std::fs::remove_file(&path).ok();
     }
 

@@ -1,43 +1,54 @@
-//! [`SnapshotWriter`] — serialise frozen snapshots into the on-disk format.
+//! Producing snapshot bytes: [`Graph::freeze`] and [`SnapshotWriter`].
 //!
-//! The writer's one non-obvious job is **canonicalisation**.  In memory,
-//! label order is interning order ([`Sym`] ids are process-local), so the
-//! label-sorted CSR runs, the label partition and the triple index are all
-//! ordered by an accident of process history.  The file instead assigns
-//! symbol ids **lexicographically by string**, and re-sorts every
-//! symbol-ordered structure into that file order:
+//! Freezing *is* encoding: [`Graph::freeze`] lays the graph out as the
+//! exact bytes of a `.ngds` file, in memory, and the snapshot it returns
+//! reads them through the same loader a mapped file goes through.
+//! [`SnapshotWriter`] then only re-stamps the header's epoch word and
+//! writes the bytes out.
 //!
-//! * each CSR run is re-sorted by `(file symbol, neighbour)`,
+//! Freeze's one non-obvious job is **canonicalisation**.  [`Sym`] ids are
+//! process-local and interning-ordered, so an order taken from them would
+//! be an accident of process history.  The file instead assigns symbol ids
+//! **lexicographically by string**, and lays every symbol-ordered
+//! structure out in that file order:
+//!
+//! * each CSR run is sorted by `(file symbol, neighbour)`,
 //! * the label partition's groups are concatenated in file-symbol order
 //!   (group contents keep their id order),
 //! * the triple index's groups likewise (contents keep `(src, dst)` order),
 //! * attribute tuples are emitted sorted by file symbol of the name.
 //!
-//! The payoff: **the bytes of a snapshot file are a pure function of the
+//! The payoff: **the bytes of a snapshot are a pure function of the
 //! logical graph** — independent of interning history, hash-map iteration
 //! and process — which is what lets the golden-format test pin them and
 //! lets two processes produce identical, diffable snapshots.
 
 use super::format::{
     align_up, file_checksum, file_kind, kind, BlobWriter, FileHeader, SectionEntry, SymTable,
-    HEADER_LEN, SECTION_ALIGN, SECTION_ENTRY_LEN,
+    HEADER_LEN, SECTION_ALIGN, SECTION_ENTRY_LEN, VERSION,
 };
+use super::loader::MmapSnapshot;
+use super::mmap::{MmapFile, OwnedBytes};
 use super::PersistError;
-use crate::csr::{CsrSnapshot, CsrStore, Side};
-use crate::graph::NodeData;
+use crate::attrs::AttrMap;
+use crate::graph::{Graph, NodeId};
+use crate::hash::IdMap;
 use crate::interner::Sym;
 use crate::value::Value;
-use crate::view::GraphView;
+use std::hash::Hash;
+use std::io::Write;
 use std::path::Path;
 
-/// Serialises [`CsrSnapshot`]s into the versioned binary snapshot format
-/// (see [`crate::persist`] for the layout).
+/// Writes snapshots as `.ngds` files (see [`crate::persist`] for the
+/// layout).  A snapshot already *is* the file's bytes, so the writer only
+/// stamps the header.
 ///
 /// A freshly frozen graph is written as **epoch 0**; compaction
 /// ([`crate::persist::CompactionWriter`]) stamps successors with higher
 /// epochs.  [`SnapshotWriter::with_epoch`] exists so tooling (and the
 /// compaction-equivalence tests) can write a re-frozen graph at an
-/// arbitrary epoch.
+/// arbitrary epoch: the epoch word is outside the checksummed bytes, so
+/// the stamp changes nothing else.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotWriter {
     epoch: u64,
@@ -54,59 +65,231 @@ impl SnapshotWriter {
         SnapshotWriter { epoch }
     }
 
-    /// Encode a snapshot into its exact file bytes.
-    pub fn encode(&self, snapshot: &CsrSnapshot) -> Vec<u8> {
-        let syms = sym_table(snapshot);
-        let mut builder = FileBuilder::new(
-            GraphView::node_count(snapshot) as u64,
-            GraphView::edge_count(snapshot) as u64,
-            self.epoch,
-        );
-        push_strings(&mut builder, &syms);
-        push_snapshot_sections(&mut builder, snapshot, &syms);
-        builder.finish()
+    /// The snapshot's exact file bytes, stamped with this writer's epoch.
+    pub fn encode(&self, snapshot: &MmapSnapshot) -> Vec<u8> {
+        let mut bytes = snapshot.file_bytes().to_vec();
+        bytes[..HEADER_LEN].copy_from_slice(&self.header(snapshot));
+        bytes
     }
 
     /// Write a snapshot to `path`, returning the number of bytes written.
-    pub fn write(&self, snapshot: &CsrSnapshot, path: &Path) -> Result<u64, PersistError> {
-        let bytes = self.encode(snapshot);
-        std::fs::write(path, &bytes)
-            .map_err(|e| PersistError::Io(format!("write {}: {e}", path.display())))?;
+    pub fn write(&self, snapshot: &MmapSnapshot, path: &Path) -> Result<u64, PersistError> {
+        let bytes = snapshot.file_bytes();
+        let io = |e: std::io::Error| PersistError::Io(format!("write {}: {e}", path.display()));
+        let mut file = std::fs::File::create(path).map_err(io)?;
+        file.write_all(&self.header(snapshot)).map_err(io)?;
+        file.write_all(&bytes[HEADER_LEN..]).map_err(io)?;
         Ok(bytes.len() as u64)
+    }
+
+    /// The snapshot's header at this writer's epoch, in the current
+    /// version (a version-1 file's payload is the same bytes).
+    fn header(&self, snapshot: &MmapSnapshot) -> [u8; HEADER_LEN] {
+        let header = FileHeader::parse(snapshot.file_bytes()).expect("validated at load");
+        FileHeader {
+            version: VERSION,
+            epoch: self.epoch,
+            ..header
+        }
+        .encode()
     }
 }
 
-/// The file's string table for `snapshot`: every symbol it references,
-/// with file ids assigned lexicographically by string.  The symbols are
-/// marked in a vector indexed by `Sym.0` — node and edge labels from the
-/// label partition's and triple index's keys, attribute names from each
-/// node — so only the distinct ones are sorted.
-fn sym_table(snapshot: &CsrSnapshot) -> SymTable {
-    let mut used: Vec<bool> = Vec::new();
-    let mut mark = |sym: Sym| {
-        let at = sym.0 as usize;
-        if at >= used.len() {
-            used.resize(at + 1, false);
+impl Graph {
+    /// Freeze the graph into an immutable, label-partitioned
+    /// snapshot: the canonical `.ngds` bytes of the graph at epoch 0,
+    /// laid out in memory and read through the same loader as a mapped
+    /// file, with every validation it does.
+    ///
+    /// Node ids are preserved (the snapshot keeps the arena order), so
+    /// matches, violations and reports computed over the snapshot are
+    /// directly comparable with those computed over the adjacency-list
+    /// representation.
+    ///
+    /// Linear passes, no global sort: the symbol table is built by marking
+    /// and sorts only the distinct symbols; each side's offsets are the
+    /// running sum of the adjacency-list lengths and its runs are sorted one
+    /// at a time; the label partition and the triple index are counting
+    /// sorts (`group_by_key`) in which only the distinct keys are sorted.
+    ///
+    /// # Panics
+    ///
+    /// On a big-endian host: the snapshot format is little-endian, and a
+    /// frozen graph is read in place like a loaded file
+    /// ([`crate::PersistError::UnsupportedHost`] there).
+    pub fn freeze(&self) -> MmapSnapshot {
+        let _span = ngd_obs::span!("persist.freeze");
+        MmapSnapshot::from_bytes(MmapFile::owned(self.snapshot_bytes()))
+            .unwrap_or_else(|e| panic!("a frozen graph is a valid snapshot: {e}"))
+    }
+
+    /// The canonical file bytes of the graph at epoch 0.
+    fn snapshot_bytes(&self) -> OwnedBytes {
+        let (n, m) = (self.node_count(), self.edge_count());
+        let syms = self.string_table();
+        let node_labels: Vec<u32> = self
+            .node_ids()
+            .map(|id| syms.file_id(self.label(id)))
+            .collect();
+        let out = self.side_arrays(&syms, |id| self.out_neighbors(id));
+        let inn = self.side_arrays(&syms, |id| self.in_neighbors(id));
+
+        // Label partition: a counting pass over the node labels; ids are
+        // placed in id order, so each group is ascending.
+        let (slots, label_groups) = group_by_key(node_labels.iter().copied(), n);
+        let mut label_order = vec![0u32; n];
+        for (id, &slot) in slots.iter().enumerate() {
+            label_order[slot as usize] = id as u32;
         }
-        used[at] = true;
-    };
-    for node in &snapshot.nodes {
-        for (name, _) in node.attrs.iter() {
-            mark(name);
+        let mut label_ranges = BlobWriter::new();
+        for &(fid, start, end) in &label_groups {
+            for word in [fid, start, end] {
+                label_ranges.put_u32(word);
+            }
         }
+
+        // Triple index: a count-then-place pass over the out-runs.  Sources
+        // are walked in id order and each run is sorted by
+        // `(edge label, dst)`, so every group comes out `(src, dst)`-sorted.
+        let [offsets, labels, neighbors] = &out;
+        let out_edges = || {
+            (0..n).flat_map(|row| {
+                (offsets[row] as usize..offsets[row + 1] as usize).map(move |i| (row, i))
+            })
+        };
+        let keys = out_edges().map(|(src, i)| {
+            let dst = neighbors[i] as usize;
+            (node_labels[src], labels[i], node_labels[dst])
+        });
+        let (slots, triple_groups) = group_by_key(keys, m);
+        let mut triple_src = vec![0u32; m];
+        let mut triple_dst = vec![0u32; m];
+        for (src, i) in out_edges() {
+            let slot = slots[i] as usize;
+            triple_src[slot] = src as u32;
+            triple_dst[slot] = neighbors[i];
+        }
+        let mut triple_ranges = BlobWriter::new();
+        for &((s, l, d), start, end) in &triple_groups {
+            for word in [s, l, d, start, end] {
+                triple_ranges.put_u32(word);
+            }
+        }
+
+        Sections {
+            node_count: n,
+            edge_count: m,
+            node_labels,
+            node_attrs: encode_attrs(self.node_ids().map(|id| self.attrs(id)), &syms),
+            syms,
+            out,
+            inn,
+            label_order,
+            label_ranges: (label_groups.len() as u64, label_ranges.into_bytes()),
+            triple_src,
+            triple_dst,
+            triple_ranges: (triple_groups.len() as u64, triple_ranges.into_bytes()),
+        }
+        .into_builder(0)
+        .finish_aligned()
     }
-    for &label in snapshot.label_partition().0.keys() {
-        mark(label);
+
+    /// The file's string table: every symbol the graph references — node
+    /// labels, attribute names, edge labels — with file ids assigned
+    /// lexicographically by string.  The symbols are marked in a vector
+    /// indexed by `Sym.0`, so only the distinct ones are sorted.
+    fn string_table(&self) -> SymTable {
+        let mut used: Vec<bool> = Vec::new();
+        let mut mark = |sym: Sym| {
+            let at = sym.0 as usize;
+            if at >= used.len() {
+                used.resize(at + 1, false);
+            }
+            used[at] = true;
+        };
+        for id in self.node_ids() {
+            mark(self.label(id));
+            for (name, _) in self.attrs(id).iter() {
+                mark(name);
+            }
+            for &(_, label) in self.out_neighbors(id) {
+                mark(label);
+            }
+        }
+        let mut syms: Vec<Sym> = (0..used.len() as u32)
+            .map(Sym)
+            .filter(|sym| used[sym.0 as usize])
+            .collect();
+        syms.sort_unstable_by_key(|sym| sym.as_str());
+        SymTable::new(syms)
     }
-    for &(_, edge_label, _) in snapshot.triple_index().0.keys() {
-        mark(edge_label);
+
+    /// One CSR side's `[offsets, labels, neighbours]` arrays, laid out
+    /// from the graph's own adjacency lists: the offsets are the running
+    /// sum of the list lengths, and each list becomes one run translated
+    /// into file symbols and sorted by `(file symbol, neighbour)`, so the
+    /// lists' entry order does not matter.
+    fn side_arrays<'g>(
+        &'g self,
+        syms: &SymTable,
+        list: impl Fn(NodeId) -> &'g [(NodeId, Sym)],
+    ) -> [Vec<u32>; 3] {
+        let (n, m) = (self.node_count(), self.edge_count());
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entries: Vec<(u32, u32)> = Vec::with_capacity(m);
+        offsets.push(0);
+        for id in self.node_ids() {
+            let start = entries.len();
+            entries.extend(
+                list(id)
+                    .iter()
+                    .map(|&(neighbor, label)| (syms.file_id(label), neighbor.0)),
+            );
+            entries[start..].sort_unstable();
+            offsets.push(entries.len() as u32);
+        }
+        let (labels, neighbors) = entries.into_iter().unzip();
+        [offsets, labels, neighbors]
     }
-    let mut syms: Vec<Sym> = (0..used.len() as u32)
-        .map(Sym)
-        .filter(|sym| used[sym.0 as usize])
-        .collect();
-    syms.sort_unstable_by_key(|sym| sym.as_str());
-    SymTable::new(syms)
+}
+
+/// A counting sort by key: the slot of each of the `len` items once they
+/// are grouped by key (groups in key order, items in input order within
+/// a group), and each key's slot range, in key order.  One hash lookup per
+/// item; only the distinct keys are sorted.
+fn group_by_key<K: Copy + Ord + Hash>(
+    keys: impl Iterator<Item = K>,
+    len: usize,
+) -> (Vec<u32>, Vec<(K, u32, u32)>) {
+    let mut group_of: IdMap<K, u32> = IdMap::default();
+    let mut distinct: Vec<K> = Vec::new();
+    let mut counts: Vec<u32> = Vec::new();
+    let mut slots: Vec<u32> = Vec::with_capacity(len);
+    for key in keys {
+        let group = *group_of.entry(key).or_insert_with(|| {
+            distinct.push(key);
+            counts.push(0);
+            (distinct.len() - 1) as u32
+        });
+        counts[group as usize] += 1;
+        slots.push(group);
+    }
+    let mut order: Vec<usize> = (0..distinct.len()).collect();
+    order.sort_unstable_by_key(|&group| distinct[group]);
+    let mut next = vec![0u32; distinct.len()];
+    let mut ranges = Vec::with_capacity(distinct.len());
+    let mut at = 0u32;
+    for group in order {
+        next[group] = at;
+        ranges.push((distinct[group], at, at + counts[group]));
+        at += counts[group];
+    }
+    for slot in &mut slots {
+        let group = *slot as usize;
+        *slot = next[group];
+        next[group] += 1;
+    }
+    (slots, ranges)
 }
 
 /// Accumulates sections, then lays out header + table + aligned payloads.
@@ -117,9 +300,9 @@ pub(crate) struct FileBuilder {
     sections: Vec<(SectionEntry, Payload)>,
 }
 
-/// A section's payload, held in its own type until [`FileBuilder::finish`]
-/// lays it out: a `u32` array is encoded straight into the file bytes,
-/// never into a byte buffer of its own first.
+/// A section's payload, held in its own type until the builder lays it
+/// out: a `u32` array is encoded straight into the file bytes, never into
+/// a byte buffer of its own first.
 enum Payload {
     Bytes(Vec<u8>),
     U32s(Vec<u32>),
@@ -150,7 +333,7 @@ impl FileBuilder {
             SectionEntry {
                 kind,
                 owner: 0,
-                offset: 0, // assigned in finish()
+                offset: 0, // assigned in lay_out()
                 byte_len,
                 elem_count,
             },
@@ -158,16 +341,34 @@ impl FileBuilder {
         ));
     }
 
+    /// The file's bytes.
     pub(crate) fn finish(mut self) -> Vec<u8> {
+        let mut out = vec![0u8; self.lay_out()];
+        self.fill(&mut out);
+        out
+    }
+
+    /// The file's bytes in a `u64`-aligned buffer, ready to be read in
+    /// place.
+    fn finish_aligned(mut self) -> OwnedBytes {
+        let mut out = OwnedBytes::zeroed(self.lay_out());
+        self.fill(out.bytes_mut());
+        out
+    }
+
+    /// Assign each section its offset; returns the total file length.
+    fn lay_out(&mut self) -> usize {
         let table_end = HEADER_LEN + self.sections.len() * SECTION_ENTRY_LEN;
         let mut offset = align_up(table_end);
         for (entry, _) in &mut self.sections {
             entry.offset = offset as u64;
             offset = align_up(offset + entry.byte_len as usize);
         }
-        let total_len = offset;
+        offset
+    }
 
-        let mut out = vec![0u8; total_len];
+    /// Write header, table and payloads into the zeroed `out`.
+    fn fill(self, out: &mut [u8]) {
         for (idx, (entry, _)) in self.sections.iter().enumerate() {
             let at = HEADER_LEN + idx * SECTION_ENTRY_LEN;
             out[at..at + SECTION_ENTRY_LEN].copy_from_slice(&entry.encode());
@@ -184,60 +385,88 @@ impl FileBuilder {
             }
         }
         let header = FileHeader {
-            version: super::format::VERSION,
+            version: VERSION,
             file_kind: file_kind::SNAPSHOT,
             section_count: self.sections.len() as u32,
             section_align: SECTION_ALIGN as u32,
-            total_len: total_len as u64,
+            total_len: out.len() as u64,
             checksum: file_checksum(&out[HEADER_LEN..]),
             node_count: self.node_count,
             edge_count: self.edge_count,
             epoch: self.epoch,
         };
         out[..HEADER_LEN].copy_from_slice(&header.encode());
-        out
     }
 }
 
-pub(crate) fn push_strings(builder: &mut FileBuilder, syms: &SymTable) {
-    let mut blob = BlobWriter::new();
-    blob.put_u32(syms.len() as u32);
-    for sym in syms.syms() {
-        let text = sym.as_str();
-        blob.put_u32(text.len() as u32);
-        blob.put_bytes(text.as_bytes());
-    }
-    builder.add_blob(kind::STRINGS, syms.len() as u64, blob.into_bytes());
+/// Every section of a snapshot file, as the freeze lays them out and as
+/// compaction merges them.
+pub(crate) struct Sections {
+    pub(crate) node_count: usize,
+    pub(crate) edge_count: usize,
+    pub(crate) syms: SymTable,
+    pub(crate) node_labels: Vec<u32>,
+    pub(crate) node_attrs: Vec<u8>,
+    /// `[offsets, labels, neighbours]` of the out-CSR.
+    pub(crate) out: [Vec<u32>; 3],
+    /// `[offsets, labels, neighbours]` of the in-CSR.
+    pub(crate) inn: [Vec<u32>; 3],
+    pub(crate) label_order: Vec<u32>,
+    /// `(entry count, blob)`.
+    pub(crate) label_ranges: (u64, Vec<u8>),
+    pub(crate) triple_src: Vec<u32>,
+    pub(crate) triple_dst: Vec<u32>,
+    /// `(entry count, blob)`.
+    pub(crate) triple_ranges: (u64, Vec<u8>),
 }
 
-/// One CSR side as file arrays: offsets verbatim, every run re-sorted into
-/// `(file symbol, neighbour)` order.
-fn encode_side(side: Side<'_, Sym>, syms: &SymTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let (offsets, labels, neighbors) = (side.offsets, side.keys, side.neighbors);
-    let mut file_labels = Vec::with_capacity(labels.len());
-    let mut file_neighbors = Vec::with_capacity(neighbors.len());
-    let mut run: Vec<(u32, u32)> = Vec::new();
-    for row in offsets.windows(2) {
-        let (start, end) = (row[0] as usize, row[1] as usize);
-        run.clear();
-        run.extend((start..end).map(|i| (syms.file_id(labels[i]), neighbors[i].0)));
-        run.sort_unstable();
-        for &(label, neighbor) in &run {
-            file_labels.push(label);
-            file_neighbors.push(neighbor);
+impl Sections {
+    /// The sections in the file's one canonical order, stamped `epoch`.
+    pub(crate) fn into_builder(self, epoch: u64) -> FileBuilder {
+        let mut builder = FileBuilder::new(self.node_count as u64, self.edge_count as u64, epoch);
+        let mut strings = BlobWriter::new();
+        strings.put_u32(self.syms.len() as u32);
+        for sym in self.syms.syms() {
+            let text = sym.as_str();
+            strings.put_u32(text.len() as u32);
+            strings.put_bytes(text.as_bytes());
         }
+        builder.add_blob(kind::STRINGS, self.syms.len() as u64, strings.into_bytes());
+        builder.add_u32s(kind::NODE_LABELS, self.node_labels);
+        builder.add_blob(kind::NODE_ATTRS, self.node_count as u64, self.node_attrs);
+        let sides = [
+            kind::OUT_OFFSETS,
+            kind::OUT_LABELS,
+            kind::OUT_NEIGHBORS,
+            kind::IN_OFFSETS,
+            kind::IN_LABELS,
+            kind::IN_NEIGHBORS,
+        ];
+        for (kind, array) in sides.into_iter().zip(self.out.into_iter().chain(self.inn)) {
+            builder.add_u32s(kind, array);
+        }
+        builder.add_u32s(kind::LABEL_ORDER, self.label_order);
+        let (count, blob) = self.label_ranges;
+        builder.add_blob(kind::LABEL_RANGES, count, blob);
+        builder.add_u32s(kind::TRIPLE_SRC, self.triple_src);
+        builder.add_u32s(kind::TRIPLE_DST, self.triple_dst);
+        let (count, blob) = self.triple_ranges;
+        builder.add_blob(kind::TRIPLE_RANGES, count, blob);
+        builder
     }
-    (offsets.to_vec(), file_labels, file_neighbors)
 }
 
 /// Per-node attribute tuples, names in file-symbol order.
-pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
+pub(crate) fn encode_attrs<'a>(
+    tuples: impl Iterator<Item = &'a AttrMap>,
+    syms: &SymTable,
+) -> Vec<u8> {
     let mut blob = BlobWriter::new();
     let mut entries: Vec<(u32, &Value)> = Vec::new();
-    for node in nodes {
+    for attrs in tuples {
         entries.clear();
         entries.extend(
-            node.attrs
+            attrs
                 .iter()
                 .map(|(name, value)| (syms.file_id(name), value)),
         );
@@ -263,82 +492,4 @@ pub(crate) fn encode_attrs(nodes: &[NodeData], syms: &SymTable) -> Vec<u8> {
         }
     }
     blob.into_bytes()
-}
-
-/// Every section after the string table.
-fn push_snapshot_sections(builder: &mut FileBuilder, snapshot: &CsrSnapshot, syms: &SymTable) {
-    let nodes = &snapshot.nodes;
-    let node_labels: Vec<u32> = nodes.iter().map(|n| syms.file_id(n.label)).collect();
-    builder.add_u32s(kind::NODE_LABELS, node_labels);
-    builder.add_blob(
-        kind::NODE_ATTRS,
-        nodes.len() as u64,
-        encode_attrs(nodes, syms),
-    );
-
-    let (offsets, labels, neighbors) = encode_side(snapshot.out_side(), syms);
-    builder.add_u32s(kind::OUT_OFFSETS, offsets);
-    builder.add_u32s(kind::OUT_LABELS, labels);
-    builder.add_u32s(kind::OUT_NEIGHBORS, neighbors);
-    let (offsets, labels, neighbors) = encode_side(snapshot.in_side(), syms);
-    builder.add_u32s(kind::IN_OFFSETS, offsets);
-    builder.add_u32s(kind::IN_LABELS, labels);
-    builder.add_u32s(kind::IN_NEIGHBORS, neighbors);
-
-    // Label partition, groups re-ordered into file-symbol order.
-    let (label_ranges, old_order) = snapshot.label_partition();
-    let mut ranges: Vec<(u32, u32, u32)> = label_ranges
-        .iter()
-        .map(|(&sym, &(start, end))| (syms.file_id(sym), start, end))
-        .collect();
-    ranges.sort_unstable();
-    let mut label_order = Vec::with_capacity(old_order.len());
-    let mut file_ranges = BlobWriter::new();
-    for &(fid, start, end) in &ranges {
-        let new_start = label_order.len() as u32;
-        label_order.extend(old_order[start as usize..end as usize].iter().map(|n| n.0));
-        file_ranges.put_u32(fid);
-        file_ranges.put_u32(new_start);
-        file_ranges.put_u32(label_order.len() as u32);
-    }
-    builder.add_u32s(kind::LABEL_ORDER, label_order);
-    builder.add_blob(
-        kind::LABEL_RANGES,
-        ranges.len() as u64,
-        file_ranges.into_bytes(),
-    );
-
-    // Triple index, groups re-ordered into file-symbol order.
-    let (old_ranges, old_src, old_dst) = snapshot.triple_index();
-    let mut triples: Vec<((u32, u32, u32), u32, u32)> = old_ranges
-        .iter()
-        .map(|(&(s, l, d), &(start, end))| {
-            (
-                (syms.file_id(s), syms.file_id(l), syms.file_id(d)),
-                start,
-                end,
-            )
-        })
-        .collect();
-    triples.sort_unstable();
-    let mut triple_src = Vec::with_capacity(old_src.len());
-    let mut triple_dst = Vec::with_capacity(old_dst.len());
-    let mut triple_ranges = BlobWriter::new();
-    for &((s, l, d), start, end) in &triples {
-        let new_start = triple_src.len() as u32;
-        triple_src.extend(old_src[start as usize..end as usize].iter().map(|n| n.0));
-        triple_dst.extend(old_dst[start as usize..end as usize].iter().map(|n| n.0));
-        triple_ranges.put_u32(s);
-        triple_ranges.put_u32(l);
-        triple_ranges.put_u32(d);
-        triple_ranges.put_u32(new_start);
-        triple_ranges.put_u32(triple_src.len() as u32);
-    }
-    builder.add_u32s(kind::TRIPLE_SRC, triple_src);
-    builder.add_u32s(kind::TRIPLE_DST, triple_dst);
-    builder.add_blob(
-        kind::TRIPLE_RANGES,
-        triples.len() as u64,
-        triple_ranges.into_bytes(),
-    );
 }

@@ -5,9 +5,10 @@
 //!
 //! * the mutable adjacency-list [`Graph`] (the build/update representation),
 //! * the frozen, label-partitioned [`crate::CsrSnapshot`] (the hot-path
-//!   representation: contiguous label-sorted neighbour runs, binary-search
-//!   candidate selection, a `(node label, edge label, node label)` triple
-//!   index for seeding), and
+//!   representation: the graph's `.ngds` bytes, in memory or mapped, with
+//!   contiguous label-sorted neighbour runs, binary-search candidate
+//!   selection and a `(node label, edge label, node label)` triple index
+//!   for seeding), and
 //! * the [`crate::DeltaOverlay`] (a snapshot plus an unapplied
 //!   [`crate::BatchUpdate`], the representation the incremental detectors
 //!   search without materialising `G ⊕ ΔG`).

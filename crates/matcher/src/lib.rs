@@ -17,10 +17,11 @@
 //! * [`violation`] — violation records, violation sets and deltas.
 //!
 //! Everything is generic over `ngd_graph::GraphView`, so the same search
-//! runs over the mutable adjacency-list `Graph`, a frozen
-//! `CsrSnapshot` — where candidate selection sizes each applicable
-//! neighbour run in `O(log deg)` and materialises only the smallest as a
-//! contiguous label-sorted slice, and the first variable seeds from the
+//! runs over the mutable adjacency-list `Graph`, a frozen `CsrSnapshot`
+//! (the graph's `.ngds` bytes, in memory or mapped) — where candidate
+//! selection sizes each applicable neighbour run in `O(log deg)` and
+//! materialises only the smallest as a contiguous label-sorted slice, and
+//! the first variable seeds from the
 //! `(node label, edge label, node label)` triple index — or a
 //! `DeltaOverlay` (snapshot ⊕ unapplied `ΔG`, the incremental default).
 //! The representations are result-equivalent by construction; the CSR

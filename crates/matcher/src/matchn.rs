@@ -150,9 +150,10 @@ enum Drawn<'g> {
 ///
 /// The matcher is generic over [`GraphView`], so the same search runs over
 /// the mutable adjacency-list [`Graph`], a frozen
-/// [`CsrSnapshot`](ngd_graph::CsrSnapshot) (where candidate selection is a
-/// binary search yielding a contiguous slice, and the first variable can be
-/// seeded from the label-triple index) or a
+/// [`CsrSnapshot`](ngd_graph::CsrSnapshot) — the graph's `.ngds` bytes, in
+/// memory or mapped, where candidate selection is a binary search yielding
+/// a contiguous slice, and the first variable can be seeded from the
+/// label-triple index — or a
 /// [`DeltaOverlay`](ngd_graph::DeltaOverlay).
 pub struct Matcher<'g, G: GraphView = Graph> {
     pattern: &'g Pattern,

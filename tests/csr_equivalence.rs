@@ -1,6 +1,6 @@
 //! CSR-path equivalence suite.
 //!
-//! The frozen [`CsrSnapshot`] (and its [`DeltaOverlay`]) is the default
+//! The frozen snapshot (and its [`DeltaOverlay`]) is the default
 //! representation under every detector, so these tests pin the refactor's
 //! core contract: for every paper scenario and for a seeded synthetic graph
 //! of ≥ 10k nodes, batch, incremental and parallel detection over the CSR
@@ -8,10 +8,12 @@
 //! adjacency-list path (equality of the structures *and* of their
 //! serialized JSON).
 //!
-//! Every scenario additionally runs through the **mmap path**: the frozen
-//! snapshot is written to a snapshot file, loaded back zero-copy with
-//! [`MmapSnapshot`], and detection from the file must be byte-identical to
-//! both in-memory backends — three representations, one answer.
+//! The frozen snapshot has one storage with two backings: the bytes
+//! [`Graph::freeze`] owns in memory, and the same bytes written to a
+//! snapshot file and mapped back zero-copy with [`MmapSnapshot::load`].
+//! Every scenario runs through both, and detection from the file must be
+//! byte-identical to the adjacency lists and to the owned bytes — three
+//! representations, one answer.
 
 use ngd_core::{paper, RuleSet};
 use ngd_datagen::{
@@ -23,7 +25,7 @@ use ngd_detect::{
     pinc_dect_prepared, DetectorConfig,
 };
 use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
-use ngd_graph::{BatchUpdate, CsrSnapshot, DeltaOverlay, Graph};
+use ngd_graph::{BatchUpdate, DeltaOverlay, Graph};
 use ngd_match::{DeltaViolations, ViolationSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,8 +37,8 @@ fn temp_snapshot_path() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("ngd-equiv-{}-{seq}.snap", std::process::id()))
 }
 
-/// Freeze → write → mmap-load round trip of a snapshot.
-fn mmap_of(snapshot: &CsrSnapshot) -> MmapSnapshot {
+/// The file-mapped backing of a frozen snapshot: write → mmap-load.
+fn mmap_of(snapshot: &MmapSnapshot) -> MmapSnapshot {
     let path = temp_snapshot_path();
     SnapshotWriter::new()
         .write(snapshot, &path)
@@ -75,7 +77,7 @@ fn check_batch(graph: &Graph, sigma: &RuleSet, context: &str) {
     let parallel = pdect_on(sigma, &snapshot, &DetectorConfig::with_processors(3));
     assert_identical_sets(&adjacency.violations, &parallel.violations, context);
 
-    // Third backend: detection straight off the snapshot file.
+    // Second backing: detection straight off the snapshot file.
     let mapped = mmap_of(&snapshot);
     let from_file = dect_on(sigma, &mapped);
     assert_identical_sets(
@@ -109,7 +111,7 @@ fn check_incremental(graph: &Graph, sigma: &RuleSet, delta: &BatchUpdate, contex
         "{context}: dΣ-neighbourhood sizes differ"
     );
 
-    // Third backend: overlay the update over the memory-mapped snapshot.
+    // Second backing: overlay the update over the memory-mapped snapshot.
     let mapped = mmap_of(&snapshot);
     let from_file = inc_dect_snapshot(sigma, &mapped, delta);
     assert_identical_deltas(

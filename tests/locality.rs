@@ -15,7 +15,7 @@ use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_rules, KnowledgeConfig, RuleGenConfig, StdRng};
 use ngd_detect::{inc_dect, pinc_dect_prepared, DetectorConfig, IncrementalSession, VioSink};
 use ngd_graph::{
-    AttrMap, BatchUpdate, CsrSnapshot, DeltaOverlay, EdgeRef, Graph, GraphView, NodeId, Sym, Value,
+    AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, MmapSnapshot, NodeId, Sym, Value,
 };
 use ngd_integration_tests::{example7_workload, paired_moves};
 use ngd_match::PlanCache;
@@ -155,7 +155,7 @@ impl<B: GraphView> GraphView for Counting<B> {
 
 /// Node reads and scans of `rounds` 16-op requests against a fresh session
 /// each (the benchmark's `RESET` after every `UPDATE`), plans warm.
-fn reads_per_request(snapshot: CsrSnapshot, graph: &Graph, sigma: &RuleSet) -> (u64, u64) {
+fn reads_per_request(snapshot: MmapSnapshot, graph: &Graph, sigma: &RuleSet) -> (u64, u64) {
     const ROUNDS: u64 = 32;
     let counted = Counting::new(snapshot);
     let cache = PlanCache::new();

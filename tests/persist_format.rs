@@ -454,6 +454,61 @@ fn structural_damage_behind_the_checksum_is_corrupt_not_ub() {
     ));
 }
 
+#[test]
+fn an_array_section_running_past_the_file_fails_typed() {
+    // OUT_NEIGHBORS keeps `byte_len == 4 · elem_count`, so the element-count
+    // check passes, but now ends one element past `total_len` (restamped).
+    // The snapshot keeps each array section as a slice resolved once at
+    // load, so the bounds must be refused typed before any is resolved.
+    let bytes = golden_bytes();
+    let header = FileHeader::parse(&bytes).unwrap();
+    let table = format::read_section_table(&bytes, &header).unwrap();
+    let idx = table
+        .iter()
+        .position(|s| s.kind == format::kind::OUT_NEIGHBORS)
+        .unwrap();
+    let elems = (header.total_len - table[idx].offset) / 4 + 1;
+    let at = format::HEADER_LEN + idx * format::SECTION_ENTRY_LEN;
+    let mut damaged = bytes.clone();
+    damaged[at + 16..at + 24].copy_from_slice(&(elems * 4).to_le_bytes());
+    damaged[at + 24..at + 32].copy_from_slice(&elems.to_le_bytes());
+    restamp(&mut damaged);
+    match load_err("array-past-end", &damaged) {
+        PersistError::Corrupt(msg) => assert!(msg.contains("outside the file"), "{msg}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn with_epoch_restamps_only_the_header_epoch_word() {
+    let snapshot = golden_graph().freeze();
+    let epoch_0 = SnapshotWriter::new().encode(&snapshot);
+    let stamped = SnapshotWriter::with_epoch(41).encode(&snapshot);
+    assert_eq!(epoch_0.len(), stamped.len());
+    let differing: Vec<usize> = (0..stamped.len())
+        .filter(|&i| epoch_0[i] != stamped[i])
+        .collect();
+    assert!(!differing.is_empty());
+    assert!(
+        differing.iter().all(|i| (56..64).contains(i)),
+        "{differing:?}"
+    );
+    assert_eq!(stamped[56..64], 41u64.to_le_bytes());
+
+    // `write` puts the same bytes on disk, and they load at the epoch.
+    let path = std::env::temp_dir().join(format!("ngd-with-epoch-{}.ngds", std::process::id()));
+    let written = SnapshotWriter::with_epoch(41)
+        .write(&snapshot, &path)
+        .unwrap();
+    let on_disk = std::fs::read(&path).unwrap();
+    let loaded = MmapSnapshot::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(written, stamped.len() as u64);
+    assert_eq!(on_disk, stamped);
+    assert_eq!(loaded.epoch(), 41);
+    assert_eq!(snapshot.epoch(), 0, "the frozen snapshot itself is epoch 0");
+}
+
 // ---------------------------------------------------------------------------
 // Attribute records: every fault the in-place reader relies on load to have
 // ruled out is refused at load, typed.
