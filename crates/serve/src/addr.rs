@@ -6,7 +6,7 @@
 
 use crate::error::ProtocolError;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -75,27 +75,54 @@ impl Stream {
             Stream::Tcp(s) => s.as_raw_fd(),
         }
     }
-}
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Shut both directions down now, whoever still holds the stream: the
+    /// peer sees the close at once and any later read or write fails.
+    pub(crate) fn shutdown(&self) -> std::io::Result<()> {
         match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.shutdown(Shutdown::Both),
+            Stream::Tcp(s) => s.shutdown(Shutdown::Both),
         }
     }
 }
 
-impl Write for Stream {
+/// Reads and writes through a shared reference, so the reactor and the
+/// worker answering a connection use its one socket without a second fd.
+impl Read for &Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Unix(s) => (&*s).read(buf),
+            Stream::Tcp(s) => (&*s).read(buf),
+        }
+    }
+}
+
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => (&*s).write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         // Sockets are unbuffered on this side.
+        Ok(())
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        (&*self).read(buf)
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        (&*self).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
         Ok(())
     }
 }

@@ -18,6 +18,7 @@ use crate::protocol::{
 use ngd_core::RuleSet;
 use ngd_graph::BatchUpdate;
 use ngd_match::{DeltaViolations, Violation, ViolationSet};
+use std::io::BufReader;
 use std::time::Duration;
 
 /// A served incremental answer: the reassembled `ΔVio` plus the closing
@@ -55,7 +56,10 @@ impl ServedQuery {
 
 /// One connection to an `ngd-serve` daemon (= one server-side session).
 pub struct ServeClient {
-    stream: Stream,
+    /// Frames are read through the buffer (a header and a small payload
+    /// usually arrive in one `read`) and written straight to the stream
+    /// underneath, one `write_all` per frame.
+    stream: BufReader<Stream>,
     hello: HelloResponse,
     /// The most recent `EPOCH_SWITCHED` push absorbed from the stream
     /// (the server announces a re-root once, ahead of its next answer).
@@ -72,7 +76,7 @@ impl ServeClient {
         let stream =
             Stream::connect(addr).map_err(|e| ProtocolError::Io(format!("connect {addr}: {e}")))?;
         let mut client = ServeClient {
-            stream,
+            stream: BufReader::new(stream),
             hello: HelloResponse {
                 server: String::new(),
                 node_count: 0,
@@ -86,7 +90,7 @@ impl ServeClient {
         let request = HelloRequest {
             client: client_name.to_string(),
         };
-        write_frame(&mut client.stream, frame::HELLO, &request.encode())?;
+        write_frame(client.stream.get_mut(), frame::HELLO, &request.encode())?;
         let payload = client.expect(frame::HELLO_OK, "HELLO_OK")?;
         client.hello = HelloResponse::decode(&payload)?;
         Ok(client)
@@ -160,7 +164,7 @@ impl ServeClient {
         let request = RulesRequest {
             source: source.to_owned(),
         };
-        write_frame(&mut self.stream, frame::RULES, &request.encode())?;
+        write_frame(self.stream.get_mut(), frame::RULES, &request.encode())?;
         let payload = self.expect(frame::OK, "OK")?;
         Ok(OkResponse::decode(&payload)?.message)
     }
@@ -210,7 +214,7 @@ impl ServeClient {
         let request = UpdateRequest {
             batch: batch.clone(),
         };
-        write_frame(&mut self.stream, frame::UPDATE, &request.encode())?;
+        write_frame(self.stream.get_mut(), frame::UPDATE, &request.encode())?;
         self.drain_stream(frame::UPDATE_DONE, "UPDATE_DONE", on_chunk)
     }
 
@@ -234,7 +238,7 @@ impl ServeClient {
         &mut self,
         on_chunk: impl FnMut(Side, Vec<Violation>),
     ) -> Result<DoneResponse, ProtocolError> {
-        write_frame(&mut self.stream, frame::QUERY, &[])?;
+        write_frame(self.stream.get_mut(), frame::QUERY, &[])?;
         self.drain_stream(frame::QUERY_DONE, "QUERY_DONE", on_chunk)
     }
 
@@ -254,14 +258,14 @@ impl ServeClient {
     /// epoch with an empty overlay; other sessions re-root at their next
     /// message boundary.
     pub fn compact(&mut self) -> Result<EpochResponse, ProtocolError> {
-        write_frame(&mut self.stream, frame::COMPACT, &[])?;
+        write_frame(self.stream.get_mut(), frame::COMPACT, &[])?;
         let payload = self.expect(frame::EPOCH_OK, "EPOCH_OK")?;
         EpochResponse::decode(&payload)
     }
 
     /// Query the session's and the server's current snapshot epochs.
     pub fn epoch(&mut self) -> Result<EpochResponse, ProtocolError> {
-        write_frame(&mut self.stream, frame::EPOCH, &[])?;
+        write_frame(self.stream.get_mut(), frame::EPOCH, &[])?;
         let payload = self.expect(frame::EPOCH_OK, "EPOCH_OK")?;
         EpochResponse::decode(&payload)
     }
@@ -270,28 +274,28 @@ impl ServeClient {
     /// latency histograms across match/detect/persist/serve).  Render it
     /// with [`ngd_obs::render_prometheus`] / [`ngd_obs::render_json`].
     pub fn metrics(&mut self) -> Result<ngd_obs::MetricsSnapshot, ProtocolError> {
-        write_frame(&mut self.stream, frame::METRICS, &[])?;
+        write_frame(self.stream.get_mut(), frame::METRICS, &[])?;
         let payload = self.expect(frame::METRICS_OK, "METRICS_OK")?;
         Ok(MetricsResponse::decode(&payload)?.snapshot)
     }
 
     /// Fetch server and session statistics.
     pub fn stats(&mut self) -> Result<StatsResponse, ProtocolError> {
-        write_frame(&mut self.stream, frame::STATS, &[])?;
+        write_frame(self.stream.get_mut(), frame::STATS, &[])?;
         let payload = self.expect(frame::STATS_OK, "STATS_OK")?;
         StatsResponse::decode(&payload)
     }
 
     /// Drop the session's accumulated update.
     pub fn reset(&mut self) -> Result<String, ProtocolError> {
-        write_frame(&mut self.stream, frame::RESET, &[])?;
+        write_frame(self.stream.get_mut(), frame::RESET, &[])?;
         let payload = self.expect(frame::OK, "OK")?;
         Ok(OkResponse::decode(&payload)?.message)
     }
 
     /// Ask the daemon to shut down gracefully.
     pub fn shutdown_server(&mut self) -> Result<String, ProtocolError> {
-        write_frame(&mut self.stream, frame::SHUTDOWN, &[])?;
+        write_frame(self.stream.get_mut(), frame::SHUTDOWN, &[])?;
         let payload = self.expect(frame::OK, "OK")?;
         Ok(OkResponse::decode(&payload)?.message)
     }

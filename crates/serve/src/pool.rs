@@ -6,7 +6,7 @@
 
 use crate::reactor::{ConnIo, ReactorShared};
 use crate::server::Shared;
-use crate::session::{handle_request, route, Disposition, SessionState};
+use crate::session::{handle_request, route, Disposition, Route, SessionState};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -139,10 +139,9 @@ fn worker_loop(pool: Arc<PoolShared>, shared: Arc<Shared>, reactor: Arc<ReactorS
 
 /// Counts a request on construction and records its latency on drop, so
 /// the sample lands even when the handler bails early with an error
-/// reply.  Two registry lookups per request — nowhere near the per-frame
-/// byte path.
+/// reply.  The kind's instruments come resolved with its [`Route`].
 struct FrameTimer {
-    name: &'static str,
+    route: &'static Route,
     start: Instant,
 }
 
@@ -151,12 +150,10 @@ impl FrameTimer {
         if !ngd_obs::enabled() {
             return None;
         }
-        let (name, _) = route(kind)?;
-        ngd_obs::global()
-            .counter(&format!("serve.frame.{name}.count"))
-            .inc();
+        let route = route(kind)?;
+        route.count.inc();
         Some(FrameTimer {
-            name,
+            route,
             start: Instant::now(),
         })
     }
@@ -164,8 +161,6 @@ impl FrameTimer {
 
 impl Drop for FrameTimer {
     fn drop(&mut self) {
-        ngd_obs::global()
-            .histogram(&format!("serve.frame.{}.latency_ns", self.name))
-            .record_duration(self.start.elapsed());
+        self.route.latency.record_duration(self.start.elapsed());
     }
 }

@@ -1,10 +1,10 @@
 //! The event loop: one `ngd-serve-reactor` thread runs [`reactor_loop`],
 //! which owns the listener and every connection fd in non-blocking mode,
 //! parses frames incrementally into per-connection read buffers, hands
-//! complete requests to the [`WorkerPool`], and drains per-connection write
-//! queues — it never blocks on any one peer.  The write queue itself
-//! ([`ConnIo`]) lives in the child module `conn_io`, so the loop cannot
-//! name its fields.
+//! complete requests to the [`WorkerPool`], and drains the per-connection
+//! write queues that workers' own non-blocking writes left behind — it
+//! never blocks on any one peer.  The write side ([`ConnIo`]) lives in the
+//! child module `conn_io`, so the loop cannot name its fields.
 
 use crate::addr::{Listener, Stream};
 use crate::poller::{Interest, Poller, Waker};
@@ -37,8 +37,8 @@ static LOOP_READY_EVENTS: ngd_obs::LazyCounter =
 
 /// State the reactor shares with worker threads and the
 /// [`crate::Server`] handle: the waker that interrupts a blocked
-/// `Poller::wait`, plus the two mailboxes workers fill (flush requests and
-/// finished requests).
+/// `Poller::wait`, plus the two mailboxes workers fill (flush requests for
+/// bytes a socket would not take, and finished requests).
 pub(crate) struct ReactorShared {
     waker: Waker,
     /// Connections whose write queues gained bytes since the last pass.
@@ -83,7 +83,8 @@ impl ReactorShared {
 
 /// One connection as the reactor sees it.
 struct Connection {
-    stream: Stream,
+    /// The socket, shared with `io` (whose sender writes to it directly).
+    stream: Arc<Stream>,
     /// Bytes read but not yet parsed into a frame.
     read_buf: Vec<u8>,
     io: Arc<ConnIo>,
@@ -177,9 +178,11 @@ impl Reactor {
                 Ok(stream) => {
                     let token = self.next_token;
                     self.next_token += 1;
+                    let stream = Arc::new(stream);
                     let io = Arc::new(ConnIo::new(
                         token,
                         Arc::clone(&self.notify),
+                        Arc::clone(&stream),
                         self.shared.options.write_buffer_limit,
                     ));
                     if self
@@ -228,7 +231,7 @@ impl Reactor {
             }
             let mut chunk = [0u8; 64 * 1024];
             loop {
-                match conn.stream.read(&mut chunk) {
+                match (&*conn.stream).read(&mut chunk) {
                     Ok(0) => break true,
                     Ok(n) => {
                         BYTES_IN.add(n as u64);
@@ -302,7 +305,7 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            let outcome = conn.io.drain_to(&mut conn.stream);
+            let outcome = conn.io.drain_to(&mut &*conn.stream);
             conn.want_write = outcome == Drained::Pending;
             outcome == Drained::Broken || (conn.closing && outcome == Drained::Empty)
         };
@@ -332,10 +335,11 @@ impl Reactor {
         }
     }
 
-    /// Remove a connection: close the socket, release any stalled
+    /// Remove a connection: shut the socket down, release any stalled
     /// producer, drop the parked session (releasing its snapshot pin).  A
     /// session held by an in-flight worker is dropped when its completion
-    /// arrives and finds the connection gone.
+    /// arrives and finds the connection gone; the socket's fd closes with
+    /// the last holder of its stream.
     fn teardown(&mut self, token: u64) {
         let Some(conn) = self.conns.remove(&token) else {
             return;
@@ -344,8 +348,8 @@ impl Reactor {
         let _ = self.poller.deregister(conn.stream.raw_fd());
         self.shared.sessions_active.fetch_sub(1, Ordering::SeqCst);
         SESSIONS_ACTIVE.add(-1);
-        // `conn` drops here: the stream's fd closes, and with it any
-        // parked SessionState and its Arc<SnapshotStore>.
+        // `conn` drops here, and with it any parked SessionState and its
+        // Arc<SnapshotStore>.
     }
 
     /// Drain worker mailboxes: re-park finished sessions (dispatching the

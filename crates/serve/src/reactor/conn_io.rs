@@ -1,10 +1,13 @@
-//! The write side of one connection: a queue of encoded frames shared
-//! between whichever worker currently serves the connection (which fills
-//! it through [`ConnIo::send`], blocking above the high-water mark) and the
-//! reactor (which empties it through [`ConnIo::drain_to`]).  Nothing
+//! The write side of one connection: its socket, shared with the
+//! reactor, and a queue of encoded frames.  Whichever worker currently
+//! serves the connection sends through [`ConnIo::send`]: a frame that
+//! finds the queue empty is written to the socket at once, and only what
+//! the socket will not take is queued (blocking above the high-water
+//! mark) for the reactor to empty through [`ConnIo::drain_to`].  Nothing
 //! outside this file sees the queue's representation.
 
 use super::ReactorShared;
+use crate::addr::Stream;
 use crate::error::ProtocolError;
 use crate::protocol::{encode_frame, frame, ErrorResponse};
 use std::collections::VecDeque;
@@ -18,14 +21,21 @@ static BYTES_OUT: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("serve.bytes.
 /// stall, not per retry) — a rising rate means slow readers.
 static BACKPRESSURE_STALLS: ngd_obs::LazyCounter =
     ngd_obs::LazyCounter::new("serve.backpressure.stalls");
+/// Frames [`ConnIo::send`] wrote whole to the socket itself.
+static WRITES_DIRECT: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("serve.write.direct");
+/// Frames (or their unwritten tails) left in the queue for the reactor.
+static WRITES_QUEUED: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("serve.write.queued");
 
 /// Default per-connection write-queue high-water mark (1 MiB).
 const DEFAULT_WRITE_BUFFER_LIMIT: usize = 1 << 20;
 
-/// One connection's write queue and its back-pressure state.
+/// One connection's socket, write queue and back-pressure state.
 pub(crate) struct ConnIo {
     token: u64,
     reactor: Arc<ReactorShared>,
+    /// The connection's one non-blocking socket, shared with the reactor's
+    /// `Connection`; written only under the `write` lock.
+    stream: Arc<Stream>,
     /// High-water mark: [`ConnIo::send`] blocks while `total` is at or
     /// above this.
     limit: usize,
@@ -59,10 +69,16 @@ pub(super) enum Drained {
 
 impl ConnIo {
     /// `limit`: [`crate::ServeOptions::write_buffer_limit`].
-    pub(super) fn new(token: u64, reactor: Arc<ReactorShared>, limit: Option<usize>) -> ConnIo {
+    pub(super) fn new(
+        token: u64,
+        reactor: Arc<ReactorShared>,
+        stream: Arc<Stream>,
+        limit: Option<usize>,
+    ) -> ConnIo {
         ConnIo {
             token,
             reactor,
+            stream,
             limit: limit.unwrap_or(DEFAULT_WRITE_BUFFER_LIMIT).max(1),
             write: Mutex::new(WriteBuf::default()),
             drained: Condvar::new(),
@@ -70,10 +86,13 @@ impl ConnIo {
         }
     }
 
-    /// Queue one frame for the reactor to write, blocking while the
-    /// connection's write queue is above its high-water mark.  This is the
-    /// back-pressure path: a slow reader suspends *this session's*
-    /// producer (a worker or its detect threads), never the event loop.
+    /// Send one frame, blocking while the connection's write queue is above
+    /// its high-water mark.  This is the back-pressure path: a slow reader
+    /// suspends *this session's* producer (a worker or its detect threads),
+    /// never the event loop.  A frame that finds the queue empty goes
+    /// straight to the socket; the reactor is asked to flush only when
+    /// bytes are left queued — a full socket, or a write error, which the
+    /// reactor's [`ConnIo::drain_to`] meets again and tears down on.
     pub(crate) fn send(&self, kind: u32, payload: &[u8]) -> Result<(), ProtocolError> {
         let bytes = encode_frame(kind, payload)?;
         let mut buf = self.write.lock().expect("write queue lock");
@@ -88,8 +107,16 @@ impl ConnIo {
         if self.dead.load(Ordering::SeqCst) {
             return Err(ProtocolError::Disconnected);
         }
+        // A frame never overtakes queued bytes: only an empty queue lets it
+        // be written now, under the lock that orders every socket write.
+        let direct = buf.queue.is_empty();
         buf.total += bytes.len();
         buf.queue.push_back(bytes);
+        if direct && buf.write_to(&mut &*self.stream) == Drained::Empty {
+            WRITES_DIRECT.inc();
+            return Ok(());
+        }
+        WRITES_QUEUED.inc();
         drop(buf);
         self.reactor.request_flush(self.token);
         Ok(())
@@ -109,6 +136,7 @@ impl ConnIo {
             let mut buf = self.write.lock().expect("write queue lock");
             buf.total += bytes.len();
             buf.queue.push_back(bytes);
+            WRITES_QUEUED.inc();
         }
     }
 
@@ -118,54 +146,57 @@ impl ConnIo {
     /// on back-pressure once less than a quarter of the limit is left.
     pub(super) fn drain_to(&self, out: &mut impl Write) -> Drained {
         let mut buf = self.write.lock().expect("write queue lock");
-        let mut outcome = Drained::Empty;
-        while let Some(front) = buf.queue.front() {
-            let front_len = front.len();
-            let n = match out.write(&front[buf.front_pos..]) {
-                Ok(0) => {
-                    outcome = Drained::Broken;
-                    break;
-                }
-                Ok(n) => n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    outcome = Drained::Pending;
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    outcome = Drained::Broken;
-                    break;
-                }
-            };
-            BYTES_OUT.add(n as u64);
-            buf.front_pos += n;
-            buf.total -= n;
-            if buf.front_pos == front_len {
-                buf.queue.pop_front();
-                buf.front_pos = 0;
-            }
-        }
+        let outcome = buf.write_to(out);
         if buf.total < self.limit / 4 {
             self.drained.notify_all();
         }
         outcome
     }
 
-    /// Mark the connection dead and release any stalled producer (it
-    /// observes [`ProtocolError::Disconnected`] instead of blocking
-    /// forever).  Taking the lock before notifying closes the window where
-    /// a producer has checked `dead`, not yet parked, and would miss the
-    /// wake-up.
+    /// Mark the connection dead, shut its socket down and release any
+    /// stalled producer (it observes [`ProtocolError::Disconnected`]
+    /// instead of blocking forever).  Taking the lock before notifying
+    /// closes the window where a producer has checked `dead`, not yet
+    /// parked, and would miss the wake-up; every later `send` sees `dead`
+    /// and writes nothing.  The shutdown closes the connection now, even
+    /// while a worker answering it still holds the stream.
     pub(super) fn mark_dead(&self) {
         self.dead.store(true, Ordering::SeqCst);
         drop(self.write.lock().expect("write queue lock"));
+        let _ = self.stream.shutdown();
         self.drained.notify_all();
+    }
+}
+
+impl WriteBuf {
+    /// The write loop of [`ConnIo::drain_to`] and of `send`'s direct write.
+    fn write_to(&mut self, out: &mut impl Write) -> Drained {
+        while let Some(front) = self.queue.front() {
+            let front_len = front.len();
+            let n = match out.write(&front[self.front_pos..]) {
+                Ok(0) => return Drained::Broken,
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Drained::Pending,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return Drained::Broken,
+            };
+            BYTES_OUT.add(n as u64);
+            self.front_pos += n;
+            self.total -= n;
+            if self.front_pos == front_len {
+                self.queue.pop_front();
+                self.front_pos = 0;
+            }
+        }
+        Drained::Empty
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
+    use std::os::unix::net::UnixStream;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -203,8 +234,44 @@ mod tests {
         }
     }
 
-    fn conn_io(limit: usize) -> ConnIo {
-        ConnIo::new(7, Arc::new(ReactorShared::new().unwrap()), Some(limit))
+    /// A `ConnIo` over one end of a socket pair, and the peer's end
+    /// (blocking, with a timeout, so a byte that never comes fails a test
+    /// instead of hanging it).
+    fn conn_io_with_peer(limit: usize) -> (ConnIo, UnixStream) {
+        let (ours, peer) = UnixStream::pair().unwrap();
+        ours.set_nonblocking(true).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let stream = Arc::new(Stream::Unix(ours));
+        let reactor = Arc::new(ReactorShared::new().unwrap());
+        (ConnIo::new(7, reactor, stream, Some(limit)), peer)
+    }
+
+    /// Write filler bytes until the socket takes no more; returns how many
+    /// it took.
+    fn fill_socket(io: &ConnIo) -> usize {
+        let mut filled = 0;
+        loop {
+            match (&*io.stream).write(&[0x5A; 4096]) {
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return filled,
+                Err(e) => panic!("filling the socket: {e}"),
+            }
+        }
+    }
+
+    /// A `ConnIo` whose socket is full, so every frame it sends is queued
+    /// whole — the queue's own tests then drain it into a scripted writer.
+    /// Keep the peer alive: its close would fail the writes instead.
+    fn conn_io(limit: usize) -> (ConnIo, UnixStream) {
+        let (io, peer) = conn_io_with_peer(limit);
+        fill_socket(&io);
+        (io, peer)
+    }
+
+    /// Tokens the reactor has been asked to flush.
+    fn flush_requests(io: &ConnIo) -> Vec<u64> {
+        io.reactor.flush.lock().unwrap().clone()
     }
 
     /// Queue three frames of different sizes; returns their wire bytes.
@@ -232,7 +299,7 @@ mod tests {
     #[test]
     fn drain_writes_exact_bytes_in_order_resuming_mid_frame() {
         for k in [1, 7, 33, 1000] {
-            let io = conn_io(1 << 20);
+            let (io, _peer) = conn_io(1 << 20);
             let frames = queue_three_frames(&io);
             let wire = frames.concat();
             let mut written = Vec::new();
@@ -263,7 +330,7 @@ mod tests {
     #[test]
     fn a_peer_that_accepts_nothing_or_errors_is_broken() {
         for failure in [Ok(0), Err(ErrorKind::BrokenPipe)] {
-            let io = conn_io(1 << 20);
+            let (io, _peer) = conn_io(1 << 20);
             let wire = queue_three_frames(&io).concat();
             let mut out = scripted([Ok(3), failure], 1000);
             assert_eq!(io.drain_to(&mut out), Drained::Broken, "{failure:?}");
@@ -274,7 +341,10 @@ mod tests {
         }
         // An empty queue is not a broken peer.
         let mut never_asked = scripted([Err(ErrorKind::BrokenPipe)], 0);
-        assert_eq!(conn_io(1 << 20).drain_to(&mut never_asked), Drained::Empty);
+        assert_eq!(
+            conn_io(1 << 20).0.drain_to(&mut never_asked),
+            Drained::Empty
+        );
     }
 
     /// Run `io.send` on a thread and return once that thread is parked on
@@ -299,7 +369,8 @@ mod tests {
     #[test]
     fn a_stalled_producer_is_released_below_a_quarter_of_the_limit_or_on_death() {
         let limit = 400;
-        let io = Arc::new(conn_io(limit));
+        let (io, _peer) = conn_io(limit);
+        let io = Arc::new(io);
         io.send(frame::OK, &vec![0xAB; limit]).unwrap();
         let queued = queue_state(&io).2;
         let released = stalled_producer(&io);
@@ -323,5 +394,88 @@ mod tests {
         io.mark_dead();
         let sent = released.recv_timeout(Duration::from_secs(30)).unwrap();
         assert!(matches!(sent, Err(ProtocolError::Disconnected)));
+    }
+
+    #[test]
+    fn a_frame_that_fits_leaves_on_send_alone() {
+        let (io, mut peer) = conn_io_with_peer(1 << 20);
+        let wire = encode_frame(frame::VIO_CHUNK, b"first violation").unwrap();
+        io.send(frame::VIO_CHUNK, b"first violation").unwrap();
+        // Nothing queued and no flush asked for: the bytes are on the wire.
+        assert_eq!(queue_state(&io), (0, 0, 0));
+        assert!(flush_requests(&io).is_empty());
+        let mut got = vec![0; wire.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, wire);
+    }
+
+    #[test]
+    fn a_partial_write_queues_the_tail_and_drain_completes_it() {
+        let (io, mut peer) = conn_io_with_peer(64 << 20);
+        // Far more than a Unix-domain socket buffers.
+        let payload: Vec<u8> = (0..8 << 20).map(|i| (i % 251) as u8).collect();
+        let wire = encode_frame(frame::QUERY_DONE, &payload).unwrap();
+        io.send(frame::QUERY_DONE, &payload).unwrap();
+        let (queued, front_pos, owed) = queue_state(&io);
+        assert_eq!(queued, 1);
+        assert!(
+            0 < front_pos && front_pos < wire.len(),
+            "front_pos {front_pos}"
+        );
+        assert_eq!(owed, wire.len() - front_pos);
+        assert_eq!(flush_requests(&io), [7]);
+
+        let len = wire.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0; len];
+            peer.read_exact(&mut got).unwrap();
+            got
+        });
+        loop {
+            match io.drain_to(&mut &*io.stream) {
+                Drained::Empty => break,
+                Drained::Pending => std::thread::sleep(Duration::from_millis(1)),
+                Drained::Broken => panic!("the peer is alive"),
+            }
+        }
+        assert_eq!(queue_state(&io), (0, 0, 0));
+        assert!(
+            reader.join().unwrap() == wire,
+            "bytes differ from the frame"
+        );
+    }
+
+    #[test]
+    fn a_frame_sent_behind_queued_bytes_is_queued_not_written() {
+        let (io, mut peer) = conn_io_with_peer(1 << 20);
+        let filler = fill_socket(&io);
+        let first = encode_frame(frame::VIO_CHUNK, b"queued first").unwrap();
+        io.send(frame::VIO_CHUNK, b"queued first").unwrap();
+        assert_eq!(queue_state(&io), (1, 0, first.len()));
+
+        // The peer takes the filler, so the socket has room again; the next
+        // frame still goes behind the queued one.
+        peer.read_exact(&mut vec![0; filler]).unwrap();
+        let second = encode_frame(frame::UPDATE_DONE, b"then this").unwrap();
+        io.send(frame::UPDATE_DONE, b"then this").unwrap();
+        assert_eq!(queue_state(&io), (2, 0, first.len() + second.len()));
+
+        assert_eq!(io.drain_to(&mut &*io.stream), Drained::Empty);
+        let mut got = vec![0; first.len() + second.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert_eq!(got, [first, second].concat());
+    }
+
+    #[test]
+    fn a_dead_connection_refuses_sends_and_writes_nothing() {
+        let (io, mut peer) = conn_io_with_peer(1 << 20);
+        io.mark_dead();
+        let sent = io.send(frame::OK, b"late");
+        assert!(matches!(sent, Err(ProtocolError::Disconnected)), "{sent:?}");
+        assert_eq!(queue_state(&io), (0, 0, 0));
+        assert!(flush_requests(&io).is_empty());
+        // The peer sees the close at once, and nothing before it.
+        let mut rest = Vec::new();
+        assert_eq!(peer.read_to_end(&mut rest).unwrap(), 0);
     }
 }

@@ -189,21 +189,45 @@ fn compact_session(epochs: &Epochs, session: &mut SessionState) -> Result<(), St
 type Served = Result<(), ProtocolError>;
 type Handler = fn(&Shared, &mut SessionState, &ConnIo, &[u8]) -> Served;
 
-/// The request frames: each kind's metric segment
-/// (`serve.frame.<segment>.*`) and the function that serves it.
-pub(crate) fn route(kind: u32) -> Option<(&'static str, Handler)> {
-    Some(match kind {
-        frame::HELLO => ("hello", on_hello),
-        frame::RULES => ("rules", on_rules),
-        frame::UPDATE => ("update", on_update),
-        frame::QUERY => ("query", on_query),
-        frame::STATS => ("stats", on_stats),
-        frame::RESET => ("reset", on_reset),
-        frame::SHUTDOWN => ("shutdown", on_shutdown),
-        frame::COMPACT => ("compact", on_compact),
-        frame::EPOCH => ("epoch", on_epoch),
-        frame::METRICS => ("metrics", on_metrics),
-        _ => return None,
+/// One request frame kind: the function that serves it and its
+/// `serve.frame.<name>.{count,latency_ns}` instruments.
+pub(crate) struct Route {
+    pub(crate) handler: Handler,
+    pub(crate) count: ngd_obs::LazyCounter,
+    pub(crate) latency: ngd_obs::LazyHistogram,
+}
+
+/// The request frames.  Each kind's [`Route`] is a static of its own, so
+/// its instruments are looked up in the registry once, not per request.
+pub(crate) fn route(kind: u32) -> Option<&'static Route> {
+    macro_rules! routes {
+        ($($kind:ident => $name:literal, $handler:ident;)*) => {
+            match kind {
+                $(frame::$kind => {
+                    static ROUTE: Route = Route {
+                        handler: $handler,
+                        count: ngd_obs::LazyCounter::new(concat!("serve.frame.", $name, ".count")),
+                        latency: ngd_obs::LazyHistogram::new(concat!(
+                            "serve.frame.", $name, ".latency_ns"
+                        )),
+                    };
+                    &ROUTE
+                })*
+                _ => return None,
+            }
+        };
+    }
+    Some(routes! {
+        HELLO => "hello", on_hello;
+        RULES => "rules", on_rules;
+        UPDATE => "update", on_update;
+        QUERY => "query", on_query;
+        STATS => "stats", on_stats;
+        RESET => "reset", on_reset;
+        SHUTDOWN => "shutdown", on_shutdown;
+        COMPACT => "compact", on_compact;
+        EPOCH => "epoch", on_epoch;
+        METRICS => "metrics", on_metrics;
     })
 }
 
@@ -228,7 +252,7 @@ pub(crate) fn handle_request(
         sink.send(frame::EPOCH_SWITCHED, &notice.encode())?;
     }
     match route(kind) {
-        Some((_, handler)) => handler(shared, session, sink, payload)?,
+        Some(route) => (route.handler)(shared, session, sink, payload)?,
         None => sink.send_error(
             err_code::BAD_REQUEST,
             ProtocolError::UnknownFrame { kind }.to_string(),

@@ -15,8 +15,9 @@ use ngd_serve::protocol::{
     VioChunk,
 };
 use ngd_serve::{ServeAddr, ServeClient, ServeOptions, Server, SnapshotStore};
-use std::io::Write as _;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -45,6 +46,15 @@ fn violation_heavy_graph(companies: usize) -> (Graph, RuleSet) {
 }
 
 fn start_server(graph: &Graph, sigma: &RuleSet, options: ServeOptions) -> Server {
+    start_server_on(graph, sigma, &ServeAddr::Tcp("127.0.0.1:0".into()), options)
+}
+
+fn start_server_on(
+    graph: &Graph,
+    sigma: &RuleSet,
+    addr: &ServeAddr,
+    options: ServeOptions,
+) -> Server {
     let snap_path = temp_path("snap.ngds");
     SnapshotWriter::new()
         .write(&graph.freeze(), &snap_path)
@@ -52,7 +62,7 @@ fn start_server(graph: &Graph, sigma: &RuleSet, options: ServeOptions) -> Server
     let server = Server::start_with(
         SnapshotStore::open(&snap_path).expect("snapshot maps"),
         sigma.clone(),
-        &ServeAddr::Tcp("127.0.0.1:0".into()),
+        addr,
         DetectorConfig::with_processors(2),
         options,
     )
@@ -68,8 +78,21 @@ fn raw_session(addr: &ServeAddr) -> TcpStream {
         ServeAddr::Tcp(spec) => spec,
         other => panic!("expected tcp address, got {other}"),
     };
-    let mut stream = TcpStream::connect(spec).expect("connect");
+    let stream = TcpStream::connect(spec).expect("connect");
     stream.set_nodelay(true).ok();
+    handshake(stream)
+}
+
+/// [`raw_session`] over a Unix-domain socket.
+fn raw_unix_session(addr: &ServeAddr) -> UnixStream {
+    let path = match addr {
+        ServeAddr::Unix(path) => path,
+        other => panic!("expected unix address, got {other}"),
+    };
+    handshake(UnixStream::connect(path).expect("connect"))
+}
+
+fn handshake<S: Read + Write>(mut stream: S) -> S {
     let hello = HelloRequest {
         client: "raw".into(),
     };
@@ -78,40 +101,6 @@ fn raw_session(addr: &ServeAddr) -> TcpStream {
     assert_eq!(kind, frame::HELLO_OK);
     stream
 }
-
-/// Clamp a socket's receive buffer so TCP autotuning on loopback cannot
-/// absorb a multi-megabyte stream for a reader that never reads — without
-/// this, the kernel happily buffers the whole answer and the server-side
-/// write queue never backs up.
-#[cfg(target_os = "linux")]
-fn shrink_rcvbuf(stream: &TcpStream) {
-    use std::os::unix::io::AsRawFd;
-    const SOL_SOCKET: i32 = 1;
-    const SO_RCVBUF: i32 = 8;
-    extern "C" {
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            name: i32,
-            value: *const std::ffi::c_void,
-            len: u32,
-        ) -> i32;
-    }
-    let size: i32 = 4096;
-    let rc = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_RCVBUF,
-            (&size as *const i32).cast(),
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-fn shrink_rcvbuf(_stream: &TcpStream) {}
 
 fn counter_value(client: &mut ServeClient, name: &str) -> u64 {
     let snapshot = client.metrics().expect("metrics");
@@ -189,14 +178,21 @@ fn an_update_streams_its_first_violation_alone() {
 /// session on the same daemon keeps answering, and the backlog never grows
 /// past the configured bound.  Once the slow reader drains, it receives
 /// the complete, correct stream.
+///
+/// The transport is a Unix-domain socket: its buffers keep their size,
+/// whereas TCP loopback autotunes the daemon's send buffer up to
+/// `tcp_wmem`'s maximum (megabytes), enough to hold this whole answer
+/// once workers write to the socket themselves.
 #[test]
 fn slow_reader_backpressure_does_not_stall_other_sessions() {
     // Large enough that the stream cannot hide in kernel socket buffers:
-    // ~10k violations, megabytes of VIO_CHUNK frames.
+    // ~10k violations, far more VIO_CHUNK bytes than a Unix-domain socket
+    // holds.
     let (graph, sigma) = violation_heavy_graph(2000);
-    let server = start_server(
+    let server = start_server_on(
         &graph,
         &sigma,
+        &ServeAddr::Unix(temp_path("slow.sock")),
         ServeOptions {
             worker_threads: Some(2),
             // Tiny high-water mark so a few hundred violations overflow it
@@ -208,8 +204,7 @@ fn slow_reader_backpressure_does_not_stall_other_sessions() {
     let addr = server.local_addr().clone();
 
     // Session A: ask for every violation, then stop reading.
-    let mut slow = raw_session(&addr);
-    shrink_rcvbuf(&slow);
+    let mut slow = raw_unix_session(&addr);
     write_frame(&mut slow, frame::QUERY, &[]).expect("query");
 
     // Give the worker time to run the detection and hit the high-water
