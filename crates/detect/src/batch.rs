@@ -39,6 +39,8 @@ pub fn dect_on<G: GraphView + Sync>(sigma: &RuleSet, graph: &G) -> DetectionRepo
 
 /// [`dect_on`] with a caller-owned [`PlanCache`]: compiled match plans are
 /// reused across calls against the same snapshot epoch (the serving path).
+/// One cache serves one (Σ, epoch): it keys plans by rule id, so a cache
+/// shared with another rule set can hand this Σ a plan of another rule.
 ///
 /// This is the `PDect` body on one worker, which never leaves the calling
 /// thread.
@@ -72,7 +74,8 @@ pub fn pdect_on<G: GraphView + Sync>(
 
 /// [`pdect_on`] with a caller-owned [`PlanCache`]: the one batch body,
 /// which every `dect*` and `pdect*` entry point ends in.  The caller is
-/// worker 0 and `p − 1` scoped threads are spawned.
+/// worker 0 and `p − 1` scoped threads are spawned.  One cache serves one
+/// (Σ, epoch), as on [`dect_on_cached`].
 pub fn pdect_on_cached<G: GraphView + Sync>(
     sigma: &RuleSet,
     graph: &G,

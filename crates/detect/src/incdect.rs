@@ -75,7 +75,8 @@ pub fn inc_dect_prepared<V: GraphView + Sync>(
 
 /// [`inc_dect_prepared`] with a caller-owned [`PlanCache`], so a session
 /// applying a stream of batches against one snapshot epoch compiles each
-/// (rule, pivot-seed) plan once and reuses it for every later batch.
+/// (rule, pivot-seed) plan once and reuses it for every later batch.  One
+/// cache serves one (Σ, epoch): it keys plans by rule id.
 ///
 /// This is the `PIncDect` body on one worker, which never leaves the
 /// calling thread.

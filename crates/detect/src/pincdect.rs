@@ -183,6 +183,7 @@ pub fn pinc_dect_prepared<V: GraphView + Sync>(
 /// [`pinc_dect_prepared`] with a caller-owned [`PlanCache`]: every pivot
 /// of the same (rule, seed-variable) pair — within this batch and across
 /// batches against the same snapshot epoch — shares one compiled plan.
+/// One cache serves one (Σ, epoch): it keys plans by rule id.
 pub fn pinc_dect_prepared_cached<V: GraphView + Sync>(
     sigma: &RuleSet,
     old_graph: &V,

@@ -168,7 +168,8 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
 
     /// [`IncrementalSession::apply`] with a caller-owned [`PlanCache`], so
     /// plan compilation amortises across the batch stream of an epoch
-    /// (`ngd-serve` passes its per-store cache here).
+    /// (`ngd-serve` passes the cache of the session's Σ on its epoch here).
+    /// One cache serves one (Σ, epoch): it keys plans by rule id.
     pub fn apply_with_cache(
         &mut self,
         sigma: &RuleSet,
@@ -233,6 +234,7 @@ impl<'a, B: GraphView + Sync> IncrementalSession<'a, B> {
 mod tests {
     use super::*;
     use crate::incdect::inc_dect;
+    use crate::report::VioSide;
     use ngd_core::paper;
     use ngd_graph::{intern, AttrMap, EdgeRef, UpdateError, Value};
 
@@ -312,6 +314,136 @@ mod tests {
         );
         assert_eq!(session.accumulated(), &before);
         assert_eq!(session.batches_applied(), 1);
+    }
+
+    /// However a batch is invalid against the accumulated state, `apply`
+    /// returns exactly the error `validate_against` gives on the session's
+    /// view, streams nothing and leaves the session as it was — the
+    /// contract any cheaper validation path must keep.
+    #[test]
+    fn apply_fails_with_validate_against_s_error_and_leaves_the_session_unchanged() {
+        use ngd_datagen::{
+            generate_rules, generate_synthetic, generate_update, RuleGenConfig, SyntheticConfig,
+            UpdateConfig,
+        };
+        use ngd_graph::NodeId;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for seed in [1u64, 2, 3, 4] {
+            let g = generate_synthetic(&SyntheticConfig::paper_style(300, 900).with_seed(seed));
+            let sigma = generate_rules(&g, &RuleGenConfig::paper_style(4, 2).with_seed(seed));
+            let snapshot = g.freeze();
+            let mut session = IncrementalSession::new(&snapshot);
+            let config = DetectorConfig::with_processors(2);
+
+            // History: a generated batch, then one that adds a node and
+            // wires it to a base node.
+            let history = generate_update(&g, &UpdateConfig::fraction(0.05).with_seed(seed));
+            session.apply(&sigma, &history, &config).unwrap();
+            let mut current = history.applied_to(&g).unwrap();
+            let (hub, label) = (NodeId(0), g.edge_vec()[0].label);
+            let hub_label = g.label(hub);
+            let mut grow = BatchUpdate::new();
+            let grown = grow.add_node(current.node_count(), hub_label, AttrMap::new());
+            grow.insert_edge(hub, grown, label);
+            session.apply(&sigma, &grow, &config).unwrap();
+            grow.apply(&mut current).unwrap();
+
+            // Every invalid batch starts with a valid generated prefix; the
+            // edges the cases name are ones the prefix leaves alone.
+            let prefix = generate_update(
+                &current,
+                &UpdateConfig::fraction(0.01).with_seed(seed + 100),
+            );
+            let untouched = |e: &EdgeRef| prefix.ops.iter().all(|op| op.edge() != *e);
+            let inserted = history.insertions().find(untouched).expect("an insertion");
+            let deleted = history.deletions().find(untouched).expect("a deletion");
+            let present = g
+                .edge_vec()
+                .into_iter()
+                .find(|e| untouched(e) && current.has_edge(e.src, e.dst, e.label))
+                .expect("a surviving base edge");
+            let n = current.node_count();
+            let beyond = NodeId(n as u32 + 3);
+            type Case = (&'static str, Box<dyn Fn(&mut BatchUpdate)>);
+            let cases: Vec<Case> = vec![
+                (
+                    "unknown node",
+                    Box::new(move |b| b.insert_edge(hub, beyond, label)),
+                ),
+                (
+                    "insert a surviving base edge",
+                    Box::new(move |b| b.insert_edge(present.src, present.dst, present.label)),
+                ),
+                (
+                    "insert an edge the history inserted",
+                    Box::new(move |b| b.insert_edge(inserted.src, inserted.dst, inserted.label)),
+                ),
+                (
+                    "delete an edge the history deleted",
+                    Box::new(move |b| b.delete_edge(deleted.src, deleted.dst, deleted.label)),
+                ),
+                (
+                    "delete an edge the history inserted, twice",
+                    Box::new(move |b| {
+                        b.delete_edge(inserted.src, inserted.dst, inserted.label);
+                        b.delete_edge(inserted.src, inserted.dst, inserted.label);
+                    }),
+                ),
+                (
+                    "delete the history's new node's edge, twice",
+                    Box::new(move |b| {
+                        b.delete_edge(hub, grown, label);
+                        b.delete_edge(hub, grown, label);
+                    }),
+                ),
+                (
+                    "insert twice on a node the batch adds",
+                    Box::new(move |b| {
+                        let own = b.add_node(n, hub_label, AttrMap::new());
+                        b.insert_edge(own, hub, label);
+                        b.insert_edge(own, hub, label);
+                    }),
+                ),
+                (
+                    "delete on a node the batch adds",
+                    Box::new(move |b| {
+                        let own = b.add_node(n, hub_label, AttrMap::new());
+                        b.delete_edge(hub, own, label);
+                    }),
+                ),
+                (
+                    "past the nodes the batch adds",
+                    Box::new(move |b| {
+                        let own = b.add_node(n, hub_label, AttrMap::new());
+                        b.insert_edge(own, NodeId(own.0 + 1), label);
+                    }),
+                ),
+            ];
+            let streamed = AtomicUsize::new(0);
+            let sink = |_: VioSide, _: &ngd_match::Violation| {
+                streamed.fetch_add(1, Ordering::Relaxed);
+            };
+            for (name, bad) in &cases {
+                let mut batch = prefix.clone();
+                bad(&mut batch);
+                let expected = batch.validate_against(&session.view()).expect_err(name);
+                let before = (session.accumulated().clone(), session.batches_applied());
+                let got = session
+                    .apply_streaming(&sigma, &batch, &config, &PlanCache::new(), &sink)
+                    .expect_err(name);
+                assert_eq!(got, expected, "seed {seed}: {name}");
+                assert_eq!(
+                    (session.accumulated().clone(), session.batches_applied()),
+                    before,
+                    "seed {seed}: {name}"
+                );
+            }
+            assert_eq!(streamed.load(Ordering::Relaxed), 0, "seed {seed}");
+            // The prefix alone is valid, and applies.
+            assert_eq!(prefix.validate_against(&session.view()), Ok(()));
+            session.apply(&sigma, &prefix, &config).unwrap();
+            assert_eq!(session.batches_applied(), 3);
+        }
     }
 
     /// The compaction lifecycle: absorb → compact (fold the accumulated

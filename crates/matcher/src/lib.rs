@@ -37,7 +37,7 @@ pub mod violation;
 
 pub use inc::{edge_ranks, pattern_matches, update_pivots, UpdatePivot};
 pub use matchn::{
-    find_matches, find_violations, FastPathTally, ForbiddenEdges, MatchLimits, MatchStats, Matcher,
+    find_matches, find_violations, FastPathTally, ForbiddenEdges, MatchStats, Matcher,
 };
 pub use plan::{
     compile_plan, compile_rule_plan, Anchor, MatchPlan, PlanCache, PlanRule, PlanStep, SeedChoice,

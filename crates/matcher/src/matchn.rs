@@ -65,15 +65,6 @@ impl<'a> ForbiddenEdges<'a> {
     }
 }
 
-/// Safety limits for a matching run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MatchLimits {
-    /// Stop after this many complete results (None = unbounded).
-    pub max_results: Option<usize>,
-    /// Stop after this many search-tree nodes (None = unbounded).
-    pub max_steps: Option<usize>,
-}
-
 /// Statistics of a matching run (used by tests that assert locality and by
 /// the detectors' reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -158,7 +149,6 @@ enum Drawn<'g> {
 pub struct Matcher<'g, G: GraphView = Graph> {
     pattern: &'g Pattern,
     graph: &'g G,
-    limits: MatchLimits,
     forbidden: Option<ForbiddenEdges<'g>>,
     plan: Option<Arc<MatchPlan>>,
     legacy: bool,
@@ -170,17 +160,10 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         Matcher {
             pattern,
             graph,
-            limits: MatchLimits::default(),
             forbidden: None,
             plan: None,
             legacy: false,
         }
-    }
-
-    /// Set safety limits.
-    pub fn with_limits(mut self, limits: MatchLimits) -> Self {
-        self.limits = limits;
-        self
     }
 
     /// Prune any partial solution that maps a pattern edge onto an updated
@@ -441,13 +424,6 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         }
     }
 
-    /// Enumerate every homomorphic match of the pattern.
-    pub fn find_all(&self) -> Vec<Vec<NodeId>> {
-        let mut out = Vec::new();
-        self.run_observed(&[], None, &mut |m| out.push(m.to_vec()));
-        out
-    }
-
     /// Enumerate every match that violates the rule (`h ⊨ X`, `h ⊭ Y`),
     /// with literal-based pruning.  The rule's pattern must be the matcher's
     /// pattern.
@@ -513,8 +489,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// buffers serve the whole call.
     ///
     /// This is the batch detectors' inner loop: a worker's stride of the
-    /// candidates [`Matcher::first_step_candidates`] drew.  Limits, if
-    /// set, bound the call as a whole.
+    /// candidates [`Matcher::first_step_candidates`] drew.
     pub fn expand_roots(
         &self,
         roots: impl IntoIterator<Item = NodeId>,
@@ -529,8 +504,8 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         let mut search = PlannedSearch::new(self, &plan, Some(rule), emit);
         for node in roots {
             let root = std::slice::from_ref(&node);
-            if self.graph.contains_node(node) && !search.try_each(first, 0, root, false) {
-                break;
+            if self.graph.contains_node(node) {
+                search.try_each(first, 0, root, false);
             }
         }
         search.tally.observe();
@@ -627,17 +602,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             let mut assignment: Vec<Option<NodeId>> = vec![None; n];
             if self.install_seeds(seeds, rule, &mut assignment, tally) {
                 let order = self.matching_order(&seed_vars.collect::<Vec<_>>());
-                let mut emitted = 0usize;
-                self.search(
-                    &order,
-                    0,
-                    &mut assignment,
-                    rule,
-                    emit,
-                    &mut stats,
-                    tally,
-                    &mut emitted,
-                );
+                self.search(&order, 0, &mut assignment, rule, emit, &mut stats, tally);
             }
             return stats;
         }
@@ -722,66 +687,32 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         emit: &mut dyn FnMut(&[NodeId]),
         stats: &mut MatchStats,
         tally: &mut FastPathTally,
-        emitted: &mut usize,
-    ) -> bool {
-        if let Some(max) = self.limits.max_steps {
-            if stats.expanded >= max {
-                return false;
-            }
-        }
+    ) {
         stats.expanded += 1;
         if depth == order.len() {
             let complete: Vec<NodeId> = assignment.iter().map(|n| n.unwrap()).collect();
             stats.matches_found += 1;
             if rule.is_none_or(|r| ngd_core::is_violation(r, self.graph, &complete)) {
                 emit(&complete);
-                *emitted += 1;
             }
-            if let Some(max) = self.limits.max_results {
-                if *emitted >= max {
-                    return false;
-                }
-            }
-            return true;
+            return;
         }
         let var = order[depth];
         if assignment[var.index()].is_some() {
             // Seed variable already assigned (can happen when seeds overlap
             // the natural order); just descend.
-            return self.search(
-                order,
-                depth + 1,
-                assignment,
-                rule,
-                emit,
-                stats,
-                tally,
-                emitted,
-            );
+            return self.search(order, depth + 1, assignment, rule, emit, stats, tally);
         }
         let candidates = self.candidates(var, assignment, stats);
         for node in candidates {
             assignment[var.index()] = Some(node);
             let consistent = self.edges_consistent(assignment)
                 && rule.is_none_or(|r| !self.pruned(r, assignment, tally));
-            if consistent
-                && !self.search(
-                    order,
-                    depth + 1,
-                    assignment,
-                    rule,
-                    emit,
-                    stats,
-                    tally,
-                    emitted,
-                )
-            {
-                assignment[var.index()] = None;
-                return false;
+            if consistent {
+                self.search(order, depth + 1, assignment, rule, emit, stats, tally);
             }
             assignment[var.index()] = None;
         }
-        true
     }
 
     /// The anchored run of one anchor under the partial assignment, when
@@ -940,7 +871,6 @@ struct PlannedSearch<'m, 'g, G: GraphView> {
     runs: Vec<&'g [NodeId]>,
     stats: MatchStats,
     tally: FastPathTally,
-    emitted: usize,
 }
 
 impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
@@ -962,33 +892,24 @@ impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
             runs: Vec::new(),
             stats: MatchStats::default(),
             tally: FastPathTally::default(),
-            emitted: 0,
         }
     }
 
-    /// Install `seeds`, search below them, and clear them again.  Returns
-    /// `false` when a limit stopped the search.
-    fn run_seeded(&mut self, seeds: &[(Var, NodeId)]) -> bool {
-        let installed =
-            self.matcher
-                .install_seeds(seeds, self.rule, &mut self.assignment, &mut self.tally);
-        let go = !installed || self.descend(0);
+    /// Install `seeds`, search below them, and clear them again.
+    fn run_seeded(&mut self, seeds: &[(Var, NodeId)]) {
+        if self
+            .matcher
+            .install_seeds(seeds, self.rule, &mut self.assignment, &mut self.tally)
+        {
+            self.descend(0);
+        }
         for &(var, _) in seeds {
             self.assignment[var.index()] = None;
         }
-        go
     }
 
-    /// Expand the partial solution at `depth`.  Returns `false` when a
-    /// limit stopped the search.
-    fn descend(&mut self, depth: usize) -> bool {
-        let limits = self.matcher.limits;
-        if limits
-            .max_steps
-            .is_some_and(|max| self.stats.expanded >= max)
-        {
-            return false;
-        }
+    /// Expand the partial solution at `depth`.
+    fn descend(&mut self, depth: usize) {
         self.stats.expanded += 1;
         let plan = self.plan;
         if depth == plan.len() {
@@ -1002,9 +923,8 @@ impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
                 .is_none_or(|r| ngd_core::is_violation(r, graph, &self.complete))
             {
                 (self.emit)(&self.complete);
-                self.emitted += 1;
             }
-            return limits.max_results.is_none_or(|max| self.emitted < max);
+            return;
         }
         let step = &plan.steps[depth];
         if self.assignment[step.var.index()].is_some() {
@@ -1020,18 +940,17 @@ impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
             &mut self.runs,
             &mut buf,
         );
-        let go = match drawn {
+        match drawn {
             Drawn::Run(run) => {
                 self.tally.candidates_borrowed += 1;
-                self.try_each(step, depth, run, true)
+                self.try_each(step, depth, run, true);
             }
             Drawn::Buffer { verified } => {
                 self.tally.candidates_materialised += 1;
-                self.try_each(step, depth, &buf, verified)
+                self.try_each(step, depth, &buf, verified);
             }
-        };
+        }
         self.buffers[depth] = buf;
-        go
     }
 
     /// Try every label-compatible candidate of `step`, descending below the
@@ -1042,7 +961,7 @@ impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
         depth: usize,
         candidates: &[NodeId],
         anchors_verified: bool,
-    ) -> bool {
+    ) {
         let matcher = self.matcher;
         let slot = step.var.index();
         let want = matcher.pattern.label(step.var);
@@ -1055,13 +974,11 @@ impl<'m, 'g, G: GraphView> PlannedSearch<'m, 'g, G> {
                 && self.rule.is_none_or(|r| {
                     !matcher.step_pruned(step, r, &self.assignment, &mut self.tally)
                 });
-            let go = !viable || self.descend(depth + 1);
-            self.assignment[slot] = None;
-            if !go {
-                return false;
+            if viable {
+                self.descend(depth + 1);
             }
+            self.assignment[slot] = None;
         }
-        true
     }
 }
 
@@ -1108,7 +1025,7 @@ fn gallop(slice: &[NodeId], target: NodeId) -> usize {
 
 /// Convenience: all matches of `pattern` in any graph view.
 pub fn find_matches<G: GraphView>(pattern: &Pattern, graph: &G) -> Vec<Vec<NodeId>> {
-    Matcher::new(pattern, graph).find_all()
+    Matcher::new(pattern, graph).expand_seeded(&[], None).0
 }
 
 /// Convenience: all violations of `rule` in any graph view.
@@ -1290,21 +1207,6 @@ mod tests {
         assert!(res.is_empty());
     }
 
-    #[test]
-    fn max_results_limit_stops_early() {
-        let mut g = ngd_graph::Graph::new();
-        for _ in 0..50 {
-            g.add_node_named("thing", AttrMap::new());
-        }
-        let mut q = ngd_core::Pattern::new();
-        q.add_node("x", "thing");
-        let matcher = Matcher::new(&q, &g).with_limits(MatchLimits {
-            max_results: Some(5),
-            max_steps: None,
-        });
-        assert_eq!(matcher.find_all().len(), 5);
-    }
-
     /// A 12-node ring with chords, every node labelled `T` with `val`.
     fn ring() -> Graph {
         let mut g = Graph::new();
@@ -1362,7 +1264,10 @@ mod tests {
             installed.find_violations_with_stats(&wide),
             Matcher::new(&wide.pattern, &snap).find_violations_with_stats(&wide)
         );
-        assert_eq!(installed.find_all(), find_matches(&wide.pattern, &snap));
+        assert_eq!(
+            installed.expand_seeded(&[], None).0,
+            find_matches(&wide.pattern, &snap)
+        );
         // The per-step check does the same: with a foreign plan it falls
         // back to the full check instead of reading the foreign schedule.
         let matcher = Matcher::new(&narrow.pattern, &snap);

@@ -611,6 +611,13 @@ pub(crate) fn seed_nodes<G: GraphView>(
 /// A concurrent cache of compiled plans, keyed by (rule id, seed variable
 /// set) and valid for a single snapshot epoch.
 ///
+/// **One cache serves one (Σ, epoch).**  The key names a rule by its id
+/// only, and [`MatchPlan::matches_rule`] accepts any plan whose id and
+/// literal counts agree, so two rule sets that reuse an id must not share
+/// a cache: the second would run the first's pattern.  `ngd-serve` keeps
+/// one per epoch for the server's Σ and gives a session that installs its
+/// own Σ a cache of its own.
+///
 /// Plans encode label statistics of the snapshot they were compiled
 /// against, and a compaction changes those — so a cache is never carried
 /// across epochs: whoever maps a new epoch builds a fresh

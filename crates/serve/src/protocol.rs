@@ -695,9 +695,10 @@ pub struct StatsResponse {
     pub updates_served: u64,
     /// Violations streamed since startup (all sessions).
     pub violations_streamed: u64,
-    /// Compiled match plans served from the published epoch's plan cache.
+    /// Compiled match plans served from the session's plan cache: its
+    /// epoch's cache for the server's Σ, or its own after `RULES`.
     pub plan_cache_hits: u64,
-    /// Plan compilations (cache misses) on the published epoch.
+    /// Plan compilations (cache misses) in that cache.
     pub plan_cache_misses: u64,
     /// Whole seconds the daemon has been up.
     pub uptime_secs: u64,

@@ -15,7 +15,10 @@ use std::io::{ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Total response bytes written to client connections.
+/// Response bytes handed to client connections, counted when a frame is
+/// accepted by [`ConnIo::send`] or [`ConnIo::queue_error_unbounded`] —
+/// before the socket takes them, so a client that has read its answer
+/// finds them counted.
 static BYTES_OUT: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("serve.bytes.out");
 /// Times a worker blocked on a connection's full write queue (once per
 /// stall, not per retry) — a rising rate means slow readers.
@@ -110,6 +113,7 @@ impl ConnIo {
         // A frame never overtakes queued bytes: only an empty queue lets it
         // be written now, under the lock that orders every socket write.
         let direct = buf.queue.is_empty();
+        BYTES_OUT.add(bytes.len() as u64);
         buf.total += bytes.len();
         buf.queue.push_back(bytes);
         if direct && buf.write_to(&mut &*self.stream) == Drained::Empty {
@@ -134,6 +138,7 @@ impl ConnIo {
         let payload = ErrorResponse { code, message }.encode();
         if let Ok(bytes) = encode_frame(frame::ERROR, &payload) {
             let mut buf = self.write.lock().expect("write queue lock");
+            BYTES_OUT.add(bytes.len() as u64);
             buf.total += bytes.len();
             buf.queue.push_back(bytes);
             WRITES_QUEUED.inc();
@@ -180,7 +185,6 @@ impl WriteBuf {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return Drained::Broken,
             };
-            BYTES_OUT.add(n as u64);
             self.front_pos += n;
             self.total -= n;
             if self.front_pos == front_len {
@@ -464,6 +468,38 @@ mod tests {
         let mut got = vec![0; first.len() + second.len()];
         peer.read_exact(&mut got).unwrap();
         assert_eq!(got, [first, second].concat());
+    }
+
+    /// `serve.bytes.out` counts a frame when `send` or
+    /// `queue_error_unbounded` accepts it, though the full socket takes
+    /// none of it yet, and writing the queue out adds nothing.  Other tests
+    /// in this binary send frames concurrently, so a pass is one round in
+    /// which nothing else moved the counter.
+    #[test]
+    fn bytes_out_counts_frames_when_handed_over_not_when_written() {
+        let bytes_out = ngd_obs::global().counter("serve.bytes.out");
+        let (io, _peer) = conn_io(1 << 20);
+        let payload = vec![0x11; 1001];
+        let error = ErrorResponse {
+            code: 3,
+            message: "late".to_string(),
+        };
+        let handed = encode_frame(frame::VIO_CHUNK, &payload).unwrap().len()
+            + encode_frame(frame::ERROR, &error.encode()).unwrap().len();
+        let exact = (0..100).any(|_| {
+            let before = bytes_out.value();
+            io.send(frame::VIO_CHUNK, &payload).unwrap();
+            io.queue_error_unbounded(error.code, error.message.clone());
+            let accepted = bytes_out.value() - before;
+            assert_eq!(queue_state(&io).2, handed, "nothing was written yet");
+            let before_drain = bytes_out.value();
+            assert_eq!(io.drain_to(&mut scripted([], 1 << 20)), Drained::Empty);
+            accepted == handed as u64 && bytes_out.value() == before_drain
+        });
+        assert!(
+            exact,
+            "serve.bytes.out moved by other than the bytes handed over"
+        );
     }
 
     #[test]

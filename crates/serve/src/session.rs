@@ -23,7 +23,7 @@ use ngd_detect::{
     dect_on_cached, DeltaReport, DetectorConfig, IncrementalSession, VioSide, VioSink,
 };
 use ngd_graph::{BatchUpdate, DeltaOverlay, GraphView, MmapSnapshot, UpdateError};
-use ngd_match::Violation;
+use ngd_match::{PlanCache, Violation};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub(crate) enum Disposition {
 
 /// One connection's session: its epoch mapping, the `ΔG` accumulated on
 /// top of it, and its rule set (starts as the server-wide default; `RULES`
-/// swaps it).
+/// swaps it) with the plan cache that rule set compiles into.
 ///
 /// The detect-crate session types borrow their base, so each request
 /// re-materialises one around the `Arc` — a few moves, no graph copies —
@@ -52,6 +52,10 @@ pub(crate) enum Disposition {
 pub(crate) struct SessionState {
     store: Arc<SnapshotStore>,
     sigma: Arc<RuleSet>,
+    /// The plans of a Σ installed by `RULES`, for this session's epoch: a
+    /// plan cache serves one (Σ, epoch), and the store's holds the
+    /// server's Σ.  Made at `RULES`, replaced at each re-root.
+    own_plans: Option<PlanCache>,
     accumulated: BatchUpdate,
     batches_applied: u64,
     /// An epoch switch to announce before the next answer.
@@ -73,6 +77,7 @@ impl SessionState {
         SessionState {
             store: shared.epochs.published(),
             sigma: Arc::clone(&shared.sigma),
+            own_plans: None,
             accumulated: BatchUpdate::new(),
             batches_applied: 0,
             notice: None,
@@ -86,6 +91,19 @@ impl SessionState {
         DeltaOverlay::new(self.store.snapshot(), &self.accumulated)
     }
 
+    /// The plan cache this session's Σ compiles into on its epoch.
+    fn plan_cache(&self) -> &PlanCache {
+        self.own_plans
+            .as_ref()
+            .unwrap_or_else(|| self.store.plan_cache())
+    }
+
+    /// Adopt a Σ of the session's own, with an empty plan cache for it.
+    fn install_rules(&mut self, sigma: RuleSet) {
+        self.sigma = Arc::new(sigma);
+        self.own_plans = Some(PlanCache::for_epoch(self.store.epoch()));
+    }
+
     /// Apply one `ΔG` batch, pushing every fresh violation through `sink`
     /// *while the expansion runs*.
     fn apply(
@@ -97,8 +115,7 @@ impl SessionState {
         let accumulated = std::mem::take(&mut self.accumulated);
         let mut session =
             IncrementalSession::resume(self.store.snapshot(), accumulated, self.batches_applied);
-        let cache = self.store.plan_cache();
-        let result = session.apply_streaming(&self.sigma, delta, config, cache, sink);
+        let result = session.apply_streaming(&self.sigma, delta, config, self.plan_cache(), sink);
         (self.accumulated, self.batches_applied) = session.into_parts();
         result
     }
@@ -143,6 +160,9 @@ impl SessionState {
                     carried_ops: residue.ops.len() as u64,
                 });
                 self.accumulated = residue;
+                if self.own_plans.is_some() {
+                    self.own_plans = Some(PlanCache::for_epoch(current.epoch()));
+                }
                 self.store = current;
                 self.reroot_failed_for = None;
                 self.auto_compact_disabled = false;
@@ -318,7 +338,7 @@ fn on_rules(_: &Shared, session: &mut SessionState, sink: &ConnIo, payload: &[u8
                 rules.len(),
                 rules.diameter()
             );
-            session.sigma = Arc::new(rules);
+            session.install_rules(rules);
             sink.send(frame::OK, &OkResponse { message }.encode())
         }
         Err(e) => {
@@ -379,8 +399,7 @@ fn on_update(shared: &Shared, session: &mut SessionState, sink: &ConnIo, payload
 }
 
 fn on_query(shared: &Shared, session: &mut SessionState, sink: &ConnIo, _: &[u8]) -> Served {
-    let cache = session.store.plan_cache();
-    let report = dect_on_cached(&session.sigma, &session.view(), cache);
+    let report = dect_on_cached(&session.sigma, &session.view(), session.plan_cache());
     let total = stream_violations(sink, Side::Added, report.violations.iter())?;
     shared
         .violations_streamed
@@ -435,8 +454,8 @@ fn on_stats(shared: &Shared, session: &mut SessionState, sink: &ConnIo, _: &[u8]
         sessions_total: shared.sessions_total.load(Ordering::SeqCst),
         updates_served: shared.updates_served.load(Ordering::SeqCst),
         violations_streamed: shared.violations_streamed.load(Ordering::SeqCst),
-        plan_cache_hits: session.store.plan_cache().hits(),
-        plan_cache_misses: session.store.plan_cache().misses(),
+        plan_cache_hits: session.plan_cache().hits(),
+        plan_cache_misses: session.plan_cache().misses(),
         uptime_secs: shared.started.elapsed().as_secs(),
     };
     sink.send(frame::STATS_OK, &response.encode())

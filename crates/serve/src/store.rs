@@ -22,10 +22,12 @@ static EPOCH_SWITCHES: ngd_obs::LazyCounter = ngd_obs::LazyCounter::new("serve.e
 pub struct SnapshotStore {
     path: PathBuf,
     snapshot: MmapSnapshot,
-    /// Compiled match plans for this mapping, shared by every session that
-    /// reads it.  A compaction publishes a *new* store (hence a fresh,
-    /// empty cache keyed to the new epoch) — stale plans can never leak
-    /// across an epoch switch.
+    /// Compiled match plans of the server's Σ for this mapping, shared by
+    /// every session on that Σ (a session that installs its own compiles
+    /// into a cache of its own: one cache serves one (Σ, epoch)).  A
+    /// compaction publishes a *new* store (hence a fresh, empty cache keyed
+    /// to the new epoch) — stale plans can never leak across an epoch
+    /// switch.
     plan_cache: PlanCache,
 }
 
@@ -40,7 +42,8 @@ impl SnapshotStore {
         })
     }
 
-    /// The plan cache every session on this mapping compiles into.
+    /// The plan cache every session on this mapping and the server's Σ
+    /// compiles into.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }

@@ -153,6 +153,75 @@ fn session_rule_swap_changes_answers_for_that_session_only() {
     std::fs::remove_file(&snap_path).ok();
 }
 
+/// A plan cache serves one (Σ, epoch): plans are keyed by rule id, so a
+/// `RULES` swap that reuses an id must not run the server Σ's plan for it.
+/// Here both rules are `r`, with the same literal counts, and only the
+/// edge label differs — the swapped session must see the `:f` match.
+#[test]
+fn a_rules_swap_that_reuses_a_rule_id_gets_its_own_plans() {
+    use ngd_graph::{GraphBuilder, Value};
+    let mut b = GraphBuilder::new();
+    let a1 = b.node_with_attrs("a1", "a", [("v", Value::Int(5))]);
+    let b1 = b.node("b1", "b");
+    let b2 = b.node("b2", "b");
+    b.edge("a1", "b1", "e");
+    b.edge("a1", "b2", "f");
+    let graph = b.build();
+    let snap_path = temp_path("plans.ngds");
+    SnapshotWriter::new()
+        .write(&graph.freeze(), &snap_path)
+        .expect("snapshot writes");
+    let rule_on =
+        |label: &str| format!("RULE r: MATCH (x:a)-[:{label}]->(y:b) WHERE x.v > 1 => false");
+    let server = Server::start(
+        SnapshotStore::open(&snap_path).unwrap(),
+        ngd_lang::load_rules(&rule_on("e")).unwrap(),
+        &ServeAddr::Unix(temp_path("plans-sock")),
+        DetectorConfig::with_processors(2),
+    )
+    .unwrap();
+    let answer = |client: &mut ServeClient| -> Vec<Vec<ngd_graph::NodeId>> {
+        let served = client.query().unwrap();
+        served.violations.iter().map(|v| v.nodes.clone()).collect()
+    };
+    let on_e = vec![vec![a1, b1]];
+    let on_f = vec![vec![a1, b2]];
+
+    let mut swapped = ServeClient::connect(server.local_addr()).unwrap();
+    assert_eq!(answer(&mut swapped), on_e);
+    swapped.set_rules_source(&rule_on("f")).unwrap();
+    assert_eq!(answer(&mut swapped), on_f, "the swapped Σ's own plan");
+    // An UPDATE runs the swapped Σ too: deleting the `:f` edge removes
+    // exactly its violation.
+    let mut delta = BatchUpdate::new();
+    delta.delete_edge(a1, b2, intern("f"));
+    let served = swapped.submit_update(&delta).unwrap();
+    assert!(served.delta.added.is_empty());
+    let removed: Vec<_> = served
+        .delta
+        .removed
+        .iter()
+        .map(|v| v.nodes.clone())
+        .collect();
+    assert_eq!(removed, on_f);
+    // Another session, on the server Σ, still reads the `:e` match from
+    // the store's cache.
+    let mut vanilla = ServeClient::connect(server.local_addr()).unwrap();
+    assert_eq!(answer(&mut vanilla), on_e);
+    // Across a compaction both sessions re-root, each onto the new
+    // epoch's cache for its own Σ.
+    assert_eq!(swapped.compact().unwrap().epoch, 1);
+    assert!(answer(&mut swapped).is_empty());
+    assert_eq!(answer(&mut vanilla), on_e);
+    assert_eq!(vanilla.epoch().unwrap().epoch, 1);
+
+    vanilla.shutdown_server().unwrap();
+    drop(vanilla);
+    drop(swapped);
+    server.wait();
+    std::fs::remove_file(&snap_path).ok();
+}
+
 /// A socket file left behind by a killed daemon must not block a restart:
 /// bind pings the path first, unlinks it when nothing answers, and
 /// refuses to steal it from a live daemon.
