@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Each experiment prints the same series the corresponding paper figure
-//! plots (see EXPERIMENTS.md for the paper-vs-measured comparison).
+//! plots (ROADMAP item 14 plans the paper-vs-measured comparison).
 
 use ngd_bench::{all_experiment_names, run_experiment, ExperimentResult, Scale};
 use std::io::Write;

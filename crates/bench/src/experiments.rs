@@ -6,8 +6,8 @@
 //! times differ from the paper (the paper uses a 20-machine cluster on
 //! graphs three orders of magnitude larger); the relationships the paper
 //! reports — incremental beats batch for small `|ΔG|`, parallel scales
-//! with `p` — are what these runners verify and what EXPERIMENTS.md
-//! records.
+//! with `p` — are what these runners verify; ROADMAP item 14 plans the
+//! paper-vs-measured record.
 //!
 //! Figures 4(m) (latency constant `C`) and 4(n) (balancing interval) are
 //! not reproduced: they sweep the knobs of the paper's work-splitting and
@@ -110,7 +110,8 @@ pub fn fig4_delta_sweep(id: &str, kind: DatasetKind, scale: Scale) -> Experiment
     result
 }
 
-/// Add the incremental-vs-batch speed-up notes the paper quotes in Exp-1.
+/// Add the incremental-vs-batch ratios of the measured series, saying what
+/// each time covers.
 fn annotate_speedups(result: &mut ExperimentResult) {
     let xs = result.x_values();
     let (Some(dect), Some(inc), Some(pdect), Some(pinc)) = (
@@ -126,13 +127,18 @@ fn annotate_speedups(result: &mut ExperimentResult) {
             (Some(num), Some(den)) if den > 0.0 => num / den,
             _ => f64::NAN,
         };
+        result.note(
+            "each time is one cold call's own `elapsed`: plan compilation into a fresh cache \
+             plus the search (the freeze before it is not timed), so the ratios below are not \
+             the paper's warm per-update speed-ups",
+        );
         result.note(format!(
-            "Dect/IncDect speed-up: {:.1}x at {first}, {:.1}x at {last} (paper: 8.8x to 1.7x over 5%..25%)",
+            "Dect/IncDect ratio: {:.1}x at {first}, {:.1}x at {last}",
             ratio(&dect, &inc, first),
             ratio(&dect, &inc, last),
         ));
         result.note(format!(
-            "PDect/PIncDect speed-up: {:.1}x at {first}, {:.1}x at {last}",
+            "PDect/PIncDect ratio: {:.1}x at {first}, {:.1}x at {last}",
             ratio(&pdect, &pinc, first),
             ratio(&pdect, &pinc, last),
         ));
@@ -234,34 +240,23 @@ pub fn fig4_processor_sweep(id: &str, kind: DatasetKind, scale: Scale) -> Experi
         dataset.graph(),
         &UpdateConfig::fraction(DEFAULT_DELTA).with_seed(500),
     );
-    let names = [
-        "PDect (modelled)",
-        "PIncDect (modelled)",
-        "PIncDect (measured ms)",
-    ];
-    let mut series: Vec<Series> = names.into_iter().map(Series::new).collect();
+    let mut series: Vec<Series> = ["PDect", "PIncDect"].into_iter().map(Series::new).collect();
     let updated = delta.applied_to(dataset.graph()).expect("update applies");
     for &p in &processors {
         let config = DetectorConfig::with_processors(p);
         let x = p.to_string();
         let batch = pdect(&dataset.sigma, &updated, &config);
         let inc = pinc_dect(&dataset.sigma, dataset.graph(), &delta, &config);
-        // Both detectors' work is spread over p workers; the modelled cost
-        // is the inspected candidates over p.
-        let values = [
-            batch.stats.candidates_inspected as f64 / p as f64,
-            inc.cost.scanned as f64 / p as f64,
-            ms(inc.elapsed),
-        ];
+        let values = [ms(batch.elapsed), ms(inc.elapsed)];
         for (slot, value) in series.iter_mut().zip(values) {
             slot.push(&x, value);
         }
     }
     result.series = series;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     result.note(format!(
-        "this machine exposes {} hardware thread(s), so wall-clock parallel speed-up is not observable; \
-         the modelled-cost series (inspected candidates per processor) carries the T ∝ t/p shape of Figs 4(i)-4(l)",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        "measured wall-clock ms; this machine exposes {threads} hardware thread(s), so the \
+         T ∝ t/p shape of Figs 4(i)-4(l) is not measurable here past p = {threads}"
     ));
     result
 }

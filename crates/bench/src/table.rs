@@ -3,7 +3,8 @@
 //! Every experiment of the harness produces an [`ExperimentResult`]: the
 //! series the corresponding paper figure plots (one value per algorithm per
 //! x-axis point), rendered either as an aligned text table or as JSON.
-//! EXPERIMENTS.md is written from these tables.
+//! ROADMAP item 14 plans the paper-vs-measured record written from these
+//! tables.
 
 /// One plotted series (one line of a paper figure).
 #[derive(Debug, Clone)]

@@ -8,7 +8,7 @@
 //! preserves node labels (wildcard matches anything) and maps every pattern
 //! edge onto a graph edge with the same label.
 
-use ngd_graph::{intern, resolve, Sym, WILDCARD};
+use ngd_graph::{intern, resolve, Dir, Sym, WILDCARD};
 use ngd_json::{FromJson, Json, ToJson};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -60,6 +60,22 @@ pub struct PatternEdge {
     pub dst: Var,
     /// Required edge label.
     pub label: Sym,
+}
+
+impl PatternEdge {
+    /// The edge seen from `var`: the direction it is read from `var`
+    /// ([`Dir::Out`] when `var` is its source) and the variable at its
+    /// other end, or `None` when `var` is neither endpoint.  A self-loop
+    /// reads [`Dir::Out`] with `var` itself at the other end.
+    pub fn from_var(&self, var: Var) -> Option<(Dir, Var)> {
+        if self.src == var {
+            Some((Dir::Out, self.dst))
+        } else if self.dst == var {
+            Some((Dir::In, self.src))
+        } else {
+            None
+        }
+    }
 }
 
 ngd_json::impl_json_struct!(PatternNode { name, label });

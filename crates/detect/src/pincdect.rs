@@ -156,7 +156,7 @@ pub fn pinc_dect(
     config: &DetectorConfig,
 ) -> DeltaReport {
     let snapshot = graph.freeze();
-    let old_view = snapshot.as_overlay();
+    let old_view = DeltaOverlay::empty(&snapshot);
     let new_view = DeltaOverlay::new(&snapshot, delta);
     pinc_dect_prepared(sigma, &old_view, &new_view, delta, config)
 }
@@ -370,7 +370,7 @@ mod tests {
         // raw deliveries are counted too.
         let (g, delta, sigma) = example7();
         let snapshot = g.freeze();
-        let old_view = snapshot.as_overlay();
+        let old_view = DeltaOverlay::empty(&snapshot);
         let new_view = DeltaOverlay::new(&snapshot, &delta);
         for p in [1, 4] {
             let (report, collected, deliveries) = streamed(&sigma, &old_view, &new_view, &delta, p);
@@ -403,7 +403,7 @@ mod tests {
         delta.insert_edge(a, b, intern("e"));
 
         let snapshot = g.freeze();
-        let old_view = snapshot.as_overlay();
+        let old_view = DeltaOverlay::empty(&snapshot);
         let new_view = DeltaOverlay::new(&snapshot, &delta);
         let both = Violation::new("fork", vec![a, b, b]);
         for p in [1, 2, 4] {

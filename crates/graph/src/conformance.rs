@@ -2,15 +2,19 @@
 //!
 //! [`assert_conforms`] drives **every** method of the trait on a reader and
 //! checks each answer against what the adjacency-list [`Graph`] says — the
-//! build representation is the oracle, the CSR reader is the subject.
+//! build representation is the oracle, the reader is the subject.
 //! The battery below runs it over seeded random graphs for both backings
-//! of the one frozen storage: the bytes [`Graph::freeze`] owns in memory,
-//! and the same bytes written to a file and mapped.
+//! of the one frozen storage (the bytes [`Graph::freeze`] owns in memory,
+//! and the same bytes written to a file and mapped) and for the
+//! [`DeltaOverlay`] the served read path searches, against the graph its
+//! batch materialises.
 
 use crate::attrs::AttrMap;
-use crate::graph::{EdgeRef, Graph, NodeId};
+use crate::graph::{Dir, EdgeRef, Graph, NodeId};
 use crate::interner::{intern, Sym, WILDCARD};
+use crate::overlay::DeltaOverlay;
 use crate::persist::{MmapSnapshot, SnapshotWriter};
+use crate::update::BatchUpdate;
 use crate::value::Value;
 use crate::view::GraphView;
 use std::collections::BTreeSet;
@@ -39,7 +43,11 @@ fn matches(pattern: Sym, label: Sym) -> bool {
 /// Probes go beyond what the graph contains: an edge label and a node
 /// label no graph (hence no file) has ever carried, an attribute name no
 /// node has, and a node id past the end.
-pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str) {
+///
+/// An `indexed` reader must answer every labelled-slice and triple query
+/// (the CSR contract); otherwise a reader may answer `None` to them, and
+/// only the answers it gives are checked.
+pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str, indexed: bool) {
     let ghost = intern("conformance-ghost-label");
     let n = graph.node_count();
     let ids: Vec<NodeId> = graph.node_ids().collect();
@@ -71,26 +79,24 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str)
                 "{what}: attr"
             );
         }
-        assert_eq!(view.out_degree(id), graph.out_degree(id), "{what}: out°");
-        assert_eq!(view.in_degree(id), graph.in_degree(id), "{what}: in°");
-        assert_eq!(view.degree(id), graph.degree(id), "{what}: degree({id})");
-
-        for &l in &edge_probes {
-            let outs = neighbors_along(graph.out_neighbors(id), l);
-            let ins = neighbors_along(graph.in_neighbors(id), l);
-            let at = format!("{what}: node {id} along {l:?}");
-            assert_eq!(view.out_labeled_count(id, l), outs.len(), "{at}");
-            assert_eq!(view.in_labeled_count(id, l), ins.len(), "{at}");
-            // The slice fast path is part of the CSR contract: sorted.
-            assert_eq!(view.out_labeled_slice(id, l), Some(&outs[..]), "{at}");
-            assert_eq!(view.in_labeled_slice(id, l), Some(&ins[..]), "{at}");
-            assert_eq!(view.out_labeled_vec(id, l), outs, "{at}");
-            assert_eq!(view.in_labeled_vec(id, l), ins, "{at}");
-            let (mut got_out, mut got_in) = (Vec::new(), Vec::new());
-            view.for_each_out_labeled(id, l, &mut |m| got_out.push(m));
-            view.for_each_in_labeled(id, l, &mut |m| got_in.push(m));
-            assert_eq!(sorted(got_out), outs, "{at}: for_each_out_labeled");
-            assert_eq!(sorted(got_in), ins, "{at}: for_each_in_labeled");
+        let degrees = Dir::BOTH.map(|dir| view.degree(id, dir));
+        let want = Dir::BOTH.map(|dir| graph.neighbors(id, dir).len());
+        assert_eq!(degrees, want, "{what}: out/in degree({id})");
+        assert_eq!(degrees[0] + degrees[1], graph.degree(id), "{what}: degree");
+        for dir in Dir::BOTH {
+            for &l in &edge_probes {
+                let want = neighbors_along(graph.neighbors(id, dir), l);
+                let at = format!("{what}: node {id} {dir:?} along {l:?}");
+                assert_eq!(view.labeled_count(id, l, dir), want.len(), "{at}");
+                // The slice fast path is part of the CSR contract: sorted.
+                match view.labeled_slice(id, l, dir) {
+                    Some(run) => assert_eq!(run, &want[..], "{at}"),
+                    None => assert!(!indexed, "{at}: labeled_slice"),
+                }
+                let mut got = Vec::new();
+                view.for_each_labeled(id, l, dir, &mut |m| got.push(m));
+                assert_eq!(sorted(got), want, "{at}: for_each_labeled");
+            }
         }
 
         let mut incident = Vec::new();
@@ -145,26 +151,20 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str)
                             && matches(d, graph.label(edge.dst))
                     })
                     .collect();
-                let endpoints = |want_src: bool| -> Vec<NodeId> {
-                    let set: BTreeSet<NodeId> = hits
-                        .iter()
-                        .map(|edge| if want_src { edge.src } else { edge.dst })
-                        .collect();
+                let endpoints = |end: Dir| -> Vec<NodeId> {
+                    let set: BTreeSet<NodeId> = hits.iter().map(|edge| edge.end(end)).collect();
                     set.into_iter().collect()
                 };
                 let at = format!("{what}: triple ({s:?}, {e:?}, {d:?})");
-                assert_eq!(
-                    view.labeled_triple_run_len(s, e, d),
-                    Some(hits.len()),
-                    "{at}"
-                );
-                for want_src in [true, false] {
-                    let want = Some(endpoints(want_src));
-                    assert_eq!(
-                        view.labeled_triple_endpoints(s, e, d, want_src),
-                        want,
-                        "{at}"
-                    );
+                match view.labeled_triple_run_len(s, e, d) {
+                    Some(len) => assert_eq!(len, hits.len(), "{at}"),
+                    None => assert!(!indexed, "{at}: labeled_triple_run_len"),
+                }
+                for end in Dir::BOTH {
+                    match view.labeled_triple_endpoints(s, e, d, end) {
+                        Some(got) => assert_eq!(got, endpoints(end), "{at} {end:?}"),
+                        None => assert!(!indexed, "{at}: labeled_triple_endpoints"),
+                    }
                 }
             }
         }
@@ -255,12 +255,79 @@ fn whole_graph_readers_conform() {
     for seed in SEEDS {
         let g = random_graph(seed);
         let owned = g.freeze();
-        assert_conforms(&owned, &g, &format!("seed {seed}: owned bytes"));
+        assert_conforms(&owned, &g, &format!("seed {seed}: owned bytes"), true);
         let path = temp_path(&format!("whole-{seed}"));
         SnapshotWriter::new().write(&owned, &path).unwrap();
         let mapped = MmapSnapshot::load(&path).unwrap();
-        assert_conforms(&mapped, &g, &format!("seed {seed}: mapped file"));
+        assert_conforms(&mapped, &g, &format!("seed {seed}: mapped file"), true);
         assert_eq!(mapped.file_bytes(), owned.file_bytes(), "seed {seed}");
         std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A random batch that applies cleanly to `g`: new nodes, deletions of
+/// existing edges, inserts (some onto the new nodes), inserts deleted
+/// again within the batch and deletions re-inserted.  `g` is updated
+/// alongside, so every op is drawn against the graph its prefix leaves.
+fn random_batch(rng: &mut Rng, g: &Graph) -> BatchUpdate {
+    let labels = ["keys", "follower", "knows", "fresh"];
+    let base = g.node_count();
+    let mut cur = g.clone();
+    let mut batch = BatchUpdate::new();
+    for i in 0..1 + rng.below(3) {
+        let attrs = AttrMap::from_pairs([("val", Value::Int(i as i64))]);
+        let label = ["account", "company"][rng.below(2)];
+        let id = batch.add_node(base, intern(label), attrs.clone());
+        assert_eq!(cur.add_node_named(label, attrs), id);
+    }
+    for _ in 0..12 {
+        let edges = cur.edge_vec();
+        match rng.below(4) {
+            0 | 1 if !edges.is_empty() => {
+                let e = edges[rng.below(edges.len())];
+                cur.remove_edge(e.src, e.dst, e.label).unwrap();
+                batch.delete_edge(e.src, e.dst, e.label);
+                if rng.below(4) == 0 {
+                    cur.add_edge(e.src, e.dst, e.label).unwrap();
+                    batch.insert_edge(e.src, e.dst, e.label);
+                }
+            }
+            kind => {
+                let n = cur.node_count();
+                let (src, dst) = (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32));
+                let label = intern(labels[rng.below(labels.len())]);
+                if cur.add_edge(src, dst, label).is_ok() {
+                    batch.insert_edge(src, dst, label);
+                    if kind == 3 {
+                        cur.remove_edge(src, dst, label).unwrap();
+                        batch.delete_edge(src, dst, label);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        sorted(batch.applied_to(g).unwrap().edge_vec()),
+        sorted(cur.edge_vec())
+    );
+    batch
+}
+
+#[test]
+fn delta_overlays_conform() {
+    intern("conformance-ghost-label");
+    for seed in SEEDS {
+        let g = random_graph(seed);
+        let frozen = g.freeze();
+        let empty = DeltaOverlay::empty(&frozen);
+        assert_conforms(&empty, &g, &format!("seed {seed}: empty overlay"), true);
+        let mut rng = Rng(seed ^ 0x0BA7_C4ED);
+        for round in 0..4 {
+            let batch = random_batch(&mut rng, &g);
+            let want = batch.applied_to(&g).unwrap();
+            let overlay = DeltaOverlay::new(&frozen, &batch);
+            let what = format!("seed {seed} batch {round}: overlay");
+            assert_conforms(&overlay, &want, &what, false);
+        }
     }
 }

@@ -41,7 +41,7 @@
 //! update through [`crate::DeltaOverlay`].
 
 use crate::attrs::AttrMap;
-use crate::graph::{EdgeRef, NodeId};
+use crate::graph::{Dir, EdgeRef, NodeId};
 use crate::hash::IdMap;
 use crate::interner::{Sym, WILDCARD};
 use crate::persist::MmapSnapshot;
@@ -57,7 +57,7 @@ pub type CsrSnapshot = MmapSnapshot;
 
 /// One direction (out or in) of a CSR adjacency, borrowed from the
 /// snapshot's bytes.  Runs are keyed by file symbol id.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Side<'a> {
     /// `offsets[row]..offsets[row + 1]` indexes the run of `row`.
     pub(crate) offsets: &'a [u32],
@@ -124,20 +124,12 @@ impl MmapSnapshot {
         }
     }
 
-    /// Out-neighbours of `id` along `label`, as a contiguous sorted slice.
+    /// The neighbours of `id` in direction `dir` along `label`, as a
+    /// contiguous sorted slice.
     #[inline]
-    pub fn out_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
+    pub fn neighbors_labeled(&self, id: NodeId, label: Sym, dir: Dir) -> &[NodeId] {
         match self.sym_table().get(label) {
-            Some(key) => self.out_side().labeled(id.index(), key),
-            None => &[],
-        }
-    }
-
-    /// In-neighbours of `id` along `label`, as a contiguous sorted slice.
-    #[inline]
-    pub fn in_neighbors_labeled(&self, id: NodeId, label: Sym) -> &[NodeId] {
-        match self.sym_table().get(label) {
-            Some(key) => self.in_side().labeled(id.index(), key),
+            Some(key) => self.side(dir).labeled(id.index(), key),
             None => &[],
         }
     }
@@ -153,13 +145,6 @@ impl MmapSnapshot {
             None => 0,
         }
     }
-
-    /// A [`DeltaOverlay`](crate::DeltaOverlay) of this snapshot with no
-    /// pending update — a zero-cost "identity" view, useful where an
-    /// overlay type is required for both sides of an incremental run.
-    pub fn as_overlay(&self) -> crate::overlay::DeltaOverlay<'_> {
-        crate::overlay::DeltaOverlay::empty(self)
-    }
 }
 
 /// The CSR reader: rows are node ids, every read is served from the
@@ -172,7 +157,7 @@ impl GraphView for MmapSnapshot {
 
     #[inline]
     fn edge_count(&self) -> usize {
-        self.out_side().keys.len()
+        self.side(Dir::Out).keys.len()
     }
 
     #[inline]
@@ -209,7 +194,7 @@ impl GraphView for MmapSnapshot {
             return false;
         };
         // Search whichever side has the smaller run.
-        let (out, inn) = (self.out_side(), self.in_side());
+        let (out, inn) = (self.side(Dir::Out), self.side(Dir::In));
         if out.degree(src.index()) <= inn.degree(dst.index()) {
             out.contains(src.index(), key, dst)
         } else {
@@ -217,12 +202,8 @@ impl GraphView for MmapSnapshot {
         }
     }
 
-    fn out_degree(&self, id: NodeId) -> usize {
-        self.out_side().degree(id.index())
-    }
-
-    fn in_degree(&self, id: NodeId) -> usize {
-        self.in_side().degree(id.index())
+    fn degree(&self, id: NodeId, dir: Dir) -> usize {
+        self.side(dir).degree(id.index())
     }
 
     fn label_count(&self, label: Sym) -> usize {
@@ -233,54 +214,39 @@ impl GraphView for MmapSnapshot {
         self.nodes_with_label(label).to_vec()
     }
 
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.out_neighbors_labeled(id, label).len()
-    }
-
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.in_neighbors_labeled(id, label).len()
+    fn labeled_count(&self, id: NodeId, label: Sym, dir: Dir) -> usize {
+        self.neighbors_labeled(id, label, dir).len()
     }
 
     #[inline]
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.out_neighbors_labeled(id, label))
+    fn labeled_slice(&self, id: NodeId, label: Sym, dir: Dir) -> Option<&[NodeId]> {
+        Some(self.neighbors_labeled(id, label, dir))
     }
 
-    #[inline]
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        Some(self.in_neighbors_labeled(id, label))
-    }
-
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.out_neighbors_labeled(id, label)
-            .iter()
-            .for_each(|&n| f(n));
-    }
-
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.in_neighbors_labeled(id, label)
+    fn for_each_labeled(&self, id: NodeId, label: Sym, dir: Dir, f: &mut dyn FnMut(NodeId)) {
+        self.neighbors_labeled(id, label, dir)
             .iter()
             .for_each(|&n| f(n));
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
         let syms = self.sym_table();
-        for (key, n) in self.out_side().entries(id.index()) {
-            f(n, EdgeRef::new(id, n, syms.sym(key)));
-        }
-        for (key, n) in self.in_side().entries(id.index()) {
-            f(n, EdgeRef::new(n, id, syms.sym(key)));
+        for dir in Dir::BOTH {
+            for (key, n) in self.side(dir).entries(id.index()) {
+                let (src, dst) = dir.src_dst(id, n);
+                f(n, EdgeRef::new(src, dst, syms.sym(key)));
+            }
         }
     }
 
     fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        for (key, n) in self.out_side().entries(id.index()) {
+        for (key, n) in self.side(Dir::Out).entries(id.index()) {
             f(n, self.sym_table().sym(key));
         }
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
-        let out = self.out_side();
+        let out = self.side(Dir::Out);
         for row in 0..self.node_count() {
             let src = NodeId(row as u32);
             for (key, dst) in out.entries(row) {
@@ -308,10 +274,13 @@ impl GraphView for MmapSnapshot {
         src_label: Sym,
         edge_label: Sym,
         dst_label: Sym,
-        want_src: bool,
+        end: Dir,
     ) -> Option<Vec<NodeId>> {
         let (ranges, src, dst) = self.triple_index();
-        let side = if want_src { src } else { dst };
+        let side = match end {
+            Dir::Out => src,
+            Dir::In => dst,
+        };
         let mut out: Vec<NodeId> = Vec::new();
         for (&key, &(start, end)) in ranges {
             if triple_matches(key, (src_label, edge_label, dst_label)) {
@@ -406,14 +375,17 @@ mod tests {
     fn labeled_neighbor_slices_are_sorted_and_exact() {
         let (g, n) = sample();
         let snap = g.freeze();
-        let keys_in = snap.in_neighbors_labeled(n[2], intern("keys"));
+        let keys_in = snap.neighbors_labeled(n[2], intern("keys"), Dir::In);
         assert_eq!(keys_in, &[n[0], n[1]]);
         assert!(keys_in.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(snap.out_neighbors_labeled(n[0], intern("keys")), &[n[2]]);
-        assert!(snap.out_neighbors_labeled(n[0], intern("ghost")).is_empty());
-        assert_eq!(GraphView::out_labeled_count(&snap, n[0], intern("keys")), 1);
-        assert_eq!(GraphView::out_degree(&snap, n[0]), 3);
-        assert_eq!(GraphView::in_degree(&snap, n[2]), 2);
+        let keys = intern("keys");
+        assert_eq!(snap.neighbors_labeled(n[0], keys, Dir::Out), &[n[2]]);
+        assert!(snap
+            .neighbors_labeled(n[0], intern("ghost"), Dir::Out)
+            .is_empty());
+        assert_eq!(GraphView::labeled_count(&snap, n[0], keys, Dir::Out), 1);
+        assert_eq!(GraphView::degree(&snap, n[0], Dir::Out), 3);
+        assert_eq!(GraphView::degree(&snap, n[2], Dir::In), 2);
     }
 
     #[test]
@@ -426,9 +398,11 @@ mod tests {
             GraphView::labeled_triple_run_len(&snap, key.0, key.1, key.2),
             Some(2)
         );
-        let srcs = GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, true).unwrap();
+        let srcs =
+            GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, Dir::Out).unwrap();
         assert_eq!(srcs, vec![n[0], n[1]]);
-        let dsts = GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, false).unwrap();
+        let dsts =
+            GraphView::labeled_triple_endpoints(&snap, key.0, key.1, key.2, Dir::In).unwrap();
         assert_eq!(dsts, vec![n[2]]);
         assert_eq!(
             snap.triple_count(intern("company"), intern("keys"), intern("account")),

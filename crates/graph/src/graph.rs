@@ -83,9 +83,54 @@ impl EdgeRef {
     pub fn new(src: NodeId, dst: NodeId, label: Sym) -> Self {
         EdgeRef { src, dst, label }
     }
+
+    /// The endpoint the edge is read from in direction `dir`: `src` for
+    /// [`Dir::Out`], `dst` for [`Dir::In`].
+    #[inline]
+    pub fn end(&self, dir: Dir) -> NodeId {
+        match dir {
+            Dir::Out => self.src,
+            Dir::In => self.dst,
+        }
+    }
 }
 
 ngd_json::impl_json_struct!(EdgeRef { src, dst, label });
+
+/// The direction an edge is read from the node a call is about: along its
+/// outgoing edges (the node is the source) or its incoming ones (the node
+/// is the destination).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Dir {
+    /// Outgoing: `node -> neighbour`.
+    Out = 0,
+    /// Incoming: `neighbour -> node`.
+    In = 1,
+}
+
+impl Dir {
+    /// Both directions, `Out` first.
+    pub const BOTH: [Dir; 2] = [Dir::Out, Dir::In];
+
+    /// The opposite direction: the same edge read from its other end.
+    #[inline]
+    pub fn rev(self) -> Dir {
+        match self {
+            Dir::Out => Dir::In,
+            Dir::In => Dir::Out,
+        }
+    }
+
+    /// `(source, destination)` of an edge read in this direction from
+    /// `node` to `neighbor` (nodes, or their labels).
+    #[inline]
+    pub fn src_dst<T>(self, node: T, neighbor: T) -> (T, T) {
+        match self {
+            Dir::Out => (node, neighbor),
+            Dir::In => (neighbor, node),
+        }
+    }
+}
 
 /// A directed property graph (the mutable build/update representation;
 /// freeze read-mostly graphs into a [`crate::CsrSnapshot`] for hot paths).
@@ -253,6 +298,14 @@ impl Graph {
     /// Incoming `(neighbour, edge-label)` pairs of a node.
     pub fn in_neighbors(&self, id: NodeId) -> &[(NodeId, Sym)] {
         &self.inn[id.index()]
+    }
+
+    /// The `(neighbour, edge-label)` pairs of a node read in direction `dir`.
+    pub(crate) fn neighbors(&self, id: NodeId, dir: Dir) -> &[(NodeId, Sym)] {
+        match dir {
+            Dir::Out => self.out_neighbors(id),
+            Dir::In => self.in_neighbors(id),
+        }
     }
 
     /// Iterate over all undirected neighbours (successors then predecessors),

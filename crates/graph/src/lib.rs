@@ -80,7 +80,7 @@ pub mod view;
 pub use attrs::AttrMap;
 pub use builder::GraphBuilder;
 pub use csr::CsrSnapshot;
-pub use graph::{EdgeRef, Graph, NodeData, NodeId};
+pub use graph::{Dir, EdgeRef, Graph, NodeData, NodeId};
 pub use hash::{IdMap, IdSet};
 pub use interner::{intern, resolve, Sym, WILDCARD};
 pub use neighborhood::{d_neighbors, d_neighbors_many, induced_subgraph, Neighborhood};

@@ -16,8 +16,7 @@
 //!   slice fast path, so matcher work outside the update neighbourhood is
 //!   as fast as on the frozen graph.
 //!
-//! An overlay with an empty update ([`DeltaOverlay::empty`] /
-//! [`MmapSnapshot::as_overlay`](crate::MmapSnapshot::as_overlay)) behaves
+//! An overlay with an empty update ([`DeltaOverlay::empty`]) behaves
 //! exactly like the snapshot, which lets an incremental run use the *same*
 //! view type for the old and new sides.
 //!
@@ -27,7 +26,7 @@
 //! [`BatchUpdate::validate_against`] discards them, and compaction
 //! validates and canonicalises a `ΔG` by sorting them.
 
-use crate::graph::{EdgeRef, NodeData, NodeId};
+use crate::graph::{Dir, EdgeRef, NodeData, NodeId};
 use crate::hash::{IdMap, IdSet};
 use crate::interner::Sym;
 use crate::persist::MmapSnapshot;
@@ -45,16 +44,14 @@ pub struct DeltaOverlay<'a, B: GraphView = MmapSnapshot> {
     base: &'a B,
     /// Nodes introduced by the update; node `base_count + i` is `added_nodes[i]`.
     added_nodes: Vec<NodeData>,
-    /// Net-inserted edges, grouped by source (sorted by `(label, dst)`).
-    added_out: IdMap<NodeId, Vec<(Sym, NodeId)>>,
-    /// Net-inserted edges, grouped by destination (sorted by `(label, src)`).
-    added_in: IdMap<NodeId, Vec<(Sym, NodeId)>>,
+    /// Net-inserted edges, indexed by [`Dir`]: grouped by the node they
+    /// are read from, as `(label, neighbour)` sorted.
+    added: [IdMap<NodeId, Vec<(Sym, NodeId)>>; 2],
     /// Net-deleted edges.
     removed: IdSet<EdgeRef>,
-    /// Per-node count of net-deleted out-edges (for degrees).
-    removed_out: IdMap<NodeId, usize>,
-    /// Per-node count of net-deleted in-edges.
-    removed_in: IdMap<NodeId, usize>,
+    /// Per-node count of net-deleted edges, indexed by [`Dir`] (for
+    /// degrees).
+    removed_deg: [IdMap<NodeId, usize>; 2],
     /// New nodes per label (extends the snapshot's label partition).
     added_label_index: IdMap<Sym, Vec<NodeId>>,
     /// Nodes whose adjacency differs from the snapshot's.
@@ -68,11 +65,9 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
         DeltaOverlay {
             base,
             added_nodes: Vec::new(),
-            added_out: IdMap::default(),
-            added_in: IdMap::default(),
+            added: Default::default(),
             removed: IdSet::default(),
-            removed_out: IdMap::default(),
-            removed_in: IdMap::default(),
+            removed_deg: Default::default(),
             added_label_index: IdMap::default(),
             touched: IdSet::default(),
             added_edge_count: 0,
@@ -118,32 +113,23 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
         }
         // Insertion order is irrelevant: the per-node adjacency lists are
         // sorted below.
+        let [added_out, added_in] = &mut overlay.added;
         for e in &added {
-            overlay
-                .added_out
-                .entry(e.src)
-                .or_default()
-                .push((e.label, e.dst));
-            overlay
-                .added_in
-                .entry(e.dst)
-                .or_default()
-                .push((e.label, e.src));
+            added_out.entry(e.src).or_default().push((e.label, e.dst));
+            added_in.entry(e.dst).or_default().push((e.label, e.src));
             overlay.touched.insert(e.src);
             overlay.touched.insert(e.dst);
         }
         overlay.added_edge_count = added.len();
+        let [removed_out, removed_in] = &mut overlay.removed_deg;
         for e in &removed {
-            *overlay.removed_out.entry(e.src).or_default() += 1;
-            *overlay.removed_in.entry(e.dst).or_default() += 1;
+            *removed_out.entry(e.src).or_default() += 1;
+            *removed_in.entry(e.dst).or_default() += 1;
             overlay.touched.insert(e.src);
             overlay.touched.insert(e.dst);
         }
         overlay.removed = removed;
-        for list in overlay.added_out.values_mut() {
-            list.sort_unstable();
-        }
-        for list in overlay.added_in.values_mut() {
+        for list in overlay.added.iter_mut().flat_map(|side| side.values_mut()) {
             list.sort_unstable();
         }
         Ok(overlay)
@@ -167,6 +153,30 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
     #[inline]
     fn is_base_node(&self, id: NodeId) -> bool {
         id.index() < self.base_count()
+    }
+
+    /// The net-inserted `(label, neighbour)` entries of `id` in direction
+    /// `dir`, sorted.
+    fn added_entries(&self, id: NodeId, dir: Dir) -> &[(Sym, NodeId)] {
+        self.added[dir as usize].get(&id).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of net-deleted edges of `id` in direction `dir`.
+    fn removed_degree(&self, id: NodeId, dir: Dir) -> usize {
+        self.removed_deg[dir as usize]
+            .get(&id)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Every net-inserted edge, sorted.
+    fn added_edges(&self) -> Vec<EdgeRef> {
+        let mut edges: Vec<EdgeRef> = self.added[Dir::Out as usize]
+            .iter()
+            .flat_map(|(&src, list)| list.iter().map(move |&(l, dst)| EdgeRef::new(src, dst, l)))
+            .collect();
+        edges.sort_unstable();
+        edges
     }
 
     fn node_data(&self, id: NodeId) -> &NodeData {
@@ -200,13 +210,7 @@ impl<'a, B: GraphView> DeltaOverlay<'a, B> {
         for e in deletions {
             batch.delete_edge(e.src, e.dst, e.label);
         }
-        let mut insertions: Vec<EdgeRef> = self
-            .added_out
-            .iter()
-            .flat_map(|(&src, list)| list.iter().map(move |&(l, dst)| EdgeRef::new(src, dst, l)))
-            .collect();
-        insertions.sort_unstable();
-        for e in insertions {
+        for e in self.added_edges() {
             batch.insert_edge(e.src, e.dst, e.label);
         }
         batch
@@ -393,34 +397,25 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         if self.removed.contains(&edge) {
             return false;
         }
-        if let Some(list) = self.added_out.get(&src) {
-            if list.binary_search(&(label, dst)).is_ok() {
-                return true;
-            }
+        if self
+            .added_entries(src, Dir::Out)
+            .binary_search(&(label, dst))
+            .is_ok()
+        {
+            return true;
         }
         self.is_base_node(src)
             && self.is_base_node(dst)
             && GraphView::has_edge(self.base, src, dst, label)
     }
 
-    fn out_degree(&self, id: NodeId) -> usize {
+    fn degree(&self, id: NodeId, dir: Dir) -> usize {
         let base = if self.is_base_node(id) {
-            GraphView::out_degree(self.base, id)
+            GraphView::degree(self.base, id, dir)
         } else {
             0
         };
-        base + self.added_out.get(&id).map_or(0, Vec::len)
-            - self.removed_out.get(&id).copied().unwrap_or(0)
-    }
-
-    fn in_degree(&self, id: NodeId) -> usize {
-        let base = if self.is_base_node(id) {
-            GraphView::in_degree(self.base, id)
-        } else {
-            0
-        };
-        base + self.added_in.get(&id).map_or(0, Vec::len)
-            - self.removed_in.get(&id).copied().unwrap_or(0)
+        base + self.added_entries(id, dir).len() - self.removed_degree(id, dir)
     }
 
     fn label_count(&self, label: Sym) -> usize {
@@ -436,112 +431,70 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         out
     }
 
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
+    fn labeled_count(&self, id: NodeId, label: Sym, dir: Dir) -> usize {
         if !self.touched.contains(&id) {
             return if self.is_base_node(id) {
-                GraphView::out_labeled_count(self.base, id, label)
+                GraphView::labeled_count(self.base, id, label, dir)
             } else {
                 0
             };
         }
         let mut count = 0usize;
-        self.for_each_out_labeled(id, label, &mut |_| count += 1);
+        self.for_each_labeled(id, label, dir, &mut |_| count += 1);
         count
     }
 
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        if !self.touched.contains(&id) {
-            return if self.is_base_node(id) {
-                GraphView::in_labeled_count(self.base, id, label)
-            } else {
-                0
-            };
-        }
-        let mut count = 0usize;
-        self.for_each_in_labeled(id, label, &mut |_| count += 1);
-        count
-    }
-
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
+    fn labeled_slice(&self, id: NodeId, label: Sym, dir: Dir) -> Option<&[NodeId]> {
         if self.is_base_node(id) && !self.touched.contains(&id) {
-            GraphView::out_labeled_slice(self.base, id, label)
+            GraphView::labeled_slice(self.base, id, label, dir)
         } else {
             None
         }
     }
 
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        if self.is_base_node(id) && !self.touched.contains(&id) {
-            GraphView::in_labeled_slice(self.base, id, label)
-        } else {
-            None
-        }
-    }
-
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
+    fn for_each_labeled(&self, id: NodeId, label: Sym, dir: Dir, f: &mut dyn FnMut(NodeId)) {
         if self.is_base_node(id) {
-            let has_removals = self.removed_out.get(&id).copied().unwrap_or(0) > 0;
-            GraphView::for_each_out_labeled(self.base, id, label, &mut |n| {
-                if has_removals && self.removed.contains(&EdgeRef::new(id, n, label)) {
-                    return;
+            let has_removals = self.removed_degree(id, dir) > 0;
+            GraphView::for_each_labeled(self.base, id, label, dir, &mut |n| {
+                if has_removals {
+                    let (src, dst) = dir.src_dst(id, n);
+                    if self.removed.contains(&EdgeRef::new(src, dst, label)) {
+                        return;
+                    }
                 }
                 f(n);
             });
         }
-        if let Some(list) = self.added_out.get(&id) {
-            for &(l, n) in list {
-                if l == label {
-                    f(n);
-                }
-            }
-        }
-    }
-
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        if self.is_base_node(id) {
-            let has_removals = self.removed_in.get(&id).copied().unwrap_or(0) > 0;
-            GraphView::for_each_in_labeled(self.base, id, label, &mut |n| {
-                if has_removals && self.removed.contains(&EdgeRef::new(n, id, label)) {
-                    return;
-                }
+        for &(l, n) in self.added_entries(id, dir) {
+            if l == label {
                 f(n);
-            });
-        }
-        if let Some(list) = self.added_in.get(&id) {
-            for &(l, n) in list {
-                if l == label {
-                    f(n);
-                }
             }
         }
     }
 
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
         if self.is_base_node(id) {
-            let skip_out = self.removed_out.get(&id).copied().unwrap_or(0) > 0;
-            let skip_in = self.removed_in.get(&id).copied().unwrap_or(0) > 0;
+            let has_removals = Dir::BOTH
+                .iter()
+                .any(|&dir| self.removed_degree(id, dir) > 0);
             GraphView::for_each_undirected(self.base, id, &mut |n, e| {
-                if (skip_out || skip_in) && self.removed.contains(&e) {
+                if has_removals && self.removed.contains(&e) {
                     return;
                 }
                 f(n, e);
             });
         }
-        if let Some(list) = self.added_out.get(&id) {
-            for &(l, n) in list {
-                f(n, EdgeRef::new(id, n, l));
-            }
-        }
-        if let Some(list) = self.added_in.get(&id) {
-            for &(l, n) in list {
-                f(n, EdgeRef::new(n, id, l));
+        for dir in Dir::BOTH {
+            for &(l, n) in self.added_entries(id, dir) {
+                let (src, dst) = dir.src_dst(id, n);
+                f(n, EdgeRef::new(src, dst, l));
             }
         }
     }
 
     fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
         if self.is_base_node(id) {
-            let has_removals = self.removed_out.get(&id).copied().unwrap_or(0) > 0;
+            let has_removals = self.removed_degree(id, Dir::Out) > 0;
             GraphView::for_each_out(self.base, id, &mut |n, l| {
                 if has_removals && self.removed.contains(&EdgeRef::new(id, n, l)) {
                     return;
@@ -549,10 +502,8 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
                 f(n, l);
             });
         }
-        if let Some(list) = self.added_out.get(&id) {
-            for &(l, n) in list {
-                f(n, l);
-            }
+        for &(l, n) in self.added_entries(id, Dir::Out) {
+            f(n, l);
         }
     }
 
@@ -562,13 +513,7 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
                 f(e);
             }
         });
-        let mut added: Vec<EdgeRef> = self
-            .added_out
-            .iter()
-            .flat_map(|(&src, list)| list.iter().map(move |&(l, dst)| EdgeRef::new(src, dst, l)))
-            .collect();
-        added.sort_unstable();
-        for e in added {
+        for e in self.added_edges() {
             f(e);
         }
     }
@@ -591,12 +536,10 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         src_label: Sym,
         edge_label: Sym,
         dst_label: Sym,
-        want_src: bool,
+        end: Dir,
     ) -> Option<Vec<NodeId>> {
         if self.is_identity() {
-            GraphView::labeled_triple_endpoints(
-                self.base, src_label, edge_label, dst_label, want_src,
-            )
+            GraphView::labeled_triple_endpoints(self.base, src_label, edge_label, dst_label, end)
         } else {
             // The triple index does not reflect the pending update; fall
             // back to label-index candidate selection.
@@ -635,8 +578,10 @@ mod tests {
         for (idx, &label) in labels.iter().enumerate() {
             let id = NodeId(idx as u32);
             assert_eq!(GraphView::label(overlay, id), label);
-            assert_eq!(overlay.out_degree(id), materialised.out_degree(id), "{id}");
-            assert_eq!(overlay.in_degree(id), materialised.in_degree(id), "{id}");
+            for dir in Dir::BOTH {
+                let want = materialised.neighbors(id, dir).len();
+                assert_eq!(overlay.degree(id, dir), want, "{id} {dir:?}");
+            }
             let mut got: Vec<(NodeId, EdgeRef)> = Vec::new();
             overlay.for_each_undirected(id, &mut |n, e| got.push((n, e)));
             let mut want: Vec<(NodeId, EdgeRef)> = materialised.undirected_neighbors(id).collect();
@@ -659,11 +604,11 @@ mod tests {
     fn empty_overlay_is_the_snapshot() {
         let (g, n) = base_graph();
         let snap = g.freeze();
-        let overlay = snap.as_overlay();
+        let overlay = DeltaOverlay::empty(&snap);
         assert!(overlay.is_identity());
         assert_matches_materialised(&overlay, &g);
         // Fast path stays available on untouched nodes.
-        assert!(overlay.out_labeled_slice(n[0], intern("e")).is_some());
+        assert!(overlay.labeled_slice(n[0], intern("e"), Dir::Out).is_some());
     }
 
     #[test]
@@ -688,14 +633,14 @@ mod tests {
         );
         assert_eq!(GraphView::label_count(&overlay, intern("y")), 3);
         // Touched nodes lose the zero-copy slice; untouched keep it.
-        assert!(overlay.out_labeled_slice(n[0], intern("e")).is_none());
-        assert!(overlay.out_labeled_slice(n[2], intern("f")).is_some());
+        assert!(overlay.labeled_slice(n[0], intern("e"), Dir::Out).is_none());
+        assert!(overlay.labeled_slice(n[2], intern("f"), Dir::Out).is_some());
         assert!(GraphView::labeled_triple_endpoints(
             &overlay,
             intern("x"),
             intern("e"),
             intern("y"),
-            true
+            Dir::Out
         )
         .is_none());
     }

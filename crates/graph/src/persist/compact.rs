@@ -43,7 +43,7 @@ use super::format::{AttrEntries, BlobWriter, SymTable};
 use super::loader::{MmapSnapshot, VALIDATED};
 use super::writer::{encode_attrs, Sections, SnapshotWriter};
 use super::PersistError;
-use crate::graph::EdgeRef;
+use crate::graph::{Dir, EdgeRef};
 use crate::hash::IdMap;
 use crate::interner::Sym;
 use crate::update::{BatchUpdate, NetEdges, NewNode, UpdateError};
@@ -239,7 +239,7 @@ fn merge_symbols(old: &MmapSnapshot, net: &NetDelta) -> SymMerge {
         }
     }
     let mut edge_labels: Vec<i64> = vec![0; old_count];
-    for &fid in old.out_side().keys {
+    for &fid in old.side(Dir::Out).keys {
         edge_labels[fid as usize] += 1;
     }
     for e in &net.del {
@@ -393,31 +393,22 @@ fn merge_side(
     old: &MmapSnapshot,
     net: &NetDelta,
     syms: &SymMerge,
-    out_side: bool,
+    dir: Dir,
     total_nodes: usize,
 ) -> [Vec<u32>; 3] {
-    let side = if out_side {
-        old.out_side()
-    } else {
-        old.in_side()
-    };
+    let side = old.side(dir);
     let (offsets, labels, neighbors) = (side.offsets, side.keys, side.neighbors);
     let old_n = GraphView::node_count(old);
     // Per-row deletions in *old* file-symbol space (a fully deleted label
     // may not survive into the new table), per-row insertions in new space.
-    let row_of = |e: &EdgeRef| if out_side { e.src } else { e.dst };
-    let other_of = |e: &EdgeRef| if out_side { e.dst } else { e.src };
     let old_syms = old.sym_table();
+    let row_entry = |e: &EdgeRef, fid: u32| (e.end(dir).0, (fid, e.end(dir.rev()).0));
     let mut dels = RowDeltas::build(
         net.del
             .iter()
-            .map(|e| (row_of(e).0, (old_syms.file_id(e.label), other_of(e).0))),
+            .map(|e| row_entry(e, old_syms.file_id(e.label))),
     );
-    let mut inss = RowDeltas::build(
-        net.ins
-            .iter()
-            .map(|e| (row_of(e).0, (syms.new_fid(e.label), other_of(e).0))),
-    );
+    let mut inss = RowDeltas::build(net.ins.iter().map(|e| row_entry(e, syms.new_fid(e.label))));
     let identity = syms.is_identity();
 
     let entry_estimate = labels.len() + net.ins.len();
@@ -727,8 +718,7 @@ fn merge_sections(old: &MmapSnapshot, net: &NetDelta) -> Sections {
     node_labels.extend(net.new_nodes.iter().map(|n| syms.new_fid(n.label)));
 
     let node_attrs = merge_attrs(old, net, &syms);
-    let out = merge_side(old, net, &syms, true, total_nodes);
-    let inn = merge_side(old, net, &syms, false, total_nodes);
+    let [out, inn] = Dir::BOTH.map(|dir| merge_side(old, net, &syms, dir, total_nodes));
     let (label_order, label_ranges) = merge_label_partition(old, net, &syms, total_nodes);
     let (triple_src, triple_dst, triple_ranges) = merge_triples(old, net, &syms, &node_labels);
 

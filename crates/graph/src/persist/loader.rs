@@ -43,7 +43,7 @@ use super::format::{
 use super::mmap::MmapFile;
 use super::PersistError;
 use crate::csr::{LabelRanges, Side, TripleRanges};
-use crate::graph::NodeId;
+use crate::graph::{Dir, NodeId};
 use crate::hash::IdMap;
 use crate::interner::{intern, Sym};
 use std::collections::HashMap;
@@ -192,11 +192,16 @@ impl FileData {
         Ok((bytes, entry.elem_count as usize))
     }
 
-    fn side(&self, kinds: (u32, u32, u32)) -> Result<Side<'_>, PersistError> {
+    /// The three arrays of the CSR side read in direction `dir`.
+    fn side(&self, dir: Dir) -> Result<Side<'_>, PersistError> {
+        let [offsets, keys, neighbors] = match dir {
+            Dir::Out => [kind::OUT_OFFSETS, kind::OUT_LABELS, kind::OUT_NEIGHBORS],
+            Dir::In => [kind::IN_OFFSETS, kind::IN_LABELS, kind::IN_NEIGHBORS],
+        };
         Ok(Side {
-            offsets: self.u32s(kinds.0)?,
-            keys: self.u32s(kinds.1)?,
-            neighbors: as_node_ids(self.u32s(kinds.2)?),
+            offsets: self.u32s(offsets)?,
+            keys: self.u32s(keys)?,
+            neighbors: as_node_ids(self.u32s(neighbors)?),
         })
     }
 }
@@ -519,8 +524,8 @@ pub struct MmapSnapshot {
     node_labels: &'static [u32],
     /// Attribute record boundaries; values are decoded on each read.
     attrs: AttrIndex<'static>,
-    out: Side<'static>,
-    inn: Side<'static>,
+    /// The out- and in-CSR, indexed by [`Dir`].
+    sides: [Side<'static>; 2],
     label_order: &'static [NodeId],
     triple_src: &'static [NodeId],
     triple_dst: &'static [NodeId],
@@ -537,7 +542,7 @@ impl std::fmt::Debug for MmapSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MmapSnapshot")
             .field("nodes", &self.node_labels.len())
-            .field("edges", &self.out.keys.len())
+            .field("edges", &self.side(Dir::Out).keys.len())
             .field("epoch", &self.epoch)
             .field("bytes", &self.map.len())
             .finish()
@@ -592,16 +597,10 @@ impl MmapSnapshot {
         self.node_labels
     }
 
-    /// The out-CSR, runs keyed by file symbol id.
+    /// The CSR side read in direction `dir`, runs keyed by file symbol id.
     #[inline]
-    pub(crate) fn out_side(&self) -> Side<'_> {
-        self.out
-    }
-
-    /// The in-CSR, runs keyed by file symbol id.
-    #[inline]
-    pub(crate) fn in_side(&self) -> Side<'_> {
-        self.inn
+    pub(crate) fn side(&self, dir: Dir) -> Side<'_> {
+        self.sides[dir as usize]
     }
 
     /// The label ranges and the node permutation they index.
@@ -675,19 +674,20 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
 
     let attrs = AttrIndex::load(file, n, &syms)?;
 
-    let out = file.side((kind::OUT_OFFSETS, kind::OUT_LABELS, kind::OUT_NEIGHBORS))?;
-    let out_entries = validate_side(out, n, sym_count, "out CSR")?;
-    if out_entries != edge_count {
-        return Err(PersistError::Corrupt(format!(
-            "out CSR holds {out_entries} entries but the header claims {edge_count} edges"
-        )));
-    }
-    let inn = file.side((kind::IN_OFFSETS, kind::IN_LABELS, kind::IN_NEIGHBORS))?;
-    let in_entries = validate_side(inn, n, sym_count, "in CSR")?;
-    if in_entries != edge_count {
-        return Err(PersistError::Corrupt(format!(
-            "in CSR holds {in_entries} entries but the header claims {edge_count} edges"
-        )));
+    let mut sides = [Side::default(); 2];
+    for dir in Dir::BOTH {
+        let what = match dir {
+            Dir::Out => "out CSR",
+            Dir::In => "in CSR",
+        };
+        let side = file.side(dir)?;
+        let entries = validate_side(side, n, sym_count, what)?;
+        if entries != edge_count {
+            return Err(PersistError::Corrupt(format!(
+                "{what} holds {entries} entries but the header claims {edge_count} edges"
+            )));
+        }
+        sides[dir as usize] = side;
     }
 
     let label_order = as_node_ids(file.u32s(kind::LABEL_ORDER)?);
@@ -730,7 +730,7 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         declared,
         node_labels,
         (triple_src, triple_dst),
-        out,
+        sides[Dir::Out as usize],
         &syms,
     )?;
 
@@ -743,7 +743,7 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
     // the slices stay valid for as long as the snapshot exists.  They are
     // private fields, handed out only through accessors that re-borrow
     // them for `&self`, so none outlives the `Arc`.
-    let (node_labels, attr_blob, out, inn, label_order, triple_src, triple_dst) = unsafe {
+    let (node_labels, attr_blob, sides, label_order, triple_src, triple_dst) = unsafe {
         let side = |side: Side<'_>| Side {
             offsets: detach(side.offsets),
             keys: detach(side.keys),
@@ -752,8 +752,7 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         (
             detach(node_labels),
             detach(attrs.blob),
-            side(out),
-            side(inn),
+            sides.map(side),
             detach(label_order),
             detach(triple_src),
             detach(triple_dst),
@@ -766,8 +765,7 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
             blob: attr_blob,
             starts: attrs.starts,
         },
-        out,
-        inn,
+        sides,
         label_order,
         triple_src,
         triple_dst,

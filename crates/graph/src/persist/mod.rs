@@ -236,8 +236,8 @@ mod tests {
         let path = temp_path("roundtrip");
         SnapshotWriter::new().write(&snapshot, &path).unwrap();
         let mapped = MmapSnapshot::load(&path).unwrap();
-        assert_conforms(&snapshot, &g, "owned bytes");
-        assert_conforms(&mapped, &g, "mapped file");
+        assert_conforms(&snapshot, &g, "owned bytes", true);
+        assert_conforms(&mapped, &g, "mapped file", true);
         std::fs::remove_file(&path).ok();
     }
 

@@ -31,7 +31,7 @@ use super::loader::MmapSnapshot;
 use super::mmap::{MmapFile, OwnedBytes};
 use super::PersistError;
 use crate::attrs::AttrMap;
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Dir, Graph};
 use crate::hash::IdMap;
 use crate::interner::Sym;
 use crate::value::Value;
@@ -131,8 +131,7 @@ impl Graph {
             .node_ids()
             .map(|id| syms.file_id(self.label(id)))
             .collect();
-        let out = self.side_arrays(&syms, |id| self.out_neighbors(id));
-        let inn = self.side_arrays(&syms, |id| self.in_neighbors(id));
+        let [out, inn] = Dir::BOTH.map(|dir| self.side_arrays(&syms, dir));
 
         // Label partition: a counting pass over the node labels; ids are
         // placed in id order, so each group is ascending.
@@ -224,16 +223,13 @@ impl Graph {
         SymTable::new(syms)
     }
 
-    /// One CSR side's `[offsets, labels, neighbours]` arrays, laid out
+    /// The `[offsets, labels, neighbours]` arrays of the CSR side read in
+    /// direction `dir`, laid out
     /// from the graph's own adjacency lists: the offsets are the running
     /// sum of the list lengths, and each list becomes one run translated
     /// into file symbols and sorted by `(file symbol, neighbour)`, so the
     /// lists' entry order does not matter.
-    fn side_arrays<'g>(
-        &'g self,
-        syms: &SymTable,
-        list: impl Fn(NodeId) -> &'g [(NodeId, Sym)],
-    ) -> [Vec<u32>; 3] {
+    fn side_arrays(&self, syms: &SymTable, dir: Dir) -> [Vec<u32>; 3] {
         let (n, m) = (self.node_count(), self.edge_count());
         let mut offsets = Vec::with_capacity(n + 1);
         let mut entries: Vec<(u32, u32)> = Vec::with_capacity(m);
@@ -241,7 +237,7 @@ impl Graph {
         for id in self.node_ids() {
             let start = entries.len();
             entries.extend(
-                list(id)
+                self.neighbors(id, dir)
                     .iter()
                     .map(|&(neighbor, label)| (syms.file_id(label), neighbor.0)),
             );

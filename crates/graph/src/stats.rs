@@ -6,7 +6,7 @@
 //! computes these so the dataset simulators can be checked against the
 //! paper's reported characteristics (see `ngd-datagen` tests).
 
-use crate::graph::NodeId;
+use crate::graph::{Dir, NodeId};
 use crate::view::GraphView;
 use std::collections::{HashSet, VecDeque};
 
@@ -60,7 +60,7 @@ impl GraphStats {
         let degrees: Vec<usize> = graph
             .node_ids_vec()
             .into_iter()
-            .map(|v| graph.degree(v))
+            .map(|v| graph.degree(v, Dir::Out) + graph.degree(v, Dir::In))
             .collect();
         let avg_degree = if n > 0 {
             degrees.iter().sum::<usize>() as f64 / n as f64

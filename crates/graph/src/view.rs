@@ -20,7 +20,7 @@
 //! want dynamic dispatch.
 
 use crate::attrs::AttrMap;
-use crate::graph::{EdgeRef, Graph, NodeId};
+use crate::graph::{Dir, EdgeRef, Graph, NodeId};
 use crate::interner::{Sym, WILDCARD};
 use crate::value::Value;
 
@@ -56,16 +56,8 @@ pub trait GraphView {
     /// Does the exact edge `(src, dst, label)` exist?
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool;
 
-    /// Out-degree of a node.
-    fn out_degree(&self, id: NodeId) -> usize;
-
-    /// In-degree of a node.
-    fn in_degree(&self, id: NodeId) -> usize;
-
-    /// Total (undirected) degree of a node.
-    fn degree(&self, id: NodeId) -> usize {
-        self.out_degree(id) + self.in_degree(id)
-    }
+    /// Number of edges of `id` in direction `dir`.
+    fn degree(&self, id: NodeId, dir: Dir) -> usize;
 
     /// Number of nodes carrying `label`.
     fn label_count(&self, label: Sym) -> usize;
@@ -78,32 +70,22 @@ pub trait GraphView {
         (0..self.node_count() as u32).map(NodeId).collect()
     }
 
-    /// Number of out-neighbours of `id` along edges labelled `label`.
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize;
+    /// Number of neighbours of `id` in direction `dir` along edges
+    /// labelled `label`.
+    fn labeled_count(&self, id: NodeId, label: Sym, dir: Dir) -> usize;
 
-    /// Number of in-neighbours of `id` along edges labelled `label`.
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize;
-
-    /// Contiguous slice of out-neighbours along `label`, when the
-    /// representation stores neighbour runs contiguously (CSR fast path);
-    /// `None` means the caller must fall back to
-    /// [`GraphView::for_each_out_labeled`].
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        let _ = (id, label);
+    /// Contiguous sorted slice of the neighbours of `id` in direction `dir`
+    /// along `label`, when the representation stores neighbour runs
+    /// contiguously (CSR fast path); `None` means the caller must fall back
+    /// to [`GraphView::for_each_labeled`].
+    fn labeled_slice(&self, id: NodeId, label: Sym, dir: Dir) -> Option<&[NodeId]> {
+        let _ = (id, label, dir);
         None
     }
 
-    /// Contiguous slice of in-neighbours along `label`, when available.
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        let _ = (id, label);
-        None
-    }
-
-    /// Visit every out-neighbour of `id` along edges labelled `label`.
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId));
-
-    /// Visit every in-neighbour of `id` along edges labelled `label`.
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId));
+    /// Visit every neighbour of `id` in direction `dir` along edges
+    /// labelled `label`.
+    fn for_each_labeled(&self, id: NodeId, label: Sym, dir: Dir, f: &mut dyn FnMut(NodeId));
 
     /// Visit every undirected neighbour (successors then predecessors) with
     /// the connecting edge in its directed form.  A self-loop is visited
@@ -117,8 +99,9 @@ pub trait GraphView {
     /// Visit every directed edge of the graph.
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef));
 
-    /// The distinct sources (`want_src = true`) or destinations of edges
-    /// matching the `(source label, edge label, destination label)` triple,
+    /// The distinct ends of edges matching the `(source label, edge label,
+    /// destination label)` triple that read them in direction `end` (the
+    /// sources for [`Dir::Out`], the destinations for [`Dir::In`]),
     /// where any of the three labels may be [`WILDCARD`] (every triple
     /// group matching the concrete components contributes).  `None` means
     /// the representation keeps no triple index and the caller must use
@@ -129,9 +112,9 @@ pub trait GraphView {
         src_label: Sym,
         edge_label: Sym,
         dst_label: Sym,
-        want_src: bool,
+        end: Dir,
     ) -> Option<Vec<NodeId>> {
-        let _ = (src_label, edge_label, dst_label, want_src);
+        let _ = (src_label, edge_label, dst_label, end);
         None
     }
 
@@ -148,28 +131,6 @@ pub trait GraphView {
     ) -> Option<usize> {
         let _ = (src_label, edge_label, dst_label);
         None
-    }
-
-    /// Collect the out-neighbours of `id` along `label` (uses the slice
-    /// fast path when available).
-    fn out_labeled_vec(&self, id: NodeId, label: Sym) -> Vec<NodeId> {
-        if let Some(slice) = self.out_labeled_slice(id, label) {
-            return slice.to_vec();
-        }
-        let mut out = Vec::new();
-        self.for_each_out_labeled(id, label, &mut |n| out.push(n));
-        out
-    }
-
-    /// Collect the in-neighbours of `id` along `label` (uses the slice
-    /// fast path when available).
-    fn in_labeled_vec(&self, id: NodeId, label: Sym) -> Vec<NodeId> {
-        if let Some(slice) = self.in_labeled_slice(id, label) {
-            return slice.to_vec();
-        }
-        let mut out = Vec::new();
-        self.for_each_in_labeled(id, label, &mut |n| out.push(n));
-        out
     }
 }
 
@@ -214,19 +175,22 @@ impl<'g> SelectivityStats<'g> {
             .labeled_triple_run_len(src_label, edge_label, dst_label)
     }
 
-    /// Estimated fan-out of extending a match across a pattern edge: the
-    /// average number of `edge_label` edges into `dst_label` nodes per
-    /// `src_label` node (`from_src = true`), or the symmetric in-direction
-    /// average.  `None` without a triple index.
+    /// Estimated fan-out of extending a match across a pattern edge read
+    /// in direction `from`: the average number of matching edges per
+    /// `src_label` node ([`Dir::Out`]) or per `dst_label` node
+    /// ([`Dir::In`]).  `None` without a triple index.
     pub fn avg_fanout(
         &self,
         src_label: Sym,
         edge_label: Sym,
         dst_label: Sym,
-        from_src: bool,
+        from: Dir,
     ) -> Option<f64> {
         let edges = self.triple_size(src_label, edge_label, dst_label)? as f64;
-        let anchors = self.label_size(if from_src { src_label } else { dst_label });
+        let anchors = self.label_size(match from {
+            Dir::Out => src_label,
+            Dir::In => dst_label,
+        });
         Some(edges / (anchors.max(1) as f64))
     }
 }
@@ -269,12 +233,8 @@ impl GraphView for Graph {
         Graph::has_edge(self, src, dst, label)
     }
 
-    fn out_degree(&self, id: NodeId) -> usize {
-        Graph::out_degree(self, id)
-    }
-
-    fn in_degree(&self, id: NodeId) -> usize {
-        Graph::in_degree(self, id)
+    fn degree(&self, id: NodeId, dir: Dir) -> usize {
+        self.neighbors(id, dir).len()
     }
 
     fn label_count(&self, label: Sym) -> usize {
@@ -285,30 +245,15 @@ impl GraphView for Graph {
         self.nodes_with_label(label).to_vec()
     }
 
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.out_neighbors(id)
+    fn labeled_count(&self, id: NodeId, label: Sym, dir: Dir) -> usize {
+        self.neighbors(id, dir)
             .iter()
             .filter(|&&(_, l)| l == label)
             .count()
     }
 
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.in_neighbors(id)
-            .iter()
-            .filter(|&&(_, l)| l == label)
-            .count()
-    }
-
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &(n, l) in self.out_neighbors(id) {
-            if l == label {
-                f(n);
-            }
-        }
-    }
-
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        for &(n, l) in self.in_neighbors(id) {
+    fn for_each_labeled(&self, id: NodeId, label: Sym, dir: Dir, f: &mut dyn FnMut(NodeId)) {
+        for &(n, l) in self.neighbors(id, dir) {
             if l == label {
                 f(n);
             }
@@ -358,16 +303,16 @@ mod tests {
         assert_eq!(view.node_count(), 3);
         assert_eq!(view.edge_count(), 3);
         assert_eq!(view.label_count(intern("b")), 2);
-        assert_eq!(view.out_labeled_count(a, intern("e")), 2);
-        assert_eq!(view.in_labeled_count(a, intern("f")), 1);
+        assert_eq!(view.labeled_count(a, intern("e"), Dir::Out), 2);
+        assert_eq!(view.labeled_count(a, intern("f"), Dir::In), 1);
         let mut outs = Vec::new();
-        view.for_each_out_labeled(a, intern("e"), &mut |n| outs.push(n));
+        view.for_each_labeled(a, intern("e"), Dir::Out, &mut |n| outs.push(n));
         assert_eq!(outs, vec![b, c]);
         let mut edges = 0;
         view.for_each_edge(&mut |_| edges += 1);
         assert_eq!(edges, 3);
         assert!(view
-            .labeled_triple_endpoints(intern("a"), intern("e"), intern("b"), true)
+            .labeled_triple_endpoints(intern("a"), intern("e"), intern("b"), Dir::Out)
             .is_none());
     }
 }

@@ -37,7 +37,7 @@ use crate::plan::{self, MatchPlan, PlanStep};
 use crate::violation::{Violation, ViolationSet};
 use ngd_core::eval::eval_literal_partial;
 use ngd_core::{Ngd, Pattern, Var};
-use ngd_graph::{EdgeRef, Graph, GraphView, IdMap, NodeId, WILDCARD};
+use ngd_graph::{Dir, EdgeRef, Graph, GraphView, IdMap, NodeId, WILDCARD};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -316,39 +316,29 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         assignment: &[Option<NodeId>],
         stats: &mut MatchStats,
     ) -> Vec<NodeId> {
-        // (walk anchor's out-edges?, anchor, edge label, run length)
-        let mut best: Option<(bool, NodeId, ngd_graph::Sym, usize)> = None;
+        // (anchor, edge label, direction read from the anchor, run length)
+        let mut best: Option<(NodeId, ngd_graph::Sym, Dir, usize)> = None;
         for edge in self.pattern.edges() {
-            let found = if edge.src == var {
-                assignment[edge.dst.index()].map(|dst| {
-                    (
-                        false,
-                        dst,
-                        edge.label,
-                        self.graph.in_labeled_count(dst, edge.label),
-                    )
-                })
-            } else if edge.dst == var {
-                assignment[edge.src.index()].map(|src| {
-                    (
-                        true,
-                        src,
-                        edge.label,
-                        self.graph.out_labeled_count(src, edge.label),
-                    )
-                })
-            } else {
-                None
+            let Some((dir, other)) = edge.from_var(var) else {
+                continue;
             };
-            if let Some(candidate) = found {
-                if best.is_none_or(|(_, _, _, len)| candidate.3 < len) {
-                    best = Some(candidate);
+            if let Some(anchor) = assignment[other.index()] {
+                let len = self.graph.labeled_count(anchor, edge.label, dir.rev());
+                if best.is_none_or(|(.., best_len)| len < best_len) {
+                    best = Some((anchor, edge.label, dir.rev(), len));
                 }
             }
         }
         let raw = match best {
-            Some((true, anchor, label, _)) => self.graph.out_labeled_vec(anchor, label),
-            Some((false, anchor, label, _)) => self.graph.in_labeled_vec(anchor, label),
+            Some((anchor, label, dir, _)) => match self.graph.labeled_slice(anchor, label, dir) {
+                Some(run) => run.to_vec(),
+                None => {
+                    let mut run = Vec::new();
+                    self.graph
+                        .for_each_labeled(anchor, label, dir, &mut |n| run.push(n));
+                    run
+                }
+            },
             None => self.seed_candidates(var),
         };
         stats.candidates_inspected += raw.len();
@@ -367,28 +357,19 @@ impl<'g, G: GraphView> Matcher<'g, G> {
     /// adjacency-list path.
     fn seed_candidates(&self, var: Var) -> Vec<NodeId> {
         let var_label = self.pattern.label(var);
-        // (src label, edge label, dst label, want_src), smallest run first.
+        // (src label, edge label, dst label, end), smallest run first.
         // Wildcard labels are allowed on either side: a wildcard-labelled
         // seed variable with a concrete incident edge still seeds from the
         // (unioned) triple-index groups instead of the full node set.
-        let mut best: Option<(ngd_graph::Sym, ngd_graph::Sym, ngd_graph::Sym, bool, usize)> = None;
+        let mut best: Option<(ngd_graph::Sym, ngd_graph::Sym, ngd_graph::Sym, Dir, usize)> = None;
         for edge in self.pattern.edges() {
-            let (want_src, other) = if edge.src == var {
-                (true, edge.dst)
-            } else if edge.dst == var {
-                (false, edge.src)
-            } else {
+            let Some((end, other)) = edge.from_var(var) else {
                 continue;
             };
             if other == var {
                 continue;
             }
-            let other_label = self.pattern.label(other);
-            let (src_label, dst_label) = if want_src {
-                (var_label, other_label)
-            } else {
-                (other_label, var_label)
-            };
+            let (src_label, dst_label) = end.src_dst(var_label, self.pattern.label(other));
             // Size the run in O(1) first; only the winner is
             // materialised (sorted + deduped) below.
             if let Some(len) = self
@@ -396,11 +377,11 @@ impl<'g, G: GraphView> Matcher<'g, G> {
                 .labeled_triple_run_len(src_label, edge.label, dst_label)
             {
                 if best.is_none_or(|(.., l)| len < l) {
-                    best = Some((src_label, edge.label, dst_label, want_src, len));
+                    best = Some((src_label, edge.label, dst_label, end, len));
                 }
             }
         }
-        if let Some((src_label, edge_label, dst_label, want_src, len)) = best {
+        if let Some((src_label, edge_label, dst_label, end, len)) = best {
             // Only follow the triple index when it actually narrows the
             // seed set below the label partition.
             let label_bound = if var_label == WILDCARD {
@@ -411,7 +392,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             if len <= label_bound {
                 if let Some(list) = self
                     .graph
-                    .labeled_triple_endpoints(src_label, edge_label, dst_label, want_src)
+                    .labeled_triple_endpoints(src_label, edge_label, dst_label, end)
                 {
                     return list;
                 }
@@ -715,16 +696,6 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         }
     }
 
-    /// The anchored run of one anchor under the partial assignment, when
-    /// the view stores it contiguously.
-    fn anchor_slice(&self, anchor: &plan::Anchor, node: NodeId) -> Option<&'g [NodeId]> {
-        if anchor.from_other {
-            self.graph.out_labeled_slice(node, anchor.label)
-        } else {
-            self.graph.in_labeled_slice(node, anchor.label)
-        }
-    }
-
     /// Draw the candidates of an unanchored plan step into `buf`, from its
     /// compiled seed choice.
     fn draw_seeds(&self, step: &PlanStep, stats: &mut MatchStats, buf: &mut Vec<NodeId>) {
@@ -765,7 +736,8 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         // Try the slice fast path for every anchor run.
         runs.clear();
         let all_slices = step.anchors.iter().all(|anchor| {
-            self.anchor_slice(anchor, anchored(anchor))
+            (self.graph)
+                .labeled_slice(anchored(anchor), anchor.label, anchor.dir)
                 .map(|run| runs.push(run))
                 .is_some()
         });
@@ -786,23 +758,13 @@ impl<'g, G: GraphView> Matcher<'g, G> {
             .anchors
             .iter()
             .map(|anchor| (anchor, anchored(anchor)))
-            .min_by_key(|&(anchor, node)| {
-                if anchor.from_other {
-                    self.graph.out_labeled_count(node, anchor.label)
-                } else {
-                    self.graph.in_labeled_count(node, anchor.label)
-                }
-            })
+            .min_by_key(|&(anchor, node)| self.graph.labeled_count(node, anchor.label, anchor.dir))
             .expect("anchors non-empty");
-        match self.anchor_slice(anchor, node) {
+        match self.graph.labeled_slice(node, anchor.label, anchor.dir) {
             Some(run) => buf.extend_from_slice(run),
-            None if anchor.from_other => {
-                self.graph
-                    .for_each_out_labeled(node, anchor.label, &mut |n| buf.push(n));
-            }
             None => {
                 self.graph
-                    .for_each_in_labeled(node, anchor.label, &mut |n| buf.push(n));
+                    .for_each_labeled(node, anchor.label, anchor.dir, &mut |n| buf.push(n));
             }
         }
         stats.candidates_inspected += buf.len();
@@ -822,11 +784,7 @@ impl<'g, G: GraphView> Matcher<'g, G> {
         let node = assignment[step.var.index()].expect("step variable assigned");
         for anchor in &step.anchors {
             let other = assignment[anchor.other.index()].expect("anchor endpoint assigned");
-            let (src, dst) = if anchor.from_other {
-                (other, node)
-            } else {
-                (node, other)
-            };
+            let (src, dst) = anchor.dir.src_dst(other, node);
             if !anchors_verified && !self.graph.has_edge(src, dst, anchor.label) {
                 return false;
             }

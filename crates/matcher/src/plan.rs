@@ -70,7 +70,7 @@
 //! as it does for a plan with the wrong seed set.
 
 use ngd_core::{Expr, Literal, Ngd, Pattern, Var};
-use ngd_graph::{resolve, GraphView, NodeId, SelectivityStats, Sym, WILDCARD};
+use ngd_graph::{resolve, Dir, GraphView, NodeId, SelectivityStats, Sym, WILDCARD};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +80,8 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SeedChoice {
     /// From the `(src label, edge label, dst label)` triple index, taking
-    /// the source (`want_src`) or destination endpoints.  Any label may be
+    /// the endpoints that read the edges in direction `end` (sources for
+    /// [`Dir::Out`], destinations for [`Dir::In`]).  Any label may be
     /// [`WILDCARD`].
     Triple {
         /// Source-label component of the triple key.
@@ -89,8 +90,8 @@ pub enum SeedChoice {
         edge_label: Sym,
         /// Destination-label component of the triple key.
         dst_label: Sym,
-        /// Take edge sources (`true`) or destinations.
-        want_src: bool,
+        /// Take edge sources ([`Dir::Out`]) or destinations.
+        end: Dir,
     },
     /// From the label partition.
     Label(Sym),
@@ -106,9 +107,10 @@ pub struct Anchor {
     pub other: Var,
     /// The pattern edge's label.
     pub label: Sym,
-    /// The pattern edge is `other -[label]-> var` (candidates come from the
-    /// anchor node's *out*-run); otherwise `var -[label]-> other` (in-run).
-    pub from_other: bool,
+    /// The direction the pattern edge is read from `other`: [`Dir::Out`]
+    /// for `other -[label]-> var` (candidates come from the anchor node's
+    /// out-run), [`Dir::In`] for `var -[label]-> other` (its in-run).
+    pub dir: Dir,
 }
 
 /// One step of a compiled plan.
@@ -264,7 +266,7 @@ impl MatchPlan {
                         src_label,
                         edge_label,
                         dst_label,
-                        want_src,
+                        end,
                     } => {
                         let _ = write!(
                             out,
@@ -272,7 +274,10 @@ impl MatchPlan {
                             resolve(*src_label),
                             resolve(*edge_label),
                             resolve(*dst_label),
-                            if *want_src { "sources" } else { "targets" },
+                            match end {
+                                Dir::Out => "sources",
+                                Dir::In => "targets",
+                            },
                         );
                     }
                     SeedChoice::Label(l) => {
@@ -286,11 +291,11 @@ impl MatchPlan {
                     if i > 0 {
                         out.push_str(" ∩ ");
                     }
-                    if a.from_other {
-                        let _ = write!(out, "{} -[{}]->", pattern.name(a.other), resolve(a.label));
-                    } else {
-                        let _ = write!(out, "<-[{}]- {}", resolve(a.label), pattern.name(a.other));
-                    }
+                    let (other, label) = (pattern.name(a.other), resolve(a.label));
+                    let _ = match a.dir {
+                        Dir::Out => write!(out, "{other} -[{label}]->"),
+                        Dir::In => write!(out, "<-[{label}]- {other}"),
+                    };
                 }
             }
             for l in &step.self_loops {
@@ -476,21 +481,12 @@ fn anchors_of<'p>(
     var: Var,
 ) -> impl Iterator<Item = Anchor> + 'p {
     pattern.edges().iter().filter_map(move |e| {
-        if e.src == var && e.dst != var && placed[e.dst.index()] {
-            Some(Anchor {
-                other: e.dst,
-                label: e.label,
-                from_other: false,
-            })
-        } else if e.dst == var && e.src != var && placed[e.src.index()] {
-            Some(Anchor {
-                other: e.src,
-                label: e.label,
-                from_other: true,
-            })
-        } else {
-            None
-        }
+        let (dir, other) = e.from_var(var)?;
+        (other != var && placed[other.index()]).then_some(Anchor {
+            other,
+            label: e.label,
+            dir: dir.rev(),
+        })
     })
 }
 
@@ -509,14 +505,9 @@ fn extension_estimate(
     let mut count = 0usize;
     for anchor in anchors_of(pattern, placed, var) {
         count += 1;
-        let other_label = pattern.label(anchor.other);
-        let (src_label, dst_label) = if anchor.from_other {
-            (other_label, var_label)
-        } else {
-            (var_label, other_label)
-        };
+        let (src_label, dst_label) = anchor.dir.src_dst(pattern.label(anchor.other), var_label);
         let fanout = stats
-            .avg_fanout(src_label, anchor.label, dst_label, anchor.from_other)
+            .avg_fanout(src_label, anchor.label, dst_label, anchor.dir)
             .unwrap_or_else(|| stats.label_size(var_label) as f64);
         best = Some(match best {
             Some(b) => b.min(fanout),
@@ -541,22 +532,13 @@ fn seed_estimate(pattern: &Pattern, stats: &SelectivityStats<'_>, var: Var) -> (
         },
     );
     for edge in pattern.edges() {
-        let (want_src, other) = if edge.src == var {
-            (true, edge.dst)
-        } else if edge.dst == var {
-            (false, edge.src)
-        } else {
+        let Some((end, other)) = edge.from_var(var) else {
             continue;
         };
         if other == var {
             continue;
         }
-        let other_label = pattern.label(other);
-        let (src_label, dst_label) = if want_src {
-            (var_label, other_label)
-        } else {
-            (other_label, var_label)
-        };
+        let (src_label, dst_label) = end.src_dst(var_label, pattern.label(other));
         if let Some(len) = stats.triple_size(src_label, edge.label, dst_label) {
             if (len as f64) < best.0 {
                 best = (
@@ -565,7 +547,7 @@ fn seed_estimate(pattern: &Pattern, stats: &SelectivityStats<'_>, var: Var) -> (
                         src_label,
                         edge_label: edge.label,
                         dst_label,
-                        want_src,
+                        end,
                     },
                 );
             }
@@ -586,11 +568,11 @@ pub(crate) fn seed_nodes<G: GraphView>(
         src_label,
         edge_label,
         dst_label,
-        want_src,
+        end,
     } = choice
     {
         if let Some(list) =
-            graph.labeled_triple_endpoints(*src_label, *edge_label, *dst_label, *want_src)
+            graph.labeled_triple_endpoints(*src_label, *edge_label, *dst_label, *end)
         {
             return list;
         }

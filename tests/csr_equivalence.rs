@@ -125,7 +125,7 @@ fn check_incremental(graph: &Graph, sigma: &RuleSet, delta: &BatchUpdate, contex
         "{context}: mmap dΣ-neighbourhood size differs"
     );
 
-    let old_view = snapshot.as_overlay();
+    let old_view = DeltaOverlay::empty(&snapshot);
     let new_view = DeltaOverlay::new(&snapshot, delta);
     for p in [1, 3] {
         let config = DetectorConfig::with_processors(p);

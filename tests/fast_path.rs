@@ -77,7 +77,7 @@ fn the_literal_schedule_and_the_borrowed_runs_are_engaged_on_the_benchmark_rules
         .map(|_| paired_moves(&graph, 16, &mut rng))
         .collect();
     let cache = PlanCache::new();
-    let old_view = snapshot.as_overlay();
+    let old_view = DeltaOverlay::empty(&snapshot);
     let serve = |config: &DetectorConfig| {
         batches
             .iter()

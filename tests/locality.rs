@@ -15,7 +15,8 @@ use ngd_core::{paper, RuleSet};
 use ngd_datagen::{generate_knowledge, generate_rules, KnowledgeConfig, RuleGenConfig, StdRng};
 use ngd_detect::{inc_dect, pinc_dect_prepared, DetectorConfig, IncrementalSession, VioSink};
 use ngd_graph::{
-    AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, GraphView, MmapSnapshot, NodeId, Sym, Value,
+    AttrMap, BatchUpdate, DeltaOverlay, Dir, EdgeRef, Graph, GraphView, MmapSnapshot, NodeId, Sym,
+    Value,
 };
 use ngd_integration_tests::{example7_workload, paired_moves};
 use ngd_match::PlanCache;
@@ -93,38 +94,17 @@ impl<B: GraphView> GraphView for Counting<B> {
     fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
         self.node().has_edge(src, dst, label)
     }
-    fn out_degree(&self, id: NodeId) -> usize {
-        self.node().out_degree(id)
+    fn degree(&self, id: NodeId, dir: Dir) -> usize {
+        self.node().degree(id, dir)
     }
-    fn in_degree(&self, id: NodeId) -> usize {
-        self.node().in_degree(id)
+    fn labeled_count(&self, id: NodeId, label: Sym, dir: Dir) -> usize {
+        self.node().labeled_count(id, label, dir)
     }
-    fn degree(&self, id: NodeId) -> usize {
-        self.node().degree(id)
+    fn labeled_slice(&self, id: NodeId, label: Sym, dir: Dir) -> Option<&[NodeId]> {
+        self.node().labeled_slice(id, label, dir)
     }
-    fn out_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.node().out_labeled_count(id, label)
-    }
-    fn in_labeled_count(&self, id: NodeId, label: Sym) -> usize {
-        self.node().in_labeled_count(id, label)
-    }
-    fn out_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        self.node().out_labeled_slice(id, label)
-    }
-    fn in_labeled_slice(&self, id: NodeId, label: Sym) -> Option<&[NodeId]> {
-        self.node().in_labeled_slice(id, label)
-    }
-    fn out_labeled_vec(&self, id: NodeId, label: Sym) -> Vec<NodeId> {
-        self.node().out_labeled_vec(id, label)
-    }
-    fn in_labeled_vec(&self, id: NodeId, label: Sym) -> Vec<NodeId> {
-        self.node().in_labeled_vec(id, label)
-    }
-    fn for_each_out_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.node().for_each_out_labeled(id, label, f)
-    }
-    fn for_each_in_labeled(&self, id: NodeId, label: Sym, f: &mut dyn FnMut(NodeId)) {
-        self.node().for_each_in_labeled(id, label, f)
+    fn for_each_labeled(&self, id: NodeId, label: Sym, dir: Dir, f: &mut dyn FnMut(NodeId)) {
+        self.node().for_each_labeled(id, label, dir, f)
     }
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
         self.node().for_each_undirected(id, f)
@@ -142,14 +122,8 @@ impl<B: GraphView> GraphView for Counting<B> {
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
         self.scan().for_each_edge(f)
     }
-    fn labeled_triple_endpoints(
-        &self,
-        s: Sym,
-        e: Sym,
-        d: Sym,
-        want_src: bool,
-    ) -> Option<Vec<NodeId>> {
-        self.scan().labeled_triple_endpoints(s, e, d, want_src)
+    fn labeled_triple_endpoints(&self, s: Sym, e: Sym, d: Sym, end: Dir) -> Option<Vec<NodeId>> {
+        self.scan().labeled_triple_endpoints(s, e, d, end)
     }
 }
 
@@ -267,7 +241,7 @@ fn block_and_notify_terminates_for_every_worker_count_and_variant() {
         let expected = inc_dect(&sigma, &graph, &delta).delta;
         assert_eq!(expected.removed.len(), 99);
         let snapshot = graph.freeze();
-        let old_view = snapshot.as_overlay();
+        let old_view = DeltaOverlay::empty(&snapshot);
         let new_view = DeltaOverlay::new(&snapshot, &delta);
         for p in WORKER_COUNTS {
             let config = DetectorConfig::with_processors(p);

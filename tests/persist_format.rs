@@ -24,7 +24,7 @@
 use ngd_graph::persist::{
     file_checksum, format, FileHeader, MmapSnapshot, PersistError, SnapshotWriter,
 };
-use ngd_graph::{intern, AttrMap, Graph, GraphView, NodeId, Value};
+use ngd_graph::{intern, AttrMap, Dir, Graph, GraphView, NodeId, Value};
 use std::path::PathBuf;
 
 /// Epoch stamped into the golden v1.1 file — nonzero on purpose, so the
@@ -226,7 +226,7 @@ fn golden_file_loads_and_matches_the_graph() {
         intern("keys")
     ));
     assert_eq!(
-        snapshot.out_neighbors_labeled(NodeId(0), intern("follower")),
+        snapshot.neighbors_labeled(NodeId(0), intern("follower"), Dir::Out),
         &[NodeId(2)]
     );
     assert_eq!(

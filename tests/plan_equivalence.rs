@@ -394,13 +394,11 @@ fn step_candidates<G: GraphView>(graph: &G, rule: &Ngd, step: &PlanStep) -> Vec<
             src_label,
             edge_label,
             dst_label,
-            want_src,
+            end,
         }),
     ) = (step.anchors.is_empty(), step.seed)
     {
-        if let Some(nodes) =
-            graph.labeled_triple_endpoints(src_label, edge_label, dst_label, want_src)
-        {
+        if let Some(nodes) = graph.labeled_triple_endpoints(src_label, edge_label, dst_label, end) {
             return nodes;
         }
     }

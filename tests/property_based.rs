@@ -17,7 +17,7 @@ use ngd_core::{Expr, Literal, Ngd, Pattern, RuleSet};
 use ngd_datagen::StdRng;
 use ngd_detect::{dect, dect_on, inc_dect_prepared, pinc_dect_prepared, DetectorConfig};
 use ngd_graph::persist::{MmapSnapshot, SnapshotWriter};
-use ngd_graph::{d_neighbors, intern, AttrMap, BatchUpdate, Graph, GraphView, NodeId, Value};
+use ngd_graph::{d_neighbors, intern, AttrMap, BatchUpdate, Dir, Graph, GraphView, NodeId, Value};
 
 /// Number of random cases per property.
 const CASES: u64 = 48;
@@ -343,16 +343,13 @@ fn snapshot_files_round_trip_byte_identically() {
         for id in graph.node_ids() {
             for label in NODE_LABELS.iter().chain(EDGE_LABELS.iter()) {
                 let l = intern(label);
-                assert_eq!(
-                    mapped.out_neighbors_labeled(id, l),
-                    snapshot.out_neighbors_labeled(id, l),
-                    "case {case}: out run of {id} along {label}"
-                );
-                assert_eq!(
-                    mapped.in_neighbors_labeled(id, l),
-                    snapshot.in_neighbors_labeled(id, l),
-                    "case {case}: in run of {id} along {label}"
-                );
+                for dir in Dir::BOTH {
+                    assert_eq!(
+                        mapped.neighbors_labeled(id, l, dir),
+                        snapshot.neighbors_labeled(id, l, dir),
+                        "case {case}: {dir:?} run of {id} along {label}"
+                    );
+                }
             }
         }
 
@@ -374,10 +371,10 @@ fn snapshot_files_round_trip_byte_identically() {
                         snapshot.triple_count(s, e, d),
                         "case {case}"
                     );
-                    for want_src in [true, false] {
+                    for end in Dir::BOTH {
                         assert_eq!(
-                            GraphView::labeled_triple_endpoints(&mapped, s, e, d, want_src),
-                            GraphView::labeled_triple_endpoints(&snapshot, s, e, d, want_src),
+                            GraphView::labeled_triple_endpoints(&mapped, s, e, d, end),
+                            GraphView::labeled_triple_endpoints(&snapshot, s, e, d, end),
                             "case {case}"
                         );
                     }
