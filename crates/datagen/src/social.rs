@@ -240,7 +240,7 @@ pub fn generate_social(config: &SocialConfig) -> GeneratedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ngd_graph::intern;
+    use ngd_graph::{intern, Dir};
 
     #[test]
     fn fake_accounts_are_seeded_and_recorded() {
@@ -289,7 +289,7 @@ mod tests {
         for &company in companies {
             let accounts = generated
                 .graph
-                .in_neighbors(company)
+                .neighbors(company, Dir::In)
                 .iter()
                 .filter(|&&(_, l)| l == intern("keys"))
                 .count();

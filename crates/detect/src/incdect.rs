@@ -99,7 +99,7 @@ mod tests {
     use super::*;
     use crate::batch::dect;
     use ngd_core::paper;
-    use ngd_graph::{intern, AttrMap, NodeId, Value};
+    use ngd_graph::{intern, AttrMap, Dir, NodeId, Value};
     use ngd_match::ViolationSet;
 
     /// The oracle: recompute batch violations on both versions and diff.
@@ -191,7 +191,7 @@ mod tests {
         let (g_old, village) = paper::figure1_g2();
         let sigma = RuleSet::from_rules(vec![paper::phi2()]);
         let total_node = g_old
-            .out_neighbors(village)
+            .neighbors(village, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == intern("populationTotal"))
             .map(|&(n, _)| n)

@@ -29,7 +29,7 @@
 //! use ngd_core::paper;
 //! use ngd_core::RuleSet;
 //! use ngd_detect::{dect, inc_dect, DetectorConfig, pinc_dect};
-//! use ngd_graph::{intern, BatchUpdate};
+//! use ngd_graph::{intern, BatchUpdate, Dir};
 //!
 //! // The Twitter fake-account scenario of Figure 1 / Example 6.
 //! let (graph, fake) = paper::figure1_g4();
@@ -42,7 +42,7 @@
 //! // Deleting its status edge removes the violation — detected
 //! // incrementally without rescanning the graph.
 //! let status = graph
-//!     .out_neighbors(fake)
+//!     .neighbors(fake, Dir::Out)
 //!     .iter()
 //!     .find(|&&(_, l)| l == intern("status"))
 //!     .map(|&(n, _)| n)

@@ -267,7 +267,7 @@ mod tests {
     use super::*;
     use crate::incdect::inc_dect;
     use ngd_core::{paper, Expr, Literal, Pattern};
-    use ngd_graph::{intern, AttrMap, Value};
+    use ngd_graph::{intern, AttrMap, Dir, Value};
 
     /// Example 7 of the paper: G4 plus 98 small helper accounts, then the
     /// *real* account's status edge — which every violation shares as the
@@ -296,7 +296,7 @@ mod tests {
             let _ = i;
         }
         let status_node = g
-            .out_neighbors(real)
+            .neighbors(real, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == intern("status"))
             .map(|&(n, _)| n)

@@ -46,7 +46,7 @@ use ngd_match::PlanCache;
 /// ```
 /// use ngd_core::{paper, RuleSet};
 /// use ngd_detect::{DetectorConfig, IncrementalSession};
-/// use ngd_graph::{intern, BatchUpdate};
+/// use ngd_graph::{intern, BatchUpdate, Dir};
 ///
 /// let (graph, fake) = paper::figure1_g4();
 /// let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
@@ -55,7 +55,7 @@ use ngd_match::PlanCache;
 ///
 /// // Deleting the fake account's status edge removes its violation …
 /// let status = graph
-///     .out_neighbors(fake)
+///     .neighbors(fake, Dir::Out)
 ///     .iter()
 ///     .find(|&&(_, l)| l == intern("status"))
 ///     .map(|&(n, _)| n)

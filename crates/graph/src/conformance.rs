@@ -82,7 +82,6 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str,
         let degrees = Dir::BOTH.map(|dir| view.degree(id, dir));
         let want = Dir::BOTH.map(|dir| graph.neighbors(id, dir).len());
         assert_eq!(degrees, want, "{what}: out/in degree({id})");
-        assert_eq!(degrees[0] + degrees[1], graph.degree(id), "{what}: degree");
         for dir in Dir::BOTH {
             for &l in &edge_probes {
                 let want = neighbors_along(graph.neighbors(id, dir), l);
@@ -103,11 +102,6 @@ pub(crate) fn assert_conforms<V: GraphView>(view: &V, graph: &Graph, what: &str,
         view.for_each_undirected(id, &mut |m, e| incident.push((m, e)));
         let want: Vec<(NodeId, EdgeRef)> = graph.undirected_neighbors(id).collect();
         assert_eq!(sorted(incident), sorted(want), "{what}: undirected({id})");
-
-        let mut outs = Vec::new();
-        view.for_each_out(id, &mut |m, l| outs.push((m, l)));
-        let want = graph.out_neighbors(id).to_vec();
-        assert_eq!(sorted(outs), sorted(want), "{what}: for_each_out({id})");
     }
 
     for &src in ids.iter().chain([&past_end]) {
@@ -236,7 +230,7 @@ fn random_graph(seed: u64) -> Graph {
         // A repeated (src, dst, label) is rejected by the graph; skip it.
         let _ = g.add_edge_named(src, dst, edge_labels[rng.below(edge_labels.len())]);
     }
-    assert_eq!(g.degree(isolated), 0);
+    assert_eq!(g.undirected_neighbors(isolated).count(), 0);
     g
 }
 

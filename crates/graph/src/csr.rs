@@ -239,12 +239,6 @@ impl GraphView for MmapSnapshot {
         }
     }
 
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        for (key, n) in self.side(Dir::Out).entries(id.index()) {
-            f(n, self.sym_table().sym(key));
-        }
-    }
-
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
         let out = self.side(Dir::Out);
         for row in 0..self.node_count() {
@@ -422,7 +416,7 @@ mod tests {
         assert_eq!(edges, expected);
         let mut degree = 0;
         GraphView::for_each_undirected(&snap, n[0], &mut |_, _| degree += 1);
-        assert_eq!(degree, g.degree(n[0]));
+        assert_eq!(degree, g.undirected_neighbors(n[0]).count());
     }
 
     #[test]

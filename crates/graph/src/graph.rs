@@ -290,21 +290,13 @@ impl Graph {
             && self.out[src.index()].iter().any(|&(d, _)| d == dst)
     }
 
-    /// Outgoing `(neighbour, edge-label)` pairs of a node.
-    pub fn out_neighbors(&self, id: NodeId) -> &[(NodeId, Sym)] {
-        &self.out[id.index()]
-    }
-
-    /// Incoming `(neighbour, edge-label)` pairs of a node.
-    pub fn in_neighbors(&self, id: NodeId) -> &[(NodeId, Sym)] {
-        &self.inn[id.index()]
-    }
-
-    /// The `(neighbour, edge-label)` pairs of a node read in direction `dir`.
-    pub(crate) fn neighbors(&self, id: NodeId, dir: Dir) -> &[(NodeId, Sym)] {
+    /// The `(neighbour, edge-label)` pairs of a node read in direction
+    /// `dir`: its successors for [`Dir::Out`], its predecessors for
+    /// [`Dir::In`].  The slice's length is the node's degree that way.
+    pub fn neighbors(&self, id: NodeId, dir: Dir) -> &[(NodeId, Sym)] {
         match dir {
-            Dir::Out => self.out_neighbors(id),
-            Dir::In => self.in_neighbors(id),
+            Dir::Out => &self.out[id.index()],
+            Dir::In => &self.inn[id.index()],
         }
     }
 
@@ -318,21 +310,6 @@ impl Graph {
             .iter()
             .map(move |&(src, label)| (src, EdgeRef::new(src, id, label)));
         outgoing.chain(incoming)
-    }
-
-    /// Out-degree of a node.
-    pub fn out_degree(&self, id: NodeId) -> usize {
-        self.out[id.index()].len()
-    }
-
-    /// In-degree of a node.
-    pub fn in_degree(&self, id: NodeId) -> usize {
-        self.inn[id.index()].len()
-    }
-
-    /// Total (undirected) degree of a node.
-    pub fn degree(&self, id: NodeId) -> usize {
-        self.out_degree(id) + self.in_degree(id)
     }
 
     /// All node ids.
@@ -447,12 +424,12 @@ mod tests {
         let a = g.add_node_named("x", AttrMap::new());
         let b = g.add_node_named("y", AttrMap::new());
         g.add_edge_named(a, b, "e").unwrap();
-        assert_eq!(g.degree(a), 1);
-        assert_eq!(g.degree(b), 1);
+        assert_eq!(g.undirected_neighbors(a).count(), 1);
+        assert_eq!(g.undirected_neighbors(b).count(), 1);
         g.remove_edge(a, b, intern("e")).unwrap();
         assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.degree(a), 0);
-        assert_eq!(g.degree(b), 0);
+        assert_eq!(g.undirected_neighbors(a).count(), 0);
+        assert_eq!(g.undirected_neighbors(b).count(), 0);
         assert_eq!(
             g.remove_edge(a, b, intern("e")),
             Err(GraphError::EdgeNotFound { src: a, dst: b })
@@ -496,9 +473,8 @@ mod tests {
             spokes.push(s);
         }
         g.add_edge_named(spokes[0], hub, "back").unwrap();
-        assert_eq!(g.out_degree(hub), 5);
-        assert_eq!(g.in_degree(hub), 1);
-        assert_eq!(g.degree(hub), 6);
+        assert_eq!(g.neighbors(hub, Dir::Out).len(), 5);
+        assert_eq!(g.neighbors(hub, Dir::In).len(), 1);
         let undirected: Vec<NodeId> = g.undirected_neighbors(hub).map(|(n, _)| n).collect();
         assert_eq!(undirected.len(), 6);
     }

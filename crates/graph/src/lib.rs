@@ -83,7 +83,7 @@ pub use csr::CsrSnapshot;
 pub use graph::{Dir, EdgeRef, Graph, NodeData, NodeId};
 pub use hash::{IdMap, IdSet};
 pub use interner::{intern, resolve, Sym, WILDCARD};
-pub use neighborhood::{d_neighbors, d_neighbors_many, induced_subgraph, Neighborhood};
+pub use neighborhood::{d_neighbors, d_neighbors_many, Neighborhood};
 pub use overlay::{DeltaOverlay, RebaseError};
 pub use persist::{
     CompactError, CompactReport, CompactionWriter, MmapSnapshot, PersistError, SnapshotWriter,

@@ -492,21 +492,6 @@ impl<'a, B: GraphView> GraphView for DeltaOverlay<'a, B> {
         }
     }
 
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        if self.is_base_node(id) {
-            let has_removals = self.removed_degree(id, Dir::Out) > 0;
-            GraphView::for_each_out(self.base, id, &mut |n, l| {
-                if has_removals && self.removed.contains(&EdgeRef::new(id, n, l)) {
-                    return;
-                }
-                f(n, l);
-            });
-        }
-        for &(l, n) in self.added_entries(id, Dir::Out) {
-            f(n, l);
-        }
-    }
-
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef)) {
         GraphView::for_each_edge(self.base, &mut |e| {
             if !self.removed.contains(&e) {

@@ -734,8 +734,8 @@ fn decode(file: &FileData) -> Result<MmapSnapshot, PersistError> {
         &syms,
     )?;
 
-    // SAFETY (`detach`): every slice below was cut from `file.map`'s bytes
-    // by `FileData::{u32s, blob}` and validated above.  The snapshot
+    // SAFETY: `detach` is sound for every slice below.  Each was cut from
+    // `file.map`'s bytes by `FileData::{u32s, blob}` and validated above.  The snapshot
     // holds a clone of that `Arc<MmapFile>` in `map` for its whole life,
     // and `map` is its last field, so it drops after every slice.  The
     // bytes never move or change while an `MmapFile` lives (its docs: a

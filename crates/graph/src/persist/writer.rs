@@ -211,7 +211,7 @@ impl Graph {
             for (name, _) in self.attrs(id).iter() {
                 mark(name);
             }
-            for &(_, label) in self.out_neighbors(id) {
+            for &(_, label) in self.neighbors(id, Dir::Out) {
                 mark(label);
             }
         }

@@ -92,10 +92,6 @@ pub trait GraphView {
     /// twice (once per direction), matching `Graph::undirected_neighbors`.
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef));
 
-    /// Visit every outgoing edge of `id` exactly once, as
-    /// `(neighbour, edge label)` pairs.
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym));
-
     /// Visit every directed edge of the graph.
     fn for_each_edge(&self, f: &mut dyn FnMut(EdgeRef));
 
@@ -263,12 +259,6 @@ impl GraphView for Graph {
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
         for (n, e) in self.undirected_neighbors(id) {
             f(n, e);
-        }
-    }
-
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        for &(n, l) in self.out_neighbors(id) {
-            f(n, l);
         }
     }
 

@@ -113,7 +113,7 @@ mod tests {
     use crate::violation::{DeltaViolations, Violation, ViolationSet};
     use ngd_core::paper;
     use ngd_core::RuleSet;
-    use ngd_graph::{intern, AttrMap, BatchUpdate, Graph, Value};
+    use ngd_graph::{intern, AttrMap, BatchUpdate, Dir, Graph, Value};
 
     /// Recompute ΔVio from scratch (batch on both graphs) — the oracle the
     /// incremental computation must agree with.
@@ -180,7 +180,7 @@ mod tests {
         let (g_old, fake) = paper::figure1_g4();
         let rule = paper::phi4(1, 1, 10_000);
         let status_edge = g_old
-            .out_neighbors(fake)
+            .neighbors(fake, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == intern("status"))
             .map(|&(n, l)| EdgeRef::new(fake, n, l))
@@ -201,7 +201,7 @@ mod tests {
         let (g_full, village) = paper::figure1_g2();
         let rule = paper::phi2();
         let total_edge = g_full
-            .out_neighbors(village)
+            .neighbors(village, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == intern("populationTotal"))
             .map(|&(n, l)| EdgeRef::new(village, n, l))
@@ -321,7 +321,7 @@ mod tests {
         let (g_old, fake) = paper::figure1_g4();
         let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000), paper::phi1(1)]);
         let status_node = g_old
-            .out_neighbors(fake)
+            .neighbors(fake, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == intern("status"))
             .map(|&(n, _)| n)

@@ -1093,7 +1093,7 @@ mod tests {
         let (mut g2, village) = paper::figure1_g2();
         // total node is the one reached via populationTotal.
         let total_node = g2
-            .out_neighbors(village)
+            .neighbors(village, Dir::Out)
             .iter()
             .find(|&&(_, l)| l == ngd_graph::intern("populationTotal"))
             .map(|&(n, _)| n)

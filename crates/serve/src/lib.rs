@@ -65,7 +65,7 @@
 //! use ngd_core::{paper, RuleSet};
 //! use ngd_detect::DetectorConfig;
 //! use ngd_graph::persist::SnapshotWriter;
-//! use ngd_graph::{intern, BatchUpdate};
+//! use ngd_graph::{intern, BatchUpdate, Dir};
 //! use ngd_serve::{ServeAddr, ServeClient, Server, SnapshotStore};
 //!
 //! // Ingest: freeze the figure-1 graph and write a snapshot file.
@@ -86,7 +86,7 @@
 //! // Client: submit the status-edge deletion of Example 7.
 //! let mut client = ServeClient::connect(server.local_addr()).unwrap();
 //! let status = graph
-//!     .out_neighbors(fake)
+//!     .neighbors(fake, Dir::Out)
 //!     .iter()
 //!     .find(|&&(_, l)| l == intern("status"))
 //!     .map(|&(n, _)| n)

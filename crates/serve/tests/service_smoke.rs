@@ -8,7 +8,7 @@
 use ngd_core::{paper, RuleSet};
 use ngd_detect::{pinc_dect, DetectorConfig};
 use ngd_graph::persist::SnapshotWriter;
-use ngd_graph::{intern, BatchUpdate};
+use ngd_graph::{intern, BatchUpdate, Dir};
 use ngd_serve::protocol::err_code;
 use ngd_serve::{ProtocolError, ServeAddr, ServeClient, Server, SnapshotStore};
 
@@ -42,7 +42,7 @@ fn unix_socket_daemon_serves_concurrent_sessions_byte_identically() {
     // The batch every session submits: delete the fake account's status
     // edge (removes the figure-1 violation).
     let status = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)
@@ -295,7 +295,7 @@ fn auto_compaction_triggers_at_the_configured_overlay_size() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let status = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)
@@ -309,7 +309,7 @@ fn auto_compaction_triggers_at_the_configured_overlay_size() {
 
     // Batch 2: second net op — crosses the threshold, daemon compacts.
     let follower = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("follower"))
         .map(|&(n, _)| n)
@@ -381,7 +381,7 @@ fn metrics_frame_reports_live_registry_and_dump_file_is_written() {
     let mut client = ServeClient::connect(server.local_addr()).unwrap();
 
     let status = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)
@@ -478,7 +478,7 @@ fn node_adding_compaction_reroots_edge_only_sessions_and_pins_conflicting_ones()
 
     let company = graph.nodes_with_label(intern("company"))[0];
     let status = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)

@@ -26,7 +26,7 @@ use ngd_datagen::{generate_knowledge, generate_update, KnowledgeConfig, StdRng, 
 use ngd_detect::{DetectorConfig, IncrementalSession};
 use ngd_graph::persist::{CompactError, CompactionWriter, MmapSnapshot, SnapshotWriter};
 use ngd_graph::{
-    intern, AttrMap, BatchUpdate, DeltaOverlay, EdgeRef, Graph, NodeId, UpdateError, Value,
+    intern, AttrMap, BatchUpdate, DeltaOverlay, Dir, EdgeRef, Graph, NodeId, UpdateError, Value,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -398,7 +398,7 @@ fn freeze_write_equals_compacting_the_whole_11k_graph_into_an_empty_snapshot() {
     }
     let reordered = graph
         .node_ids()
-        .filter(|&id| rebuilt.out_neighbors(id) != graph.out_neighbors(id))
+        .filter(|&id| rebuilt.neighbors(id, Dir::Out) != graph.neighbors(id, Dir::Out))
         .count();
     assert!(reordered > 1_000, "only {reordered} out-lists reordered");
     let refrozen = SnapshotWriter::new().encode(&rebuilt.freeze());

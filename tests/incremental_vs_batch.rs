@@ -11,7 +11,7 @@ use ngd_detect::{
     dect, inc_dect, inc_dect_prepared, pinc_dect_prepared, pinc_dect_prepared_streaming,
     DetectorConfig, VioSide,
 };
-use ngd_graph::{intern, BatchUpdate};
+use ngd_graph::{intern, BatchUpdate, Dir};
 use ngd_integration_tests::{knowledge_workload, oracle_delta, social_workload, update_for};
 use ngd_match::{DeltaViolations, PlanCache};
 use std::sync::Mutex;
@@ -109,7 +109,7 @@ fn delete_then_reinsert_the_same_edge_is_a_noop_delta() {
     let (graph, village) = paper::figure1_g2();
     let sigma = RuleSet::from_rules(vec![paper::phi2()]);
     let total_edge = graph
-        .out_neighbors(village)
+        .neighbors(village, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("populationTotal"))
         .map(|&(n, l)| (village, n, l))
@@ -137,7 +137,7 @@ fn violations_never_double_count_across_multiple_updated_edges() {
     // disappears, and all three deletions pivot into the same match.
     let village = graph.nodes_with_label(intern("area"))[0];
     let mut delta = BatchUpdate::new();
-    for &(dst, label) in graph.out_neighbors(village) {
+    for &(dst, label) in graph.neighbors(village, Dir::Out) {
         delta.delete_edge(village, dst, label);
     }
     let report = inc_dect(&sigma, &graph, &delta);

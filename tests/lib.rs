@@ -10,7 +10,7 @@ use ngd_datagen::{
     generate_knowledge, generate_rules, generate_social, generate_update, KnowledgeConfig,
     RuleGenConfig, SocialConfig, StdRng, UpdateConfig,
 };
-use ngd_graph::{intern, AttrMap, BatchUpdate, EdgeRef, Graph, Value};
+use ngd_graph::{intern, AttrMap, BatchUpdate, Dir, EdgeRef, Graph, Value};
 use ngd_match::ViolationSet;
 
 /// A small DBpedia-like knowledge graph with seeded errors plus the paper's
@@ -69,7 +69,7 @@ pub fn example7_workload() -> (Graph, BatchUpdate, RuleSet) {
         graph.add_edge_named(acct, s, "status").unwrap();
     }
     let status_node = graph
-        .out_neighbors(real)
+        .neighbors(real, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)

@@ -109,9 +109,6 @@ impl<B: GraphView> GraphView for Counting<B> {
     fn for_each_undirected(&self, id: NodeId, f: &mut dyn FnMut(NodeId, EdgeRef)) {
         self.node().for_each_undirected(id, f)
     }
-    fn for_each_out(&self, id: NodeId, f: &mut dyn FnMut(NodeId, Sym)) {
-        self.node().for_each_out(id, f)
-    }
 
     fn nodes_with_label_vec(&self, label: Sym) -> Vec<NodeId> {
         self.scan().nodes_with_label_vec(label)

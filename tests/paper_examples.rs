@@ -4,7 +4,7 @@
 
 use ngd_core::{paper, RuleSet};
 use ngd_detect::{dect, inc_dect, pinc_dect, DetectorConfig};
-use ngd_graph::{intern, AttrMap, BatchUpdate, GraphBuilder, Value};
+use ngd_graph::{intern, AttrMap, BatchUpdate, Dir, GraphBuilder, Value};
 use ngd_match::find_violations;
 
 #[test]
@@ -65,7 +65,7 @@ fn example6_deleting_the_status_edge_removes_the_fake_account_violation() {
     let (graph, fake) = paper::figure1_g4();
     let sigma = RuleSet::from_rules(vec![paper::phi4(1, 1, 10_000)]);
     let status_node = graph
-        .out_neighbors(fake)
+        .neighbors(fake, Dir::Out)
         .iter()
         .find(|&&(_, l)| l == intern("status"))
         .map(|&(n, _)| n)
